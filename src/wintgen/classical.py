@@ -150,20 +150,21 @@ class ClassicalContext:
     @cached_property
     def h(self):
         """Second fundamental form h^r_ij in the orthonormal frames (jets)."""
-        eC = self.frame_chart
-        hchart = [[[self.inner(self.xab[a][b], n) for b in range(3)]
-                   for a in range(3)] for n in self.normal_frame]
+        eC = self.frame_chart  # lower triangular: eC[i][a] = 0 for a > i
         out = []
-        for r in range(2):
+        for n in self.normal_frame:
+            hc = [[None] * 3 for _ in range(3)]
+            for a in range(3):
+                for b in range(a + 1):
+                    hc[a][b] = hc[b][a] = self.inner(self.xab[a][b], n)
+            # T = eC hc, then h = T eC^T
+            T = [[jetalg.dot(eC[i][:i + 1], [hc[a][b] for a in range(i + 1)])
+                  for b in range(3)] for i in range(3)]
             mat = [[None] * 3 for _ in range(3)]
             for i in range(3):
                 for j in range(i + 1):
-                    acc = None
-                    for a in range(3):
-                        for b in range(3):
-                            term = eC[i][a] * eC[j][b] * hchart[r][a][b]
-                            acc = term if acc is None else acc + term
-                    mat[i][j] = mat[j][i] = acc
+                    mat[i][j] = mat[j][i] = jetalg.dot(T[i][:j + 1],
+                                                       eC[j][:j + 1])
             out.append(mat)
         return out
 
@@ -335,6 +336,16 @@ def split_angle(z1: complex):
     return 0.5 * math.atan2(z1.real, z1.imag)
 
 
+def kernel_sign(v: np.ndarray) -> np.ndarray:
+    """The kernel vector v with its sign fixed: its largest-magnitude
+    component is positive.  The SVD returns either sign, and the two signs
+    give the frames (E1, E2, E3, xi1, xi2) and (E2, E1, -E3, xi1, -xi2),
+    which share the pattern but swap the components of Omega12 and of the
+    raw-gauge U, V."""
+    k = int(np.argmax(np.abs(v)))
+    return v if v[k] >= 0.0 else -v
+
+
 def adapted_frame(data: ClassicalData, tol: float = 1e-7) -> AdaptedFrame:
     h = np.asarray(data.h, dtype=float)
     H = np.asarray(data.H, dtype=float)
@@ -355,7 +366,7 @@ def adapted_frame(data: ClassicalData, tol: float = 1e-7) -> AdaptedFrame:
         raise NotIdealPoint(
             f"trace-free operators share no kernel direction "
             f"(singular values {sing[2]:.2e} vs {sing[0]:.2e})")
-    e3 = vt[2]
+    e3 = kernel_sign(vt[2])
 
     k = int(np.argmin(np.abs(e3)))
     f1 = np.zeros(3)

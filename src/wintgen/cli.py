@@ -195,7 +195,7 @@ def _run_invariants(spec, pts, args, expected) -> RunResult:
     for idx, p in enumerate(pts):
         data = moebius_data(spec, p, order=args.order)
         cf = _analyze(spec, p, gauge=g, order=args.order, ltol=args.ltol,
-                      data=data)
+                      tol=args.tol, data=data)
         inv = _package_invariants(cf, partial=False)
         rec = {
             "index": idx,
@@ -261,7 +261,8 @@ def _run_theorem_b(spec, pts, args, expected) -> RunResult:
     fhats = []
     max_dw = 0.0
     for idx, p in enumerate(pts):
-        cf = _analyze(spec, p, gauge=g, order=args.order, ltol=args.ltol)
+        cf = _analyze(spec, p, gauge=g, order=args.order, ltol=args.ltol,
+                      tol=args.tol)
         inv = _package_invariants(cf, partial=False)
         rec = {
             "index": idx,
@@ -300,7 +301,8 @@ def _run_hopf_check(spec, pts, args, expected) -> RunResult:
     records = []
     rows = []
     for idx, p in enumerate(pts):
-        cf = _analyze(spec, p, gauge=g, order=args.order, ltol=args.ltol)
+        cf = _analyze(spec, p, gauge=g, order=args.order, ltol=args.ltol,
+                      tol=args.tol)
         inv = _package_invariants(cf, partial=False)
         rec = {
             "index": idx,
@@ -398,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--order", type=int, default=5, metavar="K",
                         help="jet truncation order (default 5)")
     common.add_argument("--tol", type=float, default=1e-7, metavar="T",
-                        help="report tolerance (default 1e-7)")
+                        help="report tolerance, also the DDVV equality "
+                             "tolerance of the ideality gate (default 1e-7)")
     common.add_argument("--ltol", type=float, default=1e-6, metavar="T",
                         help="torsion cutoff |L| for the direction field "
                              "(default 1e-6)")

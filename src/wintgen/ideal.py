@@ -18,10 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from . import jetalg, jets
-from .classical import ddvv_from_forms
+from .classical import ddvv_from_forms, kernel_sign
 from .errors import IntegrableDistribution, NotIdealPoint
 from .immersion import ImmersionSpec
-from .moebius import (MoebiusData, frame_scalar_d, frame_vector_d, ldot,
+from .moebius import (LORENTZ, MoebiusData, d_form_values, ldot,
                       moebius_data)
 
 SQRT6 = math.sqrt(6.0)
@@ -50,26 +50,29 @@ def _quadform(u, M, v):
     return acc
 
 
-def _covb_values(ctx):
-    cached = getattr(ctx, "_covb_vals", None)
-    if cached is None:
-        cached = np.array(jetalg.values(ctx.covB))
-        ctx._covb_vals = cached
-    return cached
-
-
-def _oriented_torsion(ctx, Bv, E1, E2, E3):
+def _oriented_torsion(covB, Bv, E1, E2, E3):
     """The kernel-direction torsion scalar, computed gauge-independently:
     (3/2) sum_r tr((nabla_{E3} B^r)^T J B^r) with J the rotation by +pi/2
     of the plane oriented by (E1, E2).  Odd in E3, even under the residual
-    frame freedom, so it fixes the E3 sign."""
-    covB = _covb_values(ctx)
+    frame freedom, so it fixes the E3 sign.  covB and Bv are values in the
+    raw frame."""
     J = np.outer(E2, E1) - np.outer(E1, E2)
     total = 0.0
     for r in range(2):
         d3B = covB[r] @ E3
         total += float(np.sum(d3B * (J @ Bv[r])))
     return 1.5 * total
+
+
+def _pregauged(B, M0, Q0):
+    """The shape fields with the normal pair mixed by Q0 and components in
+    the tangent frame rotated by M0."""
+    Bmix = [[[Q0[0][r] * B[0][i][j] + Q0[1][r] * B[1][i][j]
+              for j in range(3)] for i in range(3)] for r in range(2)]
+    return [[[sum_jets([(M0[i][a] * M0[j][b]) * Bmix[r][a][b]
+                        for a in range(3) for b in range(3)
+                        if M0[i][a] != 0.0 and M0[j][b] != 0.0])
+              for j in range(3)] for i in range(3)] for r in range(2)]
 
 
 class CanonicalFields:
@@ -82,7 +85,8 @@ class CanonicalFields:
     """
 
     def __init__(self, data: MoebiusData, gauge: str = "raw", e3_hint=None,
-                 pregauge=None, ltol: float = 1e-6, strict: bool = True):
+                 pregauge=None, ltol: float = 1e-6, strict: bool = True,
+                 tol: float = 1e-7):
         if gauge not in ("raw", "V0"):
             raise ValueError(f"unknown gauge {gauge!r}")
         ctx = data.ctx
@@ -94,7 +98,7 @@ class CanonicalFields:
         cl = ctx.classical
         hv = np.array(jetalg.values(cl.h))
         Hv = np.array(jetalg.values(cl.H))
-        report = ddvv_from_forms(hv, Hv, cl.spec.ambient.c)
+        report = ddvv_from_forms(hv, Hv, cl.spec.ambient.c, tol=tol)
         if not report.ideal:
             raise NotIdealPoint(
                 f"equality gap {report.slack:.3e} at {ctx.p}: not an ideal point")
@@ -102,6 +106,7 @@ class CanonicalFields:
         if pregauge is None:
             M0 = np.eye(3)
             Q0 = np.eye(2)
+            Bw = ctx.B
         else:
             t = float(pregauge)
             M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
@@ -109,27 +114,7 @@ class CanonicalFields:
                            [0.0, 0.0, 1.0]])
             Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
                            [math.sin(2 * t), math.cos(2 * t)]])
-
-        # working-gauge shape fields: normal mix by Q0, components in the
-        # rotated tangent frame
-        Bmix = [[[None] * 3 for _ in range(3)] for _ in range(2)]
-        for r in range(2):
-            for i in range(3):
-                for j in range(3):
-                    Bmix[r][i][j] = Q0[0][r] * ctx.B[0][i][j] \
-                        + Q0[1][r] * ctx.B[1][i][j]
-        Bw = [[[None] * 3 for _ in range(3)] for _ in range(2)]
-        for r in range(2):
-            for i in range(3):
-                for j in range(3):
-                    acc = None
-                    for a in range(3):
-                        for b in range(3):
-                            if M0[i][a] == 0.0 or M0[j][b] == 0.0:
-                                continue
-                            t_ = (M0[i][a] * M0[j][b]) * Bmix[r][a][b]
-                            acc = t_ if acc is None else acc + t_
-                    Bw[r][i][j] = acc
+            Bw = _pregauged(ctx.B, M0, Q0)
 
         # ---- pointwise stage -------------------------------------------------
         Bv = np.array(jetalg.values(Bw))
@@ -139,7 +124,7 @@ class CanonicalFields:
             raise NotIdealPoint(
                 f"trace-free forms have no common kernel at {ctx.p} "
                 f"(singular values {sing[2]:.3e} vs {sing[0]:.3e})")
-        q = vt[2]
+        q = kernel_sign(vt[2])
 
         k0 = int(np.argmin(np.abs(q)))
         F1p = -q[k0] * q
@@ -159,10 +144,10 @@ class CanonicalFields:
         E2p = stp * F1p + ctp * F2p
 
         # E3 sign: torsion positive at a fresh basepoint, continuity otherwise
-        ECv = np.array(jetalg.values(ctx.EC))
-        Lq = _oriented_torsion(ctx, data.B, E1p @ M0, E2p @ M0, q @ M0)
+        Lq = _oriented_torsion(ctx.covB_values, data.B, E1p @ M0, E2p @ M0,
+                               q @ M0)
         if e3_hint is not None:
-            q_chart = (q @ M0) @ ECv
+            q_chart = (q @ M0) @ ctx.EC_values
             sign = 1.0 if float(q_chart @ np.asarray(e3_hint, dtype=float)) >= 0 \
                 else -1.0
         elif abs(Lq) <= ltol:
@@ -194,17 +179,11 @@ class CanonicalFields:
         E1f = [ctf * F1f[j] - stf * F2f[j] for j in range(3)]
         E2f = [stf * F1f[j] + ctf * F2f[j] for j in range(3)]
 
-        Rw = [E1f, E2f, e3f]
-        Rf = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                acc = None
-                for k in range(3):
-                    if M0[k][j] == 0.0:
-                        continue
-                    t_ = Rw[i][k] * M0[k][j]
-                    acc = t_ if acc is None else acc + t_
-                Rf[i][j] = acc
+        Rf = [E1f, E2f, e3f]
+        if pregauge is not None:
+            Rf = [[sum_jets([Rf[i][k] * M0[k][j] for k in range(3)
+                             if M0[k][j] != 0.0]) for j in range(3)]
+                  for i in range(3)]
         Qf = [[Q0[0][0], s2flip * Q0[0][1]],
               [Q0[1][0], s2flip * Q0[1][1]]]
 
@@ -214,6 +193,7 @@ class CanonicalFields:
 
         if gauge == "V0":
             self._apply_v0()
+        self._b = {}  # adapted-frame B components, filled by b()
 
     # -- gauge refinement -----------------------------------------------------
 
@@ -255,16 +235,26 @@ class CanonicalFields:
 
     # -- frame derivative helpers ----------------------------------------------
 
+    @cached_property
+    def frame_chart(self):
+        """Rows: the adapted frame vectors in chart components (jets).  EC is
+        lower triangular, so E_j has no d/du_a component for a > j."""
+        EC = self.ctx.EC
+        return [[sum_jets([self.Rf[i][j] * EC[j][a] for j in range(a, 3)])
+                 for a in range(3)] for i in range(3)]
+
     def d(self, f, k):
         """Derivative of a scalar jet field along adapted frame vector k."""
-        acc = None
-        for j in range(3):
-            t = self.Rf[k][j] * frame_scalar_d(self.ctx.EC, f, j)
-            acc = t if acc is None else acc + t
-        return acc
+        F = self.frame_chart[k]
+        return (F[0] * jets.derivative(f, 1) + F[1] * jets.derivative(f, 2)
+                + F[2] * jets.derivative(f, 3))
 
     def dvec(self, vec, k):
         return [self.d(c, k) for c in vec]
+
+    def d_values(self, vec):
+        """[k][m] = E_k(vec[m]) at the point, from the chart first partials."""
+        return self.E_chart @ jetalg.gradients(vec).T
 
     # -- component fields --------------------------------------------------------
 
@@ -274,7 +264,7 @@ class CanonicalFields:
 
     @cached_property
     def E_chart(self):
-        return self.Rfv @ np.array(jetalg.values(self.ctx.EC))
+        return np.array(jetalg.values(self.frame_chart))
 
     @cached_property
     def xi(self):
@@ -291,17 +281,19 @@ class CanonicalFields:
         return out
 
     @cached_property
-    def b(self):
-        Bmix = []
-        for r in range(2):
-            m = [[None] * 3 for _ in range(3)]
-            for i in range(3):
-                for j in range(3):
-                    m[i][j] = self.Qf[0][r] * self.ctx.B[0][i][j] \
-                        + self.Qf[1][r] * self.ctx.B[1][i][j]
-            Bmix.append(m)
-        return [[[_quadform(self.Rf[i], Bmix[r], self.Rf[j])
+    def _bmix(self):
+        """The shape fields with the normal pair mixed by Qf (raw tangent
+        components)."""
+        B = self.ctx.B
+        return [[[self.Qf[0][r] * B[0][i][j] + self.Qf[1][r] * B[1][i][j]
                   for j in range(3)] for i in range(3)] for r in range(2)]
+
+    def b(self, r, i, j):
+        """B^r_ij in the adapted frame (jet); built once per unordered i, j."""
+        key = (r, min(i, j), max(i, j))
+        if key not in self._b:
+            self._b[key] = _quadform(self.Rf[i], self._bmix[r], self.Rf[j])
+        return self._b[key]
 
     @cached_property
     def cfield(self):
@@ -309,7 +301,10 @@ class CanonicalFields:
 
     @cached_property
     def theta(self):
-        return [ldot(self.dvec(self.xi[0], k), self.xi[1]) for k in range(3)]
+        """theta_12 of the adapted sphere pair on the adapted frame."""
+        tc = self.theta_chart
+        return [sum_jets([self.frame_chart[k][a] * tc[a] for a in range(3)])
+                for k in range(3)]
 
     @cached_property
     def theta_chart(self):
@@ -323,40 +318,32 @@ class CanonicalFields:
     def d_form_on(self, chart_form, i, j):
         """Exterior derivative of a chart 1-form (jets), evaluated on adapted
         frame vectors i, j (a value)."""
-        E = self.E_chart
-        total = 0.0
-        for a in range(3):
-            for b in range(3):
-                if a == b:
-                    continue
-                dab = jets.value_of(jets.derivative(chart_form[b], a + 1)
-                                    - jets.derivative(chart_form[a], b + 1))
-                total += E[i][a] * E[j][b] * dab
-        return total
+        return float(self.E_chart[i] @ d_form_values(chart_form)
+                     @ self.E_chart[j])
 
     @cached_property
     def omega_can(self):
         """omega[i][j][k]: connection form of the adapted frame on its own
         vectors, from the raw connection plus the rotation's derivative."""
-        ctx = self.ctx
         Rf = self.Rf
+        om = self.ctx.omega
+        # the raw connection forms on the adapted vectors, raw[a][b][k]
+        raw = [[None] * 3 for _ in range(3)]
+        for a in range(3):
+            for bb in range(a):
+                raw[a][bb] = [sum_jets([Rf[k][c] * om[a][bb][c]
+                                        for c in range(3)]) for k in range(3)]
+        pairs = [(a, bb) for a in range(3) for bb in range(a)]
         out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-        for i in range(3):
+        for i in range(1, 3):
+            dR = [self.dvec(Rf[i], k) for k in range(3)]
             for j in range(i):
+                wedge = [Rf[i][a] * Rf[j][bb] - Rf[i][bb] * Rf[j][a]
+                         for a, bb in pairs]
                 for k in range(3):
-                    acc = None
-                    for a in range(3):
-                        t = self.d(Rf[i][a], k) * Rf[j][a]
-                        acc = t if acc is None else acc + t
-                    for a in range(3):
-                        for bb in range(3):
-                            if a == bb:
-                                continue
-                            raw = None
-                            for c in range(3):
-                                t = Rf[k][c] * ctx.omega[a][bb][c]
-                                raw = t if raw is None else raw + t
-                            acc = acc + Rf[i][a] * Rf[j][bb] * raw
+                    acc = sum_jets([dR[k][a] * Rf[j][a] for a in range(3)]
+                                   + [w * raw[a][bb][k]
+                                      for w, (a, bb) in zip(wedge, pairs)])
                     out[i][j][k] = acc
                     out[j][i][k] = -acc
         zero = 0.0 * out[1][0][0]
@@ -364,41 +351,32 @@ class CanonicalFields:
             out[i][i] = [zero] * 3
         return out
 
-    @cached_property
-    def covb(self):
-        out = []
-        for r in range(2):
-            s = 1 - r
-            sgn = 1.0 if s == 0 else -1.0  # theta_sr relative to theta_12
-            mat = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-            for i in range(3):
-                for j in range(3):
-                    for k in range(3):
-                        acc = self.d(self.b[r][i][j], k)
-                        for l in range(3):
-                            acc = acc + self.b[r][i][l] * self.omega_can[l][j][k]
-                            acc = acc + self.b[r][l][j] * self.omega_can[l][i][k]
-                        acc = acc + self.b[s][i][j] * (sgn * self.theta[k])
-                        mat[i][j][k] = acc
-            out.append(mat)
-        return out
+    # Only a few components of the covariant derivatives are read, so they
+    # are built one at a time; omega_can[l][l] vanishes and is skipped.
 
-    @cached_property
-    def covc(self):
-        out = []
-        for r in range(2):
-            s = 1 - r
-            sgn = 1.0 if s == 0 else -1.0
-            mat = [[None] * 3 for _ in range(3)]
-            for i in range(3):
-                for j in range(3):
-                    acc = self.d(self.cfield[r][i], j)
-                    for k in range(3):
-                        acc = acc + self.cfield[r][k] * self.omega_can[k][i][j]
-                    acc = acc + self.cfield[s][i] * (sgn * self.theta[j])
-                    mat[i][j] = acc
-            out.append(mat)
-        return out
+    def covb(self, r, i, j, k):
+        """B^r_{ij,k} in the adapted frame (jet)."""
+        s = 1 - r
+        sgn = 1.0 if s == 0 else -1.0  # theta_sr relative to theta_12
+        om = self.omega_can
+        acc = self.d(self.b(r, i, j), k)
+        for l in range(3):
+            if l != j:
+                acc = acc + self.b(r, i, l) * om[l][j][k]
+            if l != i:
+                acc = acc + self.b(r, l, j) * om[l][i][k]
+        return acc + self.b(s, i, j) * (sgn * self.theta[k])
+
+    def covc(self, r, i, j):
+        """C^r_{i,j} in the adapted frame (jet)."""
+        s = 1 - r
+        sgn = 1.0 if s == 0 else -1.0
+        c = self.cfield
+        acc = self.d(c[r][i], j)
+        for k in range(3):
+            if k != i:
+                acc = acc + c[r][k] * self.omega_can[k][i][j]
+        return acc + c[s][i] * (sgn * self.theta[j])
 
     @cached_property
     def Yi_can(self):
@@ -443,7 +421,7 @@ class CanonicalFields:
 
     @cached_property
     def mu_field(self):
-        return self.b[0][0][1]
+        return self.b(0, 0, 1)
 
     @cached_property
     def mu(self):
@@ -459,11 +437,11 @@ class CanonicalFields:
 
     @cached_property
     def Lf(self):
-        return -(self.covb[0][0][0][2] / self.mu_field)
+        return -(self.covb(0, 0, 0, 2) / self.mu_field)
 
     @cached_property
     def Gf(self):
-        return (self.covc[0][0][0] - self.covc[0][1][1]) / (2.0 * self.mu_field)
+        return (self.covc(0, 0, 0) - self.covc(0, 1, 1)) / (2.0 * self.mu_field)
 
     @cached_property
     def L(self):
@@ -502,28 +480,27 @@ class CanonicalFields:
     @cached_property
     def domega_values(self):
         """(domega(E1,E2), domega(E1,E3), domega(E2,E3))."""
-        om = self.omega_chart
-        dom = np.zeros((3, 3))
-        for a in range(3):
-            for bb in range(3):
-                if a < bb:
-                    dom[a, bb] = jets.value_of(jets.derivative(om[bb], a + 1)
-                                               - jets.derivative(om[a], bb + 1))
-                    dom[bb, a] = -dom[a, bb]
+        dom = d_form_values(self.omega_chart)
         E = self.E_chart
         pairs = [(0, 1), (0, 2), (1, 2)]
         return tuple(float(E[i] @ dom @ E[j]) for i, j in pairs)
 
     @cached_property
     def Fhat_field(self):
+        """Fhat as a field, through the Gauss-route Blaschke tensor; for
+        derivatives of Fhat.  Its value is read in _package_invariants."""
         lam2 = self.lamf * self.lamf
         return self.A_can_field[0][0] \
             + 0.5 * (self.Uf * self.Uf + self.Vf * self.Vf - lam2) \
-            - self.covc[0][1][0] / self.mu_field
+            - self.covc(0, 1, 0) / self.mu_field
 
     @cached_property
     def pattern_residual(self):
-        bv = np.array(jetalg.values(self.b))
+        Bv = self.data.B
+        Q = np.array(jetalg.values(self.Qf))
+        R = self.Rfv
+        bv = np.array([R @ (Q[0, r] * Bv[0] + Q[1, r] * Bv[1]) @ R.T
+                       for r in range(2)])
         mu = (bv[0, 0, 1] + bv[0, 1, 0] + bv[1, 0, 0] - bv[1, 1, 1]) / 4.0
         target = np.zeros((2, 3, 3))
         target[0, 0, 1] = target[0, 1, 0] = mu
@@ -587,11 +564,14 @@ class WintgenInvariants:
 
 def _analyze(spec: ImmersionSpec, p, gauge="raw", order=5, ltol=1e-6,
              e3_hint=None, pregauge=None, strict=True,
-             data: MoebiusData | None = None):
+             data: MoebiusData | None = None, tol: float = 1e-7):
+    """The canonical fields at p; tol is the DDVV equality tolerance of the
+    ideality gate."""
     if data is None:
         data = moebius_data(spec, p, order=order)
     return CanonicalFields(data, gauge=gauge, e3_hint=e3_hint,
-                           pregauge=pregauge, ltol=ltol, strict=strict)
+                           pregauge=pregauge, ltol=ltol, strict=strict,
+                           tol=tol)
 
 
 def _package_invariants(cf: CanonicalFields, partial: bool) -> WintgenInvariants:
@@ -614,8 +594,10 @@ def _package_invariants(cf: CanonicalFields, partial: bool) -> WintgenInvariants
             gauge=cf.gauge, omega_chart=(nan, nan, nan))
     cf.require_torsion()
     lam = jets.value_of(cf.lamf)
-    Fhat = jets.value_of(cf.Fhat_field)
-    Ghat = cf.A_can[0, 1] - jets.value_of(cf.covc[0][1][1]) / mu - lam * cf.L
+    # Fhat and Ghat from the dN-route Blaschke tensor at the point
+    Fhat = cf.A_can[0, 0] + 0.5 * (U * U + V * V - lam * lam) \
+        - jets.value_of(cf.covc(0, 1, 0)) / mu
+    Ghat = cf.A_can[0, 1] - jets.value_of(cf.covc(0, 1, 1)) / mu - lam * cf.L
     return WintgenInvariants(
         U=U, V=V, L=cf.L, G=cf.G, lam=lam, Fhat=Fhat, Ghat=Ghat,
         omega_coeffs=(-V, U, lam), domega=cf.domega_values,
@@ -667,11 +649,7 @@ def hat_frame(spec: ImmersionSpec, p, lam: float | None = None,
               + w[0] * cf.Yi_can[0][m] + w[1] * cf.Yi_can[1][m]
               + w[2] * cf.Yi_can[2][m] for m in range(7)]
     eta_v = np.array(jetalg.values(eta_f))
-    hat_co = np.zeros((3, 3))
-    for j in range(3):
-        dY = np.array(jetalg.values(cf.dvec(Yhat_f, j)))
-        for i in range(3):
-            hat_co[i, j] = -dY[0] * eta_v[i][0] + float(np.dot(dY[1:], eta_v[i][1:]))
+    hat_co = eta_v @ LORENTZ @ cf.d_values(Yhat_f).T
     return HatFrameData(
         eta=eta_v, Yhat=np.array(jetalg.values(Yhat_f)), hat_coframe=hat_co,
         Omega13=(lam_val, cf.L, 0.0), Omega23=(-cf.L, lam_val, 0.0),
@@ -782,11 +760,11 @@ def holomorphic_residual(spec: ImmersionSpec, p, order: int = 5,
     xi2 = np.array(jetalg.values(cf.xi[1]))
     xi_c = xi1 - 1j * xi2
     theta = [jets.value_of(t) for t in cf.theta]
+    d1 = cf.d_values(cf.xi[0])
+    d2 = cf.d_values(cf.xi[1])
     worst = 0.0
     for k in range(3):
-        d1 = np.array(jetalg.values(cf.dvec(cf.xi[0], k)))
-        d2 = np.array(jetalg.values(cf.dvec(cf.xi[1], k)))
-        lhs = d1 - 1j * d2
+        lhs = d1[k] - 1j * d2[k]
         form = (1.0 if k == 0 else 0.0) + 1j * (1.0 if k == 1 else 0.0)
         rhs = 1j * cf.mu * form * eta_c + 1j * theta[k] * xi_c
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -822,16 +800,8 @@ def structure_matrix(spec: ImmersionSpec, p, gauge: str = "raw",
     eta_v = [np.array(jetalg.values(e)) for e in eta_f]
     xi_v = [np.array(jetalg.values(x)) for x in cf.xi]
 
-    def lz(u, v):
-        return -u[0] * v[0] + float(np.dot(u[1:], v[1:]))
-
-    duals = [Yhat_v, Yv] + eta_v + xi_v  # pairing partner per column
-    out = np.zeros((7, 7, 3))
-    for ri, row in enumerate(rows):
-        for k in range(3):
-            dv = np.array(jetalg.values(cf.dvec(row, k)))
-            for ci in range(7):
-                out[ri, ci, k] = lz(dv, duals[ci])
+    duals = np.array([Yhat_v, Yv] + eta_v + xi_v)  # pairing partner per column
+    out = np.array([duals @ LORENTZ @ cf.d_values(row).T for row in rows])
     # residual normal rotation: absorb the (eta1, eta2) slot into the
     # normal-pair connection
     c = out[2, 3].copy()

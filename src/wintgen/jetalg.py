@@ -8,6 +8,8 @@ floats (for spot values).
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import jets
 
 
@@ -79,9 +81,9 @@ def adjugate3(M):
 
 
 def inv3(M):
-    d = det3(M)
+    inv_d = 1.0 / det3(M)
     adj = adjugate3(M)
-    return [[adj[i][j] / d for j in range(3)] for i in range(3)]
+    return [[adj[i][j] * inv_d for j in range(3)] for i in range(3)]
 
 
 def cholesky3(G):
@@ -110,8 +112,8 @@ def inv_lower3(L):
 
 
 def normalize(u, inner=dot):
-    n = jets.sqrt(inner(u, u))
-    return [a / n for a in u]
+    inv_n = 1.0 / jets.sqrt(inner(u, u))
+    return [a * inv_n for a in u]
 
 
 def values(obj):
@@ -119,3 +121,11 @@ def values(obj):
     if isinstance(obj, list):
         return [values(x) for x in obj]
     return jets.value_of(obj)
+
+
+def gradients(obj) -> np.ndarray:
+    """First partials at the point of a nested list of jets: an array of the
+    list's shape with a trailing axis of length 3."""
+    if isinstance(obj, list):
+        return np.array([gradients(x) for x in obj])
+    return jets.gradient(obj)

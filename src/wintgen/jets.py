@@ -8,8 +8,9 @@ product a plain truncated convolution and keeps magnitudes tame.
 Monomials are listed in graded order (degree first), so the coefficient array
 of a lower-order jet is a prefix of a higher-order one; truncation is a slice.
 
-All tables (monomial lists, product index pairs, division pairs, derivative
-maps) are built once per order and cached.
+All tables (monomial lists, product index pairs, derivative maps) are built
+once per order and cached.  Results of arithmetic are made by the unchecked
+constructor _jet; the public MultiJet(order, coeffs) validates its input.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from .errors import DomainError, OrderError, SingularJet
 
 NVARS = 3
 MAX_ORDER = 5
+_NCOEF = tuple((k + 1) * (k + 2) * (k + 3) // 6 for k in range(MAX_ORDER + 1))
 
 
 def ncoef(order: int) -> int:
-    """Number of trivariate monomials of total degree <= order."""
-    return (order + 1) * (order + 2) * (order + 3) // 6
+    """Number of trivariate monomials of total degree <= order (0..MAX_ORDER)."""
+    return _NCOEF[order]
 
 
 @lru_cache(maxsize=None)
@@ -63,43 +65,17 @@ def _mul_table(order: int):
 
 
 @lru_cache(maxsize=None)
-def _div_pairs(order: int):
-    # For each target monomial g, the pairs (beta, delta) with beta + delta = g
-    # and beta != 0.  Every delta has strictly lower degree than g, hence a
-    # smaller index, so a single increasing sweep solves b*q = a.
-    monos = _monomials(order)
-    pos = _positions(order)
-    out = []
-    for g in monos:
-        ib, iq = [], []
-        for b0 in range(g[0] + 1):
-            for b1 in range(g[1] + 1):
-                for b2 in range(g[2] + 1):
-                    if b0 == b1 == b2 == 0:
-                        continue
-                    ib.append(pos[(b0, b1, b2)])
-                    iq.append(pos[(g[0] - b0, g[1] - b1, g[2] - b2)])
-        out.append((np.asarray(ib, dtype=np.intp), np.asarray(iq, dtype=np.intp)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _deriv_table(order: int, var: int):
-    # var is 0-based here.  dst indices land inside the order-1 prefix.
-    monos = _monomials(order)
+    # var is 0-based.  Monomial b of degree < order comes from b + e_var, so
+    # the derivative is a gather: out[i] = fac[i] * c[src[i]].
     pos = _positions(order)
-    src, dst, fac = [], [], []
-    for i, a in enumerate(monos):
-        if a[var] == 0:
-            continue
-        b = list(a)
-        b[var] -= 1
-        src.append(i)
-        dst.append(pos[tuple(b)])
+    src, fac = [], []
+    for b in _monomials(order - 1):
+        a = list(b)
+        a[var] += 1
+        src.append(pos[tuple(a)])
         fac.append(float(a[var]))
-    return (np.asarray(src, dtype=np.intp),
-            np.asarray(dst, dtype=np.intp),
-            np.asarray(fac, dtype=float))
+    return np.asarray(src, dtype=np.intp), np.asarray(fac, dtype=float)
 
 
 def _check_order(order: int) -> None:
@@ -111,6 +87,9 @@ class MultiJet:
     """Dense truncated Taylor expansion in three variables."""
 
     __slots__ = ("order", "c")
+    # numpy scalars on the left defer to the reflected operators below
+    # instead of wrapping the jet in an object array
+    __array_ufunc__ = None
 
     def __init__(self, order: int, coeffs: np.ndarray):
         _check_order(order)
@@ -126,9 +105,9 @@ class MultiJet:
     @staticmethod
     def constant(value: float, order: int) -> "MultiJet":
         _check_order(order)
-        c = np.zeros(ncoef(order))
+        c = np.zeros(_NCOEF[order])
         c[0] = value
-        return MultiJet(order, c)
+        return _jet(order, c)
 
     # -- basics --------------------------------------------------------------
 
@@ -151,53 +130,58 @@ class MultiJet:
         if order > self.order:
             raise OrderError(f"cannot raise jet order {self.order} to {order}")
         _check_order(order)
-        return MultiJet(order, self.c[: ncoef(order)].copy())
+        return _jet(order, self.c[: _NCOEF[order]].copy())
 
     def __repr__(self) -> str:
         return f"MultiJet(order={self.order}, value={self.c[0]:.6g})"
 
     # -- ring operations ------------------------------------------------------
     # Mixed orders truncate to the lower order; the strict same-order contract
-    # lives in jet_arith.
+    # lives in jet_arith.  Every result owns a fresh coefficient array.
 
     def _coerce(self, other):
+        # the truncated operand is a view: it only feeds the arithmetic below,
+        # which writes its result to a new array
         if isinstance(other, MultiJet):
-            k = min(self.order, other.order)
-            return self.truncate(k), other.truncate(k)
+            if other.order == self.order:
+                return self, other
+            if other.order < self.order:
+                return _jet(other.order, self.c[:_NCOEF[other.order]]), other
+            return self, _jet(self.order, other.c[:_NCOEF[self.order]])
         return None
 
     def __add__(self, other):
         pair = self._coerce(other)
         if pair is not None:
             a, b = pair
-            return MultiJet(a.order, a.c + b.c)
+            return _jet(a.order, a.c + b.c)
         if isinstance(other, (int, float)):
             c = self.c.copy()
             c[0] += other
-            return MultiJet(self.order, c)
+            return _jet(self.order, c)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiJet(self.order, -self.c)
+        return _jet(self.order, -self.c)
 
     def __sub__(self, other):
         pair = self._coerce(other)
         if pair is not None:
             a, b = pair
-            return MultiJet(a.order, a.c - b.c)
+            return _jet(a.order, a.c - b.c)
         if isinstance(other, (int, float)):
             c = self.c.copy()
             c[0] -= other
-            return MultiJet(self.order, c)
+            return _jet(self.order, c)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
             c = -self.c
             c[0] += other
-            return MultiJet(self.order, c)
+            return _jet(self.order, c)
         return NotImplemented
 
     def __mul__(self, other):
@@ -205,10 +189,10 @@ class MultiJet:
         if pair is not None:
             a, b = pair
             ia, ib, iout = _mul_table(a.order)
-            prod = np.bincount(iout, weights=a.c[ia] * b.c[ib], minlength=ncoef(a.order))
-            return MultiJet(a.order, prod)
+            return _jet(a.order, np.bincount(iout, weights=a.c[ia] * b.c[ib],
+                                             minlength=_NCOEF[a.order]))
         if isinstance(other, (int, float)):
-            return MultiJet(self.order, self.c * other)
+            return _jet(self.order, self.c * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -217,14 +201,14 @@ class MultiJet:
         pair = self._coerce(other)
         if pair is not None:
             a, b = pair
-            return _jet_div(a, b)
+            return a * _reciprocal(b)
         if isinstance(other, (int, float)):
-            return MultiJet(self.order, self.c / other)
+            return _jet(self.order, self.c / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            return _jet_div(MultiJet.constant(float(other), self.order), self)
+            return _reciprocal(self) * other
         return NotImplemented
 
     def __pow__(self, k):
@@ -233,23 +217,29 @@ class MultiJet:
         return NotImplemented
 
 
-def _jet_div(a: MultiJet, b: MultiJet) -> MultiJet:
-    """Solve b*q = a coefficient-wise by increasing degree."""
-    if b.c[0] == 0.0:
+_new = object.__new__
+
+
+def _jet(order: int, c: np.ndarray) -> MultiJet:
+    """Unchecked constructor: c is a float array of length ncoef(order).
+    Arithmetic passes a new array; only _coerce passes a view, which never
+    leaves the operation."""
+    j = _new(MultiJet)
+    j.order = order
+    j.c = c
+    return j
+
+
+def _reciprocal(b: MultiJet) -> MultiJet:
+    """1/b as the series sum_k (-1)^k (b - b0)^k / b0^(k+1)."""
+    b0 = float(b.c[0])
+    if b0 == 0.0:
         raise SingularJet("division by a jet with zero constant term")
-    pairs = _div_pairs(a.order)
-    n = ncoef(a.order)
-    q = np.empty(n)
-    bc = b.c
-    b0 = bc[0]
-    ac = a.c
-    for i in range(n):
-        ib, iq = pairs[i]
-        acc = ac[i]
-        if ib.size:
-            acc -= float(np.dot(bc[ib], q[iq]))
-        q[i] = acc / b0
-    return MultiJet(a.order, q)
+    inv = 1.0 / b0
+    series = [inv]
+    for _ in range(b.order):
+        series.append(-series[-1] * inv)
+    return _compose(b, series)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +251,13 @@ def jet_seed(var_index: int, value: float, order: int) -> MultiJet:
     _check_order(order)
     if var_index not in (1, 2, 3):
         raise OrderError(f"var_index must be 1, 2, or 3, got {var_index!r}")
-    c = np.zeros(ncoef(order))
+    c = np.zeros(_NCOEF[order])
     c[0] = value
     if order >= 1:
         e = [0, 0, 0]
         e[var_index - 1] = 1
         c[_positions(order)[tuple(e)]] = 1.0
-    return MultiJet(order, c)
+    return _jet(order, c)
 
 
 def jet_arith(a: MultiJet, b: MultiJet, op: str) -> MultiJet:
@@ -286,12 +276,15 @@ def jet_arith(a: MultiJet, b: MultiJet, op: str) -> MultiJet:
 
 
 def _compose(a: MultiJet, series: list) -> MultiJet:
-    """Horner evaluation of sum_k series[k] * (a - a0)^k, truncated."""
+    """Horner evaluation of sum_k series[k] * (a - a0)^k, truncated;
+    series has a.order + 1 terms."""
+    if a.order == 0:
+        return MultiJet.constant(series[0], 0)
     abar_c = a.c.copy()
     abar_c[0] = 0.0
-    abar = MultiJet(a.order, abar_c)
-    r = MultiJet.constant(series[-1], a.order)
-    for k in range(len(series) - 2, -1, -1):
+    abar = _jet(a.order, abar_c)
+    r = abar * series[-1] + series[-2]
+    for k in range(len(series) - 3, -1, -1):
         r = r * abar + series[k]
     return r
 
@@ -335,10 +328,18 @@ def derivative(a: MultiJet, var_index: int) -> MultiJet:
         raise OrderError(f"var_index must be 1, 2, or 3, got {var_index!r}")
     if a.order == 0:
         raise OrderError("cannot differentiate an order-0 jet")
-    src, dst, fac = _deriv_table(a.order, var_index - 1)
-    out = np.zeros(ncoef(a.order - 1))
-    out[dst] = fac * a.c[src]
-    return MultiJet(a.order - 1, out)
+    src, fac = _deriv_table(a.order, var_index - 1)
+    return _jet(a.order - 1, fac * a.c[src])
+
+
+def gradient(x) -> np.ndarray:
+    """First partials (d/du_1, d/du_2, d/du_3) of a jet at the base point;
+    zeros for a plain float, which stands for a constant."""
+    if not isinstance(x, MultiJet):
+        return np.zeros(NVARS)
+    if x.order == 0:
+        raise OrderError("an order-0 jet carries no first partials")
+    return x.c[1:1 + NVARS].copy()
 
 
 def extract_derivative(a: MultiJet, alpha) -> float:

@@ -3,7 +3,10 @@ Lorentz R^7_1, the tensors A, B, C, connection forms, covariant derivatives,
 and the integrability residuals.
 
 Everything lives at one chart point as jets; the reporting type MoebiusData
-snapshots constant terms.  Index conventions follow classical.py, plus
+snapshots constant terms.  A quantity whose value at the point is all that
+is read (E_i of a field, the Blaschke tensor via dN, covB for the torsion
+sign) is read from the first partials of the jets it derives from, not
+built as a jet field.  Index conventions follow classical.py, plus
 capital E_i for the frame orthonormal in the conformal metric g = rho^2 dx.dx.
 """
 
@@ -21,6 +24,7 @@ from .gallery import check_lorentz
 from .immersion import SPHERE, ImmersionSpec
 
 ldot = jetalg.lorentz_dot  # 7-component (-,+,...,+) inner product
+LORENTZ = np.diag([-1.0] + [1.0] * 6)  # the same form as a matrix, for values
 
 
 def unit_lift(ambient, x):
@@ -48,15 +52,11 @@ def frame_vector_d(EC, vec, k):
     return [frame_scalar_d(EC, comp, k) for comp in vec]
 
 
-def form_d_eval(chart_form, EC, i, j):
-    """(d phi)(E_i, E_j) for a 1-form given by chart components (3 jets)."""
-    acc = None
-    for a in range(3):
-        for b in range(3):
-            t = EC[i][a] * EC[j][b] * (jets.derivative(chart_form[b], a + 1)
-                                       - jets.derivative(chart_form[a], b + 1))
-            acc = t if acc is None else acc + t
-    return acc
+def d_form_values(chart_form) -> np.ndarray:
+    """[a][b] = (d phi)(d/du_a, d/du_b) at the point, for a 1-form given by
+    its chart components (3 jets)."""
+    g = jetalg.gradients(chart_form)  # g[b][a] = d phi_b / du_a
+    return g.T - g
 
 
 class MoebiusContext:
@@ -76,6 +76,10 @@ class MoebiusContext:
     @cached_property
     def rho(self):
         return self.classical.rho  # raises UmbilicPoint when undefined
+
+    @cached_property
+    def inv_rho(self):
+        return 1.0 / self.rho
 
     @cached_property
     def Y(self):
@@ -114,8 +118,8 @@ class MoebiusContext:
     @cached_property
     def EC(self):
         """Frame rows for g: E_i = sum_a EC[i][a] d/du_a (lower triangular)."""
-        inv_rho = 1.0 / self.rho
-        return [[v * inv_rho for v in row] for row in self.classical.frame_chart]
+        return [[v * self.inv_rho for v in row]
+                for row in self.classical.frame_chart]
 
     @cached_property
     def coframe(self):
@@ -127,24 +131,35 @@ class MoebiusContext:
     def Yi(self):
         return [frame_vector_d(self.EC, self.Y, i) for i in range(3)]
 
+    @cached_property
+    def EC_values(self):
+        return np.array(jetalg.values(self.EC))
+
+    def frame_d_values(self, vec):
+        """[i][m] = E_i(vec[m]) at the point, from the chart first partials."""
+        return self.EC_values @ jetalg.gradients(vec).T
+
+    @cached_property
+    def Yi_values(self):
+        return self.frame_d_values(self.Y)
+
     # -- mean curvature sphere and dual point ---------------------------------
 
     @cached_property
     def laplace_Y(self):
+        """g^ab (d_a d_b Y - Gamma^c_ab d_c Y), summed over a <= b with the
+        off-diagonal pairs doubled, and with the contraction
+        g^ab Gamma^c_ab taken once for all seven components."""
+        gi = self.ginv
+        pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+        w = [gi[a][b] if a == b else 2.0 * gi[a][b] for a, b in pairs]
+        trG = [jetalg.dot(w, [self.Gamma[c][a][b] for a, b in pairs])
+               for c in range(3)]
         out = []
         for comp in self.Y:
             dc = [jets.derivative(comp, a + 1) for a in range(3)]
-            ddc = [[jets.derivative(dc[a], b + 1) for b in range(3)] for a in range(3)]
-            acc = None
-            for a in range(3):
-                for b in range(3):
-                    corr = None
-                    for c in range(3):
-                        t = self.Gamma[c][a][b] * dc[c]
-                        corr = t if corr is None else corr + t
-                    t = self.ginv[a][b] * (ddc[a][b] - corr)
-                    acc = t if acc is None else acc + t
-            out.append(acc)
+            ddc = [jets.derivative(dc[a], b + 1) for a, b in pairs]
+            out.append(jetalg.dot(w, ddc) - jetalg.dot(trG, dc))
         return out
 
     @cached_property
@@ -180,7 +195,7 @@ class MoebiusContext:
     @cached_property
     def B(self):
         """B[r][i][j] = rho^{-1} (h^r_ij - H^r delta_ij)."""
-        inv_rho = 1.0 / self.rho
+        inv_rho = self.inv_rho
         out = []
         for r in range(2):
             h = self.classical.h[r]
@@ -194,24 +209,26 @@ class MoebiusContext:
         """C[r][i] = -rho^{-2} [ H^r_{,i} + sum_j (h^r_ij - H^r d_ij) e_j(log rho) ],
         with H^r_{,i} the normal-connection derivative of the mean curvature
         and e_i the frame orthonormal for dx.dx."""
-        eC = self.classical.frame_chart
-        inner = self.classical.inner
-        nf = self.classical.normal_frame
-        dlog = [frame_scalar_d(eC, self.rho, i) / self.rho for i in range(3)]
-        inv_rho2 = 1.0 / (self.rho * self.rho)
+        cl = self.classical
+        eC = cl.frame_chart
+        nf = cl.normal_frame
+        H = cl.H
+        dlog = [frame_scalar_d(eC, self.rho, i) * self.inv_rho
+                for i in range(3)]
+        inv_rho2 = self.inv_rho * self.inv_rho
         out = []
         for r in range(2):
+            s = 1 - r
+            # the normal connection <d_a n_s, n_r> in chart components
+            conn = [cl.inner([jets.derivative(c, a + 1) for c in nf[s]], nf[r])
+                    for a in range(3)]
             row = []
             for i in range(3):
-                Hcov = frame_scalar_d(eC, self.classical.H[r], i)
-                s = 1 - r
-                dn_s = frame_vector_d(eC, nf[s], i)
-                Hcov = Hcov + self.classical.H[s] * inner(dn_s, nf[r])
-                acc = Hcov
-                h = self.classical.h[r]
-                Hr = self.classical.H[r]
+                acc = frame_scalar_d(eC, H[r], i) \
+                    + H[s] * jetalg.dot(eC[i][:i + 1], conn[:i + 1])
+                h = cl.h[r]
                 for j in range(3):
-                    acc = acc + (h[i][j] - (Hr if i == j else 0.0)) * dlog[j]
+                    acc = acc + (h[i][j] - (H[r] if i == j else 0.0)) * dlog[j]
                 row.append(-inv_rho2 * acc)
             out.append(row)
         return out
@@ -221,26 +238,24 @@ class MoebiusContext:
     @cached_property
     def omega(self):
         """omega[i][j][k] = omega_ij(E_k) = g(nabla_{E_k} E_i, E_j), as jets."""
+        # EC is lower triangular: E_i has chart components 0..i only
         EC = self.EC
-        dEC = [[[jets.derivative(EC[i][a], b + 1) for b in range(3)]
-                for a in range(3)] for i in range(3)]
+        G = self.Gamma
+        # E_j lowered by g, as a chart 1-form
+        low = [[jetalg.dot(self.g[a][:j + 1], EC[j][:j + 1])
+                for a in range(3)] for j in range(2)]
         out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-        for i in range(3):
-            for j in range(i):
-                for k in range(3):
-                    # nabla_{E_k} E_i in chart components
-                    acc = None
-                    for a in range(3):
-                        comp = None
-                        for b in range(3):
-                            t = EC[k][b] * dEC[i][a][b]
-                            comp = t if comp is None else comp + t
-                            for c in range(3):
-                                comp = comp + EC[k][b] * EC[i][c] * self.Gamma[a][b][c]
-                        # pair with E_j via g
-                        for bb in range(3):
-                            t = comp * self.g[a][bb] * EC[j][bb]
-                            acc = t if acc is None else acc + t
+        for i in range(1, 3):
+            # D[a][b]: chart component a of nabla_{d/du_b} E_i
+            D = [[jets.derivative(EC[i][a], b + 1)
+                  + jetalg.dot(G[a][b][:i + 1], EC[i][:i + 1])
+                  for b in range(3)] for a in range(3)]
+            for k in range(3):
+                # nabla_{E_k} E_i in chart components
+                nab = [jetalg.dot(EC[k][:k + 1], D[a][:k + 1])
+                       for a in range(3)]
+                for j in range(i):
+                    acc = jetalg.dot(nab, low[j])
                     out[i][j][k] = acc
                     out[j][i][k] = -acc
         zero = 0.0 * out[1][0][0]
@@ -255,6 +270,12 @@ class MoebiusContext:
                 for k in range(3)]
 
     @cached_property
+    def theta12_values(self):
+        """theta_12(E_k) at the point."""
+        xi2 = np.array(jetalg.values(self.xi[1]))
+        return self.frame_d_values(self.xi[0]) @ LORENTZ @ xi2
+
+    @cached_property
     def theta12_chart(self):
         """Chart components: theta_12 = sum_a t_a du^a."""
         return [ldot([jets.derivative(c, a + 1) for c in self.xi[0]], self.xi[1])
@@ -263,28 +284,22 @@ class MoebiusContext:
     # -- Blaschke tensor --------------------------------------------------------
 
     @cached_property
+    def dN_values(self):
+        """E_i(N) at the point, rows i."""
+        if self.order < 5:
+            raise InsufficientOrder("the dN route needs jet order 5")
+        return self.frame_d_values(self.N)
+
+    @cached_property
     def A_dn(self):
         """A_ij = <E_i(N), Y_j> from the derivative of the dual point (values)."""
-        if self.order < 5:
-            raise InsufficientOrder(
-                "the Blaschke tensor via dN needs jet order 5")
-        rows = []
-        for i in range(3):
-            dN = frame_vector_d(self.EC, self.N, i)
-            rows.append([jets.value_of(ldot(dN, self.Yi[j])) for j in range(3)])
-        return np.array(rows)
+        return self.dN_values @ LORENTZ @ self.Yi_values.T
 
     @cached_property
     def C_dn(self):
         """Cross-route C^r_i = <E_i(N), xi_r> (values)."""
-        if self.order < 5:
-            raise InsufficientOrder("the dN route needs jet order 5")
-        out = np.zeros((2, 3))
-        for i in range(3):
-            dN = frame_vector_d(self.EC, self.N, i)
-            for r in range(2):
-                out[r, i] = jets.value_of(ldot(dN, self.xi[r]))
-        return out
+        xi = np.array(jetalg.values(self.xi))
+        return xi @ LORENTZ @ self.dN_values.T
 
     # -- curvature of g ----------------------------------------------------------
 
@@ -397,6 +412,20 @@ class MoebiusContext:
         return out
 
     @cached_property
+    def covB_values(self):
+        """covB at the point, (2,3,3,3): the same formula on the first
+        partials of B and the point values of omega and theta_12."""
+        B = np.array(jetalg.values(self.B))
+        om = np.array(jetalg.values(self.omega))
+        out = jetalg.gradients(self.B) @ self.EC_values.T
+        out += np.einsum("ril,ljk->rijk", B, om)
+        out += np.einsum("rlj,lik->rijk", B, om)
+        th = self.theta12_values
+        out[0] -= B[1][:, :, None] * th  # theta_21 = -theta_12
+        out[1] += B[0][:, :, None] * th
+        return out
+
+    @cached_property
     def covC(self):
         """covC[r][i][j] = C^r_{i,j} (jets, raw gauge)."""
         out = []
@@ -451,10 +480,6 @@ class MoebiusData:
     C: np.ndarray          # 2x3
     ctx: MoebiusContext
 
-    def frame_invariants(self) -> dict:
-        return {"rho": self.rho, "B_sq": float(np.sum(self.B ** 2)),
-                "B_trace": float(max(abs(np.trace(self.B[r])) for r in range(2)))}
-
 
 def moebius_data(spec: ImmersionSpec, p, order: int = 5,
                  with_A: bool = True) -> MoebiusData:
@@ -465,11 +490,11 @@ def moebius_data(spec: ImmersionSpec, p, order: int = 5,
     val = jetalg.values
     return MoebiusData(
         rho=jets.value_of(ctx.rho),
-        Y=np.array(val(ctx.Y)), Yi=np.array(val(ctx.Yi)),
+        Y=np.array(val(ctx.Y)), Yi=ctx.Yi_values,
         N=np.array(val(ctx.N)), xi=np.array(val(ctx.xi)),
-        g=np.array(val(ctx.g)), E=np.array(val(ctx.EC)),
+        g=np.array(val(ctx.g)), E=ctx.EC_values,
         coframe=np.array(val(ctx.coframe)),
-        omega_ij=np.array(val(ctx.omega)), theta12=np.array(val(ctx.theta12)),
+        omega_ij=np.array(val(ctx.omega)), theta12=ctx.theta12_values,
         A=A, B=np.array(val(ctx.B)), C=np.array(val(ctx.C)), ctx=ctx)
 
 
@@ -570,11 +595,9 @@ def integrability_residuals(spec: ImmersionSpec, p, order: int = 5,
 
     # normal curvature: d theta_12 (E_i, E_j) + [B^1, B^2]_ij = 0
     comm = B[0] @ B[1] - B[1] @ B[0]
-    ricci_normal = 0.0
-    for i in range(3):
-        for j in range(3):
-            dth = jets.value_of(form_d_eval(ctx.theta12_chart, ctx.EC, i, j))
-            ricci_normal = max(ricci_normal, abs(dth + comm[i, j]))
+    E = ctx.EC_values
+    dth = E @ d_form_values(ctx.theta12_chart) @ E.T
+    ricci_normal = float(np.max(np.abs(dth + comm)))
 
     trace = max(abs(float(np.trace(B[r]))) for r in range(2))
     trace = max(trace, abs(float(np.sum(B ** 2)) - 2.0 / 3.0))

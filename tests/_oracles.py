@@ -6,7 +6,8 @@ Two differentiation oracles that share no code with the package:
 * 6th-order central finite differences with one Richardson step, nested per
   variable for mixed partials up to total order 3.
 
-Plus small random generators for polynomials and smooth closures.
+Plus a triangular-solve oracle for series division, and small random
+generators for polynomials and smooth closures.
 """
 
 from __future__ import annotations
@@ -81,6 +82,34 @@ def fd_partial(f, q, alpha, h: float = 1e-2) -> float:
     d1 = run(h)
     d2 = run(h / 2)
     return (64.0 * d2 - d1) / 63.0
+
+
+def graded_monomials(order: int) -> list:
+    """Trivariate exponents of total degree <= order in the coefficient
+    layout of a jet: degree first, then the exponents in decreasing order."""
+    out = []
+    for deg in range(order + 1):
+        for a in range(deg, -1, -1):
+            for b in range(deg - a, -1, -1):
+                out.append((a, b, deg - a - b))
+    return out
+
+
+def series_quotient(a, b, order: int) -> list:
+    """Normalized Taylor coefficients q of a/b, truncated at order, by
+    forward substitution in b*q = a over increasing degree:
+    q_g = (a_g - sum_{0 < beta <= g} b_beta q_(g - beta)) / b_0."""
+    monos = graded_monomials(order)
+    pos = {m: i for i, m in enumerate(monos)}
+    q = [0.0] * len(monos)
+    for i, g in enumerate(monos):
+        acc = float(a[i])
+        for beta in monos[1:]:
+            if all(beta[k] <= g[k] for k in range(3)):
+                rest = tuple(g[k] - beta[k] for k in range(3))
+                acc -= float(b[pos[beta]]) * q[pos[rest]]
+        q[i] = acc / float(b[0])
+    return q
 
 
 def random_polynomial(rng: np.random.Generator, max_degree: int = 5, terms: int = 10) -> dict:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from wintgen import gallery
@@ -248,3 +249,57 @@ def test_help_exits_zero(capsys):
 def test_source_flag_required(capsys):
     assert main(["ddvv"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cmd", ["invariants", "theorem-b", "hopf-check"])
+def test_tol_reaches_the_ideality_gate(capsys, cmd):
+    code, doc = run_json(capsys, cmd, "--example", "so3", "--points", "3",
+                         "--tol", "1e-30")
+    assert code == 3
+    assert doc["refusal"]["kind"] == "NotIdealPoint"
+
+
+def _invariant_records(capsys, *source, seed=0):
+    code, doc = run_json(capsys, "invariants", *source, "--points", "5",
+                         "--seed", str(seed))
+    assert code == 0
+    return doc["records"]
+
+
+def _assert_records_close(a, b, tol):
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert ra.keys() == rb.keys()
+        for key in ra:
+            va = ra[key] if isinstance(ra[key], list) else [ra[key]]
+            vb = rb[key] if isinstance(rb[key], list) else [rb[key]]
+            for x, y in zip(va, vb, strict=True):
+                assert abs(x - y) <= tol * max(1.0, abs(x)), \
+                    (ra["index"], key, x, y)
+
+
+@pytest.mark.parametrize("name", ["so3", "veronese-hopf"])
+def test_example_and_spec_routes_agree(capsys, tmp_path, name):
+    # the frame, and with it Omega12, must not depend on the sign the SVD
+    # happens to return for the kernel direction
+    path = tmp_path / f"{name}.imm"
+    path.write_text(gallery.by_name(name).expression_text)
+    for seed in range(3):
+        ex = _invariant_records(capsys, "--example", name, seed=seed)
+        sp = _invariant_records(capsys, "--spec", str(path), seed=seed)
+        _assert_records_close(ex, sp, 1e-10)
+
+
+def test_negated_kernel_vector_leaves_records_unchanged(capsys, monkeypatch):
+    names = ("so3", "veronese-hopf", "hopf-generic")
+    before = [_invariant_records(capsys, "--example", n) for n in names]
+    svd = np.linalg.svd
+
+    def negated(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
+        return u, s, -vt
+
+    monkeypatch.setattr(np.linalg, "svd", negated)
+    after = [_invariant_records(capsys, "--example", n) for n in names]
+    for a, b in zip(before, after):
+        _assert_records_close(a, b, 1e-12)

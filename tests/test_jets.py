@@ -275,3 +275,128 @@ def test_order0_matches_plain_eval_exactly():
         plain = f(list(q))
         jetted = f([jet_seed(i + 1, q[i], 0) for i in range(3)])
         assert jetted.value == plain
+
+
+# ---------------------------------------------------------------------------
+# the jet core: division, mixed orders, fresh results, checked construction
+
+
+def _coeffs(order, lo=-1.0, hi=1.0):
+    n = ncoef(order)
+    return st.lists(st.floats(min_value=lo, max_value=hi, allow_nan=False),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def _quotient_case(draw):
+    order = draw(st.integers(0, 5))
+    a = draw(_coeffs(order))
+    b = draw(_coeffs(order))
+    b0 = draw(st.floats(min_value=0.5, max_value=2.0))
+    b[0] = b0 if draw(st.booleans()) else -b0
+    return order, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_quotient_case())
+def test_div_matches_triangular_solve_oracle(case):
+    order, a, b = case
+    got = (MultiJet(order, np.array(a)) / MultiJet(order, np.array(b))).c
+    want = np.array(oracles.series_quotient(a, b, order))
+    scale = 1.0 + np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_div_oracle_layout_matches_jets():
+    for k in range(6):
+        assert tuple(oracles.graded_monomials(k)) == jets._monomials(k)
+
+
+@st.composite
+def _mixed_pair(draw):
+    ka, kb = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    a = MultiJet(ka, np.array(draw(_coeffs(ka))))
+    b = MultiJet(kb, np.array(draw(_coeffs(kb, 0.5, 1.0))))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_pair())
+def test_mixed_orders_equal_explicit_truncation(pair):
+    a, b = pair
+    k = min(a.order, b.order)
+    ta, tb = a.truncate(k), b.truncate(k)
+    for op in (lambda x, y: x + y, lambda x, y: x - y,
+               lambda x, y: x * y, lambda x, y: x / y):
+        mixed = op(a, b)
+        assert mixed.order == k
+        assert np.array_equal(mixed.c, op(ta, tb).c)
+
+
+def _results(a, b):
+    """Every arithmetic result of a and b, with the operands it came from."""
+    yield a + b, (a, b)
+    yield a - b, (a, b)
+    yield a * b, (a, b)
+    yield a / b, (a, b)
+    yield -a, (a,)
+    yield a + 1.5, (a,)
+    yield 1.5 - a, (a,)
+    yield 2.0 * a, (a,)
+    yield a / 2.0, (a,)
+    yield 2.0 / b, (b,)
+    yield a ** 2, (a,)
+    yield jets.sqrt(b * b), (b,)
+    yield derivative(a, 2), (a,)
+
+
+@pytest.mark.parametrize("orders", [(3, 3), (5, 2), (2, 5)])
+def test_results_own_their_coefficients(orders):
+    rng = np.random.default_rng(11)
+    a = MultiJet(orders[0], rng.normal(size=ncoef(orders[0])))
+    b = MultiJet(orders[1], rng.normal(size=ncoef(orders[1])))
+    b.c[0] = 3.0
+    snapshot = [a.c.copy(), b.c.copy()]
+    for res, operands in _results(a, b):
+        for x in operands:
+            assert not np.shares_memory(res.c, x.c)
+        res.c[:] = 7.0  # a later write to a result leaves the operands alone
+    assert np.array_equal(a.c, snapshot[0])
+    assert np.array_equal(b.c, snapshot[1])
+    low = a.truncate(min(orders[0], 1))
+    if low is not a:
+        assert not np.shares_memory(low.c, a.c)
+
+
+def test_public_constructor_checks_its_input():
+    with pytest.raises(OrderError):
+        MultiJet(6, np.zeros(84))
+    with pytest.raises(OrderError):
+        MultiJet(-1, np.zeros(1))
+    with pytest.raises(OrderError):
+        MultiJet(2.0, np.zeros(10))
+    with pytest.raises(OrderError):
+        MultiJet(2, np.zeros(11))
+    j = MultiJet(1, [1, 2, 3, 4])
+    assert j.c.dtype == float
+
+
+def test_division_by_zero_constant_term_raises():
+    z = jet_seed(2, 0.0, 4)
+    one = MultiJet.constant(1.0, 5)
+    for fn in (lambda: one / z, lambda: 1.0 / z, lambda: z ** -1,
+               lambda: MultiJet.constant(0.0, 0).__rtruediv__(2.0)):
+        with pytest.raises(SingularJet):
+            fn()
+
+
+def test_gradient_reads_first_partials():
+    u = [jet_seed(i + 1, 0.2 * (i + 1), 3) for i in range(3)]
+    f = u[0] * u[0] * u[1] + 3.0 * u[2]
+    assert np.array_equal(jets.gradient(f),
+                          [extract_derivative(f, (1, 0, 0)),
+                           extract_derivative(f, (0, 1, 0)),
+                           extract_derivative(f, (0, 0, 1))])
+    assert np.array_equal(jets.gradient(2.5), np.zeros(3))
+    with pytest.raises(OrderError):
+        jets.gradient(MultiJet.constant(1.0, 0))
