@@ -21,8 +21,8 @@ from . import jetalg, jets
 from .classical import ddvv_from_forms, kernel_sign
 from .errors import IntegrableDistribution, NotIdealPoint
 from .immersion import ImmersionSpec
-from .moebius import (LORENTZ, MoebiusData, d_form_values, ldot,
-                      moebius_data)
+from .moebius import (LORENTZ, MoebiusData, d_form_values, frame_d_values,
+                      ldot, moebius_data)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -67,7 +67,8 @@ def _oriented_torsion(covB, Bv, E1, E2, E3):
 def _pregauged(B, M0, Q0):
     """The shape fields with the normal pair mixed by Q0 and components in
     the tangent frame rotated by M0."""
-    Bmix = [[[Q0[0][r] * B[0][i][j] + Q0[1][r] * B[1][i][j]
+    Bmix = [[[sum_jets([Q0[s][r] * B[s][i][j] for s in range(2)
+                        if Q0[s][r] != 0.0])
               for j in range(3)] for i in range(3)] for r in range(2)]
     return [[[sum_jets([(M0[i][a] * M0[j][b]) * Bmix[r][a][b]
                         for a in range(3) for b in range(3)
@@ -103,18 +104,13 @@ class CanonicalFields:
             raise NotIdealPoint(
                 f"equality gap {report.slack:.3e} at {ctx.p}: not an ideal point")
 
-        if pregauge is None:
-            M0 = np.eye(3)
-            Q0 = np.eye(2)
-            Bw = ctx.B
-        else:
-            t = float(pregauge)
-            M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
-                           [math.sin(t), math.cos(t), 0.0],
-                           [0.0, 0.0, 1.0]])
-            Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
-                           [math.sin(2 * t), math.cos(2 * t)]])
-            Bw = _pregauged(ctx.B, M0, Q0)
+        t = 0.0 if pregauge is None else float(pregauge)
+        M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
+                       [math.sin(t), math.cos(t), 0.0],
+                       [0.0, 0.0, 1.0]])
+        Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
+                       [math.sin(2 * t), math.cos(2 * t)]])
+        Bw = _pregauged(ctx.B, M0, Q0)
 
         # ---- pointwise stage -------------------------------------------------
         Bv = np.array(jetalg.values(Bw))
@@ -179,11 +175,9 @@ class CanonicalFields:
         E1f = [ctf * F1f[j] - stf * F2f[j] for j in range(3)]
         E2f = [stf * F1f[j] + ctf * F2f[j] for j in range(3)]
 
-        Rf = [E1f, E2f, e3f]
-        if pregauge is not None:
-            Rf = [[sum_jets([Rf[i][k] * M0[k][j] for k in range(3)
-                             if M0[k][j] != 0.0]) for j in range(3)]
-                  for i in range(3)]
+        Rf = [[sum_jets([R[k] * M0[k][j] for k in range(3)
+                         if M0[k][j] != 0.0]) for j in range(3)]
+              for R in (E1f, E2f, e3f)]
         Qf = [[Q0[0][0], s2flip * Q0[0][1]],
               [Q0[1][0], s2flip * Q0[1][1]]]
 
@@ -251,10 +245,6 @@ class CanonicalFields:
 
     def dvec(self, vec, k):
         return [self.d(c, k) for c in vec]
-
-    def d_values(self, vec):
-        """[k][m] = E_k(vec[m]) at the point, from the chart first partials."""
-        return self.E_chart @ jetalg.gradients(vec).T
 
     # -- component fields --------------------------------------------------------
 
@@ -649,7 +639,7 @@ def hat_frame(spec: ImmersionSpec, p, lam: float | None = None,
               + w[0] * cf.Yi_can[0][m] + w[1] * cf.Yi_can[1][m]
               + w[2] * cf.Yi_can[2][m] for m in range(7)]
     eta_v = np.array(jetalg.values(eta_f))
-    hat_co = eta_v @ LORENTZ @ cf.d_values(Yhat_f).T
+    hat_co = eta_v @ LORENTZ @ frame_d_values(cf.E_chart, Yhat_f).T
     return HatFrameData(
         eta=eta_v, Yhat=np.array(jetalg.values(Yhat_f)), hat_coframe=hat_co,
         Omega13=(lam_val, cf.L, 0.0), Omega23=(-cf.L, lam_val, 0.0),
@@ -760,8 +750,8 @@ def holomorphic_residual(spec: ImmersionSpec, p, order: int = 5,
     xi2 = np.array(jetalg.values(cf.xi[1]))
     xi_c = xi1 - 1j * xi2
     theta = [jets.value_of(t) for t in cf.theta]
-    d1 = cf.d_values(cf.xi[0])
-    d2 = cf.d_values(cf.xi[1])
+    d1 = frame_d_values(cf.E_chart, cf.xi[0])
+    d2 = frame_d_values(cf.E_chart, cf.xi[1])
     worst = 0.0
     for k in range(3):
         lhs = d1[k] - 1j * d2[k]
@@ -801,7 +791,8 @@ def structure_matrix(spec: ImmersionSpec, p, gauge: str = "raw",
     xi_v = [np.array(jetalg.values(x)) for x in cf.xi]
 
     duals = np.array([Yhat_v, Yv] + eta_v + xi_v)  # pairing partner per column
-    out = np.array([duals @ LORENTZ @ cf.d_values(row).T for row in rows])
+    out = np.array([duals @ LORENTZ @ frame_d_values(cf.E_chart, row).T
+                    for row in rows])
     # residual normal rotation: absorb the (eta1, eta2) slot into the
     # normal-pair connection
     c = out[2, 3].copy()

@@ -5,7 +5,7 @@ and the integrability residuals.
 Everything lives at one chart point as jets; the reporting type MoebiusData
 snapshots constant terms.  A quantity whose value at the point is all that
 is read (E_i of a field, the Blaschke tensor via dN, covB for the torsion
-sign) is read from the first partials of the jets it derives from, not
+sign and the residuals) is read from the first partials of the jets it derives from, not
 built as a jet field.  Index conventions follow classical.py, plus
 capital E_i for the frame orthonormal in the conformal metric g = rho^2 dx.dx.
 """
@@ -50,6 +50,12 @@ def frame_scalar_d(EC, f, k):
 
 def frame_vector_d(EC, vec, k):
     return [frame_scalar_d(EC, comp, k) for comp in vec]
+
+
+def frame_d_values(E, vec) -> np.ndarray:
+    """[i][m] = E_i(vec[m]) at the point, for frame rows E (values, chart
+    components) and a list of jets vec, from the chart first partials."""
+    return E @ jetalg.gradients(vec).T
 
 
 def d_form_values(chart_form) -> np.ndarray:
@@ -135,13 +141,9 @@ class MoebiusContext:
     def EC_values(self):
         return np.array(jetalg.values(self.EC))
 
-    def frame_d_values(self, vec):
-        """[i][m] = E_i(vec[m]) at the point, from the chart first partials."""
-        return self.EC_values @ jetalg.gradients(vec).T
-
     @cached_property
     def Yi_values(self):
-        return self.frame_d_values(self.Y)
+        return frame_d_values(self.EC_values, self.Y)
 
     # -- mean curvature sphere and dual point ---------------------------------
 
@@ -273,7 +275,7 @@ class MoebiusContext:
     def theta12_values(self):
         """theta_12(E_k) at the point."""
         xi2 = np.array(jetalg.values(self.xi[1]))
-        return self.frame_d_values(self.xi[0]) @ LORENTZ @ xi2
+        return frame_d_values(self.EC_values, self.xi[0]) @ LORENTZ @ xi2
 
     @cached_property
     def theta12_chart(self):
@@ -288,7 +290,7 @@ class MoebiusContext:
         """E_i(N) at the point, rows i."""
         if self.order < 5:
             raise InsufficientOrder("the dN route needs jet order 5")
-        return self.frame_d_values(self.N)
+        return frame_d_values(self.EC_values, self.N)
 
     @cached_property
     def A_dn(self):
@@ -392,29 +394,10 @@ class MoebiusContext:
     # -- covariant derivatives ---------------------------------------------------
 
     @cached_property
-    def covB(self):
-        """covB[r][i][j][k] = B^r_{ij,k} (jets, raw gauge)."""
-        out = []
-        for r in range(2):
-            mat = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-            for i in range(3):
-                for j in range(3):
-                    for k in range(3):
-                        acc = frame_scalar_d(self.EC, self.B[r][i][j], k)
-                        for l in range(3):
-                            acc = acc + self.B[r][i][l] * self.omega[l][j][k]
-                            acc = acc + self.B[r][l][j] * self.omega[l][i][k]
-                        s = 1 - r
-                        sgn = 1.0 if s == 0 else -1.0  # theta_sr = sgn * theta_12
-                        acc = acc + self.B[s][i][j] * (sgn * self.theta12[k])
-                        mat[i][j][k] = acc
-            out.append(mat)
-        return out
-
-    @cached_property
     def covB_values(self):
-        """covB at the point, (2,3,3,3): the same formula on the first
-        partials of B and the point values of omega and theta_12."""
+        """[r][i][j][k] = B^r_{ij,k} at the point (raw gauge): E_k(B^r_ij)
+        plus the omega and theta_12 terms, from the first partials of B and
+        the point values of omega and theta_12."""
         B = np.array(jetalg.values(self.B))
         om = np.array(jetalg.values(self.omega))
         out = jetalg.gradients(self.B) @ self.EC_values.T
@@ -520,7 +503,7 @@ def covariant_derivatives(data: MoebiusData) -> CovariantDerivs:
     if ctx.order < 5:
         raise InsufficientOrder("covariant derivatives need jet order 5")
     return CovariantDerivs(
-        B_cov=np.array(jetalg.values(ctx.covB)),
+        B_cov=ctx.covB_values,
         C_cov=np.array(jetalg.values(ctx.covC)),
         A_cov=np.array(jetalg.values(ctx.covA)))
 
