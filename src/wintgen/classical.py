@@ -1,8 +1,8 @@
 """Classical submanifold invariants at a chart point.
 
 ClassicalContext carries everything as jets so later modules can
-differentiate; the reporting types (ClassicalData, DDVVReport, AdaptedFrame)
-hold plain floats.
+differentiate; the reporting types (ClassicalData, DDVVReport, KernelPlane,
+AdaptedFrame) hold plain floats.
 
 Index conventions: a, b, c label chart coordinates; i, j, k label the
 orthonormal tangent frame; r, s label the orthonormal normal frame.
@@ -330,12 +330,6 @@ def _pattern_matrices(lam1, lam2, mu0):
     return P1, P2
 
 
-def split_angle(z1: complex):
-    """Tangent angle t with e^{2it} z1 = i|z1|: cos2t = Im z1/|z1|,
-    sin2t = Re z1/|z1|."""
-    return 0.5 * math.atan2(z1.real, z1.imag)
-
-
 def kernel_sign(v: np.ndarray) -> np.ndarray:
     """The kernel vector v with its sign fixed: its largest-magnitude
     component is positive.  The SVD returns either sign, and the two signs
@@ -344,6 +338,65 @@ def kernel_sign(v: np.ndarray) -> np.ndarray:
     raw-gauge U, V."""
     k = int(np.argmax(np.abs(v)))
     return v if v[k] >= 0.0 else -v
+
+
+def half_angle(c2_p, s2_p, c2, s2):
+    """cos t and sin t given cos 2t and sin 2t, with cos t >= 0 at the base
+    point.  The branch is picked from the base-point values c2_p, s2_p
+    (floats) so the square root stays off zero.  Works for floats and jets
+    alike."""
+    if c2_p >= 0.0:
+        ct = jets.sqrt((1.0 + c2) * 0.5)
+        st = s2 / (2.0 * ct)
+    else:
+        sgn = 1.0 if s2_p >= 0.0 else -1.0
+        st = sgn * jets.sqrt((1.0 - c2) * 0.5)
+        ct = s2 / (2.0 * st)
+    return ct, st
+
+
+@dataclass(frozen=True)
+class KernelPlane:
+    """The pointwise adapted frame of two trace-free symmetric forms T_1, T_2
+    that share a kernel line.  With z_r = T_r(F1, F1) + i T_r(F1, F2), the
+    second form is reversed when flip = -1 so that Im(z_1 conj(z_2)) >= 0,
+    and the plane is turned by the angle t with e^{2it} z_1 = i|z_1|."""
+    R: np.ndarray   # rows e1, e2, e3: the turned plane and the kernel line
+    F: np.ndarray   # rows F1, F2: the plane before the turn, F2 = e3 x F1
+    flip: float
+    c2: float       # cos 2t
+    s2: float       # sin 2t
+    mu0: float      # |z_1|
+
+
+def kernel_plane(T, where: str = "") -> KernelPlane:
+    """The adapted frame of the forms T[0], T[1], given in one orthonormal
+    basis; refuses with NotIdealPoint when they share no kernel line or the
+    first one vanishes on the plane.  `where` ends the refusal messages."""
+    _, sing, vt = np.linalg.svd(np.vstack([T[0], T[1]]))
+    if sing[2] > 1e-6 * sing[0]:
+        raise NotIdealPoint(
+            f"trace-free forms have no common kernel{where} "
+            f"(singular values {sing[2]:.3e} vs {sing[0]:.3e})")
+    q = kernel_sign(vt[2])
+
+    k0 = int(np.argmin(np.abs(q)))
+    F1 = -q[k0] * q
+    F1[k0] += 1.0
+    F1 /= np.linalg.norm(F1)
+    F2 = np.cross(q, F1)
+
+    z = [complex(F1 @ T[r] @ F1, F1 @ T[r] @ F2) for r in range(2)]
+    flip = 1.0 if (z[0] * z[1].conjugate()).imag >= 0.0 else -1.0
+    az = abs(z[0])
+    if az < 1e-12 * max(1.0, sing[0]):
+        raise NotIdealPoint(f"degenerate shape pattern{where}")
+    c2 = z[0].imag / az
+    s2 = z[0].real / az
+    ct, st = half_angle(c2, s2, c2, s2)
+    R = np.vstack([ct * F1 - st * F2, st * F1 + ct * F2, q])
+    return KernelPlane(R=R, F=np.vstack([F1, F2]), flip=flip, c2=c2, s2=s2,
+                       mu0=az)
 
 
 def adapted_frame(data: ClassicalData, tol: float = 1e-7) -> AdaptedFrame:
@@ -360,45 +413,15 @@ def adapted_frame(data: ClassicalData, tol: float = 1e-7) -> AdaptedFrame:
         raise NotIdealPoint(
             f"inequality slack {report.slack:.3e} exceeds tolerance; no common kernel")
 
-    stacked = np.vstack([T[0], T[1]])
-    _, sing, vt = np.linalg.svd(stacked)
-    if sing[2] > 1e-6 * sing[0]:
-        raise NotIdealPoint(
-            f"trace-free operators share no kernel direction "
-            f"(singular values {sing[2]:.2e} vs {sing[0]:.2e})")
-    e3 = kernel_sign(vt[2])
-
-    k = int(np.argmin(np.abs(e3)))
-    f1 = np.zeros(3)
-    f1[k] = 1.0
-    f1 -= np.dot(f1, e3) * e3
-    f1 /= np.linalg.norm(f1)
-    f2 = np.cross(e3, f1)
-
-    def zcomp(t):
-        return complex(f1 @ t @ f1, f1 @ t @ f2)
-
-    z1, z2 = zcomp(T[0]), zcomp(T[1])
-    K = np.eye(2)
-    if (z1 * z2.conjugate()).imag < 0.0:
-        K = np.diag([1.0, -1.0])
-        z2 = -z2
-    if abs(z1) <= 1e-12 * max(1.0, math.sqrt(ii2)):
-        raise NotIdealPoint("first trace-free operator vanishes on the 2-plane")
-
-    t = split_angle(z1)
-    ct, st = math.cos(t), math.sin(t)
-    e1 = ct * f1 - st * f2
-    e2 = st * f1 + ct * f2
-    R = np.vstack([e1, e2, e3])
-
-    mu0 = abs(z1)
-    lam1 = float(H[0] * K[0, 0])
-    lam2 = float(H[1] * K[1, 1])
-    rotated = [R @ (K[0, r] * h[0] + K[1, r] * h[1]) @ R.T for r in range(2)]
-    P1, P2 = _pattern_matrices(lam1, lam2, mu0)
+    plane = kernel_plane(T)
+    R = plane.R
+    K = np.diag([1.0, plane.flip])
+    lam1 = float(H[0])
+    lam2 = float(H[1] * plane.flip)
+    rotated = [R @ h[0] @ R.T, R @ (plane.flip * h[1]) @ R.T]
+    P1, P2 = _pattern_matrices(lam1, lam2, plane.mu0)
     residual = max(float(np.max(np.abs(rotated[0] - P1))),
                    float(np.max(np.abs(rotated[1] - P2))))
     return AdaptedFrame(tangent_rotation=R, normal_rotation=K,
-                        lambda1=lam1, lambda2=lam2, mu0=mu0,
+                        lambda1=lam1, lambda2=lam2, mu0=plane.mu0,
                         pattern_residual=residual)

@@ -38,7 +38,8 @@ from .errors import (
     SingularJet,
     UmbilicPoint,
 )
-from .ideal import SQRT6, _analyze, _package_invariants, verdict_from_scalars
+from .ideal import (SQRT6, _analyze, _package_invariants, hopf_verdict,
+                    theorem_b_verdict)
 from .immersion import parse_immersion, sample_points
 from .moebius import integrability_residuals, moebius_data
 
@@ -99,12 +100,17 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], records: list[dict]) -> None:
+    """One row per record: its values in order, lists spread over columns,
+    cut to the header (the invariants table leaves out the trailing
+    Omega12)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        for rec in records:
+            row = [x for v in rec.values()
+                   for x in (v if isinstance(v, list) else [v])]
+            writer.writerow([_cell(v) for v in row[:len(header)]])
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +118,10 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 class RunResult:
-    def __init__(self, records, aggregate, csv_header, csv_rows, failures):
+    def __init__(self, records, aggregate, csv_header, failures):
         self.records = records
         self.aggregate = aggregate
         self.csv_header = csv_header
-        self.csv_rows = csv_rows
         self.failures = failures
 
 
@@ -130,7 +135,6 @@ def _gauge_name(flag: str) -> str:
 
 def _run_ddvv(spec, pts, args, expected) -> RunResult:
     records = []
-    rows = []
     for idx, p in enumerate(pts):
         ctx = ClassicalContext(spec, p, order=2)
         if ctx.is_umbilic():
@@ -149,8 +153,6 @@ def _run_ddvv(spec, pts, args, expected) -> RunResult:
             "ideal": bool(rep.ideal),
         }
         records.append(rec)
-        rows.append([idx, *rec["point"], rec["s"], rec["H_norm2"],
-                     rec["s_N"], rec["slack"], rec["ideal"]])
     slacks = [r["slack"] for r in records]
     aggregate = {
         "n_points": len(records),
@@ -173,7 +175,7 @@ def _run_ddvv(spec, pts, args, expected) -> RunResult:
                     f"{aggregate['min_slack']:.17g}")
     header = ["index", "u1", "u2", "u3", "s", "H_norm2", "s_N", "slack",
               "ideal"]
-    return RunResult(records, aggregate, header, rows, failures)
+    return RunResult(records, aggregate, header, failures)
 
 
 _CONSTANT_VALUES = {
@@ -186,20 +188,20 @@ _CONSTANT_VALUES = {
 }
 
 
-def _run_invariants(spec, pts, args, expected) -> RunResult:
+def _ideal_records(spec, pts, args, names):
+    """The per-point loop of the invariant commands: records holding the
+    named values, and the invariants they came from.  Each point is analyzed
+    on its own, with the torsion-positive sign rule, so a record depends
+    only on its point and not on sample order."""
     g = _gauge_name(args.gauge)
     records = []
-    rows = []
-    # each point is analyzed on its own, with the torsion-positive sign
-    # rule, so a record depends only on its point and not on sample order
+    invs = []
     for idx, p in enumerate(pts):
         data = moebius_data(spec, p, order=args.order)
         cf = _analyze(spec, p, gauge=g, order=args.order, ltol=args.ltol,
                       tol=args.tol, data=data)
         inv = _package_invariants(cf, partial=False)
-        rec = {
-            "index": idx,
-            "point": _point_list(p),
+        values = {
             "rho": float(data.rho),
             "mu": float(inv.mu),
             "U": float(inv.U),
@@ -214,11 +216,19 @@ def _run_invariants(spec, pts, args, expected) -> RunResult:
             "theta12": [float(v) for v in inv.theta12_coeffs],
             "Omega12": [float(v) for v in inv.Omega12_coeffs],
         }
+        rec = {"index": idx, "point": _point_list(p)}
+        rec.update((name, values[name]) for name in names)
         records.append(rec)
-        rows.append([idx, *rec["point"], rec["rho"], rec["mu"], rec["U"],
-                     rec["V"], rec["L"], rec["G"], rec["lam"], rec["Fhat"],
-                     rec["Ghat"], *rec["omega"], *rec["domega"],
-                     *rec["theta12"]])
+        invs.append(inv)
+    return records, invs
+
+
+_INVARIANT_NAMES = ("rho", "mu", "U", "V", "L", "G", "lam", "Fhat", "Ghat",
+                    "omega", "domega", "theta12", "Omega12")
+
+
+def _run_invariants(spec, pts, args, expected) -> RunResult:
+    records, _ = _ideal_records(spec, pts, args, _INVARIANT_NAMES)
     aggregate = {
         "n_points": len(records),
         "max_abs_U": max(abs(r["U"]) for r in records),
@@ -251,38 +261,20 @@ def _run_invariants(spec, pts, args, expected) -> RunResult:
               "lam", "Fhat", "Ghat", "omega1", "omega2", "omega3",
               "domega12", "domega13", "domega23", "theta12_1", "theta12_2",
               "theta12_3"]
-    return RunResult(records, aggregate, header, rows, failures)
+    return RunResult(records, aggregate, header, failures)
 
 
 def _run_theorem_b(spec, pts, args, expected) -> RunResult:
-    g = _gauge_name(args.gauge)
-    records = []
-    rows = []
-    fhats = []
-    max_dw = 0.0
-    for idx, p in enumerate(pts):
-        cf = _analyze(spec, p, gauge=g, order=args.order, ltol=args.ltol,
-                      tol=args.tol)
-        inv = _package_invariants(cf, partial=False)
-        rec = {
-            "index": idx,
-            "point": _point_list(p),
-            "Fhat": float(inv.Fhat),
-            "domega": [float(v) for v in inv.domega],
-        }
-        records.append(rec)
-        rows.append([idx, *rec["point"], rec["Fhat"], *rec["domega"]])
-        fhats.append(rec["Fhat"])
-        max_dw = max(max_dw, max(abs(d) for d in rec["domega"]))
-    verdict = verdict_from_scalars(fhats, max_dw, tol=args.tol)
+    records, invs = _ideal_records(spec, pts, args, ("Fhat", "domega"))
+    verdict = theorem_b_verdict(invs, tol=args.tol)
     aggregate = {
         "n_points": verdict.n_points,
         "classification": verdict.classification,
         "closed": verdict.closed,
         "Fhat_sign": verdict.Fhat_sign,
-        "max_domega": float(verdict.max_domega),
-        "fhat_min": float(verdict.fhat_min),
-        "fhat_max": float(verdict.fhat_max),
+        "max_domega": verdict.max_domega,
+        "fhat_min": verdict.fhat_min,
+        "fhat_max": verdict.fhat_max,
     }
     failures = []
     if expected is not None:
@@ -293,43 +285,27 @@ def _run_theorem_b(spec, pts, args, expected) -> RunResult:
                 f"{verdict.classification}")
     header = ["index", "u1", "u2", "u3", "Fhat", "domega12", "domega13",
               "domega23"]
-    return RunResult(records, aggregate, header, rows, failures)
+    return RunResult(records, aggregate, header, failures)
 
 
 def _run_hopf_check(spec, pts, args, expected) -> RunResult:
-    g = _gauge_name(args.gauge)
-    records = []
-    rows = []
-    for idx, p in enumerate(pts):
-        cf = _analyze(spec, p, gauge=g, order=args.order, ltol=args.ltol,
-                      tol=args.tol)
-        inv = _package_invariants(cf, partial=False)
-        rec = {
-            "index": idx,
-            "point": _point_list(p),
-            "G": float(inv.G),
-            "domega": [float(v) for v in inv.domega],
-        }
-        records.append(rec)
-        rows.append([idx, *rec["point"], rec["G"], *rec["domega"]])
-    max_g = max(abs(r["G"]) for r in records)
-    max_dw = max(max(abs(d) for d in r["domega"]) for r in records)
+    records, invs = _ideal_records(spec, pts, args, ("G", "domega"))
+    report = hopf_verdict(invs, tol=args.tol)
     aggregate = {
         "n_points": len(records),
-        "satisfied": bool(max_g < args.tol and max_dw < args.tol),
-        "max_G": max_g,
-        "max_domega": max_dw,
+        "satisfied": report.satisfied,
+        "max_G": report.max_G,
+        "max_domega": report.max_domega,
     }
     failures = []
     if expected is not None:
         want = expected.get("hopf")
-        if want is not None and aggregate["satisfied"] != want:
+        if want is not None and report.satisfied != want:
             failures.append(
-                f"expected lift criterion {want}, got "
-                f"{aggregate['satisfied']}")
+                f"expected lift criterion {want}, got {report.satisfied}")
     header = ["index", "u1", "u2", "u3", "G", "domega12", "domega13",
               "domega23"]
-    return RunResult(records, aggregate, header, rows, failures)
+    return RunResult(records, aggregate, header, failures)
 
 
 _RESIDUAL_FIELDS = ("codazzi_A", "ricci_C", "codazzi_B", "gauss",
@@ -338,7 +314,6 @@ _RESIDUAL_FIELDS = ("codazzi_A", "ricci_C", "codazzi_B", "gauss",
 
 def _run_residuals(spec, pts, args, expected) -> RunResult:
     records = []
-    rows = []
     for idx, p in enumerate(pts):
         data = moebius_data(spec, p, order=args.order)
         res = integrability_residuals(spec, p, order=args.order, data=data)
@@ -347,8 +322,6 @@ def _run_residuals(spec, pts, args, expected) -> RunResult:
             rec[name] = float(getattr(res, name))
         rec["max"] = float(res.max_residual())
         records.append(rec)
-        rows.append([idx, *rec["point"],
-                     *[rec[name] for name in _RESIDUAL_FIELDS], rec["max"]])
     aggregate = {"n_points": len(records)}
     for name in _RESIDUAL_FIELDS:
         aggregate["max_" + name] = max(r[name] for r in records)
@@ -359,7 +332,7 @@ def _run_residuals(spec, pts, args, expected) -> RunResult:
             f"expected structure-equation residuals below {args.tol:.17g}, "
             f"found {aggregate['max_overall']:.17g}")
     header = ["index", "u1", "u2", "u3", *_RESIDUAL_FIELDS, "max"]
-    return RunResult(records, aggregate, header, rows, failures)
+    return RunResult(records, aggregate, header, failures)
 
 
 _RUNNERS = {
@@ -501,7 +474,7 @@ def _analysis_command(args) -> int:
                          "failures": result.failures}
     _emit(doc, args.json)
     if args.csv:
-        _write_csv(args.csv, result.csv_header, result.csv_rows)
+        _write_csv(args.csv, result.csv_header, result.records)
     if args.assert_expected and result.failures:
         return EXIT_ASSERT
     return EXIT_OK

@@ -305,28 +305,32 @@ def generic_control() -> GalleryEntry:
     return _entry("generic-control", spec, expected, plan_seed=0x506)
 
 
-def control_examples() -> list[GalleryEntry]:
-    return [umbilic_control(), generic_control()]
-
-
 # ---------------------------------------------------------------------------
-# registry
+# registry: each entry is built on request, with its sample plan
+
+_CONSTRUCTORS = {
+    "so3": so3_example,
+    "veronese-hopf": veronese_hopf_example,
+    "hopf-generic": hopf_generic_example,
+    "cone-veronese": cone_over_veronese,
+    "umbilic-control": umbilic_control,
+    "generic-control": generic_control,
+}
 
 
 def all_entries() -> list[GalleryEntry]:
-    return [so3_example(), veronese_hopf_example(), hopf_generic_example(),
-            cone_over_veronese()] + control_examples()
+    return [make() for make in _CONSTRUCTORS.values()]
 
 
 def by_name(name: str) -> GalleryEntry:
-    for e in all_entries():
-        if e.name == name:
-            return e
-    raise KeyError(f"no gallery entry named {name!r}")
+    make = _CONSTRUCTORS.get(name)
+    if make is None:
+        raise KeyError(f"no gallery entry named {name!r}")
+    return make()
 
 
 def names() -> list[str]:
-    return [e.name for e in all_entries()]
+    return list(_CONSTRUCTORS)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 At an ideal point the trace-free conformal shape operators share a kernel
 line and act on the orthogonal plane D as a fixed two-matrix pattern after a
-rotation.  This module builds that adapted frame twice: once as plain linear
-algebra at the base point, then again as jet fields extending it, so that
-covariant derivatives of the adapted components (the scalars U, V, L, G,
-lambda, Fhat, Ghat and the 1-form omega) are honest derivatives of smooth
-fields and the classification verdicts can be evaluated per sample.
+rotation.  classical.kernel_plane builds that adapted frame at the base
+point; this module extends it to jet fields, so that covariant derivatives
+of the adapted components (the scalars U, V, L, G, lambda, Fhat, Ghat and
+the 1-form omega) are honest derivatives of smooth fields.  E3 is oriented
+at each point on its own, by the sign of the torsion L, and the verdicts
+are folds over the per-point invariants of a sample.
 """
 
 from __future__ import annotations
@@ -18,27 +19,13 @@ from functools import cached_property
 import numpy as np
 
 from . import jetalg, jets
-from .classical import ddvv_from_forms, kernel_sign
+from .classical import ddvv_from_forms, half_angle, kernel_plane
 from .errors import IntegrableDistribution, NotIdealPoint
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusData, d_form_values, frame_d_values,
                       ldot, moebius_data)
 
 SQRT6 = math.sqrt(6.0)
-
-
-def _halfangle(c2_p, s2_p, c2, s2):
-    """cos t and sin t given cos 2t, sin 2t; the branch is picked from the
-    base-point values (floats) so the square root stays off zero.  Works for
-    floats and jets alike."""
-    if c2_p >= 0.0:
-        ct = jets.sqrt((1.0 + c2) * 0.5)
-        st = s2 / (2.0 * ct)
-    else:
-        sgn = 1.0 if s2_p >= 0.0 else -1.0
-        st = sgn * jets.sqrt((1.0 - c2) * 0.5)
-        ct = s2 / (2.0 * st)
-    return ct, st
 
 
 def _quadform(u, M, v):
@@ -85,9 +72,8 @@ class CanonicalFields:
     covariant derivatives) refer to this frame.
     """
 
-    def __init__(self, data: MoebiusData, gauge: str = "raw", e3_hint=None,
-                 pregauge=None, ltol: float = 1e-6, strict: bool = True,
-                 tol: float = 1e-7):
+    def __init__(self, data: MoebiusData, gauge: str = "raw", pregauge=None,
+                 ltol: float = 1e-6, strict: bool = True, tol: float = 1e-7):
         if gauge not in ("raw", "V0"):
             raise ValueError(f"unknown gauge {gauge!r}")
         ctx = data.ctx
@@ -113,40 +99,14 @@ class CanonicalFields:
         Bw = _pregauged(ctx.B, M0, Q0)
 
         # ---- pointwise stage -------------------------------------------------
-        Bv = np.array(jetalg.values(Bw))
-        stacked = np.vstack([Bv[0], Bv[1]])
-        _, sing, vt = np.linalg.svd(stacked)
-        if sing[2] > 1e-6 * sing[0]:
-            raise NotIdealPoint(
-                f"trace-free forms have no common kernel at {ctx.p} "
-                f"(singular values {sing[2]:.3e} vs {sing[0]:.3e})")
-        q = kernel_sign(vt[2])
+        plane = kernel_plane(np.array(jetalg.values(Bw)), where=f" at {ctx.p}")
+        E1p, E2p, q = plane.R
+        F1p, F2p = plane.F
 
-        k0 = int(np.argmin(np.abs(q)))
-        F1p = -q[k0] * q
-        F1p[k0] += 1.0
-        F1p /= np.linalg.norm(F1p)
-        F2p = np.cross(q, F1p)
-
-        z = [complex(F1p @ Bv[r] @ F1p, F1p @ Bv[r] @ F2p) for r in range(2)]
-        s2flip = 1.0 if (z[0] * z[1].conjugate()).imag >= 0.0 else -1.0
-        az = abs(z[0])
-        if az < 1e-12:
-            raise NotIdealPoint(f"degenerate shape pattern at {ctx.p}")
-        c2p = z[0].imag / az
-        s2p = z[0].real / az
-        ctp, stp = _halfangle(c2p, s2p, c2p, s2p)
-        E1p = ctp * F1p - stp * F2p
-        E2p = stp * F1p + ctp * F2p
-
-        # E3 sign: torsion positive at a fresh basepoint, continuity otherwise
+        # E3 sign: the torsion is positive (it is odd in E3)
         Lq = _oriented_torsion(ctx.covB_values, data.B, E1p @ M0, E2p @ M0,
                                q @ M0)
-        if e3_hint is not None:
-            q_chart = (q @ M0) @ ctx.EC_values
-            sign = 1.0 if float(q_chart @ np.asarray(e3_hint, dtype=float)) >= 0 \
-                else -1.0
-        elif abs(Lq) <= ltol:
+        if abs(Lq) <= ltol:
             if strict:
                 raise IntegrableDistribution(
                     f"torsion {Lq:.3e} below {ltol:g} at {ctx.p}: the kernel "
@@ -171,15 +131,15 @@ class CanonicalFields:
         p1f = _quadform(F1f, Bw[0], F1f)
         q1f = _quadform(F1f, Bw[0], F2f)
         azf = jets.sqrt(p1f * p1f + q1f * q1f)
-        ctf, stf = _halfangle(c2p, s2p, q1f / azf, p1f / azf)
+        ctf, stf = half_angle(plane.c2, plane.s2, q1f / azf, p1f / azf)
         E1f = [ctf * F1f[j] - stf * F2f[j] for j in range(3)]
         E2f = [stf * F1f[j] + ctf * F2f[j] for j in range(3)]
 
         Rf = [[sum_jets([R[k] * M0[k][j] for k in range(3)
                          if M0[k][j] != 0.0]) for j in range(3)]
               for R in (E1f, E2f, e3f)]
-        Qf = [[Q0[0][0], s2flip * Q0[0][1]],
-              [Q0[1][0], s2flip * Q0[1][1]]]
+        Qf = [[Q0[0][0], plane.flip * Q0[0][1]],
+              [Q0[1][0], plane.flip * Q0[1][1]]]
 
         self.Rf = Rf
         self.Qf = Qf
@@ -511,30 +471,6 @@ def sum_jets(terms):
 
 
 @dataclass(frozen=True)
-class CanonicalFrame3:
-    E: np.ndarray             # rows E1,E2,E3 in chart components
-    xi: np.ndarray            # (2,7) adapted normal sphere pair
-    mu: float
-    gauge: str
-    pattern_residual: float
-    fields: CanonicalFields
-
-    @property
-    def E3_chart(self):
-        return self.E[2]
-
-
-def canonical_frame3(data: MoebiusData, gauge: str = "raw", e3_hint=None,
-                     pregauge=None, ltol: float = 1e-6,
-                     strict: bool = True) -> CanonicalFrame3:
-    cf = CanonicalFields(data, gauge=gauge, e3_hint=e3_hint,
-                         pregauge=pregauge, ltol=ltol, strict=strict)
-    return CanonicalFrame3(
-        E=cf.E_chart, xi=np.array(jetalg.values(cf.xi)), mu=cf.mu,
-        gauge=cf.gauge, pattern_residual=cf.pattern_residual, fields=cf)
-
-
-@dataclass(frozen=True)
 class WintgenInvariants:
     U: float
     V: float
@@ -553,15 +489,14 @@ class WintgenInvariants:
 
 
 def _analyze(spec: ImmersionSpec, p, gauge="raw", order=5, ltol=1e-6,
-             e3_hint=None, pregauge=None, strict=True,
+             pregauge=None, strict=True,
              data: MoebiusData | None = None, tol: float = 1e-7):
     """The canonical fields at p; tol is the DDVV equality tolerance of the
     ideality gate."""
     if data is None:
         data = moebius_data(spec, p, order=order)
-    return CanonicalFields(data, gauge=gauge, e3_hint=e3_hint,
-                           pregauge=pregauge, ltol=ltol, strict=strict,
-                           tol=tol)
+    return CanonicalFields(data, gauge=gauge, pregauge=pregauge, ltol=ltol,
+                           strict=strict, tol=tol)
 
 
 def _package_invariants(cf: CanonicalFields, partial: bool) -> WintgenInvariants:
@@ -596,17 +531,27 @@ def _package_invariants(cf: CanonicalFields, partial: bool) -> WintgenInvariants
 
 
 def invariants_uvlg(spec: ImmersionSpec, p, gauge: str = "raw", order: int = 5,
-                    ltol: float = 1e-6, e3_hint=None, pregauge=None,
-                    partial: bool = False,
+                    ltol: float = 1e-6, pregauge=None, partial: bool = False,
                     data: MoebiusData | None = None) -> WintgenInvariants:
     cf = _analyze(spec, p, gauge=gauge, order=order, ltol=ltol,
-                  e3_hint=e3_hint, pregauge=pregauge, strict=not partial,
-                  data=data)
+                  pregauge=pregauge, strict=not partial, data=data)
     return _package_invariants(cf, partial)
 
 
 # ---------------------------------------------------------------------------
 # hat frame
+
+
+def _hat_fields(cf: CanonicalFields, w):
+    """eta_i = Y_i - w_i Y and Yhat = N - |w|^2 Y / 2 + sum_i w_i Y_i (jets)
+    for the 1-form coefficients w."""
+    Y = cf.ctx.Y
+    eta = [[cf.Yi_can[i][m] - w[i] * Y[m] for m in range(7)] for i in range(3)]
+    w2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
+    Yhat = [cf.ctx.N[m] - 0.5 * w2 * Y[m]
+            + sum_jets([w[i] * cf.Yi_can[i][m] for i in range(3)])
+            for m in range(7)]
+    return eta, Yhat
 
 
 @dataclass(frozen=True)
@@ -620,24 +565,14 @@ class HatFrameData:
 
 
 def hat_frame(spec: ImmersionSpec, p, lam: float | None = None,
-              gauge: str = "raw", order: int = 5, e3_hint=None,
+              gauge: str = "raw", order: int = 5,
               data: MoebiusData | None = None,
               fields: CanonicalFields | None = None) -> HatFrameData:
     cf = fields if fields is not None else _analyze(
-        spec, p, gauge=gauge, order=order, e3_hint=e3_hint, data=data)
-    if lam is None:
-        lamf = cf.lamf
-        lam_val = jets.value_of(lamf)
-    else:
-        lamf = float(lam)
-        lam_val = float(lam)
-    w = [-(cf.Vf), cf.Uf, lamf]
-    Y = cf.ctx.Y
-    eta_f = [[cf.Yi_can[i][m] - w[i] * Y[m] for m in range(7)] for i in range(3)]
-    w2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
-    Yhat_f = [cf.ctx.N[m] - 0.5 * w2 * Y[m]
-              + w[0] * cf.Yi_can[0][m] + w[1] * cf.Yi_can[1][m]
-              + w[2] * cf.Yi_can[2][m] for m in range(7)]
+        spec, p, gauge=gauge, order=order, data=data)
+    lamf = cf.lamf if lam is None else float(lam)
+    lam_val = jets.value_of(lamf)
+    eta_f, Yhat_f = _hat_fields(cf, [-(cf.Vf), cf.Uf, lamf])
     eta_v = np.array(jetalg.values(eta_f))
     hat_co = eta_v @ LORENTZ @ frame_d_values(cf.E_chart, Yhat_f).T
     return HatFrameData(
@@ -647,7 +582,11 @@ def hat_frame(spec: ImmersionSpec, p, lam: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# theorem-level verdicts
+# theorem-level verdicts: folds over per-point invariants
+
+
+def _max_domega(invs) -> float:
+    return max((abs(d) for inv in invs for d in inv.domega), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -661,12 +600,13 @@ class TheoremBVerdict:
     n_points: int
 
 
-def verdict_from_scalars(fhats, max_domega: float,
-                         tol: float = 1e-6) -> TheoremBVerdict:
-    """Fold per-point Fhat values and the worst d(omega) component into the
-    space-form verdict."""
+def theorem_b_verdict(invs, tol: float = 1e-6) -> TheoremBVerdict:
+    """The space-form verdict from per-point invariants: the distinguished
+    1-form is closed when every d(omega) component is below tol, and the
+    sign of Fhat then names the space form."""
+    max_domega = _max_domega(invs)
     closed = max_domega < tol
-    arr = np.array(fhats, dtype=float)
+    arr = np.array([inv.Fhat for inv in invs], dtype=float)
     if np.all(arr > tol):
         sign = "positive"
     elif np.all(arr < -tol):
@@ -685,25 +625,17 @@ def verdict_from_scalars(fhats, max_domega: float,
     return TheoremBVerdict(
         max_domega=max_domega, closed=closed, Fhat_sign=sign,
         classification=cls, fhat_min=float(arr.min()),
-        fhat_max=float(arr.max()), n_points=len(fhats))
+        fhat_max=float(arr.max()), n_points=len(arr))
 
 
 def classify_theorem_b(spec: ImmersionSpec, sample, tol: float = 1e-6,
                        gauge: str = "raw", order: int = 5,
                        ltol: float = 1e-6) -> TheoremBVerdict:
-    """Closedness of the distinguished 1-form plus the sign of Fhat over an
-    ordered sample, combined into the space-form verdict."""
-    hint = None
-    fhats = []
-    max_dw = 0.0
-    for p in sample:
-        cf = _analyze(spec, p, gauge=gauge, order=order, ltol=ltol,
-                      e3_hint=hint)
-        inv = _package_invariants(cf, partial=False)
-        hint = cf.E_chart[2]
-        fhats.append(inv.Fhat)
-        max_dw = max(max_dw, max(abs(d) for d in inv.domega))
-    return verdict_from_scalars(fhats, max_dw, tol)
+    """Closedness of the distinguished 1-form plus the sign of Fhat over a
+    sample, combined into the space-form verdict."""
+    return theorem_b_verdict(
+        [invariants_uvlg(spec, p, gauge=gauge, order=order, ltol=ltol)
+         for p in sample], tol)
 
 
 @dataclass(frozen=True)
@@ -713,22 +645,22 @@ class HopfReport:
     max_domega: float
 
 
+def hopf_verdict(invs, tol: float = 1e-6) -> HopfReport:
+    """The circle-lift criterion from per-point invariants: G = 0 and the
+    distinguished 1-form closed, both below tol."""
+    max_g = max((abs(inv.G) for inv in invs), default=0.0)
+    max_dw = _max_domega(invs)
+    return HopfReport(satisfied=bool(max_g < tol and max_dw < tol),
+                      max_G=max_g, max_domega=max_dw)
+
+
 def hopf_criterion(spec: ImmersionSpec, sample, tol: float = 1e-6,
                    gauge: str = "raw", order: int = 5,
                    ltol: float = 1e-6) -> HopfReport:
     """Lift test: the squared-torus fibration recognizer max(|G|, |domega|)."""
-    hint = None
-    max_g = 0.0
-    max_dw = 0.0
-    for p in sample:
-        cf = _analyze(spec, p, gauge=gauge, order=order, ltol=ltol,
-                      e3_hint=hint)
-        inv = _package_invariants(cf, partial=False)
-        hint = cf.E_chart[2]
-        max_g = max(max_g, abs(inv.G))
-        max_dw = max(max_dw, max(abs(d) for d in inv.domega))
-    return HopfReport(satisfied=(max_g < tol and max_dw < tol),
-                      max_G=max_g, max_domega=max_dw)
+    return hopf_verdict(
+        [invariants_uvlg(spec, p, gauge=gauge, order=order, ltol=ltol)
+         for p in sample], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +668,11 @@ def hopf_criterion(spec: ImmersionSpec, sample, tol: float = 1e-6,
 
 
 def holomorphic_residual(spec: ImmersionSpec, p, order: int = 5,
-                         gauge: str = "raw", e3_hint=None,
+                         gauge: str = "raw",
                          data: MoebiusData | None = None) -> float:
     """Residual of d(xi1 - i xi2) = i mu (omega1 + i omega2)(eta1 + i eta2)
     + i theta12 (xi1 - i xi2), maximized over frame directions."""
-    cf = _analyze(spec, p, gauge=gauge, order=order, e3_hint=e3_hint, data=data)
+    cf = _analyze(spec, p, gauge=gauge, order=order, data=data)
     U = jets.value_of(cf.Uf)
     V = jets.value_of(cf.Vf)
     Yv = np.array(jetalg.values(cf.ctx.Y))
@@ -769,21 +701,15 @@ STRUCTURE_LABELS = ("Y", "Yhat", "eta1", "eta2", "eta3", "xi1", "xi2")
 
 
 def structure_matrix(spec: ImmersionSpec, p, gauge: str = "raw",
-                     order: int = 5, e3_hint=None,
-                     data: MoebiusData | None = None):
+                     order: int = 5, data: MoebiusData | None = None):
     """Connection coefficients of the full adapted light-cone frame: entry
     [row][col] holds the three coframe coefficients of the col-component of
     d(row).  The normal pair is re-gauged so the (eta1, eta2) slot vanishes,
     which is the normal form the flat examples are quoted in."""
-    cf = _analyze(spec, p, gauge=gauge, order=order, e3_hint=e3_hint, data=data)
+    cf = _analyze(spec, p, gauge=gauge, order=order, data=data)
     cf.require_torsion()
-    w = cf.w_fields
+    eta_f, Yhat_f = _hat_fields(cf, cf.w_fields)
     Y = cf.ctx.Y
-    eta_f = [[cf.Yi_can[i][m] - w[i] * Y[m] for m in range(7)] for i in range(3)]
-    w2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
-    Yhat_f = [cf.ctx.N[m] - 0.5 * w2 * Y[m]
-              + sum_jets([w[i] * cf.Yi_can[i][m] for i in range(3)])
-              for m in range(7)]
     rows = [Y, Yhat_f, eta_f[0], eta_f[1], eta_f[2], cf.xi[0], cf.xi[1]]
     Yv = np.array(jetalg.values(Y))
     Yhat_v = np.array(jetalg.values(Yhat_f))

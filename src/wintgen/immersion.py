@@ -437,15 +437,6 @@ def eval_immersion_values(spec: ImmersionSpec, p) -> list[float]:
     return [jets.value_of(v) for v in out]
 
 
-def validate_ambient(spec: ImmersionSpec, sample) -> float:
-    """Max ambient-constraint residual of x over the sample points."""
-    worst = 0.0
-    for p in sample:
-        x = eval_immersion_values(spec, p)
-        worst = max(worst, spec.ambient.constraint_residual(x))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # deterministic sampling (counter-based, platform-independent)
 

@@ -55,11 +55,6 @@ def transpose(M):
     return [list(col) for col in zip(*M)]
 
 
-def matmul(A, B):
-    Bt = transpose(B)
-    return [[dot(row, col) for col in Bt] for row in A]
-
-
 def det3(M):
     return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
             - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])

@@ -136,8 +136,8 @@ class MultiJet:
         return f"MultiJet(order={self.order}, value={self.c[0]:.6g})"
 
     # -- ring operations ------------------------------------------------------
-    # Mixed orders truncate to the lower order; the strict same-order contract
-    # lives in jet_arith.  Every result owns a fresh coefficient array.
+    # Mixed orders truncate to the lower order.  Every result owns a fresh
+    # coefficient array.
 
     def _coerce(self, other):
         # the truncated operand is a view: it only feeds the arithmetic below,
@@ -258,21 +258,6 @@ def jet_seed(var_index: int, value: float, order: int) -> MultiJet:
         e[var_index - 1] = 1
         c[_positions(order)[tuple(e)]] = 1.0
     return _jet(order, c)
-
-
-def jet_arith(a: MultiJet, b: MultiJet, op: str) -> MultiJet:
-    """Strict arithmetic: operands must share the same truncation order."""
-    if a.order != b.order:
-        raise OrderError(f"operand orders differ: {a.order} vs {b.order}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise OrderError(f"unknown op {op!r}")
 
 
 def _compose(a: MultiJet, series: list) -> MultiJet:

@@ -481,12 +481,6 @@ def moebius_data(spec: ImmersionSpec, p, order: int = 5,
         A=A, B=np.array(val(ctx.B)), C=np.array(val(ctx.C)), ctx=ctx)
 
 
-def canonical_lift(spec: ImmersionSpec, p, order: int = 5):
-    """(rho, Y) as jets; rho > 0 away from umbilic points."""
-    ctx = MoebiusContext(spec, p, order=max(order, 4))
-    return ctx.rho, ctx.Y
-
-
 # ---------------------------------------------------------------------------
 # covariant derivatives and integrability residuals
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from wintgen.classical import (AdaptedFrame, ClassicalContext, adapted_frame,
+from wintgen.classical import (ClassicalContext, adapted_frame,
                                classical_data, ddvv_from_forms,
                                ddvv_matrix_gap, ddvv_report, fundamental_forms,
-                               split_angle, _pattern_matrices)
+                               half_angle, _pattern_matrices)
 from wintgen.errors import (NotIdealPoint, NotImmersed, ShapeError,
                             UmbilicPoint)
 from wintgen.gallery import (cone_over_veronese, generic_control,
@@ -314,9 +314,13 @@ def test_adapted_frame_refusals():
         adapted_frame(fundamental_forms(entry.spec, entry.sample_plan[0]))
 
 
-def test_split_angle():
+def test_half_angle():
+    # cos 2t = Im z/|z| and sin 2t = Re z/|z| turn z to i|z|, with cos t >= 0
     for z in (1 + 0j, 1j, -2j, 0.3 - 0.4j, -1.0 + 0j):
-        t = split_angle(z)
-        rotated = np.exp(2j * t) * z
+        c2, s2 = z.imag / abs(z), z.real / abs(z)
+        ct, st = half_angle(c2, s2, c2, s2)
+        assert ct >= 0.0
+        assert ct ** 2 + st ** 2 == pytest.approx(1.0, abs=1e-15)
+        rotated = complex(ct, st) ** 2 * z
         assert rotated.real == pytest.approx(0.0, abs=1e-12)
         assert rotated.imag == pytest.approx(abs(z), rel=1e-12)

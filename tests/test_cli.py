@@ -1,12 +1,17 @@
 """Command line behavior: exit codes, document shape, determinism."""
 
+import csv
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wintgen import gallery
+from wintgen import gallery, ideal
 from wintgen.cli import main
+from wintgen.immersion import sample_points
 
 
 def run_cli(capsys, *argv):
@@ -303,3 +308,99 @@ def test_negated_kernel_vector_leaves_records_unchanged(capsys, monkeypatch):
     after = [_invariant_records(capsys, "--example", n) for n in names]
     for a, b in zip(before, after):
         _assert_records_close(a, b, 1e-12)
+
+
+TWISTED = ["so3", "veronese-hopf", "hopf-generic"]
+
+
+@pytest.mark.parametrize("name", TWISTED)
+def test_library_verdicts_equal_cli_aggregates(capsys, name):
+    spec = gallery.by_name(name).spec
+    pts = sample_points(spec.domain, 4, 1)
+    argv = ("--example", name, "--points", "4", "--seed", "1")
+    code, tb = run_json(capsys, "theorem-b", *argv)
+    assert code == 0
+    v = ideal.classify_theorem_b(spec, pts, tol=1e-7)
+    assert tb["aggregate"] == {
+        "n_points": v.n_points, "classification": v.classification,
+        "closed": v.closed, "Fhat_sign": v.Fhat_sign,
+        "max_domega": v.max_domega, "fhat_min": v.fhat_min,
+        "fhat_max": v.fhat_max}
+    code, hc = run_json(capsys, "hopf-check", *argv)
+    assert code == 0
+    rep = ideal.hopf_criterion(spec, pts, tol=1e-7)
+    assert hc["aggregate"] == {"n_points": 4, "satisfied": rep.satisfied,
+                               "max_G": rep.max_G,
+                               "max_domega": rep.max_domega}
+
+
+def _readme_csv_columns():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = text.split("### CSV column order", 1)[1].split("\n#", 1)[0]
+    return {m.group(1): m.group(2).split(",")
+            for m in re.finditer(r"^- `([a-z-]+)`: `([^`]+)`$", section,
+                                 re.MULTILINE)}
+
+
+_VECTOR_COLUMNS = {
+    "omega": ("omega1", "omega2", "omega3"),
+    "domega": ("domega12", "domega13", "domega23"),
+    "theta12": ("theta12_1", "theta12_2", "theta12_3"),
+}
+
+
+def _record_column(rec, column):
+    if column in ("u1", "u2", "u3"):
+        return rec["point"][int(column[1]) - 1]
+    for key, columns in _VECTOR_COLUMNS.items():
+        if column in columns:
+            return rec[key][columns.index(column)]
+    return rec[column]
+
+
+@pytest.mark.parametrize("cmd", ["ddvv", "invariants", "theorem-b",
+                                 "hopf-check", "residuals"])
+def test_csv_matches_readme_columns_and_records(capsys, tmp_path, cmd):
+    columns = _readme_csv_columns()[cmd]
+    path = tmp_path / "rows.csv"
+    code, doc = run_json(capsys, cmd, "--example", "veronese-hopf",
+                         "--points", "2", "--csv", str(path))
+    assert code == 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == columns
+    assert len(rows) == 1 + len(doc["records"])
+    for row, rec in zip(rows[1:], doc["records"]):
+        want = [_record_column(rec, c) for c in columns]
+        got = [json.loads(cell) for cell in row]
+        assert got == want
+
+
+def test_assert_expected_lists_each_violation(capsys, monkeypatch):
+    so3 = gallery.by_name("so3")
+    wrong = dataclasses.replace(so3, expected={
+        "zeros": ("L",), "constants": {"Fhat": 0.5, "mu": 1 / 6 ** 0.5},
+        "L_zero": False, "classification": "euclidean_minimal",
+        "hopf": False})
+    monkeypatch.setattr(gallery, "by_name", lambda name: wrong)
+    argv = ("--example", "so3", "--points", "3", "--assert-expected")
+
+    code, doc = run_json(capsys, "invariants", *argv)
+    assert code == 1
+    recs = doc["records"]
+    worst_L = max(abs(r["L"]) for r in recs)
+    worst_F = max(abs(r["Fhat"] - 0.5) for r in recs)
+    assert doc["assert"] == {"passed": False, "failures": [
+        f"expected L = 0, found |L| up to {worst_L:.17g}",
+        f"expected Fhat = 0.5, off by {worst_F:.17g}"]}
+
+    code, doc = run_json(capsys, "theorem-b", *argv)
+    assert code == 1
+    assert doc["assert"] == {"passed": False, "failures": [
+        "expected classification euclidean_minimal, got sphere_minimal"]}
+
+    code, doc = run_json(capsys, "hopf-check", *argv)
+    assert code == 1
+    assert doc["assert"] == {"passed": False, "failures": [
+        "expected lift criterion False, got True"]}

@@ -7,24 +7,31 @@ import pytest
 
 from wintgen.errors import DegenerateCurve, NotLorentz
 from wintgen.gallery import (all_entries, by_name, check_lorentz,
-                             cone_over_veronese, hopf_lift_curve,
+                             cone_over_veronese, hopf_lift_curve, names,
                              random_lorentz, so3_example)
 from wintgen.immersion import (eval_immersion_values, parse_immersion,
-                               sample_points, validate_ambient)
+                               sample_points)
 
 
 def test_every_entry_respects_its_ambient():
     for entry in all_entries():
-        res = validate_ambient(entry.spec, entry.sample_plan)
+        res = max(entry.spec.ambient.constraint_residual(
+            eval_immersion_values(entry.spec, p)) for p in entry.sample_plan)
         assert res < 1e-10, f"{entry.name}: constraint residual {res}"
 
 
 def test_registry_names_unique():
     entries = all_entries()
-    names = [e.name for e in entries]
-    assert len(set(names)) == len(names)
-    assert by_name("so3").name == "so3"
-    with pytest.raises(KeyError):
+    listed = [e.name for e in entries]
+    assert len(set(listed)) == len(listed)
+    assert listed == names() == ["so3", "veronese-hopf", "hopf-generic",
+                                 "cone-veronese", "umbilic-control",
+                                 "generic-control"]
+    for entry in entries:
+        built = by_name(entry.name)
+        assert built.name == entry.name
+        assert built.sample_plan == entry.sample_plan
+    with pytest.raises(KeyError, match="no gallery entry named 'nope'"):
         by_name("nope")
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wintgen import jets
 from wintgen.errors import DomainError, OrderError, SingularJet
-from wintgen.jets import (MultiJet, derivative, extract_derivative, jet_arith,
+from wintgen.jets import (MultiJet, derivative, extract_derivative,
                           jet_elementary, jet_seed, ncoef)
 
 import _oracles as oracles
@@ -85,16 +85,12 @@ def test_div_zero_constant_term():
     u = jet_seed(1, 0.0, 3)
     with pytest.raises(SingularJet):
         (u * u) / u
-    with pytest.raises(SingularJet):
-        jet_arith(u, u, "div")
 
 
 def test_strict_arith_order_mismatch():
     a = jet_seed(1, 1.0, 3)
     b = jet_seed(1, 1.0, 2)
-    with pytest.raises(OrderError):
-        jet_arith(a, b, "add")
-    # dunders truncate instead
+    # the dunders truncate to the lower order
     assert (a + b).order == 2
 
 

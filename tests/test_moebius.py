@@ -261,9 +261,9 @@ def test_readback_guards_chart_blowup():
 
 def test_canonical_lift_values():
     p = plan_points("so3", 1)[0]
-    rho, Y = moebius.canonical_lift(entry("so3").spec, p)
-    assert abs(jets.value_of(rho) - SQRT6) < 1e-10
-    vals = np.array([jets.value_of(c) for c in Y])
+    data = mdata("so3", p)
+    assert abs(data.rho - SQRT6) < 1e-10
+    vals = data.Y
     assert abs(-vals[0] ** 2 + float(np.dot(vals[1:], vals[1:]))) < 1e-12
     # sphere lift: time slot is rho itself
     assert abs(vals[0] - SQRT6) < 1e-12

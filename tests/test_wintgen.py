@@ -20,7 +20,7 @@ TWISTED = ["so3", "veronese-hopf", "hopf-generic"]
 
 
 def frame_of(name, p, gauge="raw", **kw):
-    return ideal.canonical_frame3(mdata(name, p), gauge=gauge, **kw)
+    return ideal.CanonicalFields(mdata(name, p), gauge=gauge, **kw)
 
 
 def invariants_of(name, p, gauge="raw"):
@@ -39,11 +39,13 @@ def test_canonical_pattern_and_mu(name):
         assert cf.pattern_residual < 1e-8
         assert abs(cf.mu - MU) < 1e-9
         g = np.array(jetalg.values(mdata(name, p).ctx.g))
-        assert np.abs(cf.E @ g @ cf.E.T - np.eye(3)).max() < 1e-9
+        E = cf.E_chart
+        assert np.abs(E @ g @ E.T - np.eye(3)).max() < 1e-9
+        xi = np.array(jetalg.values(cf.xi))
         for r in range(2):
             for s in range(2):
                 want = 1.0 if r == s else 0.0
-                got = -cf.xi[r][0] * cf.xi[s][0] + cf.xi[r][1:] @ cf.xi[s][1:]
+                got = -xi[r][0] * xi[s][0] + xi[r][1:] @ xi[s][1:]
                 assert abs(got - want) < 1e-9
 
 
@@ -54,8 +56,8 @@ def test_recanonicalization_after_extra_rotation():
     base = frame_of("veronese-hopf", p)
     rot = frame_of("veronese-hopf", p, pregauge=0.3)
     assert rot.pattern_residual < 1e-8
-    assert abs(rot.fields.L - base.fields.L) < 1e-9
-    assert abs(rot.fields.G - base.fields.G) < 1e-9
+    assert abs(rot.L - base.L) < 1e-9
+    assert abs(rot.G - base.G) < 1e-9
 
 
 @pytest.mark.parametrize("name", TWISTED)
@@ -90,15 +92,18 @@ def test_raw_versus_v0_gauge():
                       - np.array(raw.omega_chart)).max() < 1e-8
 
 
-def test_e3_sign_follows_hint():
-    p = plan_points("so3", 1)[0]
-    cf = frame_of("so3", p)
-    flipped = frame_of("so3", p, e3_hint=-cf.E3_chart)
-    assert np.abs(flipped.E3_chart + cf.E3_chart).max() < 1e-9
-    # the torsion scalar is odd in E3
-    assert abs(flipped.fields.L + cf.fields.L) < 1e-9
-    same = frame_of("so3", p, e3_hint=cf.E3_chart)
-    assert np.abs(same.E3_chart - cf.E3_chart).max() < 1e-12
+@pytest.mark.parametrize("name", TWISTED)
+def test_oriented_torsion_is_odd_in_e3(name):
+    # the E3 sign rule rests on this: reversing E3 reverses the torsion
+    # scalar, and the rule picks the orientation where it is positive
+    for p in plan_points(name, 3):
+        data = mdata(name, p)
+        cf = ideal.CanonicalFields(data)
+        E1, E2, E3 = cf.Rfv
+        args = (data.ctx.covB_values, data.B, E1, E2)
+        L = ideal._oriented_torsion(*args, E3)
+        assert L > 1e-3 and cf.L > 1e-3
+        assert abs(ideal._oriented_torsion(*args, -E3) + L) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +142,7 @@ def test_hopf_lift_has_flat_leaf_data():
             inv = invariants_of(name, p)
             assert abs(inv.G) < 1e-7
             assert max(abs(d) for d in inv.domega) < 1e-7
-            cf = frame_of(name, p).fields
+            cf = frame_of(name, p)
             nu = cf.ctx.rho / SQRT6
             e3_lognu = jets.value_of(cf.d(nu, 2)) / jets.value_of(nu)
             assert abs(e3_lognu) < 1e-7
@@ -159,7 +164,7 @@ def test_connection_cross_routes():
     for name in TWISTED:
         p = plan_points(name, 1)[0]
         inv = invariants_of(name, p)
-        cf = frame_of(name, p).fields
+        cf = frame_of(name, p)
         om = lambda i, j, k: jets.value_of(cf.omega_can[i][j][k])
         assert abs(inv.U - om(1, 2, 2)) < 1e-8
         assert abs(inv.V + om(0, 2, 2)) < 1e-8
@@ -174,7 +179,7 @@ def test_connection_cross_routes():
 @pytest.mark.parametrize("name", TWISTED)
 def test_derivative_of_torsion_is_g(name):
     for p in plan_points(name, 3):
-        cf = frame_of(name, p).fields
+        cf = frame_of(name, p)
         assert abs(jets.value_of(cf.d(cf.Lf, 2)) - cf.G) < 1e-7
 
 
@@ -202,7 +207,7 @@ def test_ghat_veries_linearly_in_lambda():
 @pytest.mark.parametrize("name", TWISTED)
 def test_fhat_is_parallel_for_closed_omega(name):
     for p in plan_points(name, 3):
-        cf = frame_of(name, p).fields
+        cf = frame_of(name, p)
         Fv = jets.value_of(cf.Fhat_field)
         w = [jets.value_of(x) for x in cf.w_fields]
         for k in range(3):
@@ -215,7 +220,7 @@ def test_omega_is_log_derivative_of_conformal_factor(name):
     # all three ideal twisted entries are minimal in the round sphere
     for p in plan_points(name, 3):
         inv = invariants_of(name, p)
-        cf = frame_of(name, p).fields
+        cf = frame_of(name, p)
         nu = cf.ctx.rho / SQRT6
         nu0 = jets.value_of(nu)
         for k, coeff in enumerate(inv.omega_coeffs):
@@ -225,7 +230,7 @@ def test_omega_is_log_derivative_of_conformal_factor(name):
 @pytest.mark.parametrize("name", TWISTED)
 def test_nonintegrability_and_normal_curvature_scales(name):
     for p in plan_points(name, 3):
-        cf = frame_of(name, p).fields
+        cf = frame_of(name, p)
         dw3 = cf.d_form_on(cf.coframe_can[2], 0, 1)
         assert abs(dw3 - 2.0 * cf.L) < 1e-7
         dth = cf.d_form_on(cf.theta_chart, 0, 1)
@@ -254,7 +259,7 @@ def test_hat_frame_algebra():
         lz = lambda u, v: -u[0] * v[0] + u[1:] @ v[1:]
         assert abs(lz(hf.Yhat, hf.Yhat)) < 1e-9
         assert abs(lz(Y, hf.Yhat) - 1.0) < 1e-9
-        xi = ideal.canonical_frame3(data).xi
+        xi = np.array(jetalg.values(ideal.CanonicalFields(data).xi))
         for i in range(3):
             assert abs(lz(hf.Yhat, hf.eta[i])) < 1e-9
             for j in range(3):
@@ -384,4 +389,4 @@ def test_low_order_is_refused():
 def test_unknown_gauge_is_rejected():
     p = plan_points("so3", 1)[0]
     with pytest.raises(ValueError):
-        ideal.canonical_frame3(mdata("so3", p), gauge="v0")
+        ideal.CanonicalFields(mdata("so3", p), gauge="v0")
