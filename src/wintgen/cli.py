@@ -197,12 +197,11 @@ def _ideal_records(spec, pts, args, names):
     records = []
     invs = []
     for idx, p in enumerate(pts):
-        data = moebius_data(spec, p, order=args.order)
         cf = _analyze(spec, p, gauge=g, order=args.order, ltol=args.ltol,
-                      tol=args.tol, data=data)
+                      tol=args.tol)
         inv = _package_invariants(cf, partial=False)
         values = {
-            "rho": float(data.rho),
+            "rho": float(cf.data.rho),
             "mu": float(inv.mu),
             "U": float(inv.U),
             "V": float(inv.V),

@@ -95,14 +95,16 @@ def test_raw_versus_v0_gauge():
 @pytest.mark.parametrize("name", TWISTED)
 def test_oriented_torsion_is_odd_in_e3(name):
     # the E3 sign rule rests on this: reversing E3 reverses the torsion
-    # scalar, and the rule picks the orientation where it is positive
+    # scalar, and the rule picks the orientation where it is positive; in
+    # the adapted frame the scalar is L itself
     for p in plan_points(name, 3):
         data = mdata(name, p)
         cf = ideal.CanonicalFields(data)
         E1, E2, E3 = cf.Rfv
         args = (data.ctx.covB_values, data.B, E1, E2)
         L = ideal._oriented_torsion(*args, E3)
-        assert L > 1e-3 and cf.L > 1e-3
+        assert L > 1e-3
+        assert abs(L - cf.L) < 1e-12
         assert abs(ideal._oriented_torsion(*args, -E3) + L) < 1e-15
 
 
