@@ -4,10 +4,13 @@ and the integrability residuals.
 
 Everything lives at one chart point as jets; the reporting type MoebiusData
 snapshots constant terms.  A quantity whose value at the point is all that
-is read (E_i of a field, the Blaschke tensor via dN, covB for the torsion
-sign and the residuals) is read from the first partials of the jets it derives from, not
-built as a jet field.  Index conventions follow classical.py, plus
-capital E_i for the frame orthonormal in the conformal metric g = rho^2 dx.dx.
+is read is computed in numpy from the values and first partials of the jets
+it derives from, not built as a jet field: E_i of a field (Y_i, E_i(N)),
+theta_12, the Blaschke tensor via dN, the Riemann tensor of g, and the
+covariant derivatives of B, C and A.  Only the Ricci tensor, and with it
+the Gauss-route A, stays a jet field, because derivatives of A are read.
+Index conventions follow classical.py, plus capital E_i for the frame
+orthonormal in the conformal metric g = rho^2 dx.dx.
 """
 
 from __future__ import annotations
@@ -266,12 +269,6 @@ class MoebiusContext:
         return out
 
     @cached_property
-    def theta12(self):
-        """theta_12(E_k) = <E_k(xi_1), xi_2>."""
-        return [ldot(frame_vector_d(self.EC, self.xi[0], k), self.xi[1])
-                for k in range(3)]
-
-    @cached_property
     def theta12_values(self):
         """theta_12(E_k) at the point."""
         xi2 = np.array(jetalg.values(self.xi[1]))
@@ -306,69 +303,44 @@ class MoebiusContext:
     # -- curvature of g ----------------------------------------------------------
 
     @cached_property
-    def riemann_frame(self):
-        """R[i][j][k][l] = <R(E_i,E_j) E_l, E_k>_g as jets."""
-        G = self.Gamma
-        dG = [[[[jets.derivative(G[d][b][c], a + 1) for c in range(3)]
-                for b in range(3)] for d in range(3)] for a in range(3)]
-        # R^d_{c a b}: curvature operator R(d_a, d_b) d_c = R^d_cab d_d
-        Rop = [[[[None] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-        for d in range(3):
-            for c in range(3):
-                for a in range(3):
-                    for b in range(3):
-                        acc = dG[a][d][b][c] - dG[b][d][a][c]
-                        for e in range(3):
-                            acc = acc + G[d][a][e] * G[e][b][c] \
-                                      - G[d][b][e] * G[e][a][c]
-                        Rop[d][c][a][b] = acc
-        # frame components <R(E_i,E_j)E_l, E_k>, contracting one index at a time
-        EC = self.EC
-
-        def contract(tensor, frame_rows, axis):
-            shape = [3, 3, 3, 3]
-            out = np.empty(shape, dtype=object)
-            for idx in np.ndindex(*shape):
-                acc = None
-                for m in range(3):
-                    src = list(idx)
-                    src[axis] = m
-                    t = frame_rows[idx[axis]][m] * tensor[tuple(src)]
-                    acc = t if acc is None else acc + t
-                out[idx] = acc
-            return out
-
-        # pairing rows: (g . EC^t)[k] gives <., E_k> applied to the upper index
-        glowER = [[None] * 3 for _ in range(3)]
-        for k in range(3):
-            for d in range(3):
-                acc = None
-                for e in range(3):
-                    t = self.g[d][e] * EC[k][e]
-                    acc = t if acc is None else acc + t
-                glowER[k][d] = acc
-
-        t = np.empty((3, 3, 3, 3), dtype=object)
-        for idx in np.ndindex(3, 3, 3, 3):
-            t[idx] = Rop[idx[0]][idx[1]][idx[2]][idx[3]]
-        t = contract(t, glowER, 0)   # d -> k
-        t = contract(t, EC, 1)       # c -> l
-        t = contract(t, EC, 2)       # a -> i
-        t = contract(t, EC, 3)       # b -> j
-        return [[[[t[k, l, i, j] for l in range(3)] for k in range(3)]
-                 for j in range(3)] for i in range(3)]
+    def riemann_values(self):
+        """[i][j][k][l] = <R(E_i,E_j) E_l, E_k>_g at the point, from the values
+        and first partials of Gamma."""
+        G = np.array(jetalg.values(self.Gamma))
+        dG = jetalg.gradients(self.Gamma)  # dG[d][b][c][a] = d_a Gamma^d_bc
+        # R(d_a, d_b) d_c = R^d_cab d_d, antisymmetrized in (a, b) at the end
+        R = np.einsum("dbca->dcab", dG) + np.einsum("dae,ebc->dcab", G, G)
+        R -= R.transpose(0, 1, 3, 2)
+        E = self.EC_values
+        low = E @ np.array(jetalg.values(self.g))  # low[k] pairs with E_k
+        return np.einsum("ia,jb,kd,lc,dcab->ijkl", E, E, low, E, R)
 
     @cached_property
-    def ricci_frame(self):
-        R = self.riemann_frame
+    def ricci(self):
+        """Ric(E_i, E_j) as jets, from the contracted curvature
+        Ric_bc = d_a Gamma^a_bc - d_b Gamma^a_ac + Gamma^a_ae Gamma^e_bc
+        - Gamma^a_be Gamma^e_ac."""
+        G = self.Gamma
+        tr = [G[0][0][c] + G[1][1][c] + G[2][2][c] for c in range(3)]
+        Rc = [[None] * 3 for _ in range(3)]
+        for b in range(3):
+            for c in range(b + 1):
+                acc = jets.derivative(G[0][b][c], 1) \
+                    + jets.derivative(G[1][b][c], 2) \
+                    + jets.derivative(G[2][b][c], 3) \
+                    - jets.derivative(tr[c], b + 1) \
+                    + jetalg.dot(tr, [G[e][b][c] for e in range(3)])
+                for a in range(3):
+                    acc = acc - jetalg.dot(G[a][b], [G[e][a][c] for e in range(3)])
+                Rc[b][c] = Rc[c][b] = acc
+        # frame components, with EC lower triangular as in classical.h
+        EC = self.EC
+        T = [[jetalg.dot(EC[i][:i + 1], [Rc[b][c] for b in range(i + 1)])
+              for c in range(3)] for i in range(3)]
         out = [[None] * 3 for _ in range(3)]
-        for j in range(3):
-            for l in range(3):
-                acc = None
-                for i in range(3):
-                    t = R[i][j][i][l]
-                    acc = t if acc is None else acc + t
-                out[j][l] = acc
+        for i in range(3):
+            for j in range(i + 1):
+                out[i][j] = out[j][i] = jetalg.dot(T[i][:j + 1], EC[j][:j + 1])
         return out
 
     @cached_property
@@ -376,70 +348,61 @@ class MoebiusContext:
         """The Blaschke tensor as a jet field, from the trace of the conformal
         Gauss equation: A = Ric + sum_r (B^r)^2 - tr(A) delta with
         4 tr(A) = Scal + 2/3.  Used where derivatives of A are needed."""
-        Ric = self.ricci_frame
-        scal = Ric[0][0] + Ric[1][1] + Ric[2][2]
-        trA = 0.25 * (scal + 2.0 / 3.0)
+        Ric = self.ricci
+        trA = 0.25 * (Ric[0][0] + Ric[1][1] + Ric[2][2] + 2.0 / 3.0)
+        B = self.B
         out = [[None] * 3 for _ in range(3)]
         for j in range(3):
-            for l in range(3):
-                acc = Ric[j][l]
-                for r in range(2):
-                    for m in range(3):
-                        acc = acc + self.B[r][j][m] * self.B[r][m][l]
-                if j == l:
-                    acc = acc - trA
-                out[j][l] = acc
+            for l in range(j + 1):
+                # B^r is symmetric: (B^r)^2_jl = <row j, row l>
+                acc = Ric[j][l] + jetalg.dot(B[0][j], B[0][l]) \
+                    + jetalg.dot(B[1][j], B[1][l])
+                out[j][l] = out[l][j] = acc - trA if j == l else acc
         return out
 
     # -- covariant derivatives ---------------------------------------------------
+    # Read at the point: the frame gradient of a field plus the omega and
+    # theta_12 terms at their point values.
+
+    @cached_property
+    def omega_values(self):
+        return np.array(jetalg.values(self.omega))
+
+    def _cov2_values(self, T):
+        """[..., i, j, k] = E_k(T_ij) + T_lj omega_li(E_k) + T_il omega_lj(E_k)
+        at the point, for a (stack of) frame 2-tensor jet fields T."""
+        T0 = np.array(jetalg.values(T))
+        om = self.omega_values
+        out = jetalg.gradients(T) @ self.EC_values.T
+        out += np.einsum("...il,ljk->...ijk", T0, om)
+        out += np.einsum("...lj,lik->...ijk", T0, om)
+        return out
 
     @cached_property
     def covB_values(self):
-        """[r][i][j][k] = B^r_{ij,k} at the point (raw gauge): E_k(B^r_ij)
-        plus the omega and theta_12 terms, from the first partials of B and
-        the point values of omega and theta_12."""
+        """[r][i][j][k] = B^r_{ij,k} at the point (raw gauge)."""
         B = np.array(jetalg.values(self.B))
-        om = np.array(jetalg.values(self.omega))
-        out = jetalg.gradients(self.B) @ self.EC_values.T
-        out += np.einsum("ril,ljk->rijk", B, om)
-        out += np.einsum("rlj,lik->rijk", B, om)
+        out = self._cov2_values(self.B)
         th = self.theta12_values
         out[0] -= B[1][:, :, None] * th  # theta_21 = -theta_12
         out[1] += B[0][:, :, None] * th
         return out
 
     @cached_property
-    def covC(self):
-        """covC[r][i][j] = C^r_{i,j} (jets, raw gauge)."""
-        out = []
-        for r in range(2):
-            mat = [[None] * 3 for _ in range(3)]
-            for i in range(3):
-                for j in range(3):
-                    acc = frame_scalar_d(self.EC, self.C[r][i], j)
-                    for k in range(3):
-                        acc = acc + self.C[r][k] * self.omega[k][i][j]
-                    s = 1 - r
-                    sgn = 1.0 if s == 0 else -1.0
-                    acc = acc + self.C[s][i] * (sgn * self.theta12[j])
-                    mat[i][j] = acc
-            out.append(mat)
+    def covC_values(self):
+        """[r][i][j] = C^r_{i,j} at the point (raw gauge)."""
+        C = np.array(jetalg.values(self.C))
+        out = jetalg.gradients(self.C) @ self.EC_values.T
+        out += np.einsum("rk,kij->rij", C, self.omega_values)
+        th = self.theta12_values
+        out[0] -= np.outer(C[1], th)
+        out[1] += np.outer(C[0], th)
         return out
 
     @cached_property
-    def covA(self):
-        """covA[i][j][k] = A_{ij,k} from the Gauss-trace field (jets)."""
-        A = self.A_gauss
-        out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    acc = frame_scalar_d(self.EC, A[i][j], k)
-                    for l in range(3):
-                        acc = acc + A[i][l] * self.omega[l][j][k]
-                        acc = acc + A[l][j] * self.omega[l][i][k]
-                    out[i][j][k] = acc
-        return out
+    def covA_values(self):
+        """[i][j][k] = A_{ij,k} at the point, from the Gauss-trace field."""
+        return self._cov2_values(self.A_gauss)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +440,7 @@ def moebius_data(spec: ImmersionSpec, p, order: int = 5,
         N=np.array(val(ctx.N)), xi=np.array(val(ctx.xi)),
         g=np.array(val(ctx.g)), E=ctx.EC_values,
         coframe=np.array(val(ctx.coframe)),
-        omega_ij=np.array(val(ctx.omega)), theta12=ctx.theta12_values,
+        omega_ij=ctx.omega_values, theta12=ctx.theta12_values,
         A=A, B=np.array(val(ctx.B)), C=np.array(val(ctx.C)), ctx=ctx)
 
 
@@ -498,8 +461,7 @@ def covariant_derivatives(data: MoebiusData) -> CovariantDerivs:
         raise InsufficientOrder("covariant derivatives need jet order 5")
     return CovariantDerivs(
         B_cov=ctx.covB_values,
-        C_cov=np.array(jetalg.values(ctx.covC)),
-        A_cov=np.array(jetalg.values(ctx.covA)))
+        C_cov=ctx.covC_values, A_cov=ctx.covA_values)
 
 
 @dataclass(frozen=True)
@@ -557,7 +519,7 @@ def integrability_residuals(spec: ImmersionSpec, p, order: int = 5,
                     rhs = (C[r, k] if i == j else 0.0) - (C[r, j] if i == k else 0.0)
                     codazzi_B = max(codazzi_B, abs(lhs - rhs))
 
-    Rf = np.array(jetalg.values(ctx.riemann_frame))
+    Rf = ctx.riemann_values
     gauss = 0.0
     d = np.eye(3)
     for i in range(3):

@@ -32,18 +32,44 @@ def _vals(x):
     return np.array(jetalg.values(x))
 
 
+def _theta12_field(ctx):
+    """theta_12(E_k) = <E_k(xi_1), xi_2> as jet fields."""
+    return [ldot(moebius.frame_vector_d(ctx.EC, ctx.xi[0], k), ctx.xi[1])
+            for k in range(3)]
+
+
+def _cov2_field(ctx, T):
+    """T_{ij,k} = E_k(T_ij) + T_lj omega_li(E_k) + T_il omega_lj(E_k) as jet
+    fields, for a frame 2-tensor T."""
+    return [[[moebius.frame_scalar_d(ctx.EC, T[i][j], k)
+              + sum(T[i][l] * ctx.omega[l][j][k] + T[l][j] * ctx.omega[l][i][k]
+                    for l in range(3))
+              for k in range(3)] for j in range(3)] for i in range(3)]
+
+
 def _covb_field(ctx):
     """covB[r][i][j][k] = B^r_{ij,k} as jet fields, the route the point
     read replaces."""
+    th = _theta12_field(ctx)
     out = []
     for r in range(2):
         sgn = -1.0 if r == 0 else 1.0  # theta_{1-r, r} = sgn * theta_12
-        out.append([[[moebius.frame_scalar_d(ctx.EC, ctx.B[r][i][j], k)
-                      + sum(ctx.B[r][i][l] * ctx.omega[l][j][k]
-                            + ctx.B[r][l][j] * ctx.omega[l][i][k]
-                            for l in range(3))
-                      + ctx.B[1 - r][i][j] * (sgn * ctx.theta12[k])
+        cov = _cov2_field(ctx, ctx.B[r])
+        out.append([[[cov[i][j][k] + ctx.B[1 - r][i][j] * (sgn * th[k])
                       for k in range(3)] for j in range(3)] for i in range(3)])
+    return out
+
+
+def _covc_field(ctx):
+    """covC[r][i][j] = C^r_{i,j} as jet fields."""
+    th = _theta12_field(ctx)
+    out = []
+    for r in range(2):
+        sgn = -1.0 if r == 0 else 1.0
+        out.append([[moebius.frame_scalar_d(ctx.EC, ctx.C[r][i], j)
+                     + sum(ctx.C[r][k] * ctx.omega[k][i][j] for k in range(3))
+                     + ctx.C[1 - r][i] * (sgn * th[j])
+                     for j in range(3)] for i in range(3)])
     return out
 
 
@@ -52,13 +78,34 @@ def test_point_reads_match_jet_fields(name):
     for p in _points(name):
         ctx = moebius.moebius_data(entry(name).spec, p).ctx
         _close(ctx.covB_values, _vals(_covb_field(ctx)))
-        _close(ctx.theta12_values, _vals(ctx.theta12))
+        _close(ctx.theta12_values, _vals(_theta12_field(ctx)))
         _close(ctx.Yi_values, _vals(ctx.Yi))
         dN = [moebius.frame_vector_d(ctx.EC, ctx.N, i) for i in range(3)]
         _close(ctx.A_dn, [[jets.value_of(ldot(dN[i], ctx.Yi[j]))
                            for j in range(3)] for i in range(3)])
         _close(ctx.C_dn, [[jets.value_of(ldot(dN[i], ctx.xi[r]))
                            for i in range(3)] for r in range(2)])
+
+
+@pytest.mark.parametrize("name", TWISTED + ["generic-control"])
+def test_covariant_derivative_reads_match_jet_fields(name):
+    for p in _points(name):
+        ctx = moebius.moebius_data(entry(name).spec, p).ctx
+        _close(ctx.covC_values, _vals(_covc_field(ctx)))
+        _close(ctx.covA_values, _vals(_cov2_field(ctx, ctx.A_gauss)))
+
+
+@pytest.mark.parametrize("name", TWISTED + ["generic-control"])
+def test_riemann_symmetries_and_ricci_contraction(name):
+    for p in _points(name):
+        ctx = moebius.moebius_data(entry(name).spec, p).ctx
+        R = ctx.riemann_values  # [i][j][k][l] = <R(E_i,E_j)E_l, E_k>
+        _close(R, -R.transpose(1, 0, 2, 3))
+        _close(R, -R.transpose(0, 1, 3, 2))
+        _close(R, R.transpose(2, 3, 0, 1))
+        bianchi = R + np.einsum("jlki->ijkl", R) + np.einsum("likj->ijkl", R)
+        _close(bianchi, np.zeros_like(R))
+        _close(_vals(ctx.ricci), np.einsum("ijil->jl", R))
 
 
 @pytest.mark.parametrize("name", TWISTED)
