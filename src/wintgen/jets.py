@@ -8,8 +8,8 @@ product a plain truncated convolution and keeps magnitudes tame.
 Monomials are listed in graded order (degree first), so the coefficient array
 of a lower-order jet is a prefix of a higher-order one; truncation is a slice.
 
-All tables (monomial lists, product index pairs, derivative maps) are built
-once per order and cached.  Results of arithmetic are made by the unchecked
+All tables (monomial lists, product index pairs, division blocks, derivative
+maps) are built once per order and cached.  Results of arithmetic are made by the unchecked
 constructor _jet; the public MultiJet(order, coeffs) validates its input.
 """
 
@@ -76,6 +76,22 @@ def _deriv_table(order: int, var: int):
         src.append(pos[tuple(a)])
         fac.append(float(a[var]))
     return np.asarray(src, dtype=np.intp), np.asarray(fac, dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _div_table(order: int):
+    """Per degree d >= 1: the block [lo, hi) of degree-d slots, and the
+    product pairs of _mul_table that land in it with a divisor index other
+    than 0 (divisor index, quotient index, slot within the block).  The
+    quotient indices then all have degree < d, so a forward pass over the
+    blocks has them in hand."""
+    ia, ib, iout = _mul_table(order)
+    blocks = []
+    for d in range(1, order + 1):
+        lo, hi = _NCOEF[d - 1], _NCOEF[d]
+        m = (ia != 0) & (iout >= lo) & (iout < hi)
+        blocks.append((lo, hi, ia[m], ib[m], iout[m] - lo))
+    return tuple(blocks)
 
 
 def _check_order(order: int) -> None:
@@ -201,14 +217,16 @@ class MultiJet:
         pair = self._coerce(other)
         if pair is not None:
             a, b = pair
-            return a * _reciprocal(b)
+            return _quotient(a.c, b)
         if isinstance(other, (int, float)):
             return _jet(self.order, self.c / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            return _reciprocal(self) * other
+            a = np.zeros(_NCOEF[self.order])
+            a[0] = other
+            return _quotient(a, self)
         return NotImplemented
 
     def __pow__(self, k):
@@ -230,16 +248,18 @@ def _jet(order: int, c: np.ndarray) -> MultiJet:
     return j
 
 
-def _reciprocal(b: MultiJet) -> MultiJet:
-    """1/b as the series sum_k (-1)^k (b - b0)^k / b0^(k+1)."""
+def _quotient(a: np.ndarray, b: MultiJet) -> MultiJet:
+    """a/b for coefficients a of b's order, by forward substitution over
+    degree blocks: q_g = (a_g - sum_{beta != 0} b_beta q_(g - beta)) / b_0."""
     b0 = float(b.c[0])
     if b0 == 0.0:
         raise SingularJet("division by a jet with zero constant term")
-    inv = 1.0 / b0
-    series = [inv]
-    for _ in range(b.order):
-        series.append(-series[-1] * inv)
-    return _compose(b, series)
+    q = np.empty(_NCOEF[b.order])
+    q[0] = a[0] / b0
+    for lo, hi, ib, iq, slot in _div_table(b.order):
+        q[lo:hi] = (a[lo:hi] - np.bincount(slot, weights=b.c[ib] * q[iq],
+                                           minlength=hi - lo)) / b0
+    return _jet(b.order, q)
 
 
 # ---------------------------------------------------------------------------
