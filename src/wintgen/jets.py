@@ -9,8 +9,9 @@ Monomials are listed in graded order (degree first), so the coefficient array
 of a lower-order jet is a prefix of a higher-order one; truncation is a slice.
 
 All tables (monomial lists, product index pairs, division blocks, derivative
-maps) are built once per order and cached.  Results of arithmetic are made by the unchecked
-constructor _jet; the public MultiJet(order, coeffs) validates its input.
+maps) are built once per order and cached.  Results of arithmetic are made by
+the unchecked constructor _jet; the public MultiJet(order, coeffs) validates
+its input.
 """
 
 from __future__ import annotations
@@ -224,9 +225,7 @@ class MultiJet:
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            a = np.zeros(_NCOEF[self.order])
-            a[0] = other
-            return _quotient(a, self)
+            return _quotient(MultiJet.constant(other, self.order).c, self)
         return NotImplemented
 
     def __pow__(self, k):
@@ -381,12 +380,7 @@ def powi(x, k: int):
     if k == 0:
         return MultiJet.constant(1.0, x.order) if isinstance(x, MultiJet) else 1.0
     if k < 0:
-        p = _binpow(x, -k)
-        if isinstance(p, MultiJet):
-            if p.c[0] == 0.0:
-                raise SingularJet("negative power of a jet with zero constant term")
-            return 1.0 / p
-        return 1.0 / p
+        return 1.0 / _binpow(x, -k)  # SingularJet for a zero constant term
     return _binpow(x, k)
 
 
