@@ -492,45 +492,26 @@ def integrability_residuals(spec: ImmersionSpec, p, order: int = 5,
     B = data.B
     C = data.C
 
-    codazzi_A = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                lhs = cov.A_cov[i, j, k] - cov.A_cov[i, k, j]
-                rhs = sum(B[r, i, k] * C[r, j] - B[r, i, j] * C[r, k]
-                          for r in range(2))
-                codazzi_A = max(codazzi_A, abs(lhs - rhs))
+    def alt(T):
+        """T minus T with its last two axes swapped."""
+        return T - np.swapaxes(T, -1, -2)
 
-    ricci_C = 0.0
-    for r in range(2):
-        for i in range(3):
-            for j in range(3):
-                lhs = cov.C_cov[r, i, j] - cov.C_cov[r, j, i]
-                rhs = sum(B[r, i, k] * A[k, j] - B[r, j, k] * A[k, i]
-                          for k in range(3))
-                ricci_C = max(ricci_C, abs(lhs - rhs))
+    def worst(lhs, rhs):
+        return float(np.max(np.abs(lhs - rhs)))
 
-    codazzi_B = 0.0
-    for r in range(2):
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    lhs = cov.B_cov[r, i, j, k] - cov.B_cov[r, i, k, j]
-                    rhs = (C[r, k] if i == j else 0.0) - (C[r, j] if i == k else 0.0)
-                    codazzi_B = max(codazzi_B, abs(lhs - rhs))
-
-    Rf = ctx.riemann_values
-    gauss = 0.0
     d = np.eye(3)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    rhs = sum(B[r, i, k] * B[r, j, l] - B[r, i, l] * B[r, j, k]
-                              for r in range(2))
-                    rhs += (d[i, k] * A[j, l] + d[j, l] * A[i, k]
-                            - d[i, l] * A[j, k] - d[j, k] * A[i, l])
-                    gauss = max(gauss, abs(Rf[i, j, k, l] - rhs))
+    # A_ij,k - A_ik,j = sum_r (B^r_ik C^r_j - B^r_ij C^r_k)
+    codazzi_A = worst(alt(cov.A_cov), -alt(np.einsum("rij,rk->ijk", B, C)))
+    # C^r_i,j - C^r_j,i = (B^r A - A B^r)_ij
+    ricci_C = worst(alt(cov.C_cov), alt(B @ A))
+    # B^r_ij,k - B^r_ik,j = d_ij C^r_k - d_ik C^r_j
+    codazzi_B = worst(alt(cov.B_cov), alt(np.einsum("ij,rk->rijk", d, C)))
+    # R_ijkl = sum_r (B^r_ik B^r_jl - B^r_il B^r_jk)
+    #          + d_ik A_jl + d_jl A_ik - d_il A_jk - d_jk A_il
+    gauss = worst(ctx.riemann_values,
+                  alt(np.einsum("rik,rjl->ijkl", B, B)
+                      + np.einsum("ik,jl->ijkl", d, A)
+                      + np.einsum("ik,jl->ijkl", A, d)))
 
     # normal curvature: d theta_12 (E_i, E_j) + [B^1, B^2]_ij = 0
     comm = B[0] @ B[1] - B[1] @ B[0]
