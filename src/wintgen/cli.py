@@ -251,11 +251,6 @@ def _run_invariants(spec, pts, args, expected) -> RunResult:
             if worst > args.tol:
                 failures.append(
                     f"expected {name} = {want:.17g}, off by {worst:.17g}")
-        if expected.get("L_zero") is False and \
-                aggregate["min_abs_L"] <= args.ltol:
-            failures.append(
-                f"expected nonvanishing torsion, found |L| down to "
-                f"{aggregate['min_abs_L']:.17g}")
     header = ["index", "u1", "u2", "u3", "rho", "mu", "U", "V", "L", "G",
               "lam", "Fhat", "Ghat", "omega1", "omega2", "omega3",
               "domega12", "domega13", "domega23", "theta12_1", "theta12_2",

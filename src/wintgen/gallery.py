@@ -15,8 +15,8 @@ import numpy as np
 
 from . import jets
 from .errors import DegenerateCurve, NotLorentz
-from .immersion import (EUCLIDEAN, SPHERE, ImmersionSpec, parse_immersion,
-                        sample_points, unit_stream)
+from .immersion import (EUCLIDEAN, SPHERE, ImmersionSpec, sample_points,
+                        unit_stream)
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)

@@ -12,7 +12,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
 import _oracles as oracles
 from _shared import entry, mdata

@@ -1,12 +1,10 @@
 """Parser, evaluation, and sampling."""
 
-import math
-
 import pytest
 
 from wintgen.errors import (EvalError, ParseError, SchemaError,
                             UnknownIdentifier)
-from wintgen.immersion import (EUCLIDEAN, SPHERE, eval_immersion_jet,
+from wintgen.immersion import (SPHERE, eval_immersion_jet,
                                eval_immersion_values, parse_expression,
                                parse_immersion, sample_points)
 from wintgen.jets import jet_seed

@@ -1,7 +1,5 @@
 """Jet arithmetic against independent oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
