@@ -184,20 +184,20 @@ class ClassicalContext:
                     acc = t if acc is None else acc + t
         return acc
 
-    @cached_property
-    def second_form_sq(self):
-        acc = None
+    def is_umbilic(self) -> bool:
+        """|II - (1/3) tr(II) I|^2 <= 1e-10 max(|II|^2, 1e-8) at the point,
+        summed from the values of h and H in the order of trace_free_sq."""
+        h = jetalg.values(self.h)
+        H = jetalg.values(self.H)
+        umb2 = 0.0
+        sq = 0.0
         for r in range(2):
             for i in range(3):
                 for j in range(3):
-                    t = self.h[r][i][j] * self.h[r][i][j]
-                    acc = t if acc is None else acc + t
-        return acc
-
-    def is_umbilic(self) -> bool:
-        umb2 = jets.value_of(self.trace_free_sq)
-        scale = max(jets.value_of(self.second_form_sq), 1e-8)
-        return umb2 <= 1e-10 * scale
+                    t = h[r][i][j] - (H[r] if i == j else 0.0)
+                    umb2 += t * t
+                    sq += h[r][i][j] * h[r][i][j]
+        return umb2 <= 1e-10 * max(sq, 1e-8)
 
     @cached_property
     def rho(self):

@@ -41,7 +41,7 @@ from .errors import (
 from .ideal import (SQRT6, _analyze, _package_invariants, hopf_verdict,
                     theorem_b_verdict)
 from .immersion import parse_immersion, sample_points
-from .moebius import integrability_residuals, moebius_data
+from .moebius import MoebiusContext, integrability_residuals, moebius_data
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -199,7 +199,7 @@ def _ideal_records(spec, pts, args, names):
     for idx, p in enumerate(pts):
         cf = _analyze(spec, p, gauge=g, order=args.order, ltol=args.ltol,
                       tol=args.tol)
-        inv = _package_invariants(cf, partial=False)
+        inv = _package_invariants(cf)
         values = {
             "rho": float(cf.data.rho),
             "mu": float(inv.mu),
@@ -309,7 +309,7 @@ _RESIDUAL_FIELDS = ("codazzi_A", "ricci_C", "codazzi_B", "gauss",
 def _run_residuals(spec, pts, args, expected) -> RunResult:
     records = []
     for idx, p in enumerate(pts):
-        data = moebius_data(spec, p, order=args.order)
+        data = moebius_data(MoebiusContext(spec, p, order=args.order))
         res = integrability_residuals(spec, p, order=args.order, data=data)
         rec = {"index": idx, "point": _point_list(p)}
         for name in _RESIDUAL_FIELDS:
@@ -474,14 +474,6 @@ def _analysis_command(args) -> int:
     return EXIT_OK
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _gallery_command(args) -> int:
     entries = []
     for e in gallery.all_entries():
@@ -491,7 +483,7 @@ def _gallery_command(args) -> int:
                         "curvature": float(e.spec.ambient.c)},
             "domain": [[float(lo), float(hi)] for lo, hi in e.spec.domain],
             "has_text_form": e.expression_text is not None,
-            "expected": _jsonable(e.expected),
+            "expected": e.expected,
         })
     doc = {
         "schema": 1,

@@ -5,9 +5,13 @@ line and act on the orthogonal plane D as a fixed two-matrix pattern after a
 rotation.  classical.kernel_plane builds that adapted frame at the base
 point; this module extends it to jet fields, so that covariant derivatives
 of the adapted components (the scalars U, V, L, G, lambda, Fhat, Ghat and
-the 1-form omega) are honest derivatives of smooth fields.  E3 is oriented
-at each point on its own, by the sign of the torsion L, and the verdicts
-are folds over the per-point invariants of a sample.
+the 1-form omega) are honest derivatives of smooth fields.  CanonicalFields
+refuses before the work each refusal guards: at an umbilic point (through
+rho), then at a point that is not ideal (from the classical h and H), and
+only then snapshots the Moebius data.  E3 is oriented at each point on its
+own, by the sign of the torsion L; where |L| <= ltol the fields are kept
+only on request (partial) and marked integrable.  The verdicts are folds
+over the per-point invariants of a sample.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from . import jetalg, jets
 from .classical import ddvv_from_forms, half_angle, kernel_plane
 from .errors import IntegrableDistribution, NotIdealPoint
 from .immersion import ImmersionSpec
-from .moebius import (LORENTZ, MoebiusData, d_form_values, frame_d_values,
-                      ldot, moebius_data)
+from .moebius import (LORENTZ, MoebiusContext, MoebiusData, d_form_values,
+                      frame_d_values, ldot, moebius_data)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -69,19 +73,21 @@ class CanonicalFields:
     Rf rows are the adapted tangent frame in components of the raw
     (Gram-Schmidt) frame; Qf columns express the adapted normal sphere pair
     through the raw one.  All component fields (b, c, connection and their
-    covariant derivatives) refer to this frame.
+    covariant derivatives) refer to this frame.  Construction refuses at an
+    umbilic point, then at a point that is not ideal within tol, then where
+    the torsion is at most ltol, unless partial: partial fields are marked
+    integrable and refuse at lamf instead.
     """
 
-    def __init__(self, data: MoebiusData, gauge: str = "raw", pregauge=None,
-                 ltol: float = 1e-6, strict: bool = True, tol: float = 1e-7):
+    def __init__(self, ctx: MoebiusContext, gauge: str = "raw", pregauge=None,
+                 ltol: float = 1e-6, partial: bool = False, tol: float = 1e-7):
         if gauge not in ("raw", "V0"):
             raise ValueError(f"unknown gauge {gauge!r}")
-        ctx = data.ctx
         self.ctx = ctx
-        self.data = data
         self.gauge = gauge
         self.ltol = float(ltol)
 
+        ctx.rho  # raises UmbilicPoint at an umbilic point
         cl = ctx.classical
         hv = np.array(jetalg.values(cl.h))
         Hv = np.array(jetalg.values(cl.H))
@@ -89,6 +95,7 @@ class CanonicalFields:
         if not report.ideal:
             raise NotIdealPoint(
                 f"equality gap {report.slack:.3e} at {ctx.p}: not an ideal point")
+        self.data = data = moebius_data(ctx)
 
         t = 0.0 if pregauge is None else float(pregauge)
         M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
@@ -103,18 +110,15 @@ class CanonicalFields:
         E1p, E2p, q = plane.R
         F1p, F2p = plane.F
 
-        # E3 sign: the torsion is positive (it is odd in E3)
-        Lq = _oriented_torsion(ctx.covB_values, data.B, E1p @ M0, E2p @ M0,
-                               q @ M0)
-        if abs(Lq) <= ltol:
-            if strict:
-                raise IntegrableDistribution(
-                    f"torsion {Lq:.3e} below {ltol:g} at {ctx.p}: the kernel "
-                    "distribution is integrable and the E3 sign is undefined")
-            sign = 1.0
-        else:
-            sign = 1.0 if Lq > 0 else -1.0
-        q = sign * q
+        # E3 sign: the torsion is positive (it is odd in E3); below ltol
+        # the sign is undefined and E3 stays as the kernel sign left it
+        self.torsion = _oriented_torsion(ctx.covB_values, data.B, E1p @ M0,
+                                         E2p @ M0, q @ M0)
+        self.integrable = abs(self.torsion) <= self.ltol
+        if not partial:
+            self.require_torsion()
+        if not self.integrable and self.torsion < 0.0:
+            q = -q
 
         # ---- field stage -----------------------------------------------------
         adj = [jetalg.adjugate3(Bw[r]) for r in range(2)]
@@ -148,6 +152,7 @@ class CanonicalFields:
         if gauge == "V0":
             self._apply_v0()
         self._b = {}  # adapted-frame B components, filled by b()
+        self._covc = {}  # adapted-frame covariant derivatives of C, by covc()
 
     # -- gauge refinement -----------------------------------------------------
 
@@ -318,15 +323,18 @@ class CanonicalFields:
         return acc + self.b(s, i, j) * (sgn * self.theta[k])
 
     def covc(self, r, i, j):
-        """C^r_{i,j} in the adapted frame (jet)."""
-        s = 1 - r
-        sgn = 1.0 if s == 0 else -1.0
-        c = self.cfield
-        acc = self.d(c[r][i], j)
-        for k in range(3):
-            if k != i:
-                acc = acc + c[r][k] * self.omega_can[k][i][j]
-        return acc + c[s][i] * (sgn * self.theta[j])
+        """C^r_{i,j} in the adapted frame (jet); built once per component."""
+        key = (r, i, j)
+        if key not in self._covc:
+            s = 1 - r
+            sgn = 1.0 if s == 0 else -1.0
+            c = self.cfield
+            acc = self.d(c[r][i], j)
+            for k in range(3):
+                if k != i:
+                    acc = acc + c[r][k] * self.omega_can[k][i][j]
+            self._covc[key] = acc + c[s][i] * (sgn * self.theta[j])
+        return self._covc[key]
 
     @cached_property
     def Yi_can(self):
@@ -401,15 +409,12 @@ class CanonicalFields:
     def G(self):
         return jets.value_of(self.Gf)
 
-    @cached_property
-    def integrable(self):
-        return abs(self.L) <= self.ltol
-
     def require_torsion(self):
         if self.integrable:
             raise IntegrableDistribution(
-                f"|L| = {abs(self.L):.3e} <= {self.ltol:g} at {self.ctx.p}: "
-                "lambda = G/L is undefined (integrable kernel distribution)")
+                f"torsion {self.torsion:.3e} below {self.ltol:g} at "
+                f"{self.ctx.p}: the kernel distribution is integrable and "
+                "the E3 sign is undefined")
 
     @cached_property
     def lamf(self):
@@ -489,17 +494,16 @@ class WintgenInvariants:
 
 
 def _analyze(spec: ImmersionSpec, p, gauge="raw", order=5, ltol=1e-6,
-             pregauge=None, strict=True,
+             pregauge=None, partial=False,
              data: MoebiusData | None = None, tol: float = 1e-7):
-    """The canonical fields at p; tol is the DDVV equality tolerance of the
-    ideality gate."""
-    if data is None:
-        data = moebius_data(spec, p, order=order)
-    return CanonicalFields(data, gauge=gauge, pregauge=pregauge, ltol=ltol,
-                           strict=strict, tol=tol)
+    """The canonical fields at p, on the context of data when given; tol is
+    the DDVV equality tolerance of the ideality gate."""
+    ctx = MoebiusContext(spec, p, order=order) if data is None else data.ctx
+    return CanonicalFields(ctx, gauge=gauge, pregauge=pregauge, ltol=ltol,
+                           partial=partial, tol=tol)
 
 
-def _package_invariants(cf: CanonicalFields, partial: bool) -> WintgenInvariants:
+def _package_invariants(cf: CanonicalFields) -> WintgenInvariants:
     U = jets.value_of(cf.Uf)
     V = jets.value_of(cf.Vf)
     mu = cf.mu
@@ -510,14 +514,13 @@ def _package_invariants(cf: CanonicalFields, partial: bool) -> WintgenInvariants
     # does not, and it is the triple the constant-coefficient examples quote
     theta_c = tuple(jets.value_of(cf.theta[k]) + 2.0 * Omega12[k]
                     for k in range(3))
-    if cf.integrable and partial:
+    if cf.integrable:
         nan = float("nan")
         return WintgenInvariants(
             U=U, V=V, L=cf.L, G=cf.G, lam=nan, Fhat=nan, Ghat=nan,
             omega_coeffs=(-V, U, nan), domega=(nan, nan, nan),
             theta12_coeffs=theta_c, Omega12_coeffs=Omega12, mu=mu,
             gauge=cf.gauge, omega_chart=(nan, nan, nan))
-    cf.require_torsion()
     lam = jets.value_of(cf.lamf)
     # Fhat and Ghat from the dN-route Blaschke tensor at the point
     Fhat = cf.A_can[0, 0] + 0.5 * (U * U + V * V - lam * lam) \
@@ -534,8 +537,8 @@ def invariants_uvlg(spec: ImmersionSpec, p, gauge: str = "raw", order: int = 5,
                     ltol: float = 1e-6, pregauge=None, partial: bool = False,
                     data: MoebiusData | None = None) -> WintgenInvariants:
     cf = _analyze(spec, p, gauge=gauge, order=order, ltol=ltol,
-                  pregauge=pregauge, strict=not partial, data=data)
-    return _package_invariants(cf, partial)
+                  pregauge=pregauge, partial=partial, data=data)
+    return _package_invariants(cf)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +710,6 @@ def structure_matrix(spec: ImmersionSpec, p, gauge: str = "raw",
     d(row).  The normal pair is re-gauged so the (eta1, eta2) slot vanishes,
     which is the normal form the flat examples are quoted in."""
     cf = _analyze(spec, p, gauge=gauge, order=order, data=data)
-    cf.require_torsion()
     eta_f, Yhat_f = _hat_fields(cf, cf.w_fields)
     Y = cf.ctx.Y
     rows = [Y, Yhat_f, eta_f[0], eta_f[1], eta_f[2], cf.xi[0], cf.xi[1]]

@@ -34,8 +34,6 @@ class AmbientModel:
     c: float             # sectional curvature
     ncomp: int           # ambient coordinate count of the embedding
 
-    ambient_dim: int = 5
-
     def constraint_residual(self, x: Sequence[float]) -> float:
         """How far a coordinate vector is from the model's quadric."""
         if self.kind == "sphere":

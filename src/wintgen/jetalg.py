@@ -35,18 +35,6 @@ def cross3(u, v):
             u[0] * v[1] - u[1] * v[0]]
 
 
-def scale(s, u):
-    return [s * a for a in u]
-
-
-def add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
 def matvec(M, v):
     return [dot(row, v) for row in M]
 

@@ -2,13 +2,16 @@
 Lorentz R^7_1, the tensors A, B, C, connection forms, covariant derivatives,
 and the integrability residuals.
 
-Everything lives at one chart point as jets; the reporting type MoebiusData
-snapshots constant terms.  A quantity whose value at the point is all that
-is read is computed in numpy from the values and first partials of the jets
-it derives from, not built as a jet field: E_i of a field (Y_i, E_i(N)),
-theta_12, the Blaschke tensor via dN, the Riemann tensor of g, and the
-covariant derivatives of B, C and A.  Only the Ricci tensor, and with it
-the Gauss-route A, stays a jet field, because derivatives of A are read.
+Everything lives at one chart point as jets in a MoebiusContext, which
+needs jet order 5 (the Blaschke tensor reads E_i(N), which takes fifth
+partials of the chart) and refuses lower orders on construction;
+moebius_data(ctx) snapshots its constant terms into MoebiusData.  A
+quantity whose value at the point is all that is read is computed in numpy
+from the values and first partials of the jets it derives from, not built
+as a jet field: E_i of a field (Y_i, E_i(N)), theta_12, the Blaschke tensor
+via dN, the Riemann tensor of g, and the covariant derivatives of B, C and
+A.  Only the Ricci tensor, and with it the Gauss-route A, stays a jet
+field, because derivatives of A are read.
 Index conventions follow classical.py, plus capital E_i for the frame
 orthonormal in the conformal metric g = rho^2 dx.dx.
 """
@@ -72,13 +75,12 @@ class MoebiusContext:
     """Lazy conformal-invariant jets at one chart point."""
 
     def __init__(self, spec: ImmersionSpec, p, order: int = 5):
-        if order < 4:
+        if order < 5:
             raise InsufficientOrder(
-                f"conformal frame data needs jet order >= 4, got {order}")
+                f"conformal frame data needs jet order >= 5, got {order}")
         self.classical = ClassicalContext(spec, p, order=order)
         self.spec = spec
         self.p = self.classical.p
-        self.order = order
 
     # -- lift and metric ------------------------------------------------------
 
@@ -94,10 +96,6 @@ class MoebiusContext:
     def Y(self):
         lift = unit_lift(self.spec.ambient, self.classical.x)
         return [self.rho * v for v in lift]
-
-    @cached_property
-    def Ya(self):
-        return [[jets.derivative(c, a + 1) for c in self.Y] for a in range(3)]
 
     @cached_property
     def g(self):
@@ -285,8 +283,6 @@ class MoebiusContext:
     @cached_property
     def dN_values(self):
         """E_i(N) at the point, rows i."""
-        if self.order < 5:
-            raise InsufficientOrder("the dN route needs jet order 5")
         return frame_d_values(self.EC_values, self.N)
 
     @cached_property
@@ -427,12 +423,8 @@ class MoebiusData:
     ctx: MoebiusContext
 
 
-def moebius_data(spec: ImmersionSpec, p, order: int = 5,
-                 with_A: bool = True) -> MoebiusData:
-    ctx = MoebiusContext(spec, p, order=order)
-    if with_A and order < 5:
-        raise InsufficientOrder("the Blaschke tensor needs jet order 5")
-    A = ctx.A_dn if with_A else np.full((3, 3), np.nan)
+def moebius_data(ctx: MoebiusContext) -> MoebiusData:
+    """Snapshot of the values at the point of a context."""
     val = jetalg.values
     return MoebiusData(
         rho=jets.value_of(ctx.rho),
@@ -441,7 +433,7 @@ def moebius_data(spec: ImmersionSpec, p, order: int = 5,
         g=np.array(val(ctx.g)), E=ctx.EC_values,
         coframe=np.array(val(ctx.coframe)),
         omega_ij=ctx.omega_values, theta12=ctx.theta12_values,
-        A=A, B=np.array(val(ctx.B)), C=np.array(val(ctx.C)), ctx=ctx)
+        A=ctx.A_dn, B=np.array(val(ctx.B)), C=np.array(val(ctx.C)), ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +449,6 @@ class CovariantDerivs:
 
 def covariant_derivatives(data: MoebiusData) -> CovariantDerivs:
     ctx = data.ctx
-    if ctx.order < 5:
-        raise InsufficientOrder("covariant derivatives need jet order 5")
     return CovariantDerivs(
         B_cov=ctx.covB_values,
         C_cov=ctx.covC_values, A_cov=ctx.covA_values)
@@ -483,10 +473,8 @@ def integrability_residuals(spec: ImmersionSpec, p, order: int = 5,
     """Max absolute residuals of the structure-equation identities relating
     A, B, C, the curvature of g, and the normal curvature."""
     if data is None:
-        data = moebius_data(spec, p, order=order)
+        data = moebius_data(MoebiusContext(spec, p, order=order))
     ctx = data.ctx
-    if ctx.order < 5:
-        raise InsufficientOrder("integrability residuals need jet order 5")
     cov = covariant_derivatives(data)
     A = data.A
     B = data.B

@@ -16,7 +16,8 @@ def entry(name):
 
 @lru_cache(maxsize=None)
 def mdata(name, p, order=5):
-    return moebius.moebius_data(entry(name).spec, p, order=order)
+    return moebius.moebius_data(
+        moebius.MoebiusContext(entry(name).spec, p, order=order))
 
 
 def plan_points(name, k=None):

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wintgen import gallery, ideal
+from wintgen import gallery, ideal, moebius
 from wintgen.cli import main
+from wintgen.errors import IntegrableDistribution
 from wintgen.immersion import sample_points
 
 
@@ -262,6 +263,58 @@ def test_tol_reaches_the_ideality_gate(capsys, cmd):
                          "--tol", "1e-30")
     assert code == 3
     assert doc["refusal"]["kind"] == "NotIdealPoint"
+
+
+# ---------------------------------------------------------------------------
+# refusal gates: each decided once, before the work it guards
+
+IDEAL_COMMANDS = ["invariants", "theorem-b", "hopf-check"]
+
+
+@pytest.mark.parametrize("cmd", IDEAL_COMMANDS)
+def test_ideality_gate_runs_before_the_moebius_snapshot(capsys, monkeypatch,
+                                                        cmd):
+    def snapshot(*args, **kwargs):
+        raise AssertionError("Moebius data built at a point that is not ideal")
+
+    monkeypatch.setattr(ideal, "moebius_data", snapshot)
+    code, doc = run_json(capsys, cmd, "--example", "generic-control",
+                         "--points", "2")
+    assert code == 3
+    assert doc["refusal"]["kind"] == "NotIdealPoint"
+
+
+@pytest.mark.parametrize("cmd", IDEAL_COMMANDS)
+def test_umbilic_gate_runs_before_the_ideality_gate(capsys, cmd):
+    # with --tol 1e-30 no point is ideal, but the umbilic refusal comes first
+    code, doc = run_json(capsys, cmd, "--example", "umbilic-control",
+                         "--points", "3", "--tol", "1e-30")
+    assert code == 3
+    assert doc["refusal"]["kind"] == "UmbilicPoint"
+
+
+@pytest.mark.parametrize("name", ["generic-control", "umbilic-control"])
+@pytest.mark.parametrize("cmd", IDEAL_COMMANDS + ["residuals"])
+def test_order_gate_runs_before_the_geometric_gates(capsys, cmd, name):
+    code, doc = run_json(capsys, cmd, "--example", name, "--points", "2",
+                         "--order", "4")
+    assert code == 2
+    assert doc["error"]["kind"] == "InsufficientOrder"
+    assert doc["error"]["message"] == \
+        "conformal frame data needs jet order >= 5, got 4"
+
+
+def test_partial_fields_refuse_lambda_with_the_cli_message(capsys):
+    code, doc = run_json(capsys, "invariants", "--example", "cone-veronese",
+                         "--points", "1")
+    assert code == 3
+    spec = gallery.by_name("cone-veronese").spec
+    p = sample_points(spec.domain, 1, 0)[0]
+    cf = ideal.CanonicalFields(moebius.MoebiusContext(spec, p), partial=True)
+    assert cf.integrable
+    with pytest.raises(IntegrableDistribution) as exc:
+        cf.lamf
+    assert str(exc.value) == doc["refusal"]["message"]
 
 
 def _invariant_records(capsys, *source, seed=0):

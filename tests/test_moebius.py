@@ -53,10 +53,10 @@ def test_conformal_metric_matches_lift_metric(name):
     # g_ab as rho^2 (dx.dx)_ab against the raw pullback <d_a Y, d_b Y>
     for p in plan_points(name, 2):
         d = mdata(name, p)
-        ctx = d.ctx
+        Ya = [[jets.derivative(c, a + 1) for c in d.ctx.Y] for a in range(3)]
         for a in range(3):
             for b in range(3):
-                direct = jets.value_of(ldot(ctx.Ya[a], ctx.Ya[b]))
+                direct = jets.value_of(ldot(Ya[a], Ya[b]))
                 assert abs(direct - d.g[a, b]) < 1e-8
 
 
@@ -183,19 +183,17 @@ def test_residuals_detect_wrong_tensors():
 
 
 def test_order_gating():
+    # the context is the one gate: every Moebius consumer needs order 5
     p = plan_points("so3", 1)[0]
     spec = entry("so3").spec
-    with pytest.raises(InsufficientOrder):
-        MoebiusContext(spec, p, order=3)
-    with pytest.raises(InsufficientOrder):
-        moebius.moebius_data(spec, p, order=4)  # Blaschke tensor needs 5
-    d4 = moebius.moebius_data(spec, p, order=4, with_A=False)
-    assert np.all(np.isnan(d4.A))
-    assert abs(d4.rho - SQRT6) < 1e-10
-    with pytest.raises(InsufficientOrder):
-        moebius.covariant_derivatives(d4)
+    for order in (3, 4):
+        with pytest.raises(InsufficientOrder, match=f"got {order}"):
+            MoebiusContext(spec, p, order=order)
     with pytest.raises(InsufficientOrder):
         moebius.integrability_residuals(spec, p, order=4)
+    d5 = moebius.moebius_data(MoebiusContext(spec, p, order=5))
+    assert np.all(np.isfinite(d5.A))
+    assert abs(d5.rho - SQRT6) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def test_conformal_invariance_of_moebius_data(name):
         moved = moebius.conformal_transform(spec, T)
         for p in pts:
             a = _sq_invariants(mdata(name, p))
-            b = _sq_invariants(moebius.moebius_data(moved, p))
+            b = _sq_invariants(moebius.moebius_data(MoebiusContext(moved, p)))
             for key in a:
                 assert np.max(np.abs(np.asarray(a[key]) - np.asarray(b[key]))) \
                     < 1e-7, (key, k, p)

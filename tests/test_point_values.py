@@ -76,7 +76,7 @@ def _covc_field(ctx):
 @pytest.mark.parametrize("name", TWISTED)
 def test_point_reads_match_jet_fields(name):
     for p in _points(name):
-        ctx = moebius.moebius_data(entry(name).spec, p).ctx
+        ctx = moebius.MoebiusContext(entry(name).spec, p)
         _close(ctx.covB_values, _vals(_covb_field(ctx)))
         _close(ctx.theta12_values, _vals(_theta12_field(ctx)))
         _close(ctx.Yi_values, _vals(ctx.Yi))
@@ -90,7 +90,7 @@ def test_point_reads_match_jet_fields(name):
 @pytest.mark.parametrize("name", TWISTED + ["generic-control"])
 def test_covariant_derivative_reads_match_jet_fields(name):
     for p in _points(name):
-        ctx = moebius.moebius_data(entry(name).spec, p).ctx
+        ctx = moebius.MoebiusContext(entry(name).spec, p)
         _close(ctx.covC_values, _vals(_covc_field(ctx)))
         _close(ctx.covA_values, _vals(_cov2_field(ctx, ctx.A_gauss)))
 
@@ -98,7 +98,7 @@ def test_covariant_derivative_reads_match_jet_fields(name):
 @pytest.mark.parametrize("name", TWISTED + ["generic-control"])
 def test_riemann_symmetries_and_ricci_contraction(name):
     for p in _points(name):
-        ctx = moebius.moebius_data(entry(name).spec, p).ctx
+        ctx = moebius.MoebiusContext(entry(name).spec, p)
         R = ctx.riemann_values  # [i][j][k][l] = <R(E_i,E_j)E_l, E_k>
         _close(R, -R.transpose(1, 0, 2, 3))
         _close(R, -R.transpose(0, 1, 3, 2))
@@ -113,7 +113,7 @@ def test_riemann_symmetries_and_ricci_contraction(name):
 def test_fhat_from_dn_route_matches_gauss_field(name, gauge):
     for p in _points(name):
         cf = ideal._analyze(entry(name).spec, p, gauge=gauge)
-        inv = ideal._package_invariants(cf, partial=False)
+        inv = ideal._package_invariants(cf)
         _close(inv.Fhat, jets.value_of(cf.Fhat_field))
 
 

@@ -20,7 +20,7 @@ TWISTED = ["so3", "veronese-hopf", "hopf-generic"]
 
 
 def frame_of(name, p, gauge="raw", **kw):
-    return ideal.CanonicalFields(mdata(name, p), gauge=gauge, **kw)
+    return ideal.CanonicalFields(mdata(name, p).ctx, gauge=gauge, **kw)
 
 
 def invariants_of(name, p, gauge="raw"):
@@ -65,11 +65,11 @@ def test_gauge_angle_invariance(name):
     rng = np.random.default_rng(0xA11CE)
     p = plan_points(name, 1)[0]
     data = mdata(name, p)
-    base = ideal.CanonicalFields(data)
+    base = ideal.CanonicalFields(data.ctx)
     ref = (base.L, base.G, jets.value_of(base.Fhat_field),
            np.array([jets.value_of(c) for c in base.omega_chart]))
     for t in rng.uniform(-math.pi, math.pi, size=10):
-        cf = ideal.CanonicalFields(data, pregauge=float(t))
+        cf = ideal.CanonicalFields(data.ctx, pregauge=float(t))
         assert abs(cf.L - ref[0]) < 1e-8
         assert abs(cf.G - ref[1]) < 1e-8
         assert abs(jets.value_of(cf.Fhat_field) - ref[2]) < 1e-8
@@ -99,7 +99,7 @@ def test_oriented_torsion_is_odd_in_e3(name):
     # the adapted frame the scalar is L itself
     for p in plan_points(name, 3):
         data = mdata(name, p)
-        cf = ideal.CanonicalFields(data)
+        cf = ideal.CanonicalFields(data.ctx)
         E1, E2, E3 = cf.Rfv
         args = (data.ctx.covB_values, data.B, E1, E2)
         L = ideal._oriented_torsion(*args, E3)
@@ -261,7 +261,7 @@ def test_hat_frame_algebra():
         lz = lambda u, v: -u[0] * v[0] + u[1:] @ v[1:]
         assert abs(lz(hf.Yhat, hf.Yhat)) < 1e-9
         assert abs(lz(Y, hf.Yhat) - 1.0) < 1e-9
-        xi = np.array(jetalg.values(ideal.CanonicalFields(data).xi))
+        xi = np.array(jetalg.values(ideal.CanonicalFields(data.ctx).xi))
         for i in range(3):
             assert abs(lz(hf.Yhat, hf.eta[i])) < 1e-9
             for j in range(3):
@@ -391,4 +391,4 @@ def test_low_order_is_refused():
 def test_unknown_gauge_is_rejected():
     p = plan_points("so3", 1)[0]
     with pytest.raises(ValueError):
-        ideal.CanonicalFields(mdata("so3", p), gauge="v0")
+        ideal.CanonicalFields(mdata("so3", p).ctx, gauge="v0")
