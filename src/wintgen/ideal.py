@@ -5,13 +5,11 @@ line and act on the orthogonal plane D as a fixed two-matrix pattern after a
 rotation.  classical.kernel_plane builds that adapted frame at the base
 point; this module extends it to jet fields, so that covariant derivatives
 of the adapted components (the scalars U, V, L, G, lambda, Fhat, Ghat and
-the 1-form omega) are honest derivatives of smooth fields.  CanonicalFields
-refuses before the work each refusal guards: at an umbilic point (through
-rho), then at a point that is not ideal (from the classical h and H), and
-only then snapshots the Moebius data.  E3 is oriented at each point on its
-own, by the sign of the torsion L; where |L| <= ltol the fields are kept
-only on request (partial) and marked integrable.  The verdicts are folds
-over the per-point invariants of a sample.
+the 1-form omega) are honest derivatives of smooth fields.  E3 is oriented
+at each point on its own, by the sign of the torsion L, and the verdicts
+are folds over the per-point invariants of a sample.  CanonicalFields
+decides the umbilic and ideality refusals from the classical forms before
+it snapshots the Moebius data.
 """
 
 from __future__ import annotations
