@@ -1,8 +1,10 @@
 """Classical submanifold invariants at a chart point.
 
 ClassicalContext carries everything as jets so later modules can
-differentiate; the reporting types (ClassicalData, DDVVReport, KernelPlane,
-AdaptedFrame) hold plain floats.
+differentiate; check_order is its jet-order gate (orders 2 to 5), also run
+by the ddvv command, whose records read only second partials.  The
+reporting types (ClassicalData, DDVVReport, KernelPlane, AdaptedFrame) hold
+plain floats.
 
 Index conventions: a, b, c label chart coordinates; i, j, k label the
 orthonormal tangent frame; r, s label the orthonormal normal frame.
@@ -27,24 +29,20 @@ def _inner_for(ambient):
     return jetalg.lorentz_dot if ambient.kind == "hyperbolic" else jetalg.dot
 
 
-def _lincomb(coeffs, vectors):
-    ncomp = len(vectors[0])
-    out = []
-    for k in range(ncomp):
-        acc = coeffs[0] * vectors[0][k]
-        for c, v in zip(coeffs[1:], vectors[1:]):
-            acc = acc + c * v[k]
-        out.append(acc)
-    return out
+def check_order(order: int) -> None:
+    """The jet-order gate of the classical forms: the second fundamental
+    form reads second partials, and jets stop at jets.MAX_ORDER."""
+    if order < 2:
+        raise InsufficientOrder(
+            f"second fundamental form needs jet order >= 2, got {order}")
+    jets.check_order(order)
 
 
 class ClassicalContext:
     """Lazy jet computations for one immersion at one chart point."""
 
     def __init__(self, spec: ImmersionSpec, p, order: int = 5):
-        if order < 2:
-            raise InsufficientOrder(
-                f"second fundamental form needs jet order >= 2, got {order}")
+        check_order(order)
         self.spec = spec
         self.p = tuple(float(v) for v in p)
         self.order = order
@@ -91,7 +89,9 @@ class ClassicalContext:
 
     @cached_property
     def tangent_amb(self):
-        return [_lincomb(self.frame_chart[i], self.xa) for i in range(3)]
+        # e_i = sum_a eC[i][a] x_a, component by component
+        return [[jetalg.dot(self.frame_chart[i], [xa[k] for xa in self.xa])
+                 for k in range(len(self.x))] for i in range(3)]
 
     @cached_property
     def normal_frame(self):
@@ -223,9 +223,9 @@ class ClassicalData:
     c: float
 
 
-def fundamental_forms(spec: ImmersionSpec, p, order: int = 2) -> ClassicalData:
-    ctx = ClassicalContext(spec, p, order=order)
-    return classical_data(ctx)
+def fundamental_forms(spec: ImmersionSpec, p) -> ClassicalData:
+    """The forms at p from order-2 jets, all that they read."""
+    return classical_data(ClassicalContext(spec, p, order=2))
 
 
 def classical_data(ctx: ClassicalContext) -> ClassicalData:

@@ -32,10 +32,10 @@ class GalleryEntry:
     expression_text: Optional[str] = None  # file-format twin where expressible
 
 
-def _entry(name, spec, expected, expression_text=None, plan_seed=0x5EED, plan_n=20):
+def _entry(name, spec, expected, expression_text=None, plan_seed=0x5EED):
     return GalleryEntry(
         name=name, spec=spec, expected=expected,
-        sample_plan=tuple(sample_points(spec.domain, plan_n, seed=plan_seed)),
+        sample_plan=tuple(sample_points(spec.domain, 20, seed=plan_seed)),
         expression_text=expression_text)
 
 
@@ -337,10 +337,10 @@ def names() -> list[str]:
 # random Lorentz transformations (for invariance tests)
 
 
-def random_lorentz(seed: int, rapidity: float = 0.5, dim: int = 7) -> np.ndarray:
-    """T = diag(1, R1) * Boost(phi) * diag(1, R2) with R1, R2 random special
-    orthogonal and phi <= rapidity: preserves the (-,+,...,+) form and the
-    time orientation."""
+def random_lorentz(seed: int) -> np.ndarray:
+    """T = diag(1, R1) * Boost(phi) * diag(1, R2) on R^7_1 with R1, R2 random
+    special orthogonal and 0.125 <= phi < 0.5: preserves the (-,+,...,+)
+    form and the time orientation."""
     stream = unit_stream(seed)
 
     def gauss():
@@ -357,15 +357,14 @@ def random_lorentz(seed: int, rapidity: float = 0.5, dim: int = 7) -> np.ndarray
             q[:, 0] = -q[:, 0]
         return q
 
-    n = dim - 1
-    phi = rapidity * (0.25 + 0.75 * next(stream))
-    boost = np.eye(dim)
+    phi = 0.5 * (0.25 + 0.75 * next(stream))
+    boost = np.eye(7)
     boost[0, 0] = boost[1, 1] = math.cosh(phi)
     boost[0, 1] = boost[1, 0] = math.sinh(phi)
-    t1 = np.eye(dim)
-    t1[1:, 1:] = rand_so(n)
-    t2 = np.eye(dim)
-    t2[1:, 1:] = rand_so(n)
+    t1 = np.eye(7)
+    t1[1:, 1:] = rand_so(6)
+    t2 = np.eye(7)
+    t2[1:, 1:] = rand_so(6)
     return t1 @ boost @ t2
 
 

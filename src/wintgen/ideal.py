@@ -8,8 +8,11 @@ of the adapted components (the scalars U, V, L, G, lambda, Fhat, Ghat and
 the 1-form omega) are honest derivatives of smooth fields.  E3 is oriented
 at each point on its own, by the sign of the torsion L, and the verdicts
 are folds over the per-point invariants of a sample.  CanonicalFields
+takes a MoebiusContext, which fixes the point and the jet order, and
 decides the umbilic and ideality refusals from the classical forms before
-it snapshots the Moebius data.
+it snapshots the Moebius data.  Functions of one point take the context
+(invariants_uvlg) or the canonical fields (hat_frame, holomorphic_residual,
+structure_matrix); the verdicts take a chart and a sample.
 """
 
 from __future__ import annotations
@@ -24,19 +27,15 @@ from . import jetalg, jets
 from .classical import ddvv_from_forms, half_angle, kernel_plane
 from .errors import IntegrableDistribution, NotIdealPoint
 from .immersion import ImmersionSpec
-from .moebius import (LORENTZ, MoebiusContext, MoebiusData, d_form_values,
-                      frame_d_values, ldot, moebius_data)
+from .moebius import (LORENTZ, MoebiusContext, connection_chart,
+                      d_form_values, frame_d_values, frame_scalar_d,
+                      frame_vector_d, moebius_data)
 
 SQRT6 = math.sqrt(6.0)
 
 
 def _quadform(u, M, v):
-    acc = None
-    for i in range(3):
-        for j in range(3):
-            t = u[i] * M[i][j] * v[j]
-            acc = t if acc is None else acc + t
-    return acc
+    return sum_jets(u[i] * M[i][j] * v[j] for i in range(3) for j in range(3))
 
 
 def _oriented_torsion(covB, Bv, E1, E2, E3):
@@ -180,15 +179,8 @@ class CanonicalFields:
 
     def _contract_c(self, r, i):
         """C paired with the adapted normal r and tangent i (jet)."""
-        acc = None
-        for s in range(2):
-            inner = None
-            for j in range(3):
-                t = self.Rf[i][j] * self.ctx.C[s][j]
-                inner = t if inner is None else inner + t
-            t = self.Qf[s][r] * inner
-            acc = t if acc is None else acc + t
-        return acc
+        return sum_jets(self.Qf[s][r] * jetalg.dot(self.Rf[i], self.ctx.C[s])
+                        for s in range(2))
 
     # -- frame derivative helpers ----------------------------------------------
 
@@ -199,15 +191,6 @@ class CanonicalFields:
         EC = self.ctx.EC
         return [[sum_jets([self.Rf[i][j] * EC[j][a] for j in range(a, 3)])
                  for a in range(3)] for i in range(3)]
-
-    def d(self, f, k):
-        """Derivative of a scalar jet field along adapted frame vector k."""
-        F = self.frame_chart[k]
-        return (F[0] * jets.derivative(f, 1) + F[1] * jets.derivative(f, 2)
-                + F[2] * jets.derivative(f, 3))
-
-    def dvec(self, vec, k):
-        return [self.d(c, k) for c in vec]
 
     # -- component fields --------------------------------------------------------
 
@@ -221,17 +204,9 @@ class CanonicalFields:
 
     @cached_property
     def xi(self):
-        out = []
-        for r in range(2):
-            vec = []
-            for m in range(7):
-                acc = None
-                for s in range(2):
-                    t = self.Qf[s][r] * self.ctx.xi[s][m]
-                    acc = t if acc is None else acc + t
-                vec.append(acc)
-            out.append(vec)
-        return out
+        xi = self.ctx.xi
+        return [[sum_jets(self.Qf[s][r] * xi[s][m] for s in range(2))
+                 for m in range(7)] for r in range(2)]
 
     @cached_property
     def _bmix(self):
@@ -262,11 +237,7 @@ class CanonicalFields:
     @cached_property
     def theta_chart(self):
         """Normal connection of the adapted sphere pair in chart components."""
-        out = []
-        for a in range(3):
-            d1 = [jets.derivative(c, a + 1) for c in self.xi[0]]
-            out.append(ldot(d1, self.xi[1]))
-        return out
+        return connection_chart(self.xi[0], self.xi[1])
 
     def d_form_on(self, chart_form, i, j):
         """Exterior derivative of a chart 1-form (jets), evaluated on adapted
@@ -289,7 +260,7 @@ class CanonicalFields:
         pairs = [(a, bb) for a in range(3) for bb in range(a)]
         out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
         for i in range(1, 3):
-            dR = [self.dvec(Rf[i], k) for k in range(3)]
+            dR = [frame_vector_d(self.frame_chart, Rf[i], k) for k in range(3)]
             for j in range(i):
                 wedge = [Rf[i][a] * Rf[j][bb] - Rf[i][bb] * Rf[j][a]
                          for a, bb in pairs]
@@ -312,7 +283,7 @@ class CanonicalFields:
         s = 1 - r
         sgn = 1.0 if s == 0 else -1.0  # theta_sr relative to theta_12
         om = self.omega_can
-        acc = self.d(self.b(r, i, j), k)
+        acc = frame_scalar_d(self.frame_chart, self.b(r, i, j), k)
         for l in range(3):
             if l != j:
                 acc = acc + self.b(r, i, l) * om[l][j][k]
@@ -327,7 +298,7 @@ class CanonicalFields:
             s = 1 - r
             sgn = 1.0 if s == 0 else -1.0
             c = self.cfield
-            acc = self.d(c[r][i], j)
+            acc = frame_scalar_d(self.frame_chart, c[r][i], j)
             for k in range(3):
                 if k != i:
                     acc = acc + c[r][k] * self.omega_can[k][i][j]
@@ -336,17 +307,9 @@ class CanonicalFields:
 
     @cached_property
     def Yi_can(self):
-        out = []
-        for i in range(3):
-            vec = []
-            for m in range(7):
-                acc = None
-                for j in range(3):
-                    t = self.Rf[i][j] * self.ctx.Yi[j][m]
-                    acc = t if acc is None else acc + t
-                vec.append(acc)
-            out.append(vec)
-        return out
+        Yi = self.ctx.Yi
+        return [[sum_jets(self.Rf[i][j] * Yi[j][m] for j in range(3))
+                 for m in range(7)] for i in range(3)]
 
     @cached_property
     def coframe_can(self):
@@ -361,17 +324,8 @@ class CanonicalFields:
 
     @cached_property
     def A_can_field(self):
-        A = self.ctx.A_gauss
-        out = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                acc = None
-                for a in range(3):
-                    for bb in range(3):
-                        t = self.Rf[i][a] * A[a][bb] * self.Rf[j][bb]
-                        acc = t if acc is None else acc + t
-                out[i][j] = acc
-        return out
+        return [[_quadform(self.Rf[i], self.ctx.A_gauss, self.Rf[j])
+                 for j in range(3)] for i in range(3)]
 
     # -- named scalars -------------------------------------------------------------
 
@@ -491,16 +445,6 @@ class WintgenInvariants:
     omega_chart: tuple
 
 
-def _analyze(spec: ImmersionSpec, p, gauge="raw", order=5, ltol=1e-6,
-             pregauge=None, partial=False,
-             data: MoebiusData | None = None, tol: float = 1e-7):
-    """The canonical fields at p, on the context of data when given; tol is
-    the DDVV equality tolerance of the ideality gate."""
-    ctx = MoebiusContext(spec, p, order=order) if data is None else data.ctx
-    return CanonicalFields(ctx, gauge=gauge, pregauge=pregauge, ltol=ltol,
-                           partial=partial, tol=tol)
-
-
 def _package_invariants(cf: CanonicalFields) -> WintgenInvariants:
     U = jets.value_of(cf.Uf)
     V = jets.value_of(cf.Vf)
@@ -531,12 +475,12 @@ def _package_invariants(cf: CanonicalFields) -> WintgenInvariants:
         omega_chart=tuple(jets.value_of(c) for c in cf.omega_chart))
 
 
-def invariants_uvlg(spec: ImmersionSpec, p, gauge: str = "raw", order: int = 5,
-                    ltol: float = 1e-6, pregauge=None, partial: bool = False,
-                    data: MoebiusData | None = None) -> WintgenInvariants:
-    cf = _analyze(spec, p, gauge=gauge, order=order, ltol=ltol,
-                  pregauge=pregauge, partial=partial, data=data)
-    return _package_invariants(cf)
+def invariants_uvlg(ctx: MoebiusContext, gauge: str = "raw",
+                    ltol: float = 1e-6, pregauge=None,
+                    partial: bool = False) -> WintgenInvariants:
+    """The scalar invariants at the context's point."""
+    return _package_invariants(CanonicalFields(
+        ctx, gauge=gauge, pregauge=pregauge, ltol=ltol, partial=partial))
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +509,9 @@ class HatFrameData:
     lam: float
 
 
-def hat_frame(spec: ImmersionSpec, p, lam: float | None = None,
-              gauge: str = "raw", order: int = 5,
-              data: MoebiusData | None = None,
-              fields: CanonicalFields | None = None) -> HatFrameData:
-    cf = fields if fields is not None else _analyze(
-        spec, p, gauge=gauge, order=order, data=data)
+def hat_frame(cf: CanonicalFields, lam: float | None = None) -> HatFrameData:
+    """The hat frame on the canonical fields, with the third 1-form
+    coefficient lam in place of lambda when given."""
     lamf = cf.lamf if lam is None else float(lam)
     lam_val = jets.value_of(lamf)
     eta_f, Yhat_f = _hat_fields(cf, [-(cf.Vf), cf.Uf, lamf])
@@ -630,12 +571,12 @@ def theorem_b_verdict(invs, tol: float = 1e-6) -> TheoremBVerdict:
 
 
 def classify_theorem_b(spec: ImmersionSpec, sample, tol: float = 1e-6,
-                       gauge: str = "raw", order: int = 5,
+                       gauge: str = "raw",
                        ltol: float = 1e-6) -> TheoremBVerdict:
     """Closedness of the distinguished 1-form plus the sign of Fhat over a
     sample, combined into the space-form verdict."""
     return theorem_b_verdict(
-        [invariants_uvlg(spec, p, gauge=gauge, order=order, ltol=ltol)
+        [invariants_uvlg(MoebiusContext(spec, p), gauge=gauge, ltol=ltol)
          for p in sample], tol)
 
 
@@ -656,11 +597,10 @@ def hopf_verdict(invs, tol: float = 1e-6) -> HopfReport:
 
 
 def hopf_criterion(spec: ImmersionSpec, sample, tol: float = 1e-6,
-                   gauge: str = "raw", order: int = 5,
-                   ltol: float = 1e-6) -> HopfReport:
+                   gauge: str = "raw", ltol: float = 1e-6) -> HopfReport:
     """Lift test: the squared-torus fibration recognizer max(|G|, |domega|)."""
     return hopf_verdict(
-        [invariants_uvlg(spec, p, gauge=gauge, order=order, ltol=ltol)
+        [invariants_uvlg(MoebiusContext(spec, p), gauge=gauge, ltol=ltol)
          for p in sample], tol)
 
 
@@ -668,12 +608,9 @@ def hopf_criterion(spec: ImmersionSpec, sample, tol: float = 1e-6,
 # holomorphicity of the normal pair
 
 
-def holomorphic_residual(spec: ImmersionSpec, p, order: int = 5,
-                         gauge: str = "raw",
-                         data: MoebiusData | None = None) -> float:
+def holomorphic_residual(cf: CanonicalFields) -> float:
     """Residual of d(xi1 - i xi2) = i mu (omega1 + i omega2)(eta1 + i eta2)
     + i theta12 (xi1 - i xi2), maximized over frame directions."""
-    cf = _analyze(spec, p, gauge=gauge, order=order, data=data)
     U = jets.value_of(cf.Uf)
     V = jets.value_of(cf.Vf)
     Yv = np.array(jetalg.values(cf.ctx.Y))
@@ -701,13 +638,11 @@ def holomorphic_residual(spec: ImmersionSpec, p, order: int = 5,
 STRUCTURE_LABELS = ("Y", "Yhat", "eta1", "eta2", "eta3", "xi1", "xi2")
 
 
-def structure_matrix(spec: ImmersionSpec, p, gauge: str = "raw",
-                     order: int = 5, data: MoebiusData | None = None):
+def structure_matrix(cf: CanonicalFields):
     """Connection coefficients of the full adapted light-cone frame: entry
     [row][col] holds the three coframe coefficients of the col-component of
     d(row).  The normal pair is re-gauged so the (eta1, eta2) slot vanishes,
     which is the normal form the flat examples are quoted in."""
-    cf = _analyze(spec, p, gauge=gauge, order=order, data=data)
     eta_f, Yhat_f = _hat_fields(cf, cf.w_fields)
     Y = cf.ctx.Y
     rows = [Y, Yhat_f, eta_f[0], eta_f[1], eta_f[2], cf.xi[0], cf.xi[1]]

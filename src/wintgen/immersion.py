@@ -335,8 +335,9 @@ class ImmersionSpec:
     evaluator: Callable
     components: Optional[tuple] = None  # expression trees when parsed from text
 
-    def contains(self, p, slack: float = 1e-12) -> bool:
-        return all(lo - slack <= v <= hi + slack
+    def contains(self, p) -> bool:
+        """Whether p lies in the domain box, widened by 1e-9 per side."""
+        return all(lo - 1e-9 <= v <= hi + 1e-9
                    for v, (lo, hi) in zip(p, self.domain))
 
 
@@ -420,7 +421,7 @@ def parse_immersion(text: str) -> ImmersionSpec:
 
 def eval_immersion_jet(spec: ImmersionSpec, p, order: int) -> list[MultiJet]:
     """Order-`order` jets of the ambient coordinates of x at chart point p."""
-    if not spec.contains(p, slack=1e-9):
+    if not spec.contains(p):
         raise EvalError(f"point {tuple(p)} outside domain of {spec.name}")
     seeds = [jet_seed(i + 1, float(p[i]), order) for i in range(3)]
     out = spec.evaluator(seeds)
@@ -458,9 +459,10 @@ def unit_stream(seed: int):
         yield (z >> 11) * 2.0 ** -53
 
 
-def sample_points(domain, n: int, seed: int, inset: float = 0.01) -> list[tuple]:
+def sample_points(domain, n: int, seed: int) -> list[tuple]:
     """n points uniform in the domain box, inset from the walls by 1% of the
     side length so jets never sit on a chart boundary."""
+    inset = 0.01
     stream = unit_stream(seed)
     pts = []
     for _ in range(n):

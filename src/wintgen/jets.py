@@ -95,7 +95,7 @@ def _div_table(order: int):
     return tuple(blocks)
 
 
-def _check_order(order: int) -> None:
+def check_order(order: int) -> None:
     if not isinstance(order, int) or order < 0 or order > MAX_ORDER:
         raise OrderError(f"jet order must be an integer in [0, {MAX_ORDER}], got {order!r}")
 
@@ -109,7 +109,7 @@ class MultiJet:
     __array_ufunc__ = None
 
     def __init__(self, order: int, coeffs: np.ndarray):
-        _check_order(order)
+        check_order(order)
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (ncoef(order),):
             raise OrderError(
@@ -121,7 +121,7 @@ class MultiJet:
 
     @staticmethod
     def constant(value: float, order: int) -> "MultiJet":
-        _check_order(order)
+        check_order(order)
         c = np.zeros(_NCOEF[order])
         c[0] = value
         return _jet(order, c)
@@ -146,7 +146,7 @@ class MultiJet:
             return self
         if order > self.order:
             raise OrderError(f"cannot raise jet order {self.order} to {order}")
-        _check_order(order)
+        check_order(order)
         return _jet(order, self.c[: _NCOEF[order]].copy())
 
     def __repr__(self) -> str:
@@ -267,7 +267,7 @@ def _quotient(a: np.ndarray, b: MultiJet) -> MultiJet:
 
 def jet_seed(var_index: int, value: float, order: int) -> MultiJet:
     """Jet of the coordinate function u_{var_index} (1-based) at the point."""
-    _check_order(order)
+    check_order(order)
     if var_index not in (1, 2, 3):
         raise OrderError(f"var_index must be 1, 2, or 3, got {var_index!r}")
     c = np.zeros(_NCOEF[order])
@@ -293,8 +293,8 @@ def _compose(a: MultiJet, series: list) -> MultiJet:
     return r
 
 
-def jet_elementary(a: MultiJet, fn: str, exponent: int | None = None) -> MultiJet:
-    """Composition with an elementary function: sqrt, sin, cos, exp, pow."""
+def jet_elementary(a: MultiJet, fn: str) -> MultiJet:
+    """Composition with an elementary function: sqrt, sin, cos, exp."""
     n = a.order
     a0 = float(a.c[0])
     if fn == "sqrt":
@@ -319,10 +319,6 @@ def jet_elementary(a: MultiJet, fn: str, exponent: int | None = None) -> MultiJe
                 fact *= k
             series.append(cycle[k % 4] / fact)
         return _compose(a, series)
-    if fn == "pow":
-        if exponent is None or not isinstance(exponent, int):
-            raise OrderError("pow requires an integer exponent")
-        return powi(a, exponent)
     raise OrderError(f"unknown elementary function {fn!r}")
 
 

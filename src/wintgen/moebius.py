@@ -4,7 +4,9 @@ and the integrability residuals.
 
 Everything lives at one chart point as jets in a MoebiusContext, which
 needs jet order 5 (the Blaschke tensor reads E_i(N), which takes fifth
-partials of the chart) and refuses lower orders on construction;
+partials of the chart) and refuses lower orders on construction; the
+context is the one place a jet order enters this layer.  Functions of the
+point take the context: integrability_residuals(ctx) reads its values, and
 moebius_data(ctx) snapshots its constant terms into MoebiusData.  A
 quantity whose value at the point is all that is read is computed in numpy
 from the values and first partials of the jets it derives from, not built
@@ -56,6 +58,12 @@ def frame_scalar_d(EC, f, k):
 
 def frame_vector_d(EC, vec, k):
     return [frame_scalar_d(EC, comp, k) for comp in vec]
+
+
+def connection_chart(x, y):
+    """Chart components t_a = <d_a x, y> of the 1-form <dx, y>, for two
+    7-component jet vectors (the normal connection of a sphere pair)."""
+    return [ldot([jets.derivative(c, a + 1) for c in x], y) for a in range(3)]
 
 
 def frame_d_values(E, vec) -> np.ndarray:
@@ -115,11 +123,8 @@ class MoebiusContext:
         for c in range(3):
             for a in range(3):
                 for b in range(a + 1):
-                    acc = None
-                    for d in range(3):
-                        t = self.ginv[c][d] * (dg[a][b][d] + dg[b][a][d] - dg[d][a][b])
-                        acc = t if acc is None else acc + t
-                    out[c][a][b] = out[c][b][a] = 0.5 * acc
+                    t = [dg[a][b][d] + dg[b][a][d] - dg[d][a][b] for d in range(3)]
+                    out[c][a][b] = out[c][b][a] = 0.5 * jetalg.dot(self.ginv[c], t)
         return out
 
     @cached_property
@@ -208,6 +213,10 @@ class MoebiusContext:
         return out
 
     @cached_property
+    def B_values(self):
+        return np.array(jetalg.values(self.B))
+
+    @cached_property
     def C(self):
         """C[r][i] = -rho^{-2} [ H^r_{,i} + sum_j (h^r_ij - H^r d_ij) e_j(log rho) ],
         with H^r_{,i} the normal-connection derivative of the mean curvature
@@ -235,6 +244,10 @@ class MoebiusContext:
                 row.append(-inv_rho2 * acc)
             out.append(row)
         return out
+
+    @cached_property
+    def C_values(self):
+        return np.array(jetalg.values(self.C))
 
     # -- connection ------------------------------------------------------------
 
@@ -275,8 +288,7 @@ class MoebiusContext:
     @cached_property
     def theta12_chart(self):
         """Chart components: theta_12 = sum_a t_a du^a."""
-        return [ldot([jets.derivative(c, a + 1) for c in self.xi[0]], self.xi[1])
-                for a in range(3)]
+        return connection_chart(self.xi[0], self.xi[1])
 
     # -- Blaschke tensor --------------------------------------------------------
 
@@ -377,7 +389,7 @@ class MoebiusContext:
     @cached_property
     def covB_values(self):
         """[r][i][j][k] = B^r_{ij,k} at the point (raw gauge)."""
-        B = np.array(jetalg.values(self.B))
+        B = self.B_values
         out = self._cov2_values(self.B)
         th = self.theta12_values
         out[0] -= B[1][:, :, None] * th  # theta_21 = -theta_12
@@ -387,7 +399,7 @@ class MoebiusContext:
     @cached_property
     def covC_values(self):
         """[r][i][j] = C^r_{i,j} at the point (raw gauge)."""
-        C = np.array(jetalg.values(self.C))
+        C = self.C_values
         out = jetalg.gradients(self.C) @ self.EC_values.T
         out += np.einsum("rk,kij->rij", C, self.omega_values)
         th = self.theta12_values
@@ -420,7 +432,6 @@ class MoebiusData:
     A: np.ndarray          # 3x3 Blaschke tensor (dN route)
     B: np.ndarray          # 2x3x3
     C: np.ndarray          # 2x3
-    ctx: MoebiusContext
 
 
 def moebius_data(ctx: MoebiusContext) -> MoebiusData:
@@ -433,25 +444,11 @@ def moebius_data(ctx: MoebiusContext) -> MoebiusData:
         g=np.array(val(ctx.g)), E=ctx.EC_values,
         coframe=np.array(val(ctx.coframe)),
         omega_ij=ctx.omega_values, theta12=ctx.theta12_values,
-        A=ctx.A_dn, B=np.array(val(ctx.B)), C=np.array(val(ctx.C)), ctx=ctx)
+        A=ctx.A_dn, B=ctx.B_values, C=ctx.C_values)
 
 
 # ---------------------------------------------------------------------------
-# covariant derivatives and integrability residuals
-
-
-@dataclass(frozen=True)
-class CovariantDerivs:
-    B_cov: np.ndarray  # (2,3,3,3)
-    C_cov: np.ndarray  # (2,3,3)
-    A_cov: np.ndarray  # (3,3,3)
-
-
-def covariant_derivatives(data: MoebiusData) -> CovariantDerivs:
-    ctx = data.ctx
-    return CovariantDerivs(
-        B_cov=ctx.covB_values,
-        C_cov=ctx.covC_values, A_cov=ctx.covA_values)
+# integrability residuals
 
 
 @dataclass(frozen=True)
@@ -468,17 +465,13 @@ class IntegrabilityResiduals:
                    self.gauss, self.ricci_normal, self.trace)
 
 
-def integrability_residuals(spec: ImmersionSpec, p, order: int = 5,
-                            data: MoebiusData | None = None) -> IntegrabilityResiduals:
-    """Max absolute residuals of the structure-equation identities relating
-    A, B, C, the curvature of g, and the normal curvature."""
-    if data is None:
-        data = moebius_data(MoebiusContext(spec, p, order=order))
-    ctx = data.ctx
-    cov = covariant_derivatives(data)
-    A = data.A
-    B = data.B
-    C = data.C
+def integrability_residuals(ctx: MoebiusContext) -> IntegrabilityResiduals:
+    """Max absolute residuals at the context's point of the structure-equation
+    identities relating A, B, C, the curvature of g, and the normal
+    curvature."""
+    A = ctx.A_dn
+    B = ctx.B_values
+    C = ctx.C_values
 
     def alt(T):
         """T minus T with its last two axes swapped."""
@@ -489,11 +482,13 @@ def integrability_residuals(spec: ImmersionSpec, p, order: int = 5,
 
     d = np.eye(3)
     # A_ij,k - A_ik,j = sum_r (B^r_ik C^r_j - B^r_ij C^r_k)
-    codazzi_A = worst(alt(cov.A_cov), -alt(np.einsum("rij,rk->ijk", B, C)))
+    codazzi_A = worst(alt(ctx.covA_values),
+                      -alt(np.einsum("rij,rk->ijk", B, C)))
     # C^r_i,j - C^r_j,i = (B^r A - A B^r)_ij
-    ricci_C = worst(alt(cov.C_cov), alt(B @ A))
+    ricci_C = worst(alt(ctx.covC_values), alt(B @ A))
     # B^r_ij,k - B^r_ik,j = d_ij C^r_k - d_ik C^r_j
-    codazzi_B = worst(alt(cov.B_cov), alt(np.einsum("ij,rk->rijk", d, C)))
+    codazzi_B = worst(alt(ctx.covB_values),
+                      alt(np.einsum("ij,rk->rijk", d, C)))
     # R_ijkl = sum_r (B^r_ik B^r_jl - B^r_il B^r_jk)
     #          + d_ik A_jl + d_jl A_ik - d_il A_jk - d_jk A_il
     gauss = worst(ctx.riemann_values,
@@ -542,13 +537,7 @@ def conformal_transform(spec: ImmersionSpec, T) -> ImmersionSpec:
     def evaluate(u):
         x = base(u)
         lift = unit_lift(ambient, x)
-        Z = []
-        for row in rows:
-            acc = row[0] * lift[0]
-            for c, v in zip(row[1:], lift[1:]):
-                acc = acc + c * v
-            Z.append(acc)
-        return readback_sphere(Z)
+        return readback_sphere([jetalg.dot(row, lift) for row in rows])
 
     return ImmersionSpec(ambient=SPHERE, name=f"{spec.name}~moebius",
                          domain=spec.domain, evaluator=evaluate)

@@ -1,7 +1,7 @@
 """Memoized gallery analyses shared across test modules.
 
-The conformal pipeline is pure per (example, point, order), so repeated
-requests from different tests reuse one computation.
+The conformal pipeline is pure per (example, point), so repeated requests
+from different tests reuse one lazy context and one snapshot of it.
 """
 
 from functools import lru_cache
@@ -15,9 +15,13 @@ def entry(name):
 
 
 @lru_cache(maxsize=None)
-def mdata(name, p, order=5):
-    return moebius.moebius_data(
-        moebius.MoebiusContext(entry(name).spec, p, order=order))
+def context(name, p):
+    return moebius.MoebiusContext(entry(name).spec, p)
+
+
+@lru_cache(maxsize=None)
+def mdata(name, p):
+    return moebius.moebius_data(context(name, p))
 
 
 def plan_points(name, k=None):

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 import _oracles as oracles
-from _shared import entry, mdata
+from _shared import context, entry, mdata
 
 from wintgen import gallery, ideal, jets, moebius
 from wintgen.classical import ddvv_matrix_gap, ddvv_report
@@ -90,7 +90,7 @@ def test_criterion_2_conformal_constants():
             bsq = float(np.sum(data.B ** 2))
             if abs(bsq - 2.0 / 3.0) > 1e-8:
                 problems.append(f"{name}: sum B^2 = {bsq} at {p}")
-            cf = ideal.CanonicalFields(data.ctx, partial=partial)
+            cf = ideal.CanonicalFields(context(name, p), partial=partial)
             if abs(cf.mu - MU) > 1e-8:
                 problems.append(f"{name}: mu = {cf.mu} at {p}")
             if name == "so3" and abs(data.rho - SQRT6) > 1e-10:
@@ -105,13 +105,12 @@ def test_criterion_2_conformal_constants():
 
 def test_criterion_3_homogeneous_ground_truth():
     problems = []
-    spec = entry("so3").spec
     target = _structure_target()
     for p in acc_points("so3", 20):
         data = mdata("so3", p)
         if np.abs(data.C).max() > 1e-8:
             problems.append(f"C nonzero at {p}: {np.abs(data.C).max()}")
-        inv = ideal.invariants_uvlg(spec, p, data=data)
+        inv = ideal.invariants_uvlg(context("so3", p))
         for label, val in (("U", inv.U), ("V", inv.V), ("G", inv.G)):
             if abs(val) > 1e-8:
                 problems.append(f"{label} = {val} at {p}")
@@ -126,7 +125,8 @@ def test_criterion_3_homogeneous_ground_truth():
             problems.append(f"Fhat = {inv.Fhat} at {p}")
         if max(abs(d) for d in inv.domega) > 1e-8:
             problems.append(f"domega = {inv.domega} at {p}")
-        labels, S = ideal.structure_matrix(spec, p, data=data)
+        labels, S = ideal.structure_matrix(
+            ideal.CanonicalFields(context("so3", p)))
         worst = float(np.abs(S - target).max())
         if worst > 1e-7:
             problems.append(f"structure matrix off by {worst} at {p}")
@@ -204,13 +204,12 @@ def test_criterion_6_structure_equation_residuals():
     problems = []
     for name in CURVED:
         for p in acc_points(name, 20):
-            data = mdata(name, p)
-            res = moebius.integrability_residuals(entry(name).spec, p,
-                                                  data=data)
+            ctx = context(name, p)
+            res = moebius.integrability_residuals(ctx)
             if res.max_residual() >= 1e-7:
                 problems.append(
                     f"{name}: residual {res.max_residual()} at {p}")
-            gap = float(np.abs(data.C - data.ctx.C_dn).max())
+            gap = float(np.abs(mdata(name, p).C - ctx.C_dn).max())
             if gap >= 1e-7:
                 problems.append(f"{name}: C route mismatch {gap} at {p}")
     _verdict(6, "all structure-equation residuals < 1e-7, C agrees across "
@@ -227,20 +226,20 @@ def test_criterion_7_invariance_suite():
     pts = acc_points("so3", 3)
     base = {}
     for p in pts:
-        data = mdata("so3", p)
-        base[p] = (data.g, ddvv_report(spec, p).ideal,
-                   ideal.invariants_uvlg(spec, p, data=data))
+        base[p] = (mdata("so3", p).g, ddvv_report(spec, p).ideal,
+                   ideal.invariants_uvlg(context("so3", p)))
     for k in range(5):
         T = gallery.random_lorentz(seed=7001 + k)
         moved = moebius.conformal_transform(spec, T)
         for p in pts:
             g0, ideal0, inv0 = base[p]
-            data1 = moebius.moebius_data(moebius.MoebiusContext(moved, p))
+            ctx1 = moebius.MoebiusContext(moved, p)
+            data1 = moebius.moebius_data(ctx1)
             if float(np.abs(data1.g - g0).max()) >= 1e-7:
                 problems.append(f"transform {k}: metric moved at {p}")
             if ddvv_report(moved, p).ideal != ideal0:
                 problems.append(f"transform {k}: ideality flag flipped")
-            inv1 = ideal.invariants_uvlg(moved, p, data=data1)
+            inv1 = ideal.invariants_uvlg(ctx1)
             for label, a, b in (("L", inv0.L, inv1.L),
                                 ("G", inv0.G, inv1.G),
                                 ("Fhat", inv0.Fhat, inv1.Fhat)):
@@ -253,13 +252,13 @@ def test_criterion_7_invariance_suite():
                 problems.append(f"transform {k}: domega moved by {dd}")
     for name in ("so3", "hopf-generic"):
         p = acc_points(name, 1)[0]
-        data = mdata(name, p)
-        ref = ideal.CanonicalFields(data.ctx)
+        ctx = context(name, p)
+        ref = ideal.CanonicalFields(ctx)
         ref_om = np.array([jets.value_of(c) for c in ref.omega_chart])
         ref_f = jets.value_of(ref.Fhat_field)
         rng = np.random.default_rng(0xA11CE)
         for t in rng.uniform(-math.pi, math.pi, size=10):
-            cf = ideal.CanonicalFields(data.ctx, pregauge=float(t))
+            cf = ideal.CanonicalFields(ctx, pregauge=float(t))
             om = np.array([jets.value_of(c) for c in cf.omega_chart])
             if (abs(cf.L - ref.L) >= 1e-8 or abs(cf.G - ref.G) >= 1e-8
                     or abs(jets.value_of(cf.Fhat_field) - ref_f) >= 1e-8
@@ -274,17 +273,20 @@ def test_criterion_7_invariance_suite():
 # 8. the identity suite tying all the invariants together
 
 
+def _d(cf, f, k):
+    """Derivative of a scalar jet field along adapted frame vector k."""
+    return moebius.frame_scalar_d(cf.frame_chart, f, k)
+
+
 def test_criterion_8_identity_suite():
     problems = []
     for name in TWISTED:
-        spec = entry(name).spec
         for p in acc_points(name, 20):
-            data = mdata(name, p)
-            cf = ideal.CanonicalFields(data.ctx)
+            cf = ideal.CanonicalFields(context(name, p))
             val = jets.value_of
-            if abs(val(cf.d(cf.Lf, 2)) - cf.G) > 1e-7:
+            if abs(val(_d(cf, cf.Lf, 2)) - cf.G) > 1e-7:
                 problems.append(f"{name}: E3(L) != G at {p}")
-            hf = ideal.hat_frame(spec, p, data=data, fields=cf)
+            hf = ideal.hat_frame(cf)
             Fv = val(cf.Fhat_field)
             if abs(hf.hat_coframe[2, 2] - Fv) > 1e-7:
                 problems.append(f"{name}: Fhat routes disagree at {p}")
@@ -292,21 +294,20 @@ def test_criterion_8_identity_suite():
             if abs(ghat) > 1e-8:
                 problems.append(f"{name}: Ghat = {ghat} at {p}")
             lam = val(cf.lamf)
-            hf2 = ideal.hat_frame(spec, p, lam=lam + 0.1, data=data,
-                                  fields=cf)
+            hf2 = ideal.hat_frame(cf, lam=lam + 0.1)
             ghat2 = 0.5 * (hf2.hat_coframe[0, 1] - hf2.hat_coframe[1, 0])
             want = -0.1 * cf.L
             if abs(ghat2 - want) > 1e-7 * max(1.0, abs(want)):
                 problems.append(f"{name}: Ghat response {ghat2} vs {want}")
             w = [val(x) for x in cf.w_fields]
             for k in range(3):
-                if abs(val(cf.d(cf.Fhat_field, k)) + 2.0 * Fv * w[k]) > 1e-6:
+                if abs(val(_d(cf, cf.Fhat_field, k)) + 2.0 * Fv * w[k]) > 1e-6:
                     problems.append(f"{name}: dFhat + 2 Fhat omega != 0 "
                                     f"in direction {k} at {p}")
             nu = cf.ctx.rho / SQRT6
             nu0 = val(nu)
             for k in range(3):
-                if abs(val(cf.d(nu, k)) / nu0 - w[k]) > 1e-7:
+                if abs(val(_d(cf, nu, k)) / nu0 - w[k]) > 1e-7:
                     problems.append(f"{name}: omega != dlog(nu) in "
                                     f"direction {k} at {p}")
             if abs(cf.d_form_on(cf.coframe_can[2], 0, 1) - 2.0 * cf.L) > 1e-7:
@@ -314,7 +315,7 @@ def test_criterion_8_identity_suite():
             if abs(cf.d_form_on(cf.theta_chart, 0, 1)
                    - 2.0 * cf.mu ** 2) > 1e-6:
                 problems.append(f"{name}: d(theta12) != 2 mu^2 at {p}")
-            if ideal.holomorphic_residual(spec, p, data=data) > 1e-7:
+            if ideal.holomorphic_residual(cf) > 1e-7:
                 problems.append(f"{name}: holomorphic residual at {p}")
     _verdict(8, "derivative identities, hat-frame routes, and "
                 "holomorphicity at 20 points per entry", problems)

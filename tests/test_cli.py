@@ -304,6 +304,31 @@ def test_order_gate_runs_before_the_geometric_gates(capsys, cmd, name):
         "conformal frame data needs jet order >= 5, got 4"
 
 
+def test_ddvv_records_are_the_same_at_every_accepted_order(capsys):
+    docs = set()
+    for order in (2, 3, 4, 5):
+        code, out = run_cli(capsys, "ddvv", "--example", "hopf-generic",
+                            "--points", "3", "--order", str(order))
+        assert code == 0
+        docs.add(out.replace(f'"order":{order},', '"order":K,', 1))
+    assert len(docs) == 1
+
+
+@pytest.mark.parametrize("order, kind, message", [
+    (0, "InsufficientOrder",
+     "second fundamental form needs jet order >= 2, got 0"),
+    (1, "InsufficientOrder",
+     "second fundamental form needs jet order >= 2, got 1"),
+    (6, "OrderError", "jet order must be an integer in [0, 5], got 6"),
+])
+def test_ddvv_order_gate_runs_before_the_umbilic_gate(capsys, order, kind,
+                                                       message):
+    code, doc = run_json(capsys, "ddvv", "--example", "umbilic-control",
+                         "--points", "2", "--order", str(order))
+    assert code == 2
+    assert doc["error"] == {"kind": kind, "message": message}
+
+
 def test_partial_fields_refuse_lambda_with_the_cli_message(capsys):
     code, doc = run_json(capsys, "invariants", "--example", "cone-veronese",
                          "--points", "1")

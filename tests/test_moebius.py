@@ -1,6 +1,7 @@
 """Light-cone frame, conformal tensors, and integrability residuals."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from wintgen import gallery, jetalg, jets, moebius
 from wintgen.errors import ChartBlowUp, InsufficientOrder, NotLorentz
 from wintgen.moebius import MoebiusContext, ldot
 
-from _shared import entry, mdata, plan_points
+from _shared import context, entry, mdata, plan_points
 
 SQRT6 = math.sqrt(6.0)
 
@@ -53,7 +54,8 @@ def test_conformal_metric_matches_lift_metric(name):
     # g_ab as rho^2 (dx.dx)_ab against the raw pullback <d_a Y, d_b Y>
     for p in plan_points(name, 2):
         d = mdata(name, p)
-        Ya = [[jets.derivative(c, a + 1) for c in d.ctx.Y] for a in range(3)]
+        Ya = [[jets.derivative(c, a + 1) for c in context(name, p).Y]
+              for a in range(3)]
         for a in range(3):
             for b in range(3):
                 direct = jets.value_of(ldot(Ya[a], Ya[b]))
@@ -78,7 +80,7 @@ def test_frame_duality(name):
 def test_moving_frame_equation_for_dYi(name):
     for p in plan_points(name, 2):
         d = mdata(name, p)
-        ctx = d.ctx
+        ctx = context(name, p)
         for i in range(3):
             for j in range(3):
                 dYi = _vals(moebius.frame_vector_d(ctx.EC, ctx.Yi[i], j))
@@ -96,7 +98,7 @@ def test_dN_expansion_and_C_cross_route(name):
     # reproduce the C computed from mean curvature and log-rho derivatives.
     for p in plan_points(name, 2):
         d = mdata(name, p)
-        ctx = d.ctx
+        ctx = context(name, p)
         assert np.max(np.abs(d.C - ctx.C_dn)) < 1e-7
         for i in range(3):
             dN = _vals(moebius.frame_vector_d(ctx.EC, ctx.N, i))
@@ -109,7 +111,7 @@ def test_dN_expansion_and_C_cross_route(name):
 def test_connection_form_cross_route(name):
     p = plan_points(name, 1)[0]
     d = mdata(name, p)
-    ctx = d.ctx
+    ctx = context(name, p)
     for i in range(3):
         for j in range(3):
             for k in range(3):
@@ -120,7 +122,7 @@ def test_connection_form_cross_route(name):
 
 def test_theta_frame_vs_chart_components():
     p = plan_points("hopf-generic", 1)[0]
-    ctx = mdata("hopf-generic", p).ctx
+    ctx = context("hopf-generic", p)
     via_chart = ctx.EC_values @ _vals(ctx.theta12_chart)
     assert np.max(np.abs(via_chart - ctx.theta12_values)) < 1e-10
 
@@ -130,7 +132,7 @@ def test_blaschke_symmetric_and_dual_route():
         p = plan_points(name, 1)[0]
         d = mdata(name, p)
         assert np.max(np.abs(d.A - d.A.T)) < 1e-8
-        gauss_A = _vals(d.ctx.A_gauss)
+        gauss_A = _vals(context(name, p).A_gauss)
         assert np.max(np.abs(d.A - gauss_A)) < 1e-6
 
 
@@ -156,8 +158,7 @@ def test_so3_conformal_ground_truth():
 @pytest.mark.parametrize("name", CURVED)
 def test_integrability_residuals_vanish(name):
     for p in plan_points(name, 2):
-        d = mdata(name, p)
-        res = moebius.integrability_residuals(d.ctx.spec, p, data=d)
+        res = moebius.integrability_residuals(context(name, p))
         assert res.max_residual() < 1e-7, res
 
 
@@ -165,13 +166,13 @@ def test_residuals_detect_wrong_tensors():
     # the identities are not vacuous: corrupting A must break them
     p = plan_points("hopf-generic", 1)[0]
     d = mdata("hopf-generic", p)
-    cov = moebius.covariant_derivatives(d)
+    covC = context("hopf-generic", p).covC_values
     A_bad = d.A + np.diag([0.05, 0.0, -0.02])
     worst = 0.0
     for r in range(2):
         for i in range(3):
             for j in range(3):
-                lhs = cov.C_cov[r, i, j] - cov.C_cov[r, j, i]
+                lhs = covC[r, i, j] - covC[r, j, i]
                 rhs = sum(d.B[r, i, k] * A_bad[k, j] - d.B[r, j, k] * A_bad[k, i]
                           for k in range(3))
                 worst = max(worst, abs(lhs - rhs))
@@ -189,8 +190,6 @@ def test_order_gating():
     for order in (3, 4):
         with pytest.raises(InsufficientOrder, match=f"got {order}"):
             MoebiusContext(spec, p, order=order)
-    with pytest.raises(InsufficientOrder):
-        moebius.integrability_residuals(spec, p, order=4)
     d5 = moebius.moebius_data(MoebiusContext(spec, p, order=5))
     assert np.all(np.isfinite(d5.A))
     assert abs(d5.rho - SQRT6) < 1e-10
@@ -217,7 +216,8 @@ def test_conformal_invariance_of_moebius_data(name):
     spec = entry(name).spec
     pts = plan_points(name, 2)
     for k in range(3):
-        T = gallery.random_lorentz(seed=901 + 13 * k + hash(name) % 101)
+        T = gallery.random_lorentz(
+            seed=901 + 13 * k + zlib.crc32(name.encode()) % 101)
         moved = moebius.conformal_transform(spec, T)
         for p in pts:
             a = _sq_invariants(mdata(name, p))
@@ -232,7 +232,7 @@ def test_transformed_immersion_keeps_residuals_small():
     T = gallery.random_lorentz(seed=424242)
     moved = moebius.conformal_transform(spec, T)
     p = plan_points("so3", 1)[0]
-    res = moebius.integrability_residuals(moved, p)
+    res = moebius.integrability_residuals(MoebiusContext(moved, p))
     assert res.max_residual() < 1e-7
 
 

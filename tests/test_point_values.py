@@ -32,6 +32,11 @@ def _vals(x):
     return np.array(jetalg.values(x))
 
 
+def _fields(name, p, gauge="raw"):
+    return ideal.CanonicalFields(
+        moebius.MoebiusContext(entry(name).spec, p), gauge=gauge)
+
+
 def _theta12_field(ctx):
     """theta_12(E_k) = <E_k(xi_1), xi_2> as jet fields."""
     return [ldot(moebius.frame_vector_d(ctx.EC, ctx.xi[0], k), ctx.xi[1])
@@ -112,7 +117,7 @@ def test_riemann_symmetries_and_ricci_contraction(name):
 @pytest.mark.parametrize("gauge", ["raw", "V0"])
 def test_fhat_from_dn_route_matches_gauss_field(name, gauge):
     for p in _points(name):
-        cf = ideal._analyze(entry(name).spec, p, gauge=gauge)
+        cf = _fields(name, p, gauge)
         inv = ideal._package_invariants(cf)
         _close(inv.Fhat, jets.value_of(cf.Fhat_field))
 
@@ -120,11 +125,14 @@ def test_fhat_from_dn_route_matches_gauss_field(name, gauge):
 @pytest.mark.parametrize("name", TWISTED)
 def test_frame_derivative_matches_raw_frame_route(name):
     p = _points(name)[0]
-    cf = ideal._analyze(entry(name).spec, p)
+    cf = _fields(name, p)
     ctx = cf.ctx
     f = ctx.rho * ctx.Y[3]
     for k in range(3):
         via_raw = sum(cf.Rf[k][j] * moebius.frame_scalar_d(ctx.EC, f, j)
                       for j in range(3))
-        _close(cf.d(f, k).c, via_raw.c, 1e-11)
-    _close(moebius.frame_d_values(cf.E_chart, ctx.Y), [_vals(cf.dvec(ctx.Y, k)) for k in range(3)])
+        _close(moebius.frame_scalar_d(cf.frame_chart, f, k).c, via_raw.c,
+               1e-11)
+    _close(moebius.frame_d_values(cf.E_chart, ctx.Y),
+           [_vals(moebius.frame_vector_d(cf.frame_chart, ctx.Y, k))
+            for k in range(3)])

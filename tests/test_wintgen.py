@@ -2,6 +2,7 @@
 and the classification verdicts."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from wintgen import gallery, ideal, jetalg, jets, moebius
 from wintgen.errors import (InsufficientOrder, IntegrableDistribution,
                             NotIdealPoint, UmbilicPoint)
 
-from _shared import entry, mdata, plan_points
+from _shared import context, entry, mdata, plan_points
 
 SQRT6 = math.sqrt(6.0)
 MU = 1.0 / SQRT6
@@ -20,12 +21,16 @@ TWISTED = ["so3", "veronese-hopf", "hopf-generic"]
 
 
 def frame_of(name, p, gauge="raw", **kw):
-    return ideal.CanonicalFields(mdata(name, p).ctx, gauge=gauge, **kw)
+    return ideal.CanonicalFields(context(name, p), gauge=gauge, **kw)
 
 
 def invariants_of(name, p, gauge="raw"):
-    e = entry(name)
-    return ideal.invariants_uvlg(e.spec, p, gauge=gauge, data=mdata(name, p))
+    return ideal.invariants_uvlg(context(name, p), gauge=gauge)
+
+
+def _d(cf, f, k):
+    """Derivative of a scalar jet field along adapted frame vector k."""
+    return moebius.frame_scalar_d(cf.frame_chart, f, k)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +43,7 @@ def test_canonical_pattern_and_mu(name):
         cf = frame_of(name, p)
         assert cf.pattern_residual < 1e-8
         assert abs(cf.mu - MU) < 1e-9
-        g = np.array(jetalg.values(mdata(name, p).ctx.g))
+        g = np.array(jetalg.values(context(name, p).g))
         E = cf.E_chart
         assert np.abs(E @ g @ E.T - np.eye(3)).max() < 1e-9
         xi = np.array(jetalg.values(cf.xi))
@@ -64,12 +69,12 @@ def test_recanonicalization_after_extra_rotation():
 def test_gauge_angle_invariance(name):
     rng = np.random.default_rng(0xA11CE)
     p = plan_points(name, 1)[0]
-    data = mdata(name, p)
-    base = ideal.CanonicalFields(data.ctx)
+    ctx = context(name, p)
+    base = ideal.CanonicalFields(ctx)
     ref = (base.L, base.G, jets.value_of(base.Fhat_field),
            np.array([jets.value_of(c) for c in base.omega_chart]))
     for t in rng.uniform(-math.pi, math.pi, size=10):
-        cf = ideal.CanonicalFields(data.ctx, pregauge=float(t))
+        cf = ideal.CanonicalFields(ctx, pregauge=float(t))
         assert abs(cf.L - ref[0]) < 1e-8
         assert abs(cf.G - ref[1]) < 1e-8
         assert abs(jets.value_of(cf.Fhat_field) - ref[2]) < 1e-8
@@ -98,10 +103,9 @@ def test_oriented_torsion_is_odd_in_e3(name):
     # scalar, and the rule picks the orientation where it is positive; in
     # the adapted frame the scalar is L itself
     for p in plan_points(name, 3):
-        data = mdata(name, p)
-        cf = ideal.CanonicalFields(data.ctx)
+        cf = frame_of(name, p)
         E1, E2, E3 = cf.Rfv
-        args = (data.ctx.covB_values, data.B, E1, E2)
+        args = (context(name, p).covB_values, mdata(name, p).B, E1, E2)
         L = ideal._oriented_torsion(*args, E3)
         assert L > 1e-3
         assert abs(L - cf.L) < 1e-12
@@ -146,7 +150,7 @@ def test_hopf_lift_has_flat_leaf_data():
             assert max(abs(d) for d in inv.domega) < 1e-7
             cf = frame_of(name, p)
             nu = cf.ctx.rho / SQRT6
-            e3_lognu = jets.value_of(cf.d(nu, 2)) / jets.value_of(nu)
+            e3_lognu = jets.value_of(_d(cf, nu, 2)) / jets.value_of(nu)
             assert abs(e3_lognu) < 1e-7
             assert abs(inv.G - inv.L * e3_lognu) < 1e-7
 
@@ -182,25 +186,23 @@ def test_connection_cross_routes():
 def test_derivative_of_torsion_is_g(name):
     for p in plan_points(name, 3):
         cf = frame_of(name, p)
-        assert abs(jets.value_of(cf.d(cf.Lf, 2)) - cf.G) < 1e-7
+        assert abs(jets.value_of(_d(cf, cf.Lf, 2)) - cf.G) < 1e-7
 
 
 @pytest.mark.parametrize("name", TWISTED)
 def test_fhat_two_routes(name):
-    e = entry(name)
     for p in plan_points(name, 3):
         inv = invariants_of(name, p)
-        hf = ideal.hat_frame(e.spec, p, data=mdata(name, p))
+        hf = ideal.hat_frame(frame_of(name, p))
         assert abs(hf.hat_coframe[2, 2] - inv.Fhat) < 1e-7
 
 
 def test_ghat_veries_linearly_in_lambda():
-    e = entry("so3")
     p = plan_points("so3", 1)[0]
     inv = invariants_of("so3", p)
     assert abs(inv.Ghat) < 1e-8
     delta = 0.1
-    hf = ideal.hat_frame(e.spec, p, lam=inv.lam + delta, data=mdata("so3", p))
+    hf = ideal.hat_frame(frame_of("so3", p), lam=inv.lam + delta)
     ghat = 0.5 * (hf.hat_coframe[0, 1] - hf.hat_coframe[1, 0])
     target = -delta * inv.L
     assert abs(ghat - target) < 1e-7 * abs(target)
@@ -213,7 +215,7 @@ def test_fhat_is_parallel_for_closed_omega(name):
         Fv = jets.value_of(cf.Fhat_field)
         w = [jets.value_of(x) for x in cf.w_fields]
         for k in range(3):
-            assert abs(jets.value_of(cf.d(cf.Fhat_field, k))
+            assert abs(jets.value_of(_d(cf, cf.Fhat_field, k))
                        + 2.0 * Fv * w[k]) < 1e-6
 
 
@@ -226,7 +228,7 @@ def test_omega_is_log_derivative_of_conformal_factor(name):
         nu = cf.ctx.rho / SQRT6
         nu0 = jets.value_of(nu)
         for k, coeff in enumerate(inv.omega_coeffs):
-            assert abs(jets.value_of(cf.d(nu, k)) / nu0 - coeff) < 1e-7
+            assert abs(jets.value_of(_d(cf, nu, k)) / nu0 - coeff) < 1e-7
 
 
 @pytest.mark.parametrize("name", TWISTED)
@@ -241,9 +243,8 @@ def test_nonintegrability_and_normal_curvature_scales(name):
 
 @pytest.mark.parametrize("name", TWISTED)
 def test_normal_pair_is_holomorphic(name):
-    e = entry(name)
     for p in plan_points(name, 3):
-        res = ideal.holomorphic_residual(e.spec, p, data=mdata(name, p))
+        res = ideal.holomorphic_residual(frame_of(name, p))
         assert res < 1e-7
 
 
@@ -253,15 +254,14 @@ def test_normal_pair_is_holomorphic(name):
 
 def test_hat_frame_algebra():
     for name in TWISTED:
-        e = entry(name)
         p = plan_points(name, 2)[1]
-        data = mdata(name, p)
-        hf = ideal.hat_frame(e.spec, p, data=data)
-        Y = np.array(jetalg.values(data.ctx.Y))
+        cf = frame_of(name, p)
+        hf = ideal.hat_frame(cf)
+        Y = np.array(jetalg.values(cf.ctx.Y))
         lz = lambda u, v: -u[0] * v[0] + u[1:] @ v[1:]
         assert abs(lz(hf.Yhat, hf.Yhat)) < 1e-9
         assert abs(lz(Y, hf.Yhat) - 1.0) < 1e-9
-        xi = np.array(jetalg.values(ideal.CanonicalFields(data.ctx).xi))
+        xi = np.array(jetalg.values(cf.xi))
         for i in range(3):
             assert abs(lz(hf.Yhat, hf.eta[i])) < 1e-9
             for j in range(3):
@@ -272,10 +272,9 @@ def test_hat_frame_algebra():
 
 
 def test_hat_coframe_is_fhat_multiple_when_lambda_matches():
-    e = entry("so3")
     for p in plan_points("so3", 3):
         inv = invariants_of("so3", p)
-        hf = ideal.hat_frame(e.spec, p, data=mdata("so3", p))
+        hf = ideal.hat_frame(frame_of("so3", p))
         assert abs(hf.hat_coframe[0, 1]) < 1e-8
         assert abs(hf.hat_coframe[1, 0]) < 1e-8
         assert abs(hf.hat_coframe[0, 0] - inv.Fhat) < 1e-8
@@ -306,12 +305,25 @@ def _structure_target():
 
 
 def test_structure_matrix_constant_coefficients():
-    e = entry("so3")
     target = _structure_target()
     for p in plan_points("so3", 3):
-        labels, S = ideal.structure_matrix(e.spec, p, data=mdata("so3", p))
+        labels, S = ideal.structure_matrix(frame_of("so3", p))
         assert labels == ideal.STRUCTURE_LABELS
         assert np.abs(S - target).max() < 1e-7
+
+
+def test_readme_library_snippet_runs_as_written():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    code = text.split("## Library", 1)[1].split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    assert abs(ns["inv"].L - MU) < 1e-8
+    assert ns["res"].max_residual() < 1e-7
+    assert ns["labels"] == ideal.STRUCTURE_LABELS
+    assert np.abs(ns["S"] - _structure_target()).max() < 1e-7
+    assert abs(ns["hf"].hat_coframe[2, 2] - ns["inv"].Fhat) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +357,13 @@ def test_integrable_cone_is_reported_not_skipped():
     with pytest.raises(IntegrableDistribution):
         ideal.hopf_criterion(cone.spec, plan_points("cone-veronese", 3))
     with pytest.raises(IntegrableDistribution):
-        ideal.invariants_uvlg(cone.spec, plan_points("cone-veronese", 1)[0])
+        ideal.invariants_uvlg(context("cone-veronese",
+                                      plan_points("cone-veronese", 1)[0]))
 
 
 def test_partial_invariants_on_integrable_entry():
     p = plan_points("cone-veronese", 1)[0]
-    inv = ideal.invariants_uvlg(entry("cone-veronese").spec, p, partial=True)
+    inv = ideal.invariants_uvlg(context("cone-veronese", p), partial=True)
     assert abs(inv.L) < 1e-6
     assert math.isfinite(inv.U) and math.isfinite(inv.V)
     assert math.isfinite(inv.G)
@@ -373,22 +386,26 @@ def test_hopf_criterion_on_lift_entries():
 def test_non_ideal_point_is_refused():
     gc = entry("generic-control")
     with pytest.raises(NotIdealPoint):
-        ideal.invariants_uvlg(gc.spec, plan_points("generic-control", 1)[0])
+        ideal.invariants_uvlg(moebius.MoebiusContext(
+            gc.spec, plan_points("generic-control", 1)[0]))
 
 
 def test_umbilic_point_is_refused():
     um = entry("umbilic-control")
     with pytest.raises(UmbilicPoint):
-        ideal.invariants_uvlg(um.spec, plan_points("umbilic-control", 1)[0])
+        ideal.invariants_uvlg(moebius.MoebiusContext(
+            um.spec, plan_points("umbilic-control", 1)[0]))
 
 
 def test_low_order_is_refused():
+    # the order enters only through the context, which refuses it
     e = entry("so3")
     with pytest.raises(InsufficientOrder):
-        ideal.invariants_uvlg(e.spec, plan_points("so3", 1)[0], order=4)
+        ideal.invariants_uvlg(moebius.MoebiusContext(
+            e.spec, plan_points("so3", 1)[0], order=4))
 
 
 def test_unknown_gauge_is_rejected():
     p = plan_points("so3", 1)[0]
     with pytest.raises(ValueError):
-        ideal.CanonicalFields(mdata("so3", p).ctx, gauge="v0")
+        ideal.CanonicalFields(context("so3", p), gauge="v0")
