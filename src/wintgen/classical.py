@@ -1,10 +1,15 @@
 """Classical submanifold invariants at a chart point.
 
-ClassicalContext carries everything as jets so later modules can
-differentiate; check_order is its jet-order gate (orders 2 to 5), also run
-by the ddvv command, whose records read only second partials.  The
-reporting types (ClassicalData, DDVVReport, KernelPlane, AdaptedFrame) hold
-plain floats.
+ClassicalContext carries the chart, the frames and the second fundamental
+form as jets so later modules can differentiate.  Its point pass
+(ClassicalContext.point) runs the same formulas once on floats, from the
+chart jet's values and first and second partials: it decides the
+NotImmersed gates and the normal-frame pivots, and the umbilic test,
+classical_data and the ddvv command read only its values, so they build no
+jet beyond the chart's.  check_order is the jet-order gate (orders 2 to 5),
+also run by the ddvv command, whose records read only second partials.
+The reporting types (ClassicalData, DDVVReport, KernelPlane, AdaptedFrame)
+hold plain floats.
 
 Index conventions: a, b, c label chart coordinates; i, j, k label the
 orthonormal tangent frame; r, s label the orthonormal normal frame.
@@ -39,7 +44,13 @@ def check_order(order: int) -> None:
 
 
 class ClassicalContext:
-    """Lazy jet computations for one immersion at one chart point."""
+    """Lazy jet computations for one immersion at one chart point.
+
+    `point` is the same context on floats.  It decides the NotImmersed
+    gates (metric determinant, normal-frame residual) and picks the
+    normal-frame pivots, which the jet pass reuses, and it supplies the
+    values of induced_metric, frame_chart, tangent_amb, normal_frame, h and
+    H that is_umbilic and classical_data read."""
 
     def __init__(self, spec: ImmersionSpec, p, order: int = 5):
         check_order(order)
@@ -51,6 +62,10 @@ class ClassicalContext:
     @cached_property
     def x(self):
         return eval_immersion_jet(self.spec, self.p, self.order)
+
+    @cached_property
+    def point(self) -> "ClassicalContext":
+        return _PointPass(self)
 
     @cached_property
     def xa(self):
@@ -73,19 +88,8 @@ class ClassicalContext:
     def frame_chart(self):
         """Rows eC[i]: orthonormal tangent frame e_i = sum_a eC[i][a] d/du_a,
         lower-triangular (Gram-Schmidt in chart order)."""
-        I = self.induced_metric
-        Ival = [[jets.value_of(v) for v in row] for row in I]
-        det = (Ival[0][0] * (Ival[1][1] * Ival[2][2] - Ival[1][2] ** 2)
-               - Ival[0][1] * (Ival[0][1] * Ival[2][2] - Ival[1][2] * Ival[0][2])
-               + Ival[0][2] * (Ival[0][1] * Ival[1][2] - Ival[1][1] * Ival[0][2]))
-        scale = (max(Ival[0][0] + Ival[1][1] + Ival[2][2], 0.0) / 3.0) ** 3
-        if det <= 1e-12 * max(scale, 1e-300):
-            raise NotImmersed(
-                f"induced metric degenerate at {self.p} (det {det:.3e})")
-        try:
-            return jetalg.inv_lower3(jetalg.cholesky3(I))
-        except DomainError:
-            raise NotImmersed(f"induced metric not positive definite at {self.p}")
+        self.point.frame_chart  # refuses where the metric is degenerate
+        return jetalg.inv_lower3(jetalg.cholesky3(self.induced_metric))
 
     @cached_property
     def tangent_amb(self):
@@ -93,63 +97,47 @@ class ClassicalContext:
         return [[jetalg.dot(self.frame_chart[i], [xa[k] for xa in self.xa])
                  for k in range(len(self.x))] for i in range(3)]
 
-    @cached_property
-    def normal_frame(self):
-        """Two unit normals by greedy Gram-Schmidt over the standard basis,
-        pivoting on the largest residual at the point.  For sphere and
-        hyperbolic ambients the position vector is part of the space to
-        project away (with sign -1 for the timelike hyperbolic position)."""
-        ncomp = self.spec.ambient.ncomp
+    def _units(self):
+        """The vectors the normals are made orthogonal to, with the sign of
+        their square: the position for sphere and hyperbolic ambients (-1
+        for the timelike hyperbolic position), then the tangent frame."""
         units = []
         if self.spec.ambient.kind == "sphere":
             units.append((self.x, 1.0))
         elif self.spec.ambient.kind == "hyperbolic":
             units.append((self.x, -1.0))
         units.extend((t, 1.0) for t in self.tangent_amb)
+        return units
 
-        vals = [[jets.value_of(c) for c in u] for u, _ in units]
-        signs = [s for _, s in units]
+    def _constant(self, value: float):
+        return jets.MultiJet.constant(value, self.order)
 
-        def val_inner(u, v):
-            if self.spec.ambient.kind == "hyperbolic":
-                return -u[0] * v[0] + sum(a * b for a, b in zip(u[1:], v[1:]))
-            return sum(a * b for a, b in zip(u, v))
+    def _residual(self, k, units):
+        """The k-th standard basis vector with its components along the
+        units projected away, one after another."""
+        v = [self._constant(1.0 if m == k else 0.0)
+             for m in range(self.spec.ambient.ncomp)]
+        for u, s in units:
+            coef = self.inner(v, u) * s
+            v = [a - coef * b for a, b in zip(v, u)]
+        return v
 
+    @cached_property
+    def normal_frame(self):
+        """Two unit normals by Gram-Schmidt from the standard basis vectors
+        the point pass picked."""
+        self.point.normal_frame  # picks the pivots, or refuses
+        units = self._units()
         normals = []
-        used = set()
-        for _ in range(2):
-            # pivot selection on plain floats
-            best_k, best_res = -1, -1.0
-            for k in range(ncomp):
-                if k in used:
-                    continue
-                v = [0.0] * ncomp
-                v[k] = 1.0
-                for uval, s in zip(vals, signs):
-                    coef = s * val_inner(v, uval)
-                    v = [a - coef * b for a, b in zip(v, uval)]
-                res = val_inner(v, v)
-                if res > best_res + 1e-15:
-                    best_k, best_res = k, res
-            if best_res <= 1e-12:
-                raise NotImmersed(f"cannot complete normal frame at {self.p}")
-            used.add(best_k)
-            # the same elimination once more, in jets
-            v = [jets.MultiJet.constant(1.0 if k == best_k else 0.0, self.x[0].order)
-                 for k in range(ncomp)]
-            for u, s in units:
-                coef = self.inner(v, u) * s
-                v = [a - coef * b for a, b in zip(v, u)]
-            n = jetalg.normalize(v, inner=self.inner)
+        for k in self.point.pivots:
+            n = jetalg.normalize(self._residual(k, units), inner=self.inner)
             units.append((n, 1.0))
-            vals.append([jets.value_of(c) for c in n])
-            signs.append(1.0)
             normals.append(n)
         return normals
 
     @cached_property
     def h(self):
-        """Second fundamental form h^r_ij in the orthonormal frames (jets)."""
+        """Second fundamental form h^r_ij in the orthonormal frames."""
         eC = self.frame_chart  # lower triangular: eC[i][a] = 0 for a > i
         out = []
         for n in self.normal_frame:
@@ -186,9 +174,8 @@ class ClassicalContext:
 
     def is_umbilic(self) -> bool:
         """|II - (1/3) tr(II) I|^2 <= 1e-10 max(|II|^2, 1e-8) at the point,
-        summed from the values of h and H in the order of trace_free_sq."""
-        h = jetalg.values(self.h)
-        H = jetalg.values(self.H)
+        summed from the point pass's h and H in the order of trace_free_sq."""
+        h, H = self.point.h, self.point.H
         umb2 = 0.0
         sq = 0.0
         for r in range(2):
@@ -199,14 +186,79 @@ class ClassicalContext:
                     sq += h[r][i][j] * h[r][i][j]
         return umb2 <= 1e-10 * max(sq, 1e-8)
 
-    @cached_property
-    def rho(self):
-        """Conformal factor: rho^2 = (3/2)|II - (1/3)tr(II) I|^2."""
+    def require_not_umbilic(self) -> None:
+        """The umbilic gate of the conformal invariants."""
         if self.is_umbilic():
             raise UmbilicPoint(
                 f"{self.spec.name} is totally umbilic at {self.p}; "
                 "conformal invariants are undefined there")
+
+    @cached_property
+    def rho(self):
+        """Conformal factor: rho^2 = (3/2)|II - (1/3)tr(II) I|^2."""
+        self.require_not_umbilic()
         return jets.sqrt(1.5 * self.trace_free_sq)
+
+
+class _PointPass(ClassicalContext):
+    """A ClassicalContext's formulas on floats.  x and its first and second
+    partials are read from the chart jet (jets.low_partials), so each value
+    equals the constant term of the matching jet bit for bit.  The gates
+    are decided here, on the values, and the pivots are picked here."""
+
+    def __init__(self, ctx: ClassicalContext):
+        self.spec, self.p, self.order = ctx.spec, ctx.p, ctx.order
+        self.inner = ctx.inner
+        self.point = self
+        parts = [jets.low_partials(c) for c in ctx.x]
+        self.x = [v for v, _, _ in parts]
+        self.xa = [[d1[a] for _, d1, _ in parts] for a in range(3)]
+        self.xab = [[[d2[a][b] for _, _, d2 in parts] for b in range(3)]
+                    for a in range(3)]
+
+    @cached_property
+    def frame_chart(self):
+        I = self.induced_metric
+        det = (I[0][0] * (I[1][1] * I[2][2] - I[1][2] ** 2)
+               - I[0][1] * (I[0][1] * I[2][2] - I[1][2] * I[0][2])
+               + I[0][2] * (I[0][1] * I[1][2] - I[1][1] * I[0][2]))
+        scale = (max(I[0][0] + I[1][1] + I[2][2], 0.0) / 3.0) ** 3
+        if det <= 1e-12 * max(scale, 1e-300):
+            raise NotImmersed(
+                f"induced metric degenerate at {self.p} (det {det:.3e})")
+        try:
+            return jetalg.inv_lower3(jetalg.cholesky3(I))
+        except (DomainError, ZeroDivisionError):
+            raise NotImmersed(f"induced metric not positive definite at {self.p}")
+
+    def _constant(self, value: float):
+        return value
+
+    @cached_property
+    def normal_frame(self):
+        """Each normal starts from the standard basis vector with the
+        largest residual; a later index needs a residual larger by 1e-15.
+        Refuses where no residual exceeds 1e-12.  The indices are kept in
+        pivots."""
+        units = self._units()
+        normals, pivots = [], []
+        for _ in range(2):
+            best_k, best_res, best_v = -1, -1.0, None
+            for k in range(self.spec.ambient.ncomp):
+                if k in pivots:
+                    continue
+                v = self._residual(k, units)
+                res = self.inner(v, v)
+                if res > best_res + 1e-15:
+                    best_k, best_res, best_v = k, res, v
+            if best_res <= 1e-12:
+                raise NotImmersed(f"cannot complete normal frame at {self.p}")
+            pivots.append(best_k)
+            n = jetalg.normalize(best_v, inner=self.inner)
+            units.append((n, 1.0))
+            normals.append(n)
+        self.pivots = tuple(pivots)
+        return normals
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +281,13 @@ def fundamental_forms(spec: ImmersionSpec, p) -> ClassicalData:
 
 
 def classical_data(ctx: ClassicalContext) -> ClassicalData:
+    """The forms at the context's point, from its point pass."""
+    pt = ctx.point
     return ClassicalData(
-        induced_metric=np.array(jetalg.values(ctx.induced_metric)),
-        tangent_frame=np.array(jetalg.values(ctx.frame_chart)),
-        normal_frame=np.array(jetalg.values(ctx.normal_frame)),
-        h=np.array(jetalg.values(ctx.h)),
-        H=np.array(jetalg.values(ctx.H)),
-        c=ctx.spec.ambient.c)
+        induced_metric=np.array(pt.induced_metric),
+        tangent_frame=np.array(pt.frame_chart),
+        normal_frame=np.array(pt.normal_frame),
+        h=np.array(pt.h), H=np.array(pt.H), c=ctx.spec.ambient.c)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -355,7 +356,10 @@ _RUNNERS = {
 # argument parsing and dispatch
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="wintgen",
         description="Conformal-invariant reports for three-dimensional "

@@ -9,8 +9,9 @@ the 1-form omega) are honest derivatives of smooth fields.  E3 is oriented
 at each point on its own, by the sign of the torsion L, and the verdicts
 are folds over the per-point invariants of a sample.  CanonicalFields
 takes a MoebiusContext, which fixes the point and the jet order, and
-decides the umbilic and ideality refusals from the classical forms before
-it snapshots the Moebius data.  Functions of one point take the context
+decides the umbilic and ideality refusals on the classical point pass (the
+values of h and H, ClassicalContext.point) before it builds any frame jet
+or snapshots the Moebius data.  Functions of one point take the context
 (invariants_uvlg) or the canonical fields (hat_frame, holomorphic_residual,
 structure_matrix); the verdicts take a chart and a sample.
 """
@@ -71,9 +72,10 @@ class CanonicalFields:
     (Gram-Schmidt) frame; Qf columns express the adapted normal sphere pair
     through the raw one.  All component fields (b, c, connection and their
     covariant derivatives) refer to this frame.  Construction refuses at an
-    umbilic point, then at a point that is not ideal within tol, then where
-    the torsion is at most ltol, unless partial: partial fields are marked
-    integrable and refuse at lamf instead.
+    umbilic point, then at a point that is not ideal within tol, both
+    decided on the point pass of ctx.classical, then where the torsion is
+    at most ltol, unless partial: partial fields are marked integrable and
+    refuse at lamf instead.
     """
 
     def __init__(self, ctx: MoebiusContext, gauge: str = "raw", pregauge=None,
@@ -84,11 +86,10 @@ class CanonicalFields:
         self.gauge = gauge
         self.ltol = float(ltol)
 
-        ctx.rho  # raises UmbilicPoint at an umbilic point
         cl = ctx.classical
-        hv = np.array(jetalg.values(cl.h))
-        Hv = np.array(jetalg.values(cl.H))
-        report = ddvv_from_forms(hv, Hv, cl.spec.ambient.c, tol=tol)
+        cl.require_not_umbilic()
+        report = ddvv_from_forms(np.array(cl.point.h), np.array(cl.point.H),
+                                 cl.spec.ambient.c, tol=tol)
         if not report.ideal:
             raise NotIdealPoint(
                 f"equality gap {report.slack:.3e} at {ctx.p}: not an ideal point")
@@ -476,11 +477,13 @@ def _package_invariants(cf: CanonicalFields) -> WintgenInvariants:
 
 
 def invariants_uvlg(ctx: MoebiusContext, gauge: str = "raw",
-                    ltol: float = 1e-6, pregauge=None,
-                    partial: bool = False) -> WintgenInvariants:
-    """The scalar invariants at the context's point."""
+                    ltol: float = 1e-6, pregauge=None, partial: bool = False,
+                    tol: float = 1e-7) -> WintgenInvariants:
+    """The scalar invariants at the context's point; tol is the DDVV
+    equality tolerance of the ideality gate."""
     return _package_invariants(CanonicalFields(
-        ctx, gauge=gauge, pregauge=pregauge, ltol=ltol, partial=partial))
+        ctx, gauge=gauge, pregauge=pregauge, ltol=ltol, partial=partial,
+        tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +577,11 @@ def classify_theorem_b(spec: ImmersionSpec, sample, tol: float = 1e-6,
                        gauge: str = "raw",
                        ltol: float = 1e-6) -> TheoremBVerdict:
     """Closedness of the distinguished 1-form plus the sign of Fhat over a
-    sample, combined into the space-form verdict."""
+    sample, combined into the space-form verdict.  tol is also the ideality
+    gate's tolerance, as --tol is on the command line."""
     return theorem_b_verdict(
-        [invariants_uvlg(MoebiusContext(spec, p), gauge=gauge, ltol=ltol)
-         for p in sample], tol)
+        [invariants_uvlg(MoebiusContext(spec, p), gauge=gauge, ltol=ltol,
+                         tol=tol) for p in sample], tol)
 
 
 @dataclass(frozen=True)
@@ -598,10 +602,12 @@ def hopf_verdict(invs, tol: float = 1e-6) -> HopfReport:
 
 def hopf_criterion(spec: ImmersionSpec, sample, tol: float = 1e-6,
                    gauge: str = "raw", ltol: float = 1e-6) -> HopfReport:
-    """Lift test: the squared-torus fibration recognizer max(|G|, |domega|)."""
+    """Lift test: the squared-torus fibration recognizer max(|G|, |domega|).
+    tol is also the ideality gate's tolerance, as --tol is on the command
+    line."""
     return hopf_verdict(
-        [invariants_uvlg(MoebiusContext(spec, p), gauge=gauge, ltol=ltol)
-         for p in sample], tol)
+        [invariants_uvlg(MoebiusContext(spec, p), gauge=gauge, ltol=ltol,
+                         tol=tol) for p in sample], tol)
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,22 @@ def gradient(x) -> np.ndarray:
     return x.c[1:1 + NVARS].copy()
 
 
+# the slots of the monomials e_a + e_b in graded order
+_SECOND = ((4, 5, 6), (5, 7, 8), (6, 8, 9))
+
+
+def low_partials(x: MultiJet):
+    """The value, the first partials [a] and the second partials [a][b] of
+    a jet of order >= 2 at the base point, as floats.  They equal the
+    constant terms of x, derivative(x, a + 1) and
+    derivative(derivative(x, a + 1), b + 1) bit for bit: the diagonal
+    second partials carry the factor 2 of T_alpha = d^alpha f / alpha!."""
+    c = x.c[:_NCOEF[2]].tolist()
+    d2 = [[c[k] * (2.0 if a == b else 1.0) for b, k in enumerate(row)]
+          for a, row in enumerate(_SECOND)]
+    return c[0], c[1:1 + NVARS], d2
+
+
 def extract_derivative(a: MultiJet, alpha) -> float:
     """Raw partial derivative d^alpha f at the basepoint (coefficient times alpha!)."""
     t = tuple(int(k) for k in alpha)

@@ -3,15 +3,18 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wintgen import gallery, ideal, moebius
+from wintgen import cli, gallery, ideal, moebius
 from wintgen.cli import main
-from wintgen.errors import IntegrableDistribution
+from wintgen.errors import IntegrableDistribution, NotIdealPoint
 from wintgen.immersion import sample_points
 
 
@@ -121,6 +124,63 @@ def test_bad_file_reports_parse_location(capsys, tmp_path):
     assert code == 2
     assert doc["error"]["kind"] == "ParseError"
     assert doc["error"]["line"] == 1
+
+
+# the chart does not depend on u3, so the induced metric is singular at
+# every point
+DEGENERATE = """\
+ambient: sphere
+name: degenerate
+domain: u1 in [0.3,2.8]; u2 in [0.3,2.8]; u3 in [0.3,2.8]
+x1 = cos(u1)
+x2 = sin(u1)*cos(u2)
+x3 = sin(u1)*sin(u2)
+x4 = 0
+x5 = 0
+x6 = 0
+"""
+
+
+@pytest.mark.parametrize("command", ["ddvv", "invariants", "theorem-b",
+                                     "hopf-check", "residuals"])
+def test_degenerate_chart_refuses_not_immersed(capsys, tmp_path, command):
+    path = tmp_path / "degenerate.imm"
+    path.write_text(DEGENERATE)
+    code, doc = run_json(capsys, command, "--spec", str(path), "--points",
+                         "2")
+    assert code == 3
+    assert doc["refusal"]["kind"] == "NotImmersed"
+    assert "induced metric degenerate" in doc["refusal"]["message"]
+
+
+def test_one_process_runs_like_separate_processes(capsys):
+    """The parser is built once and shared by later calls of main: a
+    sequence of calls in one process prints what separate processes print,
+    with the same exit codes."""
+    runs = [["ddvv", "--example", "so3", "--points", "2"],
+            ["invariants", "--example", "umbilic-control", "--points", "2"],
+            ["--help"],
+            ["ddvv", "--example", "so3", "--no-such-flag"]]
+    together = []
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        together.append((code, captured.out, captured.err))
+    assert cli._build_parser() is cli._build_parser()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    def untimed(err):
+        return [line for line in err.splitlines()
+                if not line.startswith("# elapsed")]
+
+    for argv, (code, out, err) in zip(runs, together):
+        proc = subprocess.run([sys.executable, "-m", "wintgen.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+        assert untimed(proc.stderr) == untimed(err), argv
+    assert [c for c, _, _ in together] == [0, 3, 0, 2]
 
 
 def test_low_order_is_input_error(capsys):
@@ -391,14 +451,26 @@ def test_negated_kernel_vector_leaves_records_unchanged(capsys, monkeypatch):
 TWISTED = ["so3", "veronese-hopf", "hopf-generic"]
 
 
-@pytest.mark.parametrize("name", TWISTED)
-def test_library_verdicts_equal_cli_aggregates(capsys, name):
+@pytest.mark.parametrize("name, n, seed, tol", [
+    *(pytest.param(name, 4, 1, 1e-7, id=name) for name in TWISTED),
+    # one tol sets the ideality gate in both: so3's equality holds to
+    # rounding, not to 1e-30
+    pytest.param("so3", 3, 0, 1e-30, id="so3-tol1e-30")])
+def test_library_verdicts_equal_cli_aggregates(capsys, name, n, seed, tol):
     spec = gallery.by_name(name).spec
-    pts = sample_points(spec.domain, 4, 1)
-    argv = ("--example", name, "--points", "4", "--seed", "1")
+    pts = sample_points(spec.domain, n, seed)
+    argv = ("--example", name, "--points", str(n), "--seed", str(seed),
+            "--tol", repr(tol))
     code, tb = run_json(capsys, "theorem-b", *argv)
+    if tol < 1e-20:
+        assert code == 3
+        assert tb["refusal"]["kind"] == "NotIdealPoint"
+        for verdict in (ideal.classify_theorem_b, ideal.hopf_criterion):
+            with pytest.raises(NotIdealPoint):
+                verdict(spec, pts, tol=tol)
+        return
     assert code == 0
-    v = ideal.classify_theorem_b(spec, pts, tol=1e-7)
+    v = ideal.classify_theorem_b(spec, pts, tol=tol)
     assert tb["aggregate"] == {
         "n_points": v.n_points, "classification": v.classification,
         "closed": v.closed, "Fhat_sign": v.Fhat_sign,
@@ -406,8 +478,8 @@ def test_library_verdicts_equal_cli_aggregates(capsys, name):
         "fhat_max": v.fhat_max}
     code, hc = run_json(capsys, "hopf-check", *argv)
     assert code == 0
-    rep = ideal.hopf_criterion(spec, pts, tol=1e-7)
-    assert hc["aggregate"] == {"n_points": 4, "satisfied": rep.satisfied,
+    rep = ideal.hopf_criterion(spec, pts, tol=tol)
+    assert hc["aggregate"] == {"n_points": n, "satisfied": rep.satisfied,
                                "max_G": rep.max_G,
                                "max_domega": rep.max_domega}
 
