@@ -138,22 +138,13 @@ class ClassicalContext:
     @cached_property
     def h(self):
         """Second fundamental form h^r_ij in the orthonormal frames."""
-        eC = self.frame_chart  # lower triangular: eC[i][a] = 0 for a > i
         out = []
         for n in self.normal_frame:
             hc = [[None] * 3 for _ in range(3)]
             for a in range(3):
                 for b in range(a + 1):
                     hc[a][b] = hc[b][a] = self.inner(self.xab[a][b], n)
-            # T = eC hc, then h = T eC^T
-            T = [[jetalg.dot(eC[i][:i + 1], [hc[a][b] for a in range(i + 1)])
-                  for b in range(3)] for i in range(3)]
-            mat = [[None] * 3 for _ in range(3)]
-            for i in range(3):
-                for j in range(i + 1):
-                    mat[i][j] = mat[j][i] = jetalg.dot(T[i][:j + 1],
-                                                       eC[j][:j + 1])
-            out.append(mat)
+            out.append(jetalg.lower_congruence(self.frame_chart, hc))
         return out
 
     @cached_property
@@ -162,7 +153,7 @@ class ClassicalContext:
 
     @cached_property
     def trace_free_sq(self):
-        """|II - (1/3) tr(II) I|^2 as a jet."""
+        """|II - (1/3) tr(II) I|^2 (a float on the point pass)."""
         acc = None
         for r in range(2):
             for i in range(3):
@@ -174,17 +165,14 @@ class ClassicalContext:
 
     def is_umbilic(self) -> bool:
         """|II - (1/3) tr(II) I|^2 <= 1e-10 max(|II|^2, 1e-8) at the point,
-        summed from the point pass's h and H in the order of trace_free_sq."""
-        h, H = self.point.h, self.point.H
-        umb2 = 0.0
+        from the point pass's trace_free_sq and h."""
+        h = self.point.h
         sq = 0.0
         for r in range(2):
             for i in range(3):
                 for j in range(3):
-                    t = h[r][i][j] - (H[r] if i == j else 0.0)
-                    umb2 += t * t
                     sq += h[r][i][j] * h[r][i][j]
-        return umb2 <= 1e-10 * max(sq, 1e-8)
+        return self.point.trace_free_sq <= 1e-10 * max(sq, 1e-8)
 
     def require_not_umbilic(self) -> None:
         """The umbilic gate of the conformal invariants."""
@@ -236,25 +224,31 @@ class _PointPass(ClassicalContext):
 
     @cached_property
     def normal_frame(self):
-        """Each normal starts from the standard basis vector with the
-        largest residual; a later index needs a residual larger by 1e-15.
-        Refuses where no residual exceeds 1e-12.  The indices are kept in
-        pivots."""
+        """Each normal starts from the standard basis vector e_k with the
+        largest residual, ranked in one pass by <e_k, e_k> - sum_u s_u u_k^2
+        over the orthonormal units; a later index needs a score larger by
+        1e-15.  Only the chosen residual is built, by Gram-Schmidt as in the
+        jet pass, and the pass refuses where its square is at most 1e-12.
+        The indices are kept in pivots."""
         units = self._units()
+        ncomp = self.spec.ambient.ncomp
+        hyperbolic = self.spec.ambient.kind == "hyperbolic"
         normals, pivots = [], []
         for _ in range(2):
-            best_k, best_res, best_v = -1, -1.0, None
-            for k in range(self.spec.ambient.ncomp):
+            best_k, best_score = -1, -math.inf
+            for k in range(ncomp):
                 if k in pivots:
                     continue
-                v = self._residual(k, units)
-                res = self.inner(v, v)
-                if res > best_res + 1e-15:
-                    best_k, best_res, best_v = k, res, v
-            if best_res <= 1e-12:
+                score = -1.0 if hyperbolic and k == 0 else 1.0
+                for u, s in units:
+                    score -= s * u[k] * u[k]
+                if score > best_score + 1e-15:
+                    best_k, best_score = k, score
+            v = self._residual(best_k, units)
+            if self.inner(v, v) <= 1e-12:
                 raise NotImmersed(f"cannot complete normal frame at {self.p}")
             pivots.append(best_k)
-            n = jetalg.normalize(best_v, inner=self.inner)
+            n = jetalg.normalize(v, inner=self.inner)
             units.append((n, 1.0))
             normals.append(n)
         self.pivots = tuple(pivots)

@@ -448,6 +448,11 @@ def _analysis_command(args) -> int:
         _emit(_error_doc(args.command, SchemaError("--points must be >= 1")),
               args.json)
         return EXIT_INPUT
+    for flag, value in (("--tol", args.tol), ("--ltol", args.ltol)):
+        if not (math.isfinite(value) and value > 0.0):
+            _emit(_error_doc(args.command, SchemaError(
+                f"{flag} must be finite and > 0, got {value!r}")), args.json)
+            return EXIT_INPUT
 
     pts = sample_points(spec.domain, args.points, args.seed)
     base = {

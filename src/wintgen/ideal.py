@@ -5,7 +5,9 @@ line and act on the orthogonal plane D as a fixed two-matrix pattern after a
 rotation.  classical.kernel_plane builds that adapted frame at the base
 point; this module extends it to jet fields, so that covariant derivatives
 of the adapted components (the scalars U, V, L, G, lambda, Fhat, Ghat and
-the 1-form omega) are honest derivatives of smooth fields.  E3 is oriented
+the 1-form omega) are honest derivatives of smooth fields.  The adapted
+frame's connection forms are moebius.connection_forms of its chart
+components, the one construction of connection forms.  E3 is oriented
 at each point on its own, by the sign of the torsion L, and the verdicts
 are folds over the per-point invariants of a sample.  CanonicalFields
 takes a MoebiusContext, which fixes the point and the jet order, and
@@ -25,12 +27,13 @@ from functools import cached_property
 import numpy as np
 
 from . import jetalg, jets
-from .classical import ddvv_from_forms, half_angle, kernel_plane
+from .classical import (_pattern_matrices, ddvv_from_forms, half_angle,
+                        kernel_plane)
 from .errors import IntegrableDistribution, NotIdealPoint
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusContext, connection_chart,
-                      d_form_values, frame_d_values, frame_scalar_d,
-                      frame_vector_d, moebius_data)
+                      connection_forms, d_form_values, frame_d_values,
+                      frame_scalar_d, moebius_data)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -249,32 +252,8 @@ class CanonicalFields:
     @cached_property
     def omega_can(self):
         """omega[i][j][k]: connection form of the adapted frame on its own
-        vectors, from the raw connection plus the rotation's derivative."""
-        Rf = self.Rf
-        om = self.ctx.omega
-        # the raw connection forms on the adapted vectors, raw[a][b][k]
-        raw = [[None] * 3 for _ in range(3)]
-        for a in range(3):
-            for bb in range(a):
-                raw[a][bb] = [sum_jets([Rf[k][c] * om[a][bb][c]
-                                        for c in range(3)]) for k in range(3)]
-        pairs = [(a, bb) for a in range(3) for bb in range(a)]
-        out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-        for i in range(1, 3):
-            dR = [frame_vector_d(self.frame_chart, Rf[i], k) for k in range(3)]
-            for j in range(i):
-                wedge = [Rf[i][a] * Rf[j][bb] - Rf[i][bb] * Rf[j][a]
-                         for a, bb in pairs]
-                for k in range(3):
-                    acc = sum_jets([dR[k][a] * Rf[j][a] for a in range(3)]
-                                   + [w * raw[a][bb][k]
-                                      for w, (a, bb) in zip(wedge, pairs)])
-                    out[i][j][k] = acc
-                    out[j][i][k] = -acc
-        zero = 0.0 * out[1][0][0]
-        for i in range(3):
-            out[i][i] = [zero] * 3
-        return out
+        vectors (moebius.connection_forms on frame_chart)."""
+        return connection_forms(self.frame_chart, self.ctx.g, self.ctx.Gamma)
 
     # Only a few components of the covariant derivatives are read, so they
     # are built one at a time; omega_can[l][l] vanishes and is skipped.
@@ -410,10 +389,7 @@ class CanonicalFields:
         bv = np.array([R @ (Q[0, r] * Bv[0] + Q[1, r] * Bv[1]) @ R.T
                        for r in range(2)])
         mu = (bv[0, 0, 1] + bv[0, 1, 0] + bv[1, 0, 0] - bv[1, 1, 1]) / 4.0
-        target = np.zeros((2, 3, 3))
-        target[0, 0, 1] = target[0, 1, 0] = mu
-        target[1, 0, 0] = mu
-        target[1, 1, 1] = -mu
+        target = np.array(_pattern_matrices(0.0, 0.0, mu))
         return float(np.max(np.abs(bv - target)))
 
 

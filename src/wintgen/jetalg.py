@@ -94,6 +94,19 @@ def inv_lower3(L):
     return [[i00, zero, zero], [i10, i11, zero], [i20, i21, i22]]
 
 
+def lower_congruence(L, M):
+    """L M L^T for a lower-triangular 3x3 L and a symmetric 3x3 M, skipping
+    the zero entries of L and building each symmetric pair once."""
+    # T = L M, then out = T L^T
+    T = [[dot(L[i][:i + 1], [M[a][b] for a in range(i + 1)]) for b in range(3)]
+         for i in range(3)]
+    out = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1):
+            out[i][j] = out[j][i] = dot(T[i][:j + 1], L[j][:j + 1])
+    return out
+
+
 def normalize(u, inner=dot):
     inv_n = 1.0 / jets.sqrt(inner(u, u))
     return [a * inv_n for a in u]

@@ -10,10 +10,12 @@ point take the context: integrability_residuals(ctx) reads its values, and
 moebius_data(ctx) snapshots its constant terms into MoebiusData.  A
 quantity whose value at the point is all that is read is computed in numpy
 from the values and first partials of the jets it derives from, not built
-as a jet field: E_i of a field (Y_i, E_i(N)), theta_12, the Blaschke tensor
-via dN, the Riemann tensor of g, and the covariant derivatives of B, C and
-A.  Only the Ricci tensor, and with it the Gauss-route A, stays a jet
-field, because derivatives of A are read.
+as a jet field: E_i of a field (Y_i, E_i(N)), theta_12, the connection
+forms omega of the frame E, the Blaschke tensor via dN, the Riemann tensor
+of g, and the covariant derivatives of B, C and A.  Only the Ricci tensor,
+and with it the Gauss-route A, stays a jet field, because derivatives of A
+are read.  connection_forms is the one construction of a frame's
+connection forms as jets; the adapted frame of ideal.py uses it.
 Index conventions follow classical.py, plus capital E_i for the frame
 orthonormal in the conformal metric g = rho^2 dx.dx.
 """
@@ -58,6 +60,32 @@ def frame_scalar_d(EC, f, k):
 
 def frame_vector_d(EC, vec, k):
     return [frame_scalar_d(EC, comp, k) for comp in vec]
+
+
+def connection_forms(E, g, Gamma):
+    """omega[i][j][k] = omega_ij(E_k) = g(nabla_{E_k} E_i, E_j) as jets, for
+    a g-orthonormal frame with rows E[i] in chart components and the
+    Christoffel symbols Gamma[a][b][c] = Gamma^a_bc of g.  Built for j < i
+    and negated across the zero diagonal."""
+    # E_j lowered by g, as a chart 1-form
+    low = [[jetalg.dot(g[a], E[j]) for a in range(3)] for j in range(2)]
+    out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(1, 3):
+        # D[a][b]: chart component a of nabla_{d/du_b} E_i
+        D = [[jets.derivative(E[i][a], b + 1) + jetalg.dot(Gamma[a][b], E[i])
+              for b in range(3)] for a in range(3)]
+        for j in range(i):
+            # S[b] = g(nabla_{d/du_b} E_i, E_j)
+            S = [jetalg.dot(low[j], [D[a][b] for a in range(3)])
+                 for b in range(3)]
+            for k in range(3):
+                acc = jetalg.dot(E[k], S)
+                out[i][j][k] = acc
+                out[j][i][k] = -acc
+    zero = 0.0 * out[1][0][0]
+    for i in range(3):
+        out[i][i] = [zero] * 3
+    return out
 
 
 def connection_chart(x, y):
@@ -252,34 +280,6 @@ class MoebiusContext:
     # -- connection ------------------------------------------------------------
 
     @cached_property
-    def omega(self):
-        """omega[i][j][k] = omega_ij(E_k) = g(nabla_{E_k} E_i, E_j), as jets."""
-        # EC is lower triangular: E_i has chart components 0..i only
-        EC = self.EC
-        G = self.Gamma
-        # E_j lowered by g, as a chart 1-form
-        low = [[jetalg.dot(self.g[a][:j + 1], EC[j][:j + 1])
-                for a in range(3)] for j in range(2)]
-        out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-        for i in range(1, 3):
-            # D[a][b]: chart component a of nabla_{d/du_b} E_i
-            D = [[jets.derivative(EC[i][a], b + 1)
-                  + jetalg.dot(G[a][b][:i + 1], EC[i][:i + 1])
-                  for b in range(3)] for a in range(3)]
-            for k in range(3):
-                # nabla_{E_k} E_i in chart components
-                nab = [jetalg.dot(EC[k][:k + 1], D[a][:k + 1])
-                       for a in range(3)]
-                for j in range(i):
-                    acc = jetalg.dot(nab, low[j])
-                    out[i][j][k] = acc
-                    out[j][i][k] = -acc
-        zero = 0.0 * out[1][0][0]
-        for i in range(3):
-            out[i][i] = [zero] * 3
-        return out
-
-    @cached_property
     def theta12_values(self):
         """theta_12(E_k) at the point."""
         xi2 = np.array(jetalg.values(self.xi[1]))
@@ -341,15 +341,8 @@ class MoebiusContext:
                 for a in range(3):
                     acc = acc - jetalg.dot(G[a][b], [G[e][a][c] for e in range(3)])
                 Rc[b][c] = Rc[c][b] = acc
-        # frame components, with EC lower triangular as in classical.h
-        EC = self.EC
-        T = [[jetalg.dot(EC[i][:i + 1], [Rc[b][c] for b in range(i + 1)])
-              for c in range(3)] for i in range(3)]
-        out = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i + 1):
-                out[i][j] = out[j][i] = jetalg.dot(T[i][:j + 1], EC[j][:j + 1])
-        return out
+        # frame components; EC is lower triangular
+        return jetalg.lower_congruence(self.EC, Rc)
 
     @cached_property
     def A_gauss(self):
@@ -374,7 +367,16 @@ class MoebiusContext:
 
     @cached_property
     def omega_values(self):
-        return np.array(jetalg.values(self.omega))
+        """omega_ij(E_k) at the point, from the values and first partials of
+        EC and the values of Gamma and g: the antisymmetric part of
+        g(nabla_{E_k} E_i, E_j), so exactly antisymmetric."""
+        E = self.EC_values
+        G = np.array(jetalg.values(self.Gamma))  # G[a][b][c] = Gamma^a_bc
+        # D[i][a][b]: chart component a of nabla_{d/du_b} E_i
+        D = jetalg.gradients(self.EC) + np.einsum("abc,ic->iab", G, E)
+        low = E @ np.array(jetalg.values(self.g))  # low[j] pairs with E_j
+        X = np.einsum("kb,iab,ja->ijk", E, D, low)
+        return 0.5 * (X - X.transpose(1, 0, 2))
 
     def _cov2_values(self, T):
         """[..., i, j, k] = E_k(T_ij) + T_lj omega_li(E_k) + T_il omega_lj(E_k)

@@ -196,6 +196,16 @@ def test_bad_point_count_is_input_error(capsys):
     assert doc["error"]["kind"] == "SchemaError"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+@pytest.mark.parametrize("flag", ["--tol", "--ltol"])
+def test_unusable_tolerance_is_input_error(capsys, flag, value):
+    code, doc = run_json(capsys, "theorem-b", "--example", "cone-veronese",
+                         "--points", "3", f"{flag}={value}")
+    assert code == 2
+    assert doc["error"]["kind"] == "SchemaError"
+    assert flag in doc["error"]["message"]
+
+
 def test_assert_expected_passes_on_so3(capsys):
     for cmd in ("ddvv", "invariants", "theorem-b", "hopf-check"):
         code, doc = run_json(capsys, cmd, "--example", "so3", "--points",
