@@ -8,8 +8,12 @@ NotImmersed gates and the normal-frame pivots, and the umbilic test,
 classical_data and the ddvv command read only its values, so they build no
 jet beyond the chart's.  check_order is the jet-order gate (orders 2 to 5),
 also run by the ddvv command, whose records read only second partials.
-The reporting types (ClassicalData, DDVVReport, KernelPlane, AdaptedFrame)
-hold plain floats.
+The reporting types (ClassicalData, DDVVReport, AdaptedFrame) hold plain
+floats.  The adapted frame of an ideal point has one construction:
+kernel_plane decides its gates on values and returns the kernel line, the
+plane seed and the normal flip, and turned_frame, generic over floats and
+jets, builds the frame from them; adapted_frame runs it on floats and
+ideal.CanonicalFields on jets.
 
 Index conventions: a, b, c label chart coordinates; i, j, k label the
 orthonormal tangent frame; r, s label the orthonormal normal frame.
@@ -386,16 +390,15 @@ def kernel_sign(v: np.ndarray) -> np.ndarray:
     return v if v[k] >= 0.0 else -v
 
 
-def half_angle(c2_p, s2_p, c2, s2):
-    """cos t and sin t given cos 2t and sin 2t, with cos t >= 0 at the base
-    point.  The branch is picked from the base-point values c2_p, s2_p
-    (floats) so the square root stays off zero.  Works for floats and jets
-    alike."""
-    if c2_p >= 0.0:
+def half_angle(c2, s2):
+    """cos t and sin t given cos 2t and sin 2t, with cos t >= 0 at the
+    point.  The branch is picked from the values of c2 and s2 so the square
+    root stays off zero.  Works for floats and jets alike."""
+    if jets.value_of(c2) >= 0.0:
         ct = jets.sqrt((1.0 + c2) * 0.5)
         st = s2 / (2.0 * ct)
     else:
-        sgn = 1.0 if s2_p >= 0.0 else -1.0
+        sgn = 1.0 if jets.value_of(s2) >= 0.0 else -1.0
         st = sgn * jets.sqrt((1.0 - c2) * 0.5)
         ct = s2 / (2.0 * st)
     return ct, st
@@ -403,22 +406,21 @@ def half_angle(c2_p, s2_p, c2, s2):
 
 @dataclass(frozen=True)
 class KernelPlane:
-    """The pointwise adapted frame of two trace-free symmetric forms T_1, T_2
-    that share a kernel line.  With z_r = T_r(F1, F1) + i T_r(F1, F2), the
-    second form is reversed when flip = -1 so that Im(z_1 conj(z_2)) >= 0,
-    and the plane is turned by the angle t with e^{2it} z_1 = i|z_1|."""
-    R: np.ndarray   # rows e1, e2, e3: the turned plane and the kernel line
-    F: np.ndarray   # rows F1, F2: the plane before the turn, F2 = e3 x F1
+    """What the adapted frame of two trace-free symmetric forms T_1, T_2
+    that share a kernel line takes from their values: the kernel vector q,
+    the seed F1 of the plane, and flip = -1 where the second form is
+    reversed so that Im(z_1 conj(z_2)) >= 0, with z_r = T_r(F1, F1)
+    + i T_r(F1, F2) and F2 = q x F1."""
+    q: np.ndarray
+    F1: np.ndarray
     flip: float
-    c2: float       # cos 2t
-    s2: float       # sin 2t
-    mu0: float      # |z_1|
 
 
 def kernel_plane(T, where: str = "") -> KernelPlane:
-    """The adapted frame of the forms T[0], T[1], given in one orthonormal
-    basis; refuses with NotIdealPoint when they share no kernel line or the
-    first one vanishes on the plane.  `where` ends the refusal messages."""
+    """The kernel plane of the forms T[0], T[1] (floats), given in one
+    orthonormal basis; refuses with NotIdealPoint when they share no kernel
+    line or the first one vanishes on the plane.  `where` ends the refusal
+    messages."""
     _, sing, vt = np.linalg.svd(np.vstack([T[0], T[1]]))
     if sing[2] > 1e-6 * sing[0]:
         raise NotIdealPoint(
@@ -434,15 +436,31 @@ def kernel_plane(T, where: str = "") -> KernelPlane:
 
     z = [complex(F1 @ T[r] @ F1, F1 @ T[r] @ F2) for r in range(2)]
     flip = 1.0 if (z[0] * z[1].conjugate()).imag >= 0.0 else -1.0
-    az = abs(z[0])
-    if az < 1e-12 * max(1.0, sing[0]):
+    if abs(z[0]) < 1e-12 * max(1.0, sing[0]):
         raise NotIdealPoint(f"degenerate shape pattern{where}")
-    c2 = z[0].imag / az
-    s2 = z[0].real / az
-    ct, st = half_angle(c2, s2, c2, s2)
-    R = np.vstack([ct * F1 - st * F2, st * F1 + ct * F2, q])
-    return KernelPlane(R=R, F=np.vstack([F1, F2]), flip=flip, c2=c2, s2=s2,
-                       mu0=az)
+    return KernelPlane(q=q, F1=F1, flip=flip)
+
+
+def turned_frame(T, plane: KernelPlane):
+    """The adapted frame of the forms T[0], T[1], floats or jets, as rows
+    [E1, E2, E3], and |z_1|.  E3 is -(adj T_1 + adj T_2) q normalized, a
+    positive multiple of q where the forms share the kernel line q; F1 is
+    plane.F1 made orthogonal to E3 and F2 = E3 x F1; (E1, E2) is (F1, F2)
+    turned by the angle t with e^{2it} z_1 = i|z_1|.  On jets the rows are
+    smooth fields whose values are the float run's rows."""
+    adj = [jetalg.adjugate3(T[r]) for r in range(2)]
+    P = [[-(adj[0][i][j] + adj[1][i][j]) for j in range(3)] for i in range(3)]
+    E3 = jetalg.normalize(jetalg.matvec(P, [float(v) for v in plane.q]))
+    proj = jetalg.dot(list(plane.F1), E3)
+    F1 = jetalg.normalize([plane.F1[j] - proj * E3[j] for j in range(3)])
+    F2 = jetalg.cross3(E3, F1)
+    p1 = jetalg.quadform(F1, T[0], F1)
+    q1 = jetalg.quadform(F1, T[0], F2)
+    az = jets.sqrt(p1 * p1 + q1 * q1)
+    ct, st = half_angle(q1 / az, p1 / az)
+    E1 = [ct * F1[j] - st * F2[j] for j in range(3)]
+    E2 = [st * F1[j] + ct * F2[j] for j in range(3)]
+    return [E1, E2, E3], az
 
 
 def adapted_frame(data: ClassicalData, tol: float = 1e-7) -> AdaptedFrame:
@@ -460,14 +478,15 @@ def adapted_frame(data: ClassicalData, tol: float = 1e-7) -> AdaptedFrame:
             f"inequality slack {report.slack:.3e} exceeds tolerance; no common kernel")
 
     plane = kernel_plane(T)
-    R = plane.R
+    rows, mu0 = turned_frame(T, plane)
+    R = np.array(rows)
     K = np.diag([1.0, plane.flip])
     lam1 = float(H[0])
     lam2 = float(H[1] * plane.flip)
     rotated = [R @ h[0] @ R.T, R @ (plane.flip * h[1]) @ R.T]
-    P1, P2 = _pattern_matrices(lam1, lam2, plane.mu0)
+    P1, P2 = _pattern_matrices(lam1, lam2, mu0)
     residual = max(float(np.max(np.abs(rotated[0] - P1))),
                    float(np.max(np.abs(rotated[1] - P2))))
     return AdaptedFrame(tangent_rotation=R, normal_rotation=K,
-                        lambda1=lam1, lambda2=lam2, mu0=plane.mu0,
+                        lambda1=lam1, lambda2=lam2, mu0=mu0,
                         pattern_residual=residual)

@@ -17,8 +17,10 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
+from collections import namedtuple
 
 from . import __version__, gallery
 from .classical import (ClassicalContext, check_order, classical_data,
@@ -123,20 +125,11 @@ def _write_csv(path: str, header: list[str], records: list[dict]) -> None:
 # per-command runners
 
 
-class RunResult:
-    def __init__(self, records, aggregate, csv_header, failures):
-        self.records = records
-        self.aggregate = aggregate
-        self.csv_header = csv_header
-        self.failures = failures
+RunResult = namedtuple("RunResult", "records aggregate csv_header failures")
 
 
 def _point_list(p) -> list[float]:
     return [float(v) for v in p]
-
-
-def _gauge_name(flag: str) -> str:
-    return "V0" if flag == "v0" else "raw"
 
 
 def _run_ddvv(spec, pts, args, expected) -> RunResult:
@@ -201,15 +194,16 @@ def _analyze(spec, p, args) -> CanonicalFields:
     """The canonical fields at one sample point, with the jet order,
     gauge, torsion cutoff and ideality tolerance of the command line."""
     return CanonicalFields(MoebiusContext(spec, p, order=args.order),
-                           gauge=_gauge_name(args.gauge), ltol=args.ltol,
-                           tol=args.tol)
+                           gauge="V0" if args.gauge == "v0" else "raw",
+                           ltol=args.ltol, tol=args.tol)
 
 
-def _ideal_records(spec, pts, args, names):
+def _ideal_records(spec, pts, args, names=None):
     """The per-point loop of the invariant commands: records holding the
-    named values, and the invariants they came from.  Each point is analyzed
-    on its own, with the torsion-positive sign rule, so a record depends
-    only on its point and not on sample order."""
+    named values (all of them by default), and the invariants they came
+    from.  Each point is analyzed on its own, with the torsion-positive
+    sign rule, so a record depends only on its point and not on sample
+    order."""
     records = []
     invs = []
     for idx, p in enumerate(pts):
@@ -231,18 +225,14 @@ def _ideal_records(spec, pts, args, names):
             "Omega12": [float(v) for v in inv.Omega12_coeffs],
         }
         rec = {"index": idx, "point": _point_list(p)}
-        rec.update((name, values[name]) for name in names)
+        rec.update((name, values[name]) for name in names or values)
         records.append(rec)
         invs.append(inv)
     return records, invs
 
 
-_INVARIANT_NAMES = ("rho", "mu", "U", "V", "L", "G", "lam", "Fhat", "Ghat",
-                    "omega", "domega", "theta12", "Omega12")
-
-
 def _run_invariants(spec, pts, args, expected) -> RunResult:
-    records, _ = _ideal_records(spec, pts, args, _INVARIANT_NAMES)
+    records, _ = _ideal_records(spec, pts, args)
     aggregate = {
         "n_points": len(records),
         "max_abs_U": max(abs(r["U"]) for r in records),
@@ -438,21 +428,30 @@ def _error_doc(command: str, exc: Exception) -> dict:
     return doc
 
 
+def _unwritable_target(args) -> str | None:
+    """The first of --json and --csv that names a folder or a file in a
+    missing or read-only folder, as an error message naming the flag; main
+    checks this before any work and reports it on stdout only."""
+    for flag in ("json", "csv"):
+        path = getattr(args, flag, None)
+        if path and (os.path.isdir(path) or not os.access(
+                os.path.dirname(os.path.abspath(path)), os.W_OK)):
+            return f"--{flag} {path}: cannot write a file there"
+    return None
+
+
 def _analysis_command(args) -> int:
     try:
         spec, expected, source = _load_source(args)
+        if args.points < 1:
+            raise SchemaError("--points must be >= 1")
+        for flag, value in (("--tol", args.tol), ("--ltol", args.ltol)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise SchemaError(
+                    f"{flag} must be finite and > 0, got {value!r}")
     except _INPUT_ERRORS as exc:
         _emit(_error_doc(args.command, exc), args.json)
         return EXIT_INPUT
-    if args.points < 1:
-        _emit(_error_doc(args.command, SchemaError("--points must be >= 1")),
-              args.json)
-        return EXIT_INPUT
-    for flag, value in (("--tol", args.tol), ("--ltol", args.ltol)):
-        if not (math.isfinite(value) and value > 0.0):
-            _emit(_error_doc(args.command, SchemaError(
-                f"{flag} must be finite and > 0, got {value!r}")), args.json)
-            return EXIT_INPUT
 
     pts = sample_points(spec.domain, args.points, args.seed)
     base = {
@@ -531,6 +530,12 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
+        target = _unwritable_target(args)
+        if target is not None:
+            command = "gallery-list" if args.command == "gallery" \
+                else args.command
+            _emit(_error_doc(command, SchemaError(target)), None)
+            return EXIT_INPUT
         if args.command == "gallery":
             return _gallery_command(args)
         return _analysis_command(args)

@@ -2,20 +2,20 @@
 
 At an ideal point the trace-free conformal shape operators share a kernel
 line and act on the orthogonal plane D as a fixed two-matrix pattern after a
-rotation.  classical.kernel_plane builds that adapted frame at the base
-point; this module extends it to jet fields, so that covariant derivatives
-of the adapted components (the scalars U, V, L, G, lambda, Fhat, Ghat and
-the 1-form omega) are honest derivatives of smooth fields.  The adapted
-frame's connection forms are moebius.connection_forms of its chart
-components, the one construction of connection forms.  E3 is oriented
-at each point on its own, by the sign of the torsion L, and the verdicts
-are folds over the per-point invariants of a sample.  CanonicalFields
-takes a MoebiusContext, which fixes the point and the jet order, and
-decides the umbilic and ideality refusals on the classical point pass (the
-values of h and H, ClassicalContext.point) before it builds any frame jet
-or snapshots the Moebius data.  Functions of one point take the context
-(invariants_uvlg) or the canonical fields (hat_frame, holomorphic_residual,
-structure_matrix); the verdicts take a chart and a sample.
+rotation.  CanonicalFields runs classical.turned_frame, the one construction
+of that adapted frame, on jets of the shape fields, so that covariant
+derivatives of the adapted components (the scalars U, V, L, G, lambda, Fhat,
+Ghat and the 1-form omega) are derivatives of smooth fields whose values are
+the frame built on floats.  Its connection forms are moebius.connection_forms
+of its chart components.  E3 is oriented at each point on its own, by the
+sign of the torsion L, and the verdicts are folds over the per-point
+invariants of a sample.  CanonicalFields takes a MoebiusContext, which fixes
+the point and the jet order; it refuses at an umbilic, then a non-ideal
+point, from the values of h and H, then where the torsion (from the values
+of B, covB and the frame) vanishes, all before it snapshots the Moebius
+data.  Functions of one point take the context (invariants_uvlg) or the
+canonical fields (hat_frame, holomorphic_residual, structure_matrix); the
+verdicts take a chart and a sample.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import jetalg, jets
-from .classical import (_pattern_matrices, ddvv_from_forms, half_angle,
-                        kernel_plane)
+from .classical import (_pattern_matrices, ddvv_from_forms, kernel_plane,
+                        turned_frame)
 from .errors import IntegrableDistribution, NotIdealPoint
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusContext, connection_chart,
@@ -36,10 +36,6 @@ from .moebius import (LORENTZ, MoebiusContext, connection_chart,
                       frame_scalar_d, moebius_data)
 
 SQRT6 = math.sqrt(6.0)
-
-
-def _quadform(u, M, v):
-    return sum_jets(u[i] * M[i][j] * v[j] for i in range(3) for j in range(3))
 
 
 def _oriented_torsion(covB, Bv, E1, E2, E3):
@@ -96,7 +92,6 @@ class CanonicalFields:
         if not report.ideal:
             raise NotIdealPoint(
                 f"equality gap {report.slack:.3e} at {ctx.p}: not an ideal point")
-        self.data = data = moebius_data(ctx)
 
         t = 0.0 if pregauge is None else float(pregauge)
         M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
@@ -105,50 +100,25 @@ class CanonicalFields:
         Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
                        [math.sin(2 * t), math.cos(2 * t)]])
         Bw = _pregauged(ctx.B, M0, Q0)
-
-        # ---- pointwise stage -------------------------------------------------
         plane = kernel_plane(np.array(jetalg.values(Bw)), where=f" at {ctx.p}")
-        E1p, E2p, q = plane.R
-        F1p, F2p = plane.F
+        rows, self.mu_field0 = turned_frame(Bw, plane)  # |z1|, invariant
 
         # E3 sign: the torsion is positive (it is odd in E3); below ltol
         # the sign is undefined and E3 stays as the kernel sign left it
-        self.torsion = _oriented_torsion(ctx.covB_values, data.B, E1p @ M0,
-                                         E2p @ M0, q @ M0)
+        E = np.array(jetalg.values(rows)) @ M0
+        self.torsion = _oriented_torsion(ctx.covB_values, ctx.B_values, *E)
         self.integrable = abs(self.torsion) <= self.ltol
         if not partial:
             self.require_torsion()
         if not self.integrable and self.torsion < 0.0:
-            q = -q
+            rows[2] = [-c for c in rows[2]]
+        self.data = moebius_data(ctx)
 
-        # ---- field stage -----------------------------------------------------
-        adj = [jetalg.adjugate3(Bw[r]) for r in range(2)]
-        P = [[-(adj[0][i][j] + adj[1][i][j]) for j in range(3)] for i in range(3)]
-        e3f = jetalg.normalize(jetalg.matvec(P, [float(v) for v in q]))
-
-        proj = jetalg.dot(list(F1p), e3f)
-        F1f = jetalg.normalize([F1p[j] - proj * e3f[j] for j in range(3)])
-        crossf = jetalg.cross3(e3f, F1f)
-        sig = 1.0 if float(np.dot(F2p, np.array(jetalg.values(crossf)))) >= 0 \
-            else -1.0
-        F2f = [sig * c for c in crossf]
-
-        p1f = _quadform(F1f, Bw[0], F1f)
-        q1f = _quadform(F1f, Bw[0], F2f)
-        azf = jets.sqrt(p1f * p1f + q1f * q1f)
-        ctf, stf = half_angle(plane.c2, plane.s2, q1f / azf, p1f / azf)
-        E1f = [ctf * F1f[j] - stf * F2f[j] for j in range(3)]
-        E2f = [stf * F1f[j] + ctf * F2f[j] for j in range(3)]
-
-        Rf = [[sum_jets([R[k] * M0[k][j] for k in range(3)
-                         if M0[k][j] != 0.0]) for j in range(3)]
-              for R in (E1f, E2f, e3f)]
-        Qf = [[Q0[0][0], plane.flip * Q0[0][1]],
-              [Q0[1][0], plane.flip * Q0[1][1]]]
-
-        self.Rf = Rf
-        self.Qf = Qf
-        self.mu_field0 = azf  # |z1| in the working frame, a scalar invariant
+        self.Rf = [[sum_jets([R[k] * M0[k][j] for k in range(3)
+                              if M0[k][j] != 0.0]) for j in range(3)]
+                   for R in rows]
+        self.Qf = [[Q0[0][0], plane.flip * Q0[0][1]],
+                   [Q0[1][0], plane.flip * Q0[1][1]]]
 
         if gauge == "V0":
             self._apply_v0()
@@ -224,7 +194,7 @@ class CanonicalFields:
         """B^r_ij in the adapted frame (jet); built once per unordered i, j."""
         key = (r, min(i, j), max(i, j))
         if key not in self._b:
-            self._b[key] = _quadform(self.Rf[i], self._bmix[r], self.Rf[j])
+            self._b[key] = jetalg.quadform(self.Rf[i], self._bmix[r], self.Rf[j])
         return self._b[key]
 
     @cached_property
@@ -304,7 +274,7 @@ class CanonicalFields:
 
     @cached_property
     def A_can_field(self):
-        return [[_quadform(self.Rf[i], self.ctx.A_gauss, self.Rf[j])
+        return [[jetalg.quadform(self.Rf[i], self.ctx.A_gauss, self.Rf[j])
                  for j in range(3)] for i in range(3)]
 
     # -- named scalars -------------------------------------------------------------

@@ -39,6 +39,11 @@ def matvec(M, v):
     return [dot(row, v) for row in M]
 
 
+def quadform(u, M, v):
+    """u^T M v for 3-vectors, summed row by row."""
+    return dot([u[i] * M[i][j] for i in range(3) for j in range(3)], list(v) * 3)
+
+
 def transpose(M):
     return [list(col) for col in zip(*M)]
 

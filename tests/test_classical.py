@@ -318,7 +318,7 @@ def test_half_angle():
     # cos 2t = Im z/|z| and sin 2t = Re z/|z| turn z to i|z|, with cos t >= 0
     for z in (1 + 0j, 1j, -2j, 0.3 - 0.4j, -1.0 + 0j):
         c2, s2 = z.imag / abs(z), z.real / abs(z)
-        ct, st = half_angle(c2, s2, c2, s2)
+        ct, st = half_angle(c2, s2)
         assert ct >= 0.0
         assert ct ** 2 + st ** 2 == pytest.approx(1.0, abs=1e-15)
         rotated = complex(ct, st) ** 2 * z

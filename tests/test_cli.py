@@ -262,6 +262,29 @@ def test_json_file_matches_stdout(capsys, tmp_path):
     assert path.read_text() == out
 
 
+@pytest.mark.parametrize("argv", [
+    ("ddvv", "--example", "so3", "--points", "1", "--json"),
+    ("ddvv", "--example", "so3", "--points", "1", "--csv"),
+    ("invariants", "--example", "so3", "--points", "1", "--csv"),
+    ("gallery", "list", "--json")], ids=" ".join)
+@pytest.mark.parametrize("missing", [True, False], ids=["no-folder", "folder"])
+def test_unwritable_output_path_is_an_input_error(capsys, monkeypatch,
+                                                  tmp_path, argv, missing):
+    def analyze(*args, **kwargs):
+        raise AssertionError("a point was analyzed before the output check")
+
+    monkeypatch.setattr(cli, "ClassicalContext", analyze)
+    monkeypatch.setattr(cli, "_analyze", analyze)
+    target = tmp_path / "missing" / "x" if missing else tmp_path
+    code, out = run_cli(capsys, *argv, str(target))
+    assert code == 2
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["error"]["kind"] == "SchemaError"
+    assert doc["error"]["message"].startswith(f"{argv[-1]} {target}:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_columns(capsys, tmp_path):
     path = tmp_path / "rows.csv"
     code, _ = run_cli(capsys, "invariants", "--example", "so3", "--points",
@@ -344,14 +367,17 @@ IDEAL_COMMANDS = ["invariants", "theorem-b", "hopf-check"]
 @pytest.mark.parametrize("cmd", IDEAL_COMMANDS)
 def test_ideality_gate_runs_before_the_moebius_snapshot(capsys, monkeypatch,
                                                         cmd):
+    # the ideality and torsion gates read the classical point pass, B and
+    # covB, none of the snapshot
     def snapshot(*args, **kwargs):
-        raise AssertionError("Moebius data built at a point that is not ideal")
+        raise AssertionError("Moebius data built at a refused point")
 
     monkeypatch.setattr(ideal, "moebius_data", snapshot)
-    code, doc = run_json(capsys, cmd, "--example", "generic-control",
-                         "--points", "2")
-    assert code == 3
-    assert doc["refusal"]["kind"] == "NotIdealPoint"
+    for name, kind in (("generic-control", "NotIdealPoint"),
+                       ("cone-veronese", "IntegrableDistribution")):
+        code, doc = run_json(capsys, cmd, "--example", name, "--points", "2")
+        assert code == 3
+        assert doc["refusal"]["kind"] == kind
 
 
 @pytest.mark.parametrize("cmd", IDEAL_COMMANDS)

@@ -1,8 +1,11 @@
-"""No module-level import goes unused in the package or its tests.
+"""No module-level import goes unused in the package or its tests, and no
+private module-level helper of the package goes unreferenced.
 
 There is no linter in the toolchain, so this walks the syntax tree: a name
 bound by a top-level import must be referenced somewhere in the module.
-`from __future__` imports and names listed in `__all__` are exempt.
+`from __future__` imports and names listed in `__all__` are exempt.  A
+`_name` defined at the top of a package module by def, class or assignment
+must be referenced somewhere in the package or the tests.
 """
 
 import ast
@@ -11,8 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src" / "wintgen").glob("*.py")) \
-    + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "wintgen").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _exported(tree) -> set:
@@ -51,3 +54,73 @@ def test_scanner_flags_only_unreferenced_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(tree) -> dict:
+    """Top-level `_name`s (not dunders) bound by def, class or assignment,
+    with their line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out.update((n, node.lineno) for n in names
+                   if n.startswith("_") and not n.startswith("__"))
+    return out
+
+
+def _references(tree) -> set:
+    """Names read, attributes read, imported names and string constants
+    (for getattr and monkeypatch by name)."""
+    refs = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+            refs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            refs.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            refs.add(n.value)
+    return refs
+
+
+def unreferenced_helpers(package: dict, others=()) -> list:
+    """`label: _name (line n)` for each private top-level name of the
+    package sources (label -> source) that neither they nor the other
+    sources reference."""
+    trees = {label: ast.parse(src) for label, src in package.items()}
+    refs = set()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        refs |= _references(tree)
+    return sorted(f"{label}: {name} (line {line})"
+                  for label, tree in trees.items()
+                  for name, line in _private_definitions(tree).items()
+                  if name not in refs)
+
+
+def test_helper_scanner_flags_only_unreferenced_names():
+    package = {
+        "a.py": ("_K = 1\n_table: dict = {}\n__slots__ = ()\n"
+                 "def _used():\n    return _K\n"
+                 "def _dead():\n    _local = 2\n    return _local\n"
+                 "class _Gone:\n    pass\n_stored = 0\n_named = 3\n"
+                 "_imported = 4\ndef public(m):\n    m._stored = _used()\n"),
+        "b.py": "from .a import _imported\n"}
+    others = ["import a\na._table.clear()\nsetattr(a, '_named', 1)\n"]
+    assert unreferenced_helpers(package, others) == [
+        "a.py: _Gone (line 9)", "a.py: _dead (line 6)",
+        "a.py: _stored (line 11)"]
+
+
+def test_no_unreferenced_helpers():
+    assert unreferenced_helpers(
+        {p.name: p.read_text(encoding="utf-8") for p in PACKAGE},
+        [p.read_text(encoding="utf-8") for p in FILES if p not in PACKAGE]) \
+        == []

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from wintgen import gallery, ideal, jetalg, jets, moebius
+from wintgen.classical import kernel_plane, turned_frame
 from wintgen.errors import (InsufficientOrder, IntegrableDistribution,
                             NotIdealPoint, UmbilicPoint)
+
+from wintgen.immersion import ImmersionSpec
 
 from _shared import context, entry, mdata, plan_points
 
@@ -110,6 +113,63 @@ def test_oriented_torsion_is_odd_in_e3(name):
         assert L > 1e-3
         assert abs(L - cf.L) < 1e-12
         assert abs(ideal._oriented_torsion(*args, -E3) + L) < 1e-15
+
+
+@pytest.mark.parametrize("t", [0.0, 0.4])
+@pytest.mark.parametrize("name", TWISTED)
+def test_turned_frame_values_are_the_float_run(name, t):
+    # one construction: the frame field's value at the point is, bit for
+    # bit, the frame built on floats from the values of the shape fields
+    M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
+                   [math.sin(t), math.cos(t), 0.0], [0.0, 0.0, 1.0]])
+    Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
+                   [math.sin(2 * t), math.cos(2 * t)]])
+    for p in plan_points(name, 5):
+        Bw = ideal._pregauged(context(name, p).B, M0, Q0)
+        Bv = np.array(jetalg.values(Bw))
+        plane = kernel_plane(Bv)
+        rows, az = turned_frame(Bw, plane)
+        rows_v, az_v = turned_frame(Bv, plane)
+        assert jetalg.values(rows) == [[float(v) for v in r] for r in rows_v]
+        assert jets.value_of(az) == az_v
+
+
+# each swaps two chart variables, so each reverses the chart's orientation
+SWAPS = [(1, 0, 2), (2, 1, 0), (0, 2, 1)]
+
+
+def _chart_free(inv):
+    """The record values that do not depend on the chart; the raw-gauge U
+    and V do, through the frame's rotation, and only U^2 + V^2 is kept."""
+    out = {"L": inv.L, "G": inv.G, "lam": inv.lam, "Fhat": inv.Fhat,
+           "Ghat": inv.Ghat, "mu": inv.mu, "U2+V2": inv.U ** 2 + inv.V ** 2,
+           "max_domega": max(abs(d) for d in inv.domega)}
+    if inv.gauge == "V0":
+        out.update(U=inv.U, V=inv.V)
+    return out
+
+
+@pytest.mark.parametrize("swap", SWAPS, ids=str)
+@pytest.mark.parametrize("name", TWISTED)
+def test_invariants_do_not_depend_on_the_chart(name, swap):
+    # on the swapped charts the kernel sign leaves E3 with negative torsion
+    # at every sample point, so this also covers the E3 flip
+    spec = entry(name).spec
+    swapped = ImmersionSpec(
+        ambient=spec.ambient, name=f"{name}-swapped",
+        domain=tuple(spec.domain[k] for k in swap),
+        evaluator=lambda v: spec.evaluator([v[k] for k in swap]))
+    for p in plan_points(name, 5):
+        ctx = moebius.MoebiusContext(swapped, tuple(p[k] for k in swap))
+        for gauge in ("raw", "V0"):
+            cf = ideal.CanonicalFields(ctx, gauge=gauge)
+            assert cf.torsion < 0.0
+            got = _chart_free(ideal._package_invariants(cf))
+            want = _chart_free(invariants_of(name, p, gauge))
+            assert got["L"] > 0.0
+            for key, value in want.items():
+                assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), \
+                    (key, p, gauge)
 
 
 # ---------------------------------------------------------------------------
