@@ -3,17 +3,18 @@
 ClassicalContext carries the chart, the frames and the second fundamental
 form as jets so later modules can differentiate.  Its point pass
 (ClassicalContext.point) runs the same formulas once on floats, from the
-chart jet's values and first and second partials: it decides the
-NotImmersed gates and the normal-frame pivots, and the umbilic test,
-classical_data and the ddvv command read only its values, so they build no
-jet beyond the chart's.  check_order is the jet-order gate (orders 2 to 5),
-also run by the ddvv command, whose records read only second partials.
-The reporting types (ClassicalData, DDVVReport, AdaptedFrame) hold plain
-floats.  The adapted frame of an ideal point has one construction:
-kernel_plane decides its gates on values and returns the kernel line, the
-plane seed and the normal flip, and turned_frame, generic over floats and
-jets, builds the frame from them; adapted_frame runs it on floats and
-ideal.CanonicalFields on jets.
+chart jet's values and first and second partials: it decides the NotImmersed
+gates and the normal-frame pivots, and the umbilic test, classical_data and
+the ddvv command read only its values, so they build no jet beyond the
+chart's.  umbilic is the one umbilic criterion, refuse_umbilic its one raise
+site, and require_ideal the one slack gate.  check_order is the jet-order
+gate (orders 2 to 5), also run by the ddvv command, whose records read only
+second partials.  The reporting types (ClassicalData, DDVVReport,
+AdaptedFrame) hold plain floats.  The adapted frame of an ideal point has one
+construction: kernel_plane decides its gates on values and returns the kernel
+line, the plane seed and the normal flip, and turned_frame, generic over
+floats and jets, builds the frame from them; adapted_frame runs it on floats
+and ideal.CanonicalFields on jets.
 
 Index conventions: a, b, c label chart coordinates; i, j, k label the
 orthonormal tangent frame; r, s label the orthonormal normal frame.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,11 +32,6 @@ from . import jetalg, jets
 from .errors import (DomainError, InsufficientOrder, NotIdealPoint,
                      NotImmersed, ShapeError, UmbilicPoint)
 from .immersion import ImmersionSpec, eval_immersion_jet
-
-
-def _inner_for(ambient):
-    # tangent/normal geometry of the hyperboloid model lives in Lorentz R^6_1
-    return jetalg.lorentz_dot if ambient.kind == "hyperbolic" else jetalg.dot
 
 
 def check_order(order: int) -> None:
@@ -61,7 +57,7 @@ class ClassicalContext:
         self.spec = spec
         self.p = tuple(float(v) for v in p)
         self.order = order
-        self.inner = _inner_for(spec.ambient)
+        self.inner = spec.ambient.inner
 
     @cached_property
     def x(self):
@@ -103,13 +99,9 @@ class ClassicalContext:
 
     def _units(self):
         """The vectors the normals are made orthogonal to, with the sign of
-        their square: the position for sphere and hyperbolic ambients (-1
-        for the timelike hyperbolic position), then the tangent frame."""
-        units = []
-        if self.spec.ambient.kind == "sphere":
-            units.append((self.x, 1.0))
-        elif self.spec.ambient.kind == "hyperbolic":
-            units.append((self.x, -1.0))
+        their square: the position if it is a unit, then the tangent frame."""
+        sign = self.spec.ambient.position_sign
+        units = [] if sign is None else [(self.x, sign)]
         units.extend((t, 1.0) for t in self.tangent_amb)
         return units
 
@@ -155,41 +147,27 @@ class ClassicalContext:
     def H(self):
         return [(m[0][0] + m[1][1] + m[2][2]) * (1.0 / 3.0) for m in self.h]
 
-    @cached_property
-    def trace_free_sq(self):
-        """|II - (1/3) tr(II) I|^2 (a float on the point pass)."""
-        acc = None
-        for r in range(2):
-            for i in range(3):
-                for j in range(3):
-                    t = self.h[r][i][j] - (self.H[r] if i == j else 0.0)
-                    t = t * t
-                    acc = t if acc is None else acc + t
-        return acc
-
     def is_umbilic(self) -> bool:
-        """|II - (1/3) tr(II) I|^2 <= 1e-10 max(|II|^2, 1e-8) at the point,
-        from the point pass's trace_free_sq and h."""
-        h = self.point.h
-        sq = 0.0
-        for r in range(2):
-            for i in range(3):
-                for j in range(3):
-                    sq += h[r][i][j] * h[r][i][j]
-        return self.point.trace_free_sq <= 1e-10 * max(sq, 1e-8)
+        """The umbilic criterion on the point pass's h and H."""
+        return umbilic(self.point.h, self.point.H)
 
     def require_not_umbilic(self) -> None:
         """The umbilic gate of the conformal invariants."""
         if self.is_umbilic():
-            raise UmbilicPoint(
-                f"{self.spec.name} is totally umbilic at {self.p}; "
-                "conformal invariants are undefined there")
+            refuse_umbilic(self.spec.name, f" at {self.p}",
+                           "conformal invariants are undefined there")
 
     @cached_property
     def rho(self):
         """Conformal factor: rho^2 = (3/2)|II - (1/3)tr(II) I|^2."""
         self.require_not_umbilic()
-        return jets.sqrt(1.5 * self.trace_free_sq)
+        return jets.sqrt(1.5 * trace_free_sq(self.h, self.H))
+
+
+@lru_cache(maxsize=None)
+def _basis_squares(ambient) -> tuple:
+    """<e_k, e_k> for the standard basis of the ambient coordinates."""
+    return tuple(ambient.inner(e, e) for e in np.eye(ambient.ncomp).tolist())
 
 
 class _PointPass(ClassicalContext):
@@ -235,15 +213,14 @@ class _PointPass(ClassicalContext):
         jet pass, and the pass refuses where its square is at most 1e-12.
         The indices are kept in pivots."""
         units = self._units()
-        ncomp = self.spec.ambient.ncomp
-        hyperbolic = self.spec.ambient.kind == "hyperbolic"
+        squares = _basis_squares(self.spec.ambient)
         normals, pivots = [], []
         for _ in range(2):
             best_k, best_score = -1, -math.inf
-            for k in range(ncomp):
+            for k in range(len(squares)):
                 if k in pivots:
                     continue
-                score = -1.0 if hyperbolic and k == 0 else 1.0
+                score = squares[k]
                 for u, s in units:
                     score -= s * u[k] * u[k]
                 if score > best_score + 1e-15:
@@ -295,7 +272,6 @@ class DDVVReport:
     s_N: float
     slack: float
     ideal: bool
-    umbilic_measure: float
 
 
 def ddvv_from_forms(h, H, c: float, tol: float = 1e-7) -> DDVVReport:
@@ -321,11 +297,41 @@ def ddvv_from_forms(h, H, c: float, tol: float = 1e-7) -> DDVVReport:
     s_N = math.sqrt(norm_rperp_sq) / 3.0
     H2 = float(np.dot(H, H))
     slack = c + H2 - s_N - s
-    tracefree = h - H[:, None, None] * np.eye(3)[None, :, :]
-    umb = float(np.sqrt(np.sum(tracefree ** 2)))
     scale = max(1.0, float(np.sum(h ** 2)))
     return DDVVReport(s=s, H_norm2=H2, s_N=s_N, slack=slack,
-                      ideal=bool(abs(slack) <= tol * scale), umbilic_measure=umb)
+                      ideal=bool(abs(slack) <= tol * scale))
+
+
+def require_ideal(h, H, c: float, tol: float, where: str = "") -> None:
+    """The slack gate: refuses where DDVV equality fails within tol."""
+    report = ddvv_from_forms(h, H, c, tol=tol)
+    if not report.ideal:
+        raise NotIdealPoint(
+            f"equality gap {report.slack:.3e}{where}: not an ideal point")
+
+
+def trace_free_sq(h, H):
+    """|II - (1/3) tr(II) I|^2 from h and H, floats or jets."""
+    acc = None
+    for r in range(2):
+        for i in range(3):
+            for j in range(3):
+                t = h[r][i][j] - (H[r] if i == j else 0.0)
+                t = t * t
+                acc = t if acc is None else acc + t
+    return acc
+
+
+def umbilic(h, H) -> bool:
+    """The umbilic criterion, on values of h and H:
+    |II - (1/3) tr(II) I|^2 <= 1e-10 max(|II|^2, 1e-8)."""
+    sq = sum(v * v for r in range(2) for row in h[r] for v in row)
+    return trace_free_sq(h, H) <= 1e-10 * max(sq, 1e-8)
+
+
+def refuse_umbilic(subject: str, where: str, undefined: str) -> None:
+    """The umbilic refusal; UmbilicPoint is raised nowhere else."""
+    raise UmbilicPoint(f"{subject} is totally umbilic{where}; {undefined}")
 
 
 def ddvv_report(spec: ImmersionSpec, p, tol: float = 1e-7) -> DDVVReport:
@@ -466,17 +472,10 @@ def turned_frame(T, plane: KernelPlane):
 def adapted_frame(data: ClassicalData, tol: float = 1e-7) -> AdaptedFrame:
     h = np.asarray(data.h, dtype=float)
     H = np.asarray(data.H, dtype=float)
+    if umbilic(h, H):
+        refuse_umbilic("second fundamental form", "", "no adapted frame")
+    require_ideal(h, H, data.c, tol)
     T = h - H[:, None, None] * np.eye(3)[None, :, :]
-    ii2 = float(np.sum(h ** 2))
-    umb = float(np.sqrt(np.sum(T ** 2)))
-    if umb <= tol * max(1.0, math.sqrt(ii2)):
-        raise UmbilicPoint("second fundamental form is umbilic; no adapted frame")
-
-    report = ddvv_from_forms(h, H, data.c, tol=tol)
-    if not report.ideal:
-        raise NotIdealPoint(
-            f"inequality slack {report.slack:.3e} exceeds tolerance; no common kernel")
-
     plane = kernel_plane(T)
     rows, mu0 = turned_frame(T, plane)
     R = np.array(rows)

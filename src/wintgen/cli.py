@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from . import __version__, gallery
 from .classical import (ClassicalContext, check_order, classical_data,
-                        ddvv_from_forms)
+                        ddvv_from_forms, refuse_umbilic)
 from .errors import (
     ChartBlowUp,
     DegenerateCurve,
@@ -45,7 +45,8 @@ from .errors import (
 from .ideal import (SQRT6, CanonicalFields, _package_invariants, hopf_verdict,
                     theorem_b_verdict)
 from .immersion import parse_immersion, sample_points
-from .moebius import MoebiusContext, integrability_residuals, moebius_data
+from .moebius import (JET_ORDER, MoebiusContext, integrability_residuals,
+                      moebius_data)
 
 # perfbench wraps the names this module looks up, moebius_data among them,
 # and its self-test requires each of them to exist here
@@ -135,14 +136,12 @@ def _point_list(p) -> list[float]:
 def _run_ddvv(spec, pts, args, expected) -> RunResult:
     # the records read first and second partials only, so every order the
     # gate accepts gives the same numbers; they are computed at order 2
-    check_order(args.order)
     records = []
     for idx, p in enumerate(pts):
         ctx = ClassicalContext(spec, p, order=2)
         if ctx.is_umbilic():
-            raise UmbilicPoint(
-                f"{spec.name} is totally umbilic at sample point {idx}; "
-                "the ideality defect vanishes identically there")
+            refuse_umbilic(spec.name, f" at sample point {idx}",
+                           "the ideality defect vanishes identically there")
         data = classical_data(ctx)
         rep = ddvv_from_forms(data.h, data.H, data.c, tol=args.tol)
         rec = {
@@ -191,9 +190,9 @@ _CONSTANT_VALUES = {
 
 
 def _analyze(spec, p, args) -> CanonicalFields:
-    """The canonical fields at one sample point, with the jet order,
-    gauge, torsion cutoff and ideality tolerance of the command line."""
-    return CanonicalFields(MoebiusContext(spec, p, order=args.order),
+    """The canonical fields at one sample point, with the gauge, torsion
+    cutoff and ideality tolerance of the command line."""
+    return CanonicalFields(MoebiusContext(spec, p),
                            gauge="V0" if args.gauge == "v0" else "raw",
                            ltol=args.ltol, tol=args.tol)
 
@@ -314,7 +313,7 @@ _RESIDUAL_FIELDS = ("codazzi_A", "ricci_C", "codazzi_B", "gauss",
 def _run_residuals(spec, pts, args, expected) -> RunResult:
     records = []
     for idx, p in enumerate(pts):
-        res = integrability_residuals(MoebiusContext(spec, p, order=args.order))
+        res = integrability_residuals(MoebiusContext(spec, p))
         rec = {"index": idx, "point": _point_list(p)}
         for name in _RESIDUAL_FIELDS:
             rec[name] = float(getattr(res, name))
@@ -449,6 +448,10 @@ def _analysis_command(args) -> int:
             if not (math.isfinite(value) and value > 0.0):
                 raise SchemaError(
                     f"{flag} must be finite and > 0, got {value!r}")
+        if args.command != "ddvv" and args.order < JET_ORDER:
+            raise InsufficientOrder(f"conformal frame data needs jet order "
+                                    f">= {JET_ORDER}, got {args.order}")
+        check_order(args.order)
     except _INPUT_ERRORS as exc:
         _emit(_error_doc(args.command, exc), args.json)
         return EXIT_INPUT

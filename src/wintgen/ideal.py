@@ -10,12 +10,12 @@ the frame built on floats.  Its connection forms are moebius.connection_forms
 of its chart components.  E3 is oriented at each point on its own, by the
 sign of the torsion L, and the verdicts are folds over the per-point
 invariants of a sample.  CanonicalFields takes a MoebiusContext, which fixes
-the point and the jet order; it refuses at an umbilic, then a non-ideal
-point, from the values of h and H, then where the torsion (from the values
-of B, covB and the frame) vanishes, all before it snapshots the Moebius
-data.  Functions of one point take the context (invariants_uvlg) or the
-canonical fields (hat_frame, holomorphic_residual, structure_matrix); the
-verdicts take a chart and a sample.
+the point; it refuses at an umbilic, then a non-ideal point (the gates of
+classical.py), then where the torsion from the values of B, covB and the
+frame is at most ltol or its rounding floor, all before it snapshots the
+Moebius data.  Functions of one point take the context (invariants_uvlg) or
+the canonical fields (hat_frame, holomorphic_residual, structure_matrix);
+the verdicts take a chart and a sample.
 """
 
 from __future__ import annotations
@@ -27,15 +27,19 @@ from functools import cached_property
 import numpy as np
 
 from . import jetalg, jets
-from .classical import (_pattern_matrices, ddvv_from_forms, kernel_plane,
+from .classical import (_pattern_matrices, kernel_plane, require_ideal,
                         turned_frame)
-from .errors import IntegrableDistribution, NotIdealPoint
+from .errors import IntegrableDistribution
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusContext, connection_chart,
                       connection_forms, d_form_values, frame_d_values,
                       frame_scalar_d, moebius_data)
 
 SQRT6 = math.sqrt(6.0)
+
+# The torsion's rounding floor is this times the largest term that covB
+# sums (ctx.covB_terms; |B|^2 = 2/3); at or below it the sign is noise.
+TORSION_FLOOR = 128 * np.finfo(float).eps
 
 
 def _oriented_torsion(covB, Bv, E1, E2, E3):
@@ -73,8 +77,8 @@ class CanonicalFields:
     covariant derivatives) refer to this frame.  Construction refuses at an
     umbilic point, then at a point that is not ideal within tol, both
     decided on the point pass of ctx.classical, then where the torsion is
-    at most ltol, unless partial: partial fields are marked integrable and
-    refuse at lamf instead.
+    at most ltol or its rounding floor, unless partial: partial fields are
+    marked integrable and refuse at lamf instead.
     """
 
     def __init__(self, ctx: MoebiusContext, gauge: str = "raw", pregauge=None,
@@ -87,11 +91,8 @@ class CanonicalFields:
 
         cl = ctx.classical
         cl.require_not_umbilic()
-        report = ddvv_from_forms(np.array(cl.point.h), np.array(cl.point.H),
-                                 cl.spec.ambient.c, tol=tol)
-        if not report.ideal:
-            raise NotIdealPoint(
-                f"equality gap {report.slack:.3e} at {ctx.p}: not an ideal point")
+        require_ideal(cl.point.h, cl.point.H, cl.spec.ambient.c, tol,
+                      where=f" at {ctx.p}")
 
         t = 0.0 if pregauge is None else float(pregauge)
         M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
@@ -103,11 +104,12 @@ class CanonicalFields:
         plane = kernel_plane(np.array(jetalg.values(Bw)), where=f" at {ctx.p}")
         rows, self.mu_field0 = turned_frame(Bw, plane)  # |z1|, invariant
 
-        # E3 sign: the torsion is positive (it is odd in E3); below ltol
-        # the sign is undefined and E3 stays as the kernel sign left it
+        # E3 sign: the torsion is positive (it is odd in E3); below the
+        # cutoff it is undefined and E3 stays as the kernel sign left it
         E = np.array(jetalg.values(rows)) @ M0
         self.torsion = _oriented_torsion(ctx.covB_values, ctx.B_values, *E)
-        self.integrable = abs(self.torsion) <= self.ltol
+        self.floor = TORSION_FLOOR * float(np.max(np.abs(ctx.covB_terms)))
+        self.integrable = abs(self.torsion) <= max(self.ltol, self.floor)
         if not partial:
             self.require_torsion()
         if not self.integrable and self.torsion < 0.0:
@@ -313,8 +315,10 @@ class CanonicalFields:
 
     def require_torsion(self):
         if self.integrable:
+            cutoff = f"{self.ltol:g}" if abs(self.torsion) <= self.ltol \
+                else f"its rounding floor {self.floor:.3e}"
             raise IntegrableDistribution(
-                f"torsion {self.torsion:.3e} below {self.ltol:g} at "
+                f"torsion {self.torsion:.3e} below {cutoff} at "
                 f"{self.ctx.p}: the kernel distribution is integrable and "
                 "the E3 sign is undefined")
 

@@ -3,7 +3,8 @@
 An ImmersionSpec bundles an ambient model, a chart domain box in (u1,u2,u3),
 and an evaluator mapping chart scalars to ambient coordinates.  Evaluators
 are generic: fed floats they produce floats, fed MultiJets they produce jets,
-so the same definition serves spot evaluation and differentiation.
+so the same definition serves spot evaluation and differentiation.  The
+ambient model owns its embedding's conventions; no other module reads kind.
 
 Specs come from two sources: built-in gallery constructors (plain Python
 closures) and a line-oriented text format with one expression per ambient
@@ -15,9 +16,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from . import jets
+from . import jetalg, jets
 from .errors import (DomainError, EvalError, ParseError, SchemaError,
                      SingularJet, UnknownIdentifier)
 from .jets import MultiJet, jet_seed
@@ -28,20 +29,42 @@ from .jets import MultiJet, jet_seed
 
 @dataclass(frozen=True)
 class AmbientModel:
-    """One of the three 5-dimensional space forms, with its embedding data."""
+    """A 5-dimensional space form with its embedding; only it reads kind."""
 
     kind: str            # "sphere" | "euclidean" | "hyperbolic"
     c: float             # sectional curvature
     ncomp: int           # ambient coordinate count of the embedding
 
+    @property
+    def inner(self):
+        """The inner product of the coordinates, Lorentz on the hyperboloid."""
+        return jetalg.lorentz_dot if self.kind == "hyperbolic" else jetalg.dot
+
+    @property
+    def position_sign(self):
+        """<x, x> on the model, or None where the position is no unit."""
+        return {"sphere": 1.0, "hyperbolic": -1.0}.get(self.kind)
+
     def constraint_residual(self, x: Sequence[float]) -> float:
         """How far a coordinate vector is from the model's quadric."""
-        if self.kind == "sphere":
-            return abs(sum(v * v for v in x) - 1.0)
-        if self.kind == "hyperbolic":
-            q = -x[0] * x[0] + sum(v * v for v in x[1:])
-            return abs(q + 1.0)
-        return 0.0
+        sign = self.position_sign
+        return 0.0 if sign is None else abs(self.inner(x, x) - sign)
+
+    def lift(self, x):
+        """Light-cone representative with conformal factor 1, generic over
+        scalar type; the constant slots are plain numbers."""
+        if self.kind == "euclidean":
+            n2 = jetalg.dot(x, x)
+            return [(1.0 + n2) * 0.5, (1.0 - n2) * 0.5] + list(x)
+        return [1.0] + list(x) if self.kind == "sphere" else list(x) + [1.0]
+
+    def dlift(self, x, v):
+        """The lift's differential at x on v; None in the slots where it
+        vanishes, so that no float zero is added to a jet."""
+        if self.kind == "euclidean":
+            xv = jetalg.dot(x, v)
+            return [xv, -xv] + list(v)
+        return [None] + list(v) if self.kind == "sphere" else list(v) + [None]
 
 
 SPHERE = AmbientModel("sphere", 1.0, 6)
@@ -157,9 +180,7 @@ class Pow(Expr):
     def eval(self, u):
         try:
             return jets.powi(self.base.eval(u), self.exponent)
-        except SingularJet:
-            raise EvalError(f"zero raised to negative power in '{self.text()}'")
-        except ZeroDivisionError:
+        except (SingularJet, ZeroDivisionError):
             raise EvalError(f"zero raised to negative power in '{self.text()}'")
 
     def text(self):
@@ -333,18 +354,11 @@ class ImmersionSpec:
     name: str
     domain: tuple  # ((lo,hi), (lo,hi), (lo,hi))
     evaluator: Callable
-    components: Optional[tuple] = None  # expression trees when parsed from text
 
     def contains(self, p) -> bool:
         """Whether p lies in the domain box, widened by 1e-9 per side."""
         return all(lo - 1e-9 <= v <= hi + 1e-9
                    for v, (lo, hi) in zip(p, self.domain))
-
-
-def _trees_evaluator(trees):
-    def evaluate(u):
-        return [t.eval(u) for t in trees]
-    return evaluate
 
 
 _DOMAIN_RE = re.compile(
@@ -412,7 +426,7 @@ def parse_immersion(text: str) -> ImmersionSpec:
             f"ambient {ambient.kind} needs components x1..x{want}, got {['x%d' % k for k in got]}")
     trees = tuple(comps[k] for k in range(1, want + 1))
     return ImmersionSpec(ambient=ambient, name=name, domain=domain,
-                         evaluator=_trees_evaluator(trees), components=trees)
+                         evaluator=lambda u: [t.eval(u) for t in trees])
 
 
 # ---------------------------------------------------------------------------

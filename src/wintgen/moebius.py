@@ -2,20 +2,20 @@
 Lorentz R^7_1, the tensors A, B, C, connection forms, covariant derivatives,
 and the integrability residuals.
 
-Everything lives at one chart point as jets in a MoebiusContext, which
-needs jet order 5 (the Blaschke tensor reads E_i(N), which takes fifth
-partials of the chart) and refuses lower orders on construction; the
-context is the one place a jet order enters this layer.  Functions of the
-point take the context: integrability_residuals(ctx) reads its values, and
-moebius_data(ctx) snapshots its constant terms into MoebiusData.  A
-quantity whose value at the point is all that is read is computed in numpy
-from the values and first partials of the jets it derives from, not built
-as a jet field: E_i of a field (Y_i, E_i(N)), theta_12, the connection
-forms omega of the frame E, the Blaschke tensor via dN, the Riemann tensor
-of g, and the covariant derivatives of B, C and A.  Only the Ricci tensor,
-and with it the Gauss-route A, stays a jet field, because derivatives of A
-are read.  connection_forms is the one construction of a frame's
-connection forms as jets; the adapted frame of ideal.py uses it.
+Everything lives at one chart point as jets in a MoebiusContext, always built
+at JET_ORDER.  The ambient model supplies the light-cone lift and its
+differential, so Y and the mean curvature spheres xi have one formula for the
+three space forms.  Functions of the point take the context:
+integrability_residuals(ctx) reads its values, and moebius_data(ctx)
+snapshots its constant terms into MoebiusData.  A quantity whose value at the
+point is all that is read is computed in numpy from the values and first
+partials of the jets it derives from, not built as a jet field: E_i of a
+field (Y_i, E_i(N)), theta_12, the connection forms omega of the frame E, the
+Blaschke tensor via dN, the Riemann tensor of g, and the covariant
+derivatives of B, C and A.  Only the Ricci tensor, and with it the
+Gauss-route A, stays a jet field, because derivatives of A are read.
+connection_forms is the one construction of a frame's connection forms as
+jets; the adapted frame of ideal.py uses it.
 Index conventions follow classical.py, plus capital E_i for the frame
 orthonormal in the conformal metric g = rho^2 dx.dx.
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import jetalg, jets
 from .classical import ClassicalContext
-from .errors import ChartBlowUp, InsufficientOrder, NotLorentz
+from .errors import ChartBlowUp, NotLorentz
 from .gallery import check_lorentz
 from .immersion import SPHERE, ImmersionSpec
 
@@ -37,18 +37,9 @@ ldot = jetalg.lorentz_dot  # 7-component (-,+,...,+) inner product
 LORENTZ = np.diag([-1.0] + [1.0] * 6)  # the same form as a matrix, for values
 
 
-def unit_lift(ambient, x):
-    """Light-cone representative of an ambient point with conformal factor 1.
-    Generic over scalar type; the constant slots come back as plain numbers."""
-    if ambient.kind == "sphere":
-        return [1.0] + list(x)
-    if ambient.kind == "hyperbolic":
-        return list(x) + [1.0]
-    # euclidean
-    n2 = x[0] * x[0]
-    for v in x[1:]:
-        n2 = n2 + v * v
-    return [(1.0 + n2) * 0.5, (1.0 - n2) * 0.5] + list(x)
+# The one jet order of this layer: the Blaschke tensor reads E_i(N), fifth
+# partials of the chart (rho in Y reads 2, N takes 2 more, E_i one more).
+JET_ORDER = 5
 
 
 def frame_scalar_d(EC, f, k):
@@ -108,13 +99,10 @@ def d_form_values(chart_form) -> np.ndarray:
 
 
 class MoebiusContext:
-    """Lazy conformal-invariant jets at one chart point."""
+    """Lazy conformal-invariant jets at one chart point, at JET_ORDER."""
 
-    def __init__(self, spec: ImmersionSpec, p, order: int = 5):
-        if order < 5:
-            raise InsufficientOrder(
-                f"conformal frame data needs jet order >= 5, got {order}")
-        self.classical = ClassicalContext(spec, p, order=order)
+    def __init__(self, spec: ImmersionSpec, p):
+        self.classical = ClassicalContext(spec, p, order=JET_ORDER)
         self.spec = spec
         self.p = self.classical.p
 
@@ -130,8 +118,7 @@ class MoebiusContext:
 
     @cached_property
     def Y(self):
-        lift = unit_lift(self.spec.ambient, self.classical.x)
-        return [self.rho * v for v in lift]
+        return [self.rho * v for v in self.spec.ambient.lift(self.classical.x)]
 
     @cached_property
     def g(self):
@@ -207,24 +194,12 @@ class MoebiusContext:
 
     @cached_property
     def xi(self):
-        """Mean curvature spheres, one per unit normal."""
-        amb = self.spec.ambient
-        x = self.classical.x
-        out = []
-        for r in range(2):
-            n = self.classical.normal_frame[r]
-            Hr = self.classical.H[r]
-            if amb.kind == "sphere":
-                vec = [Hr] + [n[k] + Hr * x[k] for k in range(6)]
-            elif amb.kind == "hyperbolic":
-                vec = [n[k] + Hr * x[k] for k in range(6)] + [Hr]
-            else:
-                lift = unit_lift(amb, x)
-                xn = jetalg.dot(x, n)
-                vec = [Hr * lift[0] + xn, Hr * lift[1] - xn]
-                vec += [Hr * lift[2 + k] + n[k] for k in range(5)]
-            out.append(vec)
-        return out
+        """Mean curvature spheres xi_r = H_r lift(x) + dlift_x(n_r)."""
+        amb, cl = self.spec.ambient, self.classical
+        lift = amb.lift(cl.x)
+        return [[Hr * a if d is None else Hr * a + d
+                 for a, d in zip(lift, amb.dlift(cl.x, n))]
+                for n, Hr in zip(cl.normal_frame, cl.H)]
 
     # -- conformal tensors -----------------------------------------------------
 
@@ -378,25 +353,28 @@ class MoebiusContext:
         X = np.einsum("kb,iab,ja->ijk", E, D, low)
         return 0.5 * (X - X.transpose(1, 0, 2))
 
-    def _cov2_values(self, T):
-        """[..., i, j, k] = E_k(T_ij) + T_lj omega_li(E_k) + T_il omega_lj(E_k)
+    def _cov2_terms(self, T):
+        """E_k(T_ij), T_lj omega_li(E_k) and T_il omega_lj(E_k) [..., i, j, k]
         at the point, for a (stack of) frame 2-tensor jet fields T."""
         T0 = np.array(jetalg.values(T))
         om = self.omega_values
-        out = jetalg.gradients(T) @ self.EC_values.T
-        out += np.einsum("...il,ljk->...ijk", T0, om)
-        out += np.einsum("...lj,lik->...ijk", T0, om)
-        return out
+        return [jetalg.gradients(T) @ self.EC_values.T,
+                np.einsum("...il,ljk->...ijk", T0, om),
+                np.einsum("...lj,lik->...ijk", T0, om)]
+
+    @cached_property
+    def covB_terms(self):
+        """The terms covB_values sums: _cov2_terms', then theta_12's."""
+        B = self.B_values
+        th = self.theta12_values
+        return self._cov2_terms(self.B) + [
+            np.array([-(B[1][:, :, None] * th), B[0][:, :, None] * th])]
 
     @cached_property
     def covB_values(self):
         """[r][i][j][k] = B^r_{ij,k} at the point (raw gauge)."""
-        B = self.B_values
-        out = self._cov2_values(self.B)
-        th = self.theta12_values
-        out[0] -= B[1][:, :, None] * th  # theta_21 = -theta_12
-        out[1] += B[0][:, :, None] * th
-        return out
+        grad, om1, om2, th = self.covB_terms
+        return grad + om1 + om2 + th
 
     @cached_property
     def covC_values(self):
@@ -412,7 +390,8 @@ class MoebiusContext:
     @cached_property
     def covA_values(self):
         """[i][j][k] = A_{ij,k} at the point, from the Gauss-trace field."""
-        return self._cov2_values(self.A_gauss)
+        grad, om1, om2 = self._cov2_terms(self.A_gauss)
+        return grad + om1 + om2
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +516,7 @@ def conformal_transform(spec: ImmersionSpec, T) -> ImmersionSpec:
     rows = [list(map(float, row)) for row in T]
 
     def evaluate(u):
-        x = base(u)
-        lift = unit_lift(ambient, x)
+        lift = ambient.lift(base(u))
         return readback_sphere([jetalg.dot(row, lift) for row in rows])
 
     return ImmersionSpec(ambient=SPHERE, name=f"{spec.name}~moebius",

@@ -8,7 +8,7 @@ import pytest
 from wintgen.classical import (ClassicalContext, adapted_frame,
                                classical_data, ddvv_from_forms,
                                ddvv_matrix_gap, ddvv_report, fundamental_forms,
-                               half_angle, _pattern_matrices)
+                               half_angle, umbilic, _pattern_matrices)
 from wintgen.errors import (NotIdealPoint, NotImmersed, ShapeError,
                             UmbilicPoint)
 from wintgen.gallery import (cone_over_veronese, generic_control,
@@ -117,7 +117,8 @@ def test_umbilic_round_sphere_report():
     rep = ddvv_report(entry.spec, (1.0, 1.2, 2.0))
     assert rep.s_N == pytest.approx(0.0, abs=1e-12)
     assert rep.slack == pytest.approx(0.0, abs=1e-10)
-    assert rep.umbilic_measure < 1e-10
+    data = fundamental_forms(entry.spec, (1.0, 1.2, 2.0))
+    assert umbilic(data.h, data.H)
 
 
 def test_so3_ideal_at_sample():
@@ -312,6 +313,23 @@ def test_adapted_frame_refusals():
     entry = generic_control()
     with pytest.raises(NotIdealPoint):
         adapted_frame(fundamental_forms(entry.spec, entry.sample_plan[0]))
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1e-5, 1e-6, 1e-8])
+def test_adapted_frame_refuses_exactly_where_the_umbilic_criterion_holds(mu):
+    # ideal patterns mu P + H I: trace-free part 4 mu^2 against |II|^2 1.59,
+    # so the criterion holds from mu = 6.3e-6 down; the ddvv command and
+    # the invariant gates read the same criterion
+    H = np.array([0.7, 0.2])
+    h = mu * np.array(_pattern_matrices(0.0, 0.0, 1.0)) \
+        + H[:, None, None] * np.eye(3)
+    assert umbilic(h, H) == (mu <= 1e-6)
+    if mu <= 1e-6:
+        with pytest.raises(UmbilicPoint):
+            adapted_frame_from_parts(h, H)
+    else:
+        frame = adapted_frame_from_parts(h, H)
+        assert frame.mu0 == pytest.approx(mu, rel=1e-6)
 
 
 def test_half_angle():

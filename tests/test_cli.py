@@ -425,6 +425,31 @@ def test_ddvv_order_gate_runs_before_the_umbilic_gate(capsys, order, kind,
     assert doc["error"] == {"kind": kind, "message": message}
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("cmd", IDEAL_COMMANDS)
+def test_torsion_below_its_rounding_floor_is_refused(capsys, cmd, seed):
+    # on the integrable cone the torsion is rounding noise (about 1e-17);
+    # a positive --ltol below that must not let lambda = G/L divide it
+    code, doc = run_json(capsys, cmd, "--example", "cone-veronese",
+                         "--points", "3", "--seed", str(seed),
+                         "--ltol", "1e-20")
+    assert code == 3
+    assert doc["refusal"]["kind"] == "IntegrableDistribution"
+    assert "rounding floor" in doc["refusal"]["message"]
+
+
+@pytest.mark.parametrize("name", ["so3", "veronese-hopf", "hopf-generic"])
+@pytest.mark.parametrize("cmd", IDEAL_COMMANDS)
+def test_rounding_floor_leaves_twisted_charts_alone(capsys, cmd, name):
+    docs = []
+    for ltol in ("1e-6", "1e-20"):
+        code, doc = run_json(capsys, cmd, "--example", name, "--points", "3",
+                             "--ltol", ltol)
+        assert code == 0
+        docs.append((doc["records"], doc["aggregate"]))
+    assert docs[0] == docs[1]
+
+
 def test_partial_fields_refuse_lambda_with_the_cli_message(capsys):
     code, doc = run_json(capsys, "invariants", "--example", "cone-veronese",
                          "--points", "1")

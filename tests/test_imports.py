@@ -1,11 +1,14 @@
-"""No module-level import goes unused in the package or its tests, and no
-private module-level helper of the package goes unreferenced.
+"""No module-level import goes unused in the package or its tests, no
+private module-level helper of the package goes unreferenced, and each
+convention of the package has one home.
 
 There is no linter in the toolchain, so this walks the syntax tree: a name
 bound by a top-level import must be referenced somewhere in the module.
 `from __future__` imports and names listed in `__all__` are exempt.  A
 `_name` defined at the top of a package module by def, class or assignment
-must be referenced somewhere in the package or the tests.
+must be referenced somewhere in the package or the tests.  Only
+immersion.py compares an ambient model's kind, and UmbilicPoint is raised
+at one site.
 """
 
 import ast
@@ -124,3 +127,48 @@ def test_no_unreferenced_helpers():
         {p.name: p.read_text(encoding="utf-8") for p in PACKAGE},
         [p.read_text(encoding="utf-8") for p in FILES if p not in PACKAGE]) \
         == []
+
+
+AMBIENT_KINDS = {"sphere", "euclidean", "hyperbolic"}
+
+
+def convention_sites(source: str) -> tuple:
+    """Lines of the comparisons that involve an ambient kind (a `.kind`
+    attribute or a model's name), and lines of the `raise UmbilicPoint`
+    statements."""
+    kinds, raises = [], []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Compare) and any(
+                isinstance(m, ast.Attribute) and m.attr == "kind"
+                or isinstance(m, ast.Constant) and m.value in AMBIENT_KINDS
+                for side in (n.left, *n.comparators) for m in ast.walk(side)):
+            kinds.append(n.lineno)
+        elif isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            if isinstance(exc, ast.Name) and exc.id == "UmbilicPoint":
+                raises.append(n.lineno)
+    return kinds, raises
+
+
+def test_convention_scanner_flags_kind_comparisons_and_umbilic_raises():
+    src = ("def f(amb, x, kind):\n"
+           "    if amb.kind == 'sphere':\n"
+           "        raise UmbilicPoint('a')\n"
+           "    if x in ('hyperbolic', 'euclidean'):\n"
+           "        raise UmbilicPoint\n"
+           "    if kind != x.kind:\n"
+           "        raise NotIdealPoint('b')\n"
+           "    label = {'kind': 'sphere'}\n"
+           "    return amb.kind, label, x == 'torus'\n")
+    assert convention_sites(src) == ([2, 4, 6], [3, 5])
+
+
+def test_each_convention_has_one_home():
+    kinds, raises = [], []
+    for path in PACKAGE:
+        k, r = convention_sites(path.read_text(encoding="utf-8"))
+        if path.name != "immersion.py":
+            kinds += [f"{path.name}:{line}" for line in k]
+        raises += [f"{path.name}:{line}" for line in r]
+    assert kinds == []
+    assert len(raises) == 1, raises

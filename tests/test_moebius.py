@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from wintgen import gallery, jetalg, jets, moebius
-from wintgen.errors import ChartBlowUp, InsufficientOrder, NotLorentz
+from wintgen.errors import ChartBlowUp, NotLorentz
+from wintgen.immersion import parse_immersion, sample_points
 from wintgen.moebius import MoebiusContext, ldot
 
 from _shared import context, entry, mdata, plan_points
+from test_classical import HYPERBOLIC_GRAPH
 
 SQRT6 = math.sqrt(6.0)
 
@@ -179,18 +181,56 @@ def test_residuals_detect_wrong_tensors():
     assert worst > 1e-4
 
 
+def _xi_by_model(ctx):
+    """The mean curvature spheres written out with one branch per ambient
+    model, as a reference for the single formula through the model's lift."""
+    kind = ctx.spec.ambient.kind
+    x = ctx.classical.x
+    out = []
+    for n, Hr in zip(ctx.classical.normal_frame, ctx.classical.H):
+        if kind == "sphere":
+            vec = [Hr] + [n[k] + Hr * x[k] for k in range(6)]
+        elif kind == "hyperbolic":
+            vec = [n[k] + Hr * x[k] for k in range(6)] + [Hr]
+        else:
+            n2 = x[0] * x[0]
+            for v in x[1:]:
+                n2 = n2 + v * v
+            lift = [(1.0 + n2) * 0.5, (1.0 - n2) * 0.5] + list(x)
+            xn = jetalg.dot(x, n)
+            vec = [Hr * lift[0] + xn, Hr * lift[1] - xn]
+            vec += [Hr * lift[2 + k] + n[k] for k in range(5)]
+        out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("name", ["so3", "cone-veronese", "hyperbolic-graph"])
+def test_xi_is_the_per_model_formula_bit_for_bit(name):
+    # sphere, Euclidean and hyperbolic ambients; == on every coefficient,
+    # and the same sign on every zero
+    spec = parse_immersion(HYPERBOLIC_GRAPH) if name == "hyperbolic-graph" \
+        else entry(name).spec
+    for p in sample_points(spec.domain, 3, 0):
+        ctx = MoebiusContext(spec, p)
+        for got, want in zip(ctx.xi, _xi_by_model(ctx)):
+            assert len(got) == len(want) == 7
+            for a, b in zip(got, want):
+                assert np.array_equal(a.c, b.c)
+                assert np.array_equal(np.signbit(a.c), np.signbit(b.c))
+
+
 # ---------------------------------------------------------------------------
 # jet-order gating
 
 
 def test_order_gating():
-    # the context is the one gate: every Moebius consumer needs order 5
+    # the context always builds JET_ORDER; the command line refuses other
+    # orders before it builds one (tests/test_cli.py, --order 4 and 6)
     p = plan_points("so3", 1)[0]
     spec = entry("so3").spec
-    for order in (3, 4):
-        with pytest.raises(InsufficientOrder, match=f"got {order}"):
-            MoebiusContext(spec, p, order=order)
-    d5 = moebius.moebius_data(MoebiusContext(spec, p, order=5))
+    ctx = MoebiusContext(spec, p)
+    assert ctx.classical.order == moebius.JET_ORDER == 5
+    d5 = moebius.moebius_data(ctx)
     assert np.all(np.isfinite(d5.A))
     assert abs(d5.rho - SQRT6) < 1e-10
 

@@ -9,8 +9,8 @@ import pytest
 
 from wintgen import gallery, ideal, jetalg, jets, moebius
 from wintgen.classical import kernel_plane, turned_frame
-from wintgen.errors import (InsufficientOrder, IntegrableDistribution,
-                            NotIdealPoint, UmbilicPoint)
+from wintgen.errors import (IntegrableDistribution, NotIdealPoint,
+                            UmbilicPoint)
 
 from wintgen.immersion import ImmersionSpec
 
@@ -455,14 +455,6 @@ def test_umbilic_point_is_refused():
     with pytest.raises(UmbilicPoint):
         ideal.invariants_uvlg(moebius.MoebiusContext(
             um.spec, plan_points("umbilic-control", 1)[0]))
-
-
-def test_low_order_is_refused():
-    # the order enters only through the context, which refuses it
-    e = entry("so3")
-    with pytest.raises(InsufficientOrder):
-        ideal.invariants_uvlg(moebius.MoebiusContext(
-            e.spec, plan_points("so3", 1)[0], order=4))
 
 
 def test_unknown_gauge_is_rejected():
