@@ -33,6 +33,12 @@ from .errors import (DomainError, InsufficientOrder, NotIdealPoint,
                      NotImmersed, ShapeError, UmbilicPoint)
 from .immersion import ImmersionSpec, eval_immersion_jet
 
+# The default tolerances of the library and of the command line: TOL is the
+# DDVV equality tolerance of the ideality gate and of the verdicts, LTOL the
+# torsion cutoff |L| of the canonical direction field.
+TOL = 1e-7
+LTOL = 1e-6
+
 
 def check_order(order: int) -> None:
     """The jet-order gate of the classical forms: the second fundamental
@@ -274,7 +280,7 @@ class DDVVReport:
     ideal: bool
 
 
-def ddvv_from_forms(h, H, c: float, tol: float = 1e-7) -> DDVVReport:
+def ddvv_from_forms(h, H, c: float, tol: float = TOL) -> DDVVReport:
     """The normalized-curvature inequality report from frame components.
 
     s from the Gauss equation, s_N = (1/3)||R^perp|| with the Frobenius norm
@@ -334,7 +340,7 @@ def refuse_umbilic(subject: str, where: str, undefined: str) -> None:
     raise UmbilicPoint(f"{subject} is totally umbilic{where}; {undefined}")
 
 
-def ddvv_report(spec: ImmersionSpec, p, tol: float = 1e-7) -> DDVVReport:
+def ddvv_report(spec: ImmersionSpec, p, tol: float = TOL) -> DDVVReport:
     data = fundamental_forms(spec, p)
     return ddvv_from_forms(data.h, data.H, data.c, tol=tol)
 
@@ -469,7 +475,7 @@ def turned_frame(T, plane: KernelPlane):
     return [E1, E2, E3], az
 
 
-def adapted_frame(data: ClassicalData, tol: float = 1e-7) -> AdaptedFrame:
+def adapted_frame(data: ClassicalData, tol: float = TOL) -> AdaptedFrame:
     h = np.asarray(data.h, dtype=float)
     H = np.asarray(data.H, dtype=float)
     if umbilic(h, H):

@@ -1,13 +1,17 @@
 """Command line front end: sampled reports over immersion charts.
 
-Every run prints one JSON document to standard output.  Floats are written
-with 17 significant digits and the document depends only on the argument
-vector, so identical invocations produce byte-identical output; wall-clock
-timing goes to standard error.  Exit codes: 0 success, 1 an
---assert-expected check failed, 2 unusable input (bad arguments, file or
-expression syntax, a jet order the command cannot use), 3 geometric refusal
-(the chart is not immersed, is umbilic or not ideal, or the canonical
-direction field has no torsion).
+Every run prints one JSON document to standard output, built in main alone
+from the header (schema, tool, command) and the outcome: a report, a
+refusal or an error.  Only --help prints text instead, and exits 0.  Usage
+errors are input errors like the others; an error document names the
+subcommand argv names, or null.  Floats are written with 17 significant
+digits and the document depends only on the argument vector, so identical
+invocations produce byte-identical output; wall-clock timing goes to
+standard error.  Exit codes: 0 success, 1 an --assert-expected check
+failed, 2 unusable input (bad arguments, file or expression syntax, a jet
+order the command cannot use), 3 geometric refusal (the chart is not
+immersed, is umbilic or not ideal, or the canonical direction field has no
+torsion).
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import time
 from collections import namedtuple
 
 from . import __version__, gallery
-from .classical import (ClassicalContext, check_order, classical_data,
-                        ddvv_from_forms, refuse_umbilic)
+from .classical import (LTOL, TOL, ClassicalContext, check_order,
+                        classical_data, ddvv_from_forms, refuse_umbilic)
 from .errors import (
     ChartBlowUp,
     DegenerateCurve,
@@ -345,11 +349,20 @@ _RUNNERS = {
 # argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print the usage on standard error and raise SchemaError
+    for main to report; the subcommand parsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SchemaError(message)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
     was, so every call of main can share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wintgen",
         description="Conformal-invariant reports for three-dimensional "
                     "charts in five-dimensional space forms.")
@@ -372,10 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="sampling seed (default 0)")
     common.add_argument("--order", type=int, default=5, metavar="K",
                         help="jet truncation order (default 5)")
-    common.add_argument("--tol", type=float, default=1e-7, metavar="T",
+    common.add_argument("--tol", type=float, default=TOL, metavar="T",
                         help="report tolerance, also the DDVV equality "
                              "tolerance of the ideality gate (default 1e-7)")
-    common.add_argument("--ltol", type=float, default=1e-6, metavar="T",
+    common.add_argument("--ltol", type=float, default=LTOL, metavar="T",
                         help="torsion cutoff |L| for the direction field "
                              "(default 1e-6)")
     common.add_argument("--gauge", choices=["raw", "v0"], default="raw",
@@ -411,56 +424,36 @@ def _load_source(args):
     return parse_immersion(text), None, {"file": args.spec_file}
 
 
-def _error_doc(command: str, exc: Exception) -> dict:
-    msg = str(exc)
-    if isinstance(exc, KeyError) and exc.args:
-        msg = str(exc.args[0])
-    doc = {
-        "schema": 1,
-        "tool": {"name": "wintgen", "version": __version__},
-        "command": command,
-        "error": {"kind": type(exc).__name__, "message": msg},
-    }
-    if isinstance(exc, ParseError):
-        doc["error"]["line"] = exc.line
-        doc["error"]["col"] = exc.col
-    return doc
-
-
-def _unwritable_target(args) -> str | None:
-    """The first of --json and --csv that names a folder or a file in a
-    missing or read-only folder, as an error message naming the flag; main
-    checks this before any work and reports it on stdout only."""
+def _check_request(args) -> None:
+    """Before any work: --assert-expected needs --example, and --json and
+    --csv must not name a folder or a file in a missing or read-only
+    folder.  main reports these errors on stdout only."""
+    if getattr(args, "assert_expected", False) and args.example is None:
+        raise SchemaError("--assert-expected requires --example")
     for flag in ("json", "csv"):
         path = getattr(args, flag, None)
         if path and (os.path.isdir(path) or not os.access(
                 os.path.dirname(os.path.abspath(path)), os.W_OK)):
-            return f"--{flag} {path}: cannot write a file there"
-    return None
+            raise SchemaError(f"--{flag} {path}: cannot write a file there")
 
 
-def _analysis_command(args) -> int:
-    try:
-        spec, expected, source = _load_source(args)
-        if args.points < 1:
-            raise SchemaError("--points must be >= 1")
-        for flag, value in (("--tol", args.tol), ("--ltol", args.ltol)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise SchemaError(
-                    f"{flag} must be finite and > 0, got {value!r}")
-        if args.command != "ddvv" and args.order < JET_ORDER:
-            raise InsufficientOrder(f"conformal frame data needs jet order "
-                                    f">= {JET_ORDER}, got {args.order}")
-        check_order(args.order)
-    except _INPUT_ERRORS as exc:
-        _emit(_error_doc(args.command, exc), args.json)
-        return EXIT_INPUT
+def _analysis_command(args):
+    """Exit code, document body after the header, and CSV header and rows
+    (None for a refusal, which keeps source and parameters) of an analysis
+    run.  Input errors propagate to main."""
+    spec, expected, source = _load_source(args)
+    if args.points < 1:
+        raise SchemaError("--points must be >= 1")
+    for flag, value in (("--tol", args.tol), ("--ltol", args.ltol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise SchemaError(f"{flag} must be finite and > 0, got {value!r}")
+    if args.command != "ddvv" and args.order < JET_ORDER:
+        raise InsufficientOrder(f"conformal frame data needs jet order "
+                                f">= {JET_ORDER}, got {args.order}")
+    check_order(args.order)
 
     pts = sample_points(spec.domain, args.points, args.seed)
-    base = {
-        "schema": 1,
-        "tool": {"name": "wintgen", "version": __version__},
-        "command": args.command,
+    body = {
         "source": source,
         "parameters": {
             "points": args.points,
@@ -475,76 +468,68 @@ def _analysis_command(args) -> int:
     try:
         result = _RUNNERS[args.command](spec, pts, args, checked)
     except _REFUSALS as exc:
-        doc = dict(base)
-        doc["refusal"] = {"kind": type(exc).__name__, "message": str(exc)}
-        _emit(doc, args.json)
-        return EXIT_REFUSED
-    except _INPUT_ERRORS as exc:
-        _emit(_error_doc(args.command, exc), args.json)
-        return EXIT_INPUT
-
-    doc = dict(base)
-    doc["sample"] = [_point_list(p) for p in pts]
-    doc["records"] = result.records
-    doc["aggregate"] = result.aggregate
+        body["refusal"] = {"kind": type(exc).__name__, "message": str(exc)}
+        return EXIT_REFUSED, body, None
+    body["sample"] = [_point_list(p) for p in pts]
+    body["records"] = result.records
+    body["aggregate"] = result.aggregate
     if args.assert_expected:
-        doc["assert"] = {"passed": not result.failures,
-                         "failures": result.failures}
-    _emit(doc, args.json)
-    if args.csv:
-        _write_csv(args.csv, result.csv_header, result.records)
-    if args.assert_expected and result.failures:
-        return EXIT_ASSERT
-    return EXIT_OK
+        body["assert"] = {"passed": not result.failures,
+                          "failures": result.failures}
+    code = EXIT_ASSERT if args.assert_expected and result.failures \
+        else EXIT_OK
+    return code, body, (result.csv_header, result.records)
 
 
-def _gallery_command(args) -> int:
-    entries = []
-    for e in gallery.all_entries():
-        entries.append({
-            "name": e.name,
-            "ambient": {"kind": e.spec.ambient.kind,
-                        "curvature": float(e.spec.ambient.c)},
-            "domain": [[float(lo), float(hi)] for lo, hi in e.spec.domain],
-            "has_text_form": e.expression_text is not None,
-            "expected": e.expected,
-        })
-    doc = {
-        "schema": 1,
-        "tool": {"name": "wintgen", "version": __version__},
-        "command": "gallery-list",
-        "entries": entries,
-    }
-    _emit(doc, args.json)
-    return EXIT_OK
+def _gallery_entries() -> list[dict]:
+    return [{
+        "name": e.name,
+        "ambient": {"kind": e.spec.ambient.kind,
+                    "curvature": float(e.spec.ambient.c)},
+        "domain": [[float(lo), float(hi)] for lo, hi in e.spec.domain],
+        "has_text_form": e.expression_text is not None,
+        "expected": e.expected,
+    } for e in gallery.all_entries()]
+
+
+def _error_fields(exc: Exception) -> dict:
+    msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    error = {"kind": type(exc).__name__, "message": str(msg)}
+    if isinstance(exc, ParseError):
+        error.update(line=exc.line, col=exc.col)
+    return error
+
+
+def _command_named(argv) -> str | None:
+    """The subcommand argv names, as documents name it (gallery lists its
+    entries), or None when argv names none."""
+    name = next((a for a in argv if a == "gallery" or a in _RUNNERS), None)
+    return "gallery-list" if name == "gallery" else name
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help and 2 for bad usage; keep its codes
-        return int(exc.code or 0)
-    if getattr(args, "assert_expected", False) and args.example is None:
-        print("wintgen: --assert-expected requires --example",
-              file=sys.stderr)
-        return EXIT_INPUT
-
+    argv = sys.argv[1:] if argv is None else list(argv)
     start = time.perf_counter()
+    json_path, table = None, None
     try:
-        target = _unwritable_target(args)
-        if target is not None:
-            command = "gallery-list" if args.command == "gallery" \
-                else args.command
-            _emit(_error_doc(command, SchemaError(target)), None)
-            return EXIT_INPUT
+        args = _build_parser().parse_args(argv)
+        _check_request(args)
+        json_path = args.json
         if args.command == "gallery":
-            return _gallery_command(args)
-        return _analysis_command(args)
-    finally:
-        elapsed = time.perf_counter() - start
-        print(f"# elapsed {elapsed:.3f}s", file=sys.stderr)
+            code, body = EXIT_OK, {"entries": _gallery_entries()}
+        else:
+            code, body, table = _analysis_command(args)
+    except SystemExit as exc:
+        # argparse still exits for --help (0); usage errors raise SchemaError
+        return int(exc.code or 0)
+    except _INPUT_ERRORS as exc:
+        code, body = EXIT_INPUT, {"error": _error_fields(exc)}
+    _emit({"schema": 1, "tool": {"name": "wintgen", "version": __version__},
+           "command": _command_named(argv), **body}, json_path)
+    if table is not None and args.csv:
+        _write_csv(args.csv, *table)
+    print(f"# elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import jetalg, jets
-from .classical import (_pattern_matrices, kernel_plane, require_ideal,
-                        turned_frame)
+from .classical import (LTOL, TOL, _pattern_matrices, kernel_plane,
+                        require_ideal, turned_frame)
 from .errors import IntegrableDistribution
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusContext, connection_chart,
@@ -82,7 +82,7 @@ class CanonicalFields:
     """
 
     def __init__(self, ctx: MoebiusContext, gauge: str = "raw", pregauge=None,
-                 ltol: float = 1e-6, partial: bool = False, tol: float = 1e-7):
+                 ltol: float = LTOL, partial: bool = False, tol: float = TOL):
         if gauge not in ("raw", "V0"):
             raise ValueError(f"unknown gauge {gauge!r}")
         self.ctx = ctx
@@ -427,8 +427,8 @@ def _package_invariants(cf: CanonicalFields) -> WintgenInvariants:
 
 
 def invariants_uvlg(ctx: MoebiusContext, gauge: str = "raw",
-                    ltol: float = 1e-6, pregauge=None, partial: bool = False,
-                    tol: float = 1e-7) -> WintgenInvariants:
+                    ltol: float = LTOL, pregauge=None, partial: bool = False,
+                    tol: float = TOL) -> WintgenInvariants:
     """The scalar invariants at the context's point; tol is the DDVV
     equality tolerance of the ideality gate."""
     return _package_invariants(CanonicalFields(
@@ -495,7 +495,7 @@ class TheoremBVerdict:
     n_points: int
 
 
-def theorem_b_verdict(invs, tol: float = 1e-6) -> TheoremBVerdict:
+def theorem_b_verdict(invs, tol: float = TOL) -> TheoremBVerdict:
     """The space-form verdict from per-point invariants: the distinguished
     1-form is closed when every d(omega) component is below tol, and the
     sign of Fhat then names the space form."""
@@ -523,9 +523,9 @@ def theorem_b_verdict(invs, tol: float = 1e-6) -> TheoremBVerdict:
         fhat_max=float(arr.max()), n_points=len(arr))
 
 
-def classify_theorem_b(spec: ImmersionSpec, sample, tol: float = 1e-6,
+def classify_theorem_b(spec: ImmersionSpec, sample, tol: float = TOL,
                        gauge: str = "raw",
-                       ltol: float = 1e-6) -> TheoremBVerdict:
+                       ltol: float = LTOL) -> TheoremBVerdict:
     """Closedness of the distinguished 1-form plus the sign of Fhat over a
     sample, combined into the space-form verdict.  tol is also the ideality
     gate's tolerance, as --tol is on the command line."""
@@ -541,7 +541,7 @@ class HopfReport:
     max_domega: float
 
 
-def hopf_verdict(invs, tol: float = 1e-6) -> HopfReport:
+def hopf_verdict(invs, tol: float = TOL) -> HopfReport:
     """The circle-lift criterion from per-point invariants: G = 0 and the
     distinguished 1-form closed, both below tol."""
     max_g = max((abs(inv.G) for inv in invs), default=0.0)
@@ -550,8 +550,8 @@ def hopf_verdict(invs, tol: float = 1e-6) -> HopfReport:
                       max_G=max_g, max_domega=max_dw)
 
 
-def hopf_criterion(spec: ImmersionSpec, sample, tol: float = 1e-6,
-                   gauge: str = "raw", ltol: float = 1e-6) -> HopfReport:
+def hopf_criterion(spec: ImmersionSpec, sample, tol: float = TOL,
+                   gauge: str = "raw", ltol: float = LTOL) -> HopfReport:
     """Lift test: the squared-torus fibration recognizer max(|G|, |domega|).
     tol is also the ideality gate's tolerance, as --tol is on the command
     line."""

@@ -44,9 +44,7 @@ JET_ORDER = 5
 
 def frame_scalar_d(EC, f, k):
     """E_k(f) for a scalar jet f, frame rows EC in chart components."""
-    acc = EC[k][0] * jets.derivative(f, 1)
-    acc = acc + EC[k][1] * jets.derivative(f, 2)
-    return acc + EC[k][2] * jets.derivative(f, 3)
+    return jetalg.dot(EC[k], [jets.derivative(f, a) for a in (1, 2, 3)])
 
 
 def frame_vector_d(EC, vec, k):
@@ -228,8 +226,10 @@ class MoebiusContext:
         eC = cl.frame_chart
         nf = cl.normal_frame
         H = cl.H
-        dlog = [frame_scalar_d(eC, self.rho, i) * self.inv_rho
-                for i in range(3)]
+        # E_i(f) for f = rho, H^0, H^1, each chart partial taken once
+        dE = [jetalg.matvec(eC, [jets.derivative(f, a) for a in (1, 2, 3)])
+              for f in (self.rho, *H)]
+        dlog = [d * self.inv_rho for d in dE[0]]
         inv_rho2 = self.inv_rho * self.inv_rho
         out = []
         for r in range(2):
@@ -239,7 +239,7 @@ class MoebiusContext:
                     for a in range(3)]
             row = []
             for i in range(3):
-                acc = frame_scalar_d(eC, H[r], i) \
+                acc = dE[1 + r][i] \
                     + H[s] * jetalg.dot(eC[i][:i + 1], conn[:i + 1])
                 h = cl.h[r]
                 for j in range(3):

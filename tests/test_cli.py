@@ -2,8 +2,11 @@
 
 import csv
 import dataclasses
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wintgen
 from wintgen import cli, gallery, ideal, moebius
 from wintgen.cli import main
 from wintgen.errors import IntegrableDistribution, NotIdealPoint
@@ -240,9 +244,16 @@ def test_assert_violation_exits_one(capsys):
 def test_assert_expected_needs_example(capsys, tmp_path):
     path = tmp_path / "so3.imm"
     path.write_text(gallery.by_name("so3").expression_text)
-    code = main(["ddvv", "--spec", str(path), "--assert-expected"])
-    capsys.readouterr()
+    report = tmp_path / "report.json"
+    code, out = run_cli(capsys, "ddvv", "--spec", str(path),
+                        "--assert-expected", "--json", str(report))
     assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == {
+        "kind": "SchemaError",
+        "message": "--assert-expected requires --example"}
+    # a check made before any work is reported on stdout only
+    assert not report.exists()
 
 
 def test_spec_file_route(capsys, tmp_path):
@@ -338,6 +349,116 @@ def test_residual_columns_fixed(capsys, tmp_path):
     header = path.read_text().splitlines()[0].split(",")
     assert header == ["index", "u1", "u2", "u3", "codazzi_A", "ricci_C",
                       "codazzi_B", "gauss", "ricci_normal", "trace", "max"]
+
+
+# argv (with {so3}, {bad}, {eval}, {missing} and {nodir} standing for
+# files the test writes or leaves missing), the document's command, the
+# kind of its error or refusal (None for a report) and the exit code
+OUTCOMES = [
+    # usage errors
+    (["ddvv", "--example", "so3", "--bogus"], "ddvv", "SchemaError", 2),
+    (["ddvv"], "ddvv", "SchemaError", 2),
+    (["gallery", "show"], "gallery-list", "SchemaError", 2),
+    (["frobnicate"], None, "SchemaError", 2),
+    ([], None, "SchemaError", 2),
+    (["ddvv", "--example", "so3", "--points", "x"], "ddvv", "SchemaError",
+     2),
+    # checks made before any work
+    (["ddvv", "--example", "so3", "--json", "{nodir}"], "ddvv",
+     "SchemaError", 2),
+    (["invariants", "--example", "so3", "--csv", "{nodir}"], "invariants",
+     "SchemaError", 2),
+    (["ddvv", "--spec", "{so3}", "--assert-expected"], "ddvv",
+     "SchemaError", 2),
+    # loading the chart
+    (["invariants", "--example", "no-such-entry"], "invariants", "KeyError",
+     2),
+    (["ddvv", "--spec", "{missing}"], "ddvv", "FileNotFoundError", 2),
+    (["ddvv", "--spec", "{bad}"], "ddvv", "ParseError", 2),
+    # validation and evaluation
+    (["ddvv", "--example", "so3", "--points", "0"], "ddvv", "SchemaError",
+     2),
+    (["theorem-b", "--example", "so3", "--tol", "nan"], "theorem-b",
+     "SchemaError", 2),
+    (["invariants", "--example", "so3", "--order", "4"], "invariants",
+     "InsufficientOrder", 2),
+    (["ddvv", "--example", "so3", "--order", "6"], "ddvv", "OrderError", 2),
+    (["ddvv", "--spec", "{eval}", "--points", "1"], "ddvv", "EvalError", 2),
+    # runs
+    (["invariants", "--example", "umbilic-control", "--points", "1"],
+     "invariants", "UmbilicPoint", 3),
+    (["ddvv", "--example", "so3", "--points", "1"], "ddvv", None, 0),
+    (["residuals", "--example", "so3", "--points", "1", "--tol", "1e-30",
+      "--assert-expected"], "residuals", None, 1),
+    (["gallery", "list"], "gallery-list", None, 0),
+]
+
+
+def test_every_outcome_prints_one_document(capsys, tmp_path):
+    """Each argv prints exactly one schema-1 document on stdout, in process
+    and in a separate process alike."""
+    so3 = gallery.by_name("so3").expression_text
+    files = {"so3": so3, "bad": "not a valid immersion description\n",
+             "eval": so3.replace("x1 = (", "x1 = 1/(u1 - u1) + (", 1)}
+    names = {"missing": tmp_path / "missing.imm",
+             "nodir": tmp_path / "missing" / "out"}
+    for key, text in files.items():
+        names[key] = tmp_path / f"{key}.imm"
+        names[key].write_text(text)
+    runs = [[a.format(**names) for a in argv] for argv, *_ in OUTCOMES]
+
+    outputs = [run_cli(capsys, *argv) for argv in runs]
+    for argv, (code, out), (_, command, kind, want) in zip(
+            runs, outputs, OUTCOMES):
+        assert code == want, argv
+        assert out.count("\n") == 1 and out.endswith("\n"), argv
+        doc = json.loads(out)
+        assert doc["schema"] == 1, argv
+        assert doc["tool"] == {"name": "wintgen", "version":
+                               cli.__version__}, argv
+        assert doc["command"] == command, argv
+        key = "refusal" if code == cli.EXIT_REFUSED else "error"
+        assert {k: doc[k]["kind"] for k in ("error", "refusal") if k in doc} \
+            == ({} if kind is None else {key: kind}), argv
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # a few processes at a time keep the wall time and memory small
+    for start in range(0, len(runs), 4):
+        procs = [(argv, subprocess.Popen(
+            [sys.executable, "-m", "wintgen.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True))
+            for argv in runs[start:start + 4]]
+        for (argv, proc), (code, out) in zip(procs,
+                                             outputs[start:start + 4]):
+            stdout, _ = proc.communicate(timeout=120)
+            assert (proc.returncode, stdout) == (code, out), argv
+
+
+def test_library_tolerance_defaults_are_the_command_line_defaults():
+    """Every tol and ltol default in the package is the default of --tol or
+    --ltol, so a library call and the command with default flags judge
+    alike.  gallery.check_lorentz's tol bounds a matrix identity instead."""
+    args = cli._build_parser().parse_args(["ddvv", "--example", "so3"])
+    defaults = {}
+    for info in pkgutil.iter_modules(wintgen.__path__):
+        module = importlib.import_module(f"wintgen.{info.name}")
+        for name, obj in vars(module).items():
+            routine = inspect.isfunction(obj) or inspect.isclass(obj) \
+                and not issubclass(obj, Exception)
+            if not routine or obj.__module__ != module.__name__ or \
+                    obj is gallery.check_lorentz:
+                continue
+            params = inspect.signature(obj).parameters
+            for flag in ("tol", "ltol"):
+                if flag in params and \
+                        params[flag].default is not inspect.Parameter.empty:
+                    defaults[f"{module.__name__}.{name} {flag}"] = (
+                        params[flag].default, getattr(args, flag))
+    assert "wintgen.ideal.classify_theorem_b tol" in defaults
+    assert "wintgen.ideal.hopf_criterion ltol" in defaults
+    assert {k: v for k, v in defaults.items() if v[0] != v[1]} == {}
 
 
 def test_help_exits_zero(capsys):

@@ -7,8 +7,9 @@ bound by a top-level import must be referenced somewhere in the module.
 `from __future__` imports and names listed in `__all__` are exempt.  A
 `_name` defined at the top of a package module by def, class or assignment
 must be referenced somewhere in the package or the tests.  Only
-immersion.py compares an ambient model's kind, and UmbilicPoint is raised
-at one site.
+immersion.py compares an ambient model's kind, UmbilicPoint is raised at
+one site, and cli.py prints a document at one call of `_emit` and writes the
+"schema" key at one site.
 """
 
 import ast
@@ -172,3 +173,40 @@ def test_each_convention_has_one_home():
         raises += [f"{path.name}:{line}" for line in r]
     assert kinds == []
     assert len(raises) == 1, raises
+
+
+def document_sites(source: str) -> tuple:
+    """Lines of the calls of `_emit` (by name or attribute), and lines that
+    write a "schema" key: a dict display with it or a subscript store."""
+    emits, schemas = [], []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and "_emit" in (
+                getattr(n.func, "id", None), getattr(n.func, "attr", None)):
+            emits.append(n.lineno)
+        if isinstance(n, ast.Dict):
+            keys = n.keys
+        elif isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store):
+            keys = [n.slice]
+        else:
+            continue
+        if any(isinstance(k, ast.Constant) and k.value == "schema"
+               for k in keys):
+            schemas.append(n.lineno)
+    return sorted(emits), sorted(schemas)
+
+
+def test_document_scanner_flags_emit_calls_and_schema_keys():
+    src = ("def f(doc, path, cli):\n"
+           "    _emit({'schema': 1, 'command': None}, path)\n"
+           "    doc['schema'] = 1\n"
+           "    cli._emit(doc, None)\n"
+           "    label = {'kind': 'schema'}\n"
+           "    return doc['schema'], label, emit(doc)\n")
+    assert document_sites(src) == ([2, 4], [2, 3])
+
+
+def test_cli_builds_every_document_at_one_site():
+    path = ROOT / "src" / "wintgen" / "cli.py"
+    emits, schemas = document_sites(path.read_text(encoding="utf-8"))
+    assert len(emits) == 1, emits
+    assert len(schemas) == 1, schemas

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wintgen import gallery, ideal, jetalg, jets, moebius
-from wintgen.classical import kernel_plane, turned_frame
-from wintgen.errors import (IntegrableDistribution, NotIdealPoint,
-                            UmbilicPoint)
+from wintgen.classical import ddvv_report, kernel_plane, turned_frame
+from wintgen.errors import (DegenerateCurve, IntegrableDistribution,
+                            NotIdealPoint, UmbilicPoint)
 
 from wintgen.immersion import ImmersionSpec
 
@@ -437,6 +439,57 @@ def test_hopf_criterion_on_lift_entries():
         assert rep.satisfied
         assert rep.max_G < 1e-6
         assert rep.max_domega < 1e-6
+
+
+# Random holomorphic curves in CP^2: gallery.hopf_lift_curve claims that
+# every lift is minimal and ideal in S^5, with G = 0 and omega closed.  The
+# bounds are about ten times the worst of 600 random curves of degree 2-4
+# at two plan points each: slack 5.7e-14, |mu - 1/sqrt6| 6.7e-15,
+# |G|/|L| 1.1e-11 and max|domega| 2.3e-9 (Fhat stayed above 2e-5).
+_COEFF = st.complex_numbers(max_magnitude=1.0, allow_subnormal=False)
+
+
+def _poly(degree):
+    return st.lists(_COEFF, min_size=degree + 1, max_size=degree + 1)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.integers(2, 4).flatmap(lambda d: st.lists(_poly(d), min_size=3,
+                                                    max_size=3)))
+def test_random_hopf_lifts_are_ideal_with_closed_form(polys):
+    # a curve in a line of CP^2 is the umbilic case below
+    assume(np.linalg.svd(np.array(polys), compute_uv=False)[-1] > 0.1)
+    try:
+        lift = gallery.hopf_lift_curve(polys=polys, name="random-hopf")
+    except DegenerateCurve:
+        assume(False)
+    invs = []
+    for p in lift.sample_plan[:2]:
+        rep = ddvv_report(lift.spec, p)
+        assert rep.ideal and abs(rep.slack) <= 1e-12
+        inv = ideal.invariants_uvlg(moebius.MoebiusContext(lift.spec, p))
+        assert abs(inv.mu - MU) <= 1e-13
+        assert abs(inv.G) <= 1e-10 * abs(inv.L)
+        assert max(abs(d) for d in inv.domega) <= 2e-8
+        invs.append(inv)
+    # the verdicts at their default tolerance, which is --tol's
+    assert ideal.theorem_b_verdict(invs).classification == "sphere_minimal"
+    assert ideal.hopf_verdict(invs).satisfied
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.lists(_COEFF, min_size=2, max_size=2),
+       st.integers(1, 4).flatmap(_poly), st.permutations(range(3)))
+def test_hopf_lift_of_a_line_is_umbilic(constants, poly, slots):
+    """Two constant components put the curve in a line of CP^2, whose lift
+    is a totally geodesic S^3."""
+    assume(max(map(abs, constants)) > 0.1 and max(map(abs, poly[1:])) > 0.1)
+    comps = [(constants[0],), (constants[1],), tuple(poly)]
+    lift = gallery.hopf_lift_curve(polys=[comps[i] for i in slots],
+                                   name="line-hopf")
+    with pytest.raises(UmbilicPoint):
+        ideal.invariants_uvlg(moebius.MoebiusContext(lift.spec,
+                                                     lift.sample_plan[0]))
 
 
 # ---------------------------------------------------------------------------
