@@ -14,7 +14,9 @@ AdaptedFrame) hold plain floats.  The adapted frame of an ideal point has one
 construction: kernel_plane decides its gates on values and returns the kernel
 line, the plane seed and the normal flip, and turned_frame, generic over
 floats and jets, builds the frame from them; adapted_frame runs it on floats
-and ideal.CanonicalFields on jets.
+and ideal.CanonicalFields on jets.  Over a chunk of points (see jets) the
+point pass and the gates run per point, and the jet pass takes the pivots
+and the half_angle branch as lane data.
 
 Index conventions: a, b, c label chart coordinates; i, j, k label the
 orthonormal tangent frame; r, s label the orthonormal normal frame.
@@ -49,23 +51,24 @@ def check_order(order: int) -> None:
     jets.check_order(order)
 
 
-class ClassicalContext:
-    """Lazy jet computations for one immersion at one chart point.
+class ClassicalContext(jets.Lanes):
+    """Lazy jet computations for one immersion at one chart point, or at
+    the points of a chunk (p a list of points).
 
     `point` is the same context on floats.  It decides the NotImmersed
     gates (metric determinant, normal-frame residual) and picks the
     normal-frame pivots, which the jet pass reuses, and it supplies the
     values of induced_metric, frame_chart, tangent_amb, normal_frame, h and
-    H that is_umbilic and classical_data read."""
+    H that is_umbilic and classical_data read; over a chunk, each lane has
+    its own."""
 
     def __init__(self, spec: ImmersionSpec, p, order: int = 5):
         check_order(order)
-        self.spec = spec
-        self.p = tuple(float(v) for v in p)
-        self.order = order
-        self.inner = spec.ambient.inner
+        self.p = [tuple(float(v) for v in q) for q in jets.points(p)]
+        self.split_lanes([{"p": q} for q in self.p], spec=spec, order=order,
+                         inner=spec.ambient.inner)
 
-    @cached_property
+    @jets.field
     def x(self):
         return eval_immersion_jet(self.spec, self.p, self.order)
 
@@ -73,16 +76,16 @@ class ClassicalContext:
     def point(self) -> "ClassicalContext":
         return _PointPass(self)
 
-    @cached_property
+    @jets.field
     def xa(self):
         return [[jets.derivative(c, a + 1) for c in self.x] for a in range(3)]
 
-    @cached_property
+    @jets.field
     def xab(self):
         return [[[jets.derivative(c, b + 1) for c in self.xa[a]]
                  for b in range(3)] for a in range(3)]
 
-    @cached_property
+    @jets.field
     def induced_metric(self):
         I = [[None] * 3 for _ in range(3)]
         for a in range(3):
@@ -90,14 +93,15 @@ class ClassicalContext:
                 I[a][b] = I[b][a] = self.inner(self.xa[a], self.xa[b])
         return I
 
-    @cached_property
+    @jets.field
     def frame_chart(self):
         """Rows eC[i]: orthonormal tangent frame e_i = sum_a eC[i][a] d/du_a,
         lower-triangular (Gram-Schmidt in chart order)."""
-        self.point.frame_chart  # refuses where the metric is degenerate
+        for lane in self.lanes:
+            lane.point.frame_chart  # refuses where the metric is degenerate
         return jetalg.inv_lower3(jetalg.cholesky3(self.induced_metric))
 
-    @cached_property
+    @jets.field
     def tangent_amb(self):
         # e_i = sum_a eC[i][a] x_a, component by component
         return [[jetalg.dot(self.frame_chart[i], [xa[k] for xa in self.xa])
@@ -115,29 +119,31 @@ class ClassicalContext:
         return jets.MultiJet.constant(value, self.order)
 
     def _residual(self, k, units):
-        """The k-th standard basis vector with its components along the
-        units projected away, one after another."""
-        v = [self._constant(1.0 if m == k else 0.0)
+        """The k-th standard basis vector (k a lane vector over a chunk) with
+        its components along the units projected away, one after another."""
+        v = [self._constant(1.0 * (k == m))
              for m in range(self.spec.ambient.ncomp)]
         for u, s in units:
             coef = self.inner(v, u) * s
             v = [a - coef * b for a, b in zip(v, u)]
         return v
 
-    @cached_property
+    @jets.field
     def normal_frame(self):
         """Two unit normals by Gram-Schmidt from the standard basis vectors
-        the point pass picked."""
-        self.point.normal_frame  # picks the pivots, or refuses
+        the point passes picked."""
+        for lane in self.lanes:
+            lane.point.normal_frame  # picks the pivots, or refuses
         units = self._units()
         normals = []
-        for k in self.point.pivots:
-            n = jetalg.normalize(self._residual(k, units), inner=self.inner)
+        for ks in zip(*(lane.point.pivots for lane in self.lanes)):
+            n = jetalg.normalize(self._residual(jets.from_lanes(ks), units),
+                                 inner=self.inner)
             units.append((n, 1.0))
             normals.append(n)
         return normals
 
-    @cached_property
+    @jets.field
     def h(self):
         """Second fundamental form h^r_ij in the orthonormal frames."""
         out = []
@@ -149,7 +155,7 @@ class ClassicalContext:
             out.append(jetalg.lower_congruence(self.frame_chart, hc))
         return out
 
-    @cached_property
+    @jets.field
     def H(self):
         return [(m[0][0] + m[1][1] + m[2][2]) * (1.0 / 3.0) for m in self.h]
 
@@ -158,12 +164,13 @@ class ClassicalContext:
         return umbilic(self.point.h, self.point.H)
 
     def require_not_umbilic(self) -> None:
-        """The umbilic gate of the conformal invariants."""
-        if self.is_umbilic():
-            refuse_umbilic(self.spec.name, f" at {self.p}",
-                           "conformal invariants are undefined there")
+        """The umbilic gate of the conformal invariants, at each point."""
+        for lane in self.lanes:
+            if lane.is_umbilic():
+                refuse_umbilic(self.spec.name, f" at {lane.p}",
+                               "conformal invariants are undefined there")
 
-    @cached_property
+    @jets.field
     def rho(self):
         """Conformal factor: rho^2 = (3/2)|II - (1/3)tr(II) I|^2."""
         self.require_not_umbilic()
@@ -182,10 +189,11 @@ class _PointPass(ClassicalContext):
     equals the constant term of the matching jet bit for bit.  The gates
     are decided here, on the values, and the pivots are picked here."""
 
+    point = property(lambda self: self)  # not an attribute: no self-cycle
+
     def __init__(self, ctx: ClassicalContext):
         self.spec, self.p, self.order = ctx.spec, ctx.p, ctx.order
         self.inner = ctx.inner
-        self.point = self
         parts = [jets.low_partials(c) for c in ctx.x]
         self.x = [v for v, _, _ in parts]
         self.xa = [[d1[a] for _, d1, _ in parts] for a in range(3)]
@@ -405,15 +413,13 @@ def kernel_sign(v: np.ndarray) -> np.ndarray:
 def half_angle(c2, s2):
     """cos t and sin t given cos 2t and sin 2t, with cos t >= 0 at the
     point.  The branch is picked from the values of c2 and s2 so the square
-    root stays off zero.  Works for floats and jets alike."""
-    if jets.value_of(c2) >= 0.0:
-        ct = jets.sqrt((1.0 + c2) * 0.5)
-        st = s2 / (2.0 * ct)
-    else:
-        sgn = 1.0 if jets.value_of(s2) >= 0.0 else -1.0
-        st = sgn * jets.sqrt((1.0 - c2) * 0.5)
-        ct = s2 / (2.0 * st)
-    return ct, st
+    root stays off zero: the root is cos t where c2 >= 0, else sin t with
+    the sign of s2, picked per lane.  Works for floats and jets alike."""
+    up = jets.value_of(c2) >= 0.0
+    sgn = jets.where(up, 1.0, jets.where(jets.value_of(s2) >= 0.0, 1.0, -1.0))
+    root = sgn * jets.sqrt((1.0 + jets.where(up, 1.0, -1.0) * c2) * 0.5)
+    other = s2 / (2.0 * root)
+    return jets.where(up, root, other), jets.where(up, other, root)
 
 
 @dataclass(frozen=True)
@@ -462,7 +468,7 @@ def turned_frame(T, plane: KernelPlane):
     smooth fields whose values are the float run's rows."""
     adj = [jetalg.adjugate3(T[r]) for r in range(2)]
     P = [[-(adj[0][i][j] + adj[1][i][j]) for j in range(3)] for i in range(3)]
-    E3 = jetalg.normalize(jetalg.matvec(P, [float(v) for v in plane.q]))
+    E3 = jetalg.normalize(jetalg.matvec(P, list(plane.q)))
     proj = jetalg.dot(list(plane.F1), E3)
     F1 = jetalg.normalize([plane.F1[j] - proj * E3[j] for j in range(3)])
     F2 = jetalg.cross3(E3, F1)

@@ -50,7 +50,7 @@ from .ideal import (SQRT6, CanonicalFields, _package_invariants, hopf_verdict,
                     theorem_b_verdict)
 from .immersion import parse_immersion, sample_points
 from .moebius import (JET_ORDER, MoebiusContext, integrability_residuals,
-                      moebius_data)
+                      map_chunks, moebius_data)
 
 # perfbench wraps the names this module looks up, moebius_data among them,
 # and its self-test requires each of them to exist here
@@ -193,10 +193,10 @@ _CONSTANT_VALUES = {
 }
 
 
-def _analyze(spec, p, args) -> CanonicalFields:
-    """The canonical fields at one sample point, with the gauge, torsion
-    cutoff and ideality tolerance of the command line."""
-    return CanonicalFields(MoebiusContext(spec, p),
+def _analyze(spec, chunk, args) -> CanonicalFields:
+    """The canonical fields over a chunk of sample points, with the gauge,
+    torsion cutoff and ideality tolerance of the command line."""
+    return CanonicalFields(MoebiusContext(spec, chunk),
                            gauge="V0" if args.gauge == "v0" else "raw",
                            ltol=args.ltol, tol=args.tol)
 
@@ -204,16 +204,18 @@ def _analyze(spec, p, args) -> CanonicalFields:
 def _ideal_records(spec, pts, args, names=None):
     """The per-point loop of the invariant commands: records holding the
     named values (all of them by default), and the invariants they came
-    from.  Each point is analyzed on its own, with the torsion-positive
-    sign rule, so a record depends only on its point and not on sample
-    order."""
+    from.  The points run in chunks (map_chunks), each with the
+    torsion-positive sign rule, so a record depends only on its point and
+    not on sample order or chunking."""
+    def analyze(chunk):
+        return [(lane.data.rho, _package_invariants(lane))
+                for lane in _analyze(spec, chunk, args).lanes]
+
     records = []
     invs = []
-    for idx, p in enumerate(pts):
-        cf = _analyze(spec, p, args)
-        inv = _package_invariants(cf)
+    for idx, (p, (rho, inv)) in enumerate(zip(pts, map_chunks(analyze, pts))):
         values = {
-            "rho": float(cf.data.rho),
+            "rho": float(rho),
             "mu": float(inv.mu),
             "U": float(inv.U),
             "V": float(inv.V),
@@ -315,9 +317,12 @@ _RESIDUAL_FIELDS = ("codazzi_A", "ricci_C", "codazzi_B", "gauss",
 
 
 def _run_residuals(spec, pts, args, expected) -> RunResult:
+    def analyze(chunk):
+        return [integrability_residuals(lane)
+                for lane in MoebiusContext(spec, chunk).lanes]
+
     records = []
-    for idx, p in enumerate(pts):
-        res = integrability_residuals(MoebiusContext(spec, p))
+    for idx, (p, res) in enumerate(zip(pts, map_chunks(analyze, pts))):
         rec = {"index": idx, "point": _point_list(p)}
         for name in _RESIDUAL_FIELDS:
             rec[name] = float(getattr(res, name))

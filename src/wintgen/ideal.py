@@ -15,7 +15,9 @@ classical.py), then where the torsion from the values of B, covB and the
 frame is at most ltol or its rounding floor, all before it snapshots the
 Moebius data.  Functions of one point take the context (invariants_uvlg) or
 the canonical fields (hat_frame, holomorphic_residual, structure_matrix);
-the verdicts take a chart and a sample.
+the verdicts take a chart and a sample, run in chunks (sample_invariants).
+Over a chunk, the gates, the kernel plane and the torsion are per point, and
+the kernel flip and the E3 sign are sign vectors on the jets.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from functools import cached_property
 import numpy as np
 
 from . import jetalg, jets
-from .classical import (LTOL, TOL, _pattern_matrices, kernel_plane,
-                        require_ideal, turned_frame)
+from .classical import (LTOL, TOL, KernelPlane, _pattern_matrices,
+                        kernel_plane, require_ideal, turned_frame)
 from .errors import IntegrableDistribution
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusContext, connection_chart,
                       connection_forms, d_form_values, frame_d_values,
-                      frame_scalar_d, moebius_data)
+                      frame_scalar_d, map_chunks, moebius_data)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -68,8 +70,9 @@ def _pregauged(B, M0, Q0):
               for j in range(3)] for i in range(3)] for r in range(2)]
 
 
-class CanonicalFields:
-    """The adapted frame at one ideal point, as jet fields.
+class CanonicalFields(jets.Lanes):
+    """The adapted frame at one ideal point, or at the points of a chunk
+    (ctx over a chunk, one view per point in `lanes`), as jet fields.
 
     Rf rows are the adapted tangent frame in components of the raw
     (Gram-Schmidt) frame; Qf columns express the adapted normal sphere pair
@@ -86,13 +89,13 @@ class CanonicalFields:
         if gauge not in ("raw", "V0"):
             raise ValueError(f"unknown gauge {gauge!r}")
         self.ctx = ctx
-        self.gauge = gauge
-        self.ltol = float(ltol)
-
-        cl = ctx.classical
-        cl.require_not_umbilic()
-        require_ideal(cl.point.h, cl.point.H, cl.spec.ambient.c, tol,
-                      where=f" at {ctx.p}")
+        ltol = float(ltol)
+        lcs = ctx.lanes
+        for lc in lcs:
+            cl = lc.classical
+            cl.require_not_umbilic()
+            require_ideal(cl.point.h, cl.point.H, cl.spec.ambient.c, tol,
+                          where=f" at {lc.p}")
 
         t = 0.0 if pregauge is None else float(pregauge)
         M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
@@ -101,20 +104,32 @@ class CanonicalFields:
         Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
                        [math.sin(2 * t), math.cos(2 * t)]])
         Bw = _pregauged(ctx.B, M0, Q0)
-        plane = kernel_plane(np.array(jetalg.values(Bw)), where=f" at {ctx.p}")
+        planes = [kernel_plane(np.array(jetalg.values(jets.lane(Bw, l))),
+                               where=f" at {lc.p}")
+                  for l, lc in enumerate(lcs)]
+        plane = KernelPlane(*map(jets.from_lanes, zip(
+            *((pl.q, pl.F1, pl.flip) for pl in planes))))
         rows, self.mu_field0 = turned_frame(Bw, plane)  # |z1|, invariant
 
         # E3 sign: the torsion is positive (it is odd in E3); below the
         # cutoff it is undefined and E3 stays as the kernel sign left it
-        E = np.array(jetalg.values(rows)) @ M0
-        self.torsion = _oriented_torsion(ctx.covB_values, ctx.B_values, *E)
-        self.floor = TORSION_FLOOR * float(np.max(np.abs(ctx.covB_terms)))
-        self.integrable = abs(self.torsion) <= max(self.ltol, self.floor)
+        per_lane = []
+        for l, lc in enumerate(lcs):
+            E = np.array(jetalg.values(jets.lane(rows, l))) @ M0
+            tor = _oriented_torsion(lc.covB_values, lc.B_values, *E)
+            floor = TORSION_FLOOR * float(np.max(np.abs(lc.covB_terms)))
+            per_lane.append(dict(ctx=lc, torsion=tor, floor=floor,
+                                 integrable=abs(tor) <= max(ltol, floor)))
+        self.split_lanes(per_lane, gauge=gauge, ltol=ltol)
         if not partial:
             self.require_torsion()
-        if not self.integrable and self.torsion < 0.0:
-            rows[2] = [-c for c in rows[2]]
-        self.data = moebius_data(ctx)
+        lanes = self.lanes
+        sign = jets.from_lanes([
+            -1.0 if not lane.integrable and lane.torsion < 0.0 else 1.0
+            for lane in lanes])
+        rows[2] = [sign * c for c in rows[2]]
+        for lane in lanes:
+            lane.data = moebius_data(lane.ctx)
 
         self.Rf = [[sum_jets([R[k] * M0[k][j] for k in range(3)
                               if M0[k][j] != 0.0]) for j in range(3)]
@@ -124,8 +139,9 @@ class CanonicalFields:
 
         if gauge == "V0":
             self._apply_v0()
+        for l, lane in enumerate(lanes):
+            lane.Rf, lane.Qf = jets.lane(self.Rf, l), jets.lane(self.Qf, l)
         self._b = {}  # adapted-frame B components, filled by b()
-        self._covc = {}  # adapted-frame covariant derivatives of C, by covc()
 
     # -- gauge refinement -----------------------------------------------------
 
@@ -136,9 +152,13 @@ class CanonicalFields:
         cV = self._contract_c(0, 1)
         Uf = -(cU / self.mu_field0)
         Vf = cV / self.mu_field0
-        h = math.hypot(jets.value_of(Uf), jets.value_of(Vf))
-        if h <= 1e-8:
+        reduced = [math.hypot(u, v) <= 1e-8 for u, v in zip(
+            *(np.ravel(jets.value_of(f)).tolist() for f in (Uf, Vf)))]
+        if all(reduced):
             return  # already in the reduced form
+        if any(reduced):
+            raise ValueError("V0 gauge: the points of the chunk disagree "
+                             "on the turn; run them one at a time")
         hf = jets.sqrt(Uf * Uf + Vf * Vf)
         cst = Uf / hf
         sst = -(Vf / hf)
@@ -160,7 +180,7 @@ class CanonicalFields:
 
     # -- frame derivative helpers ----------------------------------------------
 
-    @cached_property
+    @jets.field
     def frame_chart(self):
         """Rows: the adapted frame vectors in chart components (jets).  EC is
         lower triangular, so E_j has no d/du_a component for a > j."""
@@ -178,13 +198,13 @@ class CanonicalFields:
     def E_chart(self):
         return np.array(jetalg.values(self.frame_chart))
 
-    @cached_property
+    @jets.field
     def xi(self):
         xi = self.ctx.xi
         return [[sum_jets(self.Qf[s][r] * xi[s][m] for s in range(2))
                  for m in range(7)] for r in range(2)]
 
-    @cached_property
+    @jets.field
     def _bmix(self):
         """The shape fields with the normal pair mixed by Qf (raw tangent
         components)."""
@@ -199,18 +219,18 @@ class CanonicalFields:
             self._b[key] = jetalg.quadform(self.Rf[i], self._bmix[r], self.Rf[j])
         return self._b[key]
 
-    @cached_property
+    @jets.field
     def cfield(self):
         return [[self._contract_c(r, i) for i in range(3)] for r in range(2)]
 
-    @cached_property
+    @jets.field
     def theta(self):
         """theta_12 of the adapted sphere pair on the adapted frame."""
         tc = self.theta_chart
         return [sum_jets([self.frame_chart[k][a] * tc[a] for a in range(3)])
                 for k in range(3)]
 
-    @cached_property
+    @jets.field
     def theta_chart(self):
         """Normal connection of the adapted sphere pair in chart components."""
         return connection_chart(self.xi[0], self.xi[1])
@@ -221,7 +241,7 @@ class CanonicalFields:
         return float(self.E_chart[i] @ d_form_values(chart_form)
                      @ self.E_chart[j])
 
-    @cached_property
+    @jets.field
     def omega_can(self):
         """omega[i][j][k]: connection form of the adapted frame on its own
         vectors (moebius.connection_forms on frame_chart)."""
@@ -243,27 +263,30 @@ class CanonicalFields:
                 acc = acc + self.b(r, l, j) * om[l][i][k]
         return acc + self.b(s, i, j) * (sgn * self.theta[k])
 
-    def covc(self, r, i, j):
-        """C^r_{i,j} in the adapted frame (jet); built once per component."""
-        key = (r, i, j)
-        if key not in self._covc:
-            s = 1 - r
-            sgn = 1.0 if s == 0 else -1.0
-            c = self.cfield
-            acc = frame_scalar_d(self.frame_chart, c[r][i], j)
-            for k in range(3):
-                if k != i:
-                    acc = acc + c[r][k] * self.omega_can[k][i][j]
-            self._covc[key] = acc + c[s][i] * (sgn * self.theta[j])
-        return self._covc[key]
+    @jets.field
+    def covc(self):
+        """C^0_{i,j} in the adapted frame (jets), keyed (i, j), for the
+        components G, Fhat and Ghat read; each C component's chart partials
+        are taken once."""
+        c, om = self.cfield, self.omega_can
+        out = {}
+        for i, js in ((0, (0,)), (1, (0, 1))):
+            dc = [jets.derivative(c[0][i], a) for a in (1, 2, 3)]
+            for j in js:
+                acc = jetalg.dot(self.frame_chart[j], dc)
+                for k in range(3):
+                    if k != i:
+                        acc = acc + c[0][k] * om[k][i][j]
+                out[i, j] = acc + c[1][i] * (-1.0 * self.theta[j])  # theta_10
+        return out
 
-    @cached_property
+    @jets.field
     def Yi_can(self):
         Yi = self.ctx.Yi
         return [[sum_jets(self.Rf[i][j] * Yi[j][m] for j in range(3))
                  for m in range(7)] for i in range(3)]
 
-    @cached_property
+    @jets.field
     def coframe_can(self):
         """Rows: the adapted coframe in chart components (jets)."""
         return [[sum_jets([self.Rf[i][j] * self.ctx.coframe[j][a]
@@ -274,14 +297,14 @@ class CanonicalFields:
     def A_can(self):
         return self.Rfv @ self.data.A @ self.Rfv.T
 
-    @cached_property
+    @jets.field
     def A_can_field(self):
         return [[jetalg.quadform(self.Rf[i], self.ctx.A_gauss, self.Rf[j])
                  for j in range(3)] for i in range(3)]
 
     # -- named scalars -------------------------------------------------------------
 
-    @cached_property
+    @jets.field
     def mu_field(self):
         return self.b(0, 0, 1)
 
@@ -289,21 +312,21 @@ class CanonicalFields:
     def mu(self):
         return jets.value_of(self.mu_field)
 
-    @cached_property
+    @jets.field
     def Uf(self):
         return -(self.cfield[0][0] / self.mu_field)
 
-    @cached_property
+    @jets.field
     def Vf(self):
         return self.cfield[0][1] / self.mu_field
 
-    @cached_property
+    @jets.field
     def Lf(self):
         return -(self.covb(0, 0, 0, 2) / self.mu_field)
 
-    @cached_property
+    @jets.field
     def Gf(self):
-        return (self.covc(0, 0, 0) - self.covc(0, 1, 1)) / (2.0 * self.mu_field)
+        return (self.covc[0, 0] - self.covc[1, 1]) / (2.0 * self.mu_field)
 
     @cached_property
     def L(self):
@@ -314,24 +337,25 @@ class CanonicalFields:
         return jets.value_of(self.Gf)
 
     def require_torsion(self):
-        if self.integrable:
-            cutoff = f"{self.ltol:g}" if abs(self.torsion) <= self.ltol \
-                else f"its rounding floor {self.floor:.3e}"
-            raise IntegrableDistribution(
-                f"torsion {self.torsion:.3e} below {cutoff} at "
-                f"{self.ctx.p}: the kernel distribution is integrable and "
-                "the E3 sign is undefined")
+        for lane in self.lanes:
+            if lane.integrable:
+                cutoff = f"{self.ltol:g}" if abs(lane.torsion) <= self.ltol \
+                    else f"its rounding floor {lane.floor:.3e}"
+                raise IntegrableDistribution(
+                    f"torsion {lane.torsion:.3e} below {cutoff} at "
+                    f"{lane.ctx.p}: the kernel distribution is integrable "
+                    "and the E3 sign is undefined")
 
-    @cached_property
+    @jets.field
     def lamf(self):
         self.require_torsion()
         return self.Gf / self.Lf
 
-    @cached_property
+    @jets.field
     def w_fields(self):
         return [-(self.Vf), self.Uf, self.lamf]
 
-    @cached_property
+    @jets.field
     def omega_chart(self):
         """The distinguished 1-form in chart components (jets)."""
         w = self.w_fields
@@ -346,14 +370,14 @@ class CanonicalFields:
         pairs = [(0, 1), (0, 2), (1, 2)]
         return tuple(float(E[i] @ dom @ E[j]) for i, j in pairs)
 
-    @cached_property
+    @jets.field
     def Fhat_field(self):
         """Fhat as a field, through the Gauss-route Blaschke tensor; for
         derivatives of Fhat.  Its value is read in _package_invariants."""
         lam2 = self.lamf * self.lamf
         return self.A_can_field[0][0] \
             + 0.5 * (self.Uf * self.Uf + self.Vf * self.Vf - lam2) \
-            - self.covc(0, 1, 0) / self.mu_field
+            - self.covc[1, 0] / self.mu_field
 
     @cached_property
     def pattern_residual(self):
@@ -417,13 +441,24 @@ def _package_invariants(cf: CanonicalFields) -> WintgenInvariants:
     lam = jets.value_of(cf.lamf)
     # Fhat and Ghat from the dN-route Blaschke tensor at the point
     Fhat = cf.A_can[0, 0] + 0.5 * (U * U + V * V - lam * lam) \
-        - jets.value_of(cf.covc(0, 1, 0)) / mu
-    Ghat = cf.A_can[0, 1] - jets.value_of(cf.covc(0, 1, 1)) / mu - lam * cf.L
+        - jets.value_of(cf.covc[1, 0]) / mu
+    Ghat = cf.A_can[0, 1] - jets.value_of(cf.covc[1, 1]) / mu - lam * cf.L
     return WintgenInvariants(
         U=U, V=V, L=cf.L, G=cf.G, lam=lam, Fhat=Fhat, Ghat=Ghat,
         omega_coeffs=(-V, U, lam), domega=cf.domega_values,
         theta12_coeffs=theta_c, Omega12_coeffs=Omega12, mu=mu, gauge=cf.gauge,
         omega_chart=tuple(jets.value_of(c) for c in cf.omega_chart))
+
+
+def sample_invariants(spec: ImmersionSpec, sample, gauge: str = "raw",
+                      ltol: float = LTOL, tol: float = TOL) -> list:
+    """The invariants at each point of a sample, run in chunks by
+    moebius.map_chunks; each depends on its point alone."""
+    def analyze(chunk):
+        cf = CanonicalFields(MoebiusContext(spec, chunk), gauge=gauge,
+                             ltol=ltol, tol=tol)
+        return [_package_invariants(lane) for lane in cf.lanes]
+    return map_chunks(analyze, sample)
 
 
 def invariants_uvlg(ctx: MoebiusContext, gauge: str = "raw",
@@ -530,8 +565,7 @@ def classify_theorem_b(spec: ImmersionSpec, sample, tol: float = TOL,
     sample, combined into the space-form verdict.  tol is also the ideality
     gate's tolerance, as --tol is on the command line."""
     return theorem_b_verdict(
-        [invariants_uvlg(MoebiusContext(spec, p), gauge=gauge, ltol=ltol,
-                         tol=tol) for p in sample], tol)
+        sample_invariants(spec, sample, gauge=gauge, ltol=ltol, tol=tol), tol)
 
 
 @dataclass(frozen=True)
@@ -556,8 +590,7 @@ def hopf_criterion(spec: ImmersionSpec, sample, tol: float = TOL,
     tol is also the ideality gate's tolerance, as --tol is on the command
     line."""
     return hopf_verdict(
-        [invariants_uvlg(MoebiusContext(spec, p), gauge=gauge, ltol=ltol,
-                         tol=tol) for p in sample], tol)
+        sample_invariants(spec, sample, gauge=gauge, ltol=ltol, tol=tol), tol)
 
 
 # ---------------------------------------------------------------------------

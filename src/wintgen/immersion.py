@@ -434,10 +434,14 @@ def parse_immersion(text: str) -> ImmersionSpec:
 
 
 def eval_immersion_jet(spec: ImmersionSpec, p, order: int) -> list[MultiJet]:
-    """Order-`order` jets of the ambient coordinates of x at chart point p."""
-    if not spec.contains(p):
-        raise EvalError(f"point {tuple(p)} outside domain of {spec.name}")
-    seeds = [jet_seed(i + 1, float(p[i]), order) for i in range(3)]
+    """Order-`order` jets of the ambient coordinates of x at chart point p,
+    or at each point of a chunk (a list of points) along the jets' lanes."""
+    pts = jets.points(p)
+    for q in pts:
+        if not spec.contains(q):
+            raise EvalError(f"point {tuple(q)} outside domain of {spec.name}")
+    seeds = [jet_seed(i + 1, jets.from_lanes([float(q[i]) for q in pts]), order)
+             for i in range(3)]
     out = spec.evaluator(seeds)
     if len(out) != spec.ambient.ncomp:
         raise SchemaError(

@@ -9,9 +9,17 @@ Monomials are listed in graded order (degree first), so the coefficient array
 of a lower-order jet is a prefix of a higher-order one; truncation is a slice.
 
 All tables (monomial lists, product index pairs, division blocks, derivative
-maps) are built once per order and cached.  Results of arithmetic are made by
-the unchecked constructor _jet; the public MultiJet(order, coeffs) validates
-its input.
+maps, their output slots spread over lanes) are built on first use and cached.
+Results of arithmetic are made by the unchecked constructor _jet; the public
+MultiJet(order, coeffs) validates its input.
+
+Lanes.  Coefficients may carry a trailing lane axis, (ncoef, P), one lane per
+point of a chunk (moebius.map_chunks: the first point alone, then at most 20
+points each, and a chunk that raises again point by point).  1-D jets, floats
+and lane vectors (arrays (P,)) act on every lane.  A product is one bincount
+over the slots s * P + lane, which sums each lane's pairs in one-point order,
+and division pivots and elementary series (math.*) are taken per lane, so a
+record depends only on its point, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .errors import DomainError, OrderError, SingularJet
 NVARS = 3
 MAX_ORDER = 5
 _NCOEF = tuple((k + 1) * (k + 2) * (k + 3) // 6 for k in range(MAX_ORDER + 1))
+_SCALARS = (float, int, np.ndarray)  # numbers, and lane vectors
 
 
 def ncoef(order: int) -> int:
@@ -95,6 +104,28 @@ def _div_table(order: int):
     return tuple(blocks)
 
 
+@lru_cache(maxsize=None)
+def _lane_slots(order: int, lanes: int):
+    """The output slots of _mul_table, then of each _div_table block, with
+    slot s of lane l spread to s * lanes + l."""
+    return [(s[:, None] * lanes + np.arange(lanes)).ravel()
+            for s in (_mul_table(order)[2], *(b[4] for b in _div_table(order)))]
+
+
+def _lane_sum(order: int, table: int, w, n: int) -> np.ndarray:
+    """Per lane, the weights w (pairs x lanes) summed by the output slots of
+    _lane_slots(order, lanes)[table]."""
+    return np.bincount(_lane_slots(order, w.shape[1])[table], w.ravel(),
+                       n * w.shape[1]).reshape(n, -1)
+
+
+def _lanes(c: np.ndarray, other) -> np.ndarray:
+    """c given the lanes of a lane vector `other` when it has none."""
+    if isinstance(other, np.ndarray) and c.ndim == 1:
+        return np.broadcast_to(c[:, None], (c.shape[0], other.shape[0]))
+    return c
+
+
 def check_order(order: int) -> None:
     if not isinstance(order, int) or order < 0 or order > MAX_ORDER:
         raise OrderError(f"jet order must be an integer in [0, {MAX_ORDER}], got {order!r}")
@@ -111,26 +142,28 @@ class MultiJet:
     def __init__(self, order: int, coeffs: np.ndarray):
         check_order(order)
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (ncoef(order),):
-            raise OrderError(
-                f"coefficient array has length {c.shape}, expected ({ncoef(order)},) for order {order}")
+        if c.ndim not in (1, 2) or c.shape[0] != ncoef(order):
+            raise OrderError(f"coefficient array has shape {c.shape}, expected "
+                             f"({ncoef(order)}[, lanes]) for order {order}")
         self.order = order
         self.c = c
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(value: float, order: int) -> "MultiJet":
+    def constant(value, order: int) -> "MultiJet":
         check_order(order)
-        c = np.zeros(_NCOEF[order])
+        c = np.zeros((_NCOEF[order], len(value))
+                     if isinstance(value, np.ndarray) else _NCOEF[order])
         c[0] = value
         return _jet(order, c)
 
     # -- basics --------------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def value(self):
+        v = self.c[0]  # a lane vector for a chunk's jet
+        return float(v) if v.ndim == 0 else v.copy()
 
     def coeff(self, alpha) -> float:
         """Normalized coefficient T_alpha."""
@@ -150,30 +183,35 @@ class MultiJet:
         return _jet(order, self.c[: _NCOEF[order]].copy())
 
     def __repr__(self) -> str:
-        return f"MultiJet(order={self.order}, value={self.c[0]:.6g})"
+        return f"MultiJet(order={self.order}, value={np.round(self.c[0], 6)})"
 
     # -- ring operations ------------------------------------------------------
     # Mixed orders truncate to the lower order.  Every result owns a fresh
     # coefficient array.
 
-    def _coerce(self, other):
-        # the truncated operand is a view: it only feeds the arithmetic below,
-        # which writes its result to a new array
-        if isinstance(other, MultiJet):
-            if other.order == self.order:
-                return self, other
-            if other.order < self.order:
-                return _jet(other.order, self.c[:_NCOEF[other.order]]), other
-            return self, _jet(self.order, other.c[:_NCOEF[self.order]])
-        return None
+    def _operands(self, other):
+        """order, a, b: self's and a jet other's coefficients at the lower
+        order, a 1-D one given a lane axis against a chunk's (views)."""
+        if not isinstance(other, MultiJet):
+            return None
+        order, a, b = self.order, self.c, other.c
+        if other.order == order and a.ndim == b.ndim:
+            return order, a, b
+        if other.order < order:
+            order, a = other.order, a[:_NCOEF[other.order]]
+        elif other.order > order:
+            b = b[:_NCOEF[order]]
+        if a.ndim != b.ndim:
+            a, b = (a[:, None], b) if a.ndim == 1 else (a, b[:, None])
+        return order, a, b
 
     def __add__(self, other):
-        pair = self._coerce(other)
-        if pair is not None:
-            a, b = pair
-            return _jet(a.order, a.c + b.c)
-        if isinstance(other, (int, float)):
-            c = self.c.copy()
+        ops = self._operands(other)
+        if ops is not None:
+            order, a, b = ops
+            return _jet(order, a + b)
+        if isinstance(other, _SCALARS):
+            c = _lanes(self.c, other).copy()
             c[0] += other
             return _jet(self.order, c)
         return NotImplemented
@@ -184,48 +222,50 @@ class MultiJet:
         return _jet(self.order, -self.c)
 
     def __sub__(self, other):
-        pair = self._coerce(other)
-        if pair is not None:
-            a, b = pair
-            return _jet(a.order, a.c - b.c)
-        if isinstance(other, (int, float)):
-            c = self.c.copy()
+        ops = self._operands(other)
+        if ops is not None:
+            order, a, b = ops
+            return _jet(order, a - b)
+        if isinstance(other, _SCALARS):
+            c = _lanes(self.c, other).copy()
             c[0] -= other
             return _jet(self.order, c)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            c = -self.c
+        if isinstance(other, _SCALARS):
+            c = -_lanes(self.c, other)
             c[0] += other
             return _jet(self.order, c)
         return NotImplemented
 
     def __mul__(self, other):
-        pair = self._coerce(other)
-        if pair is not None:
-            a, b = pair
-            ia, ib, iout = _mul_table(a.order)
-            return _jet(a.order, np.bincount(iout, weights=a.c[ia] * b.c[ib],
-                                             minlength=_NCOEF[a.order]))
-        if isinstance(other, (int, float)):
-            return _jet(self.order, self.c * other)
+        ops = self._operands(other)
+        if ops is not None:
+            order, a, b = ops
+            ia, ib, iout = _mul_table(order)
+            if a.ndim == 1:
+                return _jet(order, np.bincount(iout, a[ia] * b[ib],
+                                               _NCOEF[order]))
+            return _jet(order, _lane_sum(order, 0, a.take(ia, 0) * b.take(ib, 0),
+                                         _NCOEF[order]))
+        if isinstance(other, _SCALARS):
+            return _jet(self.order, _lanes(self.c, other) * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        pair = self._coerce(other)
-        if pair is not None:
-            a, b = pair
-            return _quotient(a.c, b)
-        if isinstance(other, (int, float)):
-            return _jet(self.order, self.c / other)
+        ops = self._operands(other)
+        if ops is not None:
+            return _quotient(*ops)
+        if isinstance(other, _SCALARS):
+            return _jet(self.order, _lanes(self.c, other) / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            return _quotient(MultiJet.constant(other, self.order).c, self)
+        if isinstance(other, _SCALARS):
+            return MultiJet.constant(other, self.order) / self
         return NotImplemented
 
     def __pow__(self, k):
@@ -238,45 +278,47 @@ _new = object.__new__
 
 
 def _jet(order: int, c: np.ndarray) -> MultiJet:
-    """Unchecked constructor: c is a float array of length ncoef(order).
-    Arithmetic passes a new array; only _coerce passes a view, which never
-    leaves the operation."""
+    """Unchecked constructor: c is a float array (ncoef(order)[, lanes]).
+    Arithmetic passes a new array; only _operands and lane make views, and
+    theirs are never written to."""
     j = _new(MultiJet)
     j.order = order
     j.c = c
     return j
 
 
-def _quotient(a: np.ndarray, b: MultiJet) -> MultiJet:
-    """a/b for coefficients a of b's order, by forward substitution over
-    degree blocks: q_g = (a_g - sum_{beta != 0} b_beta q_(g - beta)) / b_0."""
-    b0 = float(b.c[0])
-    if b0 == 0.0:
+def _quotient(order: int, a: np.ndarray, b: np.ndarray) -> MultiJet:
+    """a/b for coefficients as _operands leaves them, by forward substitution
+    over degree blocks, per lane: q_g = (a_g - sum_{beta != 0} b_beta
+    q_(g - beta)) / b_0."""
+    b0 = b[0]
+    if b0 == 0.0 if b.ndim == 1 else not b0.all():
         raise SingularJet("division by a jet with zero constant term")
-    q = np.empty(_NCOEF[b.order])
+    q = np.empty(b.shape if b.ndim == 1 else (len(b), max(a.shape[1], b.shape[1])))
     q[0] = a[0] / b0
-    for lo, hi, ib, iq, slot in _div_table(b.order):
-        q[lo:hi] = (a[lo:hi] - np.bincount(slot, weights=b.c[ib] * q[iq],
-                                           minlength=hi - lo)) / b0
-    return _jet(b.order, q)
+    for k, (lo, hi, ib, iq, slot) in enumerate(_div_table(order)):
+        w = b[ib] * q[iq]
+        s = _lane_sum(order, k + 1, w, hi - lo) if q.ndim == 2 \
+            else np.bincount(slot, weights=w, minlength=hi - lo)
+        q[lo:hi] = (a[lo:hi] - s) / b0
+    return _jet(order, q)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def jet_seed(var_index: int, value: float, order: int) -> MultiJet:
-    """Jet of the coordinate function u_{var_index} (1-based) at the point."""
-    check_order(order)
+def jet_seed(var_index: int, value, order: int) -> MultiJet:
+    """Jet of the coordinate function u_{var_index} (1-based) at the point
+    (or points: a lane vector)."""
     if var_index not in (1, 2, 3):
         raise OrderError(f"var_index must be 1, 2, or 3, got {var_index!r}")
-    c = np.zeros(_NCOEF[order])
-    c[0] = value
+    j = MultiJet.constant(value, order)
     if order >= 1:
         e = [0, 0, 0]
         e[var_index - 1] = 1
-        c[_positions(order)[tuple(e)]] = 1.0
-    return _jet(order, c)
+        j.c[_positions(order)[tuple(e)]] = 1.0
+    return j
 
 
 def _compose(a: MultiJet, series: list) -> MultiJet:
@@ -294,23 +336,28 @@ def _compose(a: MultiJet, series: list) -> MultiJet:
 
 
 def jet_elementary(a: MultiJet, fn: str) -> MultiJet:
-    """Composition with an elementary function: sqrt, sin, cos, exp."""
+    """Composition with an elementary function: sqrt, sin, cos, exp; the
+    math.* values are taken per lane."""
     n = a.order
-    a0 = float(a.c[0])
+    a0 = a.value
+    lanes = a.c.ndim == 2
+
+    def at(f):
+        return np.array([f(x) for x in a0.tolist()]) if lanes else f(a0)
     if fn == "sqrt":
-        if a0 <= 0.0:
+        if (a0 <= 0.0).any() if lanes else a0 <= 0.0:
             raise DomainError(f"sqrt of jet with non-positive constant term {a0}")
-        series = [math.sqrt(a0)]
+        series = [at(math.sqrt)]
         for k in range(1, n + 1):
             series.append(series[-1] * (0.5 - (k - 1)) / (k * a0))
         return _compose(a, series)
     if fn == "exp":
-        series = [math.exp(a0)]
+        series = [at(math.exp)]
         for k in range(1, n + 1):
             series.append(series[-1] / k)
         return _compose(a, series)
     if fn == "sin" or fn == "cos":
-        s, co = math.sin(a0), math.cos(a0)
+        s, co = at(math.sin), at(math.cos)
         cycle = (s, co, -s, -co) if fn == "sin" else (co, -s, -co, s)
         fact = 1.0
         series = []
@@ -329,7 +376,8 @@ def derivative(a: MultiJet, var_index: int) -> MultiJet:
     if a.order == 0:
         raise OrderError("cannot differentiate an order-0 jet")
     src, fac = _deriv_table(a.order, var_index - 1)
-    return _jet(a.order - 1, fac * a.c[src])
+    c = a.c[src]
+    return _jet(a.order - 1, (fac if c.ndim == 1 else fac[:, None]) * c)
 
 
 def gradient(x) -> np.ndarray:
@@ -419,3 +467,83 @@ def sqrt(x):
 def value_of(x) -> float:
     """Constant term of a jet, or the float itself."""
     return x.value if isinstance(x, MultiJet) else float(x)
+
+
+# ---------------------------------------------------------------------------
+# lanes: one jet per sample point of a chunk
+
+
+def points(p) -> list:
+    """The points of p: one chart point, or a chunk given as a list of them."""
+    return p if isinstance(p[0], (list, tuple, np.ndarray)) else [p]
+
+
+def from_lanes(values):
+    """One value per lane, stacked along a trailing lane axis (if several)."""
+    return values[0] if len(values) == 1 else np.stack(values, axis=-1)
+
+
+def lane(obj, l: int):
+    """Lane l of a chunk's jet or lane vector, or of lists or dicts of them
+    (a jet's lane is a view); anything else is every lane's."""
+    if isinstance(obj, (list, tuple)):
+        return [lane(x, l) for x in obj]
+    if isinstance(obj, dict):
+        return {k: lane(x, l) for k, x in obj.items()}
+    if isinstance(obj, MultiJet) and obj.c.ndim == 2:
+        return _jet(obj.order, obj.c[:, l])
+    return obj[..., l] if isinstance(obj, np.ndarray) else obj
+
+
+def where(mask, x, y):
+    """x on the lanes where mask holds, else y: jets of one order, or numbers."""
+    if not isinstance(mask, np.ndarray):
+        return x if mask else y
+    if isinstance(x, MultiJet):
+        return _jet(x.order, np.where(mask, *(c if c.ndim == 2 else c[:, None]
+                                             for c in (x.c, y.c))))
+    return np.where(mask, x, y)
+
+
+class Lanes:
+    """Base of the lazy objects over sample points.  One point is its own
+    lane; a chunk keeps a state (attribute dict) per point and hands out views
+    whose jet fields (field) are the chunk's cut to the lane.  It holds no
+    view, so no reference cycle keeps its jets alive."""
+
+    __slots__ = ("_chunk", "__dict__")
+
+    @property
+    def lanes(self) -> list:
+        """One view per point: [self] for one point."""
+        states = self.__dict__.get("_states")
+        if states is None:
+            return [self]
+        views = [_new(type(self)) for _ in states]
+        for view, state in zip(views, states):
+            view.__dict__, view._chunk = state, self
+        return views
+
+    def split_lanes(self, per_lane: list, **shared) -> None:
+        """Set the shared attributes, and each point's own (on self if one)."""
+        self.__dict__.update(shared)
+        if len(per_lane) == 1:
+            self.__dict__.update(per_lane[0])
+        else:
+            self._states = [dict(attrs, **shared, _lane=l)
+                            for l, attrs in enumerate(per_lane)]
+
+
+class field:
+    """A cached jet field of a Lanes object: on a view, the chunk's cut."""
+
+    def __init__(self, func):  # as functools.cached_property, lock-free
+        self.func, self.attrname, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        d = obj.__dict__
+        value = d[self.attrname] = self.func(obj) if "_lane" not in d \
+            else lane(getattr(obj._chunk, self.attrname), d["_lane"])
+        return value

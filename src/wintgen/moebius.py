@@ -2,8 +2,9 @@
 Lorentz R^7_1, the tensors A, B, C, connection forms, covariant derivatives,
 and the integrability residuals.
 
-Everything lives at one chart point as jets in a MoebiusContext, always built
-at JET_ORDER.  The ambient model supplies the light-cone lift and its
+Everything lives at one chart point, or on the lanes of a chunk of points
+(map_chunks), as jets in a MoebiusContext, always built at JET_ORDER.  The
+ambient model supplies the light-cone lift and its
 differential, so Y and the mean curvature spheres xi have one formula for the
 three space forms.  Functions of the point take the context:
 integrability_residuals(ctx) reads its values, and moebius_data(ctx)
@@ -96,38 +97,40 @@ def d_form_values(chart_form) -> np.ndarray:
     return g.T - g
 
 
-class MoebiusContext:
-    """Lazy conformal-invariant jets at one chart point, at JET_ORDER."""
+class MoebiusContext(jets.Lanes):
+    """Lazy conformal-invariant jets at one chart point, or at the points of
+    a chunk (p a list of points; read values from its lanes), at JET_ORDER."""
 
     def __init__(self, spec: ImmersionSpec, p):
         self.classical = ClassicalContext(spec, p, order=JET_ORDER)
-        self.spec = spec
         self.p = self.classical.p
+        self.split_lanes([{"classical": cl, "p": cl.p}
+                          for cl in self.classical.lanes], spec=spec)
 
     # -- lift and metric ------------------------------------------------------
 
-    @cached_property
+    @jets.field
     def rho(self):
         return self.classical.rho  # raises UmbilicPoint when undefined
 
-    @cached_property
+    @jets.field
     def inv_rho(self):
         return 1.0 / self.rho
 
-    @cached_property
+    @jets.field
     def Y(self):
         return [self.rho * v for v in self.spec.ambient.lift(self.classical.x)]
 
-    @cached_property
+    @jets.field
     def g(self):
         rho2 = self.rho * self.rho
         return [[rho2 * v for v in row] for row in self.classical.induced_metric]
 
-    @cached_property
+    @jets.field
     def ginv(self):
         return jetalg.inv3(self.g)
 
-    @cached_property
+    @jets.field
     def Gamma(self):
         """Christoffel symbols of g in chart coordinates, Gamma[c][a][b]."""
         dg = [[[jets.derivative(self.g[a][b], d + 1) for b in range(3)]
@@ -140,19 +143,19 @@ class MoebiusContext:
                     out[c][a][b] = out[c][b][a] = 0.5 * jetalg.dot(self.ginv[c], t)
         return out
 
-    @cached_property
+    @jets.field
     def EC(self):
         """Frame rows for g: E_i = sum_a EC[i][a] d/du_a (lower triangular)."""
         return [[v * self.inv_rho for v in row]
                 for row in self.classical.frame_chart]
 
-    @cached_property
+    @jets.field
     def coframe(self):
         """Rows W[i]: omega_i = sum_a W[i][a] du^a, the dual basis of EC."""
         lower = jetalg.inv_lower3(self.EC)
         return jetalg.transpose(lower)
 
-    @cached_property
+    @jets.field
     def Yi(self):
         return [frame_vector_d(self.EC, self.Y, i) for i in range(3)]
 
@@ -166,7 +169,7 @@ class MoebiusContext:
 
     # -- mean curvature sphere and dual point ---------------------------------
 
-    @cached_property
+    @jets.field
     def laplace_Y(self):
         """g^ab (d_a d_b Y - Gamma^c_ab d_c Y), summed over a <= b with the
         off-diagonal pairs doubled, and with the contraction
@@ -183,14 +186,14 @@ class MoebiusContext:
             out.append(jetalg.dot(w, ddc) - jetalg.dot(trG, dc))
         return out
 
-    @cached_property
+    @jets.field
     def N(self):
         lap = self.laplace_Y
         lap2 = ldot(lap, lap)
         return [(-1.0 / 3.0) * lap[k] - (1.0 / 18.0) * lap2 * self.Y[k]
                 for k in range(7)]
 
-    @cached_property
+    @jets.field
     def xi(self):
         """Mean curvature spheres xi_r = H_r lift(x) + dlift_x(n_r)."""
         amb, cl = self.spec.ambient, self.classical
@@ -201,7 +204,7 @@ class MoebiusContext:
 
     # -- conformal tensors -----------------------------------------------------
 
-    @cached_property
+    @jets.field
     def B(self):
         """B[r][i][j] = rho^{-1} (h^r_ij - H^r delta_ij)."""
         inv_rho = self.inv_rho
@@ -217,7 +220,7 @@ class MoebiusContext:
     def B_values(self):
         return np.array(jetalg.values(self.B))
 
-    @cached_property
+    @jets.field
     def C(self):
         """C[r][i] = -rho^{-2} [ H^r_{,i} + sum_j (h^r_ij - H^r d_ij) e_j(log rho) ],
         with H^r_{,i} the normal-connection derivative of the mean curvature
@@ -260,7 +263,7 @@ class MoebiusContext:
         xi2 = np.array(jetalg.values(self.xi[1]))
         return frame_d_values(self.EC_values, self.xi[0]) @ LORENTZ @ xi2
 
-    @cached_property
+    @jets.field
     def theta12_chart(self):
         """Chart components: theta_12 = sum_a t_a du^a."""
         return connection_chart(self.xi[0], self.xi[1])
@@ -298,7 +301,7 @@ class MoebiusContext:
         low = E @ np.array(jetalg.values(self.g))  # low[k] pairs with E_k
         return np.einsum("ia,jb,kd,lc,dcab->ijkl", E, E, low, E, R)
 
-    @cached_property
+    @jets.field
     def ricci(self):
         """Ric(E_i, E_j) as jets, from the contracted curvature
         Ric_bc = d_a Gamma^a_bc - d_b Gamma^a_ac + Gamma^a_ae Gamma^e_bc
@@ -319,7 +322,7 @@ class MoebiusContext:
         # frame components; EC is lower triangular
         return jetalg.lower_congruence(self.EC, Rc)
 
-    @cached_property
+    @jets.field
     def A_gauss(self):
         """The Blaschke tensor as a jet field, from the trace of the conformal
         Gauss equation: A = Ric + sum_r (B^r)^2 - tr(A) delta with
@@ -392,6 +395,31 @@ class MoebiusContext:
         """[i][j][k] = A_{ij,k} at the point, from the Gauss-trace field."""
         grad, om1, om2 = self._cov2_terms(self.A_gauss)
         return grad + om1 + om2
+
+
+# The most points in a chunk: per point, an order-5 jet product costs twice
+# as much at 40 lanes as at 20.
+CHUNK_POINTS = 20
+
+
+def map_chunks(analyze, pts) -> list:
+    """analyze's results over a sample, one per point, in order; analyze
+    maps a chunk (a list of points) to one result per point.  The first
+    point runs alone, so a chart that refuses everywhere costs one point,
+    then chunks of at most CHUNK_POINTS; a chunk that raises anything runs
+    again point by point, so the first failing point raises its own error."""
+    bounds = sorted({0, len(pts), *range(1, len(pts), CHUNK_POINTS)})
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = list(pts[lo:hi])
+        try:
+            out += analyze(chunk)
+        except Exception:  # alone, the first failing point raises its own
+            if hi - lo == 1:
+                raise
+            for p in chunk:
+                out += analyze([p])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +525,10 @@ def integrability_residuals(ctx: MoebiusContext) -> IntegrabilityResiduals:
 
 def readback_sphere(Z):
     """Round point for a future-pointing null vector: Z_{1..6} / Z_0."""
-    z0 = jets.value_of(Z[0])
-    if abs(z0) <= 1e-10:
-        raise ChartBlowUp(
-            f"transformed point leaves the chart (lift 0-component {z0:.2e})")
+    for z0 in np.ravel(jets.value_of(Z[0])).tolist():  # each lane's
+        if abs(z0) <= 1e-10:
+            raise ChartBlowUp(
+                f"transformed point leaves the chart (lift 0-component {z0:.2e})")
     return [Z[k] / Z[0] for k in range(1, 7)]
 
 

@@ -436,3 +436,110 @@ def test_gradient_reads_first_partials():
     assert np.array_equal(jets.gradient(2.5), np.zeros(3))
     with pytest.raises(OrderError):
         jets.gradient(MultiJet.constant(1.0, 0))
+
+
+# ---------------------------------------------------------------------------
+# lanes: each lane of a chunk's jet is the one-point jet, bit for bit
+
+
+def _same(x, y):
+    """Equal arrays, the sign of zero included."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+def _one(x, l):
+    """Lane l of a chunk's jet or lane vector, as a fresh one-point jet or a
+    float; anything else as it is."""
+    if isinstance(x, MultiJet) and x.c.ndim == 2:
+        return MultiJet(x.order, x.c[:, l].copy())
+    if isinstance(x, np.ndarray):
+        return float(x[l])
+    return x
+
+
+def _random_coeffs(rng, shape, c0=None):
+    """Coefficients in [-2, 2] with some exact zeros of either sign, and the
+    constant terms c0 when given."""
+    c = rng.uniform(-2.0, 2.0, size=shape)
+    c[rng.random(shape) < 0.1] = 0.0
+    c[rng.random(shape) < 0.05] = -0.0
+    if c0 is not None:
+        c[0] = c0
+    return c
+
+
+@st.composite
+def _lane_case(draw):
+    ka, kb, kc = (draw(st.integers(0, 5)) for _ in range(3))
+    lanes = draw(st.sampled_from([1, 2, 7, 20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    away = rng.uniform(0.5, 2.0, lanes) * rng.choice([-1.0, 1.0], lanes)
+    a = MultiJet(ka, _random_coeffs(rng, (ncoef(ka), lanes)))
+    b = MultiJet(kb, _random_coeffs(rng, (ncoef(kb), lanes), away))
+    c = MultiJet(kc, _random_coeffs(rng, ncoef(kc), float(away[0])))
+    v = rng.uniform(-2.0, 2.0, lanes)
+    v[rng.random(lanes) < 0.2] = -0.0
+    return a, b, c, v
+
+
+def _lane_operations(a, b, c, v):
+    """(operation, operands) pairs over chunk jets a, b (b's constant terms
+    away from zero), a one-point jet c (likewise) and a lane vector v."""
+    pos = (b * b) + 0.25
+    yield from [
+        (lambda x, y: x + y, (a, b)), (lambda x, y: x - y, (a, b)),
+        (lambda x, y: x * y, (a, b)), (lambda x, y: x / y, (a, b)),
+        (lambda x, y: x + y, (c, a)), (lambda x, y: x - y, (a, c)),
+        (lambda x, y: x * y, (c, a)), (lambda x, y: x / y, (a, c)),
+        (lambda x, y: x / y, (c, b)),
+        (lambda x: x + 1.5, (a,)), (lambda x: 1.5 - x, (a,)),
+        (lambda x: x * -0.75, (a,)), (lambda x: x / 3.0, (a,)),
+        (lambda x: 2.0 / x, (b,)), (lambda x: -x, (a,)),
+        (lambda x, s: x + s, (a, v)), (lambda x, s: s - x, (a, v)),
+        (lambda x, s: s * x, (a, v)), (lambda x, s: x / (s + 3.0), (a, v)),
+        (lambda x, s: s / x, (b, v)),
+        (lambda x, s: x + s, (c, v)), (lambda x, s: s - x, (c, v)),
+        (lambda x, s: x * s, (c, v)), (lambda x, s: s / x, (c, v)),
+        (lambda x: x ** 3, (a,)), (lambda x: x ** -2, (b,)),
+        (lambda x: x ** 0, (a,)),
+        (jets.sqrt, (pos,)), (jets.sin, (a,)), (jets.cos, (a,)),
+        (jets.exp, (a,)),
+    ]
+    for var in range(1, 4) if a.order >= 1 else ():
+        yield (lambda x, var=var: derivative(x, var)), (a,)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_lane_case())
+def test_each_lane_of_a_chunk_jet_is_the_one_point_jet(case):
+    a, b, c, v = case
+    lanes = a.c.shape[1]
+    for op, args in _lane_operations(a, b, c, v):
+        got = op(*args)
+        for l in range(lanes):
+            want = op(*(_one(x, l) for x in args))
+            gl = got.c[:, l] if got.c.ndim == 2 else got.c
+            assert _same(gl, want.c), (op, l)
+            assert jets.lane(got, l).order == want.order
+    if a.order >= 2:
+        for l in range(lanes):
+            assert jets.low_partials(jets.lane(a, l)) == \
+                jets.low_partials(_one(a, l))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_lane_case(), st.integers(0, 19))
+def test_a_lane_at_a_pole_raises_for_the_chunk(case, k):
+    a, b, _, _ = case
+    k %= b.c.shape[1]
+    zero = MultiJet(b.order, b.c.copy())
+    zero.c[0, k] = 0.0
+    for fn in (lambda: a / zero, lambda: 1.0 / zero, lambda: zero ** -1):
+        with pytest.raises(SingularJet):
+            fn()
+    negative = MultiJet(b.order, b.c.copy())
+    negative.c[0, k] = -abs(negative.c[0, k])
+    with pytest.raises(DomainError):
+        jets.sqrt(negative)
