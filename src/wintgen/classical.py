@@ -401,13 +401,13 @@ def _pattern_matrices(lam1, lam2, mu0):
 
 
 def kernel_sign(v: np.ndarray) -> np.ndarray:
-    """The kernel vector v with its sign fixed: its largest-magnitude
-    component is positive.  The SVD returns either sign, and the two signs
-    give the frames (E1, E2, E3, xi1, xi2) and (E2, E1, -E3, xi1, -xi2),
-    which share the pattern but swap the components of Omega12 and of the
-    raw-gauge U, V."""
-    k = int(np.argmax(np.abs(v)))
-    return v if v[k] >= 0.0 else -v
+    """The kernel vector v [..., 3] with its sign fixed: its
+    largest-magnitude component is positive.  The SVD returns either sign,
+    and the two signs give the frames (E1, E2, E3, xi1, xi2) and
+    (E2, E1, -E3, xi1, -xi2), which share the pattern but swap the
+    components of Omega12 and of the raw-gauge U, V."""
+    k = np.argmax(np.abs(v), axis=-1)[..., None]
+    return np.where(np.take_along_axis(v, k, -1) >= 0.0, v, -v)
 
 
 def half_angle(c2, s2):
@@ -434,28 +434,36 @@ class KernelPlane:
     flip: float
 
 
-def kernel_plane(T, where: str = "") -> KernelPlane:
-    """The kernel plane of the forms T[0], T[1] (floats), given in one
-    orthonormal basis; refuses with NotIdealPoint when they share no kernel
-    line or the first one vanishes on the plane.  `where` ends the refusal
-    messages."""
-    _, sing, vt = np.linalg.svd(np.vstack([T[0], T[1]]))
-    if sing[2] > 1e-6 * sing[0]:
-        raise NotIdealPoint(
-            f"trace-free forms have no common kernel{where} "
-            f"(singular values {sing[2]:.3e} vs {sing[0]:.3e})")
-    q = kernel_sign(vt[2])
+def kernel_plane(T, where=("",)) -> KernelPlane:
+    """The kernel plane of the forms T[..., 0, :, :], T[..., 1, :, :]
+    (floats, a leading lane axis over a chunk), given in one orthonormal
+    basis; refuses with NotIdealPoint, at the first failing lane, when they
+    share no kernel line or the first one vanishes on the plane.  where[l]
+    ends lane l's refusal messages."""
+    T0, T1 = T[..., 0, :, :], T[..., 1, :, :]
+    _, sing, vt = np.linalg.svd(np.concatenate([T0, T1], axis=-2))
+    q = kernel_sign(vt[..., 2, :])
 
-    k0 = int(np.argmin(np.abs(q)))
-    F1 = -q[k0] * q
-    F1[k0] += 1.0
-    F1 /= np.linalg.norm(F1)
+    k0 = np.argmin(np.abs(q), axis=-1)[..., None]
+    F1 = -np.take_along_axis(q, k0, -1) * q
+    F1 = np.where(np.arange(3) == k0, F1 + 1.0, F1)
+    F1 = F1 / np.sqrt(jetalg.vec_vec(F1, F1))[..., None]
     F2 = np.cross(q, F1)
 
-    z = [complex(F1 @ T[r] @ F1, F1 @ T[r] @ F2) for r in range(2)]
-    flip = 1.0 if (z[0] * z[1].conjugate()).imag >= 0.0 else -1.0
-    if abs(z[0]) < 1e-12 * max(1.0, sing[0]):
-        raise NotIdealPoint(f"degenerate shape pattern{where}")
+    # z_r = T_r(F1, F1) + i T_r(F1, F2); flip from Im(z_0 conj(z_1))
+    x, y = ([jetalg.vec_vec(jetalg.vec_mat(F1, Tr), F) for Tr in (T0, T1)]
+            for F in (F1, F2))
+    flip = np.where(x[0] * -y[1] + y[0] * x[1] >= 0.0, 1.0, -1.0)[()]
+    no_kernel = sing[..., 2] > 1e-6 * sing[..., 0]
+    degenerate = np.hypot(x[0], y[0]) < 1e-12 * np.maximum(1.0, sing[..., 0])
+    failed = np.flatnonzero(no_kernel | degenerate)
+    if failed.size:
+        l = failed[0]
+        s = np.reshape(sing, (-1, 3))[l]
+        raise NotIdealPoint(
+            f"trace-free forms have no common kernel{where[l]} (singular "
+            f"values {s[2]:.3e} vs {s[0]:.3e})" if np.ravel(no_kernel)[l]
+            else f"degenerate shape pattern{where[l]}")
     return KernelPlane(q=q, F1=F1, flip=flip)
 
 
@@ -468,9 +476,11 @@ def turned_frame(T, plane: KernelPlane):
     smooth fields whose values are the float run's rows."""
     adj = [jetalg.adjugate3(T[r]) for r in range(2)]
     P = [[-(adj[0][i][j] + adj[1][i][j]) for j in range(3)] for i in range(3)]
-    E3 = jetalg.normalize(jetalg.matvec(P, list(plane.q)))
-    proj = jetalg.dot(list(plane.F1), E3)
-    F1 = jetalg.normalize([plane.F1[j] - proj * E3[j] for j in range(3)])
+    # the components of q and F1, each a lane vector over a chunk
+    q, F1 = (list(np.moveaxis(v, -1, 0)) for v in (plane.q, plane.F1))
+    E3 = jetalg.normalize(jetalg.matvec(P, q))
+    proj = jetalg.dot(F1, E3)
+    F1 = jetalg.normalize([F1[j] - proj * E3[j] for j in range(3)])
     F2 = jetalg.cross3(E3, F1)
     p1 = jetalg.quadform(F1, T[0], F1)
     q1 = jetalg.quadform(F1, T[0], F2)

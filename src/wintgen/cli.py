@@ -26,6 +26,8 @@ import sys
 import time
 from collections import namedtuple
 
+import numpy as np
+
 from . import __version__, gallery
 from .classical import (LTOL, TOL, ClassicalContext, check_order,
                         classical_data, ddvv_from_forms, refuse_umbilic)
@@ -208,8 +210,9 @@ def _ideal_records(spec, pts, args, names=None):
     torsion-positive sign rule, so a record depends only on its point and
     not on sample order or chunking."""
     def analyze(chunk):
-        return [(lane.data.rho, _package_invariants(lane))
-                for lane in _analyze(spec, chunk, args).lanes]
+        cf = _analyze(spec, chunk, args)
+        return list(zip(np.ravel(cf.data.rho).tolist(),
+                        _package_invariants(cf)))
 
     records = []
     invs = []

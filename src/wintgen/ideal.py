@@ -16,8 +16,10 @@ frame is at most ltol or its rounding floor, all before it snapshots the
 Moebius data.  Functions of one point take the context (invariants_uvlg) or
 the canonical fields (hat_frame, holomorphic_residual, structure_matrix);
 the verdicts take a chart and a sample, run in chunks (sample_invariants).
-Over a chunk, the gates, the kernel plane and the torsion are per point, and
-the kernel flip and the E3 sign are sign vectors on the jets.
+Over a chunk, the gates run per point on its point pass; what follows
+them is computed once for the chunk with a leading lane axis, each lane
+summing as its point alone, and the kernel flip and the E3 sign are sign
+vectors on the jets.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from . import jetalg, jets
-from .classical import (LTOL, TOL, KernelPlane, _pattern_matrices,
-                        kernel_plane, require_ideal, turned_frame)
-from .errors import IntegrableDistribution
+from .classical import (LTOL, TOL, _pattern_matrices, kernel_plane,
+                        require_ideal, turned_frame)
+from .errors import IntegrableDistribution, SchemaError
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusContext, connection_chart,
                       connection_forms, d_form_values, frame_d_values,
@@ -44,18 +46,25 @@ SQRT6 = math.sqrt(6.0)
 TORSION_FLOOR = 128 * np.finfo(float).eps
 
 
+def _sum9(x):
+    """The sum of a 3x3 block [..., 3, 3] in the pairwise order np.sum
+    takes for nine contiguous terms."""
+    t = [x[..., k // 3, k % 3] for k in range(9)]
+    return 0.0 + ((((t[0] + t[1]) + (t[2] + t[3]))
+                   + ((t[4] + t[5]) + (t[6] + t[7]))) + t[8])
+
+
 def _oriented_torsion(covB, Bv, E1, E2, E3):
     """The kernel-direction torsion scalar, computed gauge-independently:
     (3/2) sum_r tr((nabla_{E3} B^r)^T J B^r) with J the rotation by +pi/2
     of the plane oriented by (E1, E2).  Odd in E3, even under the residual
     frame freedom, so it fixes the E3 sign.  covB and Bv are values in the
-    raw frame."""
-    J = np.outer(E2, E1) - np.outer(E1, E2)
-    total = 0.0
-    for r in range(2):
-        d3B = covB[r] @ E3
-        total += float(np.sum(d3B * (J @ Bv[r])))
-    return 1.5 * total
+    raw frame; all arguments may carry a leading lane axis."""
+    J = E2[..., :, None] * E1[..., None, :] - E1[..., :, None] * E2[..., None, :]
+    d3B = [jetalg.mat_vec(covB[..., r, :, :, :], E3[..., None, :])
+           for r in range(2)]
+    return 1.5 * (_sum9(d3B[0] * (J @ Bv[..., 0, :, :]))
+                  + _sum9(d3B[1] * (J @ Bv[..., 1, :, :])))
 
 
 def _pregauged(B, M0, Q0):
@@ -73,6 +82,9 @@ def _pregauged(B, M0, Q0):
 class CanonicalFields(jets.Lanes):
     """The adapted frame at one ideal point, or at the points of a chunk
     (ctx over a chunk, one view per point in `lanes`), as jet fields.
+    Over a chunk, the kernel plane (plane), the Moebius snapshot (data),
+    Rfv, E_chart, A_can and domega_values carry a leading lane axis, and
+    each view holds its torsion, floor and integrable.
 
     Rf rows are the adapted tangent frame in components of the raw
     (Gram-Schmidt) frame; Qf columns express the adapted normal sphere pair
@@ -104,32 +116,27 @@ class CanonicalFields(jets.Lanes):
         Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
                        [math.sin(2 * t), math.cos(2 * t)]])
         Bw = _pregauged(ctx.B, M0, Q0)
-        planes = [kernel_plane(np.array(jetalg.values(jets.lane(Bw, l))),
-                               where=f" at {lc.p}")
-                  for l, lc in enumerate(lcs)]
-        plane = KernelPlane(*map(jets.from_lanes, zip(
-            *((pl.q, pl.F1, pl.flip) for pl in planes))))
+        self.plane = plane = kernel_plane(jetalg.value_array(Bw),
+                                          where=[f" at {lc.p}" for lc in lcs])
         rows, self.mu_field0 = turned_frame(Bw, plane)  # |z1|, invariant
 
         # E3 sign: the torsion is positive (it is odd in E3); below the
         # cutoff it is undefined and E3 stays as the kernel sign left it
-        per_lane = []
-        for l, lc in enumerate(lcs):
-            E = np.array(jetalg.values(jets.lane(rows, l))) @ M0
-            tor = _oriented_torsion(lc.covB_values, lc.B_values, *E)
-            floor = TORSION_FLOOR * float(np.max(np.abs(lc.covB_terms)))
-            per_lane.append(dict(ctx=lc, torsion=tor, floor=floor,
-                                 integrable=abs(tor) <= max(ltol, floor)))
-        self.split_lanes(per_lane, gauge=gauge, ltol=ltol)
+        E = jetalg.value_array(rows) @ M0
+        tor = _oriented_torsion(ctx.covB_values, ctx.B_values,
+                                E[..., 0, :], E[..., 1, :], E[..., 2, :])
+        floor = TORSION_FLOOR * np.abs(np.stack(ctx.covB_terms, axis=-5)).max(
+            axis=(-5, -4, -3, -2, -1))
+        integrable = np.abs(tor) <= np.maximum(ltol, floor)
+        self.split_lanes([
+            dict(ctx=lc, torsion=to, floor=fl, integrable=it) for lc, to, fl, it
+            in zip(lcs, *(np.ravel(x).tolist() for x in (tor, floor, integrable)))],
+            gauge=gauge, ltol=ltol)
         if not partial:
             self.require_torsion()
-        lanes = self.lanes
-        sign = jets.from_lanes([
-            -1.0 if not lane.integrable and lane.torsion < 0.0 else 1.0
-            for lane in lanes])
+        sign = np.where(~integrable & (tor < 0.0), -1.0, 1.0)[()]
         rows[2] = [sign * c for c in rows[2]]
-        for lane in lanes:
-            lane.data = moebius_data(lane.ctx)
+        self.data = moebius_data(ctx)
 
         self.Rf = [[sum_jets([R[k] * M0[k][j] for k in range(3)
                               if M0[k][j] != 0.0]) for j in range(3)]
@@ -139,8 +146,6 @@ class CanonicalFields(jets.Lanes):
 
         if gauge == "V0":
             self._apply_v0()
-        for l, lane in enumerate(lanes):
-            lane.Rf, lane.Qf = jets.lane(self.Rf, l), jets.lane(self.Qf, l)
         self._b = {}  # adapted-frame B components, filled by b()
 
     # -- gauge refinement -----------------------------------------------------
@@ -192,11 +197,11 @@ class CanonicalFields(jets.Lanes):
 
     @cached_property
     def Rfv(self):
-        return np.array(jetalg.values(self.Rf))
+        return jetalg.value_array(self.Rf)
 
     @cached_property
     def E_chart(self):
-        return np.array(jetalg.values(self.frame_chart))
+        return jetalg.value_array(self.frame_chart)
 
     @jets.field
     def xi(self):
@@ -295,7 +300,7 @@ class CanonicalFields(jets.Lanes):
 
     @cached_property
     def A_can(self):
-        return self.Rfv @ self.data.A @ self.Rfv.T
+        return self.Rfv @ self.data.A @ np.swapaxes(self.Rfv, -1, -2)
 
     @jets.field
     def A_can_field(self):
@@ -364,11 +369,12 @@ class CanonicalFields(jets.Lanes):
 
     @cached_property
     def domega_values(self):
-        """(domega(E1,E2), domega(E1,E3), domega(E2,E3))."""
+        """(domega(E1,E2), domega(E1,E3), domega(E2,E3)) [..., 3]."""
         dom = d_form_values(self.omega_chart)
         E = self.E_chart
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        return tuple(float(E[i] @ dom @ E[j]) for i, j in pairs)
+        return np.stack([jetalg.vec_vec(jetalg.vec_mat(E[..., i, :], dom),
+                                        E[..., j, :])
+                         for i, j in ((0, 1), (0, 2), (1, 2))], axis=-1)
 
     @jets.field
     def Fhat_field(self):
@@ -420,44 +426,51 @@ class WintgenInvariants:
     omega_chart: tuple
 
 
-def _package_invariants(cf: CanonicalFields) -> WintgenInvariants:
-    U = jets.value_of(cf.Uf)
-    V = jets.value_of(cf.Vf)
-    mu = cf.mu
-    om12 = tuple(jets.value_of(cf.omega_can[0][1][k]) for k in range(3))
-    Omega12 = (om12[0] + U, om12[1] + V, om12[2])
+def _package_invariants(cf: CanonicalFields) -> list:
+    """The invariants at each point of the canonical fields, in order, from
+    values read once for a chunk (one record for a point alone)."""
+    val = jetalg.value_array
+    U, V, mu = (jets.value_of(f) for f in (cf.Uf, cf.Vf, cf.mu_field))
+    om12 = val(cf.omega_can[0][1])
+    Omega12 = np.stack([om12[..., 0] + U, om12[..., 1] + V, om12[..., 2]],
+                       axis=-1)
     # normal connection in the residual-rotation normal form: the raw
     # coefficients depend on how the frame field twists, but theta + 2 Omega12
     # does not, and it is the triple the constant-coefficient examples quote
-    theta_c = tuple(jets.value_of(cf.theta[k]) + 2.0 * Omega12[k]
-                    for k in range(3))
-    if cf.integrable:
-        nan = float("nan")
-        return WintgenInvariants(
-            U=U, V=V, L=cf.L, G=cf.G, lam=nan, Fhat=nan, Ghat=nan,
-            omega_coeffs=(-V, U, nan), domega=(nan, nan, nan),
-            theta12_coeffs=theta_c, Omega12_coeffs=Omega12, mu=mu,
-            gauge=cf.gauge, omega_chart=(nan, nan, nan))
-    lam = jets.value_of(cf.lamf)
-    # Fhat and Ghat from the dN-route Blaschke tensor at the point
-    Fhat = cf.A_can[0, 0] + 0.5 * (U * U + V * V - lam * lam) \
-        - jets.value_of(cf.covc[1, 0]) / mu
-    Ghat = cf.A_can[0, 1] - jets.value_of(cf.covc[1, 1]) / mu - lam * cf.L
-    return WintgenInvariants(
-        U=U, V=V, L=cf.L, G=cf.G, lam=lam, Fhat=Fhat, Ghat=Ghat,
-        omega_coeffs=(-V, U, lam), domega=cf.domega_values,
-        theta12_coeffs=theta_c, Omega12_coeffs=Omega12, mu=mu, gauge=cf.gauge,
-        omega_chart=tuple(jets.value_of(c) for c in cf.omega_chart))
+    theta_c = val(cf.theta) + 2.0 * Omega12
+    if all(lane.integrable for lane in cf.lanes):
+        lam = Fhat = Ghat = np.full(np.shape(U), np.nan)
+        domega = omega_chart = np.full(np.shape(om12), np.nan)
+    else:
+        lam = jets.value_of(cf.lamf)
+        # Fhat and Ghat from the dN-route Blaschke tensor at the point
+        A, c = cf.A_can, val([cf.covc[1, 0], cf.covc[1, 1]])
+        Fhat = A[..., 0, 0] + 0.5 * (U * U + V * V - lam * lam) - c[..., 0] / mu
+        Ghat = A[..., 0, 1] - c[..., 1] / mu - lam * cf.L
+        domega, omega_chart = cf.domega_values, val(cf.omega_chart)
+    n = len(cf.lanes)
+    rows = (zip(*(np.reshape(x, n).tolist()  # per lane: floats, then triples
+                  for x in (U, V, cf.L, cf.G, lam, Fhat, Ghat, mu))),
+            zip(*(map(tuple, np.reshape(x, (n, 3)).tolist())
+                  for x in (domega, theta_c, Omega12, omega_chart))))
+    return [WintgenInvariants(
+        U=u, V=v, L=l, G=g, lam=la, Fhat=f, Ghat=gh, omega_coeffs=(-v, u, la),
+        domega=dw, theta12_coeffs=th, Omega12_coeffs=om, mu=m,
+        gauge=cf.gauge, omega_chart=oc)
+        for (u, v, l, g, la, f, gh, m), (dw, th, om, oc) in zip(*rows)]
 
 
 def sample_invariants(spec: ImmersionSpec, sample, gauge: str = "raw",
                       ltol: float = LTOL, tol: float = TOL) -> list:
     """The invariants at each point of a sample, run in chunks by
-    moebius.map_chunks; each depends on its point alone."""
+    moebius.map_chunks; each depends on its point alone.  Refuses an empty
+    sample, on which no verdict is defined."""
+    if len(sample) == 0:
+        raise SchemaError("the sample has no points: a verdict needs one")
+
     def analyze(chunk):
-        cf = CanonicalFields(MoebiusContext(spec, chunk), gauge=gauge,
-                             ltol=ltol, tol=tol)
-        return [_package_invariants(lane) for lane in cf.lanes]
+        return _package_invariants(CanonicalFields(
+            MoebiusContext(spec, chunk), gauge=gauge, ltol=ltol, tol=tol))
     return map_chunks(analyze, sample)
 
 
@@ -468,7 +481,7 @@ def invariants_uvlg(ctx: MoebiusContext, gauge: str = "raw",
     equality tolerance of the ideality gate."""
     return _package_invariants(CanonicalFields(
         ctx, gauge=gauge, pregauge=pregauge, ltol=ltol, partial=partial,
-        tol=tol))
+        tol=tol))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,47 @@ def values(obj):
     return jets.value_of(obj)
 
 
+def _stack(obj, leaf) -> np.ndarray:
+    """leaf(x, lanes) of each entry x of a nested list (lanes: the lane
+    count of its first entry, None for a point alone) as one array, a
+    chunk's lane axis moved first, in C order, so a lane's cut has a point
+    alone's strides."""
+    first = obj
+    while isinstance(first, list):
+        first = first[0]
+    lanes = first.c.shape[1] if isinstance(first, jets.MultiJet) \
+        and first.c.ndim == 2 else None
+
+    def build(x):
+        return [build(y) for y in x] if isinstance(x, list) else leaf(x, lanes)
+    a = np.array(build(obj))
+    return a if lanes is None else np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def value_array(obj) -> np.ndarray:
+    """The values at the point of a nested list of jets as an array of the
+    list's shape; over a chunk, behind a leading lane axis."""
+    return _stack(obj, lambda x, lanes: x.c[0] if isinstance(x, jets.MultiJet)
+                  else np.full(lanes or (), float(x)))
+
+
 def gradients(obj) -> np.ndarray:
     """First partials at the point of a nested list of jets: an array of the
-    list's shape with a trailing axis of length 3."""
-    if isinstance(obj, list):
-        return np.array([gradients(x) for x in obj])
-    return jets.gradient(obj)
+    list's shape with a trailing axis of length 3; over a chunk, behind a
+    leading lane axis."""
+    return _stack(obj, lambda x, lanes: jets.gradient(x))
+
+
+# u @ M, M @ v and u . v for values with a leading lane axis: np.matmul
+# stacked over the lanes makes for each lane the BLAS call of a point alone.
+
+def vec_mat(u, M):
+    return (u[..., None, :] @ M)[..., 0, :]
+
+
+def mat_vec(M, v):
+    return (M @ v[..., None])[..., 0]
+
+
+def vec_vec(u, v):
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]

@@ -19,7 +19,11 @@ points each, and a chunk that raises again point by point).  1-D jets, floats
 and lane vectors (arrays (P,)) act on every lane.  A product is one bincount
 over the slots s * P + lane, which sums each lane's pairs in one-point order,
 and division pivots and elementary series (math.*) are taken per lane, so a
-record depends only on its point, bit for bit.
+record depends only on its point, bit for bit.  Values read from a chunk's
+jets (jetalg.value_array) are computed once per chunk, as arrays with a
+leading lane axis (a point alone has none), and a view's field reads its
+cut: lane(x, l) takes lane l of a jet, of such an array (x[l]) and of the
+lists and dicts that hold them, and only field calls it.
 """
 
 from __future__ import annotations
@@ -484,15 +488,15 @@ def from_lanes(values):
 
 
 def lane(obj, l: int):
-    """Lane l of a chunk's jet or lane vector, or of lists or dicts of them
-    (a jet's lane is a view); anything else is every lane's."""
+    """Lane l of a chunk's jet or lane-stacked array, or of lists or dicts
+    of them (a lane is a view); anything else is every lane's."""
     if isinstance(obj, (list, tuple)):
         return [lane(x, l) for x in obj]
     if isinstance(obj, dict):
         return {k: lane(x, l) for k, x in obj.items()}
     if isinstance(obj, MultiJet) and obj.c.ndim == 2:
         return _jet(obj.order, obj.c[:, l])
-    return obj[..., l] if isinstance(obj, np.ndarray) else obj
+    return obj[l] if isinstance(obj, np.ndarray) else obj
 
 
 def where(mask, x, y):
@@ -535,7 +539,8 @@ class Lanes:
 
 
 class field:
-    """A cached jet field of a Lanes object: on a view, the chunk's cut."""
+    """A cached field (jets or values) of a Lanes object: on a view, the
+    chunk's cut."""
 
     def __init__(self, func):  # as functools.cached_property, lock-free
         self.func, self.attrname, self.__doc__ = func, func.__name__, func.__doc__

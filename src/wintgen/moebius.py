@@ -13,8 +13,12 @@ point is all that is read is computed in numpy from the values and first
 partials of the jets it derives from, not built as a jet field: E_i of a
 field (Y_i, E_i(N)), theta_12, the connection forms omega of the frame E, the
 Blaschke tensor via dN, the Riemann tensor of g, and the covariant
-derivatives of B, C and A.  Only the Ricci tensor, and with it the
-Gauss-route A, stays a jet field, because derivatives of A are read.
+derivatives of B, C and A.  These are computed once per chunk, with a
+leading lane axis, and a lane's view reads its cut; each sums in a fixed
+order (np.matmul stacked over the lanes, one BLAS call per lane, or terms
+added one after another), so a lane rounds as its point alone.  Only the
+Ricci tensor, and with it the Gauss-route A, stays a jet field, because
+derivatives of A are read.
 connection_forms is the one construction of a frame's connection forms as
 jets; the adapted frame of ideal.py uses it.
 Index conventions follow classical.py, plus capital E_i for the frame
@@ -24,7 +28,6 @@ orthonormal in the conformal metric g = rho^2 dx.dx.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -87,14 +90,22 @@ def connection_chart(x, y):
 def frame_d_values(E, vec) -> np.ndarray:
     """[i][m] = E_i(vec[m]) at the point, for frame rows E (values, chart
     components) and a list of jets vec, from the chart first partials."""
-    return E @ jetalg.gradients(vec).T
+    return E @ np.swapaxes(jetalg.gradients(vec), -1, -2)
 
 
 def d_form_values(chart_form) -> np.ndarray:
     """[a][b] = (d phi)(d/du_a, d/du_b) at the point, for a 1-form given by
     its chart components (3 jets)."""
     g = jetalg.gradients(chart_form)  # g[b][a] = d phi_b / du_a
-    return g.T - g
+    return np.swapaxes(g, -1, -2) - g
+
+
+def _sum_in_order(t, summed: int, kept: int):
+    """t [..., summed axes, kept axes] summed over the summed axes, one term
+    after another in C order from zero: a fixed order."""
+    lead, out = t.shape[:t.ndim - summed - kept], t.shape[t.ndim - kept:]
+    s = np.add.accumulate(t.reshape(lead + (-1,) + out), axis=len(lead))
+    return 0.0 + s.take(-1, axis=len(lead))
 
 
 class MoebiusContext(jets.Lanes):
@@ -159,11 +170,11 @@ class MoebiusContext(jets.Lanes):
     def Yi(self):
         return [frame_vector_d(self.EC, self.Y, i) for i in range(3)]
 
-    @cached_property
+    @jets.field
     def EC_values(self):
-        return np.array(jetalg.values(self.EC))
+        return jetalg.value_array(self.EC)
 
-    @cached_property
+    @jets.field
     def Yi_values(self):
         return frame_d_values(self.EC_values, self.Y)
 
@@ -216,9 +227,9 @@ class MoebiusContext(jets.Lanes):
                          for j in range(3)] for i in range(3)])
         return out
 
-    @cached_property
+    @jets.field
     def B_values(self):
-        return np.array(jetalg.values(self.B))
+        return jetalg.value_array(self.B)
 
     @jets.field
     def C(self):
@@ -251,17 +262,17 @@ class MoebiusContext(jets.Lanes):
             out.append(row)
         return out
 
-    @cached_property
+    @jets.field
     def C_values(self):
-        return np.array(jetalg.values(self.C))
+        return jetalg.value_array(self.C)
 
     # -- connection ------------------------------------------------------------
 
-    @cached_property
+    @jets.field
     def theta12_values(self):
         """theta_12(E_k) at the point."""
-        xi2 = np.array(jetalg.values(self.xi[1]))
-        return frame_d_values(self.EC_values, self.xi[0]) @ LORENTZ @ xi2
+        return jetalg.mat_vec(frame_d_values(self.EC_values, self.xi[0])
+                              @ LORENTZ, jetalg.value_array(self.xi[1]))
 
     @jets.field
     def theta12_chart(self):
@@ -270,36 +281,46 @@ class MoebiusContext(jets.Lanes):
 
     # -- Blaschke tensor --------------------------------------------------------
 
-    @cached_property
+    @jets.field
     def dN_values(self):
         """E_i(N) at the point, rows i."""
         return frame_d_values(self.EC_values, self.N)
 
-    @cached_property
+    @jets.field
     def A_dn(self):
         """A_ij = <E_i(N), Y_j> from the derivative of the dual point (values)."""
-        return self.dN_values @ LORENTZ @ self.Yi_values.T
+        return self.dN_values @ LORENTZ @ np.swapaxes(self.Yi_values, -1, -2)
 
-    @cached_property
+    @jets.field
     def C_dn(self):
         """Cross-route C^r_i = <E_i(N), xi_r> (values)."""
-        xi = np.array(jetalg.values(self.xi))
-        return xi @ LORENTZ @ self.dN_values.T
+        return jetalg.value_array(self.xi) @ LORENTZ \
+            @ np.swapaxes(self.dN_values, -1, -2)
 
     # -- curvature of g ----------------------------------------------------------
 
-    @cached_property
+    @jets.field
     def riemann_values(self):
         """[i][j][k][l] = <R(E_i,E_j) E_l, E_k>_g at the point, from the values
         and first partials of Gamma."""
-        G = np.array(jetalg.values(self.Gamma))
-        dG = jetalg.gradients(self.Gamma)  # dG[d][b][c][a] = d_a Gamma^d_bc
+        G = jetalg.value_array(self.Gamma)  # G[..., d, a, e] = Gamma^d_ae
+        dG = jetalg.gradients(self.Gamma)  # dG[..., d, b, c, a] = d_a Gamma^d_bc
         # R(d_a, d_b) d_c = R^d_cab d_d, antisymmetrized in (a, b) at the end
-        R = np.einsum("dbca->dcab", dG) + np.einsum("dae,ebc->dcab", G, G)
-        R -= R.transpose(0, 1, 3, 2)
-        E = self.EC_values
-        low = E @ np.array(jetalg.values(self.g))  # low[k] pairs with E_k
-        return np.einsum("ia,jb,kd,lc,dcab->ijkl", E, E, low, E, R)
+        R = np.moveaxis(dG, -3, -1) + sum(  # Gamma^d_ae Gamma^e_bc over e
+            G[..., :, None, :, None, e]
+            * np.swapaxes(G[..., e, :, :], -1, -2)[..., None, :, None, :]
+            for e in range(3))
+        R = R - np.swapaxes(R, -1, -2)
+        Et = np.swapaxes(self.EC_values, -1, -2)  # Et[..., a, i] = E_i^a
+        # low[k] = E_k lowered by g (pairs with E_k); lowt[..., d, k] = low_k^d
+        lowt = np.swapaxes(self.EC_values @ jetalg.value_array(self.g), -1, -2)
+        # the terms ((((E_i^a E_j^b) low_k^d) E_l^c) R^d_cab) over the axes
+        # (d, c, a, b, i, j, k, l), summed over (d, c, a, b) in that order
+        t = Et[..., :, None, :, None] * Et[..., None, :, None, :]
+        t = t[..., None, :, :, :, :, None] * lowt[..., :, None, None, None, None, :]
+        t = t[..., :, None, :, :, :, :, :, None] \
+            * Et[..., None, :, None, None, None, None, None, :]
+        return _sum_in_order(t * R[..., None, None, None, None], 4, 4)
 
     @jets.field
     def ricci(self):
@@ -343,54 +364,70 @@ class MoebiusContext(jets.Lanes):
     # Read at the point: the frame gradient of a field plus the omega and
     # theta_12 terms at their point values.
 
-    @cached_property
+    @jets.field
     def omega_values(self):
         """omega_ij(E_k) at the point, from the values and first partials of
         EC and the values of Gamma and g: the antisymmetric part of
         g(nabla_{E_k} E_i, E_j), so exactly antisymmetric."""
         E = self.EC_values
-        G = np.array(jetalg.values(self.Gamma))  # G[a][b][c] = Gamma^a_bc
-        # D[i][a][b]: chart component a of nabla_{d/du_b} E_i
-        D = jetalg.gradients(self.EC) + np.einsum("abc,ic->iab", G, E)
-        low = E @ np.array(jetalg.values(self.g))  # low[j] pairs with E_j
-        X = np.einsum("kb,iab,ja->ijk", E, D, low)
-        return 0.5 * (X - X.transpose(1, 0, 2))
+        G = jetalg.value_array(self.Gamma)  # G[..., a, b, c] = Gamma^a_bc
+        # D[..., i, a, b]: chart component a of nabla_{d/du_b} E_i, with
+        # Gamma^a_bc E_i^c summed over c = 0, 2, then 1
+        GE = [G[..., None, :, :, c] * E[..., :, c, None, None] for c in range(3)]
+        D = jetalg.gradients(self.EC) + (0.0 + ((GE[0] + GE[2]) + GE[1]))
+        low = E @ jetalg.value_array(self.g)  # low[j] pairs with E_j
+        # X[i, j, k] = sum over (a, b), in that order, of
+        # (E_k^b D[i, a, b]) low[j, a]; the terms on the axes (a, b, i, j, k)
+        t = np.swapaxes(E, -1, -2)[..., None, :, None, None, :] \
+            * np.moveaxis(D, -3, -1)[..., :, :, :, None, None]
+        X = _sum_in_order(
+            t * np.swapaxes(low, -1, -2)[..., :, None, None, :, None], 2, 3)
+        return 0.5 * (X - np.swapaxes(X, -2, -3))
 
     def _cov2_terms(self, T):
         """E_k(T_ij), T_lj omega_li(E_k) and T_il omega_lj(E_k) [..., i, j, k]
         at the point, for a (stack of) frame 2-tensor jet fields T."""
-        T0 = np.array(jetalg.values(T))
-        om = self.omega_values
-        return [jetalg.gradients(T) @ self.EC_values.T,
-                np.einsum("...il,ljk->...ijk", T0, om),
-                np.einsum("...lj,lik->...ijk", T0, om)]
+        T0 = jetalg.value_array(T)
+        E, om = self.EC_values, self.omega_values
+        # after the lanes, a unit axis per stacking axis of T (and i in E)
+        pad = (1,) * (T0.ndim - om.ndim + 1)
+        E = E.reshape(E.shape[:-2] + pad + (1, 3, 3))
+        om = om.reshape(om.shape[:-3] + pad + om.shape[-3:])
+        return [jetalg.gradients(T) @ np.swapaxes(E, -1, -2),
+                sum(T0[..., :, l, None, None] * om[..., l, None, :, :]
+                    for l in range(3)),
+                sum(T0[..., None, l, :, None] * om[..., l, :, None, :]
+                    for l in range(3))]
 
-    @cached_property
+    @jets.field
     def covB_terms(self):
         """The terms covB_values sums: _cov2_terms', then theta_12's."""
         B = self.B_values
-        th = self.theta12_values
-        return self._cov2_terms(self.B) + [
-            np.array([-(B[1][:, :, None] * th), B[0][:, :, None] * th])]
+        th = self.theta12_values[..., None, None, :]
+        return self._cov2_terms(self.B) + [np.stack(
+            [-(B[..., 1, :, :, None] * th), B[..., 0, :, :, None] * th],
+            axis=-4)]
 
-    @cached_property
+    @jets.field
     def covB_values(self):
         """[r][i][j][k] = B^r_{ij,k} at the point (raw gauge)."""
         grad, om1, om2, th = self.covB_terms
         return grad + om1 + om2 + th
 
-    @cached_property
+    @jets.field
     def covC_values(self):
         """[r][i][j] = C^r_{i,j} at the point (raw gauge)."""
-        C = self.C_values
-        out = jetalg.gradients(self.C) @ self.EC_values.T
-        out += np.einsum("rk,kij->rij", C, self.omega_values)
-        th = self.theta12_values
-        out[0] -= np.outer(C[1], th)
-        out[1] += np.outer(C[0], th)
+        C, om = self.C_values, self.omega_values
+        out = jetalg.gradients(self.C) \
+            @ np.swapaxes(self.EC_values, -1, -2)[..., None, :, :]
+        out += sum(C[..., :, k, None, None] * om[..., None, k, :, :]
+                   for k in range(3))
+        th = self.theta12_values[..., None, :]
+        out[..., 0, :, :] -= C[..., 1, :, None] * th
+        out[..., 1, :, :] += C[..., 0, :, None] * th
         return out
 
-    @cached_property
+    @jets.field
     def covA_values(self):
         """[i][j][k] = A_{ij,k} at the point, from the Gauss-trace field."""
         grad, om1, om2 = self._cov2_terms(self.A_gauss)
@@ -444,14 +481,13 @@ class MoebiusData:
 
 
 def moebius_data(ctx: MoebiusContext) -> MoebiusData:
-    """Snapshot of the values at the point of a context."""
-    val = jetalg.values
+    """Snapshot of the values at the point of a context (over a chunk, with
+    a leading lane axis)."""
+    val = jetalg.value_array
     return MoebiusData(
         rho=jets.value_of(ctx.rho),
-        Y=np.array(val(ctx.Y)), Yi=ctx.Yi_values,
-        N=np.array(val(ctx.N)), xi=np.array(val(ctx.xi)),
-        g=np.array(val(ctx.g)), E=ctx.EC_values,
-        coframe=np.array(val(ctx.coframe)),
+        Y=val(ctx.Y), Yi=ctx.Yi_values, N=val(ctx.N), xi=val(ctx.xi),
+        g=val(ctx.g), E=ctx.EC_values, coframe=val(ctx.coframe),
         omega_ij=ctx.omega_values, theta12=ctx.theta12_values,
         A=ctx.A_dn, B=ctx.B_values, C=ctx.C_values)
 

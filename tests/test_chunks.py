@@ -1,10 +1,14 @@
-"""Sample points run in chunks of jets with a lane axis: a record depends
-only on its point, bit for bit, wherever the point falls in a chunk; a
-failure inside a chunk gives the one-point document; and the batching shows
-in the count of jet products."""
+"""Sample points run in chunks of jets with a lane axis, and the values
+read after the gates are computed once per chunk with a lane axis: a record
+depends only on its point, bit for bit, wherever the point falls in a chunk
+and whatever the chunk's size; a failure inside a chunk gives the one-point
+document; and the batching shows in the counts of jet products, SVDs and
+lane cuts."""
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from wintgen import cli, gallery, ideal, jets, moebius
@@ -18,13 +22,50 @@ def test_a_record_depends_only_on_its_point(name):
     spec = gallery.by_name(name).spec
     chunk = sample_points(spec.domain, moebius.CHUNK_POINTS, 5)
     cf = ideal.CanonicalFields(moebius.MoebiusContext(spec, chunk))
-    batched = [ideal._package_invariants(lane) for lane in cf.lanes]
+    batched = ideal._package_invariants(cf)
     residuals = [moebius.integrability_residuals(lane)
                  for lane in moebius.MoebiusContext(spec, chunk).lanes]
     for k in (0, 7, len(chunk) - 1):
         alone = moebius.MoebiusContext(spec, chunk[k])
         assert batched[k] == ideal.invariants_uvlg(alone), k
         assert residuals[k] == moebius.integrability_residuals(alone), k
+
+
+@pytest.mark.parametrize("gauge", ["raw", "V0"])
+@pytest.mark.parametrize("name, partial", [
+    *((name, False) for name in IDEAL_CHARTS),
+    ("cone-veronese", True)])  # integrable lanes
+def test_each_lane_is_its_point_alone_at_any_lane_count(name, partial, gauge):
+    # the values after the gates (kernel plane, torsion, snapshot,
+    # residuals) sum in a fixed order, whatever the number of lanes
+    spec = gallery.by_name(name).spec
+    for n in (2, 7, 20):
+        chunk = sample_points(spec.domain, n, 5)
+        ctx = moebius.MoebiusContext(spec, chunk)
+        cf = ideal.CanonicalFields(ctx, gauge=gauge, partial=partial)
+        invs = ideal._package_invariants(cf)
+        for k, (lane, lctx) in enumerate(zip(cf.lanes, ctx.lanes)):
+            where = (n, k)
+            alone_ctx = moebius.MoebiusContext(spec, chunk[k])
+            alone = ideal.CanonicalFields(alone_ctx, gauge=gauge,
+                                          partial=partial)
+            for part in ("data", "plane"):
+                got, want = getattr(cf, part), getattr(alone, part)
+                for f in dataclasses.fields(want):
+                    assert np.array_equal(np.asarray(getattr(got, f.name))[k],
+                                          getattr(want, f.name)), \
+                        (where, part, f.name)
+            for attr in ("torsion", "floor", "integrable"):
+                assert getattr(lane, attr) == getattr(alone, attr), \
+                    (where, attr)
+            assert lane.integrable == partial, where
+            assert moebius.integrability_residuals(lctx) == \
+                moebius.integrability_residuals(alone_ctx), where
+            got, = ideal._package_invariants(alone)
+            assert all(x == y if isinstance(x, str) else
+                       np.array_equal(x, y, equal_nan=True) for x, y in zip(
+                           dataclasses.astuple(invs[k]),
+                           dataclasses.astuple(got))), where
 
 
 def test_chunks_take_the_first_point_alone_then_at_most_chunk_points():
@@ -125,3 +166,23 @@ def test_products_grow_with_chunks_not_points(capsys, monkeypatch):
         counts.append(counter.n)
     capsys.readouterr()
     assert counts[1] <= 2.5 * counts[0], counts
+
+
+def test_values_are_computed_once_per_chunk(capsys, monkeypatch):
+    # 20 points run as the first point alone and one chunk of 19: one
+    # kernel-plane SVD per chunk, and lane cuts only for the chart jet each
+    # point pass reads (5,513 cuts and 20 SVDs when each lane ran its own
+    # value code)
+    calls = {"svd": 0, "lane": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(jets, "lane", counted("lane", jets.lane))
+    assert cli.main(["invariants", "--example", "so3", "--points", "20"]) == 0
+    capsys.readouterr()
+    assert calls == {"svd": 2, "lane": 133}

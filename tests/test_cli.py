@@ -18,7 +18,7 @@ import pytest
 import wintgen
 from wintgen import cli, gallery, ideal, moebius
 from wintgen.cli import main
-from wintgen.errors import IntegrableDistribution, NotIdealPoint
+from wintgen.errors import IntegrableDistribution, NotIdealPoint, SchemaError
 from wintgen.immersion import sample_points
 
 
@@ -631,6 +631,14 @@ def test_negated_kernel_vector_leaves_records_unchanged(capsys, monkeypatch):
 
 
 TWISTED = ["so3", "veronese-hopf", "hopf-generic"]
+
+
+@pytest.mark.parametrize("verdict", [ideal.classify_theorem_b,
+                                     ideal.hopf_criterion])
+def test_library_verdicts_refuse_an_empty_sample(verdict):
+    # --points must be >= 1 on the command line; the library says the same
+    with pytest.raises(SchemaError, match="no points"):
+        verdict(gallery.by_name("so3").spec, [])
 
 
 @pytest.mark.parametrize("name, n, seed, tol", [

@@ -8,8 +8,9 @@ bound by a top-level import must be referenced somewhere in the module.
 `_name` defined at the top of a package module by def, class or assignment
 must be referenced somewhere in the package or the tests.  Only
 immersion.py compares an ambient model's kind, UmbilicPoint is raised at
-one site, and cli.py prints a document at one call of `_emit` and writes the
-"schema" key at one site.
+one site, cli.py prints a document at one call of `_emit` and writes the
+"schema" key at one site, and only jets.py cuts a chunk's values to a lane
+(`jets.lane`), so a view gets its cut through `jets.field` alone.
 """
 
 import ast
@@ -210,3 +211,32 @@ def test_cli_builds_every_document_at_one_site():
     emits, schemas = document_sites(path.read_text(encoding="utf-8"))
     assert len(emits) == 1, emits
     assert len(schemas) == 1, schemas
+
+
+def lane_cut_sites(source: str) -> list:
+    """Lines that reference `jets.lane`: the attribute of a module named
+    jets, or the name imported from it."""
+    sites = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and n.attr == "lane" \
+                and isinstance(n.value, ast.Name) and n.value.id == "jets":
+            sites.append(n.lineno)
+        elif isinstance(n, ast.ImportFrom) \
+                and (n.module or "").split(".")[-1] == "jets" \
+                and any(a.name == "lane" for a in n.names):
+            sites.append(n.lineno)
+    return sorted(sites)
+
+
+def test_lane_scanner_flags_jets_lane_references():
+    src = ("from . import jets\nfrom .jets import lane, field\n"
+           "def f(x, view):\n"
+           "    return jets.lane(x, 0), view.lane, jets.lanes, lane\n")
+    assert lane_cut_sites(src) == [2, 4]
+
+
+def test_only_jets_cuts_lanes():
+    sites = [f"{path.name}:{line}" for path in PACKAGE
+             if path.name != "jets.py"
+             for line in lane_cut_sites(path.read_text(encoding="utf-8"))]
+    assert sites == []

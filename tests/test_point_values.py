@@ -125,7 +125,7 @@ def test_riemann_symmetries_and_ricci_contraction(name):
 def test_fhat_from_dn_route_matches_gauss_field(name, gauge):
     for p in _points(name):
         cf = _fields(name, p, gauge)
-        inv = ideal._package_invariants(cf)
+        inv, = ideal._package_invariants(cf)
         _close(inv.Fhat, jets.value_of(cf.Fhat_field))
 
 
