@@ -1,22 +1,22 @@
-"""Classical submanifold invariants at a chart point.
+"""Classical submanifold invariants at chart points.
 
 ClassicalContext carries the chart, the frames and the second fundamental
-form as jets so later modules can differentiate.  Its point pass
-(ClassicalContext.point) runs the same formulas once on floats, from the
-chart jet's values and first and second partials: it decides the NotImmersed
-gates and the normal-frame pivots, and the umbilic test, classical_data and
-the ddvv command read only its values, so they build no jet beyond the
-chart's.  umbilic is the one umbilic criterion, refuse_umbilic its one raise
-site, and require_ideal the one slack gate.  check_order is the jet-order
-gate (orders 2 to 5), also run by the ddvv command, whose records read only
-second partials.  The reporting types (ClassicalData, DDVVReport,
-AdaptedFrame) hold plain floats.  The adapted frame of an ideal point has one
-construction: kernel_plane decides its gates on values and returns the kernel
-line, the plane seed and the normal flip, and turned_frame, generic over
-floats and jets, builds the frame from them; adapted_frame runs it on floats
-and ideal.CanonicalFields on jets.  Over a chunk of points (see jets) the
-point pass and the gates run per point, and the jet pass takes the pivots
-and the half_angle branch as lane data.
+form as jets, one lane per point of its chunk (see jets), so later modules
+can differentiate.  Its point passes (ClassicalContext.passes, one per
+point; `point` for a one-point context) run the same formulas once on
+floats, from the chart jet's values and first and second partials: they
+decide the NotImmersed gates and the normal-frame pivots, and the umbilic
+test, classical_data and the ddvv command read only their values, so they
+build no jet beyond the chart's.  umbilic is the one umbilic criterion,
+refuse_umbilic its one raise site, and require_ideal the one slack gate.
+check_order is the jet-order gate (orders 2 to 5), also run by the ddvv
+command, whose records read only second partials.  The reporting types
+(ClassicalData, DDVVReport, AdaptedFrame) hold plain floats.  The adapted
+frame of an ideal point has one construction: kernel_plane decides its
+gates on values and returns the kernel line, the plane seed and the normal
+flip, and turned_frame, generic over floats and jets, builds the frame from
+them; adapted_frame runs it on floats and ideal.CanonicalFields on jets.
+The jet pass takes the pivots and the half_angle branch as lane data.
 
 Index conventions: a, b, c label chart coordinates; i, j, k label the
 orthonormal tangent frame; r, s label the orthonormal normal frame.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,30 +51,34 @@ def check_order(order: int) -> None:
     jets.check_order(order)
 
 
-class ClassicalContext(jets.Lanes):
-    """Lazy jet computations for one immersion at one chart point, or at
-    the points of a chunk (p a list of points).
+class ClassicalContext:
+    """Lazy jet computations for one immersion at the points of a chunk (p
+    a list of points, or one point), one lane per point.
 
-    `point` is the same context on floats.  It decides the NotImmersed
-    gates (metric determinant, normal-frame residual) and picks the
-    normal-frame pivots, which the jet pass reuses, and it supplies the
-    values of induced_metric, frame_chart, tangent_amb, normal_frame, h and
-    H that is_umbilic and classical_data read; over a chunk, each lane has
-    its own."""
+    `passes` holds one point pass per point: the same context on floats.
+    It decides the NotImmersed gates (metric determinant, normal-frame
+    residual) and picks the normal-frame pivots, which the jet pass reuses,
+    and it supplies the values of induced_metric, frame_chart, tangent_amb,
+    normal_frame, h and H that the umbilic gate and classical_data read.
+    `point` is the pass of a one-point context."""
 
     def __init__(self, spec: ImmersionSpec, p, order: int = 5):
         check_order(order)
+        self.spec, self.order, self.inner = spec, order, spec.ambient.inner
         self.p = [tuple(float(v) for v in q) for q in jets.points(p)]
-        self.split_lanes([{"p": q} for q in self.p], spec=spec, order=order,
-                         inner=spec.ambient.inner)
 
     @jets.field
     def x(self):
         return eval_immersion_jet(self.spec, self.p, self.order)
 
-    @cached_property
+    @jets.field
+    def passes(self) -> list:
+        return [_PointPass(self, l) for l in range(len(self.p))]
+
+    @property
     def point(self) -> "ClassicalContext":
-        return _PointPass(self)
+        pt, = self.passes
+        return pt
 
     @jets.field
     def xa(self):
@@ -97,8 +101,8 @@ class ClassicalContext(jets.Lanes):
     def frame_chart(self):
         """Rows eC[i]: orthonormal tangent frame e_i = sum_a eC[i][a] d/du_a,
         lower-triangular (Gram-Schmidt in chart order)."""
-        for lane in self.lanes:
-            lane.point.frame_chart  # refuses where the metric is degenerate
+        for pt in self.passes:
+            pt.frame_chart  # refuses where the metric is degenerate
         return jetalg.inv_lower3(jetalg.cholesky3(self.induced_metric))
 
     @jets.field
@@ -132,11 +136,11 @@ class ClassicalContext(jets.Lanes):
     def normal_frame(self):
         """Two unit normals by Gram-Schmidt from the standard basis vectors
         the point passes picked."""
-        for lane in self.lanes:
-            lane.point.normal_frame  # picks the pivots, or refuses
+        for pt in self.passes:
+            pt.normal_frame  # picks the pivots, or refuses
         units = self._units()
         normals = []
-        for ks in zip(*(lane.point.pivots for lane in self.lanes)):
+        for ks in zip(*(pt.pivots for pt in self.passes)):
             n = jetalg.normalize(self._residual(jets.from_lanes(ks), units),
                                  inner=self.inner)
             units.append((n, 1.0))
@@ -160,14 +164,14 @@ class ClassicalContext(jets.Lanes):
         return [(m[0][0] + m[1][1] + m[2][2]) * (1.0 / 3.0) for m in self.h]
 
     def is_umbilic(self) -> bool:
-        """The umbilic criterion on the point pass's h and H."""
+        """The umbilic criterion on the point pass's h and H (one point)."""
         return umbilic(self.point.h, self.point.H)
 
     def require_not_umbilic(self) -> None:
         """The umbilic gate of the conformal invariants, at each point."""
-        for lane in self.lanes:
-            if lane.is_umbilic():
-                refuse_umbilic(self.spec.name, f" at {lane.p}",
+        for pt in self.passes:
+            if pt.is_umbilic():
+                refuse_umbilic(self.spec.name, f" at {pt.p}",
                                "conformal invariants are undefined there")
 
     @jets.field
@@ -184,23 +188,24 @@ def _basis_squares(ambient) -> tuple:
 
 
 class _PointPass(ClassicalContext):
-    """A ClassicalContext's formulas on floats.  x and its first and second
-    partials are read from the chart jet (jets.low_partials), so each value
-    equals the constant term of the matching jet bit for bit.  The gates
-    are decided here, on the values, and the pivots are picked here."""
+    """A ClassicalContext's formulas on floats at its point l.  x and its
+    first and second partials are read from lane l of the chart jet
+    (jets.low_partials), so each value equals the constant term of the
+    matching jet bit for bit.  The gates are decided here, on the values,
+    and the pivots are picked here."""
 
     point = property(lambda self: self)  # not an attribute: no self-cycle
 
-    def __init__(self, ctx: ClassicalContext):
-        self.spec, self.p, self.order = ctx.spec, ctx.p, ctx.order
+    def __init__(self, ctx: ClassicalContext, l: int):
+        self.spec, self.p, self.order = ctx.spec, ctx.p[l], ctx.order
         self.inner = ctx.inner
-        parts = [jets.low_partials(c) for c in ctx.x]
+        parts = [jets.low_partials(c, l) for c in ctx.x]
         self.x = [v for v, _, _ in parts]
         self.xa = [[d1[a] for _, d1, _ in parts] for a in range(3)]
         self.xab = [[[d2[a][b] for _, _, d2 in parts] for b in range(3)]
                     for a in range(3)]
 
-    @cached_property
+    @jets.field
     def frame_chart(self):
         I = self.induced_metric
         det = (I[0][0] * (I[1][1] * I[2][2] - I[1][2] ** 2)
@@ -218,7 +223,7 @@ class _PointPass(ClassicalContext):
     def _constant(self, value: float):
         return value
 
-    @cached_property
+    @jets.field
     def normal_frame(self):
         """Each normal starts from the standard basis vector e_k with the
         largest residual, ranked in one pass by <e_k, e_k> - sum_u s_u u_k^2

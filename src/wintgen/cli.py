@@ -321,8 +321,7 @@ _RESIDUAL_FIELDS = ("codazzi_A", "ricci_C", "codazzi_B", "gauss",
 
 def _run_residuals(spec, pts, args, expected) -> RunResult:
     def analyze(chunk):
-        return [integrability_residuals(lane)
-                for lane in MoebiusContext(spec, chunk).lanes]
+        return integrability_residuals(MoebiusContext(spec, chunk))
 
     records = []
     for idx, (p, res) in enumerate(zip(pts, map_chunks(analyze, pts))):

@@ -10,23 +10,22 @@ the frame built on floats.  Its connection forms are moebius.connection_forms
 of its chart components.  E3 is oriented at each point on its own, by the
 sign of the torsion L, and the verdicts are folds over the per-point
 invariants of a sample.  CanonicalFields takes a MoebiusContext, which fixes
-the point; it refuses at an umbilic, then a non-ideal point (the gates of
+the points; it refuses at an umbilic, then a non-ideal point (the gates of
 classical.py), then where the torsion from the values of B, covB and the
 frame is at most ltol or its rounding floor, all before it snapshots the
 Moebius data.  Functions of one point take the context (invariants_uvlg) or
 the canonical fields (hat_frame, holomorphic_residual, structure_matrix);
-the verdicts take a chart and a sample, run in chunks (sample_invariants).
-Over a chunk, the gates run per point on its point pass; what follows
-them is computed once for the chunk with a leading lane axis, each lane
-summing as its point alone, and the kernel flip and the E3 sign are sign
-vectors on the jets.
+the verdicts take a chart and a sample, run in chunks (sample_invariants),
+and refuse an empty one.  Over a chunk, the gates run on each point's
+point pass; what follows them is computed once for the chunk with a
+leading lane axis, each lane summing as its point alone, and the kernel
+flip and the E3 sign are sign vectors on the jets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,19 +78,18 @@ def _pregauged(B, M0, Q0):
               for j in range(3)] for i in range(3)] for r in range(2)]
 
 
-class CanonicalFields(jets.Lanes):
-    """The adapted frame at one ideal point, or at the points of a chunk
-    (ctx over a chunk, one view per point in `lanes`), as jet fields.
-    Over a chunk, the kernel plane (plane), the Moebius snapshot (data),
-    Rfv, E_chart, A_can and domega_values carry a leading lane axis, and
-    each view holds its torsion, floor and integrable.
+class CanonicalFields:
+    """The adapted frame at the ideal points of a chunk (those of ctx), as
+    jet fields.  The kernel plane (plane), the Moebius snapshot (data), the
+    torsion, its floor and the integrable flags, and Rfv, E_chart, A_can
+    and domega_values carry a leading lane axis (a point alone has none).
 
     Rf rows are the adapted tangent frame in components of the raw
     (Gram-Schmidt) frame; Qf columns express the adapted normal sphere pair
     through the raw one.  All component fields (b, c, connection and their
     covariant derivatives) refer to this frame.  Construction refuses at an
     umbilic point, then at a point that is not ideal within tol, both
-    decided on the point pass of ctx.classical, then where the torsion is
+    decided on the point passes of ctx.classical, then where the torsion is
     at most ltol or its rounding floor, unless partial: partial fields are
     marked integrable and refuse at lamf instead.
     """
@@ -100,14 +98,12 @@ class CanonicalFields(jets.Lanes):
                  ltol: float = LTOL, partial: bool = False, tol: float = TOL):
         if gauge not in ("raw", "V0"):
             raise ValueError(f"unknown gauge {gauge!r}")
-        self.ctx = ctx
-        ltol = float(ltol)
-        lcs = ctx.lanes
-        for lc in lcs:
-            cl = lc.classical
-            cl.require_not_umbilic()
-            require_ideal(cl.point.h, cl.point.H, cl.spec.ambient.c, tol,
-                          where=f" at {lc.p}")
+        self.ctx, self.gauge, self.ltol = ctx, gauge, float(ltol)
+        cl = ctx.classical
+        cl.require_not_umbilic()
+        for pt in cl.passes:
+            require_ideal(pt.h, pt.H, cl.spec.ambient.c, tol,
+                          where=f" at {pt.p}")
 
         t = 0.0 if pregauge is None else float(pregauge)
         M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
@@ -117,7 +113,7 @@ class CanonicalFields(jets.Lanes):
                        [math.sin(2 * t), math.cos(2 * t)]])
         Bw = _pregauged(ctx.B, M0, Q0)
         self.plane = plane = kernel_plane(jetalg.value_array(Bw),
-                                          where=[f" at {lc.p}" for lc in lcs])
+                                          where=[f" at {q}" for q in ctx.p])
         rows, self.mu_field0 = turned_frame(Bw, plane)  # |z1|, invariant
 
         # E3 sign: the torsion is positive (it is odd in E3); below the
@@ -127,11 +123,8 @@ class CanonicalFields(jets.Lanes):
                                 E[..., 0, :], E[..., 1, :], E[..., 2, :])
         floor = TORSION_FLOOR * np.abs(np.stack(ctx.covB_terms, axis=-5)).max(
             axis=(-5, -4, -3, -2, -1))
-        integrable = np.abs(tor) <= np.maximum(ltol, floor)
-        self.split_lanes([
-            dict(ctx=lc, torsion=to, floor=fl, integrable=it) for lc, to, fl, it
-            in zip(lcs, *(np.ravel(x).tolist() for x in (tor, floor, integrable)))],
-            gauge=gauge, ltol=ltol)
+        integrable = np.abs(tor) <= np.maximum(self.ltol, floor)
+        self.torsion, self.floor, self.integrable = tor, floor, integrable
         if not partial:
             self.require_torsion()
         sign = np.where(~integrable & (tor < 0.0), -1.0, 1.0)[()]
@@ -195,11 +188,11 @@ class CanonicalFields(jets.Lanes):
 
     # -- component fields --------------------------------------------------------
 
-    @cached_property
+    @jets.field
     def Rfv(self):
         return jetalg.value_array(self.Rf)
 
-    @cached_property
+    @jets.field
     def E_chart(self):
         return jetalg.value_array(self.frame_chart)
 
@@ -298,7 +291,7 @@ class CanonicalFields(jets.Lanes):
                            for j in range(3)]) for a in range(3)]
                 for i in range(3)]
 
-    @cached_property
+    @jets.field
     def A_can(self):
         return self.Rfv @ self.data.A @ np.swapaxes(self.Rfv, -1, -2)
 
@@ -313,7 +306,7 @@ class CanonicalFields(jets.Lanes):
     def mu_field(self):
         return self.b(0, 0, 1)
 
-    @cached_property
+    @jets.field
     def mu(self):
         return jets.value_of(self.mu_field)
 
@@ -333,23 +326,25 @@ class CanonicalFields(jets.Lanes):
     def Gf(self):
         return (self.covc[0, 0] - self.covc[1, 1]) / (2.0 * self.mu_field)
 
-    @cached_property
+    @jets.field
     def L(self):
         return jets.value_of(self.Lf)
 
-    @cached_property
+    @jets.field
     def G(self):
         return jets.value_of(self.Gf)
 
     def require_torsion(self):
-        for lane in self.lanes:
-            if lane.integrable:
-                cutoff = f"{self.ltol:g}" if abs(lane.torsion) <= self.ltol \
-                    else f"its rounding floor {lane.floor:.3e}"
+        """The torsion gate, at each point."""
+        rows = zip(self.ctx.p, *(np.ravel(x).tolist() for x in
+                                 (self.torsion, self.floor, self.integrable)))
+        for p, tor, floor, flat in rows:
+            if flat:
+                cutoff = f"{self.ltol:g}" if abs(tor) <= self.ltol \
+                    else f"its rounding floor {floor:.3e}"
                 raise IntegrableDistribution(
-                    f"torsion {lane.torsion:.3e} below {cutoff} at "
-                    f"{lane.ctx.p}: the kernel distribution is integrable "
-                    "and the E3 sign is undefined")
+                    f"torsion {tor:.3e} below {cutoff} at {p}: the kernel "
+                    "distribution is integrable and the E3 sign is undefined")
 
     @jets.field
     def lamf(self):
@@ -367,7 +362,7 @@ class CanonicalFields(jets.Lanes):
         co = self.coframe_can
         return [sum_jets([w[i] * co[i][a] for i in range(3)]) for a in range(3)]
 
-    @cached_property
+    @jets.field
     def domega_values(self):
         """(domega(E1,E2), domega(E1,E3), domega(E2,E3)) [..., 3]."""
         dom = d_form_values(self.omega_chart)
@@ -385,7 +380,7 @@ class CanonicalFields(jets.Lanes):
             + 0.5 * (self.Uf * self.Uf + self.Vf * self.Vf - lam2) \
             - self.covc[1, 0] / self.mu_field
 
-    @cached_property
+    @jets.field
     def pattern_residual(self):
         Bv = self.data.B
         Q = np.array(jetalg.values(self.Qf))
@@ -438,7 +433,7 @@ def _package_invariants(cf: CanonicalFields) -> list:
     # coefficients depend on how the frame field twists, but theta + 2 Omega12
     # does not, and it is the triple the constant-coefficient examples quote
     theta_c = val(cf.theta) + 2.0 * Omega12
-    if all(lane.integrable for lane in cf.lanes):
+    if np.all(cf.integrable):
         lam = Fhat = Ghat = np.full(np.shape(U), np.nan)
         domega = omega_chart = np.full(np.shape(om12), np.nan)
     else:
@@ -448,7 +443,7 @@ def _package_invariants(cf: CanonicalFields) -> list:
         Fhat = A[..., 0, 0] + 0.5 * (U * U + V * V - lam * lam) - c[..., 0] / mu
         Ghat = A[..., 0, 1] - c[..., 1] / mu - lam * cf.L
         domega, omega_chart = cf.domega_values, val(cf.omega_chart)
-    n = len(cf.lanes)
+    n = len(cf.ctx.p)
     rows = (zip(*(np.reshape(x, n).tolist()  # per lane: floats, then triples
                   for x in (U, V, cf.L, cf.G, lam, Fhat, Ghat, mu))),
             zip(*(map(tuple, np.reshape(x, (n, 3)).tolist())
@@ -463,11 +458,7 @@ def _package_invariants(cf: CanonicalFields) -> list:
 def sample_invariants(spec: ImmersionSpec, sample, gauge: str = "raw",
                       ltol: float = LTOL, tol: float = TOL) -> list:
     """The invariants at each point of a sample, run in chunks by
-    moebius.map_chunks; each depends on its point alone.  Refuses an empty
-    sample, on which no verdict is defined."""
-    if len(sample) == 0:
-        raise SchemaError("the sample has no points: a verdict needs one")
-
+    moebius.map_chunks; each depends on its point alone."""
     def analyze(chunk):
         return _package_invariants(CanonicalFields(
             MoebiusContext(spec, chunk), gauge=gauge, ltol=ltol, tol=tol))
@@ -528,6 +519,13 @@ def hat_frame(cf: CanonicalFields, lam: float | None = None) -> HatFrameData:
 # theorem-level verdicts: folds over per-point invariants
 
 
+def _require_points(invs) -> None:
+    """The empty-sample check of the folds: no verdict is defined on a
+    sample with no points."""
+    if len(invs) == 0:
+        raise SchemaError("the sample has no points: a verdict needs one")
+
+
 def _max_domega(invs) -> float:
     return max((abs(d) for inv in invs for d in inv.domega), default=0.0)
 
@@ -547,6 +545,7 @@ def theorem_b_verdict(invs, tol: float = TOL) -> TheoremBVerdict:
     """The space-form verdict from per-point invariants: the distinguished
     1-form is closed when every d(omega) component is below tol, and the
     sign of Fhat then names the space form."""
+    _require_points(invs)
     max_domega = _max_domega(invs)
     closed = max_domega < tol
     arr = np.array([inv.Fhat for inv in invs], dtype=float)
@@ -591,6 +590,7 @@ class HopfReport:
 def hopf_verdict(invs, tol: float = TOL) -> HopfReport:
     """The circle-lift criterion from per-point invariants: G = 0 and the
     distinguished 1-form closed, both below tol."""
+    _require_points(invs)
     max_g = max((abs(inv.G) for inv in invs), default=0.0)
     max_dw = _max_domega(invs)
     return HopfReport(satisfied=bool(max_g < tol and max_dw < tol),

@@ -127,7 +127,7 @@ def values(obj):
 def _stack(obj, leaf) -> np.ndarray:
     """leaf(x, lanes) of each entry x of a nested list (lanes: the lane
     count of its first entry, None for a point alone) as one array, a
-    chunk's lane axis moved first, in C order, so a lane's cut has a point
+    chunk's lane axis moved first, in C order, so a lane's block has a point
     alone's strides."""
     first = obj
     while isinstance(first, list):

@@ -13,17 +13,15 @@ maps, their output slots spread over lanes) are built on first use and cached.
 Results of arithmetic are made by the unchecked constructor _jet; the public
 MultiJet(order, coeffs) validates its input.
 
-Lanes.  Coefficients may carry a trailing lane axis, (ncoef, P), one lane per
+Chunks.  Coefficients may carry a trailing lane axis, (ncoef, P), one lane per
 point of a chunk (moebius.map_chunks: the first point alone, then at most 20
 points each, and a chunk that raises again point by point).  1-D jets, floats
 and lane vectors (arrays (P,)) act on every lane.  A product is one bincount
 over the slots s * P + lane, which sums each lane's pairs in one-point order,
 and division pivots and elementary series (math.*) are taken per lane, so a
 record depends only on its point, bit for bit.  Values read from a chunk's
-jets (jetalg.value_array) are computed once per chunk, as arrays with a
-leading lane axis (a point alone has none), and a view's field reads its
-cut: lane(x, l) takes lane l of a jet, of such an array (x[l]) and of the
-lists and dicts that hold them, and only field calls it.
+jets (jetalg.value_array) are arrays with a leading lane axis (a point alone
+has none); low_partials reads one lane's low-order partials.
 """
 
 from __future__ import annotations
@@ -283,8 +281,8 @@ _new = object.__new__
 
 def _jet(order: int, c: np.ndarray) -> MultiJet:
     """Unchecked constructor: c is a float array (ncoef(order)[, lanes]).
-    Arithmetic passes a new array; only _operands and lane make views, and
-    theirs are never written to."""
+    Arithmetic passes a new array; only _operands makes views, and they are
+    never written to."""
     j = _new(MultiJet)
     j.order = order
     j.c = c
@@ -398,13 +396,14 @@ def gradient(x) -> np.ndarray:
 _SECOND = ((4, 5, 6), (5, 7, 8), (6, 8, 9))
 
 
-def low_partials(x: MultiJet):
+def low_partials(x: MultiJet, l: int = 0):
     """The value, the first partials [a] and the second partials [a][b] of
-    a jet of order >= 2 at the base point, as floats.  They equal the
-    constant terms of x, derivative(x, a + 1) and
+    a jet of order >= 2 at the base point (of lane l of a chunk's jet), as
+    floats.  They equal the constant terms of x, derivative(x, a + 1) and
     derivative(derivative(x, a + 1), b + 1) bit for bit: the diagonal
     second partials carry the factor 2 of T_alpha = d^alpha f / alpha!."""
-    c = x.c[:_NCOEF[2]].tolist()
+    c = x.c[:_NCOEF[2]]
+    c = (c if c.ndim == 1 else c[:, l]).tolist()
     d2 = [[c[k] * (2.0 if a == b else 1.0) for b, k in enumerate(row)]
           for a, row in enumerate(_SECOND)]
     return c[0], c[1:1 + NVARS], d2
@@ -487,18 +486,6 @@ def from_lanes(values):
     return values[0] if len(values) == 1 else np.stack(values, axis=-1)
 
 
-def lane(obj, l: int):
-    """Lane l of a chunk's jet or lane-stacked array, or of lists or dicts
-    of them (a lane is a view); anything else is every lane's."""
-    if isinstance(obj, (list, tuple)):
-        return [lane(x, l) for x in obj]
-    if isinstance(obj, dict):
-        return {k: lane(x, l) for k, x in obj.items()}
-    if isinstance(obj, MultiJet) and obj.c.ndim == 2:
-        return _jet(obj.order, obj.c[:, l])
-    return obj[l] if isinstance(obj, np.ndarray) else obj
-
-
 def where(mask, x, y):
     """x on the lanes where mask holds, else y: jets of one order, or numbers."""
     if not isinstance(mask, np.ndarray):
@@ -509,46 +496,18 @@ def where(mask, x, y):
     return np.where(mask, x, y)
 
 
-class Lanes:
-    """Base of the lazy objects over sample points.  One point is its own
-    lane; a chunk keeps a state (attribute dict) per point and hands out views
-    whose jet fields (field) are the chunk's cut to the lane.  It holds no
-    view, so no reference cycle keeps its jets alive."""
-
-    __slots__ = ("_chunk", "__dict__")
-
-    @property
-    def lanes(self) -> list:
-        """One view per point: [self] for one point."""
-        states = self.__dict__.get("_states")
-        if states is None:
-            return [self]
-        views = [_new(type(self)) for _ in states]
-        for view, state in zip(views, states):
-            view.__dict__, view._chunk = state, self
-        return views
-
-    def split_lanes(self, per_lane: list, **shared) -> None:
-        """Set the shared attributes, and each point's own (on self if one)."""
-        self.__dict__.update(shared)
-        if len(per_lane) == 1:
-            self.__dict__.update(per_lane[0])
-        else:
-            self._states = [dict(attrs, **shared, _lane=l)
-                            for l, attrs in enumerate(per_lane)]
+# ---------------------------------------------------------------------------
+# the cached fields of the contexts (classical, moebius, ideal)
 
 
 class field:
-    """A cached field (jets or values) of a Lanes object: on a view, the
-    chunk's cut."""
+    """A cached attribute, as functools.cached_property but lock-free."""
 
-    def __init__(self, func):  # as functools.cached_property, lock-free
+    def __init__(self, func):
         self.func, self.attrname, self.__doc__ = func, func.__name__, func.__doc__
 
     def __get__(self, obj, cls=None):
         if obj is None:
             return self
-        d = obj.__dict__
-        value = d[self.attrname] = self.func(obj) if "_lane" not in d \
-            else lane(getattr(obj._chunk, self.attrname), d["_lane"])
+        value = obj.__dict__[self.attrname] = self.func(obj)
         return value

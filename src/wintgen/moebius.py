@@ -2,21 +2,21 @@
 Lorentz R^7_1, the tensors A, B, C, connection forms, covariant derivatives,
 and the integrability residuals.
 
-Everything lives at one chart point, or on the lanes of a chunk of points
-(map_chunks), as jets in a MoebiusContext, always built at JET_ORDER.  The
-ambient model supplies the light-cone lift and its
-differential, so Y and the mean curvature spheres xi have one formula for the
-three space forms.  Functions of the point take the context:
-integrability_residuals(ctx) reads its values, and moebius_data(ctx)
-snapshots its constant terms into MoebiusData.  A quantity whose value at the
-point is all that is read is computed in numpy from the values and first
-partials of the jets it derives from, not built as a jet field: E_i of a
-field (Y_i, E_i(N)), theta_12, the connection forms omega of the frame E, the
-Blaschke tensor via dN, the Riemann tensor of g, and the covariant
-derivatives of B, C and A.  These are computed once per chunk, with a
-leading lane axis, and a lane's view reads its cut; each sums in a fixed
-order (np.matmul stacked over the lanes, one BLAS call per lane, or terms
-added one after another), so a lane rounds as its point alone.  Only the
+Everything lives on the lanes of a chunk of points (map_chunks; one point
+is a chunk of one), as jets in a MoebiusContext, always built at JET_ORDER.
+The ambient model supplies the light-cone lift and its differential, so Y
+and the mean curvature spheres xi have one formula for the three space
+forms.  Functions of the points take the context:
+integrability_residuals(ctx) reads its values and returns one record per
+point, and moebius_data(ctx) snapshots its constant terms into MoebiusData.
+A quantity whose value at the point is all that is read is computed in numpy
+from the values and first partials of the jets it derives from, not built as
+a jet field: E_i of a field (Y_i, E_i(N)), theta_12, the connection forms
+omega of the frame E, the Blaschke tensor via dN, the Riemann tensor of g,
+and the covariant derivatives of B, C and A.  These are computed once per
+chunk, with a leading lane axis; each sums in a fixed order (np.matmul
+stacked over the lanes, one BLAS call per lane, or terms added one after
+another), so a lane rounds as its point alone.  Only the
 Ricci tensor, and with it the Gauss-route A, stays a jet field, because
 derivatives of A are read.
 connection_forms is the one construction of a frame's connection forms as
@@ -108,15 +108,14 @@ def _sum_in_order(t, summed: int, kept: int):
     return 0.0 + s.take(-1, axis=len(lead))
 
 
-class MoebiusContext(jets.Lanes):
-    """Lazy conformal-invariant jets at one chart point, or at the points of
-    a chunk (p a list of points; read values from its lanes), at JET_ORDER."""
+class MoebiusContext:
+    """Lazy conformal-invariant jets at the points of a chunk (p a list of
+    points, or one point), at JET_ORDER; values carry a leading lane axis."""
 
     def __init__(self, spec: ImmersionSpec, p):
+        self.spec = spec
         self.classical = ClassicalContext(spec, p, order=JET_ORDER)
         self.p = self.classical.p
-        self.split_lanes([{"classical": cl, "p": cl.p}
-                          for cl in self.classical.lanes], spec=spec)
 
     # -- lift and metric ------------------------------------------------------
 
@@ -510,49 +509,52 @@ class IntegrabilityResiduals:
                    self.gauss, self.ricci_normal, self.trace)
 
 
-def integrability_residuals(ctx: MoebiusContext) -> IntegrabilityResiduals:
-    """Max absolute residuals at the context's point of the structure-equation
-    identities relating A, B, C, the curvature of g, and the normal
-    curvature."""
+def integrability_residuals(ctx: MoebiusContext) -> list:
+    """Max absolute residuals at each point of the context, in order, of the
+    structure-equation identities relating A, B, C, the curvature of g, and
+    the normal curvature: one record per point, from values read once for
+    the chunk."""
     A = ctx.A_dn
     B = ctx.B_values
     C = ctx.C_values
+    n = len(ctx.p)
 
     def alt(T):
         """T minus T with its last two axes swapped."""
         return T - np.swapaxes(T, -1, -2)
 
-    def worst(lhs, rhs):
-        return float(np.max(np.abs(lhs - rhs)))
+    def worst(lhs, rhs=0.0):
+        """Per point, the largest |lhs - rhs|."""
+        return np.reshape(np.abs(lhs - rhs), (n, -1)).max(axis=1)
 
     d = np.eye(3)
     # A_ij,k - A_ik,j = sum_r (B^r_ik C^r_j - B^r_ij C^r_k)
     codazzi_A = worst(alt(ctx.covA_values),
-                      -alt(np.einsum("rij,rk->ijk", B, C)))
+                      -alt(np.einsum("...rij,...rk->...ijk", B, C)))
     # C^r_i,j - C^r_j,i = (B^r A - A B^r)_ij
-    ricci_C = worst(alt(ctx.covC_values), alt(B @ A))
+    ricci_C = worst(alt(ctx.covC_values), alt(B @ A[..., None, :, :]))
     # B^r_ij,k - B^r_ik,j = d_ij C^r_k - d_ik C^r_j
     codazzi_B = worst(alt(ctx.covB_values),
-                      alt(np.einsum("ij,rk->rijk", d, C)))
+                      alt(np.einsum("ij,...rk->...rijk", d, C)))
     # R_ijkl = sum_r (B^r_ik B^r_jl - B^r_il B^r_jk)
     #          + d_ik A_jl + d_jl A_ik - d_il A_jk - d_jk A_il
     gauss = worst(ctx.riemann_values,
-                  alt(np.einsum("rik,rjl->ijkl", B, B)
-                      + np.einsum("ik,jl->ijkl", d, A)
-                      + np.einsum("ik,jl->ijkl", A, d)))
+                  alt(np.einsum("...rik,...rjl->...ijkl", B, B)
+                      + np.einsum("ik,...jl->...ijkl", d, A)
+                      + np.einsum("...ik,jl->...ijkl", A, d)))
 
     # normal curvature: d theta_12 (E_i, E_j) + [B^1, B^2]_ij = 0
-    comm = B[0] @ B[1] - B[1] @ B[0]
+    B0, B1 = B[..., 0, :, :], B[..., 1, :, :]
     E = ctx.EC_values
-    dth = E @ d_form_values(ctx.theta12_chart) @ E.T
-    ricci_normal = float(np.max(np.abs(dth + comm)))
+    dth = E @ d_form_values(ctx.theta12_chart) @ np.swapaxes(E, -1, -2)
+    ricci_normal = worst(dth + (B0 @ B1 - B1 @ B0))
 
-    trace = max(abs(float(np.trace(B[r]))) for r in range(2))
-    trace = max(trace, abs(float(np.sum(B ** 2)) - 2.0 / 3.0))
+    trace = np.maximum(worst(np.trace(B, axis1=-2, axis2=-1)), np.abs(
+        np.reshape(B ** 2, (n, -1)).sum(axis=1) - 2.0 / 3.0))
 
-    return IntegrabilityResiduals(codazzi_A=codazzi_A, ricci_C=ricci_C,
-                                  codazzi_B=codazzi_B, gauss=gauss,
-                                  ricci_normal=ricci_normal, trace=trace)
+    return [IntegrabilityResiduals(*r) for r in zip(*(
+        x.tolist()
+        for x in (codazzi_A, ricci_C, codazzi_B, gauss, ricci_normal, trace)))]
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def test_criterion_6_structure_equation_residuals():
     for name in CURVED:
         for p in acc_points(name, 20):
             ctx = context(name, p)
-            res = moebius.integrability_residuals(ctx)
+            res, = moebius.integrability_residuals(ctx)
             if res.max_residual() >= 1e-7:
                 problems.append(
                     f"{name}: residual {res.max_residual()} at {p}")

@@ -3,7 +3,7 @@ read after the gates are computed once per chunk with a lane axis: a record
 depends only on its point, bit for bit, wherever the point falls in a chunk
 and whatever the chunk's size; a failure inside a chunk gives the one-point
 document; and the batching shows in the counts of jet products, SVDs and
-lane cuts."""
+einsum calls."""
 
 import dataclasses
 import hashlib
@@ -23,12 +23,12 @@ def test_a_record_depends_only_on_its_point(name):
     chunk = sample_points(spec.domain, moebius.CHUNK_POINTS, 5)
     cf = ideal.CanonicalFields(moebius.MoebiusContext(spec, chunk))
     batched = ideal._package_invariants(cf)
-    residuals = [moebius.integrability_residuals(lane)
-                 for lane in moebius.MoebiusContext(spec, chunk).lanes]
+    residuals = moebius.integrability_residuals(
+        moebius.MoebiusContext(spec, chunk))
     for k in (0, 7, len(chunk) - 1):
         alone = moebius.MoebiusContext(spec, chunk[k])
         assert batched[k] == ideal.invariants_uvlg(alone), k
-        assert residuals[k] == moebius.integrability_residuals(alone), k
+        assert [residuals[k]] == moebius.integrability_residuals(alone), k
 
 
 @pytest.mark.parametrize("gauge", ["raw", "V0"])
@@ -44,7 +44,8 @@ def test_each_lane_is_its_point_alone_at_any_lane_count(name, partial, gauge):
         ctx = moebius.MoebiusContext(spec, chunk)
         cf = ideal.CanonicalFields(ctx, gauge=gauge, partial=partial)
         invs = ideal._package_invariants(cf)
-        for k, (lane, lctx) in enumerate(zip(cf.lanes, ctx.lanes)):
+        residuals = moebius.integrability_residuals(ctx)
+        for k in range(n):
             where = (n, k)
             alone_ctx = moebius.MoebiusContext(spec, chunk[k])
             alone = ideal.CanonicalFields(alone_ctx, gauge=gauge,
@@ -56,10 +57,10 @@ def test_each_lane_is_its_point_alone_at_any_lane_count(name, partial, gauge):
                                           getattr(want, f.name)), \
                         (where, part, f.name)
             for attr in ("torsion", "floor", "integrable"):
-                assert getattr(lane, attr) == getattr(alone, attr), \
+                assert getattr(cf, attr)[k] == getattr(alone, attr), \
                     (where, attr)
-            assert lane.integrable == partial, where
-            assert moebius.integrability_residuals(lctx) == \
+            assert cf.integrable[k] == partial, where
+            assert [residuals[k]] == \
                 moebius.integrability_residuals(alone_ctx), where
             got, = ideal._package_invariants(alone)
             assert all(x == y if isinstance(x, str) else
@@ -170,10 +171,11 @@ def test_products_grow_with_chunks_not_points(capsys, monkeypatch):
 
 def test_values_are_computed_once_per_chunk(capsys, monkeypatch):
     # 20 points run as the first point alone and one chunk of 19: one
-    # kernel-plane SVD per chunk, and lane cuts only for the chart jet each
-    # point pass reads (5,513 cuts and 20 SVDs when each lane ran its own
-    # value code)
-    calls = {"svd": 0, "lane": 0}
+    # kernel-plane SVD per chunk for the invariants, and one run of the
+    # residual identities (five einsum calls) per chunk for the residuals
+    # (20 SVDs when each point ran its own value code, and 100 einsum calls
+    # when each point ran its own residuals)
+    calls = {"svd": 0, "einsum": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -182,7 +184,9 @@ def test_values_are_computed_once_per_chunk(capsys, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    monkeypatch.setattr(jets, "lane", counted("lane", jets.lane))
+    monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
     assert cli.main(["invariants", "--example", "so3", "--points", "20"]) == 0
+    assert calls == {"svd": 2, "einsum": 0}
+    assert cli.main(["residuals", "--example", "so3", "--points", "20"]) == 0
     capsys.readouterr()
-    assert calls == {"svd": 2, "lane": 133}
+    assert calls == {"svd": 2, "einsum": 10}

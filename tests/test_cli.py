@@ -633,12 +633,18 @@ def test_negated_kernel_vector_leaves_records_unchanged(capsys, monkeypatch):
 TWISTED = ["so3", "veronese-hopf", "hopf-generic"]
 
 
-@pytest.mark.parametrize("verdict", [ideal.classify_theorem_b,
-                                     ideal.hopf_criterion])
-def test_library_verdicts_refuse_an_empty_sample(verdict):
-    # --points must be >= 1 on the command line; the library says the same
+@pytest.mark.parametrize("verdict, fold", [
+    pytest.param(ideal.classify_theorem_b, ideal.theorem_b_verdict,
+                 id="classify_theorem_b"),
+    pytest.param(ideal.hopf_criterion, ideal.hopf_verdict,
+                 id="hopf_criterion")])
+def test_library_verdicts_refuse_an_empty_sample(verdict, fold):
+    # --points must be >= 1 on the command line; the library says the same,
+    # in the fold, so a fold of no invariants passes no verdict either
     with pytest.raises(SchemaError, match="no points"):
         verdict(gallery.by_name("so3").spec, [])
+    with pytest.raises(SchemaError, match="no points"):
+        fold([])
 
 
 @pytest.mark.parametrize("name, n, seed, tol", [

@@ -160,7 +160,7 @@ def test_so3_conformal_ground_truth():
 @pytest.mark.parametrize("name", CURVED)
 def test_integrability_residuals_vanish(name):
     for p in plan_points(name, 2):
-        res = moebius.integrability_residuals(context(name, p))
+        res, = moebius.integrability_residuals(context(name, p))
         assert res.max_residual() < 1e-7, res
 
 
@@ -272,7 +272,7 @@ def test_transformed_immersion_keeps_residuals_small():
     T = gallery.random_lorentz(seed=424242)
     moved = moebius.conformal_transform(spec, T)
     p = plan_points("so3", 1)[0]
-    res = moebius.integrability_residuals(MoebiusContext(moved, p))
+    res, = moebius.integrability_residuals(MoebiusContext(moved, p))
     assert res.max_residual() < 1e-7
 
 
