@@ -141,15 +141,23 @@ def _point_list(p) -> list[float]:
 
 def _run_ddvv(spec, pts, args, expected) -> RunResult:
     # the records read first and second partials only, so every order the
-    # gate accepts gives the same numbers; they are computed at order 2
+    # gate accepts gives the same numbers; they are computed at order 2,
+    # from one chart jet per chunk and one point pass per point
+    def analyze(chunk, start):
+        reports = []
+        passes = ClassicalContext(spec, chunk, order=2).passes
+        for idx, pt in enumerate(passes, start):
+            if pt.is_umbilic():
+                refuse_umbilic(spec.name, f" at sample point {idx}",
+                               "the ideality defect vanishes identically "
+                               "there")
+            data = classical_data(pt)
+            reports.append(ddvv_from_forms(data.h, data.H, data.c,
+                                           tol=args.tol))
+        return reports
+
     records = []
-    for idx, p in enumerate(pts):
-        ctx = ClassicalContext(spec, p, order=2)
-        if ctx.is_umbilic():
-            refuse_umbilic(spec.name, f" at sample point {idx}",
-                           "the ideality defect vanishes identically there")
-        data = classical_data(ctx)
-        rep = ddvv_from_forms(data.h, data.H, data.c, tol=args.tol)
+    for idx, (p, rep) in enumerate(zip(pts, map_chunks(analyze, pts))):
         rec = {
             "index": idx,
             "point": _point_list(p),
@@ -209,7 +217,7 @@ def _ideal_records(spec, pts, args, names=None):
     from.  The points run in chunks (map_chunks), each with the
     torsion-positive sign rule, so a record depends only on its point and
     not on sample order or chunking."""
-    def analyze(chunk):
+    def analyze(chunk, _start):
         cf = _analyze(spec, chunk, args)
         return list(zip(np.ravel(cf.data.rho).tolist(),
                         _package_invariants(cf)))
@@ -320,7 +328,7 @@ _RESIDUAL_FIELDS = ("codazzi_A", "ricci_C", "codazzi_B", "gauss",
 
 
 def _run_residuals(spec, pts, args, expected) -> RunResult:
-    def analyze(chunk):
+    def analyze(chunk, _start):
         return integrability_residuals(MoebiusContext(spec, chunk))
 
     records = []

@@ -459,7 +459,7 @@ def sample_invariants(spec: ImmersionSpec, sample, gauge: str = "raw",
                       ltol: float = LTOL, tol: float = TOL) -> list:
     """The invariants at each point of a sample, run in chunks by
     moebius.map_chunks; each depends on its point alone."""
-    def analyze(chunk):
+    def analyze(chunk, _start):
         return _package_invariants(CanonicalFields(
             MoebiusContext(spec, chunk), gauge=gauge, ltol=ltol, tol=tol))
     return map_chunks(analyze, sample)

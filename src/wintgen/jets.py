@@ -14,14 +14,16 @@ Results of arithmetic are made by the unchecked constructor _jet; the public
 MultiJet(order, coeffs) validates its input.
 
 Chunks.  Coefficients may carry a trailing lane axis, (ncoef, P), one lane per
-point of a chunk (moebius.map_chunks: the first point alone, then at most 20
-points each, and a chunk that raises again point by point).  1-D jets, floats
-and lane vectors (arrays (P,)) act on every lane.  A product is one bincount
-over the slots s * P + lane, which sums each lane's pairs in one-point order,
-and division pivots and elementary series (math.*) are taken per lane, so a
-record depends only on its point, bit for bit.  Values read from a chunk's
-jets (jetalg.value_array) are arrays with a leading lane axis (a point alone
-has none); low_partials reads one lane's low-order partials.
+point of a chunk (moebius.map_chunks, the chunk loop of every analysis
+command, ddvv's order-2 chart jets included: the first point alone, then at
+most 20 points each, and a chunk that raises again point by point).  1-D
+jets, floats and lane vectors (arrays (P,)) act on every lane.  A product is
+one bincount over the slots s * P + lane, which sums each lane's pairs in
+one-point order, and division pivots and elementary series (math.*) are
+taken per lane, so a record depends only on its point, bit for bit.  Values
+read from a chunk's jets (jetalg.value_array) are arrays with a leading lane
+axis (a point alone has none); low_partials reads one lane's low-order
+partials.
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ and the integrability residuals.
 
 Everything lives on the lanes of a chunk of points (map_chunks; one point
 is a chunk of one), as jets in a MoebiusContext, always built at JET_ORDER.
+map_chunks is the chunk loop of every analysis command, ddvv's order-2
+ClassicalContexts included; it hands each chunk the sample index of its
+first point, which a refusal names.
 The ambient model supplies the light-cone lift and its differential, so Y
 and the mean curvature spheres xi have one formula for the three space
 forms.  Functions of the points take the context:
@@ -439,22 +442,23 @@ CHUNK_POINTS = 20
 
 
 def map_chunks(analyze, pts) -> list:
-    """analyze's results over a sample, one per point, in order; analyze
-    maps a chunk (a list of points) to one result per point.  The first
-    point runs alone, so a chart that refuses everywhere costs one point,
-    then chunks of at most CHUNK_POINTS; a chunk that raises anything runs
-    again point by point, so the first failing point raises its own error."""
+    """analyze's results over a sample, one per point, in order;
+    analyze(chunk, start) maps a chunk (a list of points) to one result per
+    point, where start is the sample index of the chunk's first point, so a
+    refusal can name its point's index.  The first point runs alone, so a
+    chart that refuses everywhere costs one point, then chunks of at most
+    CHUNK_POINTS; a chunk that raises anything runs again point by point, so
+    the first failing point raises its own error."""
     bounds = sorted({0, len(pts), *range(1, len(pts), CHUNK_POINTS)})
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
-        chunk = list(pts[lo:hi])
         try:
-            out += analyze(chunk)
+            out += analyze(list(pts[lo:hi]), lo)
         except Exception:  # alone, the first failing point raises its own
             if hi - lo == 1:
                 raise
-            for p in chunk:
-                out += analyze([p])
+            for idx in range(lo, hi):
+                out += analyze([pts[idx]], idx)
     return out
 
 

@@ -2,16 +2,17 @@
 read after the gates are computed once per chunk with a lane axis: a record
 depends only on its point, bit for bit, wherever the point falls in a chunk
 and whatever the chunk's size; a failure inside a chunk gives the one-point
-document; and the batching shows in the counts of jet products, SVDs and
-einsum calls."""
+document; and the batching shows in the counts of jet products, SVDs,
+einsum calls and chart evaluations."""
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from wintgen import cli, gallery, ideal, jets, moebius
+from wintgen import classical, cli, gallery, ideal, jets, moebius
 from wintgen.immersion import sample_points
 
 IDEAL_CHARTS = ["so3", "veronese-hopf", "hopf-generic"]
@@ -70,29 +71,32 @@ def test_each_lane_is_its_point_alone_at_any_lane_count(name, partial, gauge):
 
 
 def test_chunks_take_the_first_point_alone_then_at_most_chunk_points():
-    sizes = []
+    sizes, starts = [], []
 
-    def analyze(chunk):
+    def analyze(chunk, start):
         sizes.append(len(chunk))
+        starts.append(start)
         return chunk
 
     pts = list(range(45))
     assert moebius.map_chunks(analyze, pts) == pts
     assert sizes == [1, 20, 20, 4]
+    assert starts == [0, 1, 21, 41]
 
 
 def test_a_failing_chunk_runs_again_point_by_point():
     calls = []
 
-    def analyze(chunk):
-        calls.append(list(chunk))
+    def analyze(chunk, start):
+        calls.append((list(chunk), start))
         if 3 in chunk or 5 in chunk:
             raise ValueError(f"point {min(p for p in chunk if p in (3, 5))}")
         return chunk
 
     with pytest.raises(ValueError, match="point 3"):
-        moebius.map_chunks(analyze, list(range(8)))
-    assert calls == [[0], [1, 2, 3, 4, 5, 6, 7], [1], [2], [3]]
+        moebius.map_chunks(analyze, list("abc") + list(range(3, 8)))
+    assert calls == [(["a"], 0), (["b", "c", 3, 4, 5, 6, 7], 1), (["b"], 1),
+                     (["c"], 2), ([3], 3)]
 
 
 # so3 with a factor sqrt(u1 - 1) / sqrt(u1 - 1): an input error (exit 2)
@@ -103,7 +107,8 @@ _CUT = ("x1 = (", "x1 = sqrt(u1 - 1) / sqrt(u1 - 1) * (")
 _BENT = ("x1 = (", "x1 = 0.2 * (u1 - 3 + sqrt((u1 - 3)^2)) + (")
 
 # (exit code, sha256 of stdout) of `invariants --spec <file> --points n
-# --seed s`, recorded with every point analyzed alone
+# --seed s`, keyed (file, s, n), and of `ddvv`, keyed ("ddvv", file, s, n),
+# recorded with every point analyzed alone
 PINNED = {
     ("cut.imm", 0, 1): (0, "6dd2f730c52f85b3f7feba5f16039697"
                            "f892b1d55889e945624ab7139c325f13"),
@@ -123,22 +128,95 @@ PINNED = {
                              "7995b9392d5721796307b61ec96e544b"),
     ("bent.imm", 3, 41): (3, "6b21c61faf2b6956f63dff2b89b62640"
                              "8f695ce8e68dc81ce6be38aff68a3143"),
+    # ddvv reads no ideality gate: only the cut chart fails
+    ("ddvv", "cut.imm", 0, 1): (0, "0382df5ccd29f800006a573b2a9ecb12"
+                                   "e98c71ac94c9de39c1af0ca515b7f8f0"),
+    ("ddvv", "cut.imm", 0, 2): (0, "4bc7151692fd0e71bfeef53aecce155d"
+                                   "e8a8a283b3b58ba6c307d74ee08cde04"),
+    # EvalError: domain error in 'sqrt((u1 - 1.0))'
+    ("ddvv", "cut.imm", 0, 21): (2, "4a17f30dc15dc4afe23472aef4a6bc72"
+                                    "060030fe71d22cd77474355798e8c085"),
+    ("ddvv", "cut.imm", 0, 41): (2, "4a17f30dc15dc4afe23472aef4a6bc72"
+                                    "060030fe71d22cd77474355798e8c085"),
+    ("ddvv", "bent.imm", 3, 1): (0, "b8dcc448617eab9382f703b507dd2b60"
+                                    "ed31827332a98fc73c0f6177556fc599"),
+    ("ddvv", "bent.imm", 3, 2): (0, "e61b7e55cea1812203ec791b41763bbd"
+                                    "6ffd066e07b2b8e24f8f6d272cc5f5f7"),
+    ("ddvv", "bent.imm", 3, 21): (0, "c34a4f456c13876e3c121f372cfd4b77"
+                                     "bfb2a3144344bc806c8cf73338b576a1"),
+    ("ddvv", "bent.imm", 3, 41): (0, "09a76a7fa073b52a3873c630474c8d32"
+                                     "ba8cb186270304742eed1ed6022f2455"),
 }
 
 
-@pytest.mark.parametrize("file, edit, seed", [("cut.imm", _CUT, 0),
-                                              ("bent.imm", _BENT, 3)])
-@pytest.mark.parametrize("points", [1, 2, 21, 41])
-def test_a_later_failure_inside_a_chunk_gives_the_one_point_document(
-        capsys, monkeypatch, tmp_path, file, edit, seed, points):
+def _pinned_run(capsys, monkeypatch, tmp_path, command, file, edit, seed,
+                points):
+    """(exit code, sha256 of stdout) of command on the edited so3 file."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / file).write_text(
         gallery.by_name("so3").expression_text.replace(*edit))
-    code = cli.main(["invariants", "--spec", file, "--points", str(points),
+    code = cli.main([command, "--spec", file, "--points", str(points),
                      "--seed", str(seed)])
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    want_code, want_digest = PINNED[file, seed, points]
-    assert (code, digest) == (want_code, want_digest)
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+_FAILING_FILES = pytest.mark.parametrize(
+    "file, edit, seed", [("cut.imm", _CUT, 0), ("bent.imm", _BENT, 3)])
+_POINTS = pytest.mark.parametrize("points", [1, 2, 21, 41])
+
+
+@_FAILING_FILES
+@_POINTS
+def test_a_later_failure_inside_a_chunk_gives_the_one_point_document(
+        capsys, monkeypatch, tmp_path, file, edit, seed, points):
+    assert _pinned_run(capsys, monkeypatch, tmp_path, "invariants", file,
+                       edit, seed, points) == PINNED[file, seed, points]
+
+
+@_FAILING_FILES
+@_POINTS
+def test_ddvv_gives_the_one_point_document_across_chunks(
+        capsys, monkeypatch, tmp_path, file, edit, seed, points):
+    assert _pinned_run(capsys, monkeypatch, tmp_path, "ddvv", file, edit,
+                       seed, points) == PINNED["ddvv", file, seed, points]
+
+
+@pytest.mark.parametrize("name", [e.name for e in gallery.all_entries()])
+def test_ddvv_records_are_the_one_point_reports(capsys, name):
+    # ddvv runs its sample in chunks; each record is still the library's
+    # report at its point alone, bit for bit
+    entry = gallery.by_name(name)
+    spec = entry.spec
+    pts = sample_points(spec.domain, 20, 0)
+    code = cli.main(["ddvv", "--example", name, "--points", "20"])
+    doc = json.loads(capsys.readouterr().out)
+    if entry.expected["umbilic"]:  # refuses at its first point
+        forms = classical.fundamental_forms(spec, pts[0])
+        assert classical.umbilic(forms.h, forms.H)
+        assert code == 3 and "at sample point 0;" in doc["refusal"]["message"]
+        return
+    records = doc["records"]
+    assert code == 0 and len(records) == len(pts)
+    for rec, p in zip(records, pts):
+        rep = classical.ddvv_report(spec, p)
+        assert rec["point"] == list(p)
+        assert [rec[k] for k in ("s", "H_norm2", "s_N", "slack", "ideal")] \
+            == [rep.s, rep.H_norm2, rep.s_N, rep.slack, rep.ideal]
+
+
+def test_a_refusal_names_its_sample_index_in_a_later_chunk(
+        capsys, monkeypatch):
+    # umbilic at sample point 27 alone (the third chunk's seventh lane)
+    spec = gallery.by_name("so3").spec
+    target = tuple(sample_points(spec.domain, 41, 0)[27])
+    umbilic = classical.ClassicalContext.is_umbilic
+    monkeypatch.setattr(classical.ClassicalContext, "is_umbilic",
+                        lambda self: jets.points(self.p) == [target]
+                        or umbilic(self))
+    assert cli.main(["ddvv", "--example", "so3", "--points", "41"]) == 3
+    refusal = json.loads(capsys.readouterr().out)["refusal"]
+    assert refusal["kind"] == "UmbilicPoint"
+    assert "at sample point 27;" in refusal["message"]
 
 
 class _ProductCount:
@@ -190,3 +268,19 @@ def test_values_are_computed_once_per_chunk(capsys, monkeypatch):
     assert cli.main(["residuals", "--example", "so3", "--points", "20"]) == 0
     capsys.readouterr()
     assert calls == {"svd": 2, "einsum": 10}
+
+
+def test_ddvv_evaluates_the_chart_once_per_chunk(capsys, monkeypatch):
+    # 20 points run as the first point alone and one chunk of 19: two
+    # order-2 chart evaluations (20 when each point built its own context)
+    orders = []
+    evaluate = classical.eval_immersion_jet
+
+    def counted(spec, p, order):
+        orders.append(order)
+        return evaluate(spec, p, order)
+
+    monkeypatch.setattr(classical, "eval_immersion_jet", counted)
+    assert cli.main(["ddvv", "--example", "so3", "--points", "20"]) == 0
+    capsys.readouterr()
+    assert orders == [2, 2]

@@ -14,7 +14,7 @@ from wintgen.classical import ddvv_report, kernel_plane, turned_frame
 from wintgen.errors import (DegenerateCurve, IntegrableDistribution,
                             NotIdealPoint, UmbilicPoint)
 
-from wintgen.immersion import ImmersionSpec
+from wintgen.immersion import SPHERE, ImmersionSpec
 
 from _shared import context, entry, mdata, plan_points
 
@@ -535,6 +535,46 @@ def test_hopf_lift_of_a_line_is_umbilic(constants, poly, slots):
     with pytest.raises(UmbilicPoint):
         ideal.invariants_uvlg(moebius.MoebiusContext(lift.spec,
                                                      lift.sample_plan[0]))
+
+
+def _perturbed_hopf(eps):
+    """The circle lift of z -> (1, z + eps conj(z), z^2) into the unit
+    sphere of C^3, written out here apart from gallery.hopf_lift_curve; the
+    middle component is holomorphic only at eps = 0."""
+    def evaluate(u):
+        x, y = u[0], u[1]
+        comps = [(1.0, 0.0), ((1.0 + eps) * x, (1.0 - eps) * y),
+                 (x * x - y * y, 2.0 * x * y)]
+        norm2 = 0.0
+        for re, im in comps:
+            norm2 = norm2 + re * re + im * im
+        inv = 1.0 / jets.sqrt(norm2)
+        ct, st = jets.cos(u[2]), jets.sin(u[2])
+        out = []
+        for re, im in comps:
+            out += [(re * ct - im * st) * inv, (re * st + im * ct) * inv]
+        return out
+    return ImmersionSpec(ambient=SPHERE, name="perturbed-hopf",
+                         domain=((-0.8, 0.8), (-0.8, 0.8), (0.05, 6.2)),
+                         evaluator=evaluate)
+
+
+def test_anti_holomorphic_perturbation_breaks_equality_like_eps_squared():
+    # a negative control: at (0.3, 0.4, 1.0) the slack was -5.6e-17 at
+    # eps = 0 and 1.248e-6, 1.248e-4 and 1.239e-2 at eps = 1e-3, 1e-2 and
+    # 0.1, so slack / eps^2 stays near 1.25
+    p = (0.3, 0.4, 1.0)
+    spec = _perturbed_hopf(0.0)
+    rep = ddvv_report(spec, p)
+    assert rep.ideal and abs(rep.slack) <= 1e-12
+    assert len(ideal.sample_invariants(spec, [p])) == 1
+    for eps in (1e-3, 1e-2, 0.1):
+        spec = _perturbed_hopf(eps)
+        rep = ddvv_report(spec, p)
+        assert 1.2 <= rep.slack / eps ** 2 <= 1.3, eps
+        assert not rep.ideal, eps
+        with pytest.raises(NotIdealPoint, match="equality gap"):
+            ideal.sample_invariants(spec, [p])
 
 
 # ---------------------------------------------------------------------------
