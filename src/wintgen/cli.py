@@ -8,16 +8,15 @@ subcommand argv names, or null.  Floats are written with 17 significant
 digits and the document depends only on the argument vector, so identical
 invocations produce byte-identical output; wall-clock timing goes to
 standard error.  Exit codes: 0 success, 1 an --assert-expected check
-failed, 2 unusable input (bad arguments, file or expression syntax, a jet
-order the command cannot use), 3 geometric refusal (the chart is not
-immersed, is umbilic or not ideal, or the canonical direction field has no
-torsion).
+failed, 2 unusable input (an errors.InputError, a file that cannot be read
+or an unknown example), 3 geometric refusal (an errors.Refusal).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -29,30 +28,16 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__, gallery
-from .classical import (LTOL, TOL, ClassicalContext, check_order,
-                        classical_data, ddvv_from_forms, refuse_umbilic)
-from .errors import (
-    ChartBlowUp,
-    DegenerateCurve,
-    DomainError,
-    EvalError,
-    InsufficientOrder,
-    IntegrableDistribution,
-    NotIdealPoint,
-    NotImmersed,
-    NotLorentz,
-    OrderError,
-    ParseError,
-    SchemaError,
-    ShapeError,
-    SingularJet,
-    UmbilicPoint,
-)
+from .classical import (LTOL, TOL, ClassicalContext, DDVVReport,
+                        check_order, classical_data, ddvv_from_forms,
+                        refuse_umbilic)
+from .errors import (InputError, InsufficientOrder, ParseError, Refusal,
+                     SchemaError)
 from .ideal import (SQRT6, CanonicalFields, _package_invariants, hopf_verdict,
                     theorem_b_verdict)
 from .immersion import parse_immersion, sample_points
-from .moebius import (JET_ORDER, MoebiusContext, integrability_residuals,
-                      map_chunks, moebius_data)
+from .moebius import (JET_ORDER, IntegrabilityResiduals, MoebiusContext,
+                      integrability_residuals, map_chunks, moebius_data)
 
 # perfbench wraps the names this module looks up, moebius_data among them,
 # and its self-test requires each of them to exist here
@@ -62,14 +47,6 @@ EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_INPUT = 2
 EXIT_REFUSED = 3
-
-# input problems: the request itself cannot be carried out as stated
-_INPUT_ERRORS = (ParseError, SchemaError, InsufficientOrder, OrderError,
-                 ShapeError, EvalError, NotLorentz, OSError, KeyError)
-
-# geometric refusals: the chart is fine but the quantity is undefined there
-_REFUSALS = (UmbilicPoint, NotImmersed, NotIdealPoint, IntegrableDistribution,
-             DegenerateCurve, ChartBlowUp, SingularJet, DomainError)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +116,19 @@ def _point_list(p) -> list[float]:
     return [float(v) for v in p]
 
 
+def _field_names(report) -> list[str]:
+    """The fields of a report dataclass, in order: its record keys."""
+    return [f.name for f in dataclasses.fields(report)]
+
+
+def _report_records(pts, reports) -> list[dict]:
+    """One record per point: its sample index, its coordinates and the
+    fields of its report, in order."""
+    return [{"index": idx, "point": _point_list(p),
+             **{f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}}
+            for idx, (p, rep) in enumerate(zip(pts, reports))]
+
+
 def _run_ddvv(spec, pts, args, expected) -> RunResult:
     # the records read first and second partials only, so every order the
     # gate accepts gives the same numbers; they are computed at order 2,
@@ -156,18 +146,7 @@ def _run_ddvv(spec, pts, args, expected) -> RunResult:
                                            tol=args.tol))
         return reports
 
-    records = []
-    for idx, (p, rep) in enumerate(zip(pts, map_chunks(analyze, pts))):
-        rec = {
-            "index": idx,
-            "point": _point_list(p),
-            "s": float(rep.s),
-            "H_norm2": float(rep.H_norm2),
-            "s_N": float(rep.s_N),
-            "slack": float(rep.slack),
-            "ideal": bool(rep.ideal),
-        }
-        records.append(rec)
+    records = _report_records(pts, map_chunks(analyze, pts))
     slacks = [r["slack"] for r in records]
     aggregate = {
         "n_points": len(records),
@@ -188,8 +167,7 @@ def _run_ddvv(spec, pts, args, expected) -> RunResult:
                 failures.append(
                     f"expected slack > {floor:.17g} everywhere, found "
                     f"{aggregate['min_slack']:.17g}")
-    header = ["index", "u1", "u2", "u3", "s", "H_norm2", "s_N", "slack",
-              "ideal"]
+    header = ["index", "u1", "u2", "u3", *_field_names(DDVVReport)]
     return RunResult(records, aggregate, header, failures)
 
 
@@ -323,31 +301,25 @@ def _run_hopf_check(spec, pts, args, expected) -> RunResult:
     return RunResult(records, aggregate, header, failures)
 
 
-_RESIDUAL_FIELDS = ("codazzi_A", "ricci_C", "codazzi_B", "gauss",
-                    "ricci_normal", "trace")
-
-
 def _run_residuals(spec, pts, args, expected) -> RunResult:
     def analyze(chunk, _start):
         return integrability_residuals(MoebiusContext(spec, chunk))
 
-    records = []
-    for idx, (p, res) in enumerate(zip(pts, map_chunks(analyze, pts))):
-        rec = {"index": idx, "point": _point_list(p)}
-        for name in _RESIDUAL_FIELDS:
-            rec[name] = float(getattr(res, name))
-        rec["max"] = float(res.max_residual())
-        records.append(rec)
-    aggregate = {"n_points": len(records)}
-    for name in _RESIDUAL_FIELDS:
-        aggregate["max_" + name] = max(r[name] for r in records)
-    aggregate["max_overall"] = max(r["max"] for r in records)
+    results = map_chunks(analyze, pts)
+    records = _report_records(pts, results)
+    for rec, res in zip(records, results):
+        rec["max"] = res.max_residual()
+    names = _field_names(IntegrabilityResiduals)
+    aggregate = {"n_points": len(records),
+                 **{"max_" + name: max(r[name] for r in records)
+                    for name in names},
+                 "max_overall": max(r["max"] for r in records)}
     failures = []
     if expected is not None and aggregate["max_overall"] > args.tol:
         failures.append(
             f"expected structure-equation residuals below {args.tol:.17g}, "
             f"found {aggregate['max_overall']:.17g}")
-    header = ["index", "u1", "u2", "u3", *_RESIDUAL_FIELDS, "max"]
+    header = ["index", "u1", "u2", "u3", *names, "max"]
     return RunResult(records, aggregate, header, failures)
 
 
@@ -482,7 +454,7 @@ def _analysis_command(args):
     checked = expected if args.assert_expected else None
     try:
         result = _RUNNERS[args.command](spec, pts, args, checked)
-    except _REFUSALS as exc:
+    except Refusal as exc:
         body["refusal"] = {"kind": type(exc).__name__, "message": str(exc)}
         return EXIT_REFUSED, body, None
     body["sample"] = [_point_list(p) for p in pts]
@@ -537,7 +509,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse still exits for --help (0); usage errors raise SchemaError
         return int(exc.code or 0)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError, KeyError) as exc:
         code, body = EXIT_INPUT, {"error": _error_fields(exc)}
     _emit({"schema": 1, "tool": {"name": "wintgen", "version": __version__},
            "command": _command_named(argv), **body}, json_path)

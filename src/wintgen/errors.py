@@ -1,10 +1,9 @@
 """Exception hierarchy.
 
 Everything raised on purpose by this package derives from WintgenError so
-callers can catch one type at the boundary.  Parse-time problems carry
-location information; geometric refusals (umbilic point, degenerate metric,
-non-ideal point where a canonical frame was requested) are separate classes
-because the command line maps them to distinct exit codes.
+callers can catch one type at the boundary.  Each error class belongs to one
+of two families, which set the command line's exit code: InputError (2) and
+Refusal (3).  Parse-time problems carry location information.
 """
 
 from __future__ import annotations
@@ -14,19 +13,28 @@ class WintgenError(Exception):
     """Base class for all package errors."""
 
 
+class InputError(WintgenError):
+    """The request cannot be carried out as stated (exit code 2)."""
+
+
+class Refusal(WintgenError):
+    """The chart is fine but the quantity is undefined there (exit code
+    3)."""
+
+
 # ---------------------------------------------------------------------------
 # jet arithmetic
 
 
-class OrderError(WintgenError):
+class OrderError(InputError):
     """Jet operands have mismatched truncation orders."""
 
 
-class SingularJet(WintgenError):
+class SingularJet(Refusal):
     """Division by a jet whose constant term is zero."""
 
 
-class DomainError(WintgenError):
+class DomainError(Refusal):
     """Elementary function applied outside its domain (e.g. sqrt of a
     jet with non-positive constant term)."""
 
@@ -35,7 +43,7 @@ class DomainError(WintgenError):
 # parsing / input schema
 
 
-class ParseError(WintgenError):
+class ParseError(InputError):
     """Syntax error in an expression or an immersion file."""
 
     def __init__(self, msg: str, line: int | None = None, col: int | None = None):
@@ -54,61 +62,61 @@ class UnknownIdentifier(ParseError):
     known constant or function."""
 
 
-class SchemaError(WintgenError):
+class SchemaError(InputError):
     """Immersion file is syntactically fine but structurally invalid
     (missing fields, wrong component count, bad domain)."""
 
 
-class EvalError(WintgenError):
+class EvalError(InputError):
     """Expression evaluation failed at a concrete point."""
 
 
-class ShapeError(WintgenError):
+class ShapeError(InputError):
     """Array argument has the wrong shape or dimension."""
 
 
 # ---------------------------------------------------------------------------
-# geometric refusals
+# geometry
 
 
-class NotImmersed(WintgenError):
+class NotImmersed(Refusal):
     """The map fails to be an immersion at the requested point (the induced
     metric is singular or the ambient constraint is violated)."""
 
 
-class UmbilicPoint(WintgenError):
+class UmbilicPoint(Refusal):
     """Totally umbilic point: the trace-free second fundamental form
     vanishes, so the conformal factor and everything built on it is
     undefined."""
 
 
-class NotIdealPoint(WintgenError):
+class NotIdealPoint(Refusal):
     """A canonical frame was requested at a point where the equality case of
     the normal-scalar-curvature inequality fails, so the shared kernel
     direction does not exist."""
 
 
-class InsufficientOrder(WintgenError):
+class InsufficientOrder(InputError):
     """The requested analysis needs more jet coefficients than the supplied
     truncation order provides."""
 
 
-class NotLorentz(WintgenError):
+class NotLorentz(InputError):
     """Matrix supplied as a conformal transformation does not preserve the
     Lorentz form (or reverses time orientation)."""
 
 
-class ChartBlowUp(WintgenError):
+class ChartBlowUp(Refusal):
     """A conformal transformation sends the evaluation point out of the
     stereographic chart (denominator of the projection vanishes)."""
 
 
-class IntegrableDistribution(WintgenError):
+class IntegrableDistribution(Refusal):
     """The two-plane distribution spanned by the canonical tangent pair is
     integrable (the torsion scalar vanishes), so quotient invariants that
     divide by it are undefined."""
 
 
-class DegenerateCurve(WintgenError):
+class DegenerateCurve(Refusal):
     """A holomorphic-curve datum is degenerate (derivative vanishes or the
     curve fails to be full)."""

@@ -32,7 +32,7 @@ import numpy as np
 from . import jetalg, jets
 from .classical import (LTOL, TOL, _pattern_matrices, kernel_plane,
                         require_ideal, turned_frame)
-from .errors import IntegrableDistribution, SchemaError
+from .errors import IntegrableDistribution, SchemaError, WintgenError
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusContext, connection_chart,
                       connection_forms, d_form_values, frame_d_values,
@@ -155,8 +155,8 @@ class CanonicalFields:
         if all(reduced):
             return  # already in the reduced form
         if any(reduced):
-            raise ValueError("V0 gauge: the points of the chunk disagree "
-                             "on the turn; run them one at a time")
+            raise WintgenError("V0 gauge: the points of the chunk disagree "
+                               "on the turn; run them one at a time")
         hf = jets.sqrt(Uf * Uf + Vf * Vf)
         cst = Uf / hf
         sst = -(Vf / hf)

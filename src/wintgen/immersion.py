@@ -198,10 +198,13 @@ class Call(Expr):
         self.arg = arg
 
     def eval(self, u):
+        x = self.arg.eval(u)
         try:
-            return _FUNCS[self.fn](self.arg.eval(u))
-        except DomainError:
+            return _FUNCS[self.fn](x)
+        except (DomainError, ValueError):  # ValueError: math's domain error
             raise EvalError(f"domain error in '{self.text()}'")
+        except OverflowError:
+            raise EvalError(f"overflow in '{self.text()}'")
 
     def text(self):
         return f"{self.fn}({self.arg.text()})"
@@ -446,7 +449,8 @@ def eval_immersion_jet(spec: ImmersionSpec, p, order: int) -> list[MultiJet]:
     if len(out) != spec.ambient.ncomp:
         raise SchemaError(
             f"{spec.name}: evaluator returned {len(out)} components, expected {spec.ambient.ncomp}")
-    return [v if isinstance(v, MultiJet) else MultiJet.constant(float(v), order) for v in out]
+    return [v if isinstance(v, MultiJet) else MultiJet.constant(
+        jets.from_lanes([float(v)] * len(pts)), order) for v in out]
 
 
 def eval_immersion_values(spec: ImmersionSpec, p) -> list[float]:

@@ -16,11 +16,15 @@ MultiJet(order, coeffs) validates its input.
 Chunks.  Coefficients may carry a trailing lane axis, (ncoef, P), one lane per
 point of a chunk (moebius.map_chunks, the chunk loop of every analysis
 command, ddvv's order-2 chart jets included: the first point alone, then at
-most 20 points each, and a chunk that raises again point by point).  1-D
-jets, floats and lane vectors (arrays (P,)) act on every lane.  A product is
-one bincount over the slots s * P + lane, which sums each lane's pairs in
-one-point order, and division pivots and elementary series (math.*) are
-taken per lane, so a record depends only on its point, bit for bit.  Values
+most 20 points each, and a chunk that raises a package error again point by
+point); a point alone has 1-D coefficients.  A chunk's jets are built in its
+layout, constants included, and a lone point's jet and a chunk's do not mix:
+they, or a lone point's jet and a lane vector, raise TypeError (an order-3
+jet's 20 coefficients would broadcast silently against 20 lanes).  Floats,
+and lane vectors (arrays (P,)) against a chunk's jet, act on every lane.  A
+product is one bincount over the slots s * P + lane, which sums each lane's
+pairs in one-point order, and division pivots and elementary series (math.*)
+are taken per lane, so a record depends only on its point, bit for bit.  Values
 read from a chunk's jets (jetalg.value_array) are arrays with a leading lane
 axis (a point alone has none); low_partials reads one lane's low-order
 partials.
@@ -123,11 +127,7 @@ def _lane_sum(order: int, table: int, w, n: int) -> np.ndarray:
                        n * w.shape[1]).reshape(n, -1)
 
 
-def _lanes(c: np.ndarray, other) -> np.ndarray:
-    """c given the lanes of a lane vector `other` when it has none."""
-    if isinstance(other, np.ndarray) and c.ndim == 1:
-        return np.broadcast_to(c[:, None], (c.shape[0], other.shape[0]))
-    return c
+_MIXED = "a lone point's jet meets a chunk's jet or a lane vector"
 
 
 def check_order(order: int) -> None:
@@ -195,27 +195,34 @@ class MultiJet:
 
     def _operands(self, other):
         """order, a, b: self's and a jet other's coefficients at the lower
-        order, a 1-D one given a lane axis against a chunk's (views)."""
+        order (views), or None when other is no jet."""
         if not isinstance(other, MultiJet):
             return None
         order, a, b = self.order, self.c, other.c
-        if other.order == order and a.ndim == b.ndim:
-            return order, a, b
+        if a.ndim != b.ndim:
+            raise TypeError(_MIXED)
         if other.order < order:
             order, a = other.order, a[:_NCOEF[other.order]]
         elif other.order > order:
             b = b[:_NCOEF[order]]
-        if a.ndim != b.ndim:
-            a, b = (a[:, None], b) if a.ndim == 1 else (a, b[:, None])
         return order, a, b
+
+    def _scalar(self, other) -> bool:
+        """Whether other acts on every lane: a number, or a lane vector
+        against a chunk's jet."""
+        if not isinstance(other, _SCALARS):
+            return False
+        if self.c.ndim == 1 and isinstance(other, np.ndarray) and other.ndim:
+            raise TypeError(_MIXED)
+        return True
 
     def __add__(self, other):
         ops = self._operands(other)
         if ops is not None:
             order, a, b = ops
             return _jet(order, a + b)
-        if isinstance(other, _SCALARS):
-            c = _lanes(self.c, other).copy()
+        if self._scalar(other):
+            c = self.c.copy()
             c[0] += other
             return _jet(self.order, c)
         return NotImplemented
@@ -230,15 +237,15 @@ class MultiJet:
         if ops is not None:
             order, a, b = ops
             return _jet(order, a - b)
-        if isinstance(other, _SCALARS):
-            c = _lanes(self.c, other).copy()
+        if self._scalar(other):
+            c = self.c.copy()
             c[0] -= other
             return _jet(self.order, c)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            c = -_lanes(self.c, other)
+        if self._scalar(other):
+            c = -self.c
             c[0] += other
             return _jet(self.order, c)
         return NotImplemented
@@ -253,8 +260,8 @@ class MultiJet:
                                                _NCOEF[order]))
             return _jet(order, _lane_sum(order, 0, a.take(ia, 0) * b.take(ib, 0),
                                          _NCOEF[order]))
-        if isinstance(other, _SCALARS):
-            return _jet(self.order, _lanes(self.c, other) * other)
+        if self._scalar(other):
+            return _jet(self.order, self.c * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -263,13 +270,13 @@ class MultiJet:
         ops = self._operands(other)
         if ops is not None:
             return _quotient(*ops)
-        if isinstance(other, _SCALARS):
-            return _jet(self.order, _lanes(self.c, other) / other)
+        if self._scalar(other):
+            return _jet(self.order, self.c / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return MultiJet.constant(other, self.order) / self
+        if self._scalar(other):
+            return _constant_like(self, other) / self
         return NotImplemented
 
     def __pow__(self, k):
@@ -291,14 +298,21 @@ def _jet(order: int, c: np.ndarray) -> MultiJet:
     return j
 
 
+def _constant_like(x: MultiJet, value) -> MultiJet:
+    """The constant value as a jet of the order and layout of x."""
+    c = np.zeros(x.c.shape)
+    c[0] = value
+    return _jet(x.order, c)
+
+
 def _quotient(order: int, a: np.ndarray, b: np.ndarray) -> MultiJet:
-    """a/b for coefficients as _operands leaves them, by forward substitution
+    """a/b for coefficients of one order and layout, by forward substitution
     over degree blocks, per lane: q_g = (a_g - sum_{beta != 0} b_beta
     q_(g - beta)) / b_0."""
     b0 = b[0]
     if b0 == 0.0 if b.ndim == 1 else not b0.all():
         raise SingularJet("division by a jet with zero constant term")
-    q = np.empty(b.shape if b.ndim == 1 else (len(b), max(a.shape[1], b.shape[1])))
+    q = np.empty(b.shape)
     q[0] = a[0] / b0
     for k, (lo, hi, ib, iq, slot) in enumerate(_div_table(order)):
         w = b[ib] * q[iq]
@@ -443,7 +457,7 @@ def powi(x, k: int):
     if not isinstance(k, int):
         raise OrderError(f"integer exponent required, got {k!r}")
     if k == 0:
-        return MultiJet.constant(1.0, x.order) if isinstance(x, MultiJet) else 1.0
+        return _constant_like(x, 1.0) if isinstance(x, MultiJet) else 1.0
     if k < 0:
         return 1.0 / _binpow(x, -k)  # SingularJet for a zero constant term
     return _binpow(x, k)
@@ -489,12 +503,14 @@ def from_lanes(values):
 
 
 def where(mask, x, y):
-    """x on the lanes where mask holds, else y: jets of one order, or numbers."""
+    """x on the lanes where mask holds, else y: a chunk's jets of one order,
+    or numbers."""
     if not isinstance(mask, np.ndarray):
         return x if mask else y
     if isinstance(x, MultiJet):
-        return _jet(x.order, np.where(mask, *(c if c.ndim == 2 else c[:, None]
-                                             for c in (x.c, y.c))))
+        if x.c.ndim == 1 or y.c.ndim == 1:
+            raise TypeError(_MIXED)
+        return _jet(x.order, np.where(mask, x.c, y.c))
     return np.where(mask, x, y)
 
 

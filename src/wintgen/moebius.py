@@ -36,7 +36,7 @@ import numpy as np
 
 from . import jetalg, jets
 from .classical import ClassicalContext
-from .errors import ChartBlowUp, NotLorentz
+from .errors import ChartBlowUp, NotLorentz, WintgenError
 from .gallery import check_lorentz
 from .immersion import SPHERE, ImmersionSpec
 
@@ -447,14 +447,16 @@ def map_chunks(analyze, pts) -> list:
     point, where start is the sample index of the chunk's first point, so a
     refusal can name its point's index.  The first point runs alone, so a
     chart that refuses everywhere costs one point, then chunks of at most
-    CHUNK_POINTS; a chunk that raises anything runs again point by point, so
-    the first failing point raises its own error."""
+    CHUNK_POINTS; a chunk that raises a WintgenError (a refusal, an input
+    error, or a chunk whose points disagree) runs again point by point, so
+    the first failing point raises its own error.  Any other exception
+    propagates from the chunk: it is a fault, not a property of a point."""
     bounds = sorted({0, len(pts), *range(1, len(pts), CHUNK_POINTS)})
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
         try:
             out += analyze(list(pts[lo:hi]), lo)
-        except Exception:  # alone, the first failing point raises its own
+        except WintgenError:  # alone, the first failing point raises its own
             if hi - lo == 1:
                 raise
             for idx in range(lo, hi):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from wintgen import classical, cli, gallery, ideal, jets, moebius
+from wintgen.errors import WintgenError
 from wintgen.immersion import sample_points
 
 IDEAL_CHARTS = ["so3", "veronese-hopf", "hopf-generic"]
@@ -84,31 +85,58 @@ def test_chunks_take_the_first_point_alone_then_at_most_chunk_points():
     assert starts == [0, 1, 21, 41]
 
 
-def test_a_failing_chunk_runs_again_point_by_point():
-    calls = []
-
+def _failing_at_3_and_5(error, calls):
     def analyze(chunk, start):
         calls.append((list(chunk), start))
         if 3 in chunk or 5 in chunk:
-            raise ValueError(f"point {min(p for p in chunk if p in (3, 5))}")
+            raise error(f"point {min(p for p in chunk if p in (3, 5))}")
         return chunk
+    return analyze
 
-    with pytest.raises(ValueError, match="point 3"):
-        moebius.map_chunks(analyze, list("abc") + list(range(3, 8)))
+
+def test_a_failing_chunk_runs_again_point_by_point():
+    calls = []
+    with pytest.raises(WintgenError, match="point 3"):
+        moebius.map_chunks(_failing_at_3_and_5(WintgenError, calls),
+                           list("abc") + list(range(3, 8)))
     assert calls == [(["a"], 0), (["b", "c", 3, 4, 5, 6, 7], 1), (["b"], 1),
                      (["c"], 2), ([3], 3)]
+
+
+def test_a_fault_in_a_chunk_propagates_without_a_rerun():
+    # only the package's own errors are properties of a point
+    calls = []
+    with pytest.raises(ValueError, match="point 3"):
+        moebius.map_chunks(_failing_at_3_and_5(ValueError, calls),
+                           list("abc") + list(range(3, 8)))
+    assert calls == [(["a"], 0), (["b", "c", 3, 4, 5, 6, 7], 1)]
 
 
 # so3 with a factor sqrt(u1 - 1) / sqrt(u1 - 1): an input error (exit 2)
 # where u1 < 1; and so3 with x1 bent by 0.2 (a + |a|), a = u1 - 3: not ideal
 # (exit 3) where u1 > 3.  At the seeds below the first point passes and the
 # first failure falls inside the second chunk (index 11 and index 3).
+_SO3 = gallery.by_name("so3").expression_text
 _CUT = ("x1 = (", "x1 = sqrt(u1 - 1) / sqrt(u1 - 1) * (")
 _BENT = ("x1 = (", "x1 = 0.2 * (u1 - 3 + sqrt((u1 - 3)^2)) + (")
 
+# a graph with constant components, an exact one (x5) and one built by the
+# expression (u2^0): each must take the chunk's layout
+CONST_GRAPH = """\
+name: const-graph
+ambient: euclidean
+domain: u1 in [0.2,0.9]; u2 in [0.2,0.9]; u3 in [0.2,0.9]
+x1 = u1
+x2 = u2^0 * u2
+x3 = u3
+x4 = u1^2 + 2*u2^2 + 3*u3^2 + u1*u2*u3
+x5 = 0
+"""
+
 # (exit code, sha256 of stdout) of `invariants --spec <file> --points n
-# --seed s`, keyed (file, s, n), and of `ddvv`, keyed ("ddvv", file, s, n),
-# recorded with every point analyzed alone
+# --seed s`, keyed (file, s, n), and of `ddvv` and `residuals`, keyed
+# (command, file, s, n); the invariants and ddvv digests of cut.imm and
+# bent.imm were recorded with every point analyzed alone
 PINNED = {
     ("cut.imm", 0, 1): (0, "6dd2f730c52f85b3f7feba5f16039697"
                            "f892b1d55889e945624ab7139c325f13"),
@@ -146,15 +174,30 @@ PINNED = {
                                      "bfb2a3144344bc806c8cf73338b576a1"),
     ("ddvv", "bent.imm", 3, 41): (0, "09a76a7fa073b52a3873c630474c8d32"
                                      "ba8cb186270304742eed1ed6022f2455"),
+    ("ddvv", "const-graph.imm", 0, 1): (
+        0, "cde91d25f11b06fa09d53ebde34488763bc1305891a1f843d4bb4b35c812b6ac"),
+    ("ddvv", "const-graph.imm", 0, 2): (
+        0, "433bf61f075a0e68cbb31afd1e97b8bad95912cbb98d2c8a293523a1b165db4e"),
+    ("ddvv", "const-graph.imm", 0, 5): (
+        0, "26b0d539f65b5fca5e44163eac81b0c6c46523eb08fea3313df10a66ab913c91"),
+    ("ddvv", "const-graph.imm", 0, 21): (
+        0, "949e75fd96ef04bf10f64f9a8f00424ce34c1d41fb8872485eb9571d878a7c27"),
+    ("residuals", "const-graph.imm", 0, 1): (
+        0, "8f31e7cc6afc0d1d8fa0eaab43b02f57004f246714c63d4278a2cdf821b05ab4"),
+    ("residuals", "const-graph.imm", 0, 2): (
+        0, "5a62e9a88190a9af1bd5d47fdd9ceb2bddb26c49853f665611ebe1a994ee34a4"),
+    ("residuals", "const-graph.imm", 0, 5): (
+        0, "f4e4b22aed6568356ad36eaa8ce56736d9fe2b99130f5f07701a97d1e08fc21d"),
+    ("residuals", "const-graph.imm", 0, 21): (
+        0, "314f2091def8d0e4a410917290cd49fd3db2b522b9bd3abe60d2d5445b21364f"),
 }
 
 
-def _pinned_run(capsys, monkeypatch, tmp_path, command, file, edit, seed,
+def _pinned_run(capsys, monkeypatch, tmp_path, command, file, text, seed,
                 points):
-    """(exit code, sha256 of stdout) of command on the edited so3 file."""
+    """(exit code, sha256 of stdout) of command on a file with this text."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / file).write_text(
-        gallery.by_name("so3").expression_text.replace(*edit))
+    (tmp_path / file).write_text(text)
     code = cli.main([command, "--spec", file, "--points", str(points),
                      "--seed", str(seed)])
     return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -170,15 +213,56 @@ _POINTS = pytest.mark.parametrize("points", [1, 2, 21, 41])
 def test_a_later_failure_inside_a_chunk_gives_the_one_point_document(
         capsys, monkeypatch, tmp_path, file, edit, seed, points):
     assert _pinned_run(capsys, monkeypatch, tmp_path, "invariants", file,
-                       edit, seed, points) == PINNED[file, seed, points]
+                       _SO3.replace(*edit), seed, points) \
+        == PINNED[file, seed, points]
 
 
 @_FAILING_FILES
 @_POINTS
 def test_ddvv_gives_the_one_point_document_across_chunks(
         capsys, monkeypatch, tmp_path, file, edit, seed, points):
-    assert _pinned_run(capsys, monkeypatch, tmp_path, "ddvv", file, edit,
-                       seed, points) == PINNED["ddvv", file, seed, points]
+    assert _pinned_run(capsys, monkeypatch, tmp_path, "ddvv", file,
+                       _SO3.replace(*edit), seed, points) \
+        == PINNED["ddvv", file, seed, points]
+
+
+@pytest.mark.parametrize("command", ["ddvv", "residuals"])
+@pytest.mark.parametrize("points", [1, 2, 5, 21])
+def test_constant_components_take_the_chunks_layout(
+        capsys, monkeypatch, tmp_path, command, points):
+    assert _pinned_run(capsys, monkeypatch, tmp_path, command,
+                       "const-graph.imm", CONST_GRAPH, 0, points) \
+        == PINNED[command, "const-graph.imm", 0, points]
+
+
+def test_no_multi_point_chunk_falls_back(capsys, monkeypatch, tmp_path):
+    # a chunk that raises runs again point by point: the same document, but
+    # a silent slowdown where every point passes alone
+    sizes, raised = [], []
+    run = moebius.map_chunks
+
+    def guarded(analyze, pts):
+        def analyze_chunk(chunk, start):
+            sizes.append(len(chunk))
+            try:
+                return analyze(chunk, start)
+            except Exception:
+                raised.append(len(chunk))
+                raise
+        return run(analyze_chunk, pts)
+
+    monkeypatch.setattr(cli, "map_chunks", guarded)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "const-graph.imm").write_text(CONST_GRAPH)
+    sources = [*(["--example", e.name] for e in gallery.all_entries()),
+               ["--spec", "const-graph.imm"]]
+    for command in ("ddvv", "invariants", "theorem-b", "hopf-check",
+                    "residuals"):
+        for source in sources:
+            cli.main([command, *source, "--points", "5"])
+            assert max(raised, default=1) == 1, (command, source)
+    capsys.readouterr()
+    assert set(sizes) == {1, 4}
 
 
 @pytest.mark.parametrize("name", [e.name for e in gallery.all_entries()])

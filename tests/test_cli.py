@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import wintgen
-from wintgen import cli, gallery, ideal, moebius
+from wintgen import cli, errors, gallery, ideal, moebius
 from wintgen.cli import main
 from wintgen.errors import IntegrableDistribution, NotIdealPoint, SchemaError
 from wintgen.immersion import sample_points
@@ -384,6 +384,11 @@ OUTCOMES = [
      "InsufficientOrder", 2),
     (["ddvv", "--example", "so3", "--order", "6"], "ddvv", "OrderError", 2),
     (["ddvv", "--spec", "{eval}", "--points", "1"], "ddvv", "EvalError", 2),
+    # math.exp overflows, and math.sin of an infinite value fails
+    (["ddvv", "--spec", "{overflow}", "--points", "5"], "ddvv", "EvalError",
+     2),
+    (["residuals", "--spec", "{infinite}", "--points", "5"], "residuals",
+     "EvalError", 2),
     # runs
     (["invariants", "--example", "umbilic-control", "--points", "1"],
      "invariants", "UmbilicPoint", 3),
@@ -399,7 +404,10 @@ def test_every_outcome_prints_one_document(capsys, tmp_path):
     and in a separate process alike."""
     so3 = gallery.by_name("so3").expression_text
     files = {"so3": so3, "bad": "not a valid immersion description\n",
-             "eval": so3.replace("x1 = (", "x1 = 1/(u1 - u1) + (", 1)}
+             "eval": so3.replace("x1 = (", "x1 = 1/(u1 - u1) + (", 1),
+             "overflow": so3.replace("x1 = (", "x1 = exp(1000*u1) + (", 1),
+             "infinite": so3.replace("x1 = (", "x1 = sin(u1 + 1e308*10) + (",
+                                     1)}
     names = {"missing": tmp_path / "missing.imm",
              "nodir": tmp_path / "missing" / "out"}
     for key, text in files.items():
@@ -434,6 +442,27 @@ def test_every_outcome_prints_one_document(capsys, tmp_path):
                                              outputs[start:start + 4]):
             stdout, _ = proc.communicate(timeout=120)
             assert (proc.returncode, stdout) == (code, out), argv
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_each_error_belongs_to_one_exit_code_family():
+    kinds = set(_subclasses(errors.WintgenError)) - {errors.Refusal,
+                                                     errors.InputError}
+    refusals = {k.__name__ for k in kinds if issubclass(k, errors.Refusal)}
+    inputs = {k.__name__ for k in kinds if issubclass(k, errors.InputError)}
+    assert not refusals & inputs
+    assert refusals | inputs == {k.__name__ for k in kinds}
+    assert refusals == {"UmbilicPoint", "NotImmersed", "NotIdealPoint",
+                        "IntegrableDistribution", "DegenerateCurve",
+                        "ChartBlowUp", "SingularJet", "DomainError"}
+    assert inputs == {"ParseError", "UnknownIdentifier", "SchemaError",
+                      "InsufficientOrder", "OrderError", "ShapeError",
+                      "EvalError", "NotLorentz"}
 
 
 def test_library_tolerance_defaults_are_the_command_line_defaults():

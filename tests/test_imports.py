@@ -9,14 +9,18 @@ bound by a top-level import must be referenced somewhere in the module.
 must be referenced somewhere in the package or the tests.  Only
 immersion.py compares an ambient model's kind, UmbilicPoint is raised at
 one site, cli.py prints a document at one call of `_emit` and writes the
-"schema" key at one site, and the package caches its lazy fields with
-`jets.field` alone, never with `functools.cached_property`.
+"schema" key at one site, the package caches its lazy fields with
+`jets.field` alone, never with `functools.cached_property`, catches no
+exception wholesale, and cli.py catches the exit-code families of errors.py,
+never one of their members.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from wintgen import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "wintgen").glob("*.py"))
@@ -243,3 +247,54 @@ def test_package_caches_fields_with_jets_field_alone():
     sites = [f"{path.name}:{line}" for path in PACKAGE
              for line in cached_property_sites(path.read_text(encoding="utf-8"))]
     assert sites == []
+
+
+def handler_sites(source: str, names) -> list:
+    """Lines of the except clauses that are bare or catch one of names (a
+    name or a module attribute, alone or in a tuple, or a tuple bound to a
+    module-level name)."""
+    tree = ast.parse(source)
+    tuples = {t.id: node.value.elts for node in tree.body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Tuple)
+              for t in node.targets if isinstance(t, ast.Name)}
+    sites = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.ExceptHandler):
+            continue
+        types = n.type.elts if isinstance(n.type, ast.Tuple) else [n.type]
+        types = [x for t in types
+                 for x in tuples.get(getattr(t, "id", None), [t])]
+        if n.type is None or names & {getattr(t, "id", None)
+                                      or getattr(t, "attr", None)
+                                      for t in types}:
+            sites.append(n.lineno)
+    return sites
+
+
+def test_handler_scanner_flags_bare_and_named_catches():
+    src = ("_ERRORS = (KeyError, UmbilicPoint)\n"
+           "try:\n    f()\nexcept:\n    raise\n"
+           "try:\n    f()\nexcept (OSError, Exception):\n    pass\n"
+           "try:\n    f()\nexcept errors.UmbilicPoint as e:\n    pass\n"
+           "try:\n    f()\nexcept _ERRORS:\n    pass\n"
+           "try:\n    f()\nexcept (Refusal, ValueError):\n    pass\n")
+    assert handler_sites(src, {"Exception", "UmbilicPoint"}) == [4, 8, 12, 16]
+
+
+def test_package_catches_no_exception_wholesale():
+    # a catch-all hides faults: a chunk that raised one would rerun point
+    # by point, and the command line would report it as a refusal
+    sites = [f"{path.name}:{line}" for path in PACKAGE
+             for line in handler_sites(path.read_text(encoding="utf-8"),
+                                       {"Exception", "BaseException"})]
+    assert sites == []
+
+
+def test_cli_catches_error_families_not_their_members():
+    families = (errors.Refusal, errors.InputError)
+    members = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, families)
+               and cls not in families}
+    path = ROOT / "src" / "wintgen" / "cli.py"
+    assert handler_sites(path.read_text(encoding="utf-8"), members) == []
