@@ -2,13 +2,14 @@
 
 ClassicalContext carries the chart, the frames and the second fundamental
 form as jets, one lane per point of its chunk (see jets), so later modules
-can differentiate.  Its point passes (ClassicalContext.passes, one per
-point; `point` for a one-point context) run the same formulas once on
-floats, from the chart jet's values and first and second partials: they
-decide the NotImmersed gates and the normal-frame pivots, and the umbilic
-test, classical_data and the ddvv command read only their values, so they
-build no jet beyond the chart's.  umbilic is the one umbilic criterion,
-refuse_umbilic its one raise site, and require_ideal the one slack gate.
+can differentiate.  Its point pass (ClassicalContext.point) runs the same
+formulas once per context on the chart jet's values and first and second
+partials, lane vectors over a chunk (floats for a point alone): it decides
+the NotImmersed gates and the normal-frame pivots per lane, and the umbilic
+test, form_blocks and the ddvv command read only its values, so they build
+no jet beyond the chart's.  Every gate refuses at its first failing lane
+(jets.first_lane).  umbilic is the one umbilic criterion, refuse_umbilic
+its one raise site, and require_ideal the one slack gate.
 check_order is the jet-order gate (orders 2 to 5), also run by the ddvv
 command, whose records read only second partials.  The reporting types
 (ClassicalData, DDVVReport, AdaptedFrame) hold plain floats.  The adapted
@@ -55,12 +56,11 @@ class ClassicalContext:
     """Lazy jet computations for one immersion at the points of a chunk (p
     a list of points, or one point), one lane per point.
 
-    `passes` holds one point pass per point: the same context on floats.
-    It decides the NotImmersed gates (metric determinant, normal-frame
-    residual) and picks the normal-frame pivots, which the jet pass reuses,
-    and it supplies the values of induced_metric, frame_chart, tangent_amb,
-    normal_frame, h and H that the umbilic gate and classical_data read.
-    `point` is the pass of a one-point context."""
+    `point` is its point pass, the same context on values (lane vectors
+    over a chunk, floats for a point alone).  It decides the NotImmersed
+    gates (metric determinant, normal-frame residual), picks the pivots the
+    jet pass reuses, and supplies the values of the forms (induced_metric
+    to H) that the umbilic gate, form_blocks and classical_data read."""
 
     def __init__(self, spec: ImmersionSpec, p, order: int = 5):
         check_order(order)
@@ -72,13 +72,8 @@ class ClassicalContext:
         return eval_immersion_jet(self.spec, self.p, self.order)
 
     @jets.field
-    def passes(self) -> list:
-        return [_PointPass(self, l) for l in range(len(self.p))]
-
-    @property
-    def point(self) -> "ClassicalContext":
-        pt, = self.passes
-        return pt
+    def point(self) -> "_PointPass":
+        return _PointPass(self)
 
     @jets.field
     def xa(self):
@@ -101,8 +96,7 @@ class ClassicalContext:
     def frame_chart(self):
         """Rows eC[i]: orthonormal tangent frame e_i = sum_a eC[i][a] d/du_a,
         lower-triangular (Gram-Schmidt in chart order)."""
-        for pt in self.passes:
-            pt.frame_chart  # refuses where the metric is degenerate
+        self.point.frame_chart  # refuses where the metric is degenerate
         return jetalg.inv_lower3(jetalg.cholesky3(self.induced_metric))
 
     @jets.field
@@ -135,14 +129,12 @@ class ClassicalContext:
     @jets.field
     def normal_frame(self):
         """Two unit normals by Gram-Schmidt from the standard basis vectors
-        the point passes picked."""
-        for pt in self.passes:
-            pt.normal_frame  # picks the pivots, or refuses
+        the point pass picked."""
+        self.point.normal_frame  # picks the pivots, or refuses
         units = self._units()
         normals = []
-        for ks in zip(*(pt.pivots for pt in self.passes)):
-            n = jetalg.normalize(self._residual(jets.from_lanes(ks), units),
-                                 inner=self.inner)
+        for k in self.point.pivots:
+            n = jetalg.normalize(self._residual(k, units), inner=self.inner)
             units.append((n, 1.0))
             normals.append(n)
         return normals
@@ -163,16 +155,16 @@ class ClassicalContext:
     def H(self):
         return [(m[0][0] + m[1][1] + m[2][2]) * (1.0 / 3.0) for m in self.h]
 
-    def is_umbilic(self) -> bool:
-        """The umbilic criterion on the point pass's h and H (one point)."""
+    def is_umbilic(self):
+        """The umbilic criterion on the point pass's h and H, per lane."""
         return umbilic(self.point.h, self.point.H)
 
     def require_not_umbilic(self) -> None:
         """The umbilic gate of the conformal invariants, at each point."""
-        for pt in self.passes:
-            if pt.is_umbilic():
-                refuse_umbilic(self.spec.name, f" at {pt.p}",
-                               "conformal invariants are undefined there")
+        l = jets.first_lane(self.is_umbilic())
+        if l is not None:
+            refuse_umbilic(self.spec.name, f" at {self.p[l]}",
+                           "conformal invariants are undefined there")
 
     @jets.field
     def rho(self):
@@ -188,37 +180,48 @@ def _basis_squares(ambient) -> tuple:
 
 
 class _PointPass(ClassicalContext):
-    """A ClassicalContext's formulas on floats at its point l.  x and its
-    first and second partials are read from lane l of the chart jet
-    (jets.low_partials), so each value equals the constant term of the
-    matching jet bit for bit.  The gates are decided here, on the values,
-    and the pivots are picked here."""
+    """A ClassicalContext's formulas on values: lane vectors over a chunk,
+    floats for a point alone.  x and its first and second partials are read
+    from the chart jet (jets.low_partials), so each lane equals the constant
+    term of the matching jet, and its point alone, bit for bit.  The gates
+    are decided here, at the first failing lane, and the pivots picked."""
 
     point = property(lambda self: self)  # not an attribute: no self-cycle
 
-    def __init__(self, ctx: ClassicalContext, l: int):
-        self.spec, self.p, self.order = ctx.spec, ctx.p[l], ctx.order
+    def __init__(self, ctx: ClassicalContext):
+        self.spec, self.p, self.order = ctx.spec, ctx.p, ctx.order
         self.inner = ctx.inner
-        parts = [jets.low_partials(c, l) for c in ctx.x]
-        self.x = [v for v, _, _ in parts]
-        self.xa = [[d1[a] for _, d1, _ in parts] for a in range(3)]
-        self.xab = [[[d2[a][b] for _, _, d2 in parts] for b in range(3)]
-                    for a in range(3)]
+        x, d1, d2 = zip(*map(jets.low_partials, ctx.x))
+        self.x = list(x)
+        self.xa = [[d[a] for d in d1] for a in range(3)]
+        self.xab = [[[d[a][b] for d in d2] for b in range(3)] for a in range(3)]
 
     @jets.field
     def frame_chart(self):
-        I = self.induced_metric
-        det = (I[0][0] * (I[1][1] * I[2][2] - I[1][2] ** 2)
-               - I[0][1] * (I[0][1] * I[2][2] - I[1][2] * I[0][2])
-               + I[0][2] * (I[0][1] * I[1][2] - I[1][1] * I[0][2]))
-        scale = (max(I[0][0] + I[1][1] + I[2][2], 0.0) / 3.0) ** 3
-        if det <= 1e-12 * max(scale, 1e-300):
-            raise NotImmersed(
-                f"induced metric degenerate at {self.p} (det {det:.3e})")
+        """Refuses where det I is not finite or <= 1e-12 m^3 (m: the mean
+        diagonal, at least 1e-100, divided out three times), then where I is
+        not positive definite (a Cholesky pivot is not positive)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # lanes as floats
+            I = self.induced_metric
+            det = (I[0][0] * (I[1][1] * I[2][2] - I[1][2] * I[1][2])
+                   - I[0][1] * (I[0][1] * I[2][2] - I[1][2] * I[0][2])
+                   + I[0][2] * (I[0][1] * I[1][2] - I[1][1] * I[0][2]))
+            m = (I[0][0] + I[1][1] + I[2][2]) / 3.0
+            m = jets.where(m > 1e-100, m, 1e-100)
+            l = jets.first_lane(~(np.isfinite(det) & (det / m / m / m > 1e-12)))
+        if l is not None:
+            raise NotImmersed(f"induced metric degenerate at {self.p[l]} "
+                              f"(det {np.ravel(det)[l]:.3e})")
         try:
-            return jetalg.inv_lower3(jetalg.cholesky3(I))
-        except (DomainError, ZeroDivisionError):
-            raise NotImmersed(f"induced metric not positive definite at {self.p}")
+            with np.errstate(divide="raise", invalid="raise"):
+                return jetalg.inv_lower3(jetalg.cholesky3(I))
+        except (DomainError, ArithmeticError):  # a pivot is not positive
+            if len(self.p) == 1:
+                raise NotImmersed(
+                    f"induced metric not positive definite at {self.p[0]}")
+            for q in self.p:  # alone, the first failing point refuses
+                ClassicalContext(self.spec, q, self.order).point.frame_chart
+            raise
 
     def _constant(self, value: float):
         return value
@@ -230,28 +233,27 @@ class _PointPass(ClassicalContext):
         over the orthonormal units; a later index needs a score larger by
         1e-15.  Only the chosen residual is built, by Gram-Schmidt as in the
         jet pass, and the pass refuses where its square is at most 1e-12.
-        The indices are kept in pivots."""
+        The indices, picked per lane, are kept in pivots."""
         units = self._units()
         squares = _basis_squares(self.spec.ambient)
-        normals, pivots = [], []
+        normals, pivots = [], [-1]  # a step skips the last pivot (-1: none)
         for _ in range(2):
             best_k, best_score = -1, -math.inf
-            for k in range(len(squares)):
-                if k in pivots:
-                    continue
-                score = squares[k]
+            for k, score in enumerate(squares):
                 for u, s in units:
                     score -= s * u[k] * u[k]
-                if score > best_score + 1e-15:
-                    best_k, best_score = k, score
+                better = (score > best_score + 1e-15) & (pivots[-1] != k)
+                best_k = jets.where(better, k, best_k)
+                best_score = jets.where(better, score, best_score)
             v = self._residual(best_k, units)
-            if self.inner(v, v) <= 1e-12:
-                raise NotImmersed(f"cannot complete normal frame at {self.p}")
+            l = jets.first_lane(self.inner(v, v) <= 1e-12)
+            if l is not None:
+                raise NotImmersed(f"cannot complete normal frame at {self.p[l]}")
             pivots.append(best_k)
             n = jetalg.normalize(v, inner=self.inner)
             units.append((n, 1.0))
             normals.append(n)
-        self.pivots = tuple(pivots)
+        self.pivots = tuple(pivots[1:])
         return normals
 
 
@@ -275,13 +277,21 @@ def fundamental_forms(spec: ImmersionSpec, p) -> ClassicalData:
 
 
 def classical_data(ctx: ClassicalContext) -> ClassicalData:
-    """The forms at the context's point, from its point pass."""
+    """The forms at the point of a one-point context, from its point pass."""
     pt = ctx.point
     return ClassicalData(
         induced_metric=np.array(pt.induced_metric),
         tangent_frame=np.array(pt.frame_chart),
         normal_frame=np.array(pt.normal_frame),
         h=np.array(pt.h), H=np.array(pt.H), c=ctx.spec.ambient.c)
+
+
+def form_blocks(ctx: ClassicalContext):
+    """h and H of the point pass, one block (2, 3, 3) and (2,) per point, in
+    C order, so each block has a point alone's strides."""
+    pt = ctx.point
+    return (jetalg.value_array(pt.h).reshape(-1, 2, 3, 3),
+            jetalg.value_array(pt.H).reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -321,12 +331,14 @@ def ddvv_from_forms(h, H, c: float, tol: float = TOL) -> DDVVReport:
                       ideal=bool(abs(slack) <= tol * scale))
 
 
-def require_ideal(h, H, c: float, tol: float, where: str = "") -> None:
-    """The slack gate: refuses where DDVV equality fails within tol."""
-    report = ddvv_from_forms(h, H, c, tol=tol)
-    if not report.ideal:
-        raise NotIdealPoint(
-            f"equality gap {report.slack:.3e}{where}: not an ideal point")
+def require_ideal(h, H, c: float, tol: float, where=("",)) -> None:
+    """The slack gate on the blocks of form_blocks: refuses at the first one
+    where DDVV equality fails within tol; where[l] ends block l's message."""
+    reports = [ddvv_from_forms(hl, Hl, c, tol=tol) for hl, Hl in zip(h, H)]
+    l = jets.first_lane([not r.ideal for r in reports])
+    if l is not None:
+        raise NotIdealPoint(f"equality gap {reports[l].slack:.3e}{where[l]}: "
+                            "not an ideal point")
 
 
 def trace_free_sq(h, H):
@@ -341,11 +353,11 @@ def trace_free_sq(h, H):
     return acc
 
 
-def umbilic(h, H) -> bool:
-    """The umbilic criterion, on values of h and H:
+def umbilic(h, H):
+    """The umbilic criterion, on values of h and H (a mask over lanes):
     |II - (1/3) tr(II) I|^2 <= 1e-10 max(|II|^2, 1e-8)."""
     sq = sum(v * v for r in range(2) for row in h[r] for v in row)
-    return trace_free_sq(h, H) <= 1e-10 * max(sq, 1e-8)
+    return trace_free_sq(h, H) <= 1e-10 * np.maximum(sq, 1e-8)
 
 
 def refuse_umbilic(subject: str, where: str, undefined: str) -> None:
@@ -461,9 +473,8 @@ def kernel_plane(T, where=("",)) -> KernelPlane:
     flip = np.where(x[0] * -y[1] + y[0] * x[1] >= 0.0, 1.0, -1.0)[()]
     no_kernel = sing[..., 2] > 1e-6 * sing[..., 0]
     degenerate = np.hypot(x[0], y[0]) < 1e-12 * np.maximum(1.0, sing[..., 0])
-    failed = np.flatnonzero(no_kernel | degenerate)
-    if failed.size:
-        l = failed[0]
+    l = jets.first_lane(no_kernel | degenerate)
+    if l is not None:
         s = np.reshape(sing, (-1, 3))[l]
         raise NotIdealPoint(
             f"trace-free forms have no common kernel{where[l]} (singular "
@@ -501,7 +512,7 @@ def adapted_frame(data: ClassicalData, tol: float = TOL) -> AdaptedFrame:
     H = np.asarray(data.H, dtype=float)
     if umbilic(h, H):
         refuse_umbilic("second fundamental form", "", "no adapted frame")
-    require_ideal(h, H, data.c, tol)
+    require_ideal(h[None], H[None], data.c, tol)
     T = h - H[:, None, None] * np.eye(3)[None, :, :]
     plane = kernel_plane(T)
     rows, mu0 = turned_frame(T, plane)

@@ -27,10 +27,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import __version__, gallery
+from . import __version__, gallery, jets
 from .classical import (LTOL, TOL, ClassicalContext, DDVVReport,
                         check_order, classical_data, ddvv_from_forms,
-                        refuse_umbilic)
+                        form_blocks, refuse_umbilic)
 from .errors import (InputError, InsufficientOrder, ParseError, Refusal,
                      SchemaError)
 from .ideal import (SQRT6, CanonicalFields, _package_invariants, hopf_verdict,
@@ -39,9 +39,8 @@ from .immersion import parse_immersion, sample_points
 from .moebius import (JET_ORDER, IntegrabilityResiduals, MoebiusContext,
                       integrability_residuals, map_chunks, moebius_data)
 
-# perfbench wraps the names this module looks up, moebius_data among them,
-# and its self-test requires each of them to exist here
-__all__ = ["main", "moebius_data"]
+# names perfbench wraps here, which its self-test requires to exist
+__all__ = ["main", "classical_data", "moebius_data"]
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -132,19 +131,15 @@ def _report_records(pts, reports) -> list[dict]:
 def _run_ddvv(spec, pts, args, expected) -> RunResult:
     # the records read first and second partials only, so every order the
     # gate accepts gives the same numbers; they are computed at order 2,
-    # from one chart jet per chunk and one point pass per point
+    # from one chart jet and one point pass per chunk
     def analyze(chunk, start):
-        reports = []
-        passes = ClassicalContext(spec, chunk, order=2).passes
-        for idx, pt in enumerate(passes, start):
-            if pt.is_umbilic():
-                refuse_umbilic(spec.name, f" at sample point {idx}",
-                               "the ideality defect vanishes identically "
-                               "there")
-            data = classical_data(pt)
-            reports.append(ddvv_from_forms(data.h, data.H, data.c,
-                                           tol=args.tol))
-        return reports
+        ctx = ClassicalContext(spec, chunk, order=2)
+        l = jets.first_lane(ctx.is_umbilic())
+        if l is not None:
+            refuse_umbilic(spec.name, f" at sample point {start + l}",
+                           "the ideality defect vanishes identically there")
+        return [ddvv_from_forms(h, H, spec.ambient.c, tol=args.tol)
+                for h, H in zip(*form_blocks(ctx))]
 
     records = _report_records(pts, map_chunks(analyze, pts))
     slacks = [r["slack"] for r in records]

@@ -16,10 +16,10 @@ frame is at most ltol or its rounding floor, all before it snapshots the
 Moebius data.  Functions of one point take the context (invariants_uvlg) or
 the canonical fields (hat_frame, holomorphic_residual, structure_matrix);
 the verdicts take a chart and a sample, run in chunks (sample_invariants),
-and refuse an empty one.  Over a chunk, the gates run on each point's
-point pass; what follows them is computed once for the chunk with a
-leading lane axis, each lane summing as its point alone, and the kernel
-flip and the E3 sign are sign vectors on the jets.
+and refuse an empty one.  Over a chunk, each gate runs once on lane masks
+and refuses at the first failing lane; what follows is computed once for
+the chunk with a leading lane axis, each lane summing as its point alone,
+and the kernel flip and the E3 sign are sign vectors on the jets.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jetalg, jets
-from .classical import (LTOL, TOL, _pattern_matrices, kernel_plane,
-                        require_ideal, turned_frame)
+from .classical import (LTOL, TOL, _pattern_matrices, form_blocks,
+                        kernel_plane, require_ideal, turned_frame)
 from .errors import IntegrableDistribution, SchemaError, WintgenError
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusContext, connection_chart,
@@ -89,7 +89,7 @@ class CanonicalFields:
     through the raw one.  All component fields (b, c, connection and their
     covariant derivatives) refer to this frame.  Construction refuses at an
     umbilic point, then at a point that is not ideal within tol, both
-    decided on the point passes of ctx.classical, then where the torsion is
+    decided on the point pass of ctx.classical, then where the torsion is
     at most ltol or its rounding floor, unless partial: partial fields are
     marked integrable and refuse at lamf instead.
     """
@@ -99,11 +99,9 @@ class CanonicalFields:
         if gauge not in ("raw", "V0"):
             raise ValueError(f"unknown gauge {gauge!r}")
         self.ctx, self.gauge, self.ltol = ctx, gauge, float(ltol)
-        cl = ctx.classical
+        cl, where = ctx.classical, [f" at {q}" for q in ctx.p]
         cl.require_not_umbilic()
-        for pt in cl.passes:
-            require_ideal(pt.h, pt.H, cl.spec.ambient.c, tol,
-                          where=f" at {pt.p}")
+        require_ideal(*form_blocks(cl), cl.spec.ambient.c, tol, where)
 
         t = 0.0 if pregauge is None else float(pregauge)
         M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
@@ -112,8 +110,7 @@ class CanonicalFields:
         Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
                        [math.sin(2 * t), math.cos(2 * t)]])
         Bw = _pregauged(ctx.B, M0, Q0)
-        self.plane = plane = kernel_plane(jetalg.value_array(Bw),
-                                          where=[f" at {q}" for q in ctx.p])
+        self.plane = plane = kernel_plane(jetalg.value_array(Bw), where)
         rows, self.mu_field0 = turned_frame(Bw, plane)  # |z1|, invariant
 
         # E3 sign: the torsion is positive (it is odd in E3); below the
@@ -150,11 +147,10 @@ class CanonicalFields:
         cV = self._contract_c(0, 1)
         Uf = -(cU / self.mu_field0)
         Vf = cV / self.mu_field0
-        reduced = [math.hypot(u, v) <= 1e-8 for u, v in zip(
-            *(np.ravel(jets.value_of(f)).tolist() for f in (Uf, Vf)))]
-        if all(reduced):
+        reduced = np.hypot(jets.value_of(Uf), jets.value_of(Vf)) <= 1e-8
+        if np.all(reduced):
             return  # already in the reduced form
-        if any(reduced):
+        if np.any(reduced):
             raise WintgenError("V0 gauge: the points of the chunk disagree "
                                "on the turn; run them one at a time")
         hf = jets.sqrt(Uf * Uf + Vf * Vf)
@@ -335,16 +331,15 @@ class CanonicalFields:
         return jets.value_of(self.Gf)
 
     def require_torsion(self):
-        """The torsion gate, at each point."""
-        rows = zip(self.ctx.p, *(np.ravel(x).tolist() for x in
-                                 (self.torsion, self.floor, self.integrable)))
-        for p, tor, floor, flat in rows:
-            if flat:
-                cutoff = f"{self.ltol:g}" if abs(tor) <= self.ltol \
-                    else f"its rounding floor {floor:.3e}"
-                raise IntegrableDistribution(
-                    f"torsion {tor:.3e} below {cutoff} at {p}: the kernel "
-                    "distribution is integrable and the E3 sign is undefined")
+        """The torsion gate, at the first point that fails it."""
+        l = jets.first_lane(self.integrable)
+        if l is not None:
+            tor, floor = (np.ravel(x)[l] for x in (self.torsion, self.floor))
+            cutoff = f"{self.ltol:g}" if abs(tor) <= self.ltol \
+                else f"its rounding floor {floor:.3e}"
+            raise IntegrableDistribution(
+                f"torsion {tor:.3e} below {cutoff} at {self.ctx.p[l]}: the "
+                "kernel distribution is integrable and the E3 sign is undefined")
 
     @jets.field
     def lamf(self):

@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import jetalg, jets
 from .errors import (DomainError, EvalError, ParseError, SchemaError,
                      SingularJet, UnknownIdentifier)
@@ -438,19 +440,29 @@ def parse_immersion(text: str) -> ImmersionSpec:
 
 def eval_immersion_jet(spec: ImmersionSpec, p, order: int) -> list[MultiJet]:
     """Order-`order` jets of the ambient coordinates of x at chart point p,
-    or at each point of a chunk (a list of points) along the jets' lanes."""
+    or at each point of a chunk (a list of points) along the jets' lanes.
+    EvalError names the component and the first point where a coefficient
+    is not finite (a product or a quotient overflowed)."""
     pts = jets.points(p)
     for q in pts:
         if not spec.contains(q):
             raise EvalError(f"point {tuple(q)} outside domain of {spec.name}")
     seeds = [jet_seed(i + 1, jets.from_lanes([float(q[i]) for q in pts]), order)
              for i in range(3)]
-    out = spec.evaluator(seeds)
+    with np.errstate(all="ignore"):  # checked below
+        out = spec.evaluator(seeds)
     if len(out) != spec.ambient.ncomp:
         raise SchemaError(
             f"{spec.name}: evaluator returned {len(out)} components, expected {spec.ambient.ncomp}")
-    return [v if isinstance(v, MultiJet) else MultiJet.constant(
+    out = [v if isinstance(v, MultiJet) else MultiJet.constant(
         jets.from_lanes([float(v)] * len(pts)), order) for v in out]
+    bad = np.reshape([~np.isfinite(v.c).all(axis=0) for v in out], (len(out), -1))
+    i = jets.first_lane(bad.T)  # the first point, then its first component
+    if i is not None:
+        l, k = divmod(i, len(out))
+        raise EvalError(f"{spec.name}: component x{k + 1} is not finite at "
+                        f"{tuple(pts[l])}")
+    return out
 
 
 def eval_immersion_values(spec: ImmersionSpec, p) -> list[float]:

@@ -126,14 +126,14 @@ def values(obj):
 
 def _stack(obj, leaf) -> np.ndarray:
     """leaf(x, lanes) of each entry x of a nested list (lanes: the lane
-    count of its first entry, None for a point alone) as one array, a
-    chunk's lane axis moved first, in C order, so a lane's block has a point
-    alone's strides."""
+    count of its first entry, jet or lane vector; None for a point alone)
+    as one array, a chunk's lane axis moved first, in C order, so a lane's
+    block has a point alone's strides."""
     first = obj
     while isinstance(first, list):
         first = first[0]
-    lanes = first.c.shape[1] if isinstance(first, jets.MultiJet) \
-        and first.c.ndim == 2 else None
+    v = first.c[0] if isinstance(first, jets.MultiJet) else np.asarray(first)
+    lanes = len(v) if v.ndim else None
 
     def build(x):
         return [build(y) for y in x] if isinstance(x, list) else leaf(x, lanes)
@@ -142,10 +142,10 @@ def _stack(obj, leaf) -> np.ndarray:
 
 
 def value_array(obj) -> np.ndarray:
-    """The values at the point of a nested list of jets as an array of the
-    list's shape; over a chunk, behind a leading lane axis."""
+    """The values of a nested list of jets, floats or lane vectors as an
+    array of the list's shape; over a chunk, behind a leading lane axis."""
     return _stack(obj, lambda x, lanes: x.c[0] if isinstance(x, jets.MultiJet)
-                  else np.full(lanes or (), float(x)))
+                  else np.full(lanes or (), x))
 
 
 def gradients(obj) -> np.ndarray:

@@ -26,8 +26,8 @@ product is one bincount over the slots s * P + lane, which sums each lane's
 pairs in one-point order, and division pivots and elementary series (math.*)
 are taken per lane, so a record depends only on its point, bit for bit.  Values
 read from a chunk's jets (jetalg.value_array) are arrays with a leading lane
-axis (a point alone has none); low_partials reads one lane's low-order
-partials.
+axis (a point alone has none); low_partials reads lane vectors, and a gate
+refuses at first_lane of its failure mask.
 """
 
 from __future__ import annotations
@@ -412,14 +412,14 @@ def gradient(x) -> np.ndarray:
 _SECOND = ((4, 5, 6), (5, 7, 8), (6, 8, 9))
 
 
-def low_partials(x: MultiJet, l: int = 0):
+def low_partials(x: MultiJet):
     """The value, the first partials [a] and the second partials [a][b] of
-    a jet of order >= 2 at the base point (of lane l of a chunk's jet), as
-    floats.  They equal the constant terms of x, derivative(x, a + 1) and
+    a jet of order >= 2 at the base point, floats (lane vectors for a
+    chunk's jet) equal to the constant terms of x, derivative(x, a + 1) and
     derivative(derivative(x, a + 1), b + 1) bit for bit: the diagonal
     second partials carry the factor 2 of T_alpha = d^alpha f / alpha!."""
     c = x.c[:_NCOEF[2]]
-    c = (c if c.ndim == 1 else c[:, l]).tolist()
+    c = c.tolist() if c.ndim == 1 else list(c)
     d2 = [[c[k] * (2.0 if a == b else 1.0) for b, k in enumerate(row)]
           for a, row in enumerate(_SECOND)]
     return c[0], c[1:1 + NVARS], d2
@@ -478,9 +478,10 @@ def exp(x):
 def sqrt(x):
     if isinstance(x, MultiJet):
         return jet_elementary(x, "sqrt")
-    if x < 0.0:
+    lanes = isinstance(x, np.ndarray)  # DomainError if any lane is < 0
+    if (x < 0.0).any() if lanes else x < 0.0:
         raise DomainError(f"sqrt of negative value {x}")
-    return math.sqrt(x)
+    return np.sqrt(x) if lanes else math.sqrt(x)
 
 
 def value_of(x) -> float:
@@ -500,6 +501,12 @@ def points(p) -> list:
 def from_lanes(values):
     """One value per lane, stacked along a trailing lane axis (if several)."""
     return values[0] if len(values) == 1 else np.stack(values, axis=-1)
+
+
+def first_lane(mask):
+    """The first lane where mask holds (0 for a true scalar), or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def where(mask, x, y):

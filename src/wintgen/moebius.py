@@ -569,10 +569,11 @@ def integrability_residuals(ctx: MoebiusContext) -> list:
 
 def readback_sphere(Z):
     """Round point for a future-pointing null vector: Z_{1..6} / Z_0."""
-    for z0 in np.ravel(jets.value_of(Z[0])).tolist():  # each lane's
-        if abs(z0) <= 1e-10:
-            raise ChartBlowUp(
-                f"transformed point leaves the chart (lift 0-component {z0:.2e})")
+    z0 = jets.value_of(Z[0])
+    l = jets.first_lane(np.abs(z0) <= 1e-10)
+    if l is not None:
+        raise ChartBlowUp(f"transformed point leaves the chart (lift "
+                          f"0-component {np.ravel(z0)[l]:.2e})")
     return [Z[k] / Z[0] for k in range(1, 7)]
 
 

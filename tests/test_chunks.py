@@ -290,17 +290,24 @@ def test_ddvv_records_are_the_one_point_reports(capsys, name):
 
 def test_a_refusal_names_its_sample_index_in_a_later_chunk(
         capsys, monkeypatch):
-    # umbilic at sample point 27 alone (the third chunk's seventh lane)
+    # umbilic at sample point 27 (the third chunk's seventh lane), whether
+    # the chunk refuses itself or reruns point by point
     spec = gallery.by_name("so3").spec
     target = tuple(sample_points(spec.domain, 41, 0)[27])
     umbilic = classical.ClassicalContext.is_umbilic
-    monkeypatch.setattr(classical.ClassicalContext, "is_umbilic",
-                        lambda self: jets.points(self.p) == [target]
-                        or umbilic(self))
-    assert cli.main(["ddvv", "--example", "so3", "--points", "41"]) == 3
-    refusal = json.loads(capsys.readouterr().out)["refusal"]
-    assert refusal["kind"] == "UmbilicPoint"
-    assert "at sample point 27;" in refusal["message"]
+
+    def marked(self):  # the umbilic mask, with the target's lane set
+        mask = umbilic(self)
+        return mask | np.reshape([q == target for q in self.p], np.shape(mask))
+
+    monkeypatch.setattr(classical.ClassicalContext, "is_umbilic", marked)
+    chunk_alone = lambda analyze, pts: analyze(pts[21:41], 21)
+    for chunks in (moebius.map_chunks, chunk_alone):
+        monkeypatch.setattr(cli, "map_chunks", chunks)
+        assert cli.main(["ddvv", "--example", "so3", "--points", "41"]) == 3
+        refusal = json.loads(capsys.readouterr().out)["refusal"]
+        assert refusal["kind"] == "UmbilicPoint"
+        assert "at sample point 27;" in refusal["message"]
 
 
 class _ProductCount:

@@ -21,6 +21,8 @@ from wintgen.cli import main
 from wintgen.errors import IntegrableDistribution, NotIdealPoint, SchemaError
 from wintgen.immersion import sample_points
 
+from test_chunks import CONST_GRAPH
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -351,9 +353,10 @@ def test_residual_columns_fixed(capsys, tmp_path):
                       "codazzi_B", "gauss", "ricci_normal", "trace", "max"]
 
 
-# argv (with {so3}, {bad}, {eval}, {missing} and {nodir} standing for
-# files the test writes or leaves missing), the document's command, the
-# kind of its error or refusal (None for a report) and the exit code
+# argv (with {so3}, {bad}, {eval}, {ov}, {ov2}, {missing} and {nodir}
+# standing for files the test writes or leaves missing), the document's
+# command, the kind of its error or refusal (None for a report) and the
+# exit code
 OUTCOMES = [
     # usage errors
     (["ddvv", "--example", "so3", "--bogus"], "ddvv", "SchemaError", 2),
@@ -389,6 +392,14 @@ OUTCOMES = [
      2),
     (["residuals", "--spec", "{infinite}", "--points", "5"], "residuals",
      "EvalError", 2),
+    # a metric whose cube overflows, and first partials that overflow
+    (["ddvv", "--spec", "{ov}", "--seed", "3", "--points", "2"], "ddvv",
+     "NotImmersed", 3),
+    (["theorem-b", "--spec", "{ov}", "--seed", "3", "--points", "2"],
+     "theorem-b", "NotImmersed", 3),
+    (["ddvv", "--spec", "{ov2}", "--points", "2"], "ddvv", "EvalError", 2),
+    (["residuals", "--spec", "{ov2}", "--points", "2"], "residuals",
+     "EvalError", 2),
     # runs
     (["invariants", "--example", "umbilic-control", "--points", "1"],
      "invariants", "UmbilicPoint", 3),
@@ -408,6 +419,10 @@ def test_every_outcome_prints_one_document(capsys, tmp_path):
              "overflow": so3.replace("x1 = (", "x1 = exp(1000*u1) + (", 1),
              "infinite": so3.replace("x1 = (", "x1 = sin(u1 + 1e308*10) + (",
                                      1)}
+    # const-graph with x4 + exp(1000 u1): |x_u1|^2 near 1e249 at the first
+    # point of seed 3, and x_u1 beyond float range on the narrow domain
+    files["ov"] = CONST_GRAPH.replace("x4 = ", "x4 = exp(1000*u1) + ")
+    files["ov2"] = files["ov"].replace("u1 in [0.2,0.9]", "u1 in [0.705,0.708]")
     names = {"missing": tmp_path / "missing.imm",
              "nodir": tmp_path / "missing" / "out"}
     for key, text in files.items():

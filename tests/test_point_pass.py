@@ -1,13 +1,16 @@
-"""The classical point pass: the same formulas as the jet pass, run once on
-floats, and the only pass the ddvv command and the refusal gates run."""
+"""The classical point pass: the same formulas as the jet pass, run once per
+context on the values (lane vectors over a chunk, floats for a point alone),
+and the only pass the ddvv command and the refusal gates run."""
 
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from wintgen import classical, gallery, jetalg, jets
 from wintgen.classical import ClassicalContext
 from wintgen.cli import main
+from wintgen.errors import NotImmersed
 from wintgen.immersion import parse_immersion, sample_points
 
 from test_classical import HYPERBOLIC_GRAPH
@@ -68,6 +71,88 @@ def test_point_pass_equals_jet_constant_terms(name, order):
             assert getattr(ctx.point, form) == \
                 jetalg.values(getattr(ctx, form)), (form, p)
         assert ctx.point.pivots == _pivot_rule(ctx), p
+
+
+def _pivots(pt):
+    """The pivots a point pass picks with its normal frame."""
+    pt.normal_frame
+    return pt.pivots
+
+
+def _bits(pt, form):
+    """A point pass's form as one array of its bits, lanes first over a
+    chunk: equal bits are equal values, the sign of zero included."""
+    return jetalg.value_array(list(getattr(pt, form))).view(np.int64)
+
+
+@pytest.mark.parametrize("name", gallery.names() + ["hyperbolic-graph"])
+def test_each_lane_of_the_chunk_pass_is_its_point_alone(name):
+    spec = _spec(name)
+    pts = [p for seed in range(4) for p in sample_points(spec.domain, 20, seed)]
+    alone = [ClassicalContext(spec, p, order=2).point for p in pts]
+    # the pivots vary over the sample, so the chunks pick them per lane
+    assert len({_pivots(pt) for pt in alone}) > 1
+    forms = FORMS + ("pivots",)
+    want = {form: np.stack([_bits(pt, form) for pt in alone]) for form in forms}
+    for lanes in (2, 7, 20):
+        for lo in range(0, len(pts), lanes):
+            chunk = ClassicalContext(spec, pts[lo:lo + lanes], order=2).point
+            for form in forms:
+                assert np.array_equal(_bits(chunk, form),
+                                      want[form][lo:lo + lanes]), (form, lo)
+
+
+def test_a_lane_whose_metric_overflows_refuses_at_its_point():
+    # x = u exp(400 u1): det I is near 1e118 at u1 = 0.1 and beyond float
+    # range at u1 = 1.2; the lanes overflow without a warning (tier-1 turns
+    # RuntimeWarning into an error), as floats do, and the gate refuses
+    spec = parse_immersion(
+        "name: big\nambient: euclidean\n"
+        "domain: u1 in [0,2]; u2 in [0,1]; u3 in [0,1]\n"
+        "x1 = u1 * exp(400*u1)\nx2 = u2 * exp(400*u1)\n"
+        "x3 = u3 * exp(400*u1)\nx4 = u1*u2\nx5 = 0\n")
+    ctx = ClassicalContext(spec, [(0.1, 0.5, 0.5), (1.2, 0.5, 0.5)], order=2)
+    with pytest.raises(NotImmersed, match=r"at \(1\.2, 0\.5, 0\.5\) \(det nan\)"):
+        ctx.point.frame_chart
+
+
+# a linear chart into the hyperboloid model's space whose tangent space is
+# nearly degenerate and not spacelike: det I passes the gate, and the
+# Cholesky factor of I meets a negative pivot
+BAD_HYPERBOLIC = """\
+name: bad-hyp
+ambient: hyperbolic
+domain: u1 in [0,1]; u2 in [0,1]; u3 in [0,1]
+x1 = 1.8176*u1 - 38.54732*u2 + 76.86897315696*u3
+x2 = -0.063*u1 - 4.888*u2 + 9.659340099999998*u3
+x3 = 0.295*u1 + 6.739*u2 - 13.254720098*u3
+x4 = 1.484*u1 - 11.765*u2 + 23.739899941*u3
+x5 = 0.724*u1 + 8.261*u2 - 16.139579778999998*u3
+x6 = 0.595*u1 - 1.717*u2 + 3.5781600350000002*u3
+"""
+
+
+@pytest.mark.parametrize("pts", [[(0.5, 0.5, 0.5)],
+                                 [(0.5, 0.5, 0.5), (0.2, 0.3, 0.4)]])
+def test_a_metric_that_is_not_positive_definite_refuses(pts):
+    ctx = ClassicalContext(parse_immersion(BAD_HYPERBOLIC), pts, order=2)
+    with pytest.raises(NotImmersed, match=r"not positive definite at "
+                                          r"\(0\.5, 0\.5, 0\.5\)"):
+        ctx.point.frame_chart
+
+
+def test_ddvv_builds_one_point_pass_per_chunk(monkeypatch, capsys):
+    built = []
+    init = classical._PointPass.__init__
+
+    def counted(self, ctx):
+        built.append(len(ctx.p))
+        init(self, ctx)
+
+    monkeypatch.setattr(classical._PointPass, "__init__", counted)
+    assert main(["ddvv", "--example", "so3", "--points", "20"]) == 0
+    capsys.readouterr()
+    assert built == [1, 19]  # the first point alone, then one chunk
 
 
 class _Products:
