@@ -5,11 +5,12 @@ form as jets, one lane per point of its chunk (see jets), so later modules
 can differentiate.  Its point pass (ClassicalContext.point) runs the same
 formulas once per context on the chart jet's values and first and second
 partials, lane vectors over a chunk (floats for a point alone): it decides
-the NotImmersed gates and the normal-frame pivots per lane, and the umbilic
-test, form_blocks and the ddvv command read only its values, so they build
-no jet beyond the chart's.  Every gate refuses at its first failing lane
-(jets.first_lane).  umbilic is the one umbilic criterion, refuse_umbilic
-its one raise site, and require_ideal the one slack gate.
+the NotImmersed gates and the normal-frame pivots on lane masks, and the
+umbilic test, form_blocks and ddvv_from_forms (once per chunk, on lane
+arrays) read only its values, so they build no jet beyond the chart's.
+Every gate refuses at its first failing lane (jets.first_lane).  umbilic is
+the one umbilic criterion, refuse_umbilic its one raise site, and
+require_ideal the one slack gate.
 check_order is the jet-order gate (orders 2 to 5), also run by the ddvv
 command, whose records read only second partials.  The reporting types
 (ClassicalData, DDVVReport, AdaptedFrame) hold plain floats.  The adapted
@@ -32,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import jetalg, jets
-from .errors import (DomainError, InsufficientOrder, NotIdealPoint,
-                     NotImmersed, ShapeError, UmbilicPoint)
+from .errors import (InsufficientOrder, NotIdealPoint, NotImmersed,
+                     ShapeError, UmbilicPoint)
 from .immersion import ImmersionSpec, eval_immersion_jet
 
 # The default tolerances of the library and of the command line: TOL is the
@@ -58,7 +59,7 @@ class ClassicalContext:
 
     `point` is its point pass, the same context on values (lane vectors
     over a chunk, floats for a point alone).  It decides the NotImmersed
-    gates (metric determinant, normal-frame residual), picks the pivots the
+    gates (metric, ambient constraint, normal frame), picks the pivots the
     jet pass reuses, and supplies the values of the forms (induced_metric
     to H) that the umbilic gate, form_blocks and classical_data read."""
 
@@ -96,7 +97,7 @@ class ClassicalContext:
     def frame_chart(self):
         """Rows eC[i]: orthonormal tangent frame e_i = sum_a eC[i][a] d/du_a,
         lower-triangular (Gram-Schmidt in chart order)."""
-        self.point.frame_chart  # refuses where the metric is degenerate
+        self.point.frame_chart  # refuses where the chart is not immersed
         return jetalg.inv_lower3(jetalg.cholesky3(self.induced_metric))
 
     @jets.field
@@ -198,30 +199,32 @@ class _PointPass(ClassicalContext):
 
     @jets.field
     def frame_chart(self):
-        """Refuses where det I is not finite or <= 1e-12 m^3 (m: the mean
-        diagonal, at least 1e-100, divided out three times), then where I is
-        not positive definite (a Cholesky pivot is not positive)."""
+        """Refuses at the first lane where det I is not finite, then where
+        it is <= 1e-12 m^3 for a mean diagonal m > 0 (at least 1e-100,
+        divided out three times), then where a leading minor of I is not
+        positive, then where x is off the ambient model by more than 1e-9;
+        so the Cholesky factor meets only positive pivots."""
         with np.errstate(over="ignore", invalid="ignore"):  # lanes as floats
             I = self.induced_metric
-            det = (I[0][0] * (I[1][1] * I[2][2] - I[1][2] * I[1][2])
-                   - I[0][1] * (I[0][1] * I[2][2] - I[1][2] * I[0][2])
-                   + I[0][2] * (I[0][1] * I[1][2] - I[1][1] * I[0][2]))
+            det = jetalg.det3(I)
             m = (I[0][0] + I[1][1] + I[2][2]) / 3.0
-            m = jets.where(m > 1e-100, m, 1e-100)
-            l = jets.first_lane(~(np.isfinite(det) & (det / m / m / m > 1e-12)))
-        if l is not None:
-            raise NotImmersed(f"induced metric degenerate at {self.p[l]} "
-                              f"(det {np.ravel(det)[l]:.3e})")
-        try:
-            with np.errstate(divide="raise", invalid="raise"):
-                return jetalg.inv_lower3(jetalg.cholesky3(I))
-        except (DomainError, ArithmeticError):  # a pivot is not positive
-            if len(self.p) == 1:
-                raise NotImmersed(
-                    f"induced metric not positive definite at {self.p[0]}")
-            for q in self.p:  # alone, the first failing point refuses
-                ClassicalContext(self.spec, q, self.order).point.frame_chart
-            raise
+            s = np.maximum(m, 1e-100)
+            minors = (I[0][0] > 0.0) & (det > 0.0) & (
+                I[0][0] * I[1][1] - I[0][1] * I[0][1] > 0.0)
+            off = self.spec.ambient.constraint_residual(self.x)
+            causes = (  # (lanes that refuse, message, the value it names)
+                (~np.isfinite(det), "induced metric not finite at {p}", det),
+                ((m > 0.0) & (det / s / s / s <= 1e-12),
+                 "induced metric degenerate at {p} (det {v:.3e})", det),
+                (~np.asarray(minors),  # a lone point's bools: ~True is -2
+                 "induced metric not positive definite at {p}", det),
+                (off > 1e-9, "chart leaves the ambient model at {p} "
+                             "(|<x, x> - sign| = {v:.3e})", off))
+        for mask, why, v in causes:
+            l = jets.first_lane(mask)
+            if l is not None:
+                raise NotImmersed(why.format(p=self.p[l], v=np.ravel(v)[l]))
+        return jetalg.inv_lower3(jetalg.cholesky3(I))
 
     def _constant(self, value: float):
         return value
@@ -303,38 +306,34 @@ class DDVVReport:
     ideal: bool
 
 
-def ddvv_from_forms(h, H, c: float, tol: float = TOL) -> DDVVReport:
-    """The normalized-curvature inequality report from frame components.
+def ddvv_from_forms(h, H, c: float, tol: float = TOL) -> list[DDVVReport]:
+    """The normalized-curvature inequality reports of the blocks h [P, 2, 3,
+    3] and H [P, 2] of form_blocks, one per block, from lane arrays.
 
     s from the Gauss equation, s_N = (1/3)||R^perp|| with the Frobenius norm
     over independent index pairs (i<j, r<s)."""
     h = np.asarray(h, dtype=float)
     H = np.asarray(H, dtype=float)
-    p = h.shape[0]
-    s = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            s += c + sum(h[r, i, i] * h[r, j, j] - h[r, i, j] ** 2 for r in range(p))
-    s /= 3.0
-    norm_rperp_sq = 0.0
-    for r in range(p):
-        for q in range(r + 1, p):
-            comm = h[r] @ h[q] - h[q] @ h[r]
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    norm_rperp_sq += comm[i, j] ** 2
-    s_N = math.sqrt(norm_rperp_sq) / 3.0
-    H2 = float(np.dot(H, H))
+    comm = h[:, 0] @ h[:, 1] - h[:, 1] @ h[:, 0]
+    s = norm_rperp_sq = 0.0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        t = h[:, :, i, i] * h[:, :, j, j] - h[:, :, i, j] ** 2
+        s = s + (c + (t[:, 0] + t[:, 1]))
+        norm_rperp_sq = norm_rperp_sq + comm[:, i, j] ** 2
+    s = s / 3.0
+    s_N = np.sqrt(norm_rperp_sq) / 3.0
+    H2 = jetalg.vec_vec(H, H)
     slack = c + H2 - s_N - s
-    scale = max(1.0, float(np.sum(h ** 2)))
-    return DDVVReport(s=s, H_norm2=H2, s_N=s_N, slack=slack,
-                      ideal=bool(abs(slack) <= tol * scale))
+    scale = np.maximum(1.0, np.sum((h ** 2).reshape(len(h), -1), axis=-1))
+    ideal = np.abs(slack) <= tol * scale
+    return list(map(DDVVReport, s.tolist(), H2.tolist(), s_N.tolist(),
+                    slack.tolist(), ideal.tolist()))
 
 
 def require_ideal(h, H, c: float, tol: float, where=("",)) -> None:
     """The slack gate on the blocks of form_blocks: refuses at the first one
     where DDVV equality fails within tol; where[l] ends block l's message."""
-    reports = [ddvv_from_forms(hl, Hl, c, tol=tol) for hl, Hl in zip(h, H)]
+    reports = ddvv_from_forms(h, H, c, tol=tol)
     l = jets.first_lane([not r.ideal for r in reports])
     if l is not None:
         raise NotIdealPoint(f"equality gap {reports[l].slack:.3e}{where[l]}: "
@@ -367,7 +366,7 @@ def refuse_umbilic(subject: str, where: str, undefined: str) -> None:
 
 def ddvv_report(spec: ImmersionSpec, p, tol: float = TOL) -> DDVVReport:
     data = fundamental_forms(spec, p)
-    return ddvv_from_forms(data.h, data.H, data.c, tol=tol)
+    return ddvv_from_forms(data.h[None], data.H[None], data.c, tol=tol)[0]
 
 
 def ddvv_matrix_gap(B) -> float:

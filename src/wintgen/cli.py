@@ -131,15 +131,14 @@ def _report_records(pts, reports) -> list[dict]:
 def _run_ddvv(spec, pts, args, expected) -> RunResult:
     # the records read first and second partials only, so every order the
     # gate accepts gives the same numbers; they are computed at order 2,
-    # from one chart jet and one point pass per chunk
+    # from one chart jet, one point pass and one report call per chunk
     def analyze(chunk, start):
         ctx = ClassicalContext(spec, chunk, order=2)
         l = jets.first_lane(ctx.is_umbilic())
         if l is not None:
             refuse_umbilic(spec.name, f" at sample point {start + l}",
                            "the ideality defect vanishes identically there")
-        return [ddvv_from_forms(h, H, spec.ambient.c, tol=args.tol)
-                for h, H in zip(*form_blocks(ctx))]
+        return ddvv_from_forms(*form_blocks(ctx), spec.ambient.c, tol=args.tol)
 
     records = _report_records(pts, map_chunks(analyze, pts))
     slacks = [r["slack"] for r in records]

@@ -80,8 +80,9 @@ class ShapeError(InputError):
 
 
 class NotImmersed(Refusal):
-    """The map fails to be an immersion at the requested point (the induced
-    metric is singular or the ambient constraint is violated)."""
+    """The map is no immersion into the ambient model at the requested
+    point: the induced metric is not finite, degenerate or not positive
+    definite, the point is off the model, or no normal frame completes."""
 
 
 class UmbilicPoint(Refusal):

@@ -113,12 +113,20 @@ def test_a_fault_in_a_chunk_propagates_without_a_rerun():
 
 
 # so3 with a factor sqrt(u1 - 1) / sqrt(u1 - 1): an input error (exit 2)
-# where u1 < 1; and so3 with x1 bent by 0.2 (a + |a|), a = u1 - 3: not ideal
-# (exit 3) where u1 > 3.  At the seeds below the first point passes and the
-# first failure falls inside the second chunk (index 11 and index 3).
+# where u1 < 1; and so3 with x1 bent by 0.2 (a + |a|), a = u1 - 3: off the
+# sphere, so not immersed in it (exit 3), where u1 > 3.  At the seeds below
+# the first point passes and the first failure falls inside the second chunk
+# (index 11 and index 3).  so3 with (x1, x2) turned by the angle 0.2 (a + |a|)
+# stays on the sphere, and is not ideal where u1 > 3 (index 3 again).
 _SO3 = gallery.by_name("so3").expression_text
 _CUT = ("x1 = (", "x1 = sqrt(u1 - 1) / sqrt(u1 - 1) * (")
 _BENT = ("x1 = (", "x1 = 0.2 * (u1 - 3 + sqrt((u1 - 3)^2)) + (")
+_X1, _X2 = (line.split(" = ", 1)[1] for line in _SO3.splitlines()
+            if line.startswith(("x1 =", "x2 =")))
+_ANGLE = "0.2 * (u1 - 3 + sqrt((u1 - 3)^2))"
+_TURNED = (f"x1 = {_X1}\nx2 = {_X2}",
+           f"x1 = cos({_ANGLE}) * {_X1} - sin({_ANGLE}) * {_X2}\n"
+           f"x2 = sin({_ANGLE}) * {_X1} + cos({_ANGLE}) * {_X2}")
 
 # a graph with constant components, an exact one (x5) and one built by the
 # expression (u2^0): each must take the chunk's layout
@@ -151,12 +159,21 @@ PINNED = {
                             "0b25094e0db3da62100fad0d7365a22b"),
     ("bent.imm", 3, 2): (0, "7189f5b963b4c29268972cb6f70aa53e"
                             "2ca0b6808f55fd33fdfd30bb3f35fd28"),
-    # NotIdealPoint: equality gap 4.458e-02 at (5.466666703760921, ...)
-    ("bent.imm", 3, 21): (3, "db1fa35e31b592541c70fc536ebeb2fa"
-                             "7995b9392d5721796307b61ec96e544b"),
-    ("bent.imm", 3, 41): (3, "6b21c61faf2b6956f63dff2b89b62640"
-                             "8f695ce8e68dc81ce6be38aff68a3143"),
-    # ddvv reads no ideality gate: only the cut chart fails
+    # NotImmersed: chart leaves the ambient model at (5.466666703760921, ...)
+    ("bent.imm", 3, 21): (3, "5c49a1ca060a6a78a9285df5055b8233"
+                             "41a5fe1b8cc2ac1ac7302badd3967f34"),
+    ("bent.imm", 3, 41): (3, "f199a6c5fdf68e8b52b907fd45b7690a"
+                             "440833dd02ac8711c291d7e1f75110dd"),
+    ("turned.imm", 3, 1): (0, "620b14fc8308ac0ab27e7e85253b8314"
+                              "99b7c44688de4ce0001ea38b9a4fb1f0"),
+    ("turned.imm", 3, 2): (0, "51c245e3d9a0a95d90dbb64011f93954"
+                              "ea0af9a40607dbee7e6baa785465eba1"),
+    # NotIdealPoint: equality gap 4.327e-02 at (5.466666703760921, ...)
+    ("turned.imm", 3, 21): (3, "09b68f16bc5dc9e6b5c012ef274275b3"
+                               "d81cc559ae509a8dc6c9be2828b57125"),
+    ("turned.imm", 3, 41): (3, "c7a20b85e0cae8141065f2d32f01f36d"
+                               "e4984b6caab6b28bdc575dd0f578486d"),
+    # ddvv reads no ideality gate: the turned chart passes
     ("ddvv", "cut.imm", 0, 1): (0, "0382df5ccd29f800006a573b2a9ecb12"
                                    "e98c71ac94c9de39c1af0ca515b7f8f0"),
     ("ddvv", "cut.imm", 0, 2): (0, "4bc7151692fd0e71bfeef53aecce155d"
@@ -170,10 +187,18 @@ PINNED = {
                                     "ed31827332a98fc73c0f6177556fc599"),
     ("ddvv", "bent.imm", 3, 2): (0, "e61b7e55cea1812203ec791b41763bbd"
                                     "6ffd066e07b2b8e24f8f6d272cc5f5f7"),
-    ("ddvv", "bent.imm", 3, 21): (0, "c34a4f456c13876e3c121f372cfd4b77"
-                                     "bfb2a3144344bc806c8cf73338b576a1"),
-    ("ddvv", "bent.imm", 3, 41): (0, "09a76a7fa073b52a3873c630474c8d32"
-                                     "ba8cb186270304742eed1ed6022f2455"),
+    ("ddvv", "bent.imm", 3, 21): (3, "bb9987ddcec103720c2547161920fca3"
+                                     "c47099abd5e8942e68e7f9105acd0f76"),
+    ("ddvv", "bent.imm", 3, 41): (3, "fdb2b803716a63a45e33944ee49403b3"
+                                     "c14a8fd144343cb12f87adbeb68e5953"),
+    ("ddvv", "turned.imm", 3, 1): (0, "aae4851d951b79880396cf7613f75e73"
+                                      "e0dcbaa4ee0900986bbe50206f517fa0"),
+    ("ddvv", "turned.imm", 3, 2): (0, "46347a18c1513ebcccb179c49a8fd841"
+                                      "cee5c2a863091f9520394d2c6c069154"),
+    ("ddvv", "turned.imm", 3, 21): (0, "589f87f93e4932ebdb8bba00751582c5"
+                                       "7218cd5dd77d9b9d1f39c5e52cdb6c26"),
+    ("ddvv", "turned.imm", 3, 41): (0, "d4c9b3b54ba0841bad9412c6653c8621"
+                                       "cfacdcf65fba0db2297dc67726624d5b"),
     ("ddvv", "const-graph.imm", 0, 1): (
         0, "cde91d25f11b06fa09d53ebde34488763bc1305891a1f843d4bb4b35c812b6ac"),
     ("ddvv", "const-graph.imm", 0, 2): (
@@ -204,7 +229,8 @@ def _pinned_run(capsys, monkeypatch, tmp_path, command, file, text, seed,
 
 
 _FAILING_FILES = pytest.mark.parametrize(
-    "file, edit, seed", [("cut.imm", _CUT, 0), ("bent.imm", _BENT, 3)])
+    "file, edit, seed", [("cut.imm", _CUT, 0), ("bent.imm", _BENT, 3),
+                         ("turned.imm", _TURNED, 3)])
 _POINTS = pytest.mark.parametrize("points", [1, 2, 21, 41])
 
 

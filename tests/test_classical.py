@@ -213,14 +213,14 @@ def test_matrix_gap_shape_errors():
 def test_report_invariant_under_frame_rotations():
     entry = generic_control()
     data = fundamental_forms(entry.spec, entry.sample_plan[1])
-    base = ddvv_from_forms(data.h, data.H, data.c)
+    (base,) = ddvv_from_forms(data.h[None], data.H[None], data.c)
     rng = np.random.default_rng(7)
     for _ in range(10):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         o, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         h2 = np.einsum("sr,sij->rij", o, np.einsum("ia,rab,jb->rij", q, data.h, q))
         H2 = o.T @ data.H
-        rot = ddvv_from_forms(h2, H2, data.c)
+        (rot,) = ddvv_from_forms(h2[None], H2[None], data.c)
         assert rot.s == pytest.approx(base.s, abs=1e-10)
         assert rot.s_N == pytest.approx(base.s_N, abs=1e-10)
         assert rot.H_norm2 == pytest.approx(base.H_norm2, abs=1e-10)

@@ -400,6 +400,10 @@ OUTCOMES = [
     (["ddvv", "--spec", "{ov2}", "--points", "2"], "ddvv", "EvalError", 2),
     (["residuals", "--spec", "{ov2}", "--points", "2"], "residuals",
      "EvalError", 2),
+    # so3 scaled onto the sphere of radius sqrt(2/3): off S^5 by 1/3
+    (["ddvv", "--spec", "{r3}", "--points", "2"], "ddvv", "NotImmersed", 3),
+    (["theorem-b", "--spec", "{r3}", "--points", "3"], "theorem-b",
+     "NotImmersed", 3),
     # runs
     (["invariants", "--example", "umbilic-control", "--points", "1"],
      "invariants", "UmbilicPoint", 3),
@@ -423,6 +427,7 @@ def test_every_outcome_prints_one_document(capsys, tmp_path):
     # point of seed 3, and x_u1 beyond float range on the narrow domain
     files["ov"] = CONST_GRAPH.replace("x4 = ", "x4 = exp(1000*u1) + ")
     files["ov2"] = files["ov"].replace("u1 in [0.2,0.9]", "u1 in [0.705,0.708]")
+    files["r3"] = so3.replace("/ sqrt(2)", "/ sqrt(3)")
     names = {"missing": tmp_path / "missing.imm",
              "nodir": tmp_path / "missing" / "out"}
     for key, text in files.items():

@@ -2,6 +2,7 @@
 context on the values (lane vectors over a chunk, floats for a point alone),
 and the only pass the ddvv command and the refusal gates run."""
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -79,6 +80,13 @@ def _pivots(pt):
     return pt.pivots
 
 
+def _report_bits(r):
+    """A DDVV report as the bits of its floats and its flag: equal bits are
+    equal values, the sign of zero included."""
+    return (np.array([r.s, r.H_norm2, r.s_N, r.slack]).view(np.int64).tolist(),
+            r.ideal)
+
+
 def _bits(pt, form):
     """A point pass's form as one array of its bits, lanes first over a
     chunk: equal bits are equal values, the sign of zero included."""
@@ -94,12 +102,20 @@ def test_each_lane_of_the_chunk_pass_is_its_point_alone(name):
     assert len({_pivots(pt) for pt in alone}) > 1
     forms = FORMS + ("pivots",)
     want = {form: np.stack([_bits(pt, form) for pt in alone]) for form in forms}
+    c = spec.ambient.c
+    want["ddvv"] = [_report_bits(*classical.ddvv_from_forms(
+        *classical.form_blocks(pt), c)) for pt in alone]
     for lanes in (2, 7, 20):
         for lo in range(0, len(pts), lanes):
             chunk = ClassicalContext(spec, pts[lo:lo + lanes], order=2).point
             for form in forms:
                 assert np.array_equal(_bits(chunk, form),
                                       want[form][lo:lo + lanes]), (form, lo)
+            # the chunk's DDVV reports, one per block, are its points' alone
+            reports = classical.ddvv_from_forms(
+                *classical.form_blocks(chunk), c)
+            assert [_report_bits(r) for r in reports] \
+                == want["ddvv"][lo:lo + lanes], lo
 
 
 def test_a_lane_whose_metric_overflows_refuses_at_its_point():
@@ -112,7 +128,8 @@ def test_a_lane_whose_metric_overflows_refuses_at_its_point():
         "x1 = u1 * exp(400*u1)\nx2 = u2 * exp(400*u1)\n"
         "x3 = u3 * exp(400*u1)\nx4 = u1*u2\nx5 = 0\n")
     ctx = ClassicalContext(spec, [(0.1, 0.5, 0.5), (1.2, 0.5, 0.5)], order=2)
-    with pytest.raises(NotImmersed, match=r"at \(1\.2, 0\.5, 0\.5\) \(det nan\)"):
+    with pytest.raises(NotImmersed, match=r"^induced metric not finite at "
+                                          r"\(1\.2, 0\.5, 0\.5\)$"):
         ctx.point.frame_chart
 
 
@@ -139,6 +156,83 @@ def test_a_metric_that_is_not_positive_definite_refuses(pts):
     with pytest.raises(NotImmersed, match=r"not positive definite at "
                                           r"\(0\.5, 0\.5, 0\.5\)"):
         ctx.point.frame_chart
+
+
+def _cholesky_pivots_positive(G) -> bool:
+    """Whether the Cholesky factorization of a symmetric 3x3 G meets only
+    positive pivots, run pivot by pivot."""
+    d0 = G[0][0]
+    if not d0 > 0.0:
+        return False
+    l10, l20 = G[1][0] / math.sqrt(d0), G[2][0] / math.sqrt(d0)
+    d1 = G[1][1] - l10 * l10
+    if not d1 > 0.0:
+        return False
+    l21 = (G[2][1] - l20 * l10) / math.sqrt(d1)
+    return G[2][2] - l20 * l20 - l21 * l21 > 0.0
+
+
+def _metric_outcome(Gs, pts):
+    """The metric gate's outcome for a pass whose induced metric is given:
+    Gs [P, 3, 3] over the points pts of a chunk, or one G at one point.
+    The chart is Euclidean, so no position constraint applies."""
+    spec = parse_immersion("name: flat\nambient: euclidean\n"
+                           "domain: u1 in [0,1]; u2 in [0,1]; u3 in [0,1]\n"
+                           "x1 = u1\nx2 = u2\nx3 = u3\nx4 = 0\nx5 = 0\n")
+    pt = ClassicalContext(spec, pts, order=2).point
+    G = np.asarray(Gs)
+    pt.__dict__["induced_metric"] = (
+        G.tolist() if G.ndim == 2 else
+        [[np.ascontiguousarray(G[:, a, b]) for b in range(3)]
+         for a in range(3)])
+    try:
+        pt.frame_chart
+    except NotImmersed as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_the_leading_minors_refuse_exactly_where_a_cholesky_pivot_fails():
+    rng = np.random.default_rng(11)
+    eta = np.diag([-1.0] + [1.0] * 5)
+    grams = []
+    for _ in range(300):  # Lorentz Gram matrices, definite or not
+        B = rng.normal(size=(6, 3))
+        B[0] *= rng.uniform(0.0, 3.0)
+        grams.append(B.T @ eta @ B)
+    for _ in range(100):  # symmetric, of every signature
+        grams.append(rng.normal(size=(3, 3)))
+    for _ in range(100):  # positive definite, condition numbers to 1e7
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        spread = 10.0 ** -rng.uniform([0.0, 0.0, 3.0], [0.0, 4.0, 7.0])
+        grams.append(Q @ np.diag(spread) @ Q.T)
+    grams = [(G + G.T) / 2.0 for G in grams]  # exactly symmetric
+    pts = [(k / 1000.0, 0.5, 0.5) for k in range(len(grams))]
+
+    alone = [_metric_outcome(G, p) for G, p in zip(grams, pts)]
+    assert all(out == "ok" for out in alone[400:])
+    # the determinant test refuses first (det < 0 reads as degenerate)
+    kept = [k for k, out in enumerate(alone) if "degenerate" not in out]
+    pivots = {k: _cholesky_pivots_positive(grams[k]) for k in kept}
+    refusal = "induced metric not positive definite at {}"
+    for k in kept:
+        assert alone[k] == ("ok" if pivots[k] else refusal.format(pts[k]))
+    assert 50 < sum(pivots.values()) < len(kept) - 50
+
+    # a chunk refuses at its first lane with a pivot that is not positive
+    for lo in range(0, len(kept), 7):
+        lanes = kept[lo:lo + 7]
+        want = next((alone[k] for k in lanes if not pivots[k]), "ok")
+        assert _metric_outcome([grams[k] for k in lanes],
+                               [pts[k] for k in lanes]) == want, lo
+
+
+@pytest.mark.parametrize("diagonal", [(1.0, 1.0, -3.0), (1.0, -1.0, 0.0)])
+def test_a_metric_with_a_mean_diagonal_at_most_zero_is_not_definite(diagonal):
+    # no determinant scale applies: m <= 0 leaves no positive definite I
+    p = (0.5, 0.5, 0.5)
+    assert _metric_outcome(np.diag(diagonal), p) \
+        == f"induced metric not positive definite at {p}"
 
 
 def test_ddvv_builds_one_point_pass_per_chunk(monkeypatch, capsys):
