@@ -200,10 +200,11 @@ class _PointPass(ClassicalContext):
     @jets.field
     def frame_chart(self):
         """Refuses at the first lane where det I is not finite, then where
-        it is <= 1e-12 m^3 for a mean diagonal m > 0 (at least 1e-100,
+        |det I| <= 1e-12 m^3 for a mean diagonal m > 0 (at least 1e-100,
         divided out three times), then where a leading minor of I is not
-        positive, then where x is off the ambient model by more than 1e-9;
-        so the Cholesky factor meets only positive pivots."""
+        positive (a det below -1e-12 m^3 among them), then where x is off
+        the ambient model by more than 1e-9; so the Cholesky factor meets
+        only positive pivots."""
         with np.errstate(over="ignore", invalid="ignore"):  # lanes as floats
             I = self.induced_metric
             det = jetalg.det3(I)
@@ -214,7 +215,7 @@ class _PointPass(ClassicalContext):
             off = self.spec.ambient.constraint_residual(self.x)
             causes = (  # (lanes that refuse, message, the value it names)
                 (~np.isfinite(det), "induced metric not finite at {p}", det),
-                ((m > 0.0) & (det / s / s / s <= 1e-12),
+                ((m > 0.0) & (np.abs(det / s / s / s) <= 1e-12),
                  "induced metric degenerate at {p} (det {v:.3e})", det),
                 (~np.asarray(minors),  # a lone point's bools: ~True is -2
                  "induced metric not positive definite at {p}", det),

@@ -34,7 +34,7 @@ from .classical import (LTOL, TOL, ClassicalContext, DDVVReport,
 from .errors import (InputError, InsufficientOrder, ParseError, Refusal,
                      SchemaError)
 from .ideal import (SQRT6, CanonicalFields, _package_invariants, hopf_verdict,
-                    theorem_b_verdict)
+                    probe_frame, theorem_b_verdict)
 from .immersion import parse_immersion, sample_points
 from .moebius import (JET_ORDER, IntegrabilityResiduals, MoebiusContext,
                       integrability_residuals, map_chunks, moebius_data)
@@ -132,15 +132,20 @@ def _run_ddvv(spec, pts, args, expected) -> RunResult:
     # the records read first and second partials only, so every order the
     # gate accepts gives the same numbers; they are computed at order 2,
     # from one chart jet, one point pass and one report call per chunk
-    def analyze(chunk, start):
+    def gated(chunk, start):
         ctx = ClassicalContext(spec, chunk, order=2)
         l = jets.first_lane(ctx.is_umbilic())
         if l is not None:
             refuse_umbilic(spec.name, f" at sample point {start + l}",
                            "the ideality defect vanishes identically there")
-        return ddvv_from_forms(*form_blocks(ctx), spec.ambient.c, tol=args.tol)
+        return ctx
 
-    records = _report_records(pts, map_chunks(analyze, pts))
+    def analyze(chunk, start):
+        return ddvv_from_forms(*form_blocks(gated(chunk, start)),
+                               spec.ambient.c, tol=args.tol)
+
+    records = _report_records(
+        pts, map_chunks(analyze, pts, lambda p: gated(p, 0)))
     slacks = [r["slack"] for r in records]
     aggregate = {
         "n_points": len(records),
@@ -186,17 +191,22 @@ def _analyze(spec, chunk, args) -> CanonicalFields:
 def _ideal_records(spec, pts, args, names=None):
     """The per-point loop of the invariant commands: records holding the
     named values (all of them by default), and the invariants they came
-    from.  The points run in chunks (map_chunks), each with the
-    torsion-positive sign rule, so a record depends only on its point and
-    not on sample order or chunking."""
+    from.  probe_frame decides point 0's refusal, then the points run in
+    chunks (map_chunks), each with the torsion-positive sign rule, so a
+    record depends only on its point and not on sample order or
+    chunking."""
     def analyze(chunk, _start):
         cf = _analyze(spec, chunk, args)
         return list(zip(np.ravel(cf.data.rho).tolist(),
                         _package_invariants(cf)))
 
+    def probe(p):
+        probe_frame(spec, p, ltol=args.ltol, tol=args.tol)
+
     records = []
     invs = []
-    for idx, (p, (rho, inv)) in enumerate(zip(pts, map_chunks(analyze, pts))):
+    results = map_chunks(analyze, pts, probe)
+    for idx, (p, (rho, inv)) in enumerate(zip(pts, results)):
         values = {
             "rho": float(rho),
             "mu": float(inv.mu),
@@ -299,7 +309,10 @@ def _run_residuals(spec, pts, args, expected) -> RunResult:
     def analyze(chunk, _start):
         return integrability_residuals(MoebiusContext(spec, chunk))
 
-    results = map_chunks(analyze, pts)
+    def probe(p):  # the gates of the lift: metric, normal frame, umbilic
+        ClassicalContext(spec, p, order=2).require_not_umbilic()
+
+    results = map_chunks(analyze, pts, probe)
     records = _report_records(pts, results)
     for rec, res in zip(records, results):
         rec["max"] = res.max_residual()

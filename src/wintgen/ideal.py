@@ -10,16 +10,19 @@ the frame built on floats.  Its connection forms are moebius.connection_forms
 of its chart components.  E3 is oriented at each point on its own, by the
 sign of the torsion L, and the verdicts are folds over the per-point
 invariants of a sample.  CanonicalFields takes a MoebiusContext, which fixes
-the points; it refuses at an umbilic, then a non-ideal point (the gates of
-classical.py), then where the torsion from the values of B, covB and the
-frame is at most ltol or its rounding floor, all before it snapshots the
-Moebius data.  Functions of one point take the context (invariants_uvlg) or
-the canonical fields (hat_frame, holomorphic_residual, structure_matrix);
-the verdicts take a chart and a sample, run in chunks (sample_invariants),
-and refuse an empty one.  Over a chunk, each gate runs once on lane masks
-and refuses at the first failing lane; what follows is computed once for
-the chunk with a leading lane axis, each lane summing as its point alone,
-and the kernel flip and the E3 sign are sign vectors on the jets.
+the points; its gates are frame_gates, the one implementation of each: it
+refuses at an umbilic, then a non-ideal point (the gates of classical.py),
+then where the torsion from the values of B, covB and the frame is at most
+ltol or its rounding floor, all before it snapshots the Moebius data.  They
+read third partials of the chart at most, so probe_frame decides them for
+point 0 on an order-3 context before a sample runs in chunks.  Functions of
+one point take the context (invariants_uvlg) or the canonical fields
+(hat_frame, holomorphic_residual, structure_matrix); the verdicts take a
+chart and a sample, run in chunks (sample_invariants), and refuse an empty
+one.  Over a chunk, each gate runs once on lane masks and refuses at the
+first failing lane; what follows is computed once for the chunk with a
+leading lane axis, each lane summing as its point alone, and the kernel
+flip and the E3 sign are sign vectors on the jets.
 """
 
 from __future__ import annotations
@@ -83,15 +86,18 @@ class CanonicalFields:
     jet fields.  The kernel plane (plane), the Moebius snapshot (data), the
     torsion, its floor and the integrable flags, and Rfv, E_chart, A_can
     and domega_values carry a leading lane axis (a point alone has none).
+    A chunk here is one of map_chunks, which probes point 0 alone first
+    (probe_frame), then runs every point, point 0 included, in chunks.
 
     Rf rows are the adapted tangent frame in components of the raw
     (Gram-Schmidt) frame; Qf columns express the adapted normal sphere pair
     through the raw one.  All component fields (b, c, connection and their
-    covariant derivatives) refer to this frame.  Construction refuses at an
-    umbilic point, then at a point that is not ideal within tol, both
-    decided on the point pass of ctx.classical, then where the torsion is
-    at most ltol or its rounding floor, unless partial: partial fields are
-    marked integrable and refuse at lamf instead.
+    covariant derivatives) refer to this frame.  Construction runs
+    frame_gates: it refuses at an umbilic point, then at a point that is
+    not ideal within tol, both decided on the point pass of ctx.classical,
+    then at the kernel plane, then where the torsion is at most ltol or its
+    rounding floor, unless partial: partial fields are marked integrable
+    and refuse at lamf instead.
     """
 
     def __init__(self, ctx: MoebiusContext, gauge: str = "raw", pregauge=None,
@@ -99,40 +105,21 @@ class CanonicalFields:
         if gauge not in ("raw", "V0"):
             raise ValueError(f"unknown gauge {gauge!r}")
         self.ctx, self.gauge, self.ltol = ctx, gauge, float(ltol)
-        cl, where = ctx.classical, [f" at {q}" for q in ctx.p]
-        cl.require_not_umbilic()
-        require_ideal(*form_blocks(cl), cl.spec.ambient.c, tol, where)
-
-        t = 0.0 if pregauge is None else float(pregauge)
-        M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
-                       [math.sin(t), math.cos(t), 0.0],
-                       [0.0, 0.0, 1.0]])
-        Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
-                       [math.sin(2 * t), math.cos(2 * t)]])
-        Bw = _pregauged(ctx.B, M0, Q0)
-        self.plane = plane = kernel_plane(jetalg.value_array(Bw), where)
-        rows, self.mu_field0 = turned_frame(Bw, plane)  # |z1|, invariant
-
+        M0, Q0, self.plane, rows, self.mu_field0, self.torsion, self.floor, \
+            self.integrable = frame_gates(ctx, pregauge, self.ltol, tol,
+                                          partial)
         # E3 sign: the torsion is positive (it is odd in E3); below the
         # cutoff it is undefined and E3 stays as the kernel sign left it
-        E = jetalg.value_array(rows) @ M0
-        tor = _oriented_torsion(ctx.covB_values, ctx.B_values,
-                                E[..., 0, :], E[..., 1, :], E[..., 2, :])
-        floor = TORSION_FLOOR * np.abs(np.stack(ctx.covB_terms, axis=-5)).max(
-            axis=(-5, -4, -3, -2, -1))
-        integrable = np.abs(tor) <= np.maximum(self.ltol, floor)
-        self.torsion, self.floor, self.integrable = tor, floor, integrable
-        if not partial:
-            self.require_torsion()
-        sign = np.where(~integrable & (tor < 0.0), -1.0, 1.0)[()]
+        sign = np.where(~self.integrable & (self.torsion < 0.0), -1.0,
+                        1.0)[()]
         rows[2] = [sign * c for c in rows[2]]
         self.data = moebius_data(ctx)
 
         self.Rf = [[sum_jets([R[k] * M0[k][j] for k in range(3)
                               if M0[k][j] != 0.0]) for j in range(3)]
                    for R in rows]
-        self.Qf = [[Q0[0][0], plane.flip * Q0[0][1]],
-                   [Q0[1][0], plane.flip * Q0[1][1]]]
+        flip = self.plane.flip
+        self.Qf = [[Q0[0][0], flip * Q0[0][1]], [Q0[1][0], flip * Q0[1][1]]]
 
         if gauge == "V0":
             self._apply_v0()
@@ -332,14 +319,8 @@ class CanonicalFields:
 
     def require_torsion(self):
         """The torsion gate, at the first point that fails it."""
-        l = jets.first_lane(self.integrable)
-        if l is not None:
-            tor, floor = (np.ravel(x)[l] for x in (self.torsion, self.floor))
-            cutoff = f"{self.ltol:g}" if abs(tor) <= self.ltol \
-                else f"its rounding floor {floor:.3e}"
-            raise IntegrableDistribution(
-                f"torsion {tor:.3e} below {cutoff} at {self.ctx.p[l]}: the "
-                "kernel distribution is integrable and the E3 sign is undefined")
+        _refuse_integrable(self.torsion, self.floor, self.integrable,
+                           self.ltol, self.ctx.p)
 
     @jets.field
     def lamf(self):
@@ -385,6 +366,68 @@ class CanonicalFields:
         mu = (bv[0, 0, 1] + bv[0, 1, 0] + bv[1, 0, 0] - bv[1, 1, 1]) / 4.0
         target = np.array(_pattern_matrices(0.0, 0.0, mu))
         return float(np.max(np.abs(bv - target)))
+
+
+# The jet order the gates of the adapted frame read: the torsion reads covB,
+# first partials of B, which reads second partials of the chart.
+GATE_ORDER = 3
+
+
+def frame_gates(ctx: MoebiusContext, pregauge=None, ltol: float = LTOL,
+                tol: float = TOL, partial: bool = False):
+    """The gates of the adapted frame at the points of ctx, in order, each
+    at its first failing lane: an umbilic point, then a point that is not
+    ideal within tol (both on the point pass of ctx.classical), then the
+    kernel plane, then a torsion at most ltol or its rounding floor, unless
+    partial.  They read the values of B, covB and the turned frame, so a
+    context of GATE_ORDER decides them as one of JET_ORDER does, bit for
+    bit.  Returns the pregauge rotations M0 and Q0, the kernel plane, the
+    turned rows and |z1| (jets, invariant), the torsion, its floor and the
+    integrable mask."""
+    cl, where = ctx.classical, [f" at {q}" for q in ctx.p]
+    cl.require_not_umbilic()
+    require_ideal(*form_blocks(cl), cl.spec.ambient.c, tol, where)
+
+    t = 0.0 if pregauge is None else float(pregauge)
+    M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
+                   [math.sin(t), math.cos(t), 0.0],
+                   [0.0, 0.0, 1.0]])
+    Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
+                   [math.sin(2 * t), math.cos(2 * t)]])
+    Bw = _pregauged(ctx.B, M0, Q0)
+    plane = kernel_plane(jetalg.value_array(Bw), where)
+    rows, mu0 = turned_frame(Bw, plane)
+
+    # the torsion on the turned rows, rotated back by the pregauge
+    E = jetalg.value_array(rows) @ M0
+    tor = _oriented_torsion(ctx.covB_values, ctx.B_values,
+                            E[..., 0, :], E[..., 1, :], E[..., 2, :])
+    floor = TORSION_FLOOR * np.abs(np.stack(ctx.covB_terms, axis=-5)).max(
+        axis=(-5, -4, -3, -2, -1))
+    integrable = np.abs(tor) <= np.maximum(ltol, floor)
+    if not partial:
+        _refuse_integrable(tor, floor, integrable, ltol, ctx.p)
+    return M0, Q0, plane, rows, mu0, tor, floor, integrable
+
+
+def _refuse_integrable(torsion, floor, integrable, ltol, pts) -> None:
+    """The torsion refusal, at the first point whose torsion is at most ltol
+    or its rounding floor; IntegrableDistribution is raised nowhere else."""
+    l = jets.first_lane(integrable)
+    if l is not None:
+        tor, floor = (np.ravel(x)[l] for x in (torsion, floor))
+        cutoff = f"{ltol:g}" if abs(tor) <= ltol \
+            else f"its rounding floor {floor:.3e}"
+        raise IntegrableDistribution(
+            f"torsion {tor:.3e} below {cutoff} at {pts[l]}: the "
+            "kernel distribution is integrable and the E3 sign is undefined")
+
+
+def probe_frame(spec: ImmersionSpec, p, ltol: float = LTOL,
+                tol: float = TOL) -> None:
+    """Point p's refusal by frame_gates, decided on one lane at GATE_ORDER:
+    the probe of map_chunks for the invariants."""
+    frame_gates(MoebiusContext(spec, p, order=GATE_ORDER), ltol=ltol, tol=tol)
 
 
 def sum_jets(terms):
@@ -457,7 +500,8 @@ def sample_invariants(spec: ImmersionSpec, sample, gauge: str = "raw",
     def analyze(chunk, _start):
         return _package_invariants(CanonicalFields(
             MoebiusContext(spec, chunk), gauge=gauge, ltol=ltol, tol=tol))
-    return map_chunks(analyze, sample)
+    return map_chunks(analyze, sample,
+                      lambda p: probe_frame(spec, p, ltol=ltol, tol=tol))
 
 
 def invariants_uvlg(ctx: MoebiusContext, gauge: str = "raw",

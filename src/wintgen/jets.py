@@ -15,12 +15,13 @@ MultiJet(order, coeffs) validates its input.
 
 Chunks.  Coefficients may carry a trailing lane axis, (ncoef, P), one lane per
 point of a chunk (moebius.map_chunks, the chunk loop of every analysis
-command, ddvv's order-2 chart jets included: the first point alone, then at
-most 20 points each, and a chunk that raises a package error again point by
-point); a point alone has 1-D coefficients.  A chunk's jets are built in its
-layout, constants included, and a lone point's jet and a chunk's do not mix:
-they, or a lone point's jet and a lane vector, raise TypeError (an order-3
-jet's 20 coefficients would broadcast silently against 20 lanes).  Floats,
+command, ddvv's order-2 chart jets included: a probe of point 0 alone, then
+chunks of at most 20 points from point 0, and a chunk that raises a package
+error again point by point); a point alone has 1-D coefficients.  A chunk's
+jets are built in its layout, constants included, and a lone point's jet
+and a chunk's do not mix: they, or a lone point's jet and a lane vector,
+raise TypeError (an order-3 jet's 20 coefficients would broadcast silently
+against 20 lanes).  Floats,
 and lane vectors (arrays (P,)) against a chunk's jet, act on every lane.  A
 product is one bincount over the slots s * P + lane, which sums each lane's
 pairs in one-point order, and division pivots and elementary series (math.*)

@@ -3,10 +3,12 @@ Lorentz R^7_1, the tensors A, B, C, connection forms, covariant derivatives,
 and the integrability residuals.
 
 Everything lives on the lanes of a chunk of points (map_chunks; one point
-is a chunk of one), as jets in a MoebiusContext, always built at JET_ORDER.
+is a chunk of one), as jets in a MoebiusContext, built at JET_ORDER (only
+the probe of the invariant commands builds one at order 3, for its gates).
 map_chunks is the chunk loop of every analysis command, ddvv's order-2
-ClassicalContexts included; it hands each chunk the sample index of its
-first point, which a refusal names.
+ClassicalContexts included: a probe decides point 0's refusal alone and
+cheaply, then the sample runs in full chunks from point 0; it hands each
+chunk the sample index of its first point, which a refusal names.
 The ambient model supplies the light-cone lift and its differential, so Y
 and the mean curvature spheres xi have one formula for the three space
 forms.  Functions of the points take the context:
@@ -113,11 +115,15 @@ def _sum_in_order(t, summed: int, kept: int):
 
 class MoebiusContext:
     """Lazy conformal-invariant jets at the points of a chunk (p a list of
-    points, or one point), at JET_ORDER; values carry a leading lane axis."""
+    points, or one point), at JET_ORDER; values carry a leading lane axis.
+    A lower order serves only the values that read fewer partials: the
+    gates of ideal.frame_gates read third partials of the chart, and an
+    order-3 context gives them bit for bit, since a jet product's low
+    coefficients sum the same pairs in the same order at any order."""
 
-    def __init__(self, spec: ImmersionSpec, p):
+    def __init__(self, spec: ImmersionSpec, p, order: int = JET_ORDER):
         self.spec = spec
-        self.classical = ClassicalContext(spec, p, order=JET_ORDER)
+        self.classical = ClassicalContext(spec, p, order=order)
         self.p = self.classical.p
 
     # -- lift and metric ------------------------------------------------------
@@ -441,19 +447,23 @@ class MoebiusContext:
 CHUNK_POINTS = 20
 
 
-def map_chunks(analyze, pts) -> list:
+def map_chunks(analyze, pts, probe) -> list:
     """analyze's results over a sample, one per point, in order;
     analyze(chunk, start) maps a chunk (a list of points) to one result per
     point, where start is the sample index of the chunk's first point, so a
-    refusal can name its point's index.  The first point runs alone, so a
-    chart that refuses everywhere costs one point, then chunks of at most
-    CHUNK_POINTS; a chunk that raises a WintgenError (a refusal, an input
-    error, or a chunk whose points disagree) runs again point by point, so
-    the first failing point raises its own error.  Any other exception
-    propagates from the chunk: it is a fault, not a property of a point."""
-    bounds = sorted({0, len(pts), *range(1, len(pts), CHUNK_POINTS)})
+    refusal can name its point's index.  probe(pts[0]) runs first and
+    raises point 0's refusal, on one lane at the lowest jet order its gates
+    read, so a chart that refuses everywhere costs one cheap point.  Then
+    the sample runs in chunks of CHUNK_POINTS from point 0; a chunk that
+    raises a WintgenError (a refusal, an input error, or a chunk whose
+    points disagree) runs again point by point, so the first failing point
+    raises its own error.  Any other exception propagates from the chunk: it
+    is a fault, not a property of a point."""
+    if len(pts):
+        probe(pts[0])
     out = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo in range(0, len(pts), CHUNK_POINTS):
+        hi = min(lo + CHUNK_POINTS, len(pts))
         try:
             out += analyze(list(pts[lo:hi]), lo)
         except WintgenError:  # alone, the first failing point raises its own

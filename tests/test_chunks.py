@@ -12,8 +12,9 @@ import json
 import numpy as np
 import pytest
 
-from wintgen import classical, cli, gallery, ideal, jets, moebius
-from wintgen.errors import WintgenError
+from wintgen import (classical, cli, gallery, ideal, immersion, jetalg, jets,
+                     moebius)
+from wintgen.errors import EvalError, WintgenError
 from wintgen.immersion import sample_points
 
 IDEAL_CHARTS = ["so3", "veronese-hopf", "hopf-generic"]
@@ -71,8 +72,8 @@ def test_each_lane_is_its_point_alone_at_any_lane_count(name, partial, gauge):
                            dataclasses.astuple(got))), where
 
 
-def test_chunks_take_the_first_point_alone_then_at_most_chunk_points():
-    sizes, starts = [], []
+def test_chunks_probe_the_first_point_then_run_chunk_points_from_it():
+    probed, sizes, starts = [], [], []
 
     def analyze(chunk, start):
         sizes.append(len(chunk))
@@ -80,9 +81,23 @@ def test_chunks_take_the_first_point_alone_then_at_most_chunk_points():
         return chunk
 
     pts = list(range(45))
-    assert moebius.map_chunks(analyze, pts) == pts
-    assert sizes == [1, 20, 20, 4]
-    assert starts == [0, 1, 21, 41]
+    assert moebius.map_chunks(analyze, pts, probed.append) == pts
+    assert probed == [0]
+    assert sizes == [20, 20, 5]
+    assert starts == [0, 20, 40]
+
+
+def test_a_refusing_probe_runs_no_chunk_and_an_empty_sample_no_probe():
+    calls = []
+
+    def refuse(p):
+        raise WintgenError(f"point {p}")
+
+    with pytest.raises(WintgenError, match="point 0"):
+        moebius.map_chunks(lambda chunk, start: calls.append(start), [0, 1],
+                           refuse)
+    assert calls == []
+    assert moebius.map_chunks(None, [], refuse) == []
 
 
 def _failing_at_3_and_5(error, calls):
@@ -94,13 +109,17 @@ def _failing_at_3_and_5(error, calls):
     return analyze
 
 
+def _passing_probe(p):
+    return None
+
+
 def test_a_failing_chunk_runs_again_point_by_point():
     calls = []
     with pytest.raises(WintgenError, match="point 3"):
         moebius.map_chunks(_failing_at_3_and_5(WintgenError, calls),
-                           list("abc") + list(range(3, 8)))
-    assert calls == [(["a"], 0), (["b", "c", 3, 4, 5, 6, 7], 1), (["b"], 1),
-                     (["c"], 2), ([3], 3)]
+                           list("abc") + list(range(3, 8)), _passing_probe)
+    assert calls == [(["a", "b", "c", 3, 4, 5, 6, 7], 0), (["a"], 0),
+                     (["b"], 1), (["c"], 2), ([3], 3)]
 
 
 def test_a_fault_in_a_chunk_propagates_without_a_rerun():
@@ -108,16 +127,17 @@ def test_a_fault_in_a_chunk_propagates_without_a_rerun():
     calls = []
     with pytest.raises(ValueError, match="point 3"):
         moebius.map_chunks(_failing_at_3_and_5(ValueError, calls),
-                           list("abc") + list(range(3, 8)))
-    assert calls == [(["a"], 0), (["b", "c", 3, 4, 5, 6, 7], 1)]
+                           list("abc") + list(range(3, 8)), _passing_probe)
+    assert calls == [(["a", "b", "c", 3, 4, 5, 6, 7], 0)]
 
 
 # so3 with a factor sqrt(u1 - 1) / sqrt(u1 - 1): an input error (exit 2)
 # where u1 < 1; and so3 with x1 bent by 0.2 (a + |a|), a = u1 - 3: off the
 # sphere, so not immersed in it (exit 3), where u1 > 3.  At the seeds below
-# the first point passes and the first failure falls inside the second chunk
-# (index 11 and index 3).  so3 with (x1, x2) turned by the angle 0.2 (a + |a|)
-# stays on the sphere, and is not ideal where u1 > 3 (index 3 again).
+# point 0 passes its probe and the first failure falls inside the first
+# chunk of 20 points (index 11 and index 3).  so3 with (x1, x2) turned by the
+# angle 0.2 (a + |a|) stays on the sphere, and is not ideal where u1 > 3
+# (index 3 again).
 _SO3 = gallery.by_name("so3").expression_text
 _CUT = ("x1 = (", "x1 = sqrt(u1 - 1) / sqrt(u1 - 1) * (")
 _BENT = ("x1 = (", "x1 = 0.2 * (u1 - 3 + sqrt((u1 - 3)^2)) + (")
@@ -267,7 +287,7 @@ def test_no_multi_point_chunk_falls_back(capsys, monkeypatch, tmp_path):
     sizes, raised = [], []
     run = moebius.map_chunks
 
-    def guarded(analyze, pts):
+    def guarded(analyze, pts, probe):
         def analyze_chunk(chunk, start):
             sizes.append(len(chunk))
             try:
@@ -275,7 +295,7 @@ def test_no_multi_point_chunk_falls_back(capsys, monkeypatch, tmp_path):
             except Exception:
                 raised.append(len(chunk))
                 raise
-        return run(analyze_chunk, pts)
+        return run(analyze_chunk, pts, probe)
 
     monkeypatch.setattr(cli, "map_chunks", guarded)
     monkeypatch.chdir(tmp_path)
@@ -288,7 +308,7 @@ def test_no_multi_point_chunk_falls_back(capsys, monkeypatch, tmp_path):
             cli.main([command, *source, "--points", "5"])
             assert max(raised, default=1) == 1, (command, source)
     capsys.readouterr()
-    assert set(sizes) == {1, 4}
+    assert set(sizes) == {5}  # a refusal at point 0 is the probe's
 
 
 @pytest.mark.parametrize("name", [e.name for e in gallery.all_entries()])
@@ -316,7 +336,7 @@ def test_ddvv_records_are_the_one_point_reports(capsys, name):
 
 def test_a_refusal_names_its_sample_index_in_a_later_chunk(
         capsys, monkeypatch):
-    # umbilic at sample point 27 (the third chunk's seventh lane), whether
+    # umbilic at sample point 27 (the second chunk's eighth lane), whether
     # the chunk refuses itself or reruns point by point
     spec = gallery.by_name("so3").spec
     target = tuple(sample_points(spec.domain, 41, 0)[27])
@@ -327,7 +347,7 @@ def test_a_refusal_names_its_sample_index_in_a_later_chunk(
         return mask | np.reshape([q == target for q in self.p], np.shape(mask))
 
     monkeypatch.setattr(classical.ClassicalContext, "is_umbilic", marked)
-    chunk_alone = lambda analyze, pts: analyze(pts[21:41], 21)
+    chunk_alone = lambda analyze, pts, probe: analyze(pts[20:40], 20)
     for chunks in (moebius.map_chunks, chunk_alone):
         monkeypatch.setattr(cli, "map_chunks", chunks)
         assert cli.main(["ddvv", "--example", "so3", "--points", "41"]) == 3
@@ -365,11 +385,11 @@ def test_products_grow_with_chunks_not_points(capsys, monkeypatch):
 
 
 def test_values_are_computed_once_per_chunk(capsys, monkeypatch):
-    # 20 points run as the first point alone and one chunk of 19: one
-    # kernel-plane SVD per chunk for the invariants, and one run of the
-    # residual identities (five einsum calls) per chunk for the residuals
-    # (20 SVDs when each point ran its own value code, and 100 einsum calls
-    # when each point ran its own residuals)
+    # 20 points run as one chunk after point 0's probe: one kernel-plane
+    # SVD for the invariants' probe and one for the chunk, and one run of
+    # the residual identities (five einsum calls) for the residuals, whose
+    # probe reads no residual (20 SVDs when each point ran its own value
+    # code, and 100 einsum calls when each point ran its own residuals)
     calls = {"svd": 0, "einsum": 0}
 
     def counted(key, fn):
@@ -384,20 +404,127 @@ def test_values_are_computed_once_per_chunk(capsys, monkeypatch):
     assert calls == {"svd": 2, "einsum": 0}
     assert cli.main(["residuals", "--example", "so3", "--points", "20"]) == 0
     capsys.readouterr()
-    assert calls == {"svd": 2, "einsum": 10}
+    assert calls == {"svd": 2, "einsum": 5}
 
 
-def test_ddvv_evaluates_the_chart_once_per_chunk(capsys, monkeypatch):
-    # 20 points run as the first point alone and one chunk of 19: two
-    # order-2 chart evaluations (20 when each point built its own context)
-    orders = []
+def _chart_evaluations(monkeypatch):
+    """(order, lane count) of each chart evaluation that classical makes."""
+    evaluations = []
     evaluate = classical.eval_immersion_jet
 
     def counted(spec, p, order):
-        orders.append(order)
+        evaluations.append((order, len(jets.points(p))))
         return evaluate(spec, p, order)
 
     monkeypatch.setattr(classical, "eval_immersion_jet", counted)
+    return evaluations
+
+
+def test_ddvv_evaluates_the_chart_once_per_chunk(capsys, monkeypatch):
+    # 20 points: the probe's one lane at order 2, then one chunk of 20 at
+    # order 2 (20 evaluations when each point built its own context)
+    evaluations = _chart_evaluations(monkeypatch)
     assert cli.main(["ddvv", "--example", "so3", "--points", "20"]) == 0
     capsys.readouterr()
-    assert orders == [2, 2]
+    assert evaluations == [(2, 1), (2, 20)]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("invariants", "cone-veronese"), ("invariants", "umbilic-control"),
+    ("invariants", "generic-control"), ("ddvv", "umbilic-control")])
+def test_a_refusal_at_point_0_evaluates_one_low_order_lane(
+        capsys, monkeypatch, command, name):
+    evaluations = _chart_evaluations(monkeypatch)
+    assert cli.main([command, "--example", name, "--points", "20"]) == 3
+    capsys.readouterr()
+    assert len(evaluations) == 1
+    order, lanes = evaluations[0]
+    assert lanes == 1 and order <= 3, evaluations
+
+
+@pytest.mark.parametrize("command, probe_order", [
+    ("invariants", 3), ("theorem-b", 3), ("hopf-check", 3), ("residuals", 2)])
+def test_a_passing_sample_builds_one_order_5_chunk(
+        capsys, monkeypatch, command, probe_order):
+    evaluations = _chart_evaluations(monkeypatch)
+    assert cli.main([command, "--example", "so3", "--points", "20"]) == 0
+    capsys.readouterr()
+    assert evaluations == [(probe_order, 1), (moebius.JET_ORDER, 20)]
+
+
+# the gallery charts whose forms the probe reads at point 0 (umbilic-control
+# refuses there on the point pass, before any of these values)
+PROBED_CHARTS = ["so3", "veronese-hopf", "hopf-generic", "cone-veronese",
+                 "generic-control"]
+GATE_VALUES = ("B_values", "covB_values", "covB_terms", "theta12_values",
+               "omega_values", "EC_values")
+
+
+@pytest.mark.parametrize("name", PROBED_CHARTS)
+def test_gate_values_at_order_3_equal_order_5_bit_for_bit(name):
+    # a jet product's low coefficients sum the same pairs in the same order
+    # at any order, so the probe's order-3 context decides as order 5 would
+    spec = gallery.by_name(name).spec
+    for seed in range(4):
+        chunk = sample_points(spec.domain, moebius.CHUNK_POINTS, seed)
+        for p in (chunk, chunk[0], chunk[13]):  # 20 lanes, and one
+            where = (seed, len(jets.points(p)))
+            low, full = (moebius.MoebiusContext(spec, p, order=k)
+                         for k in (ideal.GATE_ORDER, moebius.JET_ORDER))
+            for attr in GATE_VALUES:
+                got, want = getattr(low, attr), getattr(full, attr)
+                if attr == "covB_terms":
+                    got, want = np.stack(got), np.stack(want)
+                assert np.array_equal(got, want), (where, attr)
+            if name == "generic-control":
+                continue  # not ideal: the frame gates refuse at once
+            partial = name == "cone-veronese"  # integrable: no refusal
+            got, want = (list(map(_gate_values, ideal.frame_gates(
+                ctx, partial=partial))) for ctx in (low, full))
+            for k, (x, y) in enumerate(zip(got, want)):
+                assert all(map(np.array_equal, x, y)), (where, k)
+
+
+def _gate_values(out):
+    """The values of one output of ideal.frame_gates, as a list of arrays:
+    a kernel plane's fields, the values of jets, or the array itself."""
+    if dataclasses.is_dataclass(out):
+        return [getattr(out, f.name) for f in dataclasses.fields(out)]
+    if isinstance(out, (list, jets.MultiJet)):
+        return [jetalg.value_array(out)]
+    return [out]
+
+
+# x4 = 1e-70 sin(1e70 u1) has finite jets up to order 4, but its order-5
+# coefficient overflows, and its second partial of 1e70 makes no point ideal
+FAST_WAVE = """\
+name: fast-wave
+ambient: euclidean
+domain: u1 in [0.2,0.9]; u2 in [0.2,0.9]; u3 in [0.2,0.9]
+x1 = u1
+x2 = u2
+x3 = u3
+x4 = 1e-70 * sin(1e70 * u1)
+x5 = u1 * u2
+"""
+
+
+def test_a_probe_refusal_comes_before_an_order_5_evaluation_error(
+        capsys, monkeypatch, tmp_path):
+    # the one place the probe changes a document: point 0 refuses on its
+    # order-3 gates, where evaluating it alone at order 5 (as the analysis
+    # does) raises EvalError first; residuals' probe passes, so its chunk
+    # still raises EvalError, rerun at point 0 alone
+    spec = immersion.parse_immersion(FAST_WAVE)
+    p0 = sample_points(spec.domain, 3, 0)[0]
+    immersion.eval_immersion_jet(spec, p0, ideal.GATE_ORDER)
+    with pytest.raises(EvalError, match="component x4 is not finite"):
+        immersion.eval_immersion_jet(spec, p0, moebius.JET_ORDER)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wave.imm").write_text(FAST_WAVE)
+    for command, code, kind in (("invariants", 3, "NotIdealPoint"),
+                                ("residuals", 2, "EvalError")):
+        assert cli.main([command, "--spec", "wave.imm", "--points", "3"]) \
+            == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.get("refusal", doc.get("error"))["kind"] == kind, command

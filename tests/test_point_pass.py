@@ -211,20 +211,18 @@ def test_the_leading_minors_refuse_exactly_where_a_cholesky_pivot_fails():
 
     alone = [_metric_outcome(G, p) for G, p in zip(grams, pts)]
     assert all(out == "ok" for out in alone[400:])
-    # the determinant test refuses first (det < 0 reads as degenerate)
-    kept = [k for k, out in enumerate(alone) if "degenerate" not in out]
-    pivots = {k: _cholesky_pivots_positive(grams[k]) for k in kept}
+    pivots = [_cholesky_pivots_positive(G) for G in grams]
     refusal = "induced metric not positive definite at {}"
-    for k in kept:
-        assert alone[k] == ("ok" if pivots[k] else refusal.format(pts[k]))
-    assert 50 < sum(pivots.values()) < len(kept) - 50
+    for k, out in enumerate(alone):
+        assert out == ("ok" if pivots[k] else refusal.format(pts[k])), k
+    assert 50 < sum(pivots) < len(grams) - 50
 
     # a chunk refuses at its first lane with a pivot that is not positive
-    for lo in range(0, len(kept), 7):
-        lanes = kept[lo:lo + 7]
-        want = next((alone[k] for k in lanes if not pivots[k]), "ok")
-        assert _metric_outcome([grams[k] for k in lanes],
-                               [pts[k] for k in lanes]) == want, lo
+    for lo in range(0, len(grams), 7):
+        want = next((out for out, ok in zip(alone[lo:lo + 7],
+                                            pivots[lo:lo + 7]) if not ok),
+                    "ok")
+        assert _metric_outcome(grams[lo:lo + 7], pts[lo:lo + 7]) == want, lo
 
 
 @pytest.mark.parametrize("diagonal", [(1.0, 1.0, -3.0), (1.0, -1.0, 0.0)])
@@ -233,6 +231,19 @@ def test_a_metric_with_a_mean_diagonal_at_most_zero_is_not_definite(diagonal):
     p = (0.5, 0.5, 0.5)
     assert _metric_outcome(np.diag(diagonal), p) \
         == f"induced metric not positive definite at {p}"
+
+
+@pytest.mark.parametrize("diagonal, cause", [
+    ((-1.0, 4.0, 4.0), "not positive definite"),
+    ((4.0, 4.0, -1e-6), "not positive definite"),
+    ((1.0, 1.0, 1e-14), "degenerate"),
+    ((1.0, 1.0, -1e-14), "degenerate")])
+def test_a_negative_determinant_is_degenerate_only_near_zero(diagonal, cause):
+    # with a positive mean diagonal m, det I < -1e-12 m^3 is no small
+    # determinant: the metric is indefinite
+    p = (0.5, 0.5, 0.5)
+    assert _metric_outcome(np.diag(diagonal), p).startswith(
+        f"induced metric {cause} at {p}")
 
 
 def test_ddvv_builds_one_point_pass_per_chunk(monkeypatch, capsys):
@@ -246,7 +257,7 @@ def test_ddvv_builds_one_point_pass_per_chunk(monkeypatch, capsys):
     monkeypatch.setattr(classical._PointPass, "__init__", counted)
     assert main(["ddvv", "--example", "so3", "--points", "20"]) == 0
     capsys.readouterr()
-    assert built == [1, 19]  # the first point alone, then one chunk
+    assert built == [1, 20]  # point 0's probe, then one chunk from point 0
 
 
 class _Products:
