@@ -48,14 +48,6 @@ SQRT6 = math.sqrt(6.0)
 TORSION_FLOOR = 128 * np.finfo(float).eps
 
 
-def _sum9(x):
-    """The sum of a 3x3 block [..., 3, 3] in the pairwise order np.sum
-    takes for nine contiguous terms."""
-    t = [x[..., k // 3, k % 3] for k in range(9)]
-    return 0.0 + ((((t[0] + t[1]) + (t[2] + t[3]))
-                   + ((t[4] + t[5]) + (t[6] + t[7]))) + t[8])
-
-
 def _oriented_torsion(covB, Bv, E1, E2, E3):
     """The kernel-direction torsion scalar, computed gauge-independently:
     (3/2) sum_r tr((nabla_{E3} B^r)^T J B^r) with J the rotation by +pi/2
@@ -65,8 +57,8 @@ def _oriented_torsion(covB, Bv, E1, E2, E3):
     J = E2[..., :, None] * E1[..., None, :] - E1[..., :, None] * E2[..., None, :]
     d3B = [jetalg.mat_vec(covB[..., r, :, :, :], E3[..., None, :])
            for r in range(2)]
-    return 1.5 * (_sum9(d3B[0] * (J @ Bv[..., 0, :, :]))
-                  + _sum9(d3B[1] * (J @ Bv[..., 1, :, :])))
+    return 1.5 * ((d3B[0] * (J @ Bv[..., 0, :, :])).sum(axis=(-2, -1))
+                  + (d3B[1] * (J @ Bv[..., 1, :, :])).sum(axis=(-2, -1)))
 
 
 def _pregauged(B, M0, Q0):

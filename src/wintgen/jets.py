@@ -165,19 +165,24 @@ class MultiJet:
 
     # -- basics --------------------------------------------------------------
 
-    @property
-    def value(self):
-        v = self.c[0]  # a lane vector for a chunk's jet
+    def _lanes_of(self, k: int):
+        """Coefficient k: a float for a point alone, a lane vector for a
+        chunk's jet."""
+        v = self.c[k]
         return float(v) if v.ndim == 0 else v.copy()
 
-    def coeff(self, alpha) -> float:
-        """Normalized coefficient T_alpha."""
+    @property
+    def value(self):
+        return self._lanes_of(0)
+
+    def coeff(self, alpha):
+        """Normalized coefficient T_alpha (one value per lane, as value)."""
         a = tuple(int(k) for k in alpha)
         if len(a) != NVARS or min(a) < 0:
             raise OrderError(f"bad multi-index {alpha!r}")
         if sum(a) > self.order:
             raise OrderError(f"multi-index {a} exceeds jet order {self.order}")
-        return float(self.c[_positions(self.order)[a]])
+        return self._lanes_of(_positions(self.order)[a])
 
     def truncate(self, order: int) -> "MultiJet":
         if order == self.order:
@@ -426,8 +431,9 @@ def low_partials(x: MultiJet):
     return c[0], c[1:1 + NVARS], d2
 
 
-def extract_derivative(a: MultiJet, alpha) -> float:
-    """Raw partial derivative d^alpha f at the basepoint (coefficient times alpha!)."""
+def extract_derivative(a: MultiJet, alpha):
+    """Raw partial derivative d^alpha f at the basepoint (coefficient times
+    alpha!), one value per lane, as MultiJet.coeff."""
     t = tuple(int(k) for k in alpha)
     fac = 1.0
     for k in t:

@@ -19,9 +19,9 @@ from the values and first partials of the jets it derives from, not built as
 a jet field: E_i of a field (Y_i, E_i(N)), theta_12, the connection forms
 omega of the frame E, the Blaschke tensor via dN, the Riemann tensor of g,
 and the covariant derivatives of B, C and A.  These are computed once per
-chunk, with a leading lane axis; each sums in a fixed order (np.matmul
-stacked over the lanes, one BLAS call per lane, or terms added one after
-another), so a lane rounds as its point alone.  Only the
+chunk, with a leading lane axis; each contraction is one np.einsum or a
+stacked np.matmul over the lane axis, and the tier-1 lane tests check that
+each lane equals its point alone bit for bit.  Only the
 Ricci tensor, and with it the Gauss-route A, stays a jet field, because
 derivatives of A are read.
 connection_forms is the one construction of a frame's connection forms as
@@ -103,14 +103,6 @@ def d_form_values(chart_form) -> np.ndarray:
     its chart components (3 jets)."""
     g = jetalg.gradients(chart_form)  # g[b][a] = d phi_b / du_a
     return np.swapaxes(g, -1, -2) - g
-
-
-def _sum_in_order(t, summed: int, kept: int):
-    """t [..., summed axes, kept axes] summed over the summed axes, one term
-    after another in C order from zero: a fixed order."""
-    lead, out = t.shape[:t.ndim - summed - kept], t.shape[t.ndim - kept:]
-    s = np.add.accumulate(t.reshape(lead + (-1,) + out), axis=len(lead))
-    return 0.0 + s.take(-1, axis=len(lead))
 
 
 class MoebiusContext:
@@ -314,21 +306,13 @@ class MoebiusContext:
         G = jetalg.value_array(self.Gamma)  # G[..., d, a, e] = Gamma^d_ae
         dG = jetalg.gradients(self.Gamma)  # dG[..., d, b, c, a] = d_a Gamma^d_bc
         # R(d_a, d_b) d_c = R^d_cab d_d, antisymmetrized in (a, b) at the end
-        R = np.moveaxis(dG, -3, -1) + sum(  # Gamma^d_ae Gamma^e_bc over e
-            G[..., :, None, :, None, e]
-            * np.swapaxes(G[..., e, :, :], -1, -2)[..., None, :, None, :]
-            for e in range(3))
+        R = np.moveaxis(dG, -3, -1) + np.einsum(  # Gamma^d_ae Gamma^e_bc
+            "...dae,...ebc->...dcab", G, G)
         R = R - np.swapaxes(R, -1, -2)
-        Et = np.swapaxes(self.EC_values, -1, -2)  # Et[..., a, i] = E_i^a
-        # low[k] = E_k lowered by g (pairs with E_k); lowt[..., d, k] = low_k^d
-        lowt = np.swapaxes(self.EC_values @ jetalg.value_array(self.g), -1, -2)
-        # the terms ((((E_i^a E_j^b) low_k^d) E_l^c) R^d_cab) over the axes
-        # (d, c, a, b, i, j, k, l), summed over (d, c, a, b) in that order
-        t = Et[..., :, None, :, None] * Et[..., None, :, None, :]
-        t = t[..., None, :, :, :, :, None] * lowt[..., :, None, None, None, None, :]
-        t = t[..., :, None, :, :, :, :, :, None] \
-            * Et[..., None, :, None, None, None, None, None, :]
-        return _sum_in_order(t * R[..., None, None, None, None], 4, 4)
+        E = self.EC_values
+        low = E @ jetalg.value_array(self.g)  # low[k] pairs with E_k
+        return np.einsum("...ia,...jb,...kd,...lc,...dcab->...ijkl",
+                         E, E, low, E, R)
 
     @jets.field
     def ricci(self):
@@ -379,17 +363,10 @@ class MoebiusContext:
         g(nabla_{E_k} E_i, E_j), so exactly antisymmetric."""
         E = self.EC_values
         G = jetalg.value_array(self.Gamma)  # G[..., a, b, c] = Gamma^a_bc
-        # D[..., i, a, b]: chart component a of nabla_{d/du_b} E_i, with
-        # Gamma^a_bc E_i^c summed over c = 0, 2, then 1
-        GE = [G[..., None, :, :, c] * E[..., :, c, None, None] for c in range(3)]
-        D = jetalg.gradients(self.EC) + (0.0 + ((GE[0] + GE[2]) + GE[1]))
+        # D[..., i, a, b]: chart component a of nabla_{d/du_b} E_i
+        D = jetalg.gradients(self.EC) + np.einsum("...abc,...ic->...iab", G, E)
         low = E @ jetalg.value_array(self.g)  # low[j] pairs with E_j
-        # X[i, j, k] = sum over (a, b), in that order, of
-        # (E_k^b D[i, a, b]) low[j, a]; the terms on the axes (a, b, i, j, k)
-        t = np.swapaxes(E, -1, -2)[..., None, :, None, None, :] \
-            * np.moveaxis(D, -3, -1)[..., :, :, :, None, None]
-        X = _sum_in_order(
-            t * np.swapaxes(low, -1, -2)[..., :, None, None, :, None], 2, 3)
+        X = np.einsum("...kb,...iab,...ja->...ijk", E, D, low)
         return 0.5 * (X - np.swapaxes(X, -2, -3))
 
     def _cov2_terms(self, T):
@@ -402,10 +379,8 @@ class MoebiusContext:
         E = E.reshape(E.shape[:-2] + pad + (1, 3, 3))
         om = om.reshape(om.shape[:-3] + pad + om.shape[-3:])
         return [jetalg.gradients(T) @ np.swapaxes(E, -1, -2),
-                sum(T0[..., :, l, None, None] * om[..., l, None, :, :]
-                    for l in range(3)),
-                sum(T0[..., None, l, :, None] * om[..., l, :, None, :]
-                    for l in range(3))]
+                np.einsum("...il,...ljk->...ijk", T0, om),
+                np.einsum("...lj,...lik->...ijk", T0, om)]
 
     @jets.field
     def covB_terms(self):
@@ -428,8 +403,7 @@ class MoebiusContext:
         C, om = self.C_values, self.omega_values
         out = jetalg.gradients(self.C) \
             @ np.swapaxes(self.EC_values, -1, -2)[..., None, :, :]
-        out += sum(C[..., :, k, None, None] * om[..., None, k, :, :]
-                   for k in range(3))
+        out += np.einsum("...rk,...kij->...rij", C, om)
         th = self.theta12_values[..., None, :]
         out[..., 0, :, :] -= C[..., 1, :, None] * th
         out[..., 1, :, :] += C[..., 0, :, None] * th

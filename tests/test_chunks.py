@@ -18,6 +18,9 @@ from wintgen.errors import EvalError, WintgenError
 from wintgen.immersion import sample_points
 
 IDEAL_CHARTS = ["so3", "veronese-hopf", "hopf-generic"]
+# the contracted value fields of a MoebiusContext
+VALUE_FIELDS = ["riemann_values", "omega_values", "covB_values",
+                "covC_values", "covA_values"]
 
 
 @pytest.mark.parametrize("name", IDEAL_CHARTS)
@@ -39,8 +42,10 @@ def test_a_record_depends_only_on_its_point(name):
     *((name, False) for name in IDEAL_CHARTS),
     ("cone-veronese", True)])  # integrable lanes
 def test_each_lane_is_its_point_alone_at_any_lane_count(name, partial, gauge):
-    # the values after the gates (kernel plane, torsion, snapshot,
-    # residuals) sum in a fixed order, whatever the number of lanes
+    # the values after the gates (value fields, kernel plane, torsion,
+    # snapshot, residuals) contract by np.einsum or stacked np.matmul over
+    # the lane axis; numpy's loop order, not the code, keeps each lane's
+    # sums those of its point alone, so every entry is compared bit for bit
     spec = gallery.by_name(name).spec
     for n in (2, 7, 20):
         chunk = sample_points(spec.domain, n, 5)
@@ -53,6 +58,11 @@ def test_each_lane_is_its_point_alone_at_any_lane_count(name, partial, gauge):
             alone_ctx = moebius.MoebiusContext(spec, chunk[k])
             alone = ideal.CanonicalFields(alone_ctx, gauge=gauge,
                                           partial=partial)
+            for value_field in VALUE_FIELDS:  # bits, so the sign of 0 too
+                got = getattr(ctx, value_field)[k]
+                want = getattr(alone_ctx, value_field)
+                assert got.shape == want.shape \
+                    and got.tobytes() == want.tobytes(), (where, value_field)
             for part in ("data", "plane"):
                 got, want = getattr(cf, part), getattr(alone, part)
                 for f in dataclasses.fields(want):
@@ -385,26 +395,31 @@ def test_products_grow_with_chunks_not_points(capsys, monkeypatch):
 
 
 def test_values_are_computed_once_per_chunk(capsys, monkeypatch):
-    # 20 points run as one chunk after point 0's probe: one kernel-plane
-    # SVD for the invariants' probe and one for the chunk, and one run of
-    # the residual identities (five einsum calls) for the residuals, whose
-    # probe reads no residual (20 SVDs when each point ran its own value
-    # code, and 100 einsum calls when each point ran its own residuals)
-    calls = {"svd": 0, "einsum": 0}
+    # 2 and 20 points both run as point 0's probe plus one chunk, so the
+    # value code (kernel-plane SVDs, the einsum contractions of the value
+    # fields and of the residual identities) runs as often at 20 points as
+    # at 2; each point running its own value code would scale with points
+    def counts(command, points):
+        calls = {"svd": 0, "einsum": 0}
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
-    assert cli.main(["invariants", "--example", "so3", "--points", "20"]) == 0
-    assert calls == {"svd": 2, "einsum": 0}
-    assert cli.main(["residuals", "--example", "so3", "--points", "20"]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+            m.setattr(np, "einsum", counted("einsum", np.einsum))
+            assert cli.main([command, "--example", "so3", "--points",
+                             str(points)]) == 0
+        return calls
+
+    for command in ("invariants", "residuals"):
+        at_2 = counts(command, 2)
+        assert at_2["einsum"] > 0, command
+        assert counts(command, 20) == at_2, command
     capsys.readouterr()
-    assert calls == {"svd": 2, "einsum": 5}
 
 
 def _chart_evaluations(monkeypatch):

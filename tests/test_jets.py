@@ -528,6 +528,21 @@ def test_each_lane_of_a_chunk_jet_is_the_one_point_jet(case):
             assert _same([x[l] for x in chunk], _partials(_one(a, l)))
 
 
+def test_coefficients_of_a_chunk_jet_are_read_per_lane():
+    u = np.array([0.1, 0.2, -0.3])
+    x = jets.jet_seed(1, u, 3)
+    cube = x * x * x
+    for alpha in [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]:
+        got = cube.coeff(alpha)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert _same(got, [_one(cube, l).coeff(alpha) for l in range(3)])
+        assert _same(jets.extract_derivative(cube, alpha),
+                     [jets.extract_derivative(_one(cube, l), alpha)
+                      for l in range(3)])
+    assert _same(jets.extract_derivative(cube, (2, 0, 0)), 6.0 * u)
+    assert isinstance(_one(cube, 0).coeff((1, 0, 0)), float)
+
+
 @pytest.mark.parametrize("order, lanes", [(3, 20), (2, 10)])
 def test_a_lone_points_jet_and_a_chunks_do_not_mix(order, lanes):
     # ncoef(order) == lanes, so numpy alone would broadcast these silently
