@@ -131,21 +131,18 @@ def _report_records(pts, reports) -> list[dict]:
 def _run_ddvv(spec, pts, args, expected) -> RunResult:
     # the records read first and second partials only, so every order the
     # gate accepts gives the same numbers; they are computed at order 2,
-    # from one chart jet, one point pass and one report call per chunk
-    def gated(chunk, start):
+    # from one chart jet, one point pass and one report call per chunk, with
+    # no probe: the first chunk's lane 0 decides point 0 as cheaply
+    def analyze(chunk, start):
         ctx = ClassicalContext(spec, chunk, order=2)
         l = jets.first_lane(ctx.is_umbilic())
         if l is not None:
             refuse_umbilic(spec.name, f" at sample point {start + l}",
                            "the ideality defect vanishes identically there")
-        return ctx
+        return ddvv_from_forms(*form_blocks(ctx), spec.ambient.c,
+                               tol=args.tol)
 
-    def analyze(chunk, start):
-        return ddvv_from_forms(*form_blocks(gated(chunk, start)),
-                               spec.ambient.c, tol=args.tol)
-
-    records = _report_records(
-        pts, map_chunks(analyze, pts, lambda p: gated(p, 0)))
+    records = _report_records(pts, map_chunks(analyze, pts))
     slacks = [r["slack"] for r in records]
     aggregate = {
         "n_points": len(records),
@@ -191,9 +188,10 @@ def _analyze(spec, chunk, args) -> CanonicalFields:
 def _ideal_records(spec, pts, args, names=None):
     """The per-point loop of the invariant commands: records holding the
     named values (all of them by default), and the invariants they came
-    from.  probe_frame decides point 0's refusal, then the points run in
-    chunks (map_chunks), each with the torsion-positive sign rule, so a
-    record depends only on its point and not on sample order or
+    from.  The points run in chunks (map_chunks), each with the
+    torsion-positive sign rule, and probe_frame decides the refusal of
+    point 0 up front and of a point that fails alone, so a record or a
+    refusal depends only on its point and not on sample order or
     chunking."""
     def analyze(chunk, _start):
         cf = _analyze(spec, chunk, args)

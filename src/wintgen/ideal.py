@@ -14,8 +14,9 @@ the points; its gates are frame_gates, the one implementation of each: it
 refuses at an umbilic, then a non-ideal point (the gates of classical.py),
 then where the torsion from the values of B, covB and the frame is at most
 ltol or its rounding floor, all before it snapshots the Moebius data.  They
-read third partials of the chart at most, so probe_frame decides them for
-point 0 on an order-3 context before a sample runs in chunks.  Functions of
+read third partials of the chart at most, so probe_frame decides them on
+an order-3 context: for point 0 before a sample runs in chunks, and for a
+point that fails alone after its chunk failed.  Functions of
 one point take the context (invariants_uvlg) or the canonical fields
 (hat_frame, holomorphic_residual, structure_matrix); the verdicts take a
 chart and a sample, run in chunks (sample_invariants), and refuse an empty
@@ -78,8 +79,9 @@ class CanonicalFields:
     jet fields.  The kernel plane (plane), the Moebius snapshot (data), the
     torsion, its floor and the integrable flags, and Rfv, E_chart, A_can
     and domega_values carry a leading lane axis (a point alone has none).
-    A chunk here is one of map_chunks, which probes point 0 alone first
-    (probe_frame), then runs every point, point 0 included, in chunks.
+    A chunk here is one of map_chunks, which runs every point in chunks
+    from point 0; probe_frame decides point 0 up front, and a point that
+    fails alone after its chunk failed.
 
     Rf rows are the adapted tangent frame in components of the raw
     (Gram-Schmidt) frame; Qf columns express the adapted normal sphere pair
@@ -418,7 +420,8 @@ def _refuse_integrable(torsion, floor, integrable, ltol, pts) -> None:
 def probe_frame(spec: ImmersionSpec, p, ltol: float = LTOL,
                 tol: float = TOL) -> None:
     """Point p's refusal by frame_gates, decided on one lane at GATE_ORDER:
-    the probe of map_chunks for the invariants."""
+    the probe of map_chunks for the invariants, run on point 0 up front and
+    on a point that fails alone."""
     frame_gates(MoebiusContext(spec, p, order=GATE_ORDER), ltol=ltol, tol=tol)
 
 

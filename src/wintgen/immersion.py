@@ -146,30 +146,40 @@ class Neg(Expr):
         return f"-({self.arg.text()})"
 
 
-class Bin(Expr):
-    __slots__ = ("op", "left", "right")
+class Chain(Expr):
+    """A left-to-right chain of + and - (or of * and /): first, then each
+    (op, operand) of rest in turn, so that a long sum costs no Python frame
+    per term.  It evaluates and prints as the nested binary tree
+    ((first op1 x1) op2 x2)..."""
+    __slots__ = ("first", "rest")
 
-    def __init__(self, op: str, left: Expr, right: Expr):
-        self.op = op
-        self.left = left
-        self.right = right
+    def __init__(self, first: Expr, rest: list):
+        self.first = first
+        self.rest = rest
 
     def eval(self, u):
-        a = self.left.eval(u)
-        b = self.right.eval(u)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        try:
-            return a / b
-        except (ZeroDivisionError, SingularJet):
-            raise EvalError(f"division by zero in '{self.text()}'")
+        acc = self.first.eval(u)
+        for k, (op, e) in enumerate(self.rest):
+            b = e.eval(u)
+            if op == "+":
+                acc = acc + b
+            elif op == "-":
+                acc = acc - b
+            elif op == "*":
+                acc = acc * b
+            else:
+                try:
+                    acc = acc / b
+                except (ZeroDivisionError, SingularJet):
+                    raise EvalError(
+                        f"division by zero in '{self.text(k + 1)}'")
+        return acc
 
-    def text(self):
-        return f"({self.left.text()} {self.op} {self.right.text()})"
+    def text(self, steps: int | None = None):
+        """The text of the chain, or of its first steps operations."""
+        rest = self.rest[:steps]
+        return "(" * len(rest) + self.first.text() + "".join(
+            f" {op} {e.text()})" for op, e in rest)
 
 
 class Pow(Expr):
@@ -240,11 +250,18 @@ _VARS = {"u1": 0, "u2": 1, "u3": 2}
 _INT_RE = re.compile(r"^\d+$")
 
 
+# The deepest nesting of parentheses, calls, unary minus signs and exponent
+# chains that an expression may have: parsing, evaluating and printing each
+# recurse once or a few times per level.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, line: int):
         self.toks = tokens
         self.i = 0
         self.line = line
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -269,25 +286,35 @@ class _Parser:
             raise ParseError(f"unexpected token {t[1]!r}", self.line, t[2])
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while (t := self.peek()) and t[0] == "op" and t[1] in "+-":
-            self.next()
-            e = Bin(t[1], e, self.term())
+    def nested(self, t, parse):
+        """parse() one level of nesting deeper, opened by the token t."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} "
+                             "levels", self.line, t[2])
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
         return e
 
-    def term(self) -> Expr:
-        e = self.factor()
-        while (t := self.peek()) and t[0] == "op" and t[1] in "*/":
+    def chain(self, operand, ops: str) -> Expr:
+        first = operand()
+        rest = []
+        while (t := self.peek()) and t[0] == "op" and t[1] in ops:
             self.next()
-            e = Bin(t[1], e, self.factor())
-        return e
+            rest.append((t[1], operand()))
+        return Chain(first, rest) if rest else first
+
+    def expr(self) -> Expr:
+        return self.chain(self.term, "+-")
+
+    def term(self) -> Expr:
+        return self.chain(self.factor, "*/")
 
     def factor(self) -> Expr:
         t = self.peek()
         if t and t[0] == "op" and t[1] == "-":
             self.next()
-            return Neg(self.factor())
+            return Neg(self.nested(t, self.factor))
         return self.power()
 
     def power(self) -> Expr:
@@ -312,7 +339,7 @@ class _Parser:
         nxt = self.peek()
         if nxt and nxt[0] == "op" and nxt[1] == "^":
             self.next()
-            val = val ** self.int_exponent()
+            val = val ** self.nested(nxt, self.int_exponent)
         if abs(val) > 1000:
             raise ParseError(f"exponent {sign * val} out of supported range", self.line, t[2])
         return sign * val
@@ -329,12 +356,12 @@ class _Parser:
                 return Pi()
             if name in _FUNCS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(t, self.expr)
                 self.expect_op(")")
                 return Call(name, arg)
             raise UnknownIdentifier(f"unknown identifier {name!r}", self.line, t[2])
         if t[0] == "op" and t[1] == "(":
-            e = self.expr()
+            e = self.nested(t, self.expr)
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected token {t[1]!r}", self.line, t[2])

@@ -15,9 +15,10 @@ MultiJet(order, coeffs) validates its input.
 
 Chunks.  Coefficients may carry a trailing lane axis, (ncoef, P), one lane per
 point of a chunk (moebius.map_chunks, the chunk loop of every analysis
-command, ddvv's order-2 chart jets included: a probe of point 0 alone, then
-chunks of at most 20 points from point 0, and a chunk that raises a package
-error again point by point); a point alone has 1-D coefficients.  A chunk's
+command, ddvv's order-2 chart jets included: chunks of at most 20 points
+from point 0, a chunk that raises a package error again point by point, and
+a point that fails alone, or point 0 up front, on a one-lane probe, except
+in ddvv, which has none); a point alone has 1-D coefficients.  A chunk's
 jets are built in its layout, constants included, and a lone point's jet
 and a chunk's do not mix: they, or a lone point's jet and a lane vector,
 raise TypeError (an order-3 jet's 20 coefficients would broadcast silently
@@ -491,9 +492,11 @@ def sqrt(x):
     return np.sqrt(x) if lanes else math.sqrt(x)
 
 
-def value_of(x) -> float:
-    """Constant term of a jet, or the float itself."""
-    return x.value if isinstance(x, MultiJet) else float(x)
+def value_of(x):
+    """Constant term of a jet, or the float or lane vector itself."""
+    if isinstance(x, MultiJet):
+        return x.value
+    return x if np.ndim(x) else float(x)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ Everything lives on the lanes of a chunk of points (map_chunks; one point
 is a chunk of one), as jets in a MoebiusContext, built at JET_ORDER (only
 the probe of the invariant commands builds one at order 3, for its gates).
 map_chunks is the chunk loop of every analysis command, ddvv's order-2
-ClassicalContexts included: a probe decides point 0's refusal alone and
-cheaply, then the sample runs in full chunks from point 0; it hands each
-chunk the sample index of its first point, which a refusal names.
+ClassicalContexts included, with one rule for every point: the sample runs
+in full chunks from point 0, a chunk that fails reruns its points alone,
+and a point that fails alone reports as a sample of one, its probe's
+refusal first (ddvv has no probe); it hands each chunk the sample index of
+its first point, which a refusal names.
 The ambient model supplies the light-cone lift and its differential, so Y
 and the mean curvature spheres xi have one formula for the three space
 forms.  Functions of the points take the context:
@@ -416,35 +418,40 @@ class MoebiusContext:
         return grad + om1 + om2
 
 
-# The most points in a chunk: per point, an order-5 jet product costs twice
-# as much at 40 lanes as at 20.
+# The most points in a chunk.  It bounds peak memory and the points that a
+# failing chunk reruns alone, not time: larger chunks run faster end to end
+# (invariants on hopf-generic, 2-vCPU Xeon: 100 points take 127.9 ms in
+# chunks of 20 and 73.0 ms in one chunk; 200 points peak at 33.5 MB RSS in
+# chunks of 20 and 47.5 MB in one chunk).
 CHUNK_POINTS = 20
 
 
-def map_chunks(analyze, pts, probe) -> list:
+def map_chunks(analyze, pts, probe=None) -> list:
     """analyze's results over a sample, one per point, in order;
     analyze(chunk, start) maps a chunk (a list of points) to one result per
     point, where start is the sample index of the chunk's first point, so a
-    refusal can name its point's index.  probe(pts[0]) runs first and
-    raises point 0's refusal, on one lane at the lowest jet order its gates
-    read, so a chart that refuses everywhere costs one cheap point.  Then
-    the sample runs in chunks of CHUNK_POINTS from point 0; a chunk that
-    raises a WintgenError (a refusal, an input error, or a chunk whose
-    points disagree) runs again point by point, so the first failing point
-    raises its own error.  Any other exception propagates from the chunk: it
-    is a fault, not a property of a point."""
-    if len(pts):
+    refusal can name its point's index.  The sample runs in chunks of
+    CHUNK_POINTS from point 0.  A chunk that raises a WintgenError reruns
+    its points alone; a point that raises alone runs probe (if given) before
+    its error propagates, so it reports as a sample of one: the probe's
+    refusal, else its own error.  probe(pts[0]) also runs first, so that a
+    chart refusing everywhere costs one cheap lane.  Any other exception
+    propagates from the chunk: it is a fault, not a property of a point."""
+    if probe is not None and len(pts):
         probe(pts[0])
     out = []
     for lo in range(0, len(pts), CHUNK_POINTS):
-        hi = min(lo + CHUNK_POINTS, len(pts))
+        chunk = list(pts[lo:lo + CHUNK_POINTS])
         try:
-            out += analyze(list(pts[lo:hi]), lo)
-        except WintgenError:  # alone, the first failing point raises its own
-            if hi - lo == 1:
-                raise
-            for idx in range(lo, hi):
-                out += analyze([pts[idx]], idx)
+            out += analyze(chunk, lo)
+        except WintgenError:
+            for idx, p in enumerate(chunk, lo):
+                try:
+                    out += analyze([p], idx)
+                except WintgenError:
+                    if probe is not None:
+                        probe(p)
+                    raise
     return out
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from wintgen import (classical, cli, gallery, ideal, immersion, jetalg, jets,
                      moebius)
-from wintgen.errors import EvalError, WintgenError
+from wintgen.errors import EvalError, Refusal, WintgenError
 from wintgen.immersion import sample_points
 
 IDEAL_CHARTS = ["so3", "veronese-hopf", "hopf-generic"]
@@ -130,6 +130,24 @@ def test_a_failing_chunk_runs_again_point_by_point():
                            list("abc") + list(range(3, 8)), _passing_probe)
     assert calls == [(["a", "b", "c", 3, 4, 5, 6, 7], 0), (["a"], 0),
                      (["b"], 1), (["c"], 2), ([3], 3)]
+
+
+def test_a_failing_point_reports_its_probes_refusal_as_a_sample_of_one():
+    # the probe refuses point 3, and any chunk holding 3 fails another way:
+    # point 3 reports the probe's refusal wherever it sits in the sample
+    def probe(p):
+        if p == 3:
+            raise Refusal("the probe refuses point 3")
+
+    def analyze(chunk, start):
+        if 3 in chunk:
+            raise EvalError("the chunk fails at point 3")
+        return chunk
+
+    for pts in (list(range(6)), [3]):
+        with pytest.raises(Refusal, match="probe refuses point 3"):
+            moebius.map_chunks(analyze, pts, probe)
+    assert moebius.map_chunks(analyze, [0, 1, 2], probe) == [0, 1, 2]
 
 
 def test_a_fault_in_a_chunk_propagates_without_a_rerun():
@@ -282,6 +300,33 @@ def test_ddvv_gives_the_one_point_document_across_chunks(
         == PINNED["ddvv", file, seed, points]
 
 
+# so3 on u1 in [2.0, 3.14], with 1e-300 exp(10000 (u1 - 3)) added to x1:
+# near u1 = 3.07 x1 leaves the sphere by about 1e-6, which the probe's
+# order-3 gates refuse, while the order-5 jet of exp overflows, an input
+# error; at seed 100 the first such point is sample point 16
+BLOWUP = _SO3.replace("u1 in [0.05,6.2]", "u1 in [2.0,3.14]").replace(
+    "x1 = (", "x1 = 1e-300 * exp(10000 * (u1 - 3.0)) + (")
+
+
+@pytest.mark.parametrize("command", ["invariants", "residuals"])
+def test_a_point_inside_a_chunk_gives_its_one_point_refusal(
+        capsys, monkeypatch, tmp_path, command):
+    spec = immersion.parse_immersion(BLOWUP)
+    p = sample_points(spec.domain, 20, 100)[16]
+    with pytest.raises(EvalError, match="not finite"):
+        immersion.eval_immersion_jet(spec, [p], moebius.JET_ORDER)
+    with pytest.raises(Refusal) as alone:
+        ideal.sample_invariants(spec, [p])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blowup.imm").write_text(BLOWUP)
+    code = cli.main([command, "--spec", "blowup.imm", "--points", "20",
+                     "--seed", "100"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["refusal"] == {"kind": type(alone.value).__name__,
+                              "message": str(alone.value)}
+
+
 @pytest.mark.parametrize("command", ["ddvv", "residuals"])
 @pytest.mark.parametrize("points", [1, 2, 5, 21])
 def test_constant_components_take_the_chunks_layout(
@@ -293,11 +338,12 @@ def test_constant_components_take_the_chunks_layout(
 
 def test_no_multi_point_chunk_falls_back(capsys, monkeypatch, tmp_path):
     # a chunk that raises runs again point by point: the same document, but
-    # a silent slowdown where every point passes alone
+    # a silent slowdown where every point passes alone; so a chunk of
+    # several points raises only in a call that ends refused or failed
     sizes, raised = [], []
     run = moebius.map_chunks
 
-    def guarded(analyze, pts, probe):
+    def guarded(analyze, pts, probe=None):
         def analyze_chunk(chunk, start):
             sizes.append(len(chunk))
             try:
@@ -315,10 +361,14 @@ def test_no_multi_point_chunk_falls_back(capsys, monkeypatch, tmp_path):
     for command in ("ddvv", "invariants", "theorem-b", "hopf-check",
                     "residuals"):
         for source in sources:
-            cli.main([command, *source, "--points", "5"])
-            assert max(raised, default=1) == 1, (command, source)
+            sizes.clear()
+            raised.clear()
+            code = cli.main([command, *source, "--points", "5"])
+            if code == 0:
+                assert raised == [] and sizes == [5], (command, source)
+            else:  # refused at point 0: by the probe, or by ddvv's chunk
+                assert set(sizes) <= {5, 1}, (command, source)
     capsys.readouterr()
-    assert set(sizes) == {5}  # a refusal at point 0 is the probe's
 
 
 @pytest.mark.parametrize("name", [e.name for e in gallery.all_entries()])
@@ -357,7 +407,7 @@ def test_a_refusal_names_its_sample_index_in_a_later_chunk(
         return mask | np.reshape([q == target for q in self.p], np.shape(mask))
 
     monkeypatch.setattr(classical.ClassicalContext, "is_umbilic", marked)
-    chunk_alone = lambda analyze, pts, probe: analyze(pts[20:40], 20)
+    chunk_alone = lambda analyze, pts, probe=None: analyze(pts[20:40], 20)
     for chunks in (moebius.map_chunks, chunk_alone):
         monkeypatch.setattr(cli, "map_chunks", chunks)
         assert cli.main(["ddvv", "--example", "so3", "--points", "41"]) == 3
@@ -436,17 +486,17 @@ def _chart_evaluations(monkeypatch):
 
 
 def test_ddvv_evaluates_the_chart_once_per_chunk(capsys, monkeypatch):
-    # 20 points: the probe's one lane at order 2, then one chunk of 20 at
-    # order 2 (20 evaluations when each point built its own context)
+    # 20 points: one chunk of 20 at order 2, with no probe (20 evaluations
+    # when each point built its own context)
     evaluations = _chart_evaluations(monkeypatch)
     assert cli.main(["ddvv", "--example", "so3", "--points", "20"]) == 0
     capsys.readouterr()
-    assert evaluations == [(2, 1), (2, 20)]
+    assert evaluations == [(2, 20)]
 
 
 @pytest.mark.parametrize("command, name", [
     ("invariants", "cone-veronese"), ("invariants", "umbilic-control"),
-    ("invariants", "generic-control"), ("ddvv", "umbilic-control")])
+    ("invariants", "generic-control")])  # ddvv has no probe
 def test_a_refusal_at_point_0_evaluates_one_low_order_lane(
         capsys, monkeypatch, command, name):
     evaluations = _chart_evaluations(monkeypatch)

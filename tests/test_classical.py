@@ -342,3 +342,12 @@ def test_half_angle():
         rotated = complex(ct, st) ** 2 * z
         assert rotated.real == pytest.approx(0.0, abs=1e-12)
         assert rotated.imag == pytest.approx(abs(z), rel=1e-12)
+
+
+def test_half_angle_picks_its_branch_per_lane():
+    # lane vectors take each lane's branch: the float call, lane by lane
+    c2 = np.array([0.6, -0.8, 0.0, -1.0, 1.0])
+    s2 = np.array([0.8, 0.6, -1.0, 0.0, 0.0])
+    ct, st = half_angle(c2, s2)
+    for k in range(len(c2)):
+        assert (ct[k], st[k]) == half_angle(float(c2[k]), float(s2[k])), k

@@ -1,10 +1,13 @@
 """Parser, evaluation, and sampling."""
 
+import json
+
 import pytest
 
+from wintgen import cli, gallery
 from wintgen.errors import (EvalError, ParseError, SchemaError,
                             UnknownIdentifier)
-from wintgen.immersion import (SPHERE, eval_immersion_jet,
+from wintgen.immersion import (MAX_NESTING, SPHERE, eval_immersion_jet,
                                eval_immersion_values, parse_expression,
                                parse_immersion, sample_points)
 from wintgen.jets import jet_seed
@@ -96,6 +99,85 @@ def test_eval_jets_great_circle():
 
     js5 = eval_immersion_jet(spec, (0.1, 0.2, 0.3), 5)
     assert len(js5) == 6 and all(len(j.c) == 56 for j in js5)
+
+
+# expressions nested one level past the bound, and the column of the token
+# that opens that level
+TOO_DEEP = {
+    "parentheses": ("(" * 400 + "u1" + ")" * 400, MAX_NESTING + 1),
+    "unary minus": ("-" * 1200 + "u1", MAX_NESTING + 1),
+    "calls": ("sin(" * 150 + "u1" + ")" * 150, 4 * MAX_NESTING + 1),
+    "exponent chain": ("u1" + "^1" * 150, 2 * MAX_NESTING + 5),
+}
+
+
+@pytest.mark.parametrize("case", list(TOO_DEEP))
+def test_nesting_past_the_bound_is_a_parse_error(case):
+    text, col = TOO_DEEP[case]
+    with pytest.raises(ParseError, match="nested deeper than") as err:
+        parse_expression(text, line=7)
+    assert (err.value.line, err.value.col) == (7, col)
+
+
+def test_nesting_at_the_bound_parses_and_evaluates():
+    n = MAX_NESTING
+    for text, value in (("(" * n + "u1" + ")" * n, 2.0),
+                        ("-" * n + "u1", 2.0),
+                        ("sqrt(" * n + "u1" + ")" * n, 2.0 ** 0.5 ** n),
+                        ("u1" + "^1" * (n + 1), 2.0)):
+        e = parse_expression(text)
+        assert e.eval([2.0, 0.0, 0.0]) == pytest.approx(value, rel=1e-15)
+        assert e.text()
+
+
+def test_a_long_sum_is_one_flat_chain():
+    # 3000 terms: no Python frame per term in parsing, evaluating or
+    # printing, and the text and values of the nested left-to-right tree
+    e = parse_expression("+".join(["u1"] * 3000))
+    assert e.eval([1.0, 0.0, 0.0]) == 3000.0
+    assert e.eval([jet_seed(1, 0.5, 2), 0.0, 0.0]).value == 1500.0
+    assert e.text() == "(" * 2999 + "u1" + " + u1)" * 2999
+    # a division by zero names the chain up to the failing operation
+    e = parse_expression("u1 * 2 / (u1 - 1) / 3")
+    with pytest.raises(EvalError) as err:
+        e.eval([1.0, 0.0, 0.0])
+    assert str(err.value) == \
+        "division by zero in '((u1 * 2.0) / (u1 - 1.0))'"
+
+
+def _so3_with_x1(capsys, monkeypatch, tmp_path, wrap):
+    """(exit code, document) of ddvv on the so3 text form, x1 rewritten by
+    wrap."""
+    lines = gallery.by_name("so3").expression_text.splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("x1 = "))
+    lines[k] = "x1 = " + wrap(lines[k][len("x1 = "):])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "so3.imm").write_text("\n".join(lines) + "\n")
+    code = cli.main(["ddvv", "--spec", "so3.imm", "--points", "3"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda x1: "(" * 400 + x1 + ")" * 400,
+    lambda x1: "-" * 1200 + x1,
+], ids=["parentheses", "unary minus"])
+def test_a_deep_expression_is_an_input_error_at_the_command_line(
+        capsys, monkeypatch, tmp_path, wrap):
+    code, doc = _so3_with_x1(capsys, monkeypatch, tmp_path, wrap)
+    assert code == 2
+    assert doc["error"]["kind"] == "ParseError"
+    assert "nested deeper than" in doc["error"]["message"]
+    assert doc["error"]["col"] == MAX_NESTING + 1
+    assert doc["error"]["line"] == next(
+        i for i, line in enumerate(
+            gallery.by_name("so3").expression_text.splitlines(), 1)
+        if line.startswith("x1 = "))
+
+
+def test_a_long_sum_runs_at_the_command_line(capsys, monkeypatch, tmp_path):
+    code, doc = _so3_with_x1(capsys, monkeypatch, tmp_path,
+                             lambda x1: "0*u1+" * 3000 + x1)
+    assert code == 0 and doc["aggregate"]["all_ideal"]
 
 
 def test_eval_outside_domain():

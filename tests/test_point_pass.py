@@ -257,7 +257,7 @@ def test_ddvv_builds_one_point_pass_per_chunk(monkeypatch, capsys):
     monkeypatch.setattr(classical._PointPass, "__init__", counted)
     assert main(["ddvv", "--example", "so3", "--points", "20"]) == 0
     capsys.readouterr()
-    assert built == [1, 20]  # point 0's probe, then one chunk from point 0
+    assert built == [20]  # one chunk from point 0, with no probe
 
 
 class _Products:

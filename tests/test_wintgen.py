@@ -136,6 +136,20 @@ def test_turned_frame_values_are_the_float_run(name, t):
         assert jets.value_of(az) == az_v
 
 
+@pytest.mark.parametrize("name", TWISTED)
+def test_turned_frame_on_lane_values_is_the_float_run_per_lane(name):
+    # the forms' values at several points, with a trailing lane axis: each
+    # lane of the frame and of |z_1| is that point's float run, bit for bit
+    Bv = np.array([jetalg.values(context(name, p).B)
+                   for p in plan_points(name, 5)])
+    rows, az = turned_frame(np.moveaxis(Bv, 0, -1), kernel_plane(Bv))
+    for k, B in enumerate(Bv):
+        rows_k, az_k = turned_frame(B, kernel_plane(B))
+        assert [[v[k] for v in r] for r in rows] == \
+            [[float(v) for v in r] for r in rows_k], k
+        assert az[k] == az_k, k
+
+
 # each swaps two chart variables, so each reverses the chart's orientation
 SWAPS = [(1, 0, 2), (2, 1, 0), (0, 2, 1)]
 
