@@ -9,12 +9,14 @@ digits and the document depends only on the argument vector, so identical
 invocations produce byte-identical output; wall-clock timing goes to
 standard error.  Exit codes: 0 success, 1 an --assert-expected check
 failed, 2 unusable input (an errors.InputError, a file that cannot be read
-or an unknown example), 3 geometric refusal (an errors.Refusal).
+or written, or an unknown example), 3 geometric refusal (an
+errors.Refusal).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -75,12 +77,31 @@ def _jdump(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(doc: dict, json_path: str | None) -> None:
-    text = _jdump(doc) + "\n"
-    sys.stdout.write(text)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
+def _write_json(path: str | None, text: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit(head: dict, body: dict, json_path: str | None, table) -> bool:
+    """Print the document head + body, after writing the --csv table (path,
+    header and records, or None) and the --json file.  A write that fails
+    makes the run an input error: its document is printed instead, and the
+    --json file holds it where that can be written.  Returns whether the
+    files were written."""
+    text = _jdump({**head, **body}) + "\n"
+    try:
+        if table is not None:
+            _write_csv(*table)
+        _write_json(json_path, text)
+        written = True
+    except OSError as exc:
+        text = _jdump({**head, "error": _error_fields(exc)}) + "\n"
+        with contextlib.suppress(OSError):
+            _write_json(json_path, text)
+        written = False
+    sys.stdout.write(text)
+    return written
 
 
 def _cell(v) -> str:
@@ -131,8 +152,8 @@ def _report_records(pts, reports) -> list[dict]:
 def _run_ddvv(spec, pts, args, expected) -> RunResult:
     # the records read first and second partials only, so every order the
     # gate accepts gives the same numbers; they are computed at order 2,
-    # from one chart jet, one point pass and one report call per chunk, with
-    # no probe: the first chunk's lane 0 decides point 0 as cheaply
+    # from one chart jet, one point pass and one report call per chunk of
+    # map_chunks
     def analyze(chunk, start):
         ctx = ClassicalContext(spec, chunk, order=2)
         l = jets.first_lane(ctx.is_umbilic())
@@ -188,9 +209,8 @@ def _analyze(spec, chunk, args) -> CanonicalFields:
 def _ideal_records(spec, pts, args, names=None):
     """The per-point loop of the invariant commands: records holding the
     named values (all of them by default), and the invariants they came
-    from.  The points run in chunks (map_chunks), each with the
-    torsion-positive sign rule, and probe_frame decides the refusal of
-    point 0 up front and of a point that fails alone, so a record or a
+    from.  The points run through map_chunks with probe_frame as its
+    probe, each with the torsion-positive sign rule, so a record or a
     refusal depends only on its point and not on sample order or
     chunking."""
     def analyze(chunk, _start):
@@ -430,9 +450,10 @@ def _check_request(args) -> None:
 
 
 def _analysis_command(args):
-    """Exit code, document body after the header, and CSV header and rows
-    (None for a refusal, which keeps source and parameters) of an analysis
-    run.  Input errors propagate to main."""
+    """Exit code, document body after the header, and the --csv table:
+    path, header and rows (None without --csv, and for a refusal, which
+    keeps source and parameters) of an analysis run.  Input errors
+    propagate to main."""
     spec, expected, source = _load_source(args)
     if args.points < 1:
         raise SchemaError("--points must be >= 1")
@@ -470,7 +491,9 @@ def _analysis_command(args):
                           "failures": result.failures}
     code = EXIT_ASSERT if args.assert_expected and result.failures \
         else EXIT_OK
-    return code, body, (result.csv_header, result.records)
+    table = (args.csv, result.csv_header, result.records) if args.csv \
+        else None
+    return code, body, table
 
 
 def _gallery_entries() -> list[dict]:
@@ -516,10 +539,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except (InputError, OSError, KeyError) as exc:
         code, body = EXIT_INPUT, {"error": _error_fields(exc)}
-    _emit({"schema": 1, "tool": {"name": "wintgen", "version": __version__},
-           "command": _command_named(argv), **body}, json_path)
-    if table is not None and args.csv:
-        _write_csv(args.csv, *table)
+    if not _emit({"schema": 1,
+                  "tool": {"name": "wintgen", "version": __version__},
+                  "command": _command_named(argv)}, body, json_path, table):
+        code = EXIT_INPUT
     print(f"# elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 

@@ -7,6 +7,7 @@ its expected numbers come from as mathematical facts about the example.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -73,6 +74,7 @@ def _so3_evaluator(u):
     return [v * (1.0 / SQRT2) for v in col1 + col2]
 
 
+@functools.cache
 def so3_example() -> GalleryEntry:
     """Homogeneous orbit of SO(3) acting on pairs of orthonormal vectors.
 
@@ -186,10 +188,12 @@ def hopf_lift_curve(polys=VERONESE_CURVE, name="veronese-hopf",
                   plan_seed=plan_seed)
 
 
+@functools.cache
 def veronese_hopf_example() -> GalleryEntry:
     return hopf_lift_curve(expression_text=_VERONESE_HOPF_TEXT)
 
 
+@functools.cache
 def hopf_generic_example() -> GalleryEntry:
     """Hopf lift of the cubic curve z -> (1, z, z^3): same qualitative
     behavior as the default lift but with non-constant conformal factor, so
@@ -226,6 +230,7 @@ def _cone_evaluator(u):
     return [t * s for s in sigma]
 
 
+@functools.cache
 def cone_over_veronese() -> GalleryEntry:
     """Euclidean cone over the quadratic minimal surface in S^4.
 
@@ -262,6 +267,7 @@ def _umbilic_evaluator(u):
     return [sr * w[0], sr * w[1], sr * w[2], sr * w[3], cr, 0.0]
 
 
+@functools.cache
 def umbilic_control() -> GalleryEntry:
     spec = ImmersionSpec(ambient=SPHERE, name="umbilic-control",
                          domain=((0.4, 2.7), (0.4, 2.7), (0.05, 6.2)),
@@ -295,6 +301,7 @@ def _generic_evaluator(u):
     return [v * inv for v in y]
 
 
+@functools.cache
 def generic_control() -> GalleryEntry:
     spec = ImmersionSpec(ambient=SPHERE, name="generic-control",
                          domain=((0.3, 6.0), (0.3, 6.0), (0.3, 6.0)),
@@ -306,7 +313,8 @@ def generic_control() -> GalleryEntry:
 
 
 # ---------------------------------------------------------------------------
-# registry: each entry is built on request, with its sample plan
+# registry: each entry is built once per process, on first request, with
+# its sample plan; nothing mutates an entry, so callers share it
 
 _CONSTRUCTORS = {
     "so3": so3_example,

@@ -12,18 +12,18 @@ sign of the torsion L, and the verdicts are folds over the per-point
 invariants of a sample.  CanonicalFields takes a MoebiusContext, which fixes
 the points; its gates are frame_gates, the one implementation of each: it
 refuses at an umbilic, then a non-ideal point (the gates of classical.py),
-then where the torsion from the values of B, covB and the frame is at most
-ltol or its rounding floor, all before it snapshots the Moebius data.  They
-read third partials of the chart at most, so probe_frame decides them on
-an order-3 context: for point 0 before a sample runs in chunks, and for a
-point that fails alone after its chunk failed.  Functions of
-one point take the context (invariants_uvlg) or the canonical fields
-(hat_frame, holomorphic_residual, structure_matrix); the verdicts take a
-chart and a sample, run in chunks (sample_invariants), and refuse an empty
-one.  Over a chunk, each gate runs once on lane masks and refuses at the
-first failing lane; what follows is computed once for the chunk with a
-leading lane axis, each lane summing as its point alone, and the kernel
-flip and the E3 sign are sign vectors on the jets.
+then where the torsion from the values of B, covB and the kernel line is at
+most ltol or its rounding floor, all before it builds the turned frame or
+snapshots the Moebius data.  They read third partials of the chart at most,
+so probe_frame, the probe the invariants hand to map_chunks, decides them
+on an order-3 context.  Functions of one point take the context
+(invariants_uvlg) or the canonical fields (hat_frame, holomorphic_residual,
+structure_matrix); the verdicts take a chart and a sample, run through
+map_chunks (sample_invariants), and refuse an empty one.  Over a chunk,
+each gate runs once on lane masks and refuses at the first failing lane;
+what follows is computed once for the chunk with a leading lane axis, each
+lane summing as its point alone, and the kernel flip and the E3 sign are
+sign vectors on the jets.
 """
 
 from __future__ import annotations
@@ -49,17 +49,19 @@ SQRT6 = math.sqrt(6.0)
 TORSION_FLOOR = 128 * np.finfo(float).eps
 
 
-def _oriented_torsion(covB, Bv, E1, E2, E3):
+def _oriented_torsion(covB, Bv, q):
     """The kernel-direction torsion scalar, computed gauge-independently:
-    (3/2) sum_r tr((nabla_{E3} B^r)^T J B^r) with J the rotation by +pi/2
-    of the plane oriented by (E1, E2).  Odd in E3, even under the residual
-    frame freedom, so it fixes the E3 sign.  covB and Bv are values in the
-    raw frame; all arguments may carry a leading lane axis."""
-    J = E2[..., :, None] * E1[..., None, :] - E1[..., :, None] * E2[..., None, :]
-    d3B = [jetalg.mat_vec(covB[..., r, :, :, :], E3[..., None, :])
+    (3/2) sum_r tr((nabla_q B^r)^T (q x B^r)), q crossed into each column
+    of B^r: that is J B^r, with J = E2 E1^T - E1 E2^T for any right-handed
+    adapted frame (E1, E2, q).  Odd in q, even under the residual frame
+    freedom, so it fixes the E3 sign.  covB and Bv are values in the raw
+    frame; all arguments may carry a leading lane axis."""
+    d3B = [jetalg.mat_vec(covB[..., r, :, :, :], q[..., None, :])
            for r in range(2)]
-    return 1.5 * ((d3B[0] * (J @ Bv[..., 0, :, :])).sum(axis=(-2, -1))
-                  + (d3B[1] * (J @ Bv[..., 1, :, :])).sum(axis=(-2, -1)))
+    qB = [np.cross(q[..., :, None], Bv[..., r, :, :], axis=-2)
+          for r in range(2)]
+    return 1.5 * ((d3B[0] * qB[0]).sum(axis=(-2, -1))
+                  + (d3B[1] * qB[1]).sum(axis=(-2, -1)))
 
 
 def _pregauged(B, M0, Q0):
@@ -79,9 +81,7 @@ class CanonicalFields:
     jet fields.  The kernel plane (plane), the Moebius snapshot (data), the
     torsion, its floor and the integrable flags, and Rfv, E_chart, A_can
     and domega_values carry a leading lane axis (a point alone has none).
-    A chunk here is one of map_chunks, which runs every point in chunks
-    from point 0; probe_frame decides point 0 up front, and a point that
-    fails alone after its chunk failed.
+    A chunk here is one of map_chunks.
 
     Rf rows are the adapted tangent frame in components of the raw
     (Gram-Schmidt) frame; Qf columns express the adapted normal sphere pair
@@ -91,7 +91,8 @@ class CanonicalFields:
     not ideal within tol, both decided on the point pass of ctx.classical,
     then at the kernel plane, then where the torsion is at most ltol or its
     rounding floor, unless partial: partial fields are marked integrable
-    and refuse at lamf instead.
+    and refuse at lamf instead.  Past the gates it builds the turned frame
+    (classical.turned_frame) once, on the pregauged shape fields.
     """
 
     def __init__(self, ctx: MoebiusContext, gauge: str = "raw", pregauge=None,
@@ -99,9 +100,10 @@ class CanonicalFields:
         if gauge not in ("raw", "V0"):
             raise ValueError(f"unknown gauge {gauge!r}")
         self.ctx, self.gauge, self.ltol = ctx, gauge, float(ltol)
-        M0, Q0, self.plane, rows, self.mu_field0, self.torsion, self.floor, \
-            self.integrable = frame_gates(ctx, pregauge, self.ltol, tol,
-                                          partial)
+        M0, Q0, self.plane, self.torsion, self.floor, self.integrable = \
+            frame_gates(ctx, pregauge, self.ltol, tol, partial)
+        rows, self.mu_field0 = turned_frame(_pregauged(ctx.B, M0, Q0),
+                                            self.plane)
         # E3 sign: the torsion is positive (it is odd in E3); below the
         # cutoff it is undefined and E3 stays as the kernel sign left it
         sign = np.where(~self.integrable & (self.torsion < 0.0), -1.0,
@@ -373,11 +375,11 @@ def frame_gates(ctx: MoebiusContext, pregauge=None, ltol: float = LTOL,
     at its first failing lane: an umbilic point, then a point that is not
     ideal within tol (both on the point pass of ctx.classical), then the
     kernel plane, then a torsion at most ltol or its rounding floor, unless
-    partial.  They read the values of B, covB and the turned frame, so a
+    partial.  They read the values of B, covB and the kernel line, so a
     context of GATE_ORDER decides them as one of JET_ORDER does, bit for
-    bit.  Returns the pregauge rotations M0 and Q0, the kernel plane, the
-    turned rows and |z1| (jets, invariant), the torsion, its floor and the
-    integrable mask."""
+    bit, and they make no jet arithmetic of their own.  Returns the
+    pregauge rotations M0 and Q0, the kernel plane, the torsion, its floor
+    and the integrable mask."""
     cl, where = ctx.classical, [f" at {q}" for q in ctx.p]
     cl.require_not_umbilic()
     require_ideal(*form_blocks(cl), cl.spec.ambient.c, tol, where)
@@ -388,20 +390,17 @@ def frame_gates(ctx: MoebiusContext, pregauge=None, ltol: float = LTOL,
                    [0.0, 0.0, 1.0]])
     Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
                    [math.sin(2 * t), math.cos(2 * t)]])
-    Bw = _pregauged(ctx.B, M0, Q0)
-    plane = kernel_plane(jetalg.value_array(Bw), where)
-    rows, mu0 = turned_frame(Bw, plane)
-
-    # the torsion on the turned rows, rotated back by the pregauge
-    E = jetalg.value_array(rows) @ M0
-    tor = _oriented_torsion(ctx.covB_values, ctx.B_values,
-                            E[..., 0, :], E[..., 1, :], E[..., 2, :])
+    plane = kernel_plane(jetalg.value_array(
+        _pregauged(jetalg.values(ctx.B), M0, Q0)), where)
+    # the torsion along the kernel line (turned_frame's E3 is a positive
+    # multiple of plane.q), rotated back by the pregauge
+    tor = _oriented_torsion(ctx.covB_values, ctx.B_values, plane.q @ M0)
     floor = TORSION_FLOOR * np.abs(np.stack(ctx.covB_terms, axis=-5)).max(
         axis=(-5, -4, -3, -2, -1))
     integrable = np.abs(tor) <= np.maximum(ltol, floor)
     if not partial:
         _refuse_integrable(tor, floor, integrable, ltol, ctx.p)
-    return M0, Q0, plane, rows, mu0, tor, floor, integrable
+    return M0, Q0, plane, tor, floor, integrable
 
 
 def _refuse_integrable(torsion, floor, integrable, ltol, pts) -> None:
@@ -420,8 +419,7 @@ def _refuse_integrable(torsion, floor, integrable, ltol, pts) -> None:
 def probe_frame(spec: ImmersionSpec, p, ltol: float = LTOL,
                 tol: float = TOL) -> None:
     """Point p's refusal by frame_gates, decided on one lane at GATE_ORDER:
-    the probe of map_chunks for the invariants, run on point 0 up front and
-    on a point that fails alone."""
+    the probe of map_chunks for the invariants."""
     frame_gates(MoebiusContext(spec, p, order=GATE_ORDER), ltol=ltol, tol=tol)
 
 

@@ -14,16 +14,12 @@ Results of arithmetic are made by the unchecked constructor _jet; the public
 MultiJet(order, coeffs) validates its input.
 
 Chunks.  Coefficients may carry a trailing lane axis, (ncoef, P), one lane per
-point of a chunk (moebius.map_chunks, the chunk loop of every analysis
-command, ddvv's order-2 chart jets included: chunks of at most 20 points
-from point 0, a chunk that raises a package error again point by point, and
-a point that fails alone, or point 0 up front, on a one-lane probe, except
-in ddvv, which has none); a point alone has 1-D coefficients.  A chunk's
-jets are built in its layout, constants included, and a lone point's jet
-and a chunk's do not mix: they, or a lone point's jet and a lane vector,
-raise TypeError (an order-3 jet's 20 coefficients would broadcast silently
-against 20 lanes).  Floats,
-and lane vectors (arrays (P,)) against a chunk's jet, act on every lane.  A
+point of a chunk (see moebius.map_chunks); a point alone has 1-D
+coefficients.  A chunk's jets are built in its layout, constants included,
+and a lone point's jet and a chunk's do not mix: they, or a lone point's jet
+and a lane vector, raise TypeError (an order-3 jet's 20 coefficients would
+broadcast silently against 20 lanes).  Floats, and lane vectors (arrays
+(P,)) against a chunk's jet, act on every lane.  A
 product is one bincount over the slots s * P + lane, which sums each lane's
 pairs in one-point order, and division pivots and elementary series (math.*)
 are taken per lane, so a record depends only on its point, bit for bit.  Values

@@ -6,11 +6,8 @@ Everything lives on the lanes of a chunk of points (map_chunks; one point
 is a chunk of one), as jets in a MoebiusContext, built at JET_ORDER (only
 the probe of the invariant commands builds one at order 3, for its gates).
 map_chunks is the chunk loop of every analysis command, ddvv's order-2
-ClassicalContexts included, with one rule for every point: the sample runs
-in full chunks from point 0, a chunk that fails reruns its points alone,
-and a point that fails alone reports as a sample of one, its probe's
-refusal first (ddvv has no probe); it hands each chunk the sample index of
-its first point, which a refusal names.
+ClassicalContexts included, and its docstring states the one rule it keeps
+for every point.
 The ambient model supplies the light-cone lift and its differential, so Y
 and the mean curvature spheres xi have one formula for the three space
 forms.  Functions of the points take the context:
@@ -427,16 +424,19 @@ CHUNK_POINTS = 20
 
 
 def map_chunks(analyze, pts, probe=None) -> list:
-    """analyze's results over a sample, one per point, in order;
-    analyze(chunk, start) maps a chunk (a list of points) to one result per
-    point, where start is the sample index of the chunk's first point, so a
-    refusal can name its point's index.  The sample runs in chunks of
-    CHUNK_POINTS from point 0.  A chunk that raises a WintgenError reruns
-    its points alone; a point that raises alone runs probe (if given) before
-    its error propagates, so it reports as a sample of one: the probe's
-    refusal, else its own error.  probe(pts[0]) also runs first, so that a
-    chart refusing everywhere costs one cheap lane.  Any other exception
-    propagates from the chunk: it is a fault, not a property of a point."""
+    """analyze's results over a sample, one per point, in order: the chunk
+    rule of every analysis command.  analyze(chunk, start) maps a chunk (a
+    list of points) to one result per point, where start is the sample
+    index of the chunk's first point, so a refusal can name its point's
+    index.  probe(pts[0]) runs first, on one lane at the lowest jet order
+    its gates read, so that a chart refusing everywhere costs one cheap
+    lane; then the sample runs in full chunks of CHUNK_POINTS from point 0.
+    A chunk that raises a WintgenError reruns its points alone; a point
+    that raises alone runs probe before its error propagates, so it reports
+    as a sample of one: the probe's refusal, else its own error.  ddvv
+    passes no probe: it reads order 2 only, and its first chunk's lane 0
+    decides point 0 as cheaply.  Any other exception propagates from the
+    chunk: it is a fault, not a property of a point."""
     if probe is not None and len(pts):
         probe(pts[0])
     out = []

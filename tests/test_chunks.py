@@ -550,6 +550,56 @@ def test_gate_values_at_order_3_equal_order_5_bit_for_bit(name):
                 assert all(map(np.array_equal, x, y)), (where, k)
 
 
+_JET_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                   "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+                   "__pow__")
+
+
+@pytest.mark.parametrize("name", ["so3", "hopf-generic"])
+def test_frame_gates_make_no_jet_arithmetic(monkeypatch, name):
+    # the gates read values: once the point pass, B and covB are built,
+    # deciding them makes no jet operation
+    spec = gallery.by_name(name).spec
+    chunk = sample_points(spec.domain, moebius.CHUNK_POINTS, 0)
+    for p in (chunk, chunk[0]):
+        ctx = moebius.MoebiusContext(spec, p, order=ideal.GATE_ORDER)
+        for attr in ("B", "covB_values", "covB_terms"):
+            getattr(ctx, attr)
+        ctx.classical.point
+        ops = []
+        with monkeypatch.context() as m:
+            for attr in _JET_ARITHMETIC:
+                fn = getattr(jets.MultiJet, attr)
+                m.setattr(jets.MultiJet, attr,
+                          lambda *a, _fn=fn, _k=attr: ops.append(_k)
+                          or _fn(*a))
+            for attr in ("derivative", "jet_elementary"):
+                fn = getattr(jets, attr)
+                m.setattr(jets, attr, lambda *a, _fn=fn, _k=attr:
+                          ops.append(_k) or _fn(*a))
+            ideal.frame_gates(ctx)
+        assert ops == [], (len(jets.points(p)), len(ops))
+
+
+def test_the_turned_frame_is_built_once_per_chunk_and_never_in_the_probe(
+        capsys, monkeypatch):
+    calls, in_probe = [], []
+    turned, probe = ideal.turned_frame, cli.probe_frame
+
+    def counted_probe(*args, **kwargs):
+        before = len(calls)
+        probe(*args, **kwargs)
+        in_probe.append(len(calls) - before)
+
+    monkeypatch.setattr(ideal, "turned_frame",
+                        lambda *a: calls.append(1) or turned(*a))
+    monkeypatch.setattr(cli, "probe_frame", counted_probe)
+    assert cli.main(["invariants", "--example", "so3", "--points", "20"]) == 0
+    capsys.readouterr()
+    assert in_probe == [0]
+    assert len(calls) == 1
+
+
 def _gate_values(out):
     """The values of one output of ideal.frame_gates, as a list of arrays:
     a kernel plane's fields, the values of jets, or the array itself."""

@@ -275,6 +275,35 @@ def test_json_file_matches_stdout(capsys, tmp_path):
     assert path.read_text() == out
 
 
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_a_file_write_that_fails_is_an_input_error(capsys, monkeypatch,
+                                                   tmp_path, flag):
+    # the folder check passes, then the write fails (a full disk, say): one
+    # error document on stdout, exit 2, and the other file, where it can be
+    # written, holds the stdout bytes
+    full = tmp_path / "full"
+    other = tmp_path / ("report.csv" if flag == "--json" else "report.json")
+
+    def opened(path, *args, **kwargs):
+        if Path(path) == full:
+            raise OSError(28, "No space left on device")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", opened, raising=False)
+    code, out = run_cli(capsys, "ddvv", "--example", "so3", "--points", "2",
+                        flag, str(full),
+                        "--csv" if flag == "--json" else "--json", str(other))
+    assert code == 2
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["error"] == {"kind": "OSError",
+                            "message": "[Errno 28] No space left on device"}
+    assert doc["command"] == "ddvv" and "records" not in doc
+    assert not full.exists()
+    if flag == "--csv":
+        assert other.read_text() == out
+
+
 @pytest.mark.parametrize("argv", [
     ("ddvv", "--example", "so3", "--points", "1", "--json"),
     ("ddvv", "--example", "so3", "--points", "1", "--csv"),

@@ -35,6 +35,13 @@ def test_registry_names_unique():
         by_name("nope")
 
 
+def test_each_entry_is_built_once_per_process():
+    entries = all_entries()
+    for name, entry in zip(names(), entries):
+        assert by_name(name) is by_name(name) is entry
+    assert all(a is b for a, b in zip(all_entries(), entries))
+
+
 def test_so3_point_is_unit():
     entry = so3_example()
     x = eval_immersion_values(entry.spec, (0.3, 0.7, 1.1))

@@ -104,17 +104,51 @@ def test_raw_versus_v0_gauge():
 
 @pytest.mark.parametrize("name", TWISTED)
 def test_oriented_torsion_is_odd_in_e3(name):
-    # the E3 sign rule rests on this: reversing E3 reverses the torsion
-    # scalar, and the rule picks the orientation where it is positive; in
-    # the adapted frame the scalar is L itself
+    # the E3 sign rule rests on this: the torsion reads the kernel line
+    # alone (E3 and -E3 give the same scalar), and a frame's handedness
+    # gives it its sign, so reversing E3 with E1, E2 kept reverses the
+    # frame's torsion, and the rule picks the orientation where it is
+    # positive; in the adapted frame the scalar is L itself
     for p in plan_points(name, 3):
         cf = frame_of(name, p)
-        E1, E2, E3 = cf.Rfv
-        args = (context(name, p).covB_values, mdata(name, p).B, E1, E2)
-        L = ideal._oriented_torsion(*args, E3)
+        E3 = cf.Rfv[2]
+        flipped = cf.Rfv * np.array([[1.0], [1.0], [-1.0]])
+        args = (context(name, p).covB_values, mdata(name, p).B)
+        L = np.linalg.det(cf.Rfv) * ideal._oriented_torsion(*args, E3)
         assert L > 1e-3
         assert abs(L - cf.L) < 1e-12
-        assert abs(ideal._oriented_torsion(*args, -E3) + L) < 1e-15
+        assert abs(np.linalg.det(flipped)
+                   * ideal._oriented_torsion(*args, -E3) + L) < 1e-15
+
+
+def _torsion_on_rows(covB, Bv, E1, E2, E3):
+    """The torsion on a turned frame's rows: (3/2) sum_r
+    tr((nabla_{E3} B^r)^T J B^r) with J = E2 E1^T - E1 E2^T."""
+    J = E2[..., :, None] * E1[..., None, :] - E1[..., :, None] * E2[..., None, :]
+    d3B = [jetalg.mat_vec(covB[..., r, :, :, :], E3[..., None, :])
+           for r in range(2)]
+    return 1.5 * ((d3B[0] * (J @ Bv[..., 0, :, :])).sum(axis=(-2, -1))
+                  + (d3B[1] * (J @ Bv[..., 1, :, :])).sum(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.4])
+@pytest.mark.parametrize("name", TWISTED)
+def test_kernel_line_torsion_is_the_turned_frame_torsion(name, t):
+    # the gates read the kernel line alone: the torsion along plane.q is the
+    # torsion on the turned rows E1, E2, E3 to rounding, with the same sign,
+    # over a chunk and at points alone
+    chunk = list(plan_points(name))
+    for p in (chunk, chunk[0], chunk[1]):
+        ctx = moebius.MoebiusContext(entry(name).spec, p)
+        M0, Q0, plane, tor, _, _ = ideal.frame_gates(ctx, pregauge=t)
+        rows, _ = turned_frame(
+            ideal._pregauged(jetalg.values(ctx.B), M0, Q0), plane)
+        E = jetalg.value_array(rows) @ M0
+        want = _torsion_on_rows(ctx.covB_values, ctx.B_values, E[..., 0, :],
+                                E[..., 1, :], E[..., 2, :])
+        assert np.shape(tor) == np.shape(want)
+        assert np.all(np.sign(tor) == np.sign(want))
+        assert np.max(np.abs(tor - want) / np.abs(want)) < 1e-13
 
 
 @pytest.mark.parametrize("t", [0.0, 0.4])
