@@ -19,6 +19,10 @@ gates on values and returns the kernel line, the plane seed and the normal
 flip, and turned_frame, generic over floats and jets, builds the frame from
 them; adapted_frame runs it on floats and ideal.CanonicalFields on jets.
 The jet pass takes the pivots and the half_angle branch as lane data.
+It builds the chart jet x at the context's order K and the metric, the
+frames, the normals and h at K - 2, from x and its first partials
+truncated once (x_low, xa_low): the table "Jet orders" in the README
+gives the order of every field.
 
 Index conventions: a, b, c label chart coordinates; i, j, k label the
 orthonormal tangent frame; r, s label the orthonormal normal frame.
@@ -86,11 +90,23 @@ class ClassicalContext:
                  for b in range(3)] for a in range(3)]
 
     @jets.field
+    def x_low(self):
+        """x at order K - 2, the order of h: the position unit of _units,
+        and the lift's argument in moebius."""
+        return [c.truncate(self.order - 2) for c in self.x]
+
+    @jets.field
+    def xa_low(self):
+        """The first partials at order K - 2, all that the metric, the
+        frames and the normals read."""
+        return [[c.truncate(self.order - 2) for c in row] for row in self.xa]
+
+    @jets.field
     def induced_metric(self):
         I = [[None] * 3 for _ in range(3)]
         for a in range(3):
             for b in range(a + 1):
-                I[a][b] = I[b][a] = self.inner(self.xa[a], self.xa[b])
+                I[a][b] = I[b][a] = self.inner(self.xa_low[a], self.xa_low[b])
         return I
 
     @jets.field
@@ -103,19 +119,19 @@ class ClassicalContext:
     @jets.field
     def tangent_amb(self):
         # e_i = sum_a eC[i][a] x_a, component by component
-        return [[jetalg.dot(self.frame_chart[i], [xa[k] for xa in self.xa])
+        return [[jetalg.dot(self.frame_chart[i], [xa[k] for xa in self.xa_low])
                  for k in range(len(self.x))] for i in range(3)]
 
     def _units(self):
         """The vectors the normals are made orthogonal to, with the sign of
         their square: the position if it is a unit, then the tangent frame."""
         sign = self.spec.ambient.position_sign
-        units = [] if sign is None else [(self.x, sign)]
+        units = [] if sign is None else [(self.x_low, sign)]
         units.extend((t, 1.0) for t in self.tangent_amb)
         return units
 
     def _constant(self, value: float):
-        return jets.MultiJet.constant(value, self.order)
+        return jets.MultiJet.constant(value, self.order - 2)
 
     def _residual(self, k, units):
         """The k-th standard basis vector (k a lane vector over a chunk) with
@@ -196,6 +212,7 @@ class _PointPass(ClassicalContext):
         self.x = list(x)
         self.xa = [[d[a] for d in d1] for a in range(3)]
         self.xab = [[[d[a][b] for d in d2] for b in range(3)] for a in range(3)]
+        self.x_low, self.xa_low = self.x, self.xa
 
     @jets.field
     def frame_chart(self):

@@ -3,7 +3,9 @@
 At an ideal point the trace-free conformal shape operators share a kernel
 line and act on the orthogonal plane D as a fixed two-matrix pattern after a
 rotation.  CanonicalFields runs classical.turned_frame, the one construction
-of that adapted frame, on jets of the shape fields, so that covariant
+of that adapted frame, on jets of the shape fields truncated to K - 3 (its
+readers take two partials of the frame at most; the table "Jet orders" in
+the README gives the order of every field), so that covariant
 derivatives of the adapted components (the scalars U, V, L, G, lambda, Fhat,
 Ghat and the 1-form omega) are derivatives of smooth fields whose values are
 the frame built on floats.  Its connection forms are moebius.connection_forms
@@ -102,8 +104,10 @@ class CanonicalFields:
         self.ctx, self.gauge, self.ltol = ctx, gauge, float(ltol)
         M0, Q0, self.plane, self.torsion, self.floor, self.integrable = \
             frame_gates(ctx, pregauge, self.ltol, tol, partial)
-        rows, self.mu_field0 = turned_frame(_pregauged(ctx.B, M0, Q0),
-                                            self.plane)
+        # the frame's readers take two partials of it: B at order K - 3
+        k = ctx.classical.order - 3
+        B = [[[v.truncate(k) for v in row] for row in Br] for Br in ctx.B]
+        rows, self.mu_field0 = turned_frame(_pregauged(B, M0, Q0), self.plane)
         # E3 sign: the torsion is positive (it is odd in E3); below the
         # cutoff it is undefined and E3 stays as the kernel sign left it
         sign = np.where(~self.integrable & (self.torsion < 0.0), -1.0,

@@ -516,15 +516,23 @@ def first_lane(mask):
 
 
 def where(mask, x, y):
-    """x on the lanes where mask holds, else y: a chunk's jets of one order,
-    or numbers."""
-    if not isinstance(mask, np.ndarray):
-        return x if mask else y
-    if isinstance(x, MultiJet):
-        if x.c.ndim == 1 or y.c.ndim == 1:
-            raise TypeError(_MIXED)
-        return _jet(x.order, np.where(mask, x.c, y.c))
-    return np.where(mask, x, y)
+    """x on the lanes where mask holds, else y.  Jets mix as in the ring
+    operations: two jets meet at the lower order, and a number (or a lane
+    vector, against a chunk's jet) is a constant of the jet's order and
+    layout.  A lone point's jet meets no lane mask."""
+    jet = x if isinstance(x, MultiJet) else y
+    if not isinstance(jet, MultiJet):
+        return np.where(mask, x, y) if isinstance(mask, np.ndarray) \
+            else (x if mask else y)
+    for v in (x, y):
+        if not (isinstance(v, MultiJet) or jet._scalar(v)):
+            raise TypeError(f"cannot mix a jet with {type(v).__name__}")
+    x, y = (v if isinstance(v, MultiJet) else _constant_like(jet, v)
+            for v in (x, y))
+    order, a, b = x._operands(y)
+    if a.ndim == 1 and np.ndim(mask):
+        raise TypeError(_MIXED)
+    return _jet(order, np.where(mask, a, b))
 
 
 # ---------------------------------------------------------------------------

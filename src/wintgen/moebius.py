@@ -3,8 +3,10 @@ Lorentz R^7_1, the tensors A, B, C, connection forms, covariant derivatives,
 and the integrability residuals.
 
 Everything lives on the lanes of a chunk of points (map_chunks; one point
-is a chunk of one), as jets in a MoebiusContext, built at JET_ORDER (only
-the probe of the invariant commands builds one at order 3, for its gates).
+is a chunk of one), as jets in a MoebiusContext whose chart jet is built at
+JET_ORDER (only the probe of the invariant commands builds one at order 3,
+for its gates), each field at the order its readers use: Y, g and B at
+K - 2, g^-1 and Gamma at K - 3 (the table "Jet orders" in the README).
 map_chunks is the chunk loop of every analysis command, ddvv's order-2
 ClassicalContexts included, and its docstring states the one rule it keeps
 for every point.
@@ -106,7 +108,8 @@ def d_form_values(chart_form) -> np.ndarray:
 
 class MoebiusContext:
     """Lazy conformal-invariant jets at the points of a chunk (p a list of
-    points, or one point), at JET_ORDER; values carry a leading lane axis.
+    points, or one point), the chart jet at order K = JET_ORDER and the rest
+    lower (README, "Jet orders"); values carry a leading lane axis.
     A lower order serves only the values that read fewer partials: the
     gates of ideal.frame_gates read third partials of the chart, and an
     order-3 context gives them bit for bit, since a jet product's low
@@ -129,7 +132,8 @@ class MoebiusContext:
 
     @jets.field
     def Y(self):
-        return [self.rho * v for v in self.spec.ambient.lift(self.classical.x)]
+        return [self.rho * v
+                for v in self.spec.ambient.lift(self.classical.x_low)]
 
     @jets.field
     def g(self):
@@ -138,7 +142,10 @@ class MoebiusContext:
 
     @jets.field
     def ginv(self):
-        return jetalg.inv3(self.g)
+        """g^-1 at order K - 3, the order of Gamma, which pairs it with the
+        first partials of g."""
+        k = self.classical.order - 3
+        return jetalg.inv3([[v.truncate(k) for v in row] for row in self.g])
 
     @jets.field
     def Gamma(self):
@@ -207,9 +214,9 @@ class MoebiusContext:
     def xi(self):
         """Mean curvature spheres xi_r = H_r lift(x) + dlift_x(n_r)."""
         amb, cl = self.spec.ambient, self.classical
-        lift = amb.lift(cl.x)
+        lift = amb.lift(cl.x_low)
         return [[Hr * a if d is None else Hr * a + d
-                 for a, d in zip(lift, amb.dlift(cl.x, n))]
+                 for a, d in zip(lift, amb.dlift(cl.x_low, n))]
                 for n, Hr in zip(cl.normal_frame, cl.H)]
 
     # -- conformal tensors -----------------------------------------------------
@@ -417,9 +424,9 @@ class MoebiusContext:
 
 # The most points in a chunk.  It bounds peak memory and the points that a
 # failing chunk reruns alone, not time: larger chunks run faster end to end
-# (invariants on hopf-generic, 2-vCPU Xeon: 100 points take 127.9 ms in
-# chunks of 20 and 73.0 ms in one chunk; 200 points peak at 33.5 MB RSS in
-# chunks of 20 and 47.5 MB in one chunk).
+# (invariants on hopf-generic, 2-vCPU Xeon, median of 9: 100 points take
+# 95.0 ms in chunks of 20 and 45.6 ms in one chunk; 200 points peak at
+# 34.2 MB RSS in chunks of 20 and 45.9 MB in one chunk).
 CHUNK_POINTS = 20
 
 

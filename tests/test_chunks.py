@@ -8,6 +8,7 @@ einsum calls and chart evaluations."""
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -417,17 +418,31 @@ def test_a_refusal_names_its_sample_index_in_a_later_chunk(
 
 
 class _ProductCount:
-    """Counts MultiJet.__mul__ and __rmul__ calls while installed."""
+    """Counts MultiJet.__mul__ and __rmul__ calls while installed; by_order
+    counts them by (order, inside a chart evaluation), where order is the
+    lower of the two operands' orders (the jet's own against a number)."""
 
     def __init__(self, monkeypatch):
-        self.n = 0
+        self.n, self.by_order, self.in_chart = 0, Counter(), False
         for attr in ("__mul__", "__rmul__"):
             fn = getattr(jets.MultiJet, attr)
             monkeypatch.setattr(jets.MultiJet, attr, self._counted(fn))
+        evaluate = classical.eval_immersion_jet
+
+        def in_chart(*args):
+            self.in_chart = True
+            try:
+                return evaluate(*args)
+            finally:
+                self.in_chart = False
+        monkeypatch.setattr(classical, "eval_immersion_jet", in_chart)
 
     def _counted(self, fn):
         def wrapper(a, b):
             self.n += 1
+            order = min(a.order, b.order) if isinstance(b, jets.MultiJet) \
+                else a.order
+            self.by_order[order, self.in_chart] += 1
             return fn(a, b)
         return wrapper
 
@@ -442,6 +457,22 @@ def test_products_grow_with_chunks_not_points(capsys, monkeypatch):
         counts.append(counter.n)
     capsys.readouterr()
     assert counts[1] <= 2.5 * counts[0], counts
+
+
+@pytest.mark.parametrize("argv", [
+    "invariants --example so3 --points 20",
+    "residuals --example hopf-generic --points 2"])
+def test_jets_run_at_the_order_their_readers_use(capsys, monkeypatch, argv):
+    # x at K = 5 for the Blaschke tensor, but the metric, the frames and the
+    # normals at K - 2 and the inverse metric and the adapted frame at K - 3:
+    # no product past the chart evaluation runs at order 4 or 5
+    counter = _ProductCount(monkeypatch)
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    by_order = counter.by_order
+    assert by_order[5, True] > 0, by_order
+    assert by_order[4, False] + by_order[4, True] == 0, by_order
+    assert by_order[5, False] == 0, by_order
 
 
 def test_values_are_computed_once_per_chunk(capsys, monkeypatch):

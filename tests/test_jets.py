@@ -566,6 +566,51 @@ def test_a_lone_points_jet_and_a_chunks_do_not_mix(order, lanes):
     assert _same((chunk + v).c[0], chunk.c[0] + v)  # lane vectors still act
 
 
+def _lane_jet(rng, order, lanes=4):
+    return MultiJet(order, _random_coeffs(rng, (ncoef(order), lanes)))
+
+
+def test_where_meets_two_jets_at_the_lower_order():
+    rng = np.random.default_rng(7)
+    mask = np.array([True, False, False, True])
+    for a, b in ((_lane_jet(rng, 3), _lane_jet(rng, 2)),
+                 (_lane_jet(rng, 1), _lane_jet(rng, 4))):
+        low = min(a.order, b.order)
+        got = jets.where(mask, a, b)
+        assert got.order == low
+        assert _same(got.c, np.where(mask, a.truncate(low).c,
+                                     b.truncate(low).c))
+
+
+def test_where_takes_a_number_as_a_constant_on_every_lane():
+    rng = np.random.default_rng(8)
+    mask = np.array([True, False, True, False])
+    a = _lane_jet(rng, 3)
+    one = MultiJet.constant(np.ones(4), 3)
+    assert _same(jets.where(mask, a, 1.0).c, np.where(mask, a.c, one.c))
+    assert _same(jets.where(mask, 1.0, a).c, np.where(mask, one.c, a.c))
+    v = np.array([0.5, -1.0, 2.0, 3.0])  # a lane vector acts likewise
+    assert _same(jets.where(mask, a, v).c,
+                 np.where(mask, a.c, MultiJet.constant(v, 3).c))
+    lone = MultiJet(2, _random_coeffs(rng, ncoef(2)))
+    assert _same(jets.where(False, lone, -1.0).c,
+                 MultiJet.constant(-1.0, 2).c)
+    assert _same(jets.where(True, lone, -1.0).c, lone.c)
+
+
+def test_where_keeps_a_lone_point_apart_from_a_chunk():
+    rng = np.random.default_rng(9)
+    mask = np.array([True, False, True, False])
+    lone, chunk = MultiJet(2, _random_coeffs(rng, ncoef(2))), _lane_jet(rng, 3)
+    for mix in (lambda: jets.where(mask, lone, chunk),
+                lambda: jets.where(mask, chunk, lone),
+                lambda: jets.where(mask, lone, 1.0),
+                lambda: jets.where(True, lone, np.ones(4)),
+                lambda: jets.where(mask, chunk, [1.0])):
+        with pytest.raises(TypeError):
+            mix()
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_lane_case(), st.integers(0, 19))
 def test_a_lane_at_a_pole_raises_for_the_chunk(case, k):
