@@ -21,8 +21,10 @@ them; adapted_frame runs it on floats and ideal.CanonicalFields on jets.
 The jet pass takes the pivots and the half_angle branch as lane data.
 It builds the chart jet x at the context's order K and the metric, the
 frames, the normals and h at K - 2, from x and its first partials
-truncated once (x_low, xa_low): the table "Jet orders" in the README
-gives the order of every field.
+truncated once (x_low, xa_low), and the second partials xab for b <= a
+only, all that h reads: the table "Jet orders" in the README gives the
+order of every field.  Every gate's refusal carries the lane it refused
+at (errors.Refusal.lane).
 
 Index conventions: a, b, c label chart coordinates; i, j, k label the
 orthonormal tangent frame; r, s label the orthonormal normal frame.
@@ -86,28 +88,26 @@ class ClassicalContext:
 
     @jets.field
     def xab(self):
+        """The second partials [a][b] for b <= a, all that h reads."""
         return [[[jets.derivative(c, b + 1) for c in self.xa[a]]
-                 for b in range(3)] for a in range(3)]
+                 for b in range(a + 1)] for a in range(3)]
 
     @jets.field
     def x_low(self):
         """x at order K - 2, the order of h: the position unit of _units,
         and the lift's argument in moebius."""
-        return [c.truncate(self.order - 2) for c in self.x]
+        return jetalg.truncate(self.x, self.order - 2)
 
     @jets.field
     def xa_low(self):
         """The first partials at order K - 2, all that the metric, the
         frames and the normals read."""
-        return [[c.truncate(self.order - 2) for c in row] for row in self.xa]
+        return jetalg.truncate(self.xa, self.order - 2)
 
     @jets.field
     def induced_metric(self):
-        I = [[None] * 3 for _ in range(3)]
-        for a in range(3):
-            for b in range(a + 1):
-                I[a][b] = I[b][a] = self.inner(self.xa_low[a], self.xa_low[b])
-        return I
+        xa = self.xa_low
+        return jetalg.symmetric3(lambda a, b: self.inner(xa[a], xa[b]))
 
     @jets.field
     def frame_chart(self):
@@ -159,14 +159,9 @@ class ClassicalContext:
     @jets.field
     def h(self):
         """Second fundamental form h^r_ij in the orthonormal frames."""
-        out = []
-        for n in self.normal_frame:
-            hc = [[None] * 3 for _ in range(3)]
-            for a in range(3):
-                for b in range(a + 1):
-                    hc[a][b] = hc[b][a] = self.inner(self.xab[a][b], n)
-            out.append(jetalg.lower_congruence(self.frame_chart, hc))
-        return out
+        return [jetalg.lower_congruence(self.frame_chart, jetalg.symmetric3(
+            lambda a, b: self.inner(self.xab[a][b], n)))
+            for n in self.normal_frame]
 
     @jets.field
     def H(self):
@@ -181,7 +176,7 @@ class ClassicalContext:
         l = jets.first_lane(self.is_umbilic())
         if l is not None:
             refuse_umbilic(self.spec.name, f" at {self.p[l]}",
-                           "conformal invariants are undefined there")
+                           "conformal invariants are undefined there", l)
 
     @jets.field
     def rho(self):
@@ -211,7 +206,8 @@ class _PointPass(ClassicalContext):
         x, d1, d2 = zip(*map(jets.low_partials, ctx.x))
         self.x = list(x)
         self.xa = [[d[a] for d in d1] for a in range(3)]
-        self.xab = [[[d[a][b] for d in d2] for b in range(3)] for a in range(3)]
+        self.xab = [[[d[a][b] for d in d2] for b in range(a + 1)]
+                    for a in range(3)]
         self.x_low, self.xa_low = self.x, self.xa
 
     @jets.field
@@ -241,7 +237,8 @@ class _PointPass(ClassicalContext):
         for mask, why, v in causes:
             l = jets.first_lane(mask)
             if l is not None:
-                raise NotImmersed(why.format(p=self.p[l], v=np.ravel(v)[l]))
+                raise NotImmersed(why.format(p=self.p[l], v=np.ravel(v)[l]),
+                                  lane=l)
         return jetalg.inv_lower3(jetalg.cholesky3(I))
 
     def _constant(self, value: float):
@@ -269,7 +266,8 @@ class _PointPass(ClassicalContext):
             v = self._residual(best_k, units)
             l = jets.first_lane(self.inner(v, v) <= 1e-12)
             if l is not None:
-                raise NotImmersed(f"cannot complete normal frame at {self.p[l]}")
+                raise NotImmersed(
+                    f"cannot complete normal frame at {self.p[l]}", lane=l)
             pivots.append(best_k)
             n = jetalg.normalize(v, inner=self.inner)
             units.append((n, 1.0))
@@ -355,7 +353,7 @@ def require_ideal(h, H, c: float, tol: float, where=("",)) -> None:
     l = jets.first_lane([not r.ideal for r in reports])
     if l is not None:
         raise NotIdealPoint(f"equality gap {reports[l].slack:.3e}{where[l]}: "
-                            "not an ideal point")
+                            "not an ideal point", lane=l)
 
 
 def trace_free_sq(h, H):
@@ -377,9 +375,12 @@ def umbilic(h, H):
     return trace_free_sq(h, H) <= 1e-10 * np.maximum(sq, 1e-8)
 
 
-def refuse_umbilic(subject: str, where: str, undefined: str) -> None:
-    """The umbilic refusal; UmbilicPoint is raised nowhere else."""
-    raise UmbilicPoint(f"{subject} is totally umbilic{where}; {undefined}")
+def refuse_umbilic(subject: str, where: str, undefined: str,
+                   lane: int | None = None) -> None:
+    """The umbilic refusal, at the lane of its chunk where it was found;
+    UmbilicPoint is raised nowhere else."""
+    raise UmbilicPoint(f"{subject} is totally umbilic{where}; {undefined}",
+                       lane=lane)
 
 
 def ddvv_report(spec: ImmersionSpec, p, tol: float = TOL) -> DDVVReport:
@@ -482,7 +483,7 @@ def kernel_plane(T, where=("",)) -> KernelPlane:
     F1 = -np.take_along_axis(q, k0, -1) * q
     F1 = np.where(np.arange(3) == k0, F1 + 1.0, F1)
     F1 = F1 / np.sqrt(jetalg.vec_vec(F1, F1))[..., None]
-    F2 = np.cross(q, F1)
+    F2 = jetalg.cross_last(q, F1)
 
     # z_r = T_r(F1, F1) + i T_r(F1, F2); flip from Im(z_0 conj(z_1))
     x, y = ([jetalg.vec_vec(jetalg.vec_mat(F1, Tr), F) for Tr in (T0, T1)]
@@ -496,7 +497,7 @@ def kernel_plane(T, where=("",)) -> KernelPlane:
         raise NotIdealPoint(
             f"trace-free forms have no common kernel{where[l]} (singular "
             f"values {s[2]:.3e} vs {s[0]:.3e})" if np.ravel(no_kernel)[l]
-            else f"degenerate shape pattern{where[l]}")
+            else f"degenerate shape pattern{where[l]}", lane=l)
     return KernelPlane(q=q, F1=F1, flip=flip)
 
 

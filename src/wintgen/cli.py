@@ -20,12 +20,12 @@ import contextlib
 import csv
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
 import time
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -54,27 +54,42 @@ EXIT_REFUSED = 3
 # deterministic JSON
 
 
+def _jfloat(x: float) -> str:
+    return f"{x:.17g}" if math.isfinite(x) else "null"
+
+
+@functools.lru_cache(maxsize=None, typed=True)  # the program's own keys
+def _jkey(key) -> str:
+    return encode_basestring_ascii(str(key)) + ":"
+
+
+def _jseq(obj) -> str:
+    return "[" + ",".join([_jdump(v) for v in obj]) + "]"
+
+
+def _jdict(obj) -> str:
+    return "{" + ",".join([_jkey(k) + _jdump(v) for k, v in obj.items()]) \
+        + "}"
+
+
+# the encoder of each exact type; an instance of a subclass (numpy.float64
+# is a float) takes the first one whose type it is an instance of
+_JSON = {type(None): lambda obj: "null",
+         bool: lambda obj: "true" if obj else "false",
+         str: encode_basestring_ascii, float: _jfloat, int: str,
+         dict: _jdict, list: _jseq, tuple: _jseq}
+
+
 def _jdump(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return "null"
-        return f"{obj:.17g}"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, dict):
-        return "{" + ",".join(
-            json.dumps(str(k)) + ":" + _jdump(v) for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_jdump(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """obj as JSON: floats with 17 significant digits, NaN and infinities as
+    null, strings as json.dumps writes them."""
+    encode = _JSON.get(type(obj))
+    if encode is None:
+        encode = next((f for t, f in _JSON.items() if isinstance(obj, t)),
+                      None)
+        if encode is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return encode(obj)
 
 
 def _write_json(path: str | None, text: str) -> None:
@@ -159,7 +174,7 @@ def _run_ddvv(spec, pts, args, expected) -> RunResult:
         l = jets.first_lane(ctx.is_umbilic())
         if l is not None:
             refuse_umbilic(spec.name, f" at sample point {start + l}",
-                           "the ideality defect vanishes identically there")
+                           "the ideality defect vanishes identically there", l)
         return ddvv_from_forms(*form_blocks(ctx), spec.ambient.c,
                                tol=args.tol)
 

@@ -19,7 +19,13 @@ class InputError(WintgenError):
 
 class Refusal(WintgenError):
     """The chart is fine but the quantity is undefined there (exit code
-    3)."""
+    3).  A gate over the lanes of a chunk sets lane, the lane it refused
+    at (the sample index less the chunk's start); it is not part of the
+    message, and None where no lane gate refused."""
+
+    def __init__(self, *args, lane: int | None = None):
+        super().__init__(*args)
+        self.lane = lane
 
 
 # ---------------------------------------------------------------------------

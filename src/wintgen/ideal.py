@@ -2,10 +2,13 @@
 
 At an ideal point the trace-free conformal shape operators share a kernel
 line and act on the orthogonal plane D as a fixed two-matrix pattern after a
-rotation.  CanonicalFields runs classical.turned_frame, the one construction
-of that adapted frame, on jets of the shape fields truncated to K - 3 (its
-readers take two partials of the frame at most; the table "Jet orders" in
-the README gives the order of every field), so that covariant
+rotation.  The pregauge (M0, Q0) and the normal pair Qf mix fields by
+jetalg.lincomb, where an exact 0 adds no term and an exact 1 makes no
+product, so the identity pregauge costs nothing.  CanonicalFields runs
+classical.turned_frame, the one construction of that adapted frame, on
+jets of the shape fields truncated to K - 3 (its readers take two partials
+of the frame at most; the table "Jet orders" in the README gives the order
+of every field), so that covariant
 derivatives of the adapted components (the scalars U, V, L, G, lambda, Fhat,
 Ghat and the 1-form omega) are derivatives of smooth fields whose values are
 the frame built on floats.  Its connection forms are moebius.connection_forms
@@ -60,7 +63,9 @@ def _oriented_torsion(covB, Bv, q):
     frame; all arguments may carry a leading lane axis."""
     d3B = [jetalg.mat_vec(covB[..., r, :, :, :], q[..., None, :])
            for r in range(2)]
-    qB = [np.cross(q[..., :, None], Bv[..., r, :, :], axis=-2)
+    # np.cross(q[..., :, None], B^r, axis=-2), values and layout
+    qB = [np.swapaxes(jetalg.cross_last(
+        q[..., None, :], np.swapaxes(Bv[..., r, :, :], -1, -2)), -1, -2)
           for r in range(2)]
     return 1.5 * ((d3B[0] * qB[0]).sum(axis=(-2, -1))
                   + (d3B[1] * qB[1]).sum(axis=(-2, -1)))
@@ -68,13 +73,14 @@ def _oriented_torsion(covB, Bv, q):
 
 def _pregauged(B, M0, Q0):
     """The shape fields with the normal pair mixed by Q0 and components in
-    the tangent frame rotated by M0."""
-    Bmix = [[[sum_jets([Q0[s][r] * B[s][i][j] for s in range(2)
-                        if Q0[s][r] != 0.0])
+    the tangent frame rotated by M0, by jetalg.lincomb: under the identity
+    pregauge they are the shape fields themselves."""
+    M0, Q0 = np.asarray(M0).tolist(), np.asarray(Q0).tolist()
+    Bmix = [[[jetalg.lincomb([Q0[0][r], Q0[1][r]], lambda s: B[s][i][j])
               for j in range(3)] for i in range(3)] for r in range(2)]
-    return [[[sum_jets([(M0[i][a] * M0[j][b]) * Bmix[r][a][b]
-                        for a in range(3) for b in range(3)
-                        if M0[i][a] != 0.0 and M0[j][b] != 0.0])
+    return [[[jetalg.lincomb([M0[i][a] * M0[j][b] for a in range(3)
+                              for b in range(3)],
+                             lambda k: Bmix[r][k // 3][k % 3])
               for j in range(3)] for i in range(3)] for r in range(2)]
 
 
@@ -105,8 +111,7 @@ class CanonicalFields:
         M0, Q0, self.plane, self.torsion, self.floor, self.integrable = \
             frame_gates(ctx, pregauge, self.ltol, tol, partial)
         # the frame's readers take two partials of it: B at order K - 3
-        k = ctx.classical.order - 3
-        B = [[[v.truncate(k) for v in row] for row in Br] for Br in ctx.B]
+        B = jetalg.truncate(ctx.B, ctx.classical.order - 3)
         rows, self.mu_field0 = turned_frame(_pregauged(B, M0, Q0), self.plane)
         # E3 sign: the torsion is positive (it is odd in E3); below the
         # cutoff it is undefined and E3 stays as the kernel sign left it
@@ -115,9 +120,8 @@ class CanonicalFields:
         rows[2] = [sign * c for c in rows[2]]
         self.data = moebius_data(ctx)
 
-        self.Rf = [[sum_jets([R[k] * M0[k][j] for k in range(3)
-                              if M0[k][j] != 0.0]) for j in range(3)]
-                   for R in rows]
+        self.Rf = [[jetalg.lincomb(M0[:, j].tolist(), lambda k: R[k])
+                    for j in range(3)] for R in rows]
         flip = self.plane.flip
         self.Qf = [[Q0[0][0], flip * Q0[0][1]], [Q0[1][0], flip * Q0[1][1]]]
 
@@ -156,8 +160,7 @@ class CanonicalFields:
 
     def _contract_c(self, r, i):
         """C paired with the adapted normal r and tangent i (jet)."""
-        return sum_jets(self.Qf[s][r] * jetalg.dot(self.Rf[i], self.ctx.C[s])
-                        for s in range(2))
+        return self._qmix(r, lambda s: jetalg.dot(self.Rf[i], self.ctx.C[s]))
 
     # -- frame derivative helpers ----------------------------------------------
 
@@ -179,19 +182,23 @@ class CanonicalFields:
     def E_chart(self):
         return jetalg.value_array(self.frame_chart)
 
+    def _qmix(self, r, term):
+        """term(s) mixed into the adapted normal r by Qf (jetalg.lincomb)."""
+        return jetalg.lincomb([self.Qf[0][r], self.Qf[1][r]], term)
+
     @jets.field
     def xi(self):
         xi = self.ctx.xi
-        return [[sum_jets(self.Qf[s][r] * xi[s][m] for s in range(2))
-                 for m in range(7)] for r in range(2)]
+        return [[self._qmix(r, lambda s: xi[s][m]) for m in range(7)]
+                for r in range(2)]
 
     @jets.field
     def _bmix(self):
         """The shape fields with the normal pair mixed by Qf (raw tangent
         components)."""
         B = self.ctx.B
-        return [[[self.Qf[0][r] * B[0][i][j] + self.Qf[1][r] * B[1][i][j]
-                  for j in range(3)] for i in range(3)] for r in range(2)]
+        return [[[self._qmix(r, lambda s: B[s][i][j]) for j in range(3)]
+                 for i in range(3)] for r in range(2)]
 
     def b(self, r, i, j):
         """B^r_ij in the adapted frame (jet); built once per unordered i, j."""
@@ -417,7 +424,8 @@ def _refuse_integrable(torsion, floor, integrable, ltol, pts) -> None:
             else f"its rounding floor {floor:.3e}"
         raise IntegrableDistribution(
             f"torsion {tor:.3e} below {cutoff} at {pts[l]}: the "
-            "kernel distribution is integrable and the E3 sign is undefined")
+            "kernel distribution is integrable and the E3 sign is undefined",
+            lane=l)
 
 
 def probe_frame(spec: ImmersionSpec, p, ltol: float = LTOL,

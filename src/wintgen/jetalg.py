@@ -35,6 +35,13 @@ def cross3(u, v):
             u[0] * v[1] - u[1] * v[0]]
 
 
+def cross_last(u, v):
+    """u x v over the last axis of two arrays: cross3's terms, in np.cross's
+    order and memory layout for its default axes, without its overhead."""
+    return np.stack(cross3([u[..., k] for k in range(3)],
+                           [v[..., k] for k in range(3)]), axis=-1)
+
+
 def matvec(M, v):
     return [dot(row, v) for row in M]
 
@@ -99,22 +106,56 @@ def inv_lower3(L):
     return [[i00, zero, zero], [i10, i11, zero], [i20, i21, i22]]
 
 
+def symmetric3(entry):
+    """The symmetric 3x3 matrix [a][b] = entry(a, b), each entry built once
+    for b <= a and mirrored."""
+    M = [[None] * 3 for _ in range(3)]
+    for a in range(3):
+        for b in range(a + 1):
+            M[a][b] = M[b][a] = entry(a, b)
+    return M
+
+
 def lower_congruence(L, M):
     """L M L^T for a lower-triangular 3x3 L and a symmetric 3x3 M, skipping
     the zero entries of L and building each symmetric pair once."""
     # T = L M, then out = T L^T
     T = [[dot(L[i][:i + 1], [M[a][b] for a in range(i + 1)]) for b in range(3)]
          for i in range(3)]
-    out = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i + 1):
-            out[i][j] = out[j][i] = dot(T[i][:j + 1], L[j][:j + 1])
-    return out
+    return symmetric3(lambda i, j: dot(T[i][:j + 1], L[j][:j + 1]))
+
+
+def _exactly(c, v) -> bool:
+    """Whether a coefficient is exactly v on every lane; a jet never is."""
+    if isinstance(c, float):
+        return c == v
+    return isinstance(c, np.ndarray) and bool((c == v).all())
+
+
+def lincomb(coefs, term):
+    """sum_k coefs[k] * term(k), summed in order of k, over floats, lane
+    vectors and jets.  A coefficient exactly 0 adds no term (term(k) is not
+    built), and one exactly 1 adds term(k) with no product; None when every
+    term drops."""
+    acc = None
+    for k, c in enumerate(coefs):
+        if _exactly(c, 0.0):
+            continue
+        t = term(k) if _exactly(c, 1.0) else c * term(k)
+        acc = t if acc is None else acc + t
+    return acc
 
 
 def normalize(u, inner=dot):
     inv_n = 1.0 / jets.sqrt(inner(u, u))
     return [a * inv_n for a in u]
+
+
+def truncate(obj, order: int):
+    """The jets of a nested list truncated to order; numbers pass."""
+    if isinstance(obj, list):
+        return [truncate(x, order) for x in obj]
+    return obj.truncate(order) if isinstance(obj, jets.MultiJet) else obj
 
 
 def values(obj):

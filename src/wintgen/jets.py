@@ -26,6 +26,12 @@ are taken per lane, so a record depends only on its point, bit for bit.  Values
 read from a chunk's jets (jetalg.value_array) are arrays with a leading lane
 axis (a point alone has none); low_partials reads lane vectors, and a gate
 refuses at first_lane of its failure mask.
+
+Elementary functions compose their Taylor series by Horner's products,
+except on a jet affine in one chart variable (a chart seed, or a multiple
+of one): there the series lands on that variable's powers, each term
+multiplied by the slope once per power, Horner's finite coefficients bit
+for bit.
 """
 
 from __future__ import annotations
@@ -342,11 +348,26 @@ def jet_seed(var_index: int, value, order: int) -> MultiJet:
     return j
 
 
-def _compose(a: MultiJet, series: list) -> MultiJet:
-    """Horner evaluation of sum_k series[k] * (a - a0)^k, truncated;
-    series has a.order + 1 terms."""
-    if a.order == 0:
-        return MultiJet.constant(series[0], 0)
+@lru_cache(maxsize=None)
+def _axis_slots(order: int, var: int) -> np.ndarray:
+    """The slots of the monomials u_var^k, k = 0..order (var 0-based)."""
+    pos = _positions(order)
+    return np.asarray([pos[tuple(k * (v == var) for v in range(NVARS))]
+                       for k in range(order + 1)], dtype=np.intp)
+
+
+def _affine_variable(a: MultiJet):
+    """The chart variable (0-based) of a jet whose only non-zero
+    coefficients past its value are the first partial along it, on every
+    lane; otherwise None."""
+    c = a.c[1:]
+    hits = np.flatnonzero(c if c.ndim == 1 else c.any(axis=1))
+    return int(hits[0]) if hits.size == 1 and hits[0] < NVARS else None
+
+
+def _horner(a: MultiJet, series: list) -> MultiJet:
+    """Horner evaluation of sum_k series[k] * (a - a0)^k, truncated, for a
+    jet of order >= 1; series has a.order + 1 terms."""
     abar_c = a.c.copy()
     abar_c[0] = 0.0
     abar = _jet(a.order, abar_c)
@@ -354,6 +375,29 @@ def _compose(a: MultiJet, series: list) -> MultiJet:
     for k in range(len(series) - 3, -1, -1):
         r = r * abar + series[k]
     return r
+
+
+def _compose(a: MultiJet, series: list) -> MultiJet:
+    """sum_k series[k] * (a - a0)^k, truncated; series has a.order + 1
+    terms.  By _horner, except for a jet of order >= 2 (at order 1 Horner
+    makes no jet product) affine in one chart variable (a chart seed, or a
+    multiple of one), whose series lands on the powers of that variable
+    with no jet product: where they are finite, the coefficients are
+    Horner's bit for bit."""
+    if a.order == 0:
+        return MultiJet.constant(series[0], 0)
+    var = _affine_variable(a) if a.order >= 2 else None
+    if var is None:
+        return _horner(a, series)
+    n, slope = a.order, a.c[1 + var]
+    # each of Horner's products multiplies every term by the slope and adds
+    # it to the 0.0 a product slot sums from, the sign of a zero included
+    t = np.array(series, dtype=float) + 0.0
+    for k in range(1, n + 1):
+        t[k:] = t[k:] * slope + 0.0
+    c = np.zeros(a.c.shape)
+    c[_axis_slots(n, var)] = t
+    return _jet(n, c)
 
 
 def jet_elementary(a: MultiJet, fn: str) -> MultiJet:

@@ -6,7 +6,11 @@ Everything lives on the lanes of a chunk of points (map_chunks; one point
 is a chunk of one), as jets in a MoebiusContext whose chart jet is built at
 JET_ORDER (only the probe of the invariant commands builds one at order 3,
 for its gates), each field at the order its readers use: Y, g and B at
-K - 2, g^-1 and Gamma at K - 3 (the table "Jet orders" in the README).
+K - 2, g^-1 and Gamma at K - 3 (the table "Jet orders" in the README).  At
+K = 3, where the gates read only the values of Gamma, Gamma_values comes
+from the same formulas on the values and first partials of g, with no
+order-0 jet; g and its partials are built once per index pair and
+mirrored.
 map_chunks is the chunk loop of every analysis command, ddvv's order-2
 ClassicalContexts included, and its docstring states the one rule it keeps
 for every point.
@@ -26,7 +30,8 @@ each lane equals its point alone bit for bit.  Only the
 Ricci tensor, and with it the Gauss-route A, stays a jet field, because
 derivatives of A are read.
 connection_forms is the one construction of a frame's connection forms as
-jets; the adapted frame of ideal.py uses it.
+jets, at the order of the frame's first partials; the adapted frame of
+ideal.py uses it.
 Index conventions follow classical.py, plus capital E_i for the frame
 orthonormal in the conformal metric g = rho^2 dx.dx.
 """
@@ -39,7 +44,7 @@ import numpy as np
 
 from . import jetalg, jets
 from .classical import ClassicalContext
-from .errors import ChartBlowUp, NotLorentz, WintgenError
+from .errors import ChartBlowUp, NotLorentz, Refusal, WintgenError
 from .gallery import check_lorentz
 from .immersion import SPHERE, ImmersionSpec
 
@@ -65,13 +70,19 @@ def connection_forms(E, g, Gamma):
     """omega[i][j][k] = omega_ij(E_k) = g(nabla_{E_k} E_i, E_j) as jets, for
     a g-orthonormal frame with rows E[i] in chart components and the
     Christoffel symbols Gamma[a][b][c] = Gamma^a_bc of g.  Built for j < i
-    and negated across the zero diagonal."""
+    and negated across the zero diagonal, at the order of the frame's first
+    partials: g, Gamma and the frame are truncated to it before the dots,
+    which leaves their low coefficients as they were."""
+    dE = [[[jets.derivative(E[i][a], b + 1) for b in range(3)]
+           for a in range(3)] for i in range(1, 3)]
+    E, g, Gamma = (jetalg.truncate(x, dE[0][0][0].order)
+                   for x in (E, g, Gamma))
     # E_j lowered by g, as a chart 1-form
     low = [[jetalg.dot(g[a], E[j]) for a in range(3)] for j in range(2)]
     out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
     for i in range(1, 3):
         # D[a][b]: chart component a of nabla_{d/du_b} E_i
-        D = [[jets.derivative(E[i][a], b + 1) + jetalg.dot(Gamma[a][b], E[i])
+        D = [[dE[i - 1][a][b] + jetalg.dot(Gamma[a][b], E[i])
               for b in range(3)] for a in range(3)]
         for j in range(i):
             # S[b] = g(nabla_{d/du_b} E_i, E_j)
@@ -85,6 +96,14 @@ def connection_forms(E, g, Gamma):
     for i in range(3):
         out[i][i] = [zero] * 3
     return out
+
+
+def _christoffel(ginv, dg):
+    """Gamma[c][a][b] = (1/2) g^cd (d_a g_bd + d_b g_ad - d_d g_ab), from
+    g^-1 and dg[a][b][d] = d_d g_ab, jets or numbers."""
+    return [jetalg.symmetric3(lambda a, b: 0.5 * jetalg.dot(ginv[c], [
+        dg[b][d][a] + dg[a][d][b] - dg[a][b][d] for d in range(3)]))
+        for c in range(3)]
 
 
 def connection_chart(x, y):
@@ -137,28 +156,32 @@ class MoebiusContext:
 
     @jets.field
     def g(self):
-        rho2 = self.rho * self.rho
-        return [[rho2 * v for v in row] for row in self.classical.induced_metric]
+        rho2, I = self.rho * self.rho, self.classical.induced_metric
+        return jetalg.symmetric3(lambda a, b: rho2 * I[a][b])
 
     @jets.field
     def ginv(self):
         """g^-1 at order K - 3, the order of Gamma, which pairs it with the
         first partials of g."""
-        k = self.classical.order - 3
-        return jetalg.inv3([[v.truncate(k) for v in row] for row in self.g])
+        return jetalg.inv3(jetalg.truncate(self.g, self.classical.order - 3))
 
     @jets.field
     def Gamma(self):
         """Christoffel symbols of g in chart coordinates, Gamma[c][a][b]."""
-        dg = [[[jets.derivative(self.g[a][b], d + 1) for b in range(3)]
-               for a in range(3)] for d in range(3)]
-        out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-        for c in range(3):
-            for a in range(3):
-                for b in range(a + 1):
-                    t = [dg[a][b][d] + dg[b][a][d] - dg[d][a][b] for d in range(3)]
-                    out[c][a][b] = out[c][b][a] = 0.5 * jetalg.dot(self.ginv[c], t)
-        return out
+        return _christoffel(self.ginv, jetalg.symmetric3(lambda a, b: [
+            jets.derivative(self.g[a][b], d) for d in (1, 2, 3)]))
+
+    @jets.field
+    def Gamma_values(self):
+        """The values of Gamma [..., c, a, b].  At K = 3, where Gamma and
+        g^-1 have order 0 and the gates read these values alone, the same
+        formulas run on the values and first partials of g, with no
+        order-0 jet."""
+        if self.classical.order > 3:
+            return jetalg.value_array(self.Gamma)
+        return jetalg.value_array(_christoffel(
+            jetalg.inv3(jetalg.values(self.g)),
+            jetalg.symmetric3(lambda a, b: list(jets.gradient(self.g[a][b])))))
 
     @jets.field
     def EC(self):
@@ -309,7 +332,7 @@ class MoebiusContext:
     def riemann_values(self):
         """[i][j][k][l] = <R(E_i,E_j) E_l, E_k>_g at the point, from the values
         and first partials of Gamma."""
-        G = jetalg.value_array(self.Gamma)  # G[..., d, a, e] = Gamma^d_ae
+        G = self.Gamma_values  # G[..., d, a, e] = Gamma^d_ae
         dG = jetalg.gradients(self.Gamma)  # dG[..., d, b, c, a] = d_a Gamma^d_bc
         # R(d_a, d_b) d_c = R^d_cab d_d, antisymmetrized in (a, b) at the end
         R = np.moveaxis(dG, -3, -1) + np.einsum(  # Gamma^d_ae Gamma^e_bc
@@ -368,7 +391,7 @@ class MoebiusContext:
         EC and the values of Gamma and g: the antisymmetric part of
         g(nabla_{E_k} E_i, E_j), so exactly antisymmetric."""
         E = self.EC_values
-        G = jetalg.value_array(self.Gamma)  # G[..., a, b, c] = Gamma^a_bc
+        G = self.Gamma_values  # G[..., a, b, c] = Gamma^a_bc
         # D[..., i, a, b]: chart component a of nabla_{d/du_b} E_i
         D = jetalg.gradients(self.EC) + np.einsum("...abc,...ic->...iab", G, E)
         low = E @ jetalg.value_array(self.g)  # low[j] pairs with E_j
@@ -440,9 +463,12 @@ def map_chunks(analyze, pts, probe=None) -> list:
     lane; then the sample runs in full chunks of CHUNK_POINTS from point 0.
     A chunk that raises a WintgenError reruns its points alone; a point
     that raises alone runs probe before its error propagates, so it reports
-    as a sample of one: the probe's refusal, else its own error.  ddvv
-    passes no probe: it reads order 2 only, and its first chunk's lane 0
-    decides point 0 as cheaply.  Any other exception propagates from the
+    as a sample of one: the probe's refusal, else its own error.  A
+    refusal at lane 0 (errors.Refusal.lane) is already what the chunk's
+    first point raises alone, since every earlier gate passed on every
+    lane: that point runs probe and the refusal propagates, with no rerun.
+    ddvv passes no probe: it reads order 2 only, and its first chunk's
+    lane 0 decides point 0 as cheaply.  Any other exception propagates from the
     chunk: it is a fault, not a property of a point."""
     if probe is not None and len(pts):
         probe(pts[0])
@@ -451,7 +477,12 @@ def map_chunks(analyze, pts, probe=None) -> list:
         chunk = list(pts[lo:lo + CHUNK_POINTS])
         try:
             out += analyze(chunk, lo)
-        except WintgenError:
+        except WintgenError as exc:
+            if isinstance(exc, Refusal) and exc.lane == 0:
+                # its first point refuses alone as it did in the chunk
+                if probe is not None:
+                    probe(chunk[0])
+                raise
             for idx, p in enumerate(chunk, lo):
                 try:
                     out += analyze([p], idx)
@@ -571,7 +602,7 @@ def readback_sphere(Z):
     l = jets.first_lane(np.abs(z0) <= 1e-10)
     if l is not None:
         raise ChartBlowUp(f"transformed point leaves the chart (lift "
-                          f"0-component {np.ravel(z0)[l]:.2e})")
+                          f"0-component {np.ravel(z0)[l]:.2e})", lane=l)
     return [Z[k] / Z[0] for k in range(1, 7)]
 
 

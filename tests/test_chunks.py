@@ -6,17 +6,20 @@ document; and the batching shows in the counts of jet products, SVDs,
 einsum calls and chart evaluations."""
 
 import dataclasses
+import functools
 import hashlib
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from wintgen import (classical, cli, gallery, ideal, immersion, jetalg, jets,
                      moebius)
-from wintgen.errors import EvalError, Refusal, WintgenError
+from wintgen.errors import (EvalError, IntegrableDistribution, OrderError,
+                            Refusal, WintgenError)
 from wintgen.immersion import sample_points
+
+from _shared import JetOps
 
 IDEAL_CHARTS = ["so3", "veronese-hopf", "hopf-generic"]
 # the contracted value fields of a MoebiusContext
@@ -417,44 +420,14 @@ def test_a_refusal_names_its_sample_index_in_a_later_chunk(
         assert "at sample point 27;" in refusal["message"]
 
 
-class _ProductCount:
-    """Counts MultiJet.__mul__ and __rmul__ calls while installed; by_order
-    counts them by (order, inside a chart evaluation), where order is the
-    lower of the two operands' orders (the jet's own against a number)."""
-
-    def __init__(self, monkeypatch):
-        self.n, self.by_order, self.in_chart = 0, Counter(), False
-        for attr in ("__mul__", "__rmul__"):
-            fn = getattr(jets.MultiJet, attr)
-            monkeypatch.setattr(jets.MultiJet, attr, self._counted(fn))
-        evaluate = classical.eval_immersion_jet
-
-        def in_chart(*args):
-            self.in_chart = True
-            try:
-                return evaluate(*args)
-            finally:
-                self.in_chart = False
-        monkeypatch.setattr(classical, "eval_immersion_jet", in_chart)
-
-    def _counted(self, fn):
-        def wrapper(a, b):
-            self.n += 1
-            order = min(a.order, b.order) if isinstance(b, jets.MultiJet) \
-                else a.order
-            self.by_order[order, self.in_chart] += 1
-            return fn(a, b)
-        return wrapper
-
-
 def test_products_grow_with_chunks_not_points(capsys, monkeypatch):
     counts = []
     for points in (1, 20):
         with monkeypatch.context() as m:
-            counter = _ProductCount(m)
+            counter = JetOps(m)
             assert cli.main(["invariants", "--example", "so3", "--points",
                              str(points)]) == 0
-        counts.append(counter.n)
+        counts.append(counter.total("product", "scalar"))
     capsys.readouterr()
     assert counts[1] <= 2.5 * counts[0], counts
 
@@ -466,13 +439,13 @@ def test_jets_run_at_the_order_their_readers_use(capsys, monkeypatch, argv):
     # x at K = 5 for the Blaschke tensor, but the metric, the frames and the
     # normals at K - 2 and the inverse metric and the adapted frame at K - 3:
     # no product past the chart evaluation runs at order 4 or 5
-    counter = _ProductCount(monkeypatch)
+    counter = JetOps(monkeypatch)
     assert cli.main(argv.split()) == 0
     capsys.readouterr()
-    by_order = counter.by_order
-    assert by_order[5, True] > 0, by_order
-    assert by_order[4, False] + by_order[4, True] == 0, by_order
-    assert by_order[5, False] == 0, by_order
+    products = functools.partial(counter.total, "product", "scalar")
+    assert products(order=5, in_chart=True) > 0, counter.counts
+    assert products(order=4) == 0, counter.counts
+    assert products(order=5, in_chart=False) == 0, counter.counts
 
 
 def test_values_are_computed_once_per_chunk(capsys, monkeypatch):
@@ -538,6 +511,42 @@ def test_a_refusal_at_point_0_evaluates_one_low_order_lane(
     assert lanes == 1 and order <= 3, evaluations
 
 
+def test_a_refusal_at_a_chunks_first_lane_is_not_rerun(capsys, monkeypatch):
+    # the umbilic gate refuses at lane 0, which is what point 0 alone
+    # refuses: the chunk of 20 is the only context built
+    evaluations = _chart_evaluations(monkeypatch)
+    assert cli.main(["ddvv", "--example", "umbilic-control", "--points",
+                     "20"]) == 3
+    refusal = json.loads(capsys.readouterr().out)["refusal"]
+    assert "at sample point 0;" in refusal["message"]
+    assert evaluations == [(2, 20)]
+
+
+@pytest.mark.parametrize("name", ["so3", "cone-veronese"])
+def test_the_probe_makes_no_order_0_product(monkeypatch, name):
+    # the probe reads only the values of Gamma, so its order-3 context
+    # builds them from the values and first partials of g, equal to the
+    # values of the jets at order 5 bit for bit; Gamma itself stays a jet
+    # field, with no first partials at order 3
+    spec = gallery.by_name(name).spec
+    p = sample_points(spec.domain, 1, 0)[0]
+    with monkeypatch.context() as m:
+        counter = JetOps(m)
+        try:
+            ideal.probe_frame(spec, p)
+        except IntegrableDistribution:
+            assert name == "cone-veronese"
+    assert counter.total("product", "scalar", order=0) == 0, counter.counts
+    assert counter.total("product", order=1) > 0
+    for pts in (p, sample_points(spec.domain, 3, 0)):
+        low, full = (moebius.MoebiusContext(spec, pts, order=k)
+                     for k in (ideal.GATE_ORDER, moebius.JET_ORDER))
+        assert np.array_equal(low.Gamma_values.view(np.int64),
+                              full.Gamma_values.view(np.int64))
+        with pytest.raises(OrderError):
+            low.riemann_values
+
+
 @pytest.mark.parametrize("command, probe_order", [
     ("invariants", 3), ("theorem-b", 3), ("hopf-check", 3), ("residuals", 2)])
 def test_a_passing_sample_builds_one_order_5_chunk(
@@ -553,7 +562,7 @@ def test_a_passing_sample_builds_one_order_5_chunk(
 PROBED_CHARTS = ["so3", "veronese-hopf", "hopf-generic", "cone-veronese",
                  "generic-control"]
 GATE_VALUES = ("B_values", "covB_values", "covB_terms", "theta12_values",
-               "omega_values", "EC_values")
+               "omega_values", "EC_values", "Gamma_values")
 
 
 @pytest.mark.parametrize("name", PROBED_CHARTS)

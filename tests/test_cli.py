@@ -35,6 +35,25 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def test_jdump_writes_each_type():
+    # NaN and the infinities are null, floats carry 17 significant digits,
+    # and strings and keys are written as json.dumps writes them
+    cases = [(float("nan"), "null"), (float("inf"), "null"),
+             (float("-inf"), "null"), (-0.0, "-0"),
+             (0.1, "0.10000000000000001"), (1e-7, "9.9999999999999995e-08"),
+             (True, "true"), (False, "false"), (None, "null"), (0, "0"),
+             (-12, "-12"), (np.float64(0.1), "0.10000000000000001"),
+             ((1, [2.5, (None, [])]), "[1,[2.5,[null,[]]]]"),
+             ({"\u03c1": "\u00e9\"x", "k": {}},
+              '{"\\u03c1":"\\u00e9\\"x","k":{}}'),
+             ({1: True, 1.0: [float("nan")]}, '{"1":[null]}'),
+             ({1.0: 2}, '{"1.0":2}'), ({True: 2}, '{"True":2}')]
+    for value, text in cases:
+        assert cli._jdump(value) == text, value
+    with pytest.raises(TypeError, match="cannot serialize int64"):
+        cli._jdump(np.int64(3))
+
+
 def test_gallery_list_document(capsys):
     code, doc = run_json(capsys, "gallery", "list")
     assert code == 0

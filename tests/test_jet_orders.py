@@ -11,6 +11,7 @@ import pytest
 from wintgen import classical, gallery, ideal, jetalg, jets, moebius
 from wintgen.immersion import parse_immersion, sample_points
 
+from _shared import JetOps
 from test_classical import HYPERBOLIC_GRAPH
 
 # sphere, sphere, Euclidean (the lift squares x), hyperbolic (a Lorentz
@@ -128,3 +129,24 @@ def test_lowered_chains_equal_the_full_order_chains_bit_for_bit(name):
         if name in IDEAL:
             cf = ideal.CanonicalFields(ctx, partial=name == "cone-veronese")
             _assert_truncation(cf.Rf, _full_Rf(cf, B), K - 3, where + ("Rf",))
+
+
+@pytest.mark.parametrize("name", ["so3", "hopf-generic"])
+def test_connection_forms_run_at_the_order_of_the_frames_partials(
+        monkeypatch, name):
+    # connection_forms truncates g, Gamma and the frame to the order of the
+    # frame's first partials before its dots: its forms are those of the
+    # untruncated inputs, bit for bit, and no product runs above that order
+    spec = _spec(name)
+    chunk = sample_points(spec.domain, moebius.CHUNK_POINTS, 0)
+    cf = ideal.CanonicalFields(moebius.MoebiusContext(spec, chunk))
+    args = (cf.frame_chart, cf.ctx.g, cf.ctx.Gamma)
+    with monkeypatch.context() as m:
+        counter = JetOps(m)
+        got = moebius.connection_forms(*args)
+    with monkeypatch.context() as m:
+        m.setattr(jetalg, "truncate", lambda obj, order: obj)
+        full = moebius.connection_forms(*args)
+    order = moebius.JET_ORDER - 4
+    _assert_truncation(got, full, order, name)
+    assert counter.total("product") == counter.total("product", order=order)

@@ -625,3 +625,35 @@ def test_a_lane_at_a_pole_raises_for_the_chunk(case, k):
     negative.c[0, k] = -abs(negative.c[0, k])
     with pytest.raises(DomainError):
         jets.sqrt(negative)
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos", "exp", "sqrt"])
+def test_a_series_along_one_chart_variable_is_horners_bit_for_bit(
+        monkeypatch, fn):
+    # a jet affine in one chart variable takes its series on that
+    # variable's powers, with no jet product from order 2 on; the
+    # coefficients are Horner's, the sign of zero included
+    series, compose = [], jets._compose
+    monkeypatch.setattr(jets, "_compose",
+                        lambda a, s: series.append(s) or compose(a, s))
+    products = []
+    for attr in ("__mul__", "__rmul__"):
+        mul = getattr(MultiJet, attr)
+        monkeypatch.setattr(MultiJet, attr, lambda a, b, _mul=mul: products
+                            .append(isinstance(b, MultiJet)) or _mul(a, b))
+    # at 0.0 and -0.0, sin and cos have zero terms of either sign
+    values = (0.7, 10.0, np.array([0.7, 1.3, 2.9])) if fn == "sqrt" \
+        else (0.0, -0.0, 0.7, np.array([-0.0, 0.7, 2.9]))
+    for order in range(1, 6):
+        for value in values:
+            for slope in (1.0, -2.5):
+                for var in (1, 2, 3):
+                    a = jet_seed(var, value * 0.0, order) * slope + value
+                    products.clear()
+                    got = jet_elementary(a, fn)
+                    if order >= 2:
+                        assert not any(products), (order, slope, var)
+                    want = jets._horner(a, series[-1])
+                    assert np.array_equal(got.c.view(np.int64),
+                                          want.c.view(np.int64)), \
+                        (order, np.ndim(value), slope, var)

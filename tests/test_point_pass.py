@@ -89,8 +89,12 @@ def _report_bits(r):
 
 def _bits(pt, form):
     """A point pass's form as one array of its bits, lanes first over a
-    chunk: equal bits are equal values, the sign of zero included."""
-    return jetalg.value_array(list(getattr(pt, form))).view(np.int64)
+    chunk: equal bits are equal values, the sign of zero included.  xab
+    holds the pairs b <= a, one row each."""
+    value = getattr(pt, form)
+    if form == "xab":
+        value = [d for row in value for d in row]
+    return jetalg.value_array(list(value)).view(np.int64)
 
 
 @pytest.mark.parametrize("name", gallery.names() + ["hyperbolic-graph"])

@@ -16,7 +16,7 @@ from wintgen.errors import (DegenerateCurve, IntegrableDistribution,
 
 from wintgen.immersion import SPHERE, ImmersionSpec
 
-from _shared import context, entry, mdata, plan_points
+from _shared import JetOps, context, entry, mdata, plan_points
 
 SQRT6 = math.sqrt(6.0)
 MU = 1.0 / SQRT6
@@ -149,6 +149,46 @@ def test_kernel_line_torsion_is_the_turned_frame_torsion(name, t):
         assert np.shape(tor) == np.shape(want)
         assert np.all(np.sign(tor) == np.sign(want))
         assert np.max(np.abs(tor - want) / np.abs(want)) < 1e-13
+
+
+def test_the_identity_pregauge_makes_no_product(monkeypatch):
+    # a coefficient exactly 1 makes no product and one exactly 0 adds no
+    # term (jetalg.lincomb): under the identity pregauge the pregauged shape
+    # fields are the shape fields themselves
+    ctx = context("so3", plan_points("so3", 1)[0])
+    M0, Q0 = ideal.frame_gates(ctx)[:2]
+    with monkeypatch.context() as m:
+        counter = JetOps(m)
+        out = ideal._pregauged(ctx.B, M0, Q0)
+    assert not counter.counts
+    assert all(out[r][i][j] is ctx.B[r][i][j]
+               for r in range(2) for i in range(3) for j in range(3))
+
+
+def _mixed(pairs):
+    """sum of c * x over the pairs whose c is not 0, in order."""
+    terms = [c * x for c, x in pairs if c != 0.0]
+    return sum(terms[1:], terms[0])
+
+
+@pytest.mark.parametrize("t", [0.4, -1.3, 2.9])
+def test_a_pregauge_mixes_as_the_sum_of_its_products(t):
+    # away from the identity the rule drops the exact zeros of M0 and Q0 and
+    # multiplies by every other entry, bit for bit
+    ctx = context("so3", plan_points("so3", 1)[0])
+    M0, Q0 = ideal.frame_gates(ctx, pregauge=t)[:2]
+    B = ctx.B
+    Bmix = [[[_mixed([(Q0[s][r], B[s][i][j]) for s in range(2)])
+              for j in range(3)] for i in range(3)] for r in range(2)]
+    want = [[[_mixed([(M0[i][a] * M0[j][b], Bmix[r][a][b])
+                      for a in range(3) for b in range(3)])
+              for j in range(3)] for i in range(3)] for r in range(2)]
+    got = ideal._pregauged(B, M0, Q0)
+    for r in range(2):
+        for i in range(3):
+            for j in range(3):
+                assert np.array_equal(got[r][i][j].c.view(np.int64),
+                                      want[r][i][j].c.view(np.int64))
 
 
 @pytest.mark.parametrize("t", [0.0, 0.4])
