@@ -24,7 +24,7 @@ frames, the normals and h at K - 2, from x and its first partials
 truncated once (x_low, xa_low), and the second partials xab for b <= a
 only, all that h reads: the table "Jet orders" in the README gives the
 order of every field.  Every gate's refusal carries the lane it refused
-at (errors.Refusal.lane).
+at (errors.WintgenError.lane).
 
 Index conventions: a, b, c label chart coordinates; i, j, k label the
 orthonormal tangent frame; r, s label the orthonormal normal frame.
@@ -171,8 +171,10 @@ class ClassicalContext:
         """The umbilic criterion on the point pass's h and H, per lane."""
         return umbilic(self.point.h, self.point.H)
 
-    def require_not_umbilic(self) -> None:
-        """The umbilic gate of the conformal invariants, at each point."""
+    @jets.field
+    def umbilic_gate(self) -> None:
+        """The umbilic gate of the conformal invariants, decided once per
+        context: it refuses at the first umbilic point."""
         l = jets.first_lane(self.is_umbilic())
         if l is not None:
             refuse_umbilic(self.spec.name, f" at {self.p[l]}",
@@ -181,7 +183,7 @@ class ClassicalContext:
     @jets.field
     def rho(self):
         """Conformal factor: rho^2 = (3/2)|II - (1/3)tr(II) I|^2."""
-        self.require_not_umbilic()
+        self.umbilic_gate  # refuses where rho vanishes
         return jets.sqrt(1.5 * trace_free_sq(self.h, self.H))
 
 

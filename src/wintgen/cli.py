@@ -343,7 +343,7 @@ def _run_residuals(spec, pts, args, expected) -> RunResult:
         return integrability_residuals(MoebiusContext(spec, chunk))
 
     def probe(p):  # the gates of the lift: metric, normal frame, umbilic
-        ClassicalContext(spec, p, order=2).require_not_umbilic()
+        ClassicalContext(spec, p, order=2).umbilic_gate
 
     results = map_chunks(analyze, pts, probe)
     records = _report_records(pts, results)
@@ -452,9 +452,10 @@ def _load_source(args):
 
 
 def _check_request(args) -> None:
-    """Before any work: --assert-expected needs --example, and --json and
-    --csv must not name a folder or a file in a missing or read-only
-    folder.  main reports these errors on stdout only."""
+    """Before any work: --assert-expected needs --example, --json and --csv
+    must not name a folder or a file in a missing or read-only folder, and
+    no two of --spec, --json and --csv may name one file.  main reports
+    these errors on stdout only."""
     if getattr(args, "assert_expected", False) and args.example is None:
         raise SchemaError("--assert-expected requires --example")
     for flag in ("json", "csv"):
@@ -462,6 +463,10 @@ def _check_request(args) -> None:
         if path and (os.path.isdir(path) or not os.access(
                 os.path.dirname(os.path.abspath(path)), os.W_OK)):
             raise SchemaError(f"--{flag} {path}: cannot write a file there")
+    files = [os.path.realpath(getattr(args, flag)) for flag in
+             ("spec_file", "json", "csv") if getattr(args, flag, None)]
+    if len(set(files)) < len(files):
+        raise SchemaError("--spec, --json and --csv must name different files")
 
 
 def _analysis_command(args):

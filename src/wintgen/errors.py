@@ -3,14 +3,23 @@
 Everything raised on purpose by this package derives from WintgenError so
 callers can catch one type at the boundary.  Each error class belongs to one
 of two families, which set the command line's exit code: InputError (2) and
-Refusal (3).  Parse-time problems carry location information.
+Refusal (3).  Parse-time problems carry location information, and an
+error raised over a chunk's lanes (moebius.map_chunks) the lane whose point
+raises it alone: WintgenError.lane, None where every point raises it.
 """
 
 from __future__ import annotations
 
 
 class WintgenError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  lane, set where the error is
+    raised and not printed, is the lane of the chunk whose point raises it
+    alone (the sample index less the chunk's start); None only for an error
+    that every point raises, of the chart or of the request."""
+
+    def __init__(self, *args, lane: int | None = None):
+        super().__init__(*args)
+        self.lane = lane
 
 
 class InputError(WintgenError):
@@ -18,14 +27,7 @@ class InputError(WintgenError):
 
 
 class Refusal(WintgenError):
-    """The chart is fine but the quantity is undefined there (exit code
-    3).  A gate over the lanes of a chunk sets lane, the lane it refused
-    at (the sample index less the chunk's start); it is not part of the
-    message, and None where no lane gate refused."""
-
-    def __init__(self, *args, lane: int | None = None):
-        super().__init__(*args)
-        self.lane = lane
+    """The chart is fine but the quantity is undefined there (exit 3)."""
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 from . import jetalg, jets
 from .classical import (LTOL, TOL, _pattern_matrices, form_blocks,
                         kernel_plane, require_ideal, turned_frame)
-from .errors import IntegrableDistribution, SchemaError, WintgenError
+from .errors import IntegrableDistribution, SchemaError
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusContext, connection_chart,
                       connection_forms, d_form_values, frame_d_values,
@@ -133,30 +133,31 @@ class CanonicalFields:
 
     def _apply_v0(self):
         """Residual paired rotation making the second component of the
-        adapted 1-form vanish, with the first one nonnegative."""
+        adapted 1-form vanish, with the first one nonnegative; the lanes
+        already in the reduced form keep their rows of Rf and Qf."""
         cU = self._contract_c(0, 0)
         cV = self._contract_c(0, 1)
         Uf = -(cU / self.mu_field0)
         Vf = cV / self.mu_field0
         reduced = np.hypot(jets.value_of(Uf), jets.value_of(Vf)) <= 1e-8
         if np.all(reduced):
-            return  # already in the reduced form
-        if np.any(reduced):
-            raise WintgenError("V0 gauge: the points of the chunk disagree "
-                               "on the turn; run them one at a time")
-        hf = jets.sqrt(Uf * Uf + Vf * Vf)
+            return
+        hf = jets.sqrt(jets.where(reduced, 1.0, Uf * Uf + Vf * Vf))
         cst = Uf / hf
         sst = -(Vf / hf)
-        Rf = self.Rf
+        Rf, Qf = self.Rf, self.Qf
         newE1 = [cst * Rf[0][j] - sst * Rf[1][j] for j in range(3)]
         newE2 = [sst * Rf[0][j] + cst * Rf[1][j] for j in range(3)]
-        self.Rf = [newE1, newE2, Rf[2]]
         c2 = cst * cst - sst * sst
         s2 = 2.0 * cst * sst
         K = [[c2, -(s2)], [s2, c2]]
-        Qf = self.Qf
-        self.Qf = [[Qf[s][0] * K[0][r] + Qf[s][1] * K[1][r] for r in range(2)]
-                   for s in range(2)]
+        newQ = [[Qf[s][0] * K[0][r] + Qf[s][1] * K[1][r] for r in range(2)]
+                for s in range(2)]
+
+        def keep(old, new):  # the old rows on the reduced lanes
+            return [[jets.where(reduced, a, b) for a, b in zip(*rows)]
+                    for rows in zip(old, new)]
+        self.Rf, self.Qf = keep(Rf, [newE1, newE2, Rf[2]]), keep(Qf, newQ)
 
     def _contract_c(self, r, i):
         """C paired with the adapted normal r and tangent i (jet)."""
@@ -169,7 +170,7 @@ class CanonicalFields:
         """Rows: the adapted frame vectors in chart components (jets).  EC is
         lower triangular, so E_j has no d/du_a component for a > j."""
         EC = self.ctx.EC
-        return [[sum_jets([self.Rf[i][j] * EC[j][a] for j in range(a, 3)])
+        return [[jetalg.dot(self.Rf[i][a:], [EC[j][a] for j in range(a, 3)])
                  for a in range(3)] for i in range(3)]
 
     # -- component fields --------------------------------------------------------
@@ -215,8 +216,7 @@ class CanonicalFields:
     def theta(self):
         """theta_12 of the adapted sphere pair on the adapted frame."""
         tc = self.theta_chart
-        return [sum_jets([self.frame_chart[k][a] * tc[a] for a in range(3)])
-                for k in range(3)]
+        return [jetalg.dot(self.frame_chart[k], tc) for k in range(3)]
 
     @jets.field
     def theta_chart(self):
@@ -271,15 +271,15 @@ class CanonicalFields:
     @jets.field
     def Yi_can(self):
         Yi = self.ctx.Yi
-        return [[sum_jets(self.Rf[i][j] * Yi[j][m] for j in range(3))
+        return [[jetalg.dot(self.Rf[i], [Yi[j][m] for j in range(3)])
                  for m in range(7)] for i in range(3)]
 
     @jets.field
     def coframe_can(self):
         """Rows: the adapted coframe in chart components (jets)."""
-        return [[sum_jets([self.Rf[i][j] * self.ctx.coframe[j][a]
-                           for j in range(3)]) for a in range(3)]
-                for i in range(3)]
+        co = self.ctx.coframe
+        return [[jetalg.dot(self.Rf[i], [co[j][a] for j in range(3)])
+                 for a in range(3)] for i in range(3)]
 
     @jets.field
     def A_can(self):
@@ -324,14 +324,11 @@ class CanonicalFields:
     def G(self):
         return jets.value_of(self.Gf)
 
-    def require_torsion(self):
-        """The torsion gate, at the first point that fails it."""
-        _refuse_integrable(self.torsion, self.floor, self.integrable,
-                           self.ltol, self.ctx.p)
-
     @jets.field
     def lamf(self):
-        self.require_torsion()
+        """G/L, past the torsion gate (partial fields refuse here)."""
+        _refuse_integrable(self.torsion, self.floor, self.integrable,
+                           self.ltol, self.ctx.p)
         return self.Gf / self.Lf
 
     @jets.field
@@ -343,7 +340,7 @@ class CanonicalFields:
         """The distinguished 1-form in chart components (jets)."""
         w = self.w_fields
         co = self.coframe_can
-        return [sum_jets([w[i] * co[i][a] for i in range(3)]) for a in range(3)]
+        return [jetalg.dot(w, [co[i][a] for i in range(3)]) for a in range(3)]
 
     @jets.field
     def domega_values(self):
@@ -392,7 +389,7 @@ def frame_gates(ctx: MoebiusContext, pregauge=None, ltol: float = LTOL,
     pregauge rotations M0 and Q0, the kernel plane, the torsion, its floor
     and the integrable mask."""
     cl, where = ctx.classical, [f" at {q}" for q in ctx.p]
-    cl.require_not_umbilic()
+    cl.umbilic_gate  # refuses at the first umbilic point
     require_ideal(*form_blocks(cl), cl.spec.ambient.c, tol, where)
 
     t = 0.0 if pregauge is None else float(pregauge)
@@ -433,13 +430,6 @@ def probe_frame(spec: ImmersionSpec, p, ltol: float = LTOL,
     """Point p's refusal by frame_gates, decided on one lane at GATE_ORDER:
     the probe of map_chunks for the invariants."""
     frame_gates(MoebiusContext(spec, p, order=GATE_ORDER), ltol=ltol, tol=tol)
-
-
-def sum_jets(terms):
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +520,7 @@ def _hat_fields(cf: CanonicalFields, w):
     eta = [[cf.Yi_can[i][m] - w[i] * Y[m] for m in range(7)] for i in range(3)]
     w2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
     Yhat = [cf.ctx.N[m] - 0.5 * w2 * Y[m]
-            + sum_jets([w[i] * cf.Yi_can[i][m] for i in range(3)])
+            + jetalg.dot(w, [cf.Yi_can[i][m] for i in range(3)])
             for m in range(7)]
     return eta, Yhat
 
@@ -593,21 +583,12 @@ def theorem_b_verdict(invs, tol: float = TOL) -> TheoremBVerdict:
     max_domega = _max_domega(invs)
     closed = max_domega < tol
     arr = np.array([inv.Fhat for inv in invs], dtype=float)
-    if np.all(arr > tol):
-        sign = "positive"
-    elif np.all(arr < -tol):
-        sign = "negative"
-    elif np.all(np.abs(arr) <= tol):
-        sign = "zero"
-    else:
-        sign = "mixed"
-    if not closed:
-        cls = "not_moebius_minimal"
-    elif sign == "mixed":
-        cls = "inconclusive"
-    else:
-        cls = {"positive": "sphere_minimal", "zero": "euclidean_minimal",
-               "negative": "hyperbolic_minimal"}[sign]
+    signs = (("positive", arr > tol), ("negative", arr < -tol),
+             ("zero", np.abs(arr) <= tol))
+    sign = next((name for name, holds in signs if np.all(holds)), "mixed")
+    cls = "not_moebius_minimal" if not closed else {
+        "positive": "sphere_minimal", "zero": "euclidean_minimal",
+        "negative": "hyperbolic_minimal", "mixed": "inconclusive"}[sign]
     return TheoremBVerdict(
         max_domega=max_domega, closed=closed, Fhat_sign=sign,
         classification=cls, fhat_min=float(arr.min()),

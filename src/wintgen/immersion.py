@@ -170,9 +170,10 @@ class Chain(Expr):
             else:
                 try:
                     acc = acc / b
-                except (ZeroDivisionError, SingularJet):
+                except (ZeroDivisionError, SingularJet) as exc:
                     raise EvalError(
-                        f"division by zero in '{self.text(k + 1)}'")
+                        f"division by zero in '{self.text(k + 1)}'",
+                        lane=getattr(exc, "lane", None))
         return acc
 
     def text(self, steps: int | None = None):
@@ -192,8 +193,9 @@ class Pow(Expr):
     def eval(self, u):
         try:
             return jets.powi(self.base.eval(u), self.exponent)
-        except (SingularJet, ZeroDivisionError):
-            raise EvalError(f"zero raised to negative power in '{self.text()}'")
+        except (SingularJet, ZeroDivisionError) as exc:
+            raise EvalError(f"zero raised to negative power in '{self.text()}'",
+                            lane=getattr(exc, "lane", None))
 
     def text(self):
         return f"({self.base.text()} ^ {self.exponent})"
@@ -213,10 +215,11 @@ class Call(Expr):
         x = self.arg.eval(u)
         try:
             return _FUNCS[self.fn](x)
-        except (DomainError, ValueError):  # ValueError: math's domain error
-            raise EvalError(f"domain error in '{self.text()}'")
-        except OverflowError:
-            raise EvalError(f"overflow in '{self.text()}'")
+        except (DomainError, ValueError, OverflowError) as exc:  # math's
+            what = "overflow" if isinstance(exc, OverflowError) \
+                else "domain error"
+            raise EvalError(f"{what} in '{self.text()}'",
+                            lane=getattr(exc, "lane", None))
 
     def text(self):
         return f"{self.fn}({self.arg.text()})"
@@ -471,9 +474,10 @@ def eval_immersion_jet(spec: ImmersionSpec, p, order: int) -> list[MultiJet]:
     EvalError names the component and the first point where a coefficient
     is not finite (a product or a quotient overflowed)."""
     pts = jets.points(p)
-    for q in pts:
+    for l, q in enumerate(pts):
         if not spec.contains(q):
-            raise EvalError(f"point {tuple(q)} outside domain of {spec.name}")
+            raise EvalError(f"point {tuple(q)} outside domain of {spec.name}",
+                            lane=l)
     seeds = [jet_seed(i + 1, jets.from_lanes([float(q[i]) for q in pts]), order)
              for i in range(3)]
     with np.errstate(all="ignore"):  # checked below
@@ -488,7 +492,7 @@ def eval_immersion_jet(spec: ImmersionSpec, p, order: int) -> list[MultiJet]:
     if i is not None:
         l, k = divmod(i, len(out))
         raise EvalError(f"{spec.name}: component x{k + 1} is not finite at "
-                        f"{tuple(pts[l])}")
+                        f"{tuple(pts[l])}", lane=l)
     return out
 
 

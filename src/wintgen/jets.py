@@ -320,7 +320,8 @@ def _quotient(order: int, a: np.ndarray, b: np.ndarray) -> MultiJet:
     q_(g - beta)) / b_0."""
     b0 = b[0]
     if b0 == 0.0 if b.ndim == 1 else not b0.all():
-        raise SingularJet("division by a jet with zero constant term")
+        raise SingularJet("division by a jet with zero constant term",
+                          lane=first_lane(b0 == 0.0))
     q = np.empty(b.shape)
     q[0] = a[0] / b0
     for k, (lo, hi, ib, iq, slot) in enumerate(_div_table(order)):
@@ -402,16 +403,25 @@ def _compose(a: MultiJet, series: list) -> MultiJet:
 
 def jet_elementary(a: MultiJet, fn: str) -> MultiJet:
     """Composition with an elementary function: sqrt, sin, cos, exp; the
-    math.* values are taken per lane."""
+    math.* values are taken per lane, and math's error carries its lane."""
     n = a.order
     a0 = a.value
     lanes = a.c.ndim == 2
 
     def at(f):
-        return np.array([f(x) for x in a0.tolist()]) if lanes else f(a0)
+        out = []
+        try:
+            for x in a0.tolist() if lanes else [a0]:
+                out.append(f(x))
+        except (ValueError, OverflowError) as exc:  # math's, at lane len(out)
+            exc.lane = len(out)
+            raise
+        return np.array(out) if lanes else out[0]
     if fn == "sqrt":
         if (a0 <= 0.0).any() if lanes else a0 <= 0.0:
-            raise DomainError(f"sqrt of jet with non-positive constant term {a0}")
+            l = first_lane(a0 <= 0.0)
+            raise DomainError("sqrt of jet with non-positive constant term "
+                              f"{np.ravel(a0)[l]}", lane=l)
         series = [at(math.sqrt)]
         for k in range(1, n + 1):
             series.append(series[-1] * (0.5 - (k - 1)) / (k * a0))
@@ -424,13 +434,8 @@ def jet_elementary(a: MultiJet, fn: str) -> MultiJet:
     if fn == "sin" or fn == "cos":
         s, co = at(math.sin), at(math.cos)
         cycle = (s, co, -s, -co) if fn == "sin" else (co, -s, -co, s)
-        fact = 1.0
-        series = []
-        for k in range(n + 1):
-            if k > 0:
-                fact *= k
-            series.append(cycle[k % 4] / fact)
-        return _compose(a, series)
+        return _compose(a, [cycle[k % 4] / math.factorial(k)
+                            for k in range(n + 1)])
     raise OrderError(f"unknown elementary function {fn!r}")
 
 
@@ -528,7 +533,8 @@ def sqrt(x):
         return jet_elementary(x, "sqrt")
     lanes = isinstance(x, np.ndarray)  # DomainError if any lane is < 0
     if (x < 0.0).any() if lanes else x < 0.0:
-        raise DomainError(f"sqrt of negative value {x}")
+        l = first_lane(x < 0.0)
+        raise DomainError(f"sqrt of negative value {np.ravel(x)[l]}", lane=l)
     return np.sqrt(x) if lanes else math.sqrt(x)
 
 

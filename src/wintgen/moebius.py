@@ -44,7 +44,7 @@ import numpy as np
 
 from . import jetalg, jets
 from .classical import ClassicalContext
-from .errors import ChartBlowUp, NotLorentz, Refusal, WintgenError
+from .errors import ChartBlowUp, NotLorentz, WintgenError
 from .gallery import check_lorentz
 from .immersion import SPHERE, ImmersionSpec
 
@@ -445,10 +445,10 @@ class MoebiusContext:
         return grad + om1 + om2
 
 
-# The most points in a chunk.  It bounds peak memory and the points that a
-# failing chunk reruns alone, not time: larger chunks run faster end to end
-# (invariants on hopf-generic, 2-vCPU Xeon, median of 9: 100 points take
-# 95.0 ms in chunks of 20 and 45.6 ms in one chunk; 200 points peak at
+# The most points in a chunk.  It bounds peak memory and the prefix that a
+# failing chunk reruns (map_chunks), not time: larger chunks run faster end
+# to end (invariants on hopf-generic, 2-vCPU Xeon, median of 9: 100 points
+# take 95.0 ms in chunks of 20 and 45.6 ms in one chunk; 200 points peak at
 # 34.2 MB RSS in chunks of 20 and 45.9 MB in one chunk).
 CHUNK_POINTS = 20
 
@@ -461,36 +461,36 @@ def map_chunks(analyze, pts, probe=None) -> list:
     index.  probe(pts[0]) runs first, on one lane at the lowest jet order
     its gates read, so that a chart refusing everywhere costs one cheap
     lane; then the sample runs in full chunks of CHUNK_POINTS from point 0.
-    A chunk that raises a WintgenError reruns its points alone; a point
-    that raises alone runs probe before its error propagates, so it reports
-    as a sample of one: the probe's refusal, else its own error.  A
-    refusal at lane 0 (errors.Refusal.lane) is already what the chunk's
-    first point raises alone, since every earlier gate passed on every
-    lane: that point runs probe and the refusal propagates, with no rerun.
-    ddvv passes no probe: it reads order 2 only, and its first chunk's
-    lane 0 decides point 0 as cheaply.  Any other exception propagates from the
-    chunk: it is a fault, not a property of a point."""
+    A chunk that raises a WintgenError at lane l (errors.WintgenError.lane,
+    0 when None) runs the points before l again as one chunk, under this
+    same rule, so that an earlier point's own error comes first; then
+    point l runs probe and the error propagates.  Every lane passed the
+    steps before the one that raised, and rounds as its point alone, so
+    the first failing point reports what it reports as a sample of one:
+    the probe's refusal, else its own error.  ddvv passes no probe: it
+    reads order 2 only, and its first chunk's lane 0 decides point 0 as
+    cheaply.  Any other exception propagates from the chunk: it is a
+    fault, not a property of a point."""
     if probe is not None and len(pts):
         probe(pts[0])
     out = []
     for lo in range(0, len(pts), CHUNK_POINTS):
-        chunk = list(pts[lo:lo + CHUNK_POINTS])
-        try:
-            out += analyze(chunk, lo)
-        except WintgenError as exc:
-            if isinstance(exc, Refusal) and exc.lane == 0:
-                # its first point refuses alone as it did in the chunk
-                if probe is not None:
-                    probe(chunk[0])
-                raise
-            for idx, p in enumerate(chunk, lo):
-                try:
-                    out += analyze([p], idx)
-                except WintgenError:
-                    if probe is not None:
-                        probe(p)
-                    raise
+        out += _analyzed(analyze, list(pts[lo:lo + CHUNK_POINTS]), lo, probe)
     return out
+
+
+def _analyzed(analyze, chunk, start, probe) -> list:
+    """analyze(chunk, start), or the error of the chunk's first failing
+    point by the rule of map_chunks."""
+    try:
+        return analyze(chunk, start)
+    except WintgenError as exc:
+        l = exc.lane or 0
+        if l:
+            _analyzed(analyze, chunk[:l], start, probe)
+        if probe is not None:
+            probe(chunk[l])
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,11 @@ def test_a_refusing_probe_runs_no_chunk_and_an_empty_sample_no_probe():
 def _failing_at_3_and_5(error, calls):
     def analyze(chunk, start):
         calls.append((list(chunk), start))
-        if 3 in chunk or 5 in chunk:
-            raise error(f"point {min(p for p in chunk if p in (3, 5))}")
+        failing = [p for p in chunk if p in (3, 5)]
+        if failing:
+            exc = error(f"point {failing[0]}")
+            exc.lane = chunk.index(failing[0])
+            raise exc
         return chunk
     return analyze
 
@@ -127,13 +130,52 @@ def _passing_probe(p):
     return None
 
 
-def test_a_failing_chunk_runs_again_point_by_point():
-    calls = []
+def test_a_failing_chunk_reruns_the_points_before_its_lane():
+    # the error names lane 3: the points before it run again as one chunk,
+    # then point 3 runs the probe and the error propagates
+    calls, probed = [], []
     with pytest.raises(WintgenError, match="point 3"):
         moebius.map_chunks(_failing_at_3_and_5(WintgenError, calls),
-                           list("abc") + list(range(3, 8)), _passing_probe)
-    assert calls == [(["a", "b", "c", 3, 4, 5, 6, 7], 0), (["a"], 0),
-                     (["b"], 1), (["c"], 2), ([3], 3)]
+                           list("abc") + list(range(3, 8)), probed.append)
+    assert calls == [(["a", "b", "c", 3, 4, 5, 6, 7], 0),
+                     (["a", "b", "c"], 0)]
+    assert probed == ["a", 3]
+
+
+def test_a_lane_less_error_is_the_first_points():
+    # an error that every point raises (of the chart or of the request)
+    # names no lane: point 0 runs the probe and the error propagates, with
+    # no rerun
+    calls, probed = [], []
+
+    def analyze(chunk, start):
+        calls.append(list(chunk))
+        raise EvalError("every point fails")
+
+    with pytest.raises(EvalError, match="every point fails"):
+        moebius.map_chunks(analyze, list(range(6)), probed.append)
+    assert calls == [list(range(6))]
+    assert probed == [0, 0]
+
+
+def test_an_earlier_point_that_fails_at_a_later_step_comes_first():
+    # the chunk raises at its first step, at point 5; point 2 passes that
+    # step and fails at the next: the rerun prefix (points 0 to 4) reports
+    # point 2, after its own prefix (points 0 and 1) passes
+    calls, probed = [], []
+
+    def analyze(chunk, start):
+        calls.append(list(chunk))
+        for step, bad in (("first", 5), ("second", 2)):
+            if bad in chunk:
+                raise Refusal(f"{step} step fails at point {bad}",
+                              lane=chunk.index(bad))
+        return chunk
+
+    with pytest.raises(Refusal, match="second step fails at point 2"):
+        moebius.map_chunks(analyze, list(range(8)), probed.append)
+    assert calls == [list(range(8)), list(range(5)), [0, 1]]
+    assert probed == [0, 2]
 
 
 def test_a_failing_point_reports_its_probes_refusal_as_a_sample_of_one():
@@ -145,7 +187,8 @@ def test_a_failing_point_reports_its_probes_refusal_as_a_sample_of_one():
 
     def analyze(chunk, start):
         if 3 in chunk:
-            raise EvalError("the chunk fails at point 3")
+            raise EvalError("the chunk fails at point 3",
+                            lane=chunk.index(3))
         return chunk
 
     for pts in (list(range(6)), [3]):
@@ -341,9 +384,10 @@ def test_constant_components_take_the_chunks_layout(
 
 
 def test_no_multi_point_chunk_falls_back(capsys, monkeypatch, tmp_path):
-    # a chunk that raises runs again point by point: the same document, but
-    # a silent slowdown where every point passes alone; so a chunk of
-    # several points raises only in a call that ends refused or failed
+    # a chunk that raises reruns the points before the lane its error
+    # names; an error that no point raises alone would misreport the
+    # sample, so a chunk of several points raises only in a call that ends
+    # refused or failed
     sizes, raised = [], []
     run = moebius.map_chunks
 
@@ -401,7 +445,7 @@ def test_ddvv_records_are_the_one_point_reports(capsys, name):
 def test_a_refusal_names_its_sample_index_in_a_later_chunk(
         capsys, monkeypatch):
     # umbilic at sample point 27 (the second chunk's eighth lane), whether
-    # the chunk refuses itself or reruns point by point
+    # the chunk runs alone or after the first
     spec = gallery.by_name("so3").spec
     target = tuple(sample_points(spec.domain, 41, 0)[27])
     umbilic = classical.ClassicalContext.is_umbilic
@@ -520,6 +564,83 @@ def test_a_refusal_at_a_chunks_first_lane_is_not_rerun(capsys, monkeypatch):
     refusal = json.loads(capsys.readouterr().out)["refusal"]
     assert "at sample point 0;" in refusal["message"]
     assert evaluations == [(2, 20)]
+
+
+# the turned chart on u1 in [0.05, 3.3]: at seed 28 the first point that is
+# not ideal is the last of 20, sample point 19; (exit code, sha256 of
+# stdout) of `invariants --points 20 --seed 28`, recorded while a failing
+# chunk reran every point up to it alone
+TURNED_LATE = _SO3.replace(*_TURNED).replace("u1 in [0.05,6.2]",
+                                             "u1 in [0.05,3.3]")
+TURNED_LATE_PINNED = (3, "ba28192d93cdc80a1c2625962f2e794a"
+                         "f717545091ab93b4a534c657c7e1fc65")
+
+
+def test_a_late_failure_reruns_one_prefix_chunk(capsys, monkeypatch,
+                                                tmp_path):
+    sizes = []
+    analyze = cli._analyze
+    monkeypatch.setattr(cli, "_analyze", lambda spec, chunk, args: (
+        sizes.append(len(chunk)) or analyze(spec, chunk, args)))
+    assert _pinned_run(capsys, monkeypatch, tmp_path, "invariants",
+                       "turned.imm", TURNED_LATE, 28, 20) \
+        == TURNED_LATE_PINNED
+    assert sizes == [20, 19]
+
+
+def _bits(inv):
+    """The floats of a WintgenInvariants record, as int64 bit patterns."""
+    return np.array([x for v in dataclasses.astuple(inv)
+                     if not isinstance(v, str)
+                     for x in (v if isinstance(v, tuple) else (v,))],
+                    dtype=float).view(np.int64)
+
+
+def test_the_v0_gauge_turns_each_lane_as_its_point_alone(monkeypatch):
+    # C read as zero at the target point makes its lane already reduced
+    # (U = V = 0), while the other lanes of the chunk turn: the reduced
+    # lane keeps its rows, each lane as its point alone, bit for bit
+    spec = gallery.by_name("hopf-generic").spec
+    contract = ideal.CanonicalFields._contract_c
+    for target in (0, 1):
+        pts = sample_points(spec.domain, 2, 0)
+
+        def zero_at_target(self, r, i):
+            mask = [0.0 if q == tuple(pts[target]) else 1.0
+                    for q in self.ctx.p]
+            return contract(self, r, i) * (
+                np.array(mask) if len(mask) > 1 else mask[0])
+
+        monkeypatch.setattr(ideal.CanonicalFields, "_contract_c",
+                            zero_at_target)
+        cf = ideal.CanonicalFields(moebius.MoebiusContext(spec, pts),
+                                   gauge="V0")
+        invs = ideal._package_invariants(cf)
+        assert invs[target].U == invs[target].V == 0.0
+        assert invs[1 - target].U > 0.05
+        for k, p in enumerate(pts):
+            alone = ideal.CanonicalFields(moebius.MoebiusContext(spec, p),
+                                          gauge="V0")
+            assert np.array_equal(_bits(invs[k]),
+                                  _bits(ideal._package_invariants(alone)[0]))
+            assert cf.Rfv[k].tobytes() == alone.Rfv.tobytes(), (target, k)
+
+
+@pytest.mark.parametrize("argv, calls", [
+    ("invariants --example so3 --points 20", 2),
+    ("invariants --example cone-veronese --points 20", 1),
+    ("residuals --example hopf-generic --points 2", 2)])
+def test_the_umbilic_gate_is_decided_once_per_context(capsys, monkeypatch,
+                                                      argv, calls):
+    # one probe context and one chunk context, or the probe's alone where
+    # it refuses
+    count = []
+    umbilic = classical.umbilic
+    monkeypatch.setattr(classical, "umbilic",
+                        lambda *a: count.append(1) or umbilic(*a))
+    cli.main(argv.split())
+    capsys.readouterr()
+    assert len(count) == calls
 
 
 @pytest.mark.parametrize("name", ["so3", "cone-veronese"])
@@ -669,7 +790,7 @@ def test_a_probe_refusal_comes_before_an_order_5_evaluation_error(
     # the one place the probe changes a document: point 0 refuses on its
     # order-3 gates, where evaluating it alone at order 5 (as the analysis
     # does) raises EvalError first; residuals' probe passes, so its chunk
-    # still raises EvalError, rerun at point 0 alone
+    # still raises EvalError, at point 0
     spec = immersion.parse_immersion(FAST_WAVE)
     p0 = sample_points(spec.domain, 3, 0)[0]
     immersion.eval_immersion_jet(spec, p0, ideal.GATE_ORDER)

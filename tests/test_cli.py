@@ -346,6 +346,30 @@ def test_unwritable_output_path_is_an_input_error(capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags", [
+    ("--spec", "same.imm", "--csv", "same.imm"),
+    ("--spec", "same.imm", "--json", "./same.imm"),
+    ("--example", "so3", "--csv", "x", "--json", "x")], ids=" ".join)
+def test_outputs_that_name_one_file_are_refused(capsys, monkeypatch,
+                                                tmp_path, flags):
+    # an output over the chart would replace it, and --csv over --json
+    # would be lost: refused before any point is analyzed
+    def analyze(*args, **kwargs):
+        raise AssertionError("a point was analyzed before the file check")
+
+    monkeypatch.setattr(cli, "ClassicalContext", analyze)
+    monkeypatch.chdir(tmp_path)
+    chart = gallery.by_name("so3").expression_text
+    (tmp_path / "same.imm").write_text(chart)
+    code, out = run_cli(capsys, "ddvv", *flags, "--points", "2")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "SchemaError",
+        "message": "--spec, --json and --csv must name different files"}
+    assert (tmp_path / "same.imm").read_text() == chart
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["same.imm"]
+
+
 def test_csv_columns(capsys, tmp_path):
     path = tmp_path / "rows.csv"
     code, _ = run_cli(capsys, "invariants", "--example", "so3", "--points",

@@ -12,7 +12,8 @@ one site, cli.py prints a document at one call of `_emit` and writes the
 "schema" key at one site, the package caches its lazy fields with
 `jets.field` alone, never with `functools.cached_property`, catches no
 exception wholesale, and cli.py catches the exit-code families of errors.py,
-never one of their members.
+never one of their members.  Every Refusal and EvalError that the pipeline
+modules raise names its lane.
 """
 
 import ast
@@ -283,8 +284,8 @@ def test_handler_scanner_flags_bare_and_named_catches():
 
 
 def test_package_catches_no_exception_wholesale():
-    # a catch-all hides faults: a chunk that raised one would rerun point
-    # by point, and the command line would report it as a refusal
+    # a catch-all hides faults: a chunk that raised one would be rerun as
+    # a failing point, and the command line would report it as a refusal
     sites = [f"{path.name}:{line}" for path in PACKAGE
              for line in handler_sites(path.read_text(encoding="utf-8"),
                                        {"Exception", "BaseException"})]
@@ -298,3 +299,50 @@ def test_cli_catches_error_families_not_their_members():
                and cls not in families}
     path = ROOT / "src" / "wintgen" / "cli.py"
     assert handler_sites(path.read_text(encoding="utf-8"), members) == []
+
+
+# the modules whose errors are raised over the lanes of a chunk
+PIPELINE = ("jets.py", "immersion.py", "classical.py", "moebius.py",
+            "ideal.py")
+LANE_ERRORS = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type)
+               and issubclass(cls, (errors.Refusal, errors.EvalError))}
+
+
+def laneless_raises(source: str, names) -> list:
+    """Lines of the `raise` statements that call one of names (a name or a
+    module attribute) with no `lane=` keyword."""
+    sites = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call):
+            func = n.exc.func
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) \
+                    in names and "lane" not in {k.arg for k in n.exc.keywords}:
+                sites.append(n.lineno)
+        elif isinstance(n, ast.Raise) and n.exc is not None and (
+                getattr(n.exc, "id", None) or getattr(n.exc, "attr", None)) \
+                in names:
+            sites.append(n.lineno)  # the bare class: no lane either
+    return sites
+
+
+def test_laneless_raise_scanner_flags_calls_without_lane():
+    src = ("def f(l, exc):\n"
+           "    raise NotImmersed('a', lane=l)\n"
+           "    raise errors.EvalError('b')\n"
+           "    raise SingularJet\n"
+           "    raise SchemaError('c')\n"
+           "    raise EvalError('d', lane=getattr(exc, 'lane', None))\n"
+           "    raise\n")
+    assert laneless_raises(src, {"NotImmersed", "EvalError",
+                                 "SingularJet"}) == [3, 4]
+
+
+def test_every_pipeline_refusal_and_eval_error_names_its_lane():
+    # map_chunks reruns the points before the lane an error names; an
+    # error raised with no lane is taken as the first point's
+    sites = [f"{name}:{line}" for name in PIPELINE
+             for line in laneless_raises(
+                 (ROOT / "src" / "wintgen" / name).read_text(
+                     encoding="utf-8"), LANE_ERRORS)]
+    assert sites == []
