@@ -63,6 +63,11 @@ class ClassicalContext:
     """Lazy jet computations for one immersion at the points of a chunk (p
     a list of points, or one point), one lane per point.
 
+    The chain runs on stacks (jets): the chart jet x_stack (ncoef, ncomp[,
+    lanes]), its partials, the metric, the tangent and normal frames and h
+    over the LOWER pairs of jetalg, products by jets.stack_mul; x, xa, xab,
+    induced_metric, frame_chart, tangent_amb, normal_frame, h and H are the
+    same entries as nested lists of views.
     `point` is its point pass, the same context on values (lane vectors
     over a chunk, floats for a point alone).  It decides the NotImmersed
     gates (metric, ambient constraint, normal frame), picks the pivots the
@@ -72,42 +77,60 @@ class ClassicalContext:
     def __init__(self, spec: ImmersionSpec, p, order: int = 5):
         check_order(order)
         self.spec, self.order, self.inner = spec, order, spec.ambient.inner
+        self.lorentz = self.inner is jetalg.lorentz_dot
         self.p = [tuple(float(v) for v in q) for q in jets.points(p)]
 
+    # -- the pass's arithmetic: jets here, values in the point pass ----------
+
+    # _mul multiplies two stacks, _list gives a stack's entries as nested
+    # lists (depth entry axes), _scalar a stacked scalar as a scalar of the
+    # pass and _coefs a scalar's coefficients
+    def _mul(self, a, b):
+        return jets.stack_mul(a, b)
+
+    def _inner(self, u, v, axis):
+        """The ambient inner product of stacks over their component axis."""
+        return jets.contract(self._mul(u, v), axis, self.lorentz)
+
+    _list = staticmethod(jets.views)
+    _scalar = staticmethod(lambda c: jets.views(c, 0))
+    _coefs = staticmethod(lambda x: x.c)
+
+    # -- the chain -------------------------------------------------------------
+
     @jets.field
-    def x(self):
-        return eval_immersion_jet(self.spec, self.p, self.order)
+    def x_stack(self):
+        return jets.stack(eval_immersion_jet(self.spec, self.p, self.order))
 
     @jets.field
     def point(self) -> "_PointPass":
         return _PointPass(self)
 
     @jets.field
-    def xa(self):
-        return [[jets.derivative(c, a + 1) for c in self.x] for a in range(3)]
+    def xa_stack(self):
+        """The first partials (ncoef, 3, ncomp[, lanes])."""
+        return np.stack([jets.stack_derivative(self.x_stack, a)
+                         for a in range(3)], axis=1)
 
     @jets.field
-    def xab(self):
-        """The second partials [a][b] for b <= a, all that h reads."""
-        return [[[jets.derivative(c, b + 1) for c in self.xa[a]]
-                 for b in range(a + 1)] for a in range(3)]
+    def xab_stack(self):
+        """The second partials over the LOWER pairs, all that h reads."""
+        xa = self.xa_stack
+        return np.stack([jets.stack_derivative(xa[:, a], b)
+                         for a, b in jetalg.LOWER], axis=1)
+
+    # x and its first partials at order K - 2, the order of h: all that the
+    # metric, the frames, the normals and the lift in moebius read
+    x_low = jets.field(lambda self: self.x_stack[:jets.ncoef(self.order - 2)])
+    xa_low = jets.field(
+        lambda self: self.xa_stack[:jets.ncoef(self.order - 2)])
 
     @jets.field
-    def x_low(self):
-        """x at order K - 2, the order of h: the position unit of _units,
-        and the lift's argument in moebius."""
-        return jetalg.truncate(self.x, self.order - 2)
-
-    @jets.field
-    def xa_low(self):
-        """The first partials at order K - 2, all that the metric, the
-        frames and the normals read."""
-        return jetalg.truncate(self.xa, self.order - 2)
-
-    @jets.field
-    def induced_metric(self):
+    def metric_stack(self):
+        """The induced metric over the LOWER pairs."""
         xa = self.xa_low
-        return jetalg.symmetric3(lambda a, b: self.inner(xa[a], xa[b]))
+        return self._inner(xa[:, [a for a, _ in jetalg.LOWER]],
+                           xa[:, [b for _, b in jetalg.LOWER]], 2)
 
     @jets.field
     def frame_chart(self):
@@ -117,55 +140,81 @@ class ClassicalContext:
         return jetalg.inv_lower3(jetalg.cholesky3(self.induced_metric))
 
     @jets.field
-    def tangent_amb(self):
-        # e_i = sum_a eC[i][a] x_a, component by component
-        return [[jetalg.dot(self.frame_chart[i], [xa[k] for xa in self.xa_low])
-                 for k in range(len(self.x))] for i in range(3)]
+    def frame_stack(self):
+        """frame_chart over the LOWER entries."""
+        return np.stack([self._coefs(self.frame_chart[i][a])
+                         for i, a in jetalg.LOWER], axis=1)
+
+    @jets.field
+    def tangent_stack(self):
+        """e_i = sum_{a <= i} eC[i][a] x_a, (ncoef, 3, ncomp[, lanes])."""
+        terms = self._mul(self.frame_stack[:, :, None],
+                          self.xa_low[:, [a for _, a in jetalg.LOWER]])
+        return jets.contract(terms, 1, runs=(1, 2, 3))
 
     def _units(self):
         """The vectors the normals are made orthogonal to, with the sign of
         their square: the position if it is a unit, then the tangent frame."""
         sign = self.spec.ambient.position_sign
         units = [] if sign is None else [(self.x_low, sign)]
-        units.extend((t, 1.0) for t in self.tangent_amb)
+        units.extend((t, 1.0) for t in np.moveaxis(self.tangent_stack, 1, 0))
         return units
-
-    def _constant(self, value: float):
-        return jets.MultiJet.constant(value, self.order - 2)
 
     def _residual(self, k, units):
         """The k-th standard basis vector (k a lane vector over a chunk) with
         its components along the units projected away, one after another."""
-        v = [self._constant(1.0 * (k == m))
-             for m in range(self.spec.ambient.ncomp)]
+        v = np.zeros(self.x_low.shape)
+        m = np.arange(v.shape[1]).reshape((-1,) + (1,) * (v.ndim - 2))
+        v[0] = m == k
         for u, s in units:
-            coef = self.inner(v, u) * s
-            v = [a - coef * b for a, b in zip(v, u)]
+            coef = self._inner(v, u, 1)
+            if s != 1.0:
+                coef = coef * s
+            v = v - self._mul(coef[:, None], u)
         return v
 
+    def _normalize(self, v):
+        inv_n = 1.0 / jets.sqrt(self._scalar(self._inner(v, v, 1)))
+        return self._mul(v, self._coefs(inv_n)[:, None])
+
     @jets.field
-    def normal_frame(self):
-        """Two unit normals by Gram-Schmidt from the standard basis vectors
-        the point pass picked."""
-        self.point.normal_frame  # picks the pivots, or refuses
+    def normal_stack(self):
+        """Two unit normals (ncoef, 2, ncomp[, lanes]) by Gram-Schmidt from
+        the standard basis vectors the point pass picked."""
+        self.point.normal_stack  # picks the pivots, or refuses
         units = self._units()
         normals = []
         for k in self.point.pivots:
-            n = jetalg.normalize(self._residual(k, units), inner=self.inner)
+            n = self._normalize(self._residual(k, units))
             units.append((n, 1.0))
             normals.append(n)
-        return normals
+        return np.stack(normals, axis=1)
 
     @jets.field
-    def h(self):
-        """Second fundamental form h^r_ij in the orthonormal frames."""
-        return [jetalg.lower_congruence(self.frame_chart, jetalg.symmetric3(
-            lambda a, b: self.inner(self.xab[a][b], n)))
-            for n in self.normal_frame]
+    def h_stack(self):
+        """Second fundamental form h^r_ij in the orthonormal frames over the
+        LOWER pairs, (ncoef, 2, 6[, lanes])."""
+        forms = self._inner(self.xab_stack[:, None],
+                            self.normal_stack[:, :, None], 3)
+        return jetalg.congruence(self.frame_stack, forms, self._mul)
 
     @jets.field
-    def H(self):
-        return [(m[0][0] + m[1][1] + m[2][2]) * (1.0 / 3.0) for m in self.h]
+    def H_stack(self):
+        h = self.h_stack
+        return (h[:, :, 0] + h[:, :, 2] + h[:, :, 5]) * (1.0 / 3.0)
+
+    # the same entries as nested lists; xab[a] holds the pairs b <= a
+    x = jets.field(lambda self: self._list(self.x_stack, 1))
+    xa = jets.field(lambda self: self._list(self.xa_stack, 2))
+    xab = jets.field(lambda self: (lambda e: [e[0:1], e[1:3], e[3:6]])(
+        self._list(self.xab_stack, 2)))
+    induced_metric = jets.field(lambda self: jetalg.symmetric_entries(
+        self._list(self.metric_stack, 1)))
+    tangent_amb = jets.field(lambda self: self._list(self.tangent_stack, 2))
+    normal_frame = jets.field(lambda self: self._list(self.normal_stack, 2))
+    h = jets.field(lambda self: [jetalg.symmetric_entries(
+        self._list(self.h_stack[:, r], 1)) for r in range(2)])
+    H = jets.field(lambda self: self._list(self.H_stack, 1))
 
     def is_umbilic(self):
         """The umbilic criterion on the point pass's h and H, per lane."""
@@ -187,6 +236,9 @@ class ClassicalContext:
         return jets.sqrt(1.5 * trace_free_sq(self.h, self.H))
 
 
+_DIAGONAL = np.array([2.0 if a == b else 1.0 for a, b in jetalg.LOWER])
+
+
 @lru_cache(maxsize=None)
 def _basis_squares(ambient) -> tuple:
     """<e_k, e_k> for the standard basis of the ambient coordinates."""
@@ -195,22 +247,39 @@ def _basis_squares(ambient) -> tuple:
 
 class _PointPass(ClassicalContext):
     """A ClassicalContext's formulas on values: lane vectors over a chunk,
-    floats for a point alone.  x and its first and second partials are read
-    from the chart jet (jets.low_partials), so each lane equals the constant
-    term of the matching jet, and its point alone, bit for bit.  The gates
-    are decided here, at the first failing lane, and the pivots picked."""
+    floats for a point alone, in stacks of one coefficient, products by
+    np.multiply.  x and its first and second partials are read from the
+    chart jet as jets.low_partials reads them (jets.SECOND), so each lane
+    equals the constant term of the matching jet, and its point alone, bit
+    for bit.
+    The gates are decided here, at the first failing lane, and the pivots
+    picked."""
 
     point = property(lambda self: self)  # not an attribute: no self-cycle
 
     def __init__(self, ctx: ClassicalContext):
         self.spec, self.p, self.order = ctx.spec, ctx.p, ctx.order
-        self.inner = ctx.inner
-        x, d1, d2 = zip(*map(jets.low_partials, ctx.x))
-        self.x = list(x)
-        self.xa = [[d[a] for d in d1] for a in range(3)]
-        self.xab = [[[d[a][b] for d in d2] for b in range(a + 1)]
-                    for a in range(3)]
-        self.x_low, self.xa_low = self.x, self.xa
+        self.inner, self.lorentz = ctx.inner, ctx.lorentz
+        c = ctx.x_stack
+        self.x_stack = self.x_low = c[:1]
+        self.xa_stack = self.xa_low = c[None, 1:1 + 3]
+        # the diagonal second partials carry the factor 2 of T_alpha
+        self.xab_stack = (c[[jets.SECOND[a][b] for a, b in jetalg.LOWER]]
+                          * _DIAGONAL.reshape((6,) + (1,) * (c.ndim - 1)))[None]
+
+    _mul = staticmethod(np.multiply)
+    _scalar = staticmethod(lambda c: c[0])
+    _coefs = staticmethod(lambda x: np.asarray(x, dtype=float)[None])
+
+    def _list(self, c, depth):
+        """Floats for a point alone, lane vectors over a chunk."""
+        v = c[0]
+        if v.ndim == depth:
+            return v.tolist()
+
+        def build(v, d):
+            return [build(w, d - 1) for w in v] if d else v
+        return build(v, depth)
 
     @jets.field
     def frame_chart(self):
@@ -243,11 +312,8 @@ class _PointPass(ClassicalContext):
                                   lane=l)
         return jetalg.inv_lower3(jetalg.cholesky3(I))
 
-    def _constant(self, value: float):
-        return value
-
     @jets.field
-    def normal_frame(self):
+    def normal_stack(self):
         """Each normal starts from the standard basis vector e_k with the
         largest residual, ranked in one pass by <e_k, e_k> - sum_u s_u u_k^2
         over the orthonormal units; a later index needs a score larger by
@@ -259,23 +325,24 @@ class _PointPass(ClassicalContext):
         normals, pivots = [], [-1]  # a step skips the last pivot (-1: none)
         for _ in range(2):
             best_k, best_score = -1, -math.inf
+            rows = [(self._list(u, 1), s) for u, s in units]
             for k, score in enumerate(squares):
-                for u, s in units:
+                for u, s in rows:
                     score -= s * u[k] * u[k]
                 better = (score > best_score + 1e-15) & (pivots[-1] != k)
                 best_k = jets.where(better, k, best_k)
                 best_score = jets.where(better, score, best_score)
             v = self._residual(best_k, units)
-            l = jets.first_lane(self.inner(v, v) <= 1e-12)
+            l = jets.first_lane(self._inner(v, v, 1)[0] <= 1e-12)
             if l is not None:
                 raise NotImmersed(
                     f"cannot complete normal frame at {self.p[l]}", lane=l)
             pivots.append(best_k)
-            n = jetalg.normalize(v, inner=self.inner)
+            n = self._normalize(v)
             units.append((n, 1.0))
             normals.append(n)
         self.pivots = tuple(pivots[1:])
-        return normals
+        return np.stack(normals, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +415,20 @@ def ddvv_from_forms(h, H, c: float, tol: float = TOL) -> list[DDVVReport]:
                     slack.tolist(), ideal.tolist()))
 
 
-def require_ideal(h, H, c: float, tol: float, where=("",)) -> None:
+def _at(pts, l) -> str:
+    """The end of lane l's refusal message: its point, if pts are given."""
+    return "" if pts is None else f" at {pts[l]}"
+
+
+def require_ideal(h, H, c: float, tol: float, pts=None) -> None:
     """The slack gate on the blocks of form_blocks: refuses at the first one
-    where DDVV equality fails within tol; where[l] ends block l's message."""
+    where DDVV equality fails within tol, naming its point when pts are
+    given."""
     reports = ddvv_from_forms(h, H, c, tol=tol)
     l = jets.first_lane([not r.ideal for r in reports])
     if l is not None:
-        raise NotIdealPoint(f"equality gap {reports[l].slack:.3e}{where[l]}: "
-                            "not an ideal point", lane=l)
+        raise NotIdealPoint(f"equality gap {reports[l].slack:.3e}"
+                            f"{_at(pts, l)}: not an ideal point", lane=l)
 
 
 def trace_free_sq(h, H):
@@ -471,12 +544,12 @@ class KernelPlane:
     flip: float
 
 
-def kernel_plane(T, where=("",)) -> KernelPlane:
+def kernel_plane(T, pts=None) -> KernelPlane:
     """The kernel plane of the forms T[..., 0, :, :], T[..., 1, :, :]
     (floats, a leading lane axis over a chunk), given in one orthonormal
     basis; refuses with NotIdealPoint, at the first failing lane, when they
-    share no kernel line or the first one vanishes on the plane.  where[l]
-    ends lane l's refusal messages."""
+    share no kernel line or the first one vanishes on the plane, naming its
+    point when pts are given."""
     T0, T1 = T[..., 0, :, :], T[..., 1, :, :]
     _, sing, vt = np.linalg.svd(np.concatenate([T0, T1], axis=-2))
     q = kernel_sign(vt[..., 2, :])
@@ -497,9 +570,9 @@ def kernel_plane(T, where=("",)) -> KernelPlane:
     if l is not None:
         s = np.reshape(sing, (-1, 3))[l]
         raise NotIdealPoint(
-            f"trace-free forms have no common kernel{where[l]} (singular "
+            f"trace-free forms have no common kernel{_at(pts, l)} (singular "
             f"values {s[2]:.3e} vs {s[0]:.3e})" if np.ravel(no_kernel)[l]
-            else f"degenerate shape pattern{where[l]}", lane=l)
+            else f"degenerate shape pattern{_at(pts, l)}", lane=l)
     return KernelPlane(q=q, F1=F1, flip=flip)
 
 

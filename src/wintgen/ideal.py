@@ -117,7 +117,8 @@ class CanonicalFields:
         # cutoff it is undefined and E3 stays as the kernel sign left it
         sign = np.where(~self.integrable & (self.torsion < 0.0), -1.0,
                         1.0)[()]
-        rows[2] = [sign * c for c in rows[2]]
+        if not jetalg.exactly(sign, 1.0):
+            rows[2] = [sign * c for c in rows[2]]
         self.data = moebius_data(ctx)
 
         self.Rf = [[jetalg.lincomb(M0[:, j].tolist(), lambda k: R[k])
@@ -221,7 +222,7 @@ class CanonicalFields:
     @jets.field
     def theta_chart(self):
         """Normal connection of the adapted sphere pair in chart components."""
-        return connection_chart(self.xi[0], self.xi[1])
+        return connection_chart(*(jets.stack(x) for x in self.xi))
 
     def d_form_on(self, chart_form, i, j):
         """Exterior derivative of a chart 1-form (jets), evaluated on adapted
@@ -277,8 +278,9 @@ class CanonicalFields:
     @jets.field
     def coframe_can(self):
         """Rows: the adapted coframe in chart components (jets)."""
-        co = self.ctx.coframe
-        return [[jetalg.dot(self.Rf[i], [co[j][a] for j in range(3)])
+        co = self.ctx.coframe  # upper triangular: co[j][a] = 0 for j > a
+        return [[jetalg.dot(self.Rf[i][:a + 1],
+                            [co[j][a] for j in range(a + 1)])
                  for a in range(3)] for i in range(3)]
 
     @jets.field
@@ -388,9 +390,9 @@ def frame_gates(ctx: MoebiusContext, pregauge=None, ltol: float = LTOL,
     bit, and they make no jet arithmetic of their own.  Returns the
     pregauge rotations M0 and Q0, the kernel plane, the torsion, its floor
     and the integrable mask."""
-    cl, where = ctx.classical, [f" at {q}" for q in ctx.p]
+    cl = ctx.classical
     cl.umbilic_gate  # refuses at the first umbilic point
-    require_ideal(*form_blocks(cl), cl.spec.ambient.c, tol, where)
+    require_ideal(*form_blocks(cl), cl.spec.ambient.c, tol, ctx.p)
 
     t = 0.0 if pregauge is None else float(pregauge)
     M0 = np.array([[math.cos(t), -math.sin(t), 0.0],
@@ -399,7 +401,7 @@ def frame_gates(ctx: MoebiusContext, pregauge=None, ltol: float = LTOL,
     Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
                    [math.sin(2 * t), math.cos(2 * t)]])
     plane = kernel_plane(jetalg.value_array(
-        _pregauged(jetalg.values(ctx.B), M0, Q0)), where)
+        _pregauged(jetalg.values(ctx.B), M0, Q0)), ctx.p)
     # the torsion along the kernel line (turned_frame's E3 is a positive
     # multiple of plane.q), rotated back by the pregauge
     tor = _oriented_torsion(ctx.covB_values, ctx.B_values, plane.q @ M0)

@@ -60,13 +60,28 @@ class AmbientModel:
             return [(1.0 + n2) * 0.5, (1.0 - n2) * 0.5] + list(x)
         return [1.0] + list(x) if self.kind == "sphere" else list(x) + [1.0]
 
-    def dlift(self, x, v):
-        """The lift's differential at x on v; None in the slots where it
-        vanishes, so that no float zero is added to a jet."""
-        if self.kind == "euclidean":
-            xv = jetalg.dot(x, v)
-            return [xv, -xv] + list(v)
-        return [None] + list(v) if self.kind == "sphere" else list(v) + [None]
+    def lift_times(self, f, x, v=None):
+        """f lift(x), plus the lift's differential at x on v when given, for
+        stacked coordinate jets x and v (ncoef, ncomp[, lanes]) and a
+        stacked scalar jet f (ncoef[, lanes]), as a stack (ncoef, ncomp + 1
+        [, lanes]): the lift Y = rho lift(x), and the mean curvature sphere
+        H lift(x) + dlift_x(n).  A constant slot 1 of the lift gives f."""
+        fx = jets.stack_mul(f[:, None], x)
+        if v is not None:
+            fx = fx + v
+        if self.kind == "sphere":
+            return np.concatenate([f[:, None], fx], axis=1)
+        if self.kind == "hyperbolic":
+            return np.concatenate([fx, f[:, None]], axis=1)
+        n2 = jets.contract(jets.stack_mul(x, x), 1)
+        head = [n2.copy(), -n2]  # 1 + n2 and 1 - n2, halved
+        for c in head:
+            c[0] += 1.0
+        head = [jets.stack_mul(f, c * 0.5) for c in head]
+        if v is not None:
+            xv = jets.contract(jets.stack_mul(x, v), 1)
+            head = [head[0] + xv, head[1] - xv]
+        return np.concatenate([np.stack(head, axis=1), fx], axis=1)
 
 
 SPHERE = AmbientModel("sphere", 1.0, 6)

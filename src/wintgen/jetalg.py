@@ -3,7 +3,8 @@
 Vectors and matrices are plain Python lists (of lists); entries are MultiJet
 or float.  Everything here is generic over the scalar type because the
 geometric pipeline runs the same formulas on jets (for derivatives) and on
-floats (for spot values).
+floats (for spot values).  congruence works on stacks (jets), with the
+product of stacks as an argument, so the point pass runs it on values.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets
+from .jets import contract
 
 
 def dot(u, v):
@@ -116,16 +118,54 @@ def symmetric3(entry):
     return M
 
 
+# The entries (a, b), b <= a, of a lower-triangular or symmetric 3x3 matrix
+# in a stack's entry axis, row by row, and each (a, b)'s place among them.
+LOWER = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
+SYM = ((0, 1, 3), (1, 2, 4), (3, 4, 5))
+
+
+def symmetric_entries(e):
+    """The symmetric 3x3 nested list of its LOWER entries e."""
+    return [[e[SYM[a][b]] for b in range(3)] for a in range(3)]
+
+
+# T = L M as the products L_ia M_ab over a <= i, in runs of (i, b); then
+# (T L^T)_ij as the products T_ib L_jb over b <= j, in runs of (i, j) in
+# LOWER order
+_T_TERMS = [(i, a, b) for i in range(3) for b in range(3) for a in range(i + 1)]
+_T_L = [SYM[i][a] for i, a, _ in _T_TERMS]
+_T_M = [SYM[a][b] for _, a, b in _T_TERMS]
+_OUT_TERMS = [(i, j, b) for i, j in LOWER for b in range(j + 1)]
+_OUT_T = [3 * i + b for i, _, b in _OUT_TERMS]
+_OUT_L = [SYM[j][b] for _, j, b in _OUT_TERMS]
+
+
+def congruence(L, M, mul):
+    """L M L^T for stacked lower-triangular L (ncoef, 6, ...) and symmetric
+    M (ncoef, *batch, 6, ...), both over LOWER, as stacked LOWER entries;
+    mul multiplies two stacks.  Each entry is the dots of lower_congruence,
+    with the zero entries of L skipped."""
+    axis = M.ndim - L.ndim + 1
+    L = L.reshape(L.shape[:1] + (1,) * (axis - 1) + L.shape[1:])
+    T = contract(mul(np.take(L, _T_L, axis), np.take(M, _T_M, axis)), axis,
+                 runs=[i + 1 for i in range(3) for _ in range(3)])
+    return contract(mul(np.take(T, _OUT_T, axis), np.take(L, _OUT_L, axis)),
+                    axis, runs=[j + 1 for _, j in LOWER])
+
+
 def lower_congruence(L, M):
-    """L M L^T for a lower-triangular 3x3 L and a symmetric 3x3 M, skipping
-    the zero entries of L and building each symmetric pair once."""
-    # T = L M, then out = T L^T
-    T = [[dot(L[i][:i + 1], [M[a][b] for a in range(i + 1)]) for b in range(3)]
-         for i in range(3)]
-    return symmetric3(lambda i, j: dot(T[i][:j + 1], L[j][:j + 1]))
+    """L M L^T for a lower-triangular 3x3 L and a symmetric 3x3 M (nested
+    lists, all jets or all numbers), by congruence."""
+    lower = [[X[a][b] for a, b in LOWER] for X in (L, M)]
+    if isinstance(lower[0][0], jets.MultiJet):
+        out = congruence(*map(jets.stack, lower), jets.stack_mul)
+        return symmetric_entries(jets.views(out, 1))
+    out = congruence(*(np.asarray(e, dtype=float)[None] for e in lower),
+                     np.multiply)
+    return symmetric_entries(list(out[0]))
 
 
-def _exactly(c, v) -> bool:
+def exactly(c, v) -> bool:
     """Whether a coefficient is exactly v on every lane; a jet never is."""
     if isinstance(c, float):
         return c == v
@@ -139,9 +179,9 @@ def lincomb(coefs, term):
     term drops."""
     acc = None
     for k, c in enumerate(coefs):
-        if _exactly(c, 0.0):
+        if exactly(c, 0.0):
             continue
-        t = term(k) if _exactly(c, 1.0) else c * term(k)
+        t = term(k) if exactly(c, 1.0) else c * term(k)
         acc = t if acc is None else acc + t
     return acc
 
@@ -192,8 +232,10 @@ def value_array(obj) -> np.ndarray:
 def gradients(obj) -> np.ndarray:
     """First partials at the point of a nested list of jets: an array of the
     list's shape with a trailing axis of length 3; over a chunk, behind a
-    leading lane axis."""
-    return _stack(obj, lambda x, lanes: jets.gradient(x))
+    leading lane axis; zeros for a number."""
+    return _stack(obj, lambda x, lanes: jets.gradient(x)
+                  if isinstance(x, jets.MultiJet)
+                  else np.zeros((jets.NVARS,) + ((lanes,) if lanes else ())))
 
 
 # u @ M, M @ v and u . v for values with a leading lane axis: np.matmul

@@ -27,6 +27,18 @@ read from a chunk's jets (jetalg.value_array) are arrays with a leading lane
 axis (a point alone has none); low_partials reads lane vectors, and a gate
 refuses at first_lane of its failure mask.
 
+Stacks.  The jets of a vector or tensor of one order share one coefficient
+array (ncoef, *entries[, lanes]): the chart jet x is (ncoef, ncomp[, lanes]),
+its partials (ncoef, 3, ncomp[, lanes]).  stack_mul multiplies two stacks
+entry by entry (broadcasting over the entry axes), each entry summing the
+pairs of MultiJet.__mul__ in its order, and contract sums an entry axis in
+order as jetalg.dot and jetalg.lorentz_dot do, so every entry and lane keeps
+the bits of the per-jet route.  stack_mul splits its entries into tiles so
+that none of its temporaries exceeds TILE doubles (128 KB): a larger array
+is its own mapping in the allocator, paid for in page faults on every
+product.  views gives the scalar readers MultiJet views into a stack; a view
+is never written, as no jet's coefficients are once it is made.
+
 Elementary functions compose their Taylor series by Horner's products,
 except on a jet affine in one chart variable (a chart seed, or a multiple
 of one): there the series lands on that variable's powers, each term
@@ -440,14 +452,104 @@ def jet_elementary(a: MultiJet, fn: str) -> MultiJet:
 
 
 def derivative(a: MultiJet, var_index: int) -> MultiJet:
-    """Partial derivative with respect to u_{var_index}; drops one order."""
+    """Partial derivative with respect to u_{var_index}; drops one order.
+    0.0 for a plain float, which stands for a constant."""
     if var_index not in (1, 2, 3):
         raise OrderError(f"var_index must be 1, 2, or 3, got {var_index!r}")
+    if not isinstance(a, MultiJet):
+        return 0.0
     if a.order == 0:
         raise OrderError("cannot differentiate an order-0 jet")
     src, fac = _deriv_table(a.order, var_index - 1)
     c = a.c[src]
     return _jet(a.order - 1, (fac if c.ndim == 1 else fac[:, None]) * c)
+
+
+# ---------------------------------------------------------------------------
+# stacks: the jets of a tensor in one array (ncoef, *entries[, lanes])
+
+# The most doubles in one temporary of stack_mul.
+TILE = 16384
+
+
+def stack_order(c: np.ndarray) -> int:
+    """The jet order of stacked coefficients c."""
+    return _NCOEF.index(len(c))
+
+
+def _stack_product(order: int, a, b) -> np.ndarray:
+    """stack_mul on operands of one order whose product fits in a tile."""
+    ia, ib, _ = _mul_table(order)
+    w = a.take(ia, 0) * b.take(ib, 0)
+    return _lane_sum(order, 0, w.reshape(len(ia), -1),
+                     _NCOEF[order]).reshape((-1,) + w.shape[1:])
+
+
+def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The jet products a * b of stacked coefficients, entry by entry at the
+    lower order, the entry axes broadcast: each entry sums the pairs of
+    MultiJet.__mul__ in its order, bit for bit.  The entries (lanes
+    included) run in tiles of at most TILE doubles per temporary."""
+    n = min(len(a), len(b))
+    order = _NCOEF.index(n)
+    a, b = a[:n], b[:n]
+    pairs = len(_mul_table(order)[0])
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    if pairs * math.prod(shape) <= TILE:
+        return _stack_product(order, a, b)
+    # tile axis d of the entries, and every index of the axes before it
+    d = next(d for d in range(len(shape))
+             if pairs * math.prod(shape[d + 1:]) <= TILE)
+    step = TILE // (pairs * math.prod(shape[d + 1:]))
+    a, b = (np.broadcast_to(x, (n,) + shape) for x in (a, b))
+    out = np.empty((n,) + shape)
+    for idx in np.ndindex(shape[:d]):
+        for lo in range(0, shape[d], step):
+            s = (slice(None),) + idx + (slice(lo, lo + step),)
+            out[s] = _stack_product(order, a[s], b[s])
+    return out
+
+
+def contract(p: np.ndarray, axis: int, lorentz: bool = False,
+             runs=None) -> np.ndarray:
+    """The sum of stacked coefficients p over an entry axis (axis counts
+    the coefficient axis), term by term in order as jetalg.dot adds its
+    products, the first term negated when lorentz, as in
+    jetalg.lorentz_dot.  With runs, each run of that many consecutive
+    entries is summed alone, and the sums stay on that axis."""
+    at = (slice(None),) * axis
+    sums, lo = [], 0
+    for size in (p.shape[axis],) if runs is None else runs:
+        acc = -p[at + (lo,)] if lorentz else p[at + (lo,)]
+        for k in range(lo + 1, lo + size):
+            acc = acc + p[at + (k,)]
+        sums.append(acc)
+        lo += size
+    return sums[0] if runs is None else np.stack(sums, axis=axis)
+
+
+def stack_derivative(c: np.ndarray, var: int) -> np.ndarray:
+    """The partials along u_{var + 1} (var 0-based) of stacked
+    coefficients, as derivative takes them."""
+    src, fac = _deriv_table(stack_order(c), var)
+    return fac.reshape((-1,) + (1,) * (c.ndim - 1)) * c[src]
+
+
+def stack(entries) -> np.ndarray:
+    """The coefficients of a list of jets, stacked at their lowest order."""
+    n = min(len(e.c) for e in entries)
+    return np.stack([e.c[:n] for e in entries], axis=1)
+
+
+def views(c: np.ndarray, depth: int):
+    """Stacked coefficients as nested lists (depth entry axes) of MultiJet
+    views into c, which are never written."""
+    order = stack_order(c)
+
+    def build(c, d):
+        return [build(c[:, k], d - 1) for k in range(c.shape[1])] if d \
+            else _jet(order, c)
+    return build(c, depth)
 
 
 def gradient(x) -> np.ndarray:
@@ -461,7 +563,7 @@ def gradient(x) -> np.ndarray:
 
 
 # the slots of the monomials e_a + e_b in graded order
-_SECOND = ((4, 5, 6), (5, 7, 8), (6, 8, 9))
+SECOND = ((4, 5, 6), (5, 7, 8), (6, 8, 9))
 
 
 def low_partials(x: MultiJet):
@@ -473,7 +575,7 @@ def low_partials(x: MultiJet):
     c = x.c[:_NCOEF[2]]
     c = c.tolist() if c.ndim == 1 else list(c)
     d2 = [[c[k] * (2.0 if a == b else 1.0) for b, k in enumerate(row)]
-          for a, row in enumerate(_SECOND)]
+          for a, row in enumerate(SECOND)]
     return c[0], c[1:1 + NVARS], d2
 
 
@@ -594,6 +696,9 @@ class field:
 
     def __init__(self, func):
         self.func, self.attrname, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.attrname = name
 
     def __get__(self, obj, cls=None):
         if obj is None:

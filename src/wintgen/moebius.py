@@ -108,8 +108,11 @@ def _christoffel(ginv, dg):
 
 def connection_chart(x, y):
     """Chart components t_a = <d_a x, y> of the 1-form <dx, y>, for two
-    7-component jet vectors (the normal connection of a sphere pair)."""
-    return [ldot([jets.derivative(c, a + 1) for c in x], y) for a in range(3)]
+    stacked 7-component jet vectors (ncoef, 7[, lanes]) (the normal
+    connection of a sphere pair), as 3 jets."""
+    dx = np.stack([jets.stack_derivative(x, a) for a in range(3)], axis=1)
+    return jets.views(jets.contract(jets.stack_mul(dx, y[:, None]), 2, True),
+                      1)
 
 
 def frame_d_values(E, vec) -> np.ndarray:
@@ -150,14 +153,17 @@ class MoebiusContext:
         return 1.0 / self.rho
 
     @jets.field
-    def Y(self):
-        return [self.rho * v
-                for v in self.spec.ambient.lift(self.classical.x_low)]
+    def Y_stack(self):
+        """The lift rho lift(x), (ncoef, 7[, lanes])."""
+        return self.spec.ambient.lift_times(self.rho.c, self.classical.x_low)
+
+    Y = jets.field(lambda self: jets.views(self.Y_stack, 1))
 
     @jets.field
     def g(self):
-        rho2, I = self.rho * self.rho, self.classical.induced_metric
-        return jetalg.symmetric3(lambda a, b: rho2 * I[a][b])
+        rho2 = self.rho * self.rho
+        return jetalg.symmetric_entries(jets.views(jets.stack_mul(
+            rho2.c[:, None], self.classical.metric_stack), 1))
 
     @jets.field
     def ginv(self):
@@ -185,9 +191,10 @@ class MoebiusContext:
 
     @jets.field
     def EC(self):
-        """Frame rows for g: E_i = sum_a EC[i][a] d/du_a (lower triangular)."""
-        return [[v * self.inv_rho for v in row]
-                for row in self.classical.frame_chart]
+        """Frame rows for g: E_i = sum_a EC[i][a] d/du_a (lower triangular,
+        the zeros above the diagonal floats)."""
+        return [[v * self.inv_rho if a <= i else v for a, v in enumerate(row)]
+                for i, row in enumerate(self.classical.frame_chart)]
 
     @jets.field
     def coframe(self):
@@ -210,37 +217,46 @@ class MoebiusContext:
     # -- mean curvature sphere and dual point ---------------------------------
 
     @jets.field
-    def laplace_Y(self):
+    def laplace_stack(self):
         """g^ab (d_a d_b Y - Gamma^c_ab d_c Y), summed over a <= b with the
         off-diagonal pairs doubled, and with the contraction
         g^ab Gamma^c_ab taken once for all seven components."""
         gi = self.ginv
         pairs = [(a, b) for a in range(3) for b in range(a, 3)]
-        w = [gi[a][b] if a == b else 2.0 * gi[a][b] for a, b in pairs]
-        trG = [jetalg.dot(w, [self.Gamma[c][a][b] for a, b in pairs])
-               for c in range(3)]
-        out = []
-        for comp in self.Y:
-            dc = [jets.derivative(comp, a + 1) for a in range(3)]
-            ddc = [jets.derivative(dc[a], b + 1) for a, b in pairs]
-            out.append(jetalg.dot(w, ddc) - jetalg.dot(trG, dc))
-        return out
+        w = jets.stack([gi[a][b] if a == b else 2.0 * gi[a][b]
+                        for a, b in pairs])
+        G = np.stack([jets.stack([self.Gamma[c][a][b] for a, b in pairs])
+                      for c in range(3)], axis=1)
+        trG = jets.contract(jets.stack_mul(w[:, None], G), 2)
+        dY = np.stack([jets.stack_derivative(self.Y_stack, a)
+                       for a in range(3)], axis=1)
+        ddY = np.stack([jets.stack_derivative(dY[:, a], b) for a, b in pairs],
+                       axis=1)
+        lap = jets.contract(jets.stack_mul(w[:, :, None], ddY), 1)
+        return lap - jets.contract(jets.stack_mul(trG[:, :, None], dY), 1)[
+            :len(lap)]
+
+    laplace_Y = jets.field(lambda self: jets.views(self.laplace_stack, 1))
 
     @jets.field
-    def N(self):
-        lap = self.laplace_Y
-        lap2 = ldot(lap, lap)
-        return [(-1.0 / 3.0) * lap[k] - (1.0 / 18.0) * lap2 * self.Y[k]
-                for k in range(7)]
+    def N_stack(self):
+        lap = self.laplace_stack
+        lap2 = jets.contract(jets.stack_mul(lap, lap), 1, True)
+        return (-1.0 / 3.0) * lap - jets.stack_mul(
+            ((1.0 / 18.0) * lap2)[:, None], self.Y_stack)
+
+    N = jets.field(lambda self: jets.views(self.N_stack, 1))
 
     @jets.field
-    def xi(self):
-        """Mean curvature spheres xi_r = H_r lift(x) + dlift_x(n_r)."""
-        amb, cl = self.spec.ambient, self.classical
-        lift = amb.lift(cl.x_low)
-        return [[Hr * a if d is None else Hr * a + d
-                 for a, d in zip(lift, amb.dlift(cl.x_low, n))]
-                for n, Hr in zip(cl.normal_frame, cl.H)]
+    def xi_stack(self):
+        """Mean curvature spheres xi_r = H_r lift(x) + dlift_x(n_r),
+        (ncoef, 2, 7[, lanes])."""
+        cl = self.classical
+        return np.stack([self.spec.ambient.lift_times(
+            cl.H_stack[:, r], cl.x_low, cl.normal_stack[:, r])
+            for r in range(2)], axis=1)
+
+    xi = jets.field(lambda self: jets.views(self.xi_stack, 2))
 
     # -- conformal tensors -----------------------------------------------------
 
@@ -267,23 +283,26 @@ class MoebiusContext:
         and e_i the frame orthonormal for dx.dx."""
         cl = self.classical
         eC = cl.frame_chart
-        nf = cl.normal_frame
+        nf = cl.normal_stack
         H = cl.H
-        # E_i(f) for f = rho, H^0, H^1, each chart partial taken once
-        dE = [jetalg.matvec(eC, [jets.derivative(f, a) for a in (1, 2, 3)])
-              for f in (self.rho, *H)]
+        # E_i(f) for f = rho, H^0, H^1, each chart partial taken once; e_i
+        # has chart components a <= i only
+        dE = [[jetalg.dot(eC[i][:i + 1], d[:i + 1]) for i in range(3)]
+              for d in ([jets.derivative(f, a) for a in (1, 2, 3)]
+                        for f in (self.rho, *H))]
         dlog = [d * self.inv_rho for d in dE[0]]
         inv_rho2 = self.inv_rho * self.inv_rho
+        # the normal connection <d_a n_s, n_r> in chart components, s = 1 - r
+        dn = np.stack([jets.stack_derivative(nf, a) for a in range(3)], axis=1)
+        conn = jets.views(jets.contract(jets.stack_mul(
+            dn[:, :, ::-1], nf[:, None]), 3, cl.lorentz), 2)
         out = []
         for r in range(2):
             s = 1 - r
-            # the normal connection <d_a n_s, n_r> in chart components
-            conn = [cl.inner([jets.derivative(c, a + 1) for c in nf[s]], nf[r])
-                    for a in range(3)]
             row = []
             for i in range(3):
-                acc = dE[1 + r][i] \
-                    + H[s] * jetalg.dot(eC[i][:i + 1], conn[:i + 1])
+                acc = dE[1 + r][i] + H[s] * jetalg.dot(
+                    eC[i][:i + 1], [conn[a][r] for a in range(i + 1)])
                 h = cl.h[r]
                 for j in range(3):
                     acc = acc + (h[i][j] - (H[r] if i == j else 0.0)) * dlog[j]
@@ -306,7 +325,7 @@ class MoebiusContext:
     @jets.field
     def theta12_chart(self):
         """Chart components: theta_12 = sum_a t_a du^a."""
-        return connection_chart(self.xi[0], self.xi[1])
+        return connection_chart(self.xi_stack[:, 0], self.xi_stack[:, 1])
 
     # -- Blaschke tensor --------------------------------------------------------
 
@@ -448,8 +467,8 @@ class MoebiusContext:
 # The most points in a chunk.  It bounds peak memory and the prefix that a
 # failing chunk reruns (map_chunks), not time: larger chunks run faster end
 # to end (invariants on hopf-generic, 2-vCPU Xeon, median of 9: 100 points
-# take 95.0 ms in chunks of 20 and 45.6 ms in one chunk; 200 points peak at
-# 34.2 MB RSS in chunks of 20 and 45.9 MB in one chunk).
+# take 93.6 ms in chunks of 20 and 50.6 ms in one chunk; 200 points peak at
+# 35.8 MB RSS in chunks of 20 and 46.5 MB in one chunk).
 CHUNK_POINTS = 20
 
 

@@ -35,10 +35,12 @@ class JetOps:
     """Counts jet operations while installed by a pytest monkeypatch (the
     fixture or one of its contexts): counts[kind, order, in_chart], where
     kind is "product" (a jet times a jet), "scalar" (a number or a lane
-    vector times a jet), "add" (a jet plus or minus a jet or a number) or
-    "derivative"; order is the lower of the two jets' orders (the jet's own
-    against a number, the differentiated jet's for a derivative), and
-    in_chart whether the operation ran inside the chart evaluation."""
+    vector times a jet), "add" (a jet plus or minus a jet or a number),
+    "derivative" or "stacked" (one call of the product kernel of stacked
+    jets, jets.stack_mul, whatever its entry count); order is the lower of
+    the two jets' orders (the jet's own against a number, the
+    differentiated jet's for a derivative), and in_chart whether the
+    operation ran inside the chart evaluation."""
 
     def __init__(self, monkeypatch):
         self.counts, self.in_chart = Counter(), False
@@ -47,6 +49,12 @@ class JetOps:
             monkeypatch.setattr(jets.MultiJet, attr, self._counted(
                 "mul" in attr, getattr(jets.MultiJet, attr)))
         derivative, evaluate = jets.derivative, classical.eval_immersion_jet
+        stack_mul = jets.stack_mul
+
+        def counted_stack_mul(a, b):
+            order = jets.stack_order(a if len(a) <= len(b) else b)
+            self.counts["stacked", order, self.in_chart] += 1
+            return stack_mul(a, b)
 
         def counted_derivative(a, var_index):
             self.counts["derivative", a.order, self.in_chart] += 1
@@ -59,6 +67,7 @@ class JetOps:
             finally:
                 self.in_chart = False
         monkeypatch.setattr(jets, "derivative", counted_derivative)
+        monkeypatch.setattr(jets, "stack_mul", counted_stack_mul)
         monkeypatch.setattr(classical, "eval_immersion_jet", in_chart)
 
     def _counted(self, product, fn):

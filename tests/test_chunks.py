@@ -486,7 +486,8 @@ def test_jets_run_at_the_order_their_readers_use(capsys, monkeypatch, argv):
     counter = JetOps(monkeypatch)
     assert cli.main(argv.split()) == 0
     capsys.readouterr()
-    products = functools.partial(counter.total, "product", "scalar")
+    products = functools.partial(counter.total, "product", "scalar",
+                                 "stacked")
     assert products(order=5, in_chart=True) > 0, counter.counts
     assert products(order=4) == 0, counter.counts
     assert products(order=5, in_chart=False) == 0, counter.counts
@@ -657,7 +658,8 @@ def test_the_probe_makes_no_order_0_product(monkeypatch, name):
             ideal.probe_frame(spec, p)
         except IntegrableDistribution:
             assert name == "cone-veronese"
-    assert counter.total("product", "scalar", order=0) == 0, counter.counts
+    assert counter.total("product", "scalar", "stacked", order=0) == 0, \
+        counter.counts
     assert counter.total("product", order=1) > 0
     for pts in (p, sample_points(spec.domain, 3, 0)):
         low, full = (moebius.MoebiusContext(spec, pts, order=k)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wintgen import jets
+from wintgen import jetalg, jets
 from wintgen.errors import DomainError, OrderError, SingularJet
 from wintgen.jets import (MultiJet, derivative, extract_derivative,
                           jet_elementary, jet_seed, ncoef)
@@ -657,3 +657,84 @@ def test_a_series_along_one_chart_variable_is_horners_bit_for_bit(
                     assert np.array_equal(got.c.view(np.int64),
                                           want.c.view(np.int64)), \
                         (order, np.ndim(value), slope, var)
+
+
+# ---------------------------------------------------------------------------
+# stacks: the product kernel and the contraction
+
+
+def _stack_bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+def _random_stack(rng, order, shape):
+    """Random coefficients with exact zeros of both signs among them."""
+    c = rng.normal(size=(jets.ncoef(order),) + shape)
+    c[1] = 0.0
+    c[2] = -0.0
+    return c
+
+
+def _entrywise(a, b):
+    """a * b entry by entry through MultiJet.__mul__, for stacks of one
+    shape with a trailing lane axis."""
+    out = np.empty(a.shape)
+    for idx in np.ndindex(a.shape[1:-1]):
+        s = (slice(None),) + idx
+        out[s] = (MultiJet(jets.stack_order(a), a[s])
+                  * MultiJet(jets.stack_order(b), b[s])).c
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+@pytest.mark.parametrize("shape", [(6,), (6, 20)])
+def test_stack_mul_is_the_entrywise_product_bit_for_bit(order, shape):
+    # a lone point (its entries are 1-D jets) and a chunk of 20 lanes
+    rng = np.random.default_rng(order)
+    a, b = (_random_stack(rng, order, shape) for _ in range(2))
+    got = jets.stack_mul(a, b)
+    if len(shape) == 1:  # a lone point's jets, one per entry
+        want = np.stack([(MultiJet(order, a[:, k])
+                          * MultiJet(order, b[:, k])).c
+                         for k in range(shape[0])], axis=1)
+    else:
+        want = _entrywise(a, b)
+    assert np.array_equal(_stack_bits(got), _stack_bits(want))
+
+
+def test_stack_mul_broadcasts_a_scalar_jet_over_components():
+    rng = np.random.default_rng(11)
+    f = _random_stack(rng, 3, (20,))
+    x = _random_stack(rng, 3, (7, 20))
+    got = jets.stack_mul(f[:, None], x)
+    for k in range(7):  # f on the left, as in f * x_k
+        assert np.array_equal(
+            _stack_bits(got[:, k]),
+            _stack_bits((MultiJet(3, f) * MultiJet(3, x[:, k])).c))
+
+
+def test_stack_mul_splits_its_entries_into_tiles_bit_for_bit():
+    # at order 5 a product has 462 pairs: 2 x 7 entries of 20 lanes make
+    # 129,360 doubles, split over tiles of at most jets.TILE
+    rng = np.random.default_rng(5)
+    a = _random_stack(rng, 5, (2, 1, 7, 20))
+    b = _random_stack(rng, 5, (1, 3, 7, 20))
+    pairs = len(jets._mul_table(5)[0])
+    assert pairs * 2 * 3 * 7 * 20 > 2 * jets.TILE
+    got = jets.stack_mul(a, b)
+    assert got.shape == (jets.ncoef(5), 2, 3, 7, 20)
+    for r in range(2):
+        for s in range(3):
+            want = _entrywise(a[:, r, 0], b[:, 0, s])
+            assert np.array_equal(_stack_bits(got[:, r, s]), _stack_bits(want))
+
+
+@pytest.mark.parametrize("lanes", [(), (20,)])
+def test_contract_sums_as_dot_and_lorentz_dot_bit_for_bit(lanes):
+    rng = np.random.default_rng(3)
+    u, v = (_random_stack(rng, 3, (7,) + lanes) for _ in range(2))
+    uj, vj = ([MultiJet(3, c[:, k]) for k in range(7)] for c in (u, v))
+    products = jets.stack_mul(u, v)
+    for fn, lorentz in ((jetalg.dot, False), (jetalg.lorentz_dot, True)):
+        got = jets.contract(products, 1, lorentz)
+        assert np.array_equal(_stack_bits(got), _stack_bits(fn(uj, vj).c))
