@@ -203,6 +203,13 @@ class ClassicalContext:
         h = self.h_stack
         return (h[:, :, 0] + h[:, :, 2] + h[:, :, 5]) * (1.0 / 3.0)
 
+    @jets.field
+    def tracefree_stack(self):
+        """h^r_ij - H^r delta_ij over the LOWER pairs."""
+        t = self.h_stack.copy()
+        t[:, :, [0, 2, 5]] -= self.H_stack[:, :, None]
+        return t
+
     # the same entries as nested lists; xab[a] holds the pairs b <= a
     x = jets.field(lambda self: self._list(self.x_stack, 1))
     xa = jets.field(lambda self: self._list(self.xa_stack, 2))
@@ -233,7 +240,8 @@ class ClassicalContext:
     def rho(self):
         """Conformal factor: rho^2 = (3/2)|II - (1/3)tr(II) I|^2."""
         self.umbilic_gate  # refuses where rho vanishes
-        return jets.sqrt(1.5 * trace_free_sq(self.h, self.H))
+        return jets.sqrt(1.5 * self._scalar(trace_free_sq(
+            jetalg.unfold(self.tracefree_stack, 2), self._mul)))
 
 
 _DIAGONAL = np.array([2.0 if a == b else 1.0 for a, b in jetalg.LOWER])
@@ -431,23 +439,22 @@ def require_ideal(h, H, c: float, tol: float, pts=None) -> None:
                             f"{_at(pts, l)}: not an ideal point", lane=l)
 
 
-def trace_free_sq(h, H):
-    """|II - (1/3) tr(II) I|^2 from h and H, floats or jets."""
-    acc = None
-    for r in range(2):
-        for i in range(3):
-            for j in range(3):
-                t = h[r][i][j] - (H[r] if i == j else 0.0)
-                t = t * t
-                acc = t if acc is None else acc + t
-    return acc
+def trace_free_sq(T, mul):
+    """|II - (1/3) tr(II) I|^2 from the trace-free h stacked (ncoef, 2, 3,
+    3[, lanes]), jets or values as mul multiplies them: the squares summed
+    in order."""
+    sq = mul(T, T)
+    return jets.contract(sq.reshape(sq.shape[:1] + (18,) + sq.shape[4:]), 1)
 
 
 def umbilic(h, H):
     """The umbilic criterion, on values of h and H (a mask over lanes):
     |II - (1/3) tr(II) I|^2 <= 1e-10 max(|II|^2, 1e-8)."""
-    sq = sum(v * v for r in range(2) for row in h[r] for v in row)
-    return trace_free_sq(h, H) <= 1e-10 * np.maximum(sq, 1e-8)
+    T, H = np.array(h, dtype=float), np.asarray(H, dtype=float)
+    sq = sum(v * v for r in range(2) for row in T[r] for v in row)
+    T[:, [0, 1, 2], [0, 1, 2]] -= H[:, None]
+    return trace_free_sq(T[None], np.multiply)[0] \
+        <= 1e-10 * np.maximum(sq, 1e-8)
 
 
 def refuse_umbilic(subject: str, where: str, undefined: str,

@@ -1,34 +1,25 @@
 """Adapted frames and scalar invariants of ideal points.
 
 At an ideal point the trace-free conformal shape operators share a kernel
-line and act on the orthogonal plane D as a fixed two-matrix pattern after a
-rotation.  The pregauge (M0, Q0) and the normal pair Qf mix fields by
-jetalg.lincomb, where an exact 0 adds no term and an exact 1 makes no
-product, so the identity pregauge costs nothing.  CanonicalFields runs
-classical.turned_frame, the one construction of that adapted frame, on
-jets of the shape fields truncated to K - 3 (its readers take two partials
-of the frame at most; the table "Jet orders" in the README gives the order
-of every field), so that covariant
-derivatives of the adapted components (the scalars U, V, L, G, lambda, Fhat,
-Ghat and the 1-form omega) are derivatives of smooth fields whose values are
-the frame built on floats.  Its connection forms are moebius.connection_forms
-of its chart components.  E3 is oriented at each point on its own, by the
-sign of the torsion L, and the verdicts are folds over the per-point
-invariants of a sample.  CanonicalFields takes a MoebiusContext, which fixes
-the points; its gates are frame_gates, the one implementation of each: it
-refuses at an umbilic, then a non-ideal point (the gates of classical.py),
-then where the torsion from the values of B, covB and the kernel line is at
-most ltol or its rounding floor, all before it builds the turned frame or
-snapshots the Moebius data.  They read third partials of the chart at most,
-so probe_frame, the probe the invariants hand to map_chunks, decides them
-on an order-3 context.  Functions of one point take the context
-(invariants_uvlg) or the canonical fields (hat_frame, holomorphic_residual,
-structure_matrix); the verdicts take a chart and a sample, run through
-map_chunks (sample_invariants), and refuse an empty one.  Over a chunk,
-each gate runs once on lane masks and refuses at the first failing lane;
-what follows is computed once for the chunk with a leading lane axis, each
-lane summing as its point alone, and the kernel flip and the E3 sign are
-sign vectors on the jets.
+line and act on the orthogonal plane D as a fixed two-matrix pattern after
+a rotation.  CanonicalFields takes a MoebiusContext, which fixes the
+points; frame_gates, the one implementation of each gate, refuses at an
+umbilic, then a non-ideal point (the gates of classical.py), then where the
+torsion from the values of B, covB and the kernel line is at most ltol or
+its rounding floor.  They read third partials of the chart at most, so
+probe_frame, the probe the invariants hand to map_chunks, decides them on
+an order-3 context.  Past them, classical.turned_frame, the one
+construction of the adapted frame, runs per jet on the shape fields at
+K - 3 (README, "Jet orders"), and all that is built on the frame is a stack
+(moebius), so U, V, L, G, lambda, Fhat, Ghat and the 1-form omega are
+derivatives of smooth fields whose values are the frame built on floats.
+The pregauge (M0, Q0) and the normal pair Qf mix by jetalg.lincomb's rule:
+an exact 0 adds no term and an exact 1 makes no product.  E3 is oriented
+at each point by the sign of the torsion L; the verdicts are folds over the
+per-point invariants of a sample (sample_invariants, through map_chunks),
+and refuse an empty one.  Over a chunk each gate runs once on lane masks
+and refuses at its first failing lane, and what follows has a leading lane
+axis, each lane summing as its point alone.
 """
 
 from __future__ import annotations
@@ -45,7 +36,7 @@ from .errors import IntegrableDistribution, SchemaError
 from .immersion import ImmersionSpec
 from .moebius import (LORENTZ, MoebiusContext, connection_chart,
                       connection_forms, d_form_values, frame_d_values,
-                      frame_scalar_d, map_chunks, moebius_data)
+                      map_chunks, moebius_data)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -84,23 +75,53 @@ def _pregauged(B, M0, Q0):
               for j in range(3)] for i in range(3)] for r in range(2)]
 
 
+# jetalg.quadform's terms (u_a M_ab) v_b, in its order
+_QF = np.array([(a, jetalg.SYM[a][b], b) for a in range(3)
+                for b in range(3)])
+# the components B^r(E_i, E_j) read, (r, i, j): mu = B^0(E_0, E_1) and L's
+B_READ = ((0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 0, 0))
+# frame_chart sums Rf[i][j] EC[j][a] over j >= a (EC is lower triangular),
+# coframe_can Rf[i][j] W[j][a] over j <= a (the coframe W is upper
+# triangular), in runs of a: the j, then the LOWER places (j, a) in EC
+_FC = [(j, jetalg.SYM[j][a]) for a in range(3) for j in range(a, 3)]
+_CO = [j for a in range(3) for j in range(a + 1)]
+# the C^0_{i,j} read, (i, j) = (0, 0), (1, 0), (1, 1): E_j(c_i) over a,
+# c_k omega_ki(E_j) for k != i and c^1_i (-theta(E_j)), as places in
+# [frame_chart (3 x 3), c (2 x 3)] and [dc (3 a x 2 i), omega (27), -theta]
+_COVC = ((0, 0), (1, 0), (1, 1))
+_COVC_TERMS = np.array([[(3 * j + a, 2 * a + i) for a in range(3)]
+                        + [(9 + k, 6 + 9 * k + 3 * i + j)
+                           for k in range(3) if k != i]
+                        + [(12 + i, 33 + j)] for i, j in _COVC])
+
+
+def _quadforms(Rf, M, triples):
+    """jetalg.quadform(Rf[i], M[m], Rf[j]) for the triples (m, i, j), on one
+    axis, for stacked rows Rf and M[m] over the LOWER pairs (ncoef, k, 6)."""
+    rows = sorted({t[:2] for t in triples})
+    u = jets.stack_mul(Rf[:, [i for _, i in rows]][:, :, _QF[:, 0]],
+                       M[:, [m for m, _ in rows]][:, :, _QF[:, 1]])
+    return jets.contract(jets.stack_mul(
+        u[:, [rows.index(t[:2]) for t in triples]],
+        Rf[:, [t[2] for t in triples]][:, :, _QF[:, 2]]), 2)
+
+
+def _rows(rows) -> np.ndarray:
+    """A 3x3 nested list of jets as one stack (ncoef, 3, 3[, lanes])."""
+    c = jets.stack([x for row in rows for x in row])
+    return c.reshape(c.shape[:1] + (3, 3) + c.shape[2:])
+
+
 class CanonicalFields:
     """The adapted frame at the ideal points of a chunk (those of ctx), as
-    jet fields.  The kernel plane (plane), the Moebius snapshot (data), the
-    torsion, its floor and the integrable flags, and Rfv, E_chart, A_can
-    and domega_values carry a leading lane axis (a point alone has none).
-    A chunk here is one of map_chunks.
-
-    Rf rows are the adapted tangent frame in components of the raw
-    (Gram-Schmidt) frame; Qf columns express the adapted normal sphere pair
-    through the raw one.  All component fields (b, c, connection and their
-    covariant derivatives) refer to this frame.  Construction runs
-    frame_gates: it refuses at an umbilic point, then at a point that is
-    not ideal within tol, both decided on the point pass of ctx.classical,
-    then at the kernel plane, then where the torsion is at most ltol or its
-    rounding floor, unless partial: partial fields are marked integrable
-    and refuse at lamf instead.  Past the gates it builds the turned frame
-    (classical.turned_frame) once, on the pregauged shape fields.
+    jet fields.  Rf rows are the adapted tangent frame in components of the
+    raw (Gram-Schmidt) frame; Qf columns express the adapted normal sphere
+    pair through the raw one; all component fields refer to this frame.
+    The kernel plane (plane), the Moebius snapshot (data), the torsion, its
+    floor and the integrable flags, and Rfv, E_chart, A_can and
+    domega_values carry a leading lane axis (a point alone has none).
+    Construction runs frame_gates, unless partial: partial fields are
+    marked integrable and refuse at lamf instead.
     """
 
     def __init__(self, ctx: MoebiusContext, gauge: str = "raw", pregauge=None,
@@ -111,7 +132,8 @@ class CanonicalFields:
         M0, Q0, self.plane, self.torsion, self.floor, self.integrable = \
             frame_gates(ctx, pregauge, self.ltol, tol, partial)
         # the frame's readers take two partials of it: B at order K - 3
-        B = jetalg.truncate(ctx.B, ctx.classical.order - 3)
+        B = list(map(jetalg.symmetric_entries, jets.views(
+            ctx.B_stack[:jets.ncoef(ctx.classical.order - 3)], 2)))
         rows, self.mu_field0 = turned_frame(_pregauged(B, M0, Q0), self.plane)
         # E3 sign: the torsion is positive (it is odd in E3); below the
         # cutoff it is undefined and E3 stays as the kernel sign left it
@@ -128,7 +150,6 @@ class CanonicalFields:
 
         if gauge == "V0":
             self._apply_v0()
-        self._b = {}  # adapted-frame B components, filled by b()
 
     # -- gauge refinement -----------------------------------------------------
 
@@ -136,8 +157,7 @@ class CanonicalFields:
         """Residual paired rotation making the second component of the
         adapted 1-form vanish, with the first one nonnegative; the lanes
         already in the reduced form keep their rows of Rf and Qf."""
-        cU = self._contract_c(0, 0)
-        cV = self._contract_c(0, 1)
+        cU, cV = jets.views(self._contract_c(_rows(self.Rf))[:, 0, :2], 1)
         Uf = -(cU / self.mu_field0)
         Vf = cV / self.mu_field0
         reduced = np.hypot(jets.value_of(Uf), jets.value_of(Vf)) <= 1e-8
@@ -160,128 +180,89 @@ class CanonicalFields:
                     for rows in zip(old, new)]
         self.Rf, self.Qf = keep(Rf, [newE1, newE2, Rf[2]]), keep(Qf, newQ)
 
-    def _contract_c(self, r, i):
-        """C paired with the adapted normal r and tangent i (jet)."""
-        return self._qmix(r, lambda s: jetalg.dot(self.Rf[i], self.ctx.C[s]))
+    def _qmix(self, X):
+        """X (ncoef, 2, ...) on the raw normal pair, mixed by Qf."""
+        mixed = [jetalg.stack_lincomb([self.Qf[0][r], self.Qf[1][r]],
+                                      [X[:, 0], X[:, 1]]) for r in range(2)]
+        n = min(map(len, mixed))
+        return np.stack([m[:n] for m in mixed], axis=1)
 
-    # -- frame derivative helpers ----------------------------------------------
+    def _contract_c(self, Rf):
+        """C paired with the adapted normals r and the rows i of the stacked
+        Rf, [r][i] (ncoef, 2, 3[, lanes])."""
+        return self._qmix(jets.contract(jets.stack_mul(
+            Rf[:, None], self.ctx.C_stack[:, :, None]), 3))
 
-    @jets.field
-    def frame_chart(self):
-        """Rows: the adapted frame vectors in chart components (jets).  EC is
-        lower triangular, so E_j has no d/du_a component for a > j."""
-        EC = self.ctx.EC
-        return [[jetalg.dot(self.Rf[i][a:], [EC[j][a] for j in range(a, 3)])
-                 for a in range(3)] for i in range(3)]
-
-    # -- component fields --------------------------------------------------------
-
-    @jets.field
-    def Rfv(self):
-        return jetalg.value_array(self.Rf)
-
-    @jets.field
-    def E_chart(self):
-        return jetalg.value_array(self.frame_chart)
-
-    def _qmix(self, r, term):
-        """term(s) mixed into the adapted normal r by Qf (jetalg.lincomb)."""
-        return jetalg.lincomb([self.Qf[0][r], self.Qf[1][r]], term)
+    Rf_stack = jets.field(lambda self: _rows(self.Rf))
+    xi_stack = jets.field(lambda self: self._qmix(self.ctx.xi_stack))
+    cfield_stack = jets.field(lambda self: self._contract_c(self.Rf_stack))
+    # b: B^r(E_i, E_j) for the (r, i, j) of B_READ
+    b_stack = jets.field(lambda self: _quadforms(
+        self.Rf_stack, self._qmix(self.ctx.B_stack), B_READ))
+    # the normal connection of the adapted sphere pair, chart components
+    theta_chart = jets.field(lambda self: connection_chart(
+        self.xi_stack[:, 0], self.xi_stack[:, 1]))
 
     @jets.field
-    def xi(self):
-        xi = self.ctx.xi
-        return [[self._qmix(r, lambda s: xi[s][m]) for m in range(7)]
-                for r in range(2)]
+    def frame_chart_stack(self):
+        """Rows: the adapted frame vectors in chart components."""
+        Rf, EC = self.Rf_stack, self.ctx.EC_stack
+        return jets.contract(jets.stack_mul(
+            Rf[:, :, [j for j, _ in _FC]], EC[:, None, [k for _, k in _FC]]),
+            2, runs=(3, 2, 1))
 
     @jets.field
-    def _bmix(self):
-        """The shape fields with the normal pair mixed by Qf (raw tangent
-        components)."""
-        B = self.ctx.B
-        return [[[self._qmix(r, lambda s: B[s][i][j]) for j in range(3)]
-                 for i in range(3)] for r in range(2)]
-
-    def b(self, r, i, j):
-        """B^r_ij in the adapted frame (jet); built once per unordered i, j."""
-        key = (r, min(i, j), max(i, j))
-        if key not in self._b:
-            self._b[key] = jetalg.quadform(self.Rf[i], self._bmix[r], self.Rf[j])
-        return self._b[key]
+    def coframe_can_stack(self):
+        """Rows: the adapted coframe in chart components."""
+        return jets.contract(jets.stack_mul(
+            self.Rf_stack[:, :, _CO], self.ctx.coframe_stack[:, None]), 2,
+            runs=(1, 2, 3))
 
     @jets.field
-    def cfield(self):
-        return [[self._contract_c(r, i) for i in range(3)] for r in range(2)]
-
-    @jets.field
-    def theta(self):
+    def theta_stack(self):
         """theta_12 of the adapted sphere pair on the adapted frame."""
-        tc = self.theta_chart
-        return [jetalg.dot(self.frame_chart[k], tc) for k in range(3)]
+        return jets.contract(jets.stack_mul(self.frame_chart_stack,
+                                            self.theta_chart[:, None]), 2)
 
     @jets.field
-    def theta_chart(self):
-        """Normal connection of the adapted sphere pair in chart components."""
-        return connection_chart(*(jets.stack(x) for x in self.xi))
+    def connection_stack(self):
+        """omega[i][j][k]: connection forms of the adapted frame on its own
+        vectors (moebius.connection_forms on frame_chart)."""
+        return connection_forms(self.frame_chart_stack, self.ctx.g_stack,
+                                self.ctx.Gamma_stack)
+
+    @jets.field
+    def covc_stack(self):
+        """C^0_{i,j} in the adapted frame for the (i, j) of _COVC, read by G,
+        Fhat and Ghat: E_j(c_i) + sum_{k != i} c_k omega_ki(E_j)
+        - c^1_i theta(E_j), summed in that order."""
+        c, om = self.cfield_stack, self.connection_stack
+        n, lanes = len(om), om.shape[4:]
+        dc = np.stack([jets.stack_derivative(c[:, 0, :2], a)
+                       for a in range(3)], axis=1)
+        left = np.concatenate([self.frame_chart_stack[:n].reshape(
+            (n, 9) + lanes), c[:n].reshape((n, 6) + lanes)], axis=1)
+        right = np.concatenate([dc.reshape((n, 6) + lanes), om.reshape(
+            (n, 27) + lanes), -self.theta_stack[:n]], axis=1)
+        return jets.contract(jets.stack_mul(left[:, _COVC_TERMS[..., 0]],
+                                            right[:, _COVC_TERMS[..., 1]]), 2)
+
+    frame_chart = jets.viewed("frame_chart_stack", 2)
+    coframe_can = jets.viewed("coframe_can_stack", 2)
+    xi = jets.viewed("xi_stack", 2)
+    omega_can = jets.viewed("connection_stack", 3)
+    covc = jets.viewed("covc_stack", 1, lambda v: dict(zip(_COVC, v)))
+    Rfv = jets.field(lambda self: jets.stack_values(self.Rf_stack, 2))
+    E_chart = jets.field(lambda self: jets.stack_values(
+        self.frame_chart_stack, 2))
+    Yi_can = jets.field(lambda self: jets.views(jets.contract(jets.stack_mul(
+        self.Rf_stack[:, :, :, None], self.ctx.Yi_stack[:, None]), 2), 2))
 
     def d_form_on(self, chart_form, i, j):
-        """Exterior derivative of a chart 1-form (jets), evaluated on adapted
-        frame vectors i, j (a value)."""
+        """Exterior derivative of a stacked chart 1-form, evaluated on
+        adapted frame vectors i, j (a value)."""
         return float(self.E_chart[i] @ d_form_values(chart_form)
                      @ self.E_chart[j])
-
-    @jets.field
-    def omega_can(self):
-        """omega[i][j][k]: connection form of the adapted frame on its own
-        vectors (moebius.connection_forms on frame_chart)."""
-        return connection_forms(self.frame_chart, self.ctx.g, self.ctx.Gamma)
-
-    # Only a few components of the covariant derivatives are read, so they
-    # are built one at a time; omega_can[l][l] vanishes and is skipped.
-
-    def covb(self, r, i, j, k):
-        """B^r_{ij,k} in the adapted frame (jet)."""
-        s = 1 - r
-        sgn = 1.0 if s == 0 else -1.0  # theta_sr relative to theta_12
-        om = self.omega_can
-        acc = frame_scalar_d(self.frame_chart, self.b(r, i, j), k)
-        for l in range(3):
-            if l != j:
-                acc = acc + self.b(r, i, l) * om[l][j][k]
-            if l != i:
-                acc = acc + self.b(r, l, j) * om[l][i][k]
-        return acc + self.b(s, i, j) * (sgn * self.theta[k])
-
-    @jets.field
-    def covc(self):
-        """C^0_{i,j} in the adapted frame (jets), keyed (i, j), for the
-        components G, Fhat and Ghat read; each C component's chart partials
-        are taken once."""
-        c, om = self.cfield, self.omega_can
-        out = {}
-        for i, js in ((0, (0,)), (1, (0, 1))):
-            dc = [jets.derivative(c[0][i], a) for a in (1, 2, 3)]
-            for j in js:
-                acc = jetalg.dot(self.frame_chart[j], dc)
-                for k in range(3):
-                    if k != i:
-                        acc = acc + c[0][k] * om[k][i][j]
-                out[i, j] = acc + c[1][i] * (-1.0 * self.theta[j])  # theta_10
-        return out
-
-    @jets.field
-    def Yi_can(self):
-        Yi = self.ctx.Yi
-        return [[jetalg.dot(self.Rf[i], [Yi[j][m] for j in range(3)])
-                 for m in range(7)] for i in range(3)]
-
-    @jets.field
-    def coframe_can(self):
-        """Rows: the adapted coframe in chart components (jets)."""
-        co = self.ctx.coframe  # upper triangular: co[j][a] = 0 for j > a
-        return [[jetalg.dot(self.Rf[i][:a + 1],
-                            [co[j][a] for j in range(a + 1)])
-                 for a in range(3)] for i in range(3)]
 
     @jets.field
     def A_can(self):
@@ -289,65 +270,79 @@ class CanonicalFields:
 
     @jets.field
     def A_can_field(self):
-        return [[jetalg.quadform(self.Rf[i], self.ctx.A_gauss, self.Rf[j])
-                 for j in range(3)] for i in range(3)]
+        A = _quadforms(self.Rf_stack, self.ctx.A_stack[:, None],
+                       [(0, i, j) for i in range(3) for j in range(3)])
+        return jets.views(A.reshape(A.shape[:1] + (3, 3) + A.shape[2:]), 2)
 
     # -- named scalars -------------------------------------------------------------
 
-    @jets.field
-    def mu_field(self):
-        return self.b(0, 0, 1)
-
-    @jets.field
-    def mu(self):
-        return jets.value_of(self.mu_field)
-
-    @jets.field
-    def Uf(self):
-        return -(self.cfield[0][0] / self.mu_field)
-
-    @jets.field
-    def Vf(self):
-        return self.cfield[0][1] / self.mu_field
+    mu_field = jets.field(lambda self: jets.views(self.b_stack[:, 1], 0))
+    mu = jets.field(lambda self: jets.value_of(self.mu_field))
+    Uf = jets.field(lambda self: -(jets.views(self.cfield_stack[:, 0, 0], 0)
+                                   / self.mu_field))
+    Vf = jets.field(lambda self: jets.views(self.cfield_stack[:, 0, 1], 0)
+                    / self.mu_field)
+    L = jets.field(lambda self: jets.value_of(self.Lf))
+    G = jets.field(lambda self: jets.value_of(self.Gf))
 
     @jets.field
     def Lf(self):
-        return -(self.covb(0, 0, 0, 2) / self.mu_field)
+        """L = -B^0_{00,2} / mu, with the covariant derivative in the adapted
+        frame E_2(b_00) + 2 sum_{l > 0} b_0l omega_l0(E_2) - B^1_00
+        theta(E_2) (b = B^0): each product once, the terms in that order."""
+        fc, b, om = self.frame_chart_stack, self.b_stack, self.connection_stack
+        n = len(om)
+        db = np.stack([jets.stack_derivative(b[:, 0], a) for a in range(3)],
+                      axis=1)
+        t = jets.stack_mul(
+            np.concatenate([fc[:n, 2], b[:n, 1:]], axis=1),
+            np.concatenate([db, om[:, 1:, 0, 2], -self.theta_stack[:n, 2:]],
+                           axis=1))
+        cov = jets.contract(t[:, [0, 1, 2, 3, 3, 4, 4, 5]], 1)
+        return -(jets.views(cov, 0) / self.mu_field)
 
     @jets.field
     def Gf(self):
         return (self.covc[0, 0] - self.covc[1, 1]) / (2.0 * self.mu_field)
 
     @jets.field
-    def L(self):
-        return jets.value_of(self.Lf)
-
-    @jets.field
-    def G(self):
-        return jets.value_of(self.Gf)
+    def lam_field(self):
+        """G/L on every lane; on the integrable lanes of partial fields,
+        where lambda is undefined, 1.0 stands in for L."""
+        L = jets.where(self.integrable, 1.0, self.Lf) \
+            if np.any(self.integrable) else self.Lf
+        return self.Gf / L
 
     @jets.field
     def lamf(self):
         """G/L, past the torsion gate (partial fields refuse here)."""
         _refuse_integrable(self.torsion, self.floor, self.integrable,
                            self.ltol, self.ctx.p)
-        return self.Gf / self.Lf
+        return self.lam_field
+
+    w_fields = jets.field(lambda self: [-(self.Vf), self.Uf, self.lamf])
 
     @jets.field
-    def w_fields(self):
-        return [-(self.Vf), self.Uf, self.lamf]
+    def omega_stack(self):
+        """The distinguished 1-form -V omega_0 + U omega_1 + lambda omega_2
+        in chart components, from lam_field (on the integrable lanes of
+        partial fields, undefined)."""
+        w = jets.stack([-(self.Vf), self.Uf, self.lam_field])
+        return jets.contract(jets.stack_mul(w[:, :, None],
+                                            self.coframe_can_stack), 1)
 
     @jets.field
     def omega_chart(self):
-        """The distinguished 1-form in chart components (jets)."""
-        w = self.w_fields
-        co = self.coframe_can
-        return [jetalg.dot(w, [co[i][a] for i in range(3)]) for a in range(3)]
+        """The distinguished 1-form in chart components, past the torsion
+        gate."""
+        self.lamf
+        return jets.views(self.omega_stack, 1)
 
     @jets.field
     def domega_values(self):
-        """(domega(E1,E2), domega(E1,E3), domega(E2,E3)) [..., 3]."""
-        dom = d_form_values(self.omega_chart)
+        """(domega(E1,E2), domega(E1,E3), domega(E2,E3)) [..., 3], from
+        omega_stack."""
+        dom = d_form_values(self.omega_stack)
         E = self.E_chart
         return np.stack([jetalg.vec_vec(jetalg.vec_mat(E[..., i, :], dom),
                                         E[..., j, :])
@@ -459,25 +454,30 @@ class WintgenInvariants:
 def _package_invariants(cf: CanonicalFields) -> list:
     """The invariants at each point of the canonical fields, in order, from
     values read once for a chunk (one record for a point alone)."""
-    val = jetalg.value_array
+    val = jets.stack_values
     U, V, mu = (jets.value_of(f) for f in (cf.Uf, cf.Vf, cf.mu_field))
-    om12 = val(cf.omega_can[0][1])
+    om12 = val(cf.connection_stack[:, 0, 1], 1)
     Omega12 = np.stack([om12[..., 0] + U, om12[..., 1] + V, om12[..., 2]],
                        axis=-1)
     # normal connection in the residual-rotation normal form: the raw
     # coefficients depend on how the frame field twists, but theta + 2 Omega12
     # does not, and it is the triple the constant-coefficient examples quote
-    theta_c = val(cf.theta) + 2.0 * Omega12
+    theta_c = val(cf.theta_stack, 1) + 2.0 * Omega12
     if np.all(cf.integrable):
         lam = Fhat = Ghat = np.full(np.shape(U), np.nan)
         domega = omega_chart = np.full(np.shape(om12), np.nan)
     else:
-        lam = jets.value_of(cf.lamf)
+        lam = jets.value_of(cf.lam_field)
         # Fhat and Ghat from the dN-route Blaschke tensor at the point
-        A, c = cf.A_can, val([cf.covc[1, 0], cf.covc[1, 1]])
+        A, c = cf.A_can, val(cf.covc_stack[:, 1:], 1)
         Fhat = A[..., 0, 0] + 0.5 * (U * U + V * V - lam * lam) - c[..., 0] / mu
         Ghat = A[..., 0, 1] - c[..., 1] / mu - lam * cf.L
-        domega, omega_chart = cf.domega_values, val(cf.omega_chart)
+        domega, omega_chart = cf.domega_values, val(cf.omega_stack, 1)
+        if np.any(cf.integrable):  # partial fields: lambda undefined there
+            lam, Fhat, Ghat = (np.where(cf.integrable, np.nan, x)
+                               for x in (lam, Fhat, Ghat))
+            domega, omega_chart = (np.where(cf.integrable[:, None], np.nan, x)
+                                   for x in (domega, omega_chart))
     n = len(cf.ctx.p)
     rows = (zip(*(np.reshape(x, n).tolist()  # per lane: floats, then triples
                   for x in (U, V, cf.L, cf.G, lam, Fhat, Ghat, mu))),
@@ -544,7 +544,8 @@ def hat_frame(cf: CanonicalFields, lam: float | None = None) -> HatFrameData:
     lam_val = jets.value_of(lamf)
     eta_f, Yhat_f = _hat_fields(cf, [-(cf.Vf), cf.Uf, lamf])
     eta_v = np.array(jetalg.values(eta_f))
-    hat_co = eta_v @ LORENTZ @ frame_d_values(cf.E_chart, Yhat_f).T
+    hat_co = eta_v @ LORENTZ @ frame_d_values(cf.E_chart,
+                                              jets.stack(Yhat_f)).T
     return HatFrameData(
         eta=eta_v, Yhat=np.array(jetalg.values(Yhat_f)), hat_coframe=hat_co,
         Omega13=(lam_val, cf.L, 0.0), Omega23=(-cf.L, lam_val, 0.0),
@@ -648,9 +649,8 @@ def holomorphic_residual(cf: CanonicalFields) -> float:
     xi1 = np.array(jetalg.values(cf.xi[0]))
     xi2 = np.array(jetalg.values(cf.xi[1]))
     xi_c = xi1 - 1j * xi2
-    theta = [jets.value_of(t) for t in cf.theta]
-    d1 = frame_d_values(cf.E_chart, cf.xi[0])
-    d2 = frame_d_values(cf.E_chart, cf.xi[1])
+    theta = jets.stack_values(cf.theta_stack, 1)
+    d1, d2 = (frame_d_values(cf.E_chart, cf.xi_stack[:, r]) for r in range(2))
     worst = 0.0
     for k in range(3):
         lhs = d1[k] - 1j * d2[k]
@@ -681,7 +681,8 @@ def structure_matrix(cf: CanonicalFields):
     xi_v = [np.array(jetalg.values(x)) for x in cf.xi]
 
     duals = np.array([Yhat_v, Yv] + eta_v + xi_v)  # pairing partner per column
-    out = np.array([duals @ LORENTZ @ frame_d_values(cf.E_chart, row).T
+    out = np.array([duals @ LORENTZ
+                    @ frame_d_values(cf.E_chart, jets.stack(row)).T
                     for row in rows])
     # residual normal rotation: absorb the (eta1, eta2) slot into the
     # normal-pair connection

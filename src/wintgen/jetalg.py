@@ -3,11 +3,14 @@
 Vectors and matrices are plain Python lists (of lists); entries are MultiJet
 or float.  Everything here is generic over the scalar type because the
 geometric pipeline runs the same formulas on jets (for derivatives) and on
-floats (for spot values).  congruence works on stacks (jets), with the
-product of stacks as an argument, so the point pass runs it on values.
+floats (for spot values).  congruence and stack_lincomb work on stacks
+(jets), congruence with the product of stacks as an argument, so the point
+pass runs it on values; unfold lays a stack over LOWER out as 3x3.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -53,10 +56,6 @@ def quadform(u, M, v):
     return dot([u[i] * M[i][j] for i in range(3) for j in range(3)], list(v) * 3)
 
 
-def transpose(M):
-    return [list(col) for col in zip(*M)]
-
-
 def det3(M):
     return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
             - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
@@ -75,12 +74,6 @@ def adjugate3(M):
          M[0][1] * M[2][0] - M[0][0] * M[2][1],
          M[0][0] * M[1][1] - M[0][1] * M[1][0]],
     ]
-
-
-def inv3(M):
-    inv_d = 1.0 / det3(M)
-    adj = adjugate3(M)
-    return [[adj[i][j] * inv_d for j in range(3)] for i in range(3)]
 
 
 def cholesky3(G):
@@ -108,16 +101,6 @@ def inv_lower3(L):
     return [[i00, zero, zero], [i10, i11, zero], [i20, i21, i22]]
 
 
-def symmetric3(entry):
-    """The symmetric 3x3 matrix [a][b] = entry(a, b), each entry built once
-    for b <= a and mirrored."""
-    M = [[None] * 3 for _ in range(3)]
-    for a in range(3):
-        for b in range(a + 1):
-            M[a][b] = M[b][a] = entry(a, b)
-    return M
-
-
 # The entries (a, b), b <= a, of a lower-triangular or symmetric 3x3 matrix
 # in a stack's entry axis, row by row, and each (a, b)'s place among them.
 LOWER = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
@@ -127,6 +110,29 @@ SYM = ((0, 1, 3), (1, 2, 4), (3, 4, 5))
 def symmetric_entries(e):
     """The symmetric 3x3 nested list of its LOWER entries e."""
     return [[e[SYM[a][b]] for b in range(3)] for a in range(3)]
+
+
+def lower_entries(e):
+    """The lower-triangular 3x3 nested list of its LOWER entries e, with
+    0.0 above the diagonal."""
+    return [[e[SYM[a][b]] if b <= a else 0.0 for b in range(3)]
+            for a in range(3)]
+
+
+# the nine entries [a][b] in row-major order as places among the LOWER
+# entries; above the diagonal of a lower-triangular matrix, place 6, a zero
+_FULL = [SYM[a][b] for a in range(3) for b in range(3)]
+_TRIL = [SYM[a][b] if b <= a else 6 for a in range(3) for b in range(3)]
+
+
+def unfold(c: np.ndarray, axis: int, lower: bool = False) -> np.ndarray:
+    """A symmetric 3x3 stacked over LOWER on axis (the coefficient axis
+    counts) as its nine entries [a][b] on two axes; lower: a
+    lower-triangular one, with zeros above the diagonal."""
+    if lower:
+        c = np.concatenate([c, np.zeros_like(np.take(c, [0], axis))], axis)
+    t = np.take(c, _TRIL if lower else _FULL, axis)
+    return t.reshape(t.shape[:axis] + (3, 3) + t.shape[axis + 1:])
 
 
 # T = L M as the products L_ia M_ab over a <= i, in runs of (i, b); then
@@ -143,26 +149,14 @@ _OUT_L = [SYM[j][b] for _, j, b in _OUT_TERMS]
 def congruence(L, M, mul):
     """L M L^T for stacked lower-triangular L (ncoef, 6, ...) and symmetric
     M (ncoef, *batch, 6, ...), both over LOWER, as stacked LOWER entries;
-    mul multiplies two stacks.  Each entry is the dots of lower_congruence,
-    with the zero entries of L skipped."""
+    mul multiplies two stacks.  Each entry is two rounds of dots, T = L M
+    then T L^T, with the zero entries of L skipped."""
     axis = M.ndim - L.ndim + 1
     L = L.reshape(L.shape[:1] + (1,) * (axis - 1) + L.shape[1:])
     T = contract(mul(np.take(L, _T_L, axis), np.take(M, _T_M, axis)), axis,
                  runs=[i + 1 for i in range(3) for _ in range(3)])
     return contract(mul(np.take(T, _OUT_T, axis), np.take(L, _OUT_L, axis)),
                     axis, runs=[j + 1 for _, j in LOWER])
-
-
-def lower_congruence(L, M):
-    """L M L^T for a lower-triangular 3x3 L and a symmetric 3x3 M (nested
-    lists, all jets or all numbers), by congruence."""
-    lower = [[X[a][b] for a, b in LOWER] for X in (L, M)]
-    if isinstance(lower[0][0], jets.MultiJet):
-        out = congruence(*map(jets.stack, lower), jets.stack_mul)
-        return symmetric_entries(jets.views(out, 1))
-    out = congruence(*(np.asarray(e, dtype=float)[None] for e in lower),
-                     np.multiply)
-    return symmetric_entries(list(out[0]))
 
 
 def exactly(c, v) -> bool:
@@ -186,16 +180,25 @@ def lincomb(coefs, term):
     return acc
 
 
+def stack_lincomb(coefs, terms):
+    """lincomb of stacked terms (ncoef, *entries[, lanes]), at their lowest
+    order: a jet coefficient multiplies each entry (jets.stack_mul, on the
+    left)."""
+    out = []
+    for c, t in zip(coefs, terms):
+        if isinstance(c, jets.MultiJet):
+            pad = (1,) * (t.ndim - c.c.ndim)
+            out.append(jets.stack_mul(c.c.reshape(c.c.shape[:1] + pad
+                                                  + c.c.shape[1:]), t))
+        elif not exactly(c, 0.0):
+            out.append(t if exactly(c, 1.0) else t * c)
+    n = min(map(len, out))
+    return functools.reduce(lambda acc, t: acc + t[:n], out[1:], out[0][:n])
+
+
 def normalize(u, inner=dot):
     inv_n = 1.0 / jets.sqrt(inner(u, u))
     return [a * inv_n for a in u]
-
-
-def truncate(obj, order: int):
-    """The jets of a nested list truncated to order; numbers pass."""
-    if isinstance(obj, list):
-        return [truncate(x, order) for x in obj]
-    return obj.truncate(order) if isinstance(obj, jets.MultiJet) else obj
 
 
 def values(obj):
@@ -205,11 +208,10 @@ def values(obj):
     return jets.value_of(obj)
 
 
-def _stack(obj, leaf) -> np.ndarray:
-    """leaf(x, lanes) of each entry x of a nested list (lanes: the lane
-    count of its first entry, jet or lane vector; None for a point alone)
-    as one array, a chunk's lane axis moved first, in C order, so a lane's
-    block has a point alone's strides."""
+def value_array(obj) -> np.ndarray:
+    """The values of a nested list of jets, floats or lane vectors as an
+    array of the list's shape; over a chunk, behind a leading lane axis, in
+    C order, so a lane's block has a point alone's strides."""
     first = obj
     while isinstance(first, list):
         first = first[0]
@@ -217,25 +219,10 @@ def _stack(obj, leaf) -> np.ndarray:
     lanes = len(v) if v.ndim else None
 
     def build(x):
-        return [build(y) for y in x] if isinstance(x, list) else leaf(x, lanes)
+        return [build(y) for y in x] if isinstance(x, list) else \
+            x.c[0] if isinstance(x, jets.MultiJet) else np.full(lanes or (), x)
     a = np.array(build(obj))
     return a if lanes is None else np.ascontiguousarray(np.moveaxis(a, -1, 0))
-
-
-def value_array(obj) -> np.ndarray:
-    """The values of a nested list of jets, floats or lane vectors as an
-    array of the list's shape; over a chunk, behind a leading lane axis."""
-    return _stack(obj, lambda x, lanes: x.c[0] if isinstance(x, jets.MultiJet)
-                  else np.full(lanes or (), x))
-
-
-def gradients(obj) -> np.ndarray:
-    """First partials at the point of a nested list of jets: an array of the
-    list's shape with a trailing axis of length 3; over a chunk, behind a
-    leading lane axis; zeros for a number."""
-    return _stack(obj, lambda x, lanes: jets.gradient(x)
-                  if isinstance(x, jets.MultiJet)
-                  else np.zeros((jets.NVARS,) + ((lanes,) if lanes else ())))
 
 
 # u @ M, M @ v and u . v for values with a leading lane axis: np.matmul

@@ -1,43 +1,33 @@
 """Truncated trivariate Taylor arithmetic.
 
-A MultiJet holds the normalized Taylor coefficients T_alpha = d^alpha f / alpha!
-of a scalar function of three chart variables at a point, densely over all
-multi-indices |alpha| <= order.  Storing normalized coefficients makes the
-product a plain truncated convolution and keeps magnitudes tame.
+A MultiJet holds the normalized Taylor coefficients T_alpha = d^alpha f /
+alpha! of a scalar function of three chart variables at a point, densely
+over all multi-indices |alpha| <= order, in graded order (degree first), so
+a product is a plain truncated convolution and truncation is a slice.  Its
+tables are built on first use and cached; arithmetic makes results by the
+unchecked constructor _jet, and MultiJet(order, coeffs) validates its input.
 
-Monomials are listed in graded order (degree first), so the coefficient array
-of a lower-order jet is a prefix of a higher-order one; truncation is a slice.
+Chunks.  Coefficients may carry a trailing lane axis, (ncoef, P), one lane
+per point of a chunk (moebius.map_chunks); a point alone has none.  A lone
+point's jet and a chunk's (or a lane vector) do not mix: they raise
+TypeError.  Floats, and lane vectors against a chunk's jet, act on every
+lane.  A product is one bincount over the slots s * P + lane, which sums
+each lane's pairs in one-point order, and division pivots and elementary
+series (math.*) are taken per lane, so a record depends only on its point,
+bit for bit.  low_partials reads lane vectors, and a gate refuses at
+first_lane of its failure mask.
 
-All tables (monomial lists, product index pairs, division blocks, derivative
-maps, their output slots spread over lanes) are built on first use and cached.
-Results of arithmetic are made by the unchecked constructor _jet; the public
-MultiJet(order, coeffs) validates its input.
-
-Chunks.  Coefficients may carry a trailing lane axis, (ncoef, P), one lane per
-point of a chunk (see moebius.map_chunks); a point alone has 1-D
-coefficients.  A chunk's jets are built in its layout, constants included,
-and a lone point's jet and a chunk's do not mix: they, or a lone point's jet
-and a lane vector, raise TypeError (an order-3 jet's 20 coefficients would
-broadcast silently against 20 lanes).  Floats, and lane vectors (arrays
-(P,)) against a chunk's jet, act on every lane.  A
-product is one bincount over the slots s * P + lane, which sums each lane's
-pairs in one-point order, and division pivots and elementary series (math.*)
-are taken per lane, so a record depends only on its point, bit for bit.  Values
-read from a chunk's jets (jetalg.value_array) are arrays with a leading lane
-axis (a point alone has none); low_partials reads lane vectors, and a gate
-refuses at first_lane of its failure mask.
-
-Stacks.  The jets of a vector or tensor of one order share one coefficient
-array (ncoef, *entries[, lanes]): the chart jet x is (ncoef, ncomp[, lanes]),
-its partials (ncoef, 3, ncomp[, lanes]).  stack_mul multiplies two stacks
-entry by entry (broadcasting over the entry axes), each entry summing the
-pairs of MultiJet.__mul__ in its order, and contract sums an entry axis in
-order as jetalg.dot and jetalg.lorentz_dot do, so every entry and lane keeps
-the bits of the per-jet route.  stack_mul splits its entries into tiles so
-that none of its temporaries exceeds TILE doubles (128 KB): a larger array
-is its own mapping in the allocator, paid for in page faults on every
-product.  views gives the scalar readers MultiJet views into a stack; a view
-is never written, as no jet's coefficients are once it is made.
+Stacks.  The jets of a tensor of one order share one coefficient array
+(ncoef, *entries[, lanes]).  stack_mul multiplies two stacks entry by entry
+(the entry axes broadcast), each entry summing the pairs of MultiJet.__mul__
+in its order, and contract sums an entry axis in order as jetalg.dot and
+jetalg.lorentz_dot do, so every entry and lane keeps the bits of the
+per-jet route.  stack_mul splits its entries into tiles so that none of its
+temporaries exceeds TILE doubles (128 KB): a larger array is its own mapping
+in the allocator, paid for in page faults on every product.  views (and the
+field viewed) gives scalar readers MultiJet views into a stack, never
+written; stack_values and stack_gradients read values and first partials
+with a chunk's lanes first.
 
 Elementary functions compose their Taylor series by Horner's products,
 except on a jet affine in one chart variable (a chart seed, or a multiple
@@ -129,17 +119,17 @@ def _div_table(order: int):
 
 
 @lru_cache(maxsize=None)
-def _lane_slots(order: int, lanes: int):
-    """The output slots of _mul_table, then of each _div_table block, with
-    slot s of lane l spread to s * lanes + l."""
-    return [(s[:, None] * lanes + np.arange(lanes)).ravel()
-            for s in (_mul_table(order)[2], *(b[4] for b in _div_table(order)))]
+def _lane_slots(order: int, lanes: int, table: int):
+    """The output slots of _mul_table (table 0) or of _div_table block
+    table - 1, with slot s of lane l spread to s * lanes + l."""
+    s = _mul_table(order)[2] if table == 0 else _div_table(order)[table - 1][4]
+    return (s[:, None] * lanes + np.arange(lanes)).ravel()
 
 
 def _lane_sum(order: int, table: int, w, n: int) -> np.ndarray:
     """Per lane, the weights w (pairs x lanes) summed by the output slots of
-    _lane_slots(order, lanes)[table]."""
-    return np.bincount(_lane_slots(order, w.shape[1])[table], w.ravel(),
+    _lane_slots(order, lanes, table)."""
+    return np.bincount(_lane_slots(order, w.shape[1], table), w.ravel(),
                        n * w.shape[1]).reshape(n, -1)
 
 
@@ -494,7 +484,10 @@ def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order = _NCOEF.index(n)
     a, b = a[:n], b[:n]
     pairs = len(_mul_table(order)[0])
-    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    # the broadcast entry shape (numpy checks it where the operands meet)
+    sa, sb = ((1,) * (max(a.ndim, b.ndim) - x.ndim) + x.shape[1:]
+              for x in (a, b))
+    shape = tuple(y if x == 1 else x for x, y in zip(sa, sb))
     if pairs * math.prod(shape) <= TILE:
         return _stack_product(order, a, b)
     # tile axis d of the entries, and every index of the axes before it
@@ -552,14 +545,18 @@ def views(c: np.ndarray, depth: int):
     return build(c, depth)
 
 
-def gradient(x) -> np.ndarray:
-    """First partials (d/du_1, d/du_2, d/du_3) of a jet at the base point;
-    zeros for a plain float, which stands for a constant."""
-    if not isinstance(x, MultiJet):
-        return np.zeros(NVARS)
-    if x.order == 0:
+def stack_values(c: np.ndarray, depth: int) -> np.ndarray:
+    """The values of stacked coefficients with depth entry axes, as
+    jetalg.value_array reads views: a new array, a chunk's lanes first."""
+    v = c[0]
+    return np.array(np.moveaxis(v, -1, 0) if v.ndim > depth else v, order="C")
+
+
+def stack_gradients(c: np.ndarray, depth: int) -> np.ndarray:
+    """Their first partials, as stack_values, on a trailing axis of 3."""
+    if len(c) == 1:
         raise OrderError("an order-0 jet carries no first partials")
-    return x.c[1:1 + NVARS].copy()
+    return stack_values(np.moveaxis(c[1:1 + NVARS], 0, depth)[None], depth + 1)
 
 
 # the slots of the monomials e_a + e_b in graded order
@@ -705,3 +702,10 @@ class field:
             return self
         value = obj.__dict__[self.attrname] = self.func(obj)
         return value
+
+
+def viewed(stack: str, depth: int, arrange=None) -> field:
+    """The field of views (depth entry axes) into the stack field named
+    stack, as nested lists arranged by arrange when given."""
+    return field(lambda self: (arrange or (lambda v: v))(
+        views(getattr(self, stack), depth)))

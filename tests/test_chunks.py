@@ -606,10 +606,10 @@ def test_the_v0_gauge_turns_each_lane_as_its_point_alone(monkeypatch):
     for target in (0, 1):
         pts = sample_points(spec.domain, 2, 0)
 
-        def zero_at_target(self, r, i):
+        def zero_at_target(self, Rf):
             mask = [0.0 if q == tuple(pts[target]) else 1.0
                     for q in self.ctx.p]
-            return contract(self, r, i) * (
+            return contract(self, Rf) * (
                 np.array(mask) if len(mask) > 1 else mask[0])
 
         monkeypatch.setattr(ideal.CanonicalFields, "_contract_c",
@@ -625,6 +625,48 @@ def test_the_v0_gauge_turns_each_lane_as_its_point_alone(monkeypatch):
             assert np.array_equal(_bits(invs[k]),
                                   _bits(ideal._package_invariants(alone)[0]))
             assert cf.Rfv[k].tobytes() == alone.Rfv.tobytes(), (target, k)
+
+
+def test_partial_fields_give_nan_lambda_on_integrable_lanes_as_alone():
+    # hopf-generic at seed 0: the points of smallest and largest |torsion|
+    # (0.201, 0.786) on either side of ltol; as a chunk of partial fields
+    # each record is its point's alone, bit for bit, lambda and the fields
+    # that read it NaN on the integrable lane, while lamf and the fields
+    # that are not partial still refuse
+    spec = gallery.by_name("hopf-generic").spec
+    pts = sample_points(spec.domain, moebius.CHUNK_POINTS, 0)
+    pair, ltol = [pts[14], pts[19]], 0.5196
+    cf = ideal.CanonicalFields(moebius.MoebiusContext(spec, pair),
+                               partial=True, ltol=ltol)
+    assert cf.integrable.tolist() == [True, False]
+    invs = ideal._package_invariants(cf)
+    for inv, p in zip(invs, pair):
+        alone = ideal.invariants_uvlg(moebius.MoebiusContext(spec, p),
+                                      partial=True, ltol=ltol)
+        assert np.array_equal(_bits(inv), _bits(alone))
+    assert np.isnan([invs[0].lam, invs[0].Fhat, invs[0].Ghat,
+                     *invs[0].domega, *invs[0].omega_chart]).all()
+    assert not np.isnan(_bits(invs[1]).view(float)).any()
+    with pytest.raises(IntegrableDistribution):
+        cf.lamf
+    with pytest.raises(IntegrableDistribution):
+        ideal.CanonicalFields(moebius.MoebiusContext(spec, pair), ltol=ltol)
+
+
+@pytest.mark.parametrize("argv, ceiling", [
+    ("invariants --example so3 --points 20", 230),
+    ("residuals --example hopf-generic --points 2", 24)])
+def test_jet_products_past_the_chart_stay_under_their_ceiling(
+        capsys, monkeypatch, argv, ceiling):
+    # the tensors of moebius and ideal are stacks (jets.stack_mul): the jet
+    # x jet products left past the chart evaluation are the tangent frame's
+    # Cholesky factor, the turned frame and rho's square root, so a slide
+    # back to per-jet lists fails here
+    counter = JetOps(monkeypatch)
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert counter.total("product", in_chart=False) <= ceiling, \
+        counter.counts
 
 
 @pytest.mark.parametrize("argv, calls", [

@@ -426,16 +426,15 @@ def test_division_by_zero_constant_term_raises():
             fn()
 
 
-def test_gradient_reads_first_partials():
+def test_stack_gradients_read_first_partials():
     u = [jet_seed(i + 1, 0.2 * (i + 1), 3) for i in range(3)]
     f = u[0] * u[0] * u[1] + 3.0 * u[2]
-    assert np.array_equal(jets.gradient(f),
-                          [extract_derivative(f, (1, 0, 0)),
-                           extract_derivative(f, (0, 1, 0)),
-                           extract_derivative(f, (0, 0, 1))])
-    assert np.array_equal(jets.gradient(2.5), np.zeros(3))
+    want = [extract_derivative(f, alpha)
+            for alpha in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    got = jets.stack_gradients(jets.stack([u[1], f]), 1)
+    assert got.shape == (2, 3) and np.array_equal(got[1], want)
     with pytest.raises(OrderError):
-        jets.gradient(MultiJet.constant(1.0, 0))
+        jets.stack_gradients(MultiJet.constant(1.0, 0).c[:, None], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from wintgen.errors import ChartBlowUp, NotLorentz
 from wintgen.immersion import parse_immersion, sample_points
 from wintgen.moebius import MoebiusContext, ldot
 
+import _reference
 from _shared import context, entry, mdata, plan_points
 from test_classical import HYPERBOLIC_GRAPH
 
@@ -85,7 +86,7 @@ def test_moving_frame_equation_for_dYi(name):
         ctx = context(name, p)
         for i in range(3):
             for j in range(3):
-                dYi = _vals(moebius.frame_vector_d(ctx.EC, ctx.Yi[i], j))
+                dYi = _vals(_reference.frame_vector_d(ctx.EC, ctx.Yi[i], j))
                 rhs = -d.A[j, i] * d.Y - (1.0 if i == j else 0.0) * d.N
                 for k in range(3):
                     rhs = rhs + d.omega_ij[i, k, j] * d.Yi[k]
@@ -103,7 +104,7 @@ def test_dN_expansion_and_C_cross_route(name):
         ctx = context(name, p)
         assert np.max(np.abs(d.C - ctx.C_dn)) < 1e-7
         for i in range(3):
-            dN = _vals(moebius.frame_vector_d(ctx.EC, ctx.N, i))
+            dN = _vals(_reference.frame_vector_d(ctx.EC, ctx.N, i))
             rhs = sum(d.A[i, j] * d.Yi[j] for j in range(3))
             rhs = rhs + sum(d.C[r, i] * d.xi[r] for r in range(2))
             assert np.max(np.abs(dN - rhs)) < 1e-7
@@ -118,14 +119,14 @@ def test_connection_form_cross_route(name):
         for j in range(3):
             for k in range(3):
                 direct = jets.value_of(
-                    ldot(moebius.frame_vector_d(ctx.EC, ctx.Yi[i], k), ctx.Yi[j]))
+                    ldot(_reference.frame_vector_d(ctx.EC, ctx.Yi[i], k), ctx.Yi[j]))
                 assert abs(direct - d.omega_ij[i, j, k]) < 1e-8
 
 
 def test_theta_frame_vs_chart_components():
     p = plan_points("hopf-generic", 1)[0]
     ctx = context("hopf-generic", p)
-    via_chart = ctx.EC_values @ _vals(ctx.theta12_chart)
+    via_chart = ctx.EC_values @ jets.stack_values(ctx.theta12_chart, 1)
     assert np.max(np.abs(via_chart - ctx.theta12_values)) < 1e-10
 
 

@@ -8,6 +8,7 @@ from wintgen import cli, ideal, jetalg, jets, moebius
 from wintgen.immersion import sample_points
 from wintgen.moebius import ldot
 
+import _reference
 from _shared import entry
 
 TWISTED = ["so3", "veronese-hopf", "hopf-generic"]
@@ -39,20 +40,20 @@ def _fields(name, p, gauge="raw"):
 
 def _theta12_field(ctx):
     """theta_12(E_k) = <E_k(xi_1), xi_2> as jet fields."""
-    return [ldot(moebius.frame_vector_d(ctx.EC, ctx.xi[0], k), ctx.xi[1])
+    return [ldot(_reference.frame_vector_d(ctx.EC, ctx.xi[0], k), ctx.xi[1])
             for k in range(3)]
 
 
 def _omega_field(ctx):
     """The connection forms of the frame EC as jet fields."""
-    return moebius.connection_forms(ctx.EC, ctx.g, ctx.Gamma)
+    return _reference.connection_forms(ctx.EC, ctx.g, ctx.Gamma)
 
 
 def _cov2_field(ctx, T):
     """T_{ij,k} = E_k(T_ij) + T_lj omega_li(E_k) + T_il omega_lj(E_k) as jet
     fields, for a frame 2-tensor T."""
     om = _omega_field(ctx)
-    return [[[moebius.frame_scalar_d(ctx.EC, T[i][j], k)
+    return [[[_reference.frame_scalar_d(ctx.EC, T[i][j], k)
               + sum(T[i][l] * om[l][j][k] + T[l][j] * om[l][i][k]
                     for l in range(3))
               for k in range(3)] for j in range(3)] for i in range(3)]
@@ -78,7 +79,7 @@ def _covc_field(ctx):
     out = []
     for r in range(2):
         sgn = -1.0 if r == 0 else 1.0
-        out.append([[moebius.frame_scalar_d(ctx.EC, ctx.C[r][i], j)
+        out.append([[_reference.frame_scalar_d(ctx.EC, ctx.C[r][i], j)
                      + sum(ctx.C[r][k] * om[k][i][j] for k in range(3))
                      + ctx.C[1 - r][i] * (sgn * th[j])
                      for j in range(3)] for i in range(3)])
@@ -92,7 +93,7 @@ def test_point_reads_match_jet_fields(name):
         _close(ctx.covB_values, _vals(_covb_field(ctx)))
         _close(ctx.theta12_values, _vals(_theta12_field(ctx)))
         _close(ctx.Yi_values, _vals(ctx.Yi))
-        dN = [moebius.frame_vector_d(ctx.EC, ctx.N, i) for i in range(3)]
+        dN = [_reference.frame_vector_d(ctx.EC, ctx.N, i) for i in range(3)]
         _close(ctx.A_dn, [[jets.value_of(ldot(dN[i], ctx.Yi[j]))
                            for j in range(3)] for i in range(3)])
         _close(ctx.C_dn, [[jets.value_of(ldot(dN[i], ctx.xi[r]))
@@ -136,12 +137,12 @@ def test_frame_derivative_matches_raw_frame_route(name):
     ctx = cf.ctx
     f = ctx.rho * ctx.Y[3]
     for k in range(3):
-        via_raw = sum(cf.Rf[k][j] * moebius.frame_scalar_d(ctx.EC, f, j)
+        via_raw = sum(cf.Rf[k][j] * _reference.frame_scalar_d(ctx.EC, f, j)
                       for j in range(3))
-        _close(moebius.frame_scalar_d(cf.frame_chart, f, k).c, via_raw.c,
+        _close(_reference.frame_scalar_d(cf.frame_chart, f, k).c, via_raw.c,
                1e-11)
-    _close(moebius.frame_d_values(cf.E_chart, ctx.Y),
-           [_vals(moebius.frame_vector_d(cf.frame_chart, ctx.Y, k))
+    _close(moebius.frame_d_values(cf.E_chart, ctx.Y_stack),
+           [_vals(_reference.frame_vector_d(cf.frame_chart, ctx.Y, k))
             for k in range(3)])
 
 
@@ -171,7 +172,7 @@ def _rotated_omega(cf, raw):
     Rf = cf.Rf
     out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
     for i in range(1, 3):
-        dR = [moebius.frame_vector_d(cf.frame_chart, Rf[i], k)
+        dR = [_reference.frame_vector_d(cf.frame_chart, Rf[i], k)
               for k in range(3)]
         for j in range(i):
             for k in range(3):
@@ -190,7 +191,7 @@ def _close_forms(got, want):
     """Values and first partials of the off-diagonal forms agree."""
     for i, j in ((1, 0), (2, 0), (2, 1), (0, 1), (0, 2), (1, 2)):
         _close(_vals(got[i][j]), _vals(want[i][j]))
-        _close(jetalg.gradients(got[i][j]), jetalg.gradients(want[i][j]))
+        _close(*([x.c[1:4] for x in f[i][j]] for f in (got, want)))
 
 
 @pytest.mark.parametrize("name", TWISTED)
@@ -221,13 +222,15 @@ def test_omega_values_are_the_raw_forms_at_the_point(name):
 
 
 def test_lower_congruence_is_l_m_lt():
+    # jetalg.congruence on values, its LOWER entries unfolded
     rng = np.random.default_rng(7)
     for _ in range(5):
         L = np.tril(rng.normal(size=(3, 3)))
         M = rng.normal(size=(3, 3))
         M = M + M.T
-        got = jetalg.lower_congruence(L.tolist(), M.tolist())
-        _close(got, L @ M @ L.T)
+        got = jetalg.congruence(*(np.array([[X[a, b] for a, b in jetalg.LOWER]])
+                                  for X in (L, M)), np.multiply)
+        _close(jetalg.unfold(got, 1)[0], L @ M @ L.T)
 
 
 @pytest.mark.parametrize("command, calls", [("invariants", 1),

@@ -16,6 +16,7 @@ from wintgen.errors import (DegenerateCurve, IntegrableDistribution,
 
 from wintgen.immersion import SPHERE, ImmersionSpec
 
+import _reference
 from _shared import JetOps, context, entry, mdata, plan_points
 
 SQRT6 = math.sqrt(6.0)
@@ -35,7 +36,7 @@ def invariants_of(name, p, gauge="raw"):
 
 def _d(cf, f, k):
     """Derivative of a scalar jet field along adapted frame vector k."""
-    return moebius.frame_scalar_d(cf.frame_chart, f, k)
+    return _reference.frame_scalar_d(cf.frame_chart, f, k)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +431,7 @@ def test_omega_is_log_derivative_of_conformal_factor(name):
 def test_nonintegrability_and_normal_curvature_scales(name):
     for p in plan_points(name, 3):
         cf = frame_of(name, p)
-        dw3 = cf.d_form_on(cf.coframe_can[2], 0, 1)
+        dw3 = cf.d_form_on(cf.coframe_can_stack[:, 2], 0, 1)
         assert abs(dw3 - 2.0 * cf.L) < 1e-7
         dth = cf.d_form_on(cf.theta_chart, 0, 1)
         assert abs(dth - 2.0 * cf.mu ** 2) < 1e-6
