@@ -224,10 +224,10 @@ def _analyze(spec, chunk, args) -> CanonicalFields:
 def _ideal_records(spec, pts, args, names=None):
     """The per-point loop of the invariant commands: records holding the
     named values (all of them by default), and the invariants they came
-    from.  The points run through map_chunks with probe_frame as its
-    probe, each with the torsion-positive sign rule, so a record or a
-    refusal depends only on its point and not on sample order or
-    chunking."""
+    from.  probe_frame runs on point 0, then the points run through
+    map_chunks with it as the probe, each with the torsion-positive sign
+    rule, so a record or a refusal depends only on its point and not on
+    sample order or chunking."""
     def analyze(chunk, _start):
         cf = _analyze(spec, chunk, args)
         return list(zip(np.ravel(cf.data.rho).tolist(),
@@ -236,6 +236,7 @@ def _ideal_records(spec, pts, args, names=None):
     def probe(p):
         probe_frame(spec, p, ltol=args.ltol, tol=args.tol)
 
+    probe(pts[0])
     records = []
     invs = []
     results = map_chunks(analyze, pts, probe)
@@ -339,8 +340,10 @@ def _run_hopf_check(spec, pts, args, expected) -> RunResult:
 
 
 def _run_residuals(spec, pts, args, expected) -> RunResult:
-    def analyze(chunk, _start):
-        return integrability_residuals(MoebiusContext(spec, chunk))
+    def analyze(chunk, _start):  # the probe's gates first, as ddvv's
+        ctx = MoebiusContext(spec, chunk)
+        ctx.classical.umbilic_gate
+        return integrability_residuals(ctx)
 
     def probe(p):  # the gates of the lift: metric, normal frame, umbilic
         ClassicalContext(spec, p, order=2).umbilic_gate

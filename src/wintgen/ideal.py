@@ -7,14 +7,14 @@ points; frame_gates, the one implementation of each gate, refuses at an
 umbilic, then a non-ideal point (the gates of classical.py), then where the
 torsion from the values of B, covB and the kernel line is at most ltol or
 its rounding floor.  They read third partials of the chart at most, so
-probe_frame, the probe the invariants hand to map_chunks, decides them on
-an order-3 context.  Past them, classical.turned_frame, the one
-construction of the adapted frame, runs per jet on the shape fields at
-K - 3 (README, "Jet orders"), and all that is built on the frame is a stack
-(moebius), so U, V, L, G, lambda, Fhat, Ghat and the 1-form omega are
-derivatives of smooth fields whose values are the frame built on floats.
-The pregauge (M0, Q0) and the normal pair Qf mix by jetalg.lincomb's rule:
-an exact 0 adds no term and an exact 1 makes no product.  E3 is oriented
+probe_frame, the probe of the invariants, decides them on an order-3
+context.  Past them, classical.turned_frame, the one construction of the
+adapted frame, runs per jet on the shape fields at K - 3 (README, "Jet
+orders"), and all that is built on the frame is a stack (moebius), so U,
+V, L, G, lambda, Fhat, Ghat and the 1-form omega are derivatives of smooth
+fields whose values are the frame built on floats.  The pregauge (M0, Q0)
+and the normal pair Qf mix by jetalg.lincomb's rule: an exact 0 adds no
+term and an exact 1 makes no product.  E3 is oriented
 at each point by the sign of the torsion L; the verdicts are folds over the
 per-point invariants of a sample (sample_invariants, through map_chunks),
 and refuse an empty one.  Over a chunk each gate runs once on lane masks
@@ -24,6 +24,7 @@ axis, each lane summing as its point alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,16 +64,19 @@ def _oriented_torsion(covB, Bv, q):
 
 
 def _pregauged(B, M0, Q0):
-    """The shape fields with the normal pair mixed by Q0 and components in
-    the tangent frame rotated by M0, by jetalg.lincomb: under the identity
-    pregauge they are the shape fields themselves."""
-    M0, Q0 = np.asarray(M0).tolist(), np.asarray(Q0).tolist()
-    Bmix = [[[jetalg.lincomb([Q0[0][r], Q0[1][r]], lambda s: B[s][i][j])
-              for j in range(3)] for i in range(3)] for r in range(2)]
-    return [[[jetalg.lincomb([M0[i][a] * M0[j][b] for a in range(3)
-                              for b in range(3)],
-                             lambda k: Bmix[r][k // 3][k % 3])
-              for j in range(3)] for i in range(3)] for r in range(2)]
+    """The shape fields B, a stack (ncoef, 2, 3, 3[, lanes]), with the
+    normal pair mixed by Q0 and components in the tangent frame rotated by
+    M0, entry by entry by jetalg.stack_lincomb's rule: B itself under the
+    identity pregauge."""
+    if (M0 == np.eye(3)).all() and (Q0 == np.eye(2)).all():
+        return B
+    mix = np.stack([jetalg.stack_lincomb(Q0[:, r], [B[:, 0], B[:, 1]])
+                    for r in range(2)], axis=1)
+    terms = [mix[:, :, a, b] for a in range(3) for b in range(3)]
+    out = np.stack([jetalg.stack_lincomb(
+        [M0[i, a] * M0[j, b] for a in range(3) for b in range(3)], terms)
+        for i in range(3) for j in range(3)], axis=2)
+    return out.reshape(out.shape[:2] + (3, 3) + out.shape[3:])
 
 
 # jetalg.quadform's terms (u_a M_ab) v_b, in its order
@@ -132,9 +136,9 @@ class CanonicalFields:
         M0, Q0, self.plane, self.torsion, self.floor, self.integrable = \
             frame_gates(ctx, pregauge, self.ltol, tol, partial)
         # the frame's readers take two partials of it: B at order K - 3
-        B = list(map(jetalg.symmetric_entries, jets.views(
-            ctx.B_stack[:jets.ncoef(ctx.classical.order - 3)], 2)))
-        rows, self.mu_field0 = turned_frame(_pregauged(B, M0, Q0), self.plane)
+        B = ctx.B_stack[:jets.ncoef(ctx.classical.order - 3)]
+        rows, self.mu_field0 = turned_frame(jets.views(_pregauged(
+            jetalg.unfold(B, 2), M0, Q0), 3), self.plane)
         # E3 sign: the torsion is positive (it is odd in E3); below the
         # cutoff it is undefined and E3 stays as the kernel sign left it
         sign = np.where(~self.integrable & (self.torsion < 0.0), -1.0,
@@ -395,8 +399,8 @@ def frame_gates(ctx: MoebiusContext, pregauge=None, ltol: float = LTOL,
                    [0.0, 0.0, 1.0]])
     Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
                    [math.sin(2 * t), math.cos(2 * t)]])
-    plane = kernel_plane(jetalg.value_array(
-        _pregauged(jetalg.values(ctx.B), M0, Q0)), ctx.p)
+    plane = kernel_plane(jets.stack_values(_pregauged(
+        jetalg.unfold(ctx.B_stack[:1], 2), M0, Q0), 3), ctx.p)
     # the torsion along the kernel line (turned_frame's E3 is a positive
     # multiple of plane.q), rotated back by the pregauge
     tor = _oriented_torsion(ctx.covB_values, ctx.B_values, plane.q @ M0)
@@ -425,7 +429,7 @@ def _refuse_integrable(torsion, floor, integrable, ltol, pts) -> None:
 def probe_frame(spec: ImmersionSpec, p, ltol: float = LTOL,
                 tol: float = TOL) -> None:
     """Point p's refusal by frame_gates, decided on one lane at GATE_ORDER:
-    the probe of map_chunks for the invariants."""
+    the probe of the invariants."""
     frame_gates(MoebiusContext(spec, p, order=GATE_ORDER), ltol=ltol, tol=tol)
 
 
@@ -493,12 +497,15 @@ def _package_invariants(cf: CanonicalFields) -> list:
 def sample_invariants(spec: ImmersionSpec, sample, gauge: str = "raw",
                       ltol: float = LTOL, tol: float = TOL) -> list:
     """The invariants at each point of a sample, run in chunks by
-    moebius.map_chunks; each depends on its point alone."""
+    moebius.map_chunks after probe_frame on point 0; each depends on its
+    point alone."""
     def analyze(chunk, _start):
         return _package_invariants(CanonicalFields(
             MoebiusContext(spec, chunk), gauge=gauge, ltol=ltol, tol=tol))
-    return map_chunks(analyze, sample,
-                      lambda p: probe_frame(spec, p, ltol=ltol, tol=tol))
+    probe = functools.partial(probe_frame, spec, ltol=ltol, tol=tol)
+    if len(sample):
+        probe(sample[0])
+    return map_chunks(analyze, sample, probe)
 
 
 def invariants_uvlg(ctx: MoebiusContext, gauge: str = "raw",

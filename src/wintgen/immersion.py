@@ -8,7 +8,7 @@ ambient model owns its embedding's conventions; no other module reads kind.
 
 Specs come from two sources: built-in gallery constructors (plain Python
 closures) and a line-oriented text format with one expression per ambient
-coordinate.
+coordinate, whose repeated subexpressions are evaluated once (Shared).
 """
 
 from __future__ import annotations
@@ -240,6 +240,41 @@ class Call(Expr):
         return f"{self.fn}({self.arg.text()})"
 
 
+class Shared(Expr):
+    """A distinct call, chain, power or negation of a parsed chart, one node
+    evaluated once per evaluator call (u maps the chart scalars' indices and
+    the nodes evaluated so far to values): no jet is written after it is
+    made, so every occurrence reads the bits it would compute."""
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr):
+        self.expr = expr
+
+    def eval(self, u):
+        if self not in u:
+            u[self] = self.expr.eval(u)
+        return u[self]
+
+    def text(self):
+        return self.expr.text()
+
+
+def _shared(e: Expr, nodes: dict) -> Expr:
+    """e with each call, chain, power and negation in it the Shared node of
+    its text in nodes: one text is one sequence of operations."""
+    key = e.text()
+    if key not in nodes and not isinstance(e, (Var, Num, Pi)):
+        if isinstance(e, Chain):
+            e.first = _shared(e.first, nodes)
+            e.rest = [(op, _shared(x, nodes)) for op, x in e.rest]
+        elif isinstance(e, Pow):
+            e.base = _shared(e.base, nodes)
+        else:  # Neg, Call
+            e.arg = _shared(e.arg, nodes)
+        nodes[key] = Shared(e)
+    return nodes.get(key, e)
+
+
 # ---------------------------------------------------------------------------
 # tokenizer + recursive-descent parser
 
@@ -420,7 +455,8 @@ _COMPONENT_RE = re.compile(r"^x([1-9])\s*=\s*(.*)$")
 
 
 def parse_immersion(text: str) -> ImmersionSpec:
-    """Parse the line-oriented immersion file format."""
+    """Parse the line-oriented immersion file format, each distinct
+    subexpression of the components one Shared node."""
     ambient = None
     name = None
     domain = None
@@ -474,9 +510,14 @@ def parse_immersion(text: str) -> ImmersionSpec:
     if got != list(range(1, want + 1)):
         raise SchemaError(
             f"ambient {ambient.kind} needs components x1..x{want}, got {['x%d' % k for k in got]}")
-    trees = tuple(comps[k] for k in range(1, want + 1))
+    nodes = {}
+    trees = [_shared(comps[k], nodes) for k in range(1, want + 1)]
+
+    def evaluate(u):
+        u = dict(enumerate(u))  # the chart scalars, then Shared values
+        return [t.eval(u) for t in trees]
     return ImmersionSpec(ambient=ambient, name=name, domain=domain,
-                         evaluator=lambda u: [t.eval(u) for t in trees])
+                         evaluator=evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -474,21 +474,18 @@ def map_chunks(analyze, pts, probe=None) -> list:
     rule of every analysis command.  analyze(chunk, start) maps a chunk (a
     list of points) to one result per point, where start is the sample
     index of the chunk's first point, so a refusal can name its point's
-    index.  probe(pts[0]) runs first, on one lane at the lowest jet order
-    its gates read, so that a chart refusing everywhere costs one cheap
-    lane; then the sample runs in full chunks of CHUNK_POINTS from point 0.
+    index.  The sample runs in full chunks of CHUNK_POINTS from point 0.
     A chunk that raises a WintgenError at lane l (errors.WintgenError.lane,
     0 when None) runs the points before l again as one chunk, under this
     same rule, so that an earlier point's own error comes first; then
-    point l runs probe and the error propagates.  Every lane passed the
-    steps before the one that raised, and rounds as its point alone, so
-    the first failing point reports what it reports as a sample of one:
-    the probe's refusal, else its own error.  ddvv passes no probe: it
-    reads order 2 only, and its first chunk's lane 0 decides point 0 as
-    cheaply.  Any other exception propagates from the chunk: it is a
-    fault, not a property of a point."""
-    if probe is not None and len(pts):
-        probe(pts[0])
+    point l runs probe (one lane at the lowest jet order its gates read)
+    and the error propagates.  Every lane passed the steps before the one
+    that raised, and rounds as its point alone, so the first failing point
+    reports what it reports as a sample of one: the probe's refusal, else
+    its own error.  The invariant commands, whose torsion gate sits behind
+    the order-3 chain, probe point 0 before calling this.  Any other
+    exception propagates from the chunk: it is a fault, not a property of
+    a point."""
     out = []
     for lo in range(0, len(pts), CHUNK_POINTS):
         out += _analyzed(analyze, list(pts[lo:lo + CHUNK_POINTS]), lo, probe)

@@ -48,6 +48,18 @@ def lower_congruence(L, M):
     return jetalg.symmetric_entries(jets.views(out, 1))
 
 
+def pregauged(B, M0, Q0):
+    """The shape fields B[r][i][j] (jets or values) with the normal pair
+    mixed by Q0 and components in the tangent frame rotated by M0, by
+    jetalg.lincomb entry by entry."""
+    M0, Q0 = M0.tolist(), Q0.tolist()
+    Bmix = [[[lincomb([Q0[0][r], Q0[1][r]], lambda s: B[s][i][j])
+              for j in range(3)] for i in range(3)] for r in range(2)]
+    return [[[lincomb([M0[i][a] * M0[j][b] for a in range(3)
+                       for b in range(3)], lambda k: Bmix[r][k // 3][k % 3])
+              for j in range(3)] for i in range(3)] for r in range(2)]
+
+
 def frame_scalar_d(EC, f, k):
     """E_k(f) for a scalar jet f, frame rows EC in chart components."""
     return dot(EC[k], [jets.derivative(f, a) for a in (1, 2, 3)])

@@ -19,6 +19,8 @@ from wintgen.errors import (EvalError, IntegrableDistribution, OrderError,
                             Refusal, WintgenError)
 from wintgen.immersion import sample_points
 
+from _charts import (BENT, BLOWUP, CONST_GRAPH, CUT, CUT_TWICE, FAST_WAVE, SO3,
+                     TURNED, TURNED_LATE)
 from _shared import JetOps
 
 IDEAL_CHARTS = ["so3", "veronese-hopf", "hopf-generic"]
@@ -86,7 +88,30 @@ def test_each_lane_is_its_point_alone_at_any_lane_count(name, partial, gauge):
                            dataclasses.astuple(got))), where
 
 
-def test_chunks_probe_the_first_point_then_run_chunk_points_from_it():
+def _probe_then_chunks(monkeypatch, module):
+    """The probe_frame calls (points) and the map_chunks calls (samples)
+    that module makes, in order, as ("probe", point) and ("chunks", size);
+    the chunks run as map_chunks does."""
+    events = []
+    probe, chunks = module.probe_frame, module.map_chunks
+
+    def probed(spec, p, **kwargs):
+        events.append(("probe", tuple(p)))
+        return probe(spec, p, **kwargs)
+
+    def chunked(analyze, pts, probe=None):
+        events.append(("chunks", len(pts)))
+        return chunks(analyze, pts, probe)
+    monkeypatch.setattr(module, "probe_frame", probed)
+    monkeypatch.setattr(module, "map_chunks", chunked)
+    return events
+
+
+def test_chunks_probe_the_first_point_then_run_chunk_points_from_it(
+        capsys, monkeypatch):
+    # map_chunks probes no point of a passing sample; the invariant callers
+    # (the commands and ideal.sample_invariants) probe point 0 themselves,
+    # then run the sample in chunks from point 0
     probed, sizes, starts = [], [], []
 
     def analyze(chunk, start):
@@ -96,22 +121,45 @@ def test_chunks_probe_the_first_point_then_run_chunk_points_from_it():
 
     pts = list(range(45))
     assert moebius.map_chunks(analyze, pts, probed.append) == pts
-    assert probed == [0]
+    assert probed == []
     assert sizes == [20, 20, 5]
     assert starts == [0, 20, 40]
+    spec = gallery.by_name("so3").spec
+    sample = sample_points(spec.domain, 21, 0)
+    for module in (cli, ideal):
+        with monkeypatch.context() as m:
+            events = _probe_then_chunks(m, module)
+            if module is cli:
+                assert cli.main(["invariants", "--example", "so3",
+                                 "--points", "21"]) == 0
+            else:
+                assert len(ideal.sample_invariants(spec, sample)) == 21
+        assert events == [("probe", sample[0]), ("chunks", 21)], module
+    capsys.readouterr()
 
 
-def test_a_refusing_probe_runs_no_chunk_and_an_empty_sample_no_probe():
-    calls = []
-
-    def refuse(p):
-        raise WintgenError(f"point {p}")
-
-    with pytest.raises(WintgenError, match="point 0"):
-        moebius.map_chunks(lambda chunk, start: calls.append(start), [0, 1],
-                           refuse)
-    assert calls == []
-    assert moebius.map_chunks(None, [], refuse) == []
+def test_a_refusing_probe_runs_no_chunk_and_an_empty_sample_no_probe(
+        capsys, monkeypatch):
+    # an invariant caller whose probe refuses point 0 runs no chunk; an
+    # empty sample runs no probe
+    spec = gallery.by_name("cone-veronese").spec
+    sample = sample_points(spec.domain, 2, 0)
+    for module in (cli, ideal):
+        with monkeypatch.context() as m:
+            events = _probe_then_chunks(m, module)
+            if module is cli:
+                assert cli.main(["invariants", "--example", "cone-veronese",
+                                 "--points", "2"]) == 3
+            else:
+                with pytest.raises(IntegrableDistribution):
+                    ideal.sample_invariants(spec, sample)
+        assert events == [("probe", sample[0])], module
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        events = _probe_then_chunks(m, ideal)
+        assert ideal.sample_invariants(spec, []) == []
+    assert events == [("chunks", 0)]
+    assert moebius.map_chunks(None, [], None) == []
 
 
 def _failing_at_3_and_5(error, calls):
@@ -139,7 +187,7 @@ def test_a_failing_chunk_reruns_the_points_before_its_lane():
                            list("abc") + list(range(3, 8)), probed.append)
     assert calls == [(["a", "b", "c", 3, 4, 5, 6, 7], 0),
                      (["a", "b", "c"], 0)]
-    assert probed == ["a", 3]
+    assert probed == [3]
 
 
 def test_a_lane_less_error_is_the_first_points():
@@ -155,7 +203,7 @@ def test_a_lane_less_error_is_the_first_points():
     with pytest.raises(EvalError, match="every point fails"):
         moebius.map_chunks(analyze, list(range(6)), probed.append)
     assert calls == [list(range(6))]
-    assert probed == [0, 0]
+    assert probed == [0]
 
 
 def test_an_earlier_point_that_fails_at_a_later_step_comes_first():
@@ -175,7 +223,7 @@ def test_an_earlier_point_that_fails_at_a_later_step_comes_first():
     with pytest.raises(Refusal, match="second step fails at point 2"):
         moebius.map_chunks(analyze, list(range(8)), probed.append)
     assert calls == [list(range(8)), list(range(5)), [0, 1]]
-    assert probed == [0, 2]
+    assert probed == [2]
 
 
 def test_a_failing_point_reports_its_probes_refusal_as_a_sample_of_one():
@@ -206,36 +254,8 @@ def test_a_fault_in_a_chunk_propagates_without_a_rerun():
     assert calls == [(["a", "b", "c", 3, 4, 5, 6, 7], 0)]
 
 
-# so3 with a factor sqrt(u1 - 1) / sqrt(u1 - 1): an input error (exit 2)
-# where u1 < 1; and so3 with x1 bent by 0.2 (a + |a|), a = u1 - 3: off the
-# sphere, so not immersed in it (exit 3), where u1 > 3.  At the seeds below
-# point 0 passes its probe and the first failure falls inside the first
-# chunk of 20 points (index 11 and index 3).  so3 with (x1, x2) turned by the
-# angle 0.2 (a + |a|) stays on the sphere, and is not ideal where u1 > 3
-# (index 3 again).
-_SO3 = gallery.by_name("so3").expression_text
-_CUT = ("x1 = (", "x1 = sqrt(u1 - 1) / sqrt(u1 - 1) * (")
-_BENT = ("x1 = (", "x1 = 0.2 * (u1 - 3 + sqrt((u1 - 3)^2)) + (")
-_X1, _X2 = (line.split(" = ", 1)[1] for line in _SO3.splitlines()
-            if line.startswith(("x1 =", "x2 =")))
-_ANGLE = "0.2 * (u1 - 3 + sqrt((u1 - 3)^2))"
-_TURNED = (f"x1 = {_X1}\nx2 = {_X2}",
-           f"x1 = cos({_ANGLE}) * {_X1} - sin({_ANGLE}) * {_X2}\n"
-           f"x2 = sin({_ANGLE}) * {_X1} + cos({_ANGLE}) * {_X2}")
-
-# a graph with constant components, an exact one (x5) and one built by the
-# expression (u2^0): each must take the chunk's layout
-CONST_GRAPH = """\
-name: const-graph
-ambient: euclidean
-domain: u1 in [0.2,0.9]; u2 in [0.2,0.9]; u3 in [0.2,0.9]
-x1 = u1
-x2 = u2^0 * u2
-x3 = u3
-x4 = u1^2 + 2*u2^2 + 3*u3^2 + u1*u2*u3
-x5 = 0
-"""
-
+# the failing charts of tests/_charts.py: at the seeds below point 0 passes
+# its probe and the first failure falls inside the first chunk of 20 points
 # (exit code, sha256 of stdout) of `invariants --spec <file> --points n
 # --seed s`, keyed (file, s, n), and of `ddvv` and `residuals`, keyed
 # (command, file, s, n); the invariants and ddvv digests of cut.imm and
@@ -324,8 +344,8 @@ def _pinned_run(capsys, monkeypatch, tmp_path, command, file, text, seed,
 
 
 _FAILING_FILES = pytest.mark.parametrize(
-    "file, edit, seed", [("cut.imm", _CUT, 0), ("bent.imm", _BENT, 3),
-                         ("turned.imm", _TURNED, 3)])
+    "file, edit, seed", [("cut.imm", CUT, 0), ("bent.imm", BENT, 3),
+                         ("turned.imm", TURNED, 3)])
 _POINTS = pytest.mark.parametrize("points", [1, 2, 21, 41])
 
 
@@ -334,7 +354,7 @@ _POINTS = pytest.mark.parametrize("points", [1, 2, 21, 41])
 def test_a_later_failure_inside_a_chunk_gives_the_one_point_document(
         capsys, monkeypatch, tmp_path, file, edit, seed, points):
     assert _pinned_run(capsys, monkeypatch, tmp_path, "invariants", file,
-                       _SO3.replace(*edit), seed, points) \
+                       SO3.replace(*edit), seed, points) \
         == PINNED[file, seed, points]
 
 
@@ -343,18 +363,33 @@ def test_a_later_failure_inside_a_chunk_gives_the_one_point_document(
 def test_ddvv_gives_the_one_point_document_across_chunks(
         capsys, monkeypatch, tmp_path, file, edit, seed, points):
     assert _pinned_run(capsys, monkeypatch, tmp_path, "ddvv", file,
-                       _SO3.replace(*edit), seed, points) \
+                       SO3.replace(*edit), seed, points) \
         == PINNED["ddvv", file, seed, points]
 
 
-# so3 on u1 in [2.0, 3.14], with 1e-300 exp(10000 (u1 - 3)) added to x1:
-# near u1 = 3.07 x1 leaves the sphere by about 1e-6, which the probe's
-# order-3 gates refuse, while the order-5 jet of exp overflows, an input
-# error; at seed 100 the first such point is sample point 16
-BLOWUP = _SO3.replace("u1 in [0.05,6.2]", "u1 in [2.0,3.14]").replace(
-    "x1 = (", "x1 = 1e-300 * exp(10000 * (u1 - 3.0)) + (")
+@pytest.mark.parametrize("command, digest", [
+    ("invariants",
+     "19aa2b126c8fe46383becaaa399bdfb9ba8aa9199ea1dc309b6cdef2a641941a"),
+    ("residuals",
+     "2a110a7f55469386d2ef4ebf03f308300e891429ef5c7c0185458129ac207c51")])
+def test_a_subexpression_failing_in_two_components_keeps_its_error(
+        capsys, monkeypatch, tmp_path, command, digest):
+    # sqrt(u1 - 1) is one shared node of CUT_TWICE's x1 and x4: its first
+    # evaluation raises, with the text and lane of the unshared tree, and
+    # the document is the one recorded before the trees were shared
+    spec = immersion.parse_immersion(CUT_TWICE)
+    with pytest.raises(EvalError) as err:
+        immersion.eval_immersion_jet(
+            spec, sample_points(spec.domain, moebius.CHUNK_POINTS, 0),
+            moebius.JET_ORDER)
+    assert (str(err.value), err.value.lane) == \
+        ("domain error in 'sqrt((u1 - 1.0))'", 11)
+    assert _pinned_run(capsys, monkeypatch, tmp_path, command, "twice.imm",
+                       CUT_TWICE, 0, 21) == (2, digest)
 
 
+# BLOWUP: at seed 100 sample point 16 is the first whose order-5 jet
+# overflows, and the probe's order-3 gates refuse it as not immersed
 @pytest.mark.parametrize("command", ["invariants", "residuals"])
 def test_a_point_inside_a_chunk_gives_its_one_point_refusal(
         capsys, monkeypatch, tmp_path, command):
@@ -414,7 +449,8 @@ def test_no_multi_point_chunk_falls_back(capsys, monkeypatch, tmp_path):
             code = cli.main([command, *source, "--points", "5"])
             if code == 0:
                 assert raised == [] and sizes == [5], (command, source)
-            else:  # refused at point 0: by the probe, or by ddvv's chunk
+            else:  # refused at point 0: by the invariants' probe, or by
+                # the chunk's lane 0 (ddvv, residuals)
                 assert set(sizes) <= {5, 1}, (command, source)
     capsys.readouterr()
 
@@ -494,10 +530,11 @@ def test_jets_run_at_the_order_their_readers_use(capsys, monkeypatch, argv):
 
 
 def test_values_are_computed_once_per_chunk(capsys, monkeypatch):
-    # 2 and 20 points both run as point 0's probe plus one chunk, so the
-    # value code (kernel-plane SVDs, the einsum contractions of the value
-    # fields and of the residual identities) runs as often at 20 points as
-    # at 2; each point running its own value code would scale with points
+    # 2 and 20 points both run as one chunk (after point 0's probe for
+    # invariants), so the value code (kernel-plane SVDs, the einsum
+    # contractions of the value fields and of the residual identities) runs
+    # as often at 20 points as at 2; each point running its own value code
+    # would scale with points
     def counts(command, points):
         calls = {"svd": 0, "einsum": 0}
 
@@ -567,12 +604,9 @@ def test_a_refusal_at_a_chunks_first_lane_is_not_rerun(capsys, monkeypatch):
     assert evaluations == [(2, 20)]
 
 
-# the turned chart on u1 in [0.05, 3.3]: at seed 28 the first point that is
-# not ideal is the last of 20, sample point 19; (exit code, sha256 of
-# stdout) of `invariants --points 20 --seed 28`, recorded while a failing
-# chunk reran every point up to it alone
-TURNED_LATE = _SO3.replace(*_TURNED).replace("u1 in [0.05,6.2]",
-                                             "u1 in [0.05,3.3]")
+# (exit code, sha256 of stdout) of `invariants --points 20 --seed 28` on
+# TURNED_LATE, whose first point that is not ideal is sample point 19,
+# recorded while a failing chunk reran every point up to it alone
 TURNED_LATE_PINNED = (3, "ba28192d93cdc80a1c2625962f2e794a"
                          "f717545091ab93b4a534c657c7e1fc65")
 
@@ -672,11 +706,11 @@ def test_jet_products_past_the_chart_stay_under_their_ceiling(
 @pytest.mark.parametrize("argv, calls", [
     ("invariants --example so3 --points 20", 2),
     ("invariants --example cone-veronese --points 20", 1),
-    ("residuals --example hopf-generic --points 2", 2)])
+    ("residuals --example hopf-generic --points 2", 1)])
 def test_the_umbilic_gate_is_decided_once_per_context(capsys, monkeypatch,
                                                       argv, calls):
-    # one probe context and one chunk context, or the probe's alone where
-    # it refuses
+    # the invariant commands: one probe context and one chunk context, or
+    # the probe's alone where it refuses; residuals: the chunk's alone
     count = []
     umbilic = classical.umbilic
     monkeypatch.setattr(classical, "umbilic",
@@ -716,10 +750,29 @@ def test_the_probe_makes_no_order_0_product(monkeypatch, name):
     ("invariants", 3), ("theorem-b", 3), ("hopf-check", 3), ("residuals", 2)])
 def test_a_passing_sample_builds_one_order_5_chunk(
         capsys, monkeypatch, command, probe_order):
+    # a probe whose gates read past the point pass (order 2) runs on point
+    # 0 first; residuals' gates are decided on the chunk's own point pass
     evaluations = _chart_evaluations(monkeypatch)
     assert cli.main([command, "--example", "so3", "--points", "20"]) == 0
     capsys.readouterr()
-    assert evaluations == [(probe_order, 1), (moebius.JET_ORDER, 20)]
+    assert evaluations == [(probe_order, 1)] * (probe_order > 2) \
+        + [(moebius.JET_ORDER, 20)]
+
+
+@pytest.mark.parametrize("points, digest", [
+    (2, "0a225d91026c0747ad48e4a4cc845ff63cd9400feba1ba007b21762962a2e28e"),
+    (20, "dda4774c68d4bdd074424469648e47b1f4f62ed8ca1cecee7e4c192cb1122447")])
+def test_a_residuals_refusal_at_point_0_runs_the_chunk_then_the_probe(
+        capsys, monkeypatch, points, digest):
+    # the first chunk's point pass refuses at lane 0, then point 0 runs the
+    # order-2 probe, whose refusal is the document (sha256 of stdout, as
+    # when the probe ran before the chunk)
+    evaluations = _chart_evaluations(monkeypatch)
+    assert cli.main(["residuals", "--example", "umbilic-control", "--points",
+                     str(points)]) == 3
+    out = capsys.readouterr().out
+    assert evaluations == [(moebius.JET_ORDER, points), (2, 1)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # the gallery charts whose forms the probe reads at point 0 (umbilic-control
@@ -815,26 +868,12 @@ def _gate_values(out):
     return [out]
 
 
-# x4 = 1e-70 sin(1e70 u1) has finite jets up to order 4, but its order-5
-# coefficient overflows, and its second partial of 1e70 makes no point ideal
-FAST_WAVE = """\
-name: fast-wave
-ambient: euclidean
-domain: u1 in [0.2,0.9]; u2 in [0.2,0.9]; u3 in [0.2,0.9]
-x1 = u1
-x2 = u2
-x3 = u3
-x4 = 1e-70 * sin(1e70 * u1)
-x5 = u1 * u2
-"""
-
-
 def test_a_probe_refusal_comes_before_an_order_5_evaluation_error(
         capsys, monkeypatch, tmp_path):
     # the one place the probe changes a document: point 0 refuses on its
     # order-3 gates, where evaluating it alone at order 5 (as the analysis
-    # does) raises EvalError first; residuals' probe passes, so its chunk
-    # still raises EvalError, at point 0
+    # does) raises EvalError first; residuals' chunk raises EvalError at
+    # lane 0, where its order-2 probe passes, so the EvalError propagates
     spec = immersion.parse_immersion(FAST_WAVE)
     p0 = sample_points(spec.domain, 3, 0)[0]
     immersion.eval_immersion_jet(spec, p0, ideal.GATE_ORDER)

@@ -17,6 +17,7 @@ from wintgen.gallery import (cone_over_veronese, generic_control,
 from wintgen.immersion import parse_immersion, sample_points
 
 import _oracles as oracles
+from _charts import HYPERBOLIC_GRAPH
 
 GEODESIC_S3 = """\
 ambient: sphere
@@ -28,19 +29,6 @@ x3 = sin(u1)*sin(u2)*cos(u3)
 x4 = sin(u1)*sin(u2)*sin(u3)
 x5 = 0
 x6 = 0
-"""
-
-HYPERBOLIC_GRAPH = """\
-# graph over the spatial slots: <x,x> = -1 holds identically
-ambient: hyperbolic
-name: hyperbolic-graph
-domain: u1 in [-0.7,0.7]; u2 in [-0.7,0.7]; u3 in [-0.7,0.7]
-x1 = sqrt(1 + u1^2 + u2^2 + u3^2 + (0.3*sin(u1+u2))^2 + (0.2*u3*u1)^2)
-x2 = u1
-x3 = u2
-x4 = u3
-x5 = 0.3*sin(u1+u2)
-x6 = 0.2*u3*u1
 """
 
 RANK_DEFICIENT = """\

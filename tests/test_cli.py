@@ -21,7 +21,7 @@ from wintgen.cli import main
 from wintgen.errors import IntegrableDistribution, NotIdealPoint, SchemaError
 from wintgen.immersion import sample_points
 
-from test_chunks import CONST_GRAPH
+from _charts import CONST_GRAPH
 
 
 def run_cli(capsys, *argv):

@@ -1,16 +1,21 @@
 """Parser, evaluation, and sampling."""
 
+import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
-from wintgen import cli, gallery
+from wintgen import cli, gallery, immersion, jets
 from wintgen.errors import (EvalError, ParseError, SchemaError,
                             UnknownIdentifier)
 from wintgen.immersion import (MAX_NESTING, SPHERE, eval_immersion_jet,
                                eval_immersion_values, parse_expression,
                                parse_immersion, sample_points)
 from wintgen.jets import jet_seed
+
+from _charts import TEXTS
 
 GREAT_CIRCLE = """\
 # great circle in the first coordinate plane
@@ -178,6 +183,76 @@ def test_a_long_sum_runs_at_the_command_line(capsys, monkeypatch, tmp_path):
     code, doc = _so3_with_x1(capsys, monkeypatch, tmp_path,
                              lambda x1: "0*u1+" * 3000 + x1)
     assert code == 0 and doc["aggregate"]["all_ideal"]
+
+
+def _unshared(text):
+    """The chart of text with each component a tree of its own, evaluated
+    whole at every evaluator call (as before the trees were shared)."""
+    trees = [parse_expression(line.split("=", 1)[1])
+             for line in text.splitlines() if re.match(r"x\d\s*=", line)]
+    return dataclasses.replace(parse_immersion(text),
+                               evaluator=lambda u: [t.eval(u) for t in trees])
+
+
+@pytest.mark.parametrize("name, shared, unshared", [
+    ("so3", 6, 24), ("veronese-hopf", 2, 10)])
+def test_a_text_form_makes_each_distinct_elementary_call_once(
+        monkeypatch, name, shared, unshared):
+    calls = []
+    elementary = jets.jet_elementary
+    monkeypatch.setattr(jets, "jet_elementary",
+                        lambda a, fn: calls.append(fn) or elementary(a, fn))
+    spec = parse_immersion(TEXTS[name])
+    pts = sample_points(spec.domain, 2, 0)
+    for k in (1, 2):  # once per evaluator call
+        eval_immersion_jet(spec, pts, 5)
+        assert len(calls) == k * shared
+    calls.clear()
+    eval_immersion_jet(_unshared(TEXTS[name]), pts, 5)
+    assert len(calls) == unshared
+
+
+def test_a_repeated_subexpression_is_evaluated_once(monkeypatch):
+    # veronese-hopf divides each of its six components by one sum
+    texts = []
+    chain = immersion.Chain.eval
+    monkeypatch.setattr(immersion.Chain, "eval", lambda self, u: (
+        texts.append(self.text()) or chain(self, u)))
+    denominator = "((1.0 + (u1 ^ 2)) + (u2 ^ 2))"
+    for spec, count in ((parse_immersion(TEXTS["veronese-hopf"]), 1),
+                        (_unshared(TEXTS["veronese-hopf"]), 6)):
+        texts.clear()
+        eval_immersion_jet(spec, sample_points(spec.domain, 2, 0), 5)
+        assert texts.count(denominator) == count
+
+
+@pytest.mark.parametrize("name", list(TEXTS))
+def test_shared_trees_give_the_unshared_jets_bit_for_bit(name):
+    # or the same EvalError, text and lane, where the chart fails
+    spec, unshared = parse_immersion(TEXTS[name]), _unshared(TEXTS[name])
+    chunk = sample_points(spec.domain, 20, 0)
+    for p in (chunk, chunk[7]):
+        try:
+            want = eval_immersion_jet(unshared, p, 5)
+        except EvalError as exc:
+            with pytest.raises(EvalError) as err:
+                eval_immersion_jet(spec, p, 5)
+            assert (str(err.value), err.value.lane) == (str(exc), exc.lane)
+            continue
+        got = eval_immersion_jet(spec, p, 5)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert np.array_equal(x.c.view(np.int64), y.c.view(np.int64))
+
+
+def test_a_shared_chart_nested_at_the_bound_evaluates():
+    n = MAX_NESTING
+    spec = parse_immersion(GREAT_CIRCLE.replace(
+        "x1 = cos(u1)", "x1 = " + "-" * n + "u1").replace(
+        "x2 = sin(u1)", "x2 = " + "sqrt(" * n + "u1" + ")" * n))
+    x = eval_immersion_jet(spec, (0.5, 0.0, 0.0), 5)
+    assert x[0].value == 0.5
+    assert x[1].value == pytest.approx(0.5 ** 0.5 ** n, rel=1e-15)
 
 
 def test_eval_outside_domain():

@@ -12,8 +12,8 @@ from wintgen import classical, gallery, ideal, jetalg, jets, moebius
 from wintgen.immersion import parse_immersion, sample_points
 
 import _reference
+from _charts import HYPERBOLIC_GRAPH
 from _shared import JetOps
-from test_classical import HYPERBOLIC_GRAPH
 
 # sphere, sphere, Euclidean (the lift squares x), hyperbolic (a Lorentz
 # position unit in the normal frame)
@@ -76,8 +76,7 @@ def _full_chain(ctx):
 def _full_Rf(cf, B):
     """CanonicalFields.Rf with no pregauge: the turned frame of B at its
     own order, with the kernel plane and the E3 sign of cf."""
-    rows, _ = classical.turned_frame(
-        ideal._pregauged(B, np.eye(3), np.eye(2)), cf.plane)
+    rows, _ = classical.turned_frame(B, cf.plane)
     sign = np.where(~cf.integrable & (cf.torsion < 0.0), -1.0, 1.0)[()]
     rows[2] = [sign * c for c in rows[2]]
     return rows

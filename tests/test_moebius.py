@@ -13,7 +13,7 @@ from wintgen.moebius import MoebiusContext, ldot
 
 import _reference
 from _shared import context, entry, mdata, plan_points
-from test_classical import HYPERBOLIC_GRAPH
+from _charts import HYPERBOLIC_GRAPH
 
 SQRT6 = math.sqrt(6.0)
 

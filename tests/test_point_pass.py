@@ -14,7 +14,7 @@ from wintgen.cli import main
 from wintgen.errors import NotImmersed
 from wintgen.immersion import parse_immersion, sample_points
 
-from test_classical import HYPERBOLIC_GRAPH
+from _charts import HYPERBOLIC_GRAPH
 
 FORMS = ("x", "xa", "xab", "induced_metric", "frame_chart", "tangent_amb",
          "normal_frame", "h", "H")

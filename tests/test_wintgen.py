@@ -14,7 +14,7 @@ from wintgen.classical import ddvv_report, kernel_plane, turned_frame
 from wintgen.errors import (DegenerateCurve, IntegrableDistribution,
                             NotIdealPoint, UmbilicPoint)
 
-from wintgen.immersion import SPHERE, ImmersionSpec
+from wintgen.immersion import SPHERE, ImmersionSpec, sample_points
 
 import _reference
 from _shared import JetOps, context, entry, mdata, plan_points
@@ -142,8 +142,8 @@ def test_kernel_line_torsion_is_the_turned_frame_torsion(name, t):
     for p in (chunk, chunk[0], chunk[1]):
         ctx = moebius.MoebiusContext(entry(name).spec, p)
         M0, Q0, plane, tor, _, _ = ideal.frame_gates(ctx, pregauge=t)
-        rows, _ = turned_frame(
-            ideal._pregauged(jetalg.values(ctx.B), M0, Q0), plane)
+        rows, _ = turned_frame(ideal._pregauged(
+            jetalg.unfold(ctx.B_stack[:1], 2), M0, Q0)[0], plane)
         E = jetalg.value_array(rows) @ M0
         want = _torsion_on_rows(ctx.covB_values, ctx.B_values, E[..., 0, :],
                                 E[..., 1, :], E[..., 2, :])
@@ -154,16 +154,16 @@ def test_kernel_line_torsion_is_the_turned_frame_torsion(name, t):
 
 def test_the_identity_pregauge_makes_no_product(monkeypatch):
     # a coefficient exactly 1 makes no product and one exactly 0 adds no
-    # term (jetalg.lincomb): under the identity pregauge the pregauged shape
-    # fields are the shape fields themselves
+    # term (jetalg.stack_lincomb): under the identity pregauge the
+    # pregauged shape fields are the stack of the shape fields itself
     ctx = context("so3", plan_points("so3", 1)[0])
     M0, Q0 = ideal.frame_gates(ctx)[:2]
+    B = jetalg.unfold(ctx.B_stack, 2)
     with monkeypatch.context() as m:
         counter = JetOps(m)
-        out = ideal._pregauged(ctx.B, M0, Q0)
+        out = ideal._pregauged(B, M0, Q0)
     assert not counter.counts
-    assert all(out[r][i][j] is ctx.B[r][i][j]
-               for r in range(2) for i in range(3) for j in range(3))
+    assert out is B
 
 
 def _mixed(pairs):
@@ -184,12 +184,42 @@ def test_a_pregauge_mixes_as_the_sum_of_its_products(t):
     want = [[[_mixed([(M0[i][a] * M0[j][b], Bmix[r][a][b])
                       for a in range(3) for b in range(3)])
               for j in range(3)] for i in range(3)] for r in range(2)]
-    got = ideal._pregauged(B, M0, Q0)
+    got = ideal._pregauged(jetalg.unfold(ctx.B_stack, 2), M0, Q0)
     for r in range(2):
         for i in range(3):
             for j in range(3):
-                assert np.array_equal(got[r][i][j].c.view(np.int64),
+                assert np.array_equal(got[:, r, i, j].view(np.int64),
                                       want[r][i][j].c.view(np.int64))
+
+
+def _reference_rows(T):
+    """A nested [r][i][j] list of jets as one stack (ncoef, 2, 3, 3[,
+    lanes])."""
+    return np.stack([np.stack([jets.stack(row) for row in Tr], axis=1)
+                     for Tr in T], axis=1)
+
+
+@pytest.mark.parametrize("name", ["so3", "hopf-generic"])
+def test_the_stacked_pregauge_is_the_list_route_bit_for_bit(name):
+    # on the jets CanonicalFields turns (B at K - 3) and on the values the
+    # kernel plane reads, over a 20-lane chunk and a lone point
+    spec = entry(name).spec
+    chunk = sample_points(spec.domain, moebius.CHUNK_POINTS, 3)
+    for p in (chunk, chunk[5]):
+        ctx = moebius.MoebiusContext(spec, p)
+        M0, Q0 = ideal.frame_gates(ctx, pregauge=0.3)[:2]
+        B = ctx.B_stack[:jets.ncoef(ctx.classical.order - 3)]
+        got = ideal._pregauged(jetalg.unfold(B, 2), M0, Q0)
+        want = _reference.pregauged(
+            list(map(jetalg.symmetric_entries, jets.views(B, 2))), M0, Q0)
+        assert np.array_equal(
+            got.view(np.int64),
+            _reference_rows(want).view(np.int64)), len(jets.points(p))
+        got = jets.stack_values(ideal._pregauged(
+            jetalg.unfold(ctx.B_stack[:1], 2), M0, Q0), 3)
+        want = jetalg.value_array(_reference.pregauged(
+            jetalg.values(ctx.B), M0, Q0))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("t", [0.0, 0.4])
@@ -202,7 +232,8 @@ def test_turned_frame_values_are_the_float_run(name, t):
     Q0 = np.array([[math.cos(2 * t), -math.sin(2 * t)],
                    [math.sin(2 * t), math.cos(2 * t)]])
     for p in plan_points(name, 5):
-        Bw = ideal._pregauged(context(name, p).B, M0, Q0)
+        Bw = jets.views(ideal._pregauged(
+            jetalg.unfold(context(name, p).B_stack, 2), M0, Q0), 3)
         Bv = np.array(jetalg.values(Bw))
         plane = kernel_plane(Bv)
         rows, az = turned_frame(Bw, plane)

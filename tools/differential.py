@@ -14,11 +14,18 @@ sha256 over every (argv, exit code, stdout); at the first argv whose exit
 code or stdout differ it prints both documents.  Exit 0 when every group
 is identical, 1 when one differs, 2 when a tree cannot run.
 
-Matrices: `full` (540 runs: the five analysis commands on the six gallery
-charts at --points 1, 2, 5, 20, 21 and seeds 0-2; --spec on the so3 and
-veronese-hopf text forms, hyperbolic-graph and const-graph at 1, 2, 21
-points; 100 and 200 points on so3, hopf-generic and cone-veronese) and
-`smoke` (6 runs).
+Matrices: `full` (3,470 runs in eight groups: `gallery`, the five
+analysis commands on the six gallery charts at --points 1, 2, 5, 20, 21
+and seeds 0-2; `spec`, --spec on the so3 and veronese-hopf text forms,
+hyperbolic-graph and const-graph at 1, 2, 21 points; `large`, 100 and 200
+points on so3, hopf-generic and cone-veronese; `flags`, --gauge v0,
+--tol 1e-3 --ltol 1e-2, --assert-expected, --ltol 1e-20 and --ltol 0.3
+on the gallery at 2, 7, 21 points and seeds 0-1; and the failure path:
+`failing`, the turned, cut and bent charts at 21 and 41 points and seeds
+0-39, `late`, the late-failing turned chart at seeds 28, 0 and 1,
+`blowup`, invariants and residuals on the blowup chart at seeds 0-399,
+and `fast-wave`) and `smoke` (6 runs).  The --spec charts are the texts
+of tests/_charts.py, which the tests read too.
 """
 
 from __future__ import annotations
@@ -37,53 +44,45 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("ddvv", "invariants", "theorem-b", "hopf-check", "residuals")
 CHARTS = ("so3", "veronese-hopf", "hopf-generic", "cone-veronese",
           "generic-control", "umbilic-control")
-
-# two charts with no gallery entry: a hyperbolic graph (a Lorentz position
-# in the normal frame) and a Euclidean graph with constant components
-SPEC_TEXTS = {
-    "hyperbolic-graph": """\
-ambient: hyperbolic
-name: hyperbolic-graph
-domain: u1 in [-0.7,0.7]; u2 in [-0.7,0.7]; u3 in [-0.7,0.7]
-x1 = sqrt(1 + u1^2 + u2^2 + u3^2 + (0.3*sin(u1+u2))^2 + (0.2*u3*u1)^2)
-x2 = u1
-x3 = u2
-x4 = u3
-x5 = 0.3*sin(u1+u2)
-x6 = 0.2*u3*u1
-""",
-    "const-graph": """\
-name: const-graph
-ambient: euclidean
-domain: u1 in [0.2,0.9]; u2 in [0.2,0.9]; u3 in [0.2,0.9]
-x1 = u1
-x2 = u2^0 * u2
-x3 = u3
-x4 = u1^2 + 2*u2^2 + 3*u3^2 + u1*u2*u3
-x5 = 0
-""",
-}
-GALLERY_TEXTS = ("so3", "veronese-hopf")
+# the --spec charts, by their names in tests/_charts.TEXTS
+SPEC_CHARTS = ("so3", "veronese-hopf", "hyperbolic-graph", "const-graph")
+FAILING_CHARTS = ("turned", "cut", "bent")
+FLAGS = (("--gauge", "v0"), ("--tol", "1e-3", "--ltol", "1e-2"),
+         ("--assert-expected",), ("--ltol", "1e-20"), ("--ltol", "0.3"))
 
 
 def matrix(name: str) -> list:
     """(group, argv) pairs of a matrix, in run order."""
     def run(command, source, points, seed=0):
         return [command, *source, "--points", str(points), "--seed", str(seed)]
+
+    def spec(chart):
+        return ("--spec", f"{chart}.imm")
     if name == "smoke":
         return [("smoke", run(c, ("--example", "so3"), 2))
                 for c in COMMANDS] + [
-            ("smoke", run("invariants", ("--spec", "const-graph.imm"), 1))]
+            ("smoke", run("invariants", spec("const-graph"), 1))]
     runs = [("gallery", run(c, ("--example", chart), n, seed))
             for c in COMMANDS for chart in CHARTS
             for n in (1, 2, 5, 20, 21) for seed in range(3)]
-    runs += [("spec", run(c, ("--spec", f"{chart}.imm"), n))
-             for c in COMMANDS for chart in GALLERY_TEXTS + tuple(SPEC_TEXTS)
-             for n in (1, 2, 21)]
+    runs += [("spec", run(c, spec(chart), n))
+             for c in COMMANDS for chart in SPEC_CHARTS for n in (1, 2, 21)]
     runs += [("large", run(c, ("--example", chart), n))
              for c in COMMANDS for chart in ("so3", "hopf-generic",
                                             "cone-veronese")
              for n in (100, 200)]
+    runs += [("flags", run(c, ("--example", chart), n, seed) + list(flags))
+             for flags in FLAGS for c in COMMANDS for chart in CHARTS
+             for n in (2, 7, 21) for seed in range(2)]
+    runs += [("failing", run(c, spec(chart), n, seed))
+             for c in COMMANDS for chart in FAILING_CHARTS
+             for n in (21, 41) for seed in range(40)]
+    runs += [("late", run(c, spec("turned-late"), 20, seed))
+             for c in COMMANDS for seed in (28, 0, 1)]
+    runs += [("blowup", run(c, spec("blowup"), 20, seed))
+             for c in ("invariants", "residuals") for seed in range(400)]
+    runs += [("fast-wave", run(c, spec("fast-wave"), n))
+             for c in COMMANDS for n in (1, 3, 21)]
     return runs
 
 
@@ -101,15 +100,13 @@ def run_tree(tree: str) -> None:
 
 
 def _spec_files(folder: str) -> None:
-    """Write the --spec files: the gallery's text forms (from this tree)
-    and SPEC_TEXTS."""
-    texts = dict(SPEC_TEXTS)
-    dump = ("import json, sys; sys.path.insert(0, 'src'); "
-            "from wintgen import gallery; print(json.dumps({n: "
-            f"gallery.by_name(n).expression_text for n in {GALLERY_TEXTS!r}}}))")
-    texts.update(json.loads(subprocess.run(
+    """Write the --spec files, <name>.imm for each text of this tree's
+    tests/_charts.TEXTS."""
+    dump = ("import json, sys; sys.path[:0] = ['src', 'tests']; "
+            "import _charts; print(json.dumps(_charts.TEXTS))")
+    texts = json.loads(subprocess.run(
         [sys.executable, "-c", dump], cwd=ROOT, check=True,
-        capture_output=True, text=True).stdout))
+        capture_output=True, text=True).stdout)
     for name, text in texts.items():
         with open(os.path.join(folder, f"{name}.imm"), "w") as fh:
             fh.write(text)
